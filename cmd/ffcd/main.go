@@ -172,8 +172,8 @@ func main() {
 	logger.Printf("drained: %d plans installed (%d degraded), %d updates, %d queries served",
 		s.PlansInstalled, s.DegradedInstalls, s.UpdatesApplied, s.QueriesServed)
 	if *certify {
-		logger.Printf("certification: %d runs, %d failures, %d skipped",
-			s.CertRuns, s.CertFailures, s.CertSkipped)
+		logger.Printf("certification: %d runs, %d failures, %d skipped, %.2f ms mean (last: %d cases)",
+			s.CertRuns, s.CertFailures, s.CertSkipped, s.CertMsMean, s.CertCasesLast)
 		if s.CertFailures > 0 {
 			os.Exit(1)
 		}

@@ -11,27 +11,16 @@ import (
 // residual capacity, then seeded random restarts (each polished by a
 // one-pass swap hill-climb) probe fault sets the greedy's myopia misses.
 // Any violation it reports is a real, fully evaluated fault case; an OK is
-// evidence, not a proof — the Certificate carries Exact=false.
-func (c *checker) adversarialData(rng *rand.Rand) searchResult {
+// evidence, not a proof — the Certificate carries Exact=false. evalCase
+// evaluates one case given its failed candidate links and switches.
+func (c *checker) adversarialData(rng *rand.Rand, evalCase func(physSel, swSel []int) caseResult) searchResult {
 	res := searchResult{slack: math.Inf(1), slackLink: -1}
 	ke, kv := c.p.Prot.Ke, c.p.Prot.Kv
 
 	curP := make([]int, 0, ke)
 	curS := make([]int, 0, kv)
 	eval := func() (caseResult, bool) {
-		for _, pi := range curP {
-			c.downP[pi] = true
-		}
-		for _, si := range curS {
-			c.downS[si] = true
-		}
-		cr := c.evalData(c.downP, c.downS)
-		for _, pi := range curP {
-			c.downP[pi] = false
-		}
-		for _, si := range curS {
-			c.downS[si] = false
-		}
+		cr := evalCase(curP, curS)
 		return cr, c.note(&res, cr, curP, curS)
 	}
 

@@ -169,8 +169,8 @@ type Certificate struct {
 	WorstLink string   `json:"worst_link,omitempty"`
 	WorstCase FaultSet `json:"worst_case"`
 
-	// Violation is the worst overload found (nil when OK). With FailFast
-	// it is the first found, not necessarily the worst.
+	// Violation is the worst overload found (nil when OK); with FailFast,
+	// the first in enumeration order, whatever the worker count.
 	Violation *Violation `json:"violation,omitempty"`
 
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -190,11 +190,9 @@ func (c *Certificate) Summary() string {
 		v.Faults.LinkNames, v.Faults.SwitchNames, v.Faults.StaleNames)
 }
 
-// overThreshold mirrors the tolerance every planner and verifier in this
-// repo uses: load exceeds cap only beyond 1e-6·max(1, cap).
-func overThreshold(load, cap float64) bool {
-	return load-cap > 1e-6*math.Max(1, cap)
-}
+// tolerance mirrors the slack every planner and verifier in this repo
+// allows: load exceeds cap only beyond 1e-6·max(1, cap).
+func tolerance(cap float64) float64 { return 1e-6 * math.Max(1, cap) }
 
 // at reads sl[i] with 0 for out-of-range indexes, so short or missing
 // allocation vectors read as zero allocation rather than panicking.
@@ -233,6 +231,24 @@ func weightsOf(alloc []float64) []float64 {
 // certifying a plan with no predecessor.
 func Certify(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Params) (*Certificate, error) {
 	start := time.Now()
+	c, err := prepare(net, set, st, prev, p)
+	if err != nil {
+		return nil, err
+	}
+	exact := c.wantExact()
+	var data searchResult
+	if exact {
+		data = c.exactData()
+	} else {
+		data = c.adversarialData(rand.New(rand.NewSource(c.p.Seed)), c.newEvaluator().eval)
+	}
+	cert := c.certificate(data, exact, prev)
+	cert.Elapsed = time.Since(start)
+	return cert, nil
+}
+
+// prepare validates the inputs, fills Params defaults and indexes the plan.
+func prepare(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Params) (*checker, error) {
 	if net == nil || set == nil || st == nil {
 		return nil, fmt.Errorf("check: nil network, tunnel set, or state")
 	}
@@ -259,42 +275,42 @@ func Certify(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Par
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
+	return newChecker(net, set, st, p), nil
+}
 
-	c := newChecker(net, set, st, p)
+// exactCases is the pruned data-plane enumeration's case count.
+func (c *checker) exactCases() float64 {
+	return binomSum(len(c.activeP), c.p.Prot.Ke) * binomSum(len(c.activeS), c.p.Prot.Kv)
+}
+
+// wantExact chooses the data-plane strategy.
+func (c *checker) wantExact() bool {
+	return c.p.Mode == Exact || c.p.Mode == Auto && c.exactCases() <= float64(c.p.MaxExactCases)
+}
+
+// certificate turns the data-plane search result into the verdict, adding
+// the control plane (per-link top-kc selection, always exact).
+func (c *checker) certificate(data searchResult, exact bool, prev *core.State) *Certificate {
+	p := c.p
 	cert := &Certificate{
 		Kc: p.Prot.Kc, Ke: p.Prot.Ke, Kv: p.Prot.Kv,
+		Exact: exact, Mode: "adversarial",
+		CasesChecked: data.cases, CasesCovered: data.cases,
+		WorstSlack: data.slack, Violation: data.worst,
 	}
-
-	// Data plane: choose the strategy, then search.
-	exactCases := binomSum(len(c.activeP), p.Prot.Ke) * binomSum(len(c.activeS), p.Prot.Kv)
-	exact := p.Mode == Exact || (p.Mode == Auto && exactCases <= float64(p.MaxExactCases))
-	var data searchResult
 	if exact {
-		data = c.exactData()
-		cert.Exact = true
 		cert.Mode = "exact"
-		if data.aborted {
-			// Early exit: the verdict covers only what was evaluated.
-			cert.CasesCovered = data.cases
-		} else {
+		if !data.aborted {
 			// Dominance: combos touching only inert elements behave like
 			// their active projection, so the full space is covered.
 			cert.CasesCovered = satInt64(binomSum(len(c.phys), p.Prot.Ke) * binomSum(len(c.sws), p.Prot.Kv))
 		}
-	} else {
-		data = c.adversarialData(rand.New(rand.NewSource(p.Seed)))
-		cert.Mode = "adversarial"
-		cert.CasesCovered = data.cases
 	}
-	cert.CasesChecked = data.cases
-	cert.WorstSlack = data.slack
 	if data.slackLink >= 0 {
 		cert.WorstLink = c.linkName(topology.LinkID(data.slackLink))
 		cert.WorstCase = c.faultSet(data.slackLinks, data.slackSws, nil)
 	}
-	cert.Violation = data.worst
 
-	// Control plane: per-link top-kc selection, always exact.
 	if p.Prot.Kc > 0 && (cert.Violation == nil || !p.FailFast) {
 		ctrl := c.certifyControl(prev)
 		staleSets := satInt64(binomSum(ctrl.sources, p.Prot.Kc))
@@ -315,7 +331,7 @@ func Certify(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Par
 		// capacity a fault-free, traffic-free network leaves untouched.
 		cert.WorstSlack = 0
 		cert.WorstLink = ""
-		for _, l := range net.Links {
+		for _, l := range c.net.Links {
 			cp := c.cap[l.ID]
 			if cert.WorstLink == "" || cp < cert.WorstSlack {
 				cert.WorstSlack = cp
@@ -325,8 +341,7 @@ func Certify(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Par
 		cert.WorstCase = FaultSet{}
 	}
 	cert.OK = cert.Violation == nil
-	cert.Elapsed = time.Since(start)
-	return cert, nil
+	return cert
 }
 
 // validState rejects non-finite or negative rates and allocations — a
@@ -355,8 +370,9 @@ type checker struct {
 	st  *core.State
 	p   Params
 
-	// cap is the effective capacity per directed link.
-	cap []float64
+	// cap is the effective capacity per directed link and tol its
+	// overload tolerance, tabulated so no fault case calls math.Max.
+	cap, tol []float64
 
 	// phys are the candidate physical links (canonical direction, not
 	// already down); physOf maps a directed link to its candidate index
@@ -378,11 +394,22 @@ type checker struct {
 	activeP []int
 	activeS []int
 
-	// Scratch reused across case evaluations.
-	loads   []float64
-	touched []topology.LinkID
-	downP   []bool
-	downS   []bool
+	// killP / killS list, per candidate link / switch, the tunnels its
+	// failure takes (every tunnel of a flow whose endpoint the switch is),
+	// so a case's tunnel liveness is a few ORs. memoSlots is the size of an
+	// evaluator's memo table.
+	killP, killS [][]kill
+	memoSlots    int
+}
+
+// memoBits caps a flow's memo table at 2^memoBits dead-tunnel masks; a flow
+// with more live positive-weight tunnels is wide and evaluated directly.
+const memoBits = 12
+
+// kill is tunnels (mask bits) of one flow that a candidate's failure takes.
+type kill struct {
+	flow int
+	mask uint32
 }
 
 type cflow struct {
@@ -391,6 +418,9 @@ type cflow struct {
 	// srcC / dstC are candidate-switch indexes of the endpoints.
 	srcC, dstC int
 	tuns       []ctun
+	// slot is the flow's first entry in an evaluator's memo table, one per
+	// dead-tunnel mask; −1 marks a wide flow.
+	slot int
 }
 
 type ctun struct {
@@ -404,12 +434,16 @@ type ctun struct {
 	midC  []int
 	// dead marks a tunnel crossing a pre-down element.
 	dead bool
+	// bit is the tunnel's dead-mask bit: set for the tunnels that can carry
+	// load (not dead, positive weight) of a flow that is not wide.
+	bit uint32
 }
 
 func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params) *checker {
 	c := &checker{net: net, set: set, st: st, p: p}
 
 	c.cap = make([]float64, len(net.Links))
+	c.tol = make([]float64, len(net.Links))
 	for _, l := range net.Links {
 		c.cap[l.ID] = l.Capacity
 		if p.Capacity != nil {
@@ -417,6 +451,7 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 				c.cap[l.ID] = o
 			}
 		}
+		c.tol[l.ID] = tolerance(c.cap[l.ID])
 	}
 
 	linkDown := func(l topology.LinkID) bool {
@@ -457,6 +492,8 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 
 	activeP := make([]bool, len(c.phys))
 	activeS := make([]bool, len(c.sws))
+	c.killP = make([][]kill, len(c.phys))
+	c.killS = make([][]kill, len(c.sws))
 	for _, f := range set.All() {
 		rate := st.Rate[f]
 		if rate == 0 {
@@ -472,7 +509,7 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 		ts := set.Tunnels(f)
 		w := weightsOf(st.Alloc[f])
 		fl := cflow{f: f, rate: rate, srcC: srcC, dstC: dstC}
-		anyAlive := false
+		anyAlive, carrying := false, 0
 		for _, t := range ts {
 			ct := ctun{w: at(w, t.Index), links: t.Links}
 			if len(w) == 0 && len(ts) > 0 {
@@ -500,6 +537,7 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 			if !ct.dead {
 				anyAlive = true
 				if ct.w > 0 {
+					carrying++
 					for _, pi := range ct.physC {
 						activeP[pi] = true
 					}
@@ -511,6 +549,7 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 			fl.tuns = append(fl.tuns, ct)
 		}
 		if anyAlive {
+			c.indexKills(&fl, carrying)
 			c.flows = append(c.flows, fl)
 		}
 	}
@@ -524,11 +563,37 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 			c.activeS = append(c.activeS, i)
 		}
 	}
-
-	c.loads = make([]float64, len(net.Links))
-	c.downP = make([]bool, len(c.phys))
-	c.downS = make([]bool, len(c.sws))
 	return c
+}
+
+// indexKills gives fl — about to become flow len(c.flows), with that many
+// load-carrying tunnels — its memo slots and mask bits, and enters them in
+// the kill lists. A failed endpoint stops a flow as losing every tunnel does.
+func (c *checker) indexKills(fl *cflow, carrying int) {
+	fl.slot = -1
+	if carrying > memoBits {
+		return
+	}
+	fi := len(c.flows)
+	fl.slot = c.memoSlots
+	c.memoSlots += 1 << carrying
+	bit := uint32(1)
+	for ti := range fl.tuns {
+		t := &fl.tuns[ti]
+		if t.dead || t.w <= 0 {
+			continue
+		}
+		t.bit = bit
+		for _, pi := range t.physC {
+			c.killP[pi] = append(c.killP[pi], kill{fi, bit})
+		}
+		for _, si := range t.midC {
+			c.killS[si] = append(c.killS[si], kill{fi, bit})
+		}
+		bit <<= 1
+	}
+	c.killS[fl.srcC] = append(c.killS[fl.srcC], kill{fi, bit - 1})
+	c.killS[fl.dstC] = append(c.killS[fl.dstC], kill{fi, bit - 1})
 }
 
 func (c *checker) linkName(l topology.LinkID) string {
@@ -567,77 +632,6 @@ type caseResult struct {
 	over     float64
 	overLink topology.LinkID
 	load, cp float64
-}
-
-// evalData computes every link's load for one fault case: each flow's rate
-// is split over its surviving tunnels in proportion to the installed
-// weights (ingress rescaling); flows with a failed endpoint, and flows with
-// no surviving positive weight, send nothing.
-func (c *checker) evalData(downP, downS []bool) caseResult {
-	res := caseResult{slack: math.Inf(1), slackLink: -1, overLink: -1}
-	for fi := range c.flows {
-		fl := &c.flows[fi]
-		if downS[fl.srcC] || downS[fl.dstC] {
-			continue
-		}
-		var total float64
-		for ti := range fl.tuns {
-			if tunAlive(&fl.tuns[ti], downP, downS) {
-				total += fl.tuns[ti].w
-			}
-		}
-		if total <= 0 {
-			continue // blackhole: no survivors carry anything
-		}
-		for ti := range fl.tuns {
-			t := &fl.tuns[ti]
-			if t.w <= 0 || !tunAlive(t, downP, downS) {
-				continue
-			}
-			load := fl.rate * t.w / total
-			for _, l := range t.links {
-				if c.loads[l] == 0 {
-					c.touched = append(c.touched, l)
-				}
-				c.loads[l] += load
-			}
-		}
-	}
-	for _, l := range c.touched {
-		load := c.loads[l]
-		c.loads[l] = 0
-		cp := c.cap[l]
-		if s := cp - load; s < res.slack {
-			res.slack = s
-			res.slackLink = l
-		}
-		if overThreshold(load, cp) {
-			if over := load - cp; over > res.over {
-				res.over = over
-				res.overLink = l
-				res.load, res.cp = load, cp
-			}
-		}
-	}
-	c.touched = c.touched[:0]
-	return res
-}
-
-func tunAlive(t *ctun, downP, downS []bool) bool {
-	if t.dead {
-		return false
-	}
-	for _, pi := range t.physC {
-		if downP[pi] {
-			return false
-		}
-	}
-	for _, si := range t.midC {
-		if downS[si] {
-			return false
-		}
-	}
-	return true
 }
 
 // searchResult aggregates a data-plane search (exact or adversarial).

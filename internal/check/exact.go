@@ -3,10 +3,16 @@ package check
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"ffc/internal/core"
+	"ffc/internal/parallel"
 	"ffc/internal/topology"
 )
+
+// parallelMinCases is the enumeration size below which exactData stays on
+// the calling goroutine: workers, each with a memo to fill, cost more.
+const parallelMinCases = 4096
 
 // exactData enumerates every combination of ≤ ke active physical-link
 // failures × ≤ kv active switch failures and evaluates the rescaled loads.
@@ -16,62 +22,105 @@ import (
 // flow endpoint removes those flows' load from every link without shifting
 // anyone else's, so any combination containing inert elements behaves
 // exactly like its active-only projection — which is enumerated.
+//
+// The order is link sets by size then lexicographically, under each the
+// switch sets likewise. Workers take shards of it — the empty link set,
+// then per size every first link with all sets that start with it — and
+// folding the shards' results in shard order with note's strict comparisons
+// reproduces the serial scan whatever the worker count. Under FailFast,
+// firstBad is the lowest shard known to hold a violation: later shards
+// stop, earlier ones finish, and only shards up to it are folded.
 func (c *checker) exactData() searchResult {
-	res := searchResult{slack: math.Inf(1), slackLink: -1}
-	physSel := make([]int, 0, c.p.Prot.Ke)
-	swSel := make([]int, 0, c.p.Prot.Kv)
+	ke, kv, n := c.p.Prot.Ke, c.p.Prot.Kv, len(c.activeP)
+	type shard struct{ size, first int }
+	shards := []shard{{}}
+	for size := 1; size <= min(ke, n); size++ {
+		for first := 0; first <= n-size; first++ {
+			shards = append(shards, shard{size, first})
+		}
+	}
+	workers := 1
+	if c.exactCases() >= parallelMinCases {
+		workers = min(parallel.Workers(0), len(shards))
+	}
+	results := make([]searchResult, len(shards))
+	evals := make([]*evaluator, workers)
+	var firstBad atomic.Int64
+	firstBad.Store(int64(len(shards)))
 
-	combosUpTo(len(c.activeP), c.p.Prot.Ke, func(ps []int) bool {
-		physSel = physSel[:0]
-		for _, i := range ps {
-			c.downP[c.activeP[i]] = true
-			physSel = append(physSel, c.activeP[i])
+	parallel.ForEachWorker(len(shards), workers, func(worker, k int) {
+		if evals[worker] == nil {
+			evals[worker] = c.newEvaluator()
 		}
-		cont := combosUpTo(len(c.activeS), c.p.Prot.Kv, func(ss []int) bool {
-			swSel = swSel[:0]
-			for _, i := range ss {
-				c.downS[c.activeS[i]] = true
-				swSel = append(swSel, c.activeS[i])
+		e, res := evals[worker], &results[k]
+		*res = searchResult{slack: math.Inf(1), slackLink: -1}
+		sh := shards[k]
+		physSel, swSel := make([]int, 0, sh.size), make([]int, 0, kv)
+		prefix := make([]int, 0, sh.size)
+		if sh.size > 0 {
+			prefix = append(prefix, sh.first)
+		}
+		combos(prefix, sh.first+1, n, sh.size-len(prefix), func(ps []int) bool {
+			if int64(k) > firstBad.Load() {
+				return false
 			}
-			cr := c.evalData(c.downP, c.downS)
-			for _, i := range ss {
-				c.downS[c.activeS[i]] = false
+			physSel = physSel[:0]
+			for _, i := range ps {
+				physSel = append(physSel, c.activeP[i])
 			}
-			return c.note(&res, cr, physSel, swSel)
+			return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
+				swSel = swSel[:0]
+				for _, i := range ss {
+					swSel = append(swSel, c.activeS[i])
+				}
+				return c.note(res, e.eval(physSel, swSel), physSel, swSel)
+			})
 		})
-		for _, i := range ps {
-			c.downP[c.activeP[i]] = false
+		for res.aborted {
+			if cur := firstBad.Load(); int64(k) >= cur || firstBad.CompareAndSwap(cur, int64(k)) {
+				break
+			}
 		}
-		return cont
 	})
+
+	res := searchResult{slack: math.Inf(1), slackLink: -1}
+	last := min(int(firstBad.Load()), len(shards)-1)
+	for _, r := range results[:last+1] {
+		res.cases += r.cases
+		if r.slackLink >= 0 && r.slack < res.slack {
+			res.slack, res.slackLink = r.slack, r.slackLink
+			res.slackLinks, res.slackSws = r.slackLinks, r.slackSws
+		}
+		if r.worst != nil && (res.worst == nil || r.worst.Over > res.worst.Over) {
+			res.worst = r.worst
+		}
+		res.aborted = r.aborted
+	}
 	return res
 }
 
+// combos calls fn with sel extended by every k-combination of the indexes
+// [lo, n), in lexicographic order. fn returns false to stop; combos then
+// returns false. The slice passed to fn is reused — copy it to keep it.
+func combos(sel []int, lo, n, k int, fn func([]int) bool) bool {
+	if k == 0 {
+		return fn(sel)
+	}
+	for i := lo; i <= n-k; i++ {
+		if !combos(append(sel, i), i+1, n, k-1, fn) {
+			return false
+		}
+	}
+	return true
+}
+
 // combosUpTo calls fn with every index combination of size 0..k over
-// [0, n), smallest size first, lexicographic within a size. fn returns
-// false to stop; combosUpTo then returns false. The slice passed to fn is
-// reused — copy it to keep it.
+// [0, n), smallest size first, lexicographic within a size, under combos'
+// contract.
 func combosUpTo(n, k int, fn func([]int) bool) bool {
-	if k > n {
-		k = n
-	}
 	sel := make([]int, 0, k)
-	var rec func(start, size int) bool
-	rec = func(start, size int) bool {
-		if len(sel) == size {
-			return fn(sel)
-		}
-		for i := start; i <= n-(size-len(sel)); i++ {
-			sel = append(sel, i)
-			if !rec(i+1, size) {
-				return false
-			}
-			sel = sel[:len(sel)-1]
-		}
-		return true
-	}
-	for size := 0; size <= k; size++ {
-		if !rec(0, size) {
+	for size := 0; size <= min(k, n); size++ {
+		if !combos(sel, 0, n, size, fn) {
 			return false
 		}
 	}
@@ -102,17 +151,24 @@ type controlResult struct {
 func (c *checker) certifyControl(prev *core.State) controlResult {
 	res := controlResult{slack: math.Inf(1), slackLink: -1}
 
-	type contrib struct {
+	// perLink[l][src] is what candidate switch src's flows put on link l,
+	// updated and stale; dense and summed in ascending source order below,
+	// so the certificate does not depend on map iteration order.
+	type stake struct {
 		newL, staleL float64
 	}
-	perLink := make(map[topology.LinkID]map[topology.SwitchID]*contrib)
-	srcSeen := map[topology.SwitchID]bool{}
+	perLink := make([][]stake, len(c.net.Links))
+	srcSeen := make([]bool, len(c.sws))
 
 	for _, f := range c.set.All() {
 		if c.swOf[f.Src] < 0 || c.swOf[f.Dst] < 0 {
 			continue // an endpoint is already down: nothing is sent
 		}
-		srcSeen[f.Src] = true
+		src := c.swOf[f.Src]
+		if !srcSeen[src] {
+			srcSeen[src] = true
+			res.sources++
+		}
 		alloc := c.st.Alloc[f]
 		oldAlloc := prev.Alloc[f]
 		oldW := weightsOf(oldAlloc)
@@ -137,42 +193,32 @@ func (c *checker) certifyControl(prev *core.State) controlResult {
 				continue
 			}
 			for _, l := range t.Links {
-				m := perLink[l]
-				if m == nil {
-					m = map[topology.SwitchID]*contrib{}
-					perLink[l] = m
+				if perLink[l] == nil {
+					perLink[l] = make([]stake, len(c.sws))
 				}
-				ct := m[f.Src]
-				if ct == nil {
-					ct = &contrib{}
-					m[f.Src] = ct
-				}
-				ct.newL += a
-				ct.staleL += stale
+				perLink[l][src].newL += a
+				perLink[l][src].staleL += stale
 			}
 		}
 	}
-	res.sources = len(srcSeen)
-
-	// Deterministic link order so ties resolve the same way every run.
-	links := make([]topology.LinkID, 0, len(perLink))
-	for l := range perLink {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
 
 	type delta struct {
 		src topology.SwitchID
 		d   float64
 	}
-	for _, l := range links {
+	var deltas []delta
+	for li, stakes := range perLink {
+		if stakes == nil {
+			continue
+		}
+		l := topology.LinkID(li)
 		res.cases++
 		var base float64
-		var deltas []delta
-		for src, ct := range perLink[l] {
-			base += ct.newL
-			if d := ct.staleL - ct.newL; d > 0 {
-				deltas = append(deltas, delta{src, d})
+		deltas = deltas[:0]
+		for src, sk := range stakes {
+			base += sk.newL
+			if d := sk.staleL - sk.newL; d > 0 {
+				deltas = append(deltas, delta{c.sws[src], d})
 			}
 		}
 		sort.Slice(deltas, func(i, j int) bool {
@@ -193,7 +239,7 @@ func (c *checker) certifyControl(prev *core.State) controlResult {
 			res.slackLink = l
 			res.slackStale = sortedStale(stale)
 		}
-		if overThreshold(load, cp) {
+		if load-cp > c.tol[l] {
 			if over := load - cp; res.worst == nil || over > res.worst.Over {
 				res.worst = &Violation{
 					Plane:    "control",

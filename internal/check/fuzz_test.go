@@ -5,9 +5,11 @@ package check
 // ffccheck offline pipeline (parse a recorded state file, rebuild the
 // tunnel set from its paths, certify) and direct certification of a
 // byte-driven state that need not be solver-consistent. The certifier
-// must never panic, its case accounting must stay coherent, and an exact
+// must never panic, its case accounting must stay coherent, an exact
 // all-clear must imply an adversarial all-clear — the search checks a
-// subset of what the enumeration proves.
+// subset of what the enumeration proves — and in both modes the
+// certificate must equal, bitwise, the one the oracle evaluator
+// (oracle_test.go) produces.
 
 import (
 	"encoding/json"
@@ -86,21 +88,15 @@ func FuzzCheckPlan(f *testing.F) {
 	})
 }
 
-// certifyBoth runs the exact and adversarial certifiers on one plan and
-// checks the cross-mode and accounting invariants.
+// certifyBoth runs the exact and adversarial certifiers on one plan, each
+// against the oracle, and checks the cross-mode and accounting invariants.
 func certifyBoth(t *testing.T, net *topology.Network, set *tunnel.Set, st, prev *core.State, prot core.Protection) {
-	exact, err := Certify(net, set, st, prev, Params{Prot: prot, Mode: Exact})
-	if err != nil {
-		t.Fatalf("exact certify: %v", err)
-	}
+	exact := requireOracleEqual(t, "exact", net, set, st, prev, Params{Prot: prot, Mode: Exact})
 	checkCert(t, exact, "exact")
 	if !exact.Exact {
 		t.Fatal("Exact mode produced a non-exact certificate")
 	}
-	adv, err := Certify(net, set, st, prev, Params{Prot: prot, Mode: Adversarial, Restarts: 8})
-	if err != nil {
-		t.Fatalf("adversarial certify: %v", err)
-	}
+	adv := requireOracleEqual(t, "adversarial", net, set, st, prev, Params{Prot: prot, Mode: Adversarial, Restarts: 8})
 	checkCert(t, adv, "adversarial")
 	if exact.OK && !adv.OK {
 		t.Fatalf("exact proves the plan safe but adversarial found %+v", adv.Violation)

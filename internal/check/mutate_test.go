@@ -111,6 +111,7 @@ func TestMutationRateBump(t *testing.T) {
 	if !onVictim[zero.Violation.Link] {
 		t.Fatalf("violating link %s not on the bumped flow's tunnels", zero.Violation.LinkName)
 	}
+	requireFailFastFirst(t, net, set, mut, Params{Prot: snetProt, Mode: Exact})
 }
 
 // TestMutationDroppedBackup: zeroing a backup tunnel's allocation (the
@@ -186,6 +187,7 @@ probing:
 	if !replay.Violation.Faults.Empty() {
 		t.Fatalf("replay blames further faults: %+v", replay.Violation.Faults)
 	}
+	requireFailFastFirst(t, net, set, mutated, Params{Prot: snetProt, Mode: Exact})
 }
 
 // TestMutationShrunkCapacity: shrinking one link below its fault-free
@@ -246,4 +248,5 @@ func TestMutationShrunkCapacity(t *testing.T) {
 	if replay.Violation.Link != worst {
 		t.Fatalf("replay violation on %s, want the shrunk link", replay.Violation.LinkName)
 	}
+	requireFailFastFirst(t, net, set, st, Params{Prot: snetProt, Mode: Exact, Capacity: caps})
 }

@@ -1,6 +1,8 @@
 package ctrl
 
 import (
+	"time"
+
 	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/obs"
@@ -14,6 +16,10 @@ var (
 	obsCertFailures   = obs.NewCounter("ctrl.cert_failures")
 	obsCertSkipped    = obs.NewCounter("ctrl.cert_skipped")
 	obsCertWorstSlack = obs.NewGauge("ctrl.cert_worst_slack_milli")
+	// obsCertMs is each certification's run time in whole milliseconds;
+	// with the cert_ms_mean stat it tells the certifier's own cost from the
+	// time a plan waited in its queue.
+	obsCertMs = obs.NewHistogram("ctrl.cert_ms")
 )
 
 // certJob carries everything a certification needs, captured at install
@@ -89,9 +95,17 @@ func (c *Controller) certParams(prot core.Protection, degraded string,
 // runCert certifies one installed plan and records the verdict in stats
 // and obs. Returns the certificate's OK (false on checker error too).
 func (c *Controller) runCert(job certJob) bool {
+	start := time.Now()
 	cert, err := check.Certify(c.net, job.set, job.plan.State, job.prev, job.params)
+	elapsed := time.Since(start)
+	// Time and cases first: a client that sees cert_runs = n reads run n's.
+	c.stats.certSumNs.Add(elapsed.Nanoseconds())
+	if err == nil {
+		c.stats.certCasesLast.Store(cert.CasesChecked)
+	}
 	c.stats.certRuns.Add(1)
 	obsCertRuns.Inc()
+	obsCertMs.Observe(elapsed.Milliseconds())
 	if err != nil {
 		c.stats.certFailures.Add(1)
 		obsCertFailures.Inc()

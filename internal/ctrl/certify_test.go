@@ -64,6 +64,9 @@ func TestCertifyInstalls(t *testing.T) {
 	if s.CertFailures != 0 {
 		t.Fatalf("cert failures %d on healthy solves", s.CertFailures)
 	}
+	if s.CertMsMean <= 0 || s.CertCasesLast <= 0 {
+		t.Fatalf("cert_ms_mean %g, cert_cases_last %d: want both recorded", s.CertMsMean, s.CertCasesLast)
+	}
 
 	lines := trace.Lines()
 	if len(lines) < 2 {

@@ -115,6 +115,8 @@ type statsCell struct {
 	certRuns         atomic.Int64
 	certFailures     atomic.Int64
 	certSkipped      atomic.Int64
+	certSumNs        atomic.Int64
+	certCasesLast    atomic.Int64
 }
 
 // StatsSnapshot is the stats query's payload.
@@ -134,6 +136,10 @@ type StatsSnapshot struct {
 	CertRuns         int64 `json:"cert_runs"`
 	CertFailures     int64 `json:"cert_failures"`
 	CertSkipped      int64 `json:"cert_skipped"`
+	// CertMsMean is the mean run time of the CertRuns certifications and
+	// CertCasesLast the latest one's CasesChecked.
+	CertMsMean    float64 `json:"cert_ms_mean"`
+	CertCasesLast int64   `json:"cert_cases_last"`
 }
 
 // Controller is the TE control loop plus its serving surface. Queries
@@ -343,12 +349,16 @@ func (c *Controller) Stats() StatsSnapshot {
 		CertRuns:         c.stats.certRuns.Load(),
 		CertFailures:     c.stats.certFailures.Load(),
 		CertSkipped:      c.stats.certSkipped.Load(),
+		CertCasesLast:    c.stats.certCasesLast.Load(),
 	}
 	if p := c.plan.Load(); p != nil {
 		s.PlanSeq = p.Seq
 	}
 	if n := s.SolveCount; n > 0 {
 		s.SolveMeanNs = c.stats.solveSumNs.Load() / n
+	}
+	if n := s.CertRuns; n > 0 {
+		s.CertMsMean = float64(c.stats.certSumNs.Load()) / float64(n) / 1e6
 	}
 	return s
 }
