@@ -4,14 +4,12 @@
 //	ffcbench -exp all
 //	ffcbench -exp fig13,fig14 -net lnet -sites 10 -intervals 48
 //	ffcbench -exp table2 -net both
-//	ffcbench -exp table2 -net snet -stats          # + solver counters, BENCH_snet.json
+//	ffcbench -exp table2 -net snet -stats          # + solver counters and spans
 //	ffcbench -exp all -debug-addr localhost:6060   # live pprof/expvar
 //
 // Output is text: aligned tables for bar/line figures and "x y" series for
 // CDFs, labelled with the corresponding paper artifact. With -stats the
-// run additionally times an S-Net-style verify/solve micro-pass and writes
-// machine-readable BENCH_<net>.json (see internal/obs) — the same format
-// the CI perf gate (cmd/benchgate) consumes.
+// run enables internal/obs and dumps its counters and spans at the end.
 package main
 
 import (
@@ -19,22 +17,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"ffc/internal/core"
-	"ffc/internal/demand"
 	"ffc/internal/experiments"
 	"ffc/internal/faults"
 	"ffc/internal/metrics"
 	"ffc/internal/obs"
 	"ffc/internal/parallel"
-	"ffc/internal/sim"
-	"ffc/internal/topology"
 )
 
 var allExperiments = []string{
@@ -51,15 +44,13 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		tunnels    = flag.Int("tunnels", 6, "tunnels per flow")
 		quick      = flag.Bool("quick", false, "shrink everything for a fast smoke run")
-		par        = flag.Int("parallel", 0, "worker count for parallel stages, including LP constraint emission (<=0 = all cores, 1 = serial)")
+		par        = flag.Int("parallel", 0, "worker count for parallel stages (<=0 = all cores, 1 = serial)")
 		warm       = flag.Bool("warm", false, "warm-start serial interval re-solves from the previous basis across the harness")
-		template   = flag.Bool("template", true, "reuse LP model templates across interval re-solves (rebind bounds/RHS instead of re-formulating); -template=false forces scratch builds")
 		compare    = flag.Bool("compare-serial", false, "after the run, repeat with -parallel 1 and print a wall-clock speedup table")
-		stats      = flag.Bool("stats", false, "enable instrumentation: print solver counters and a latency breakdown, run a verify/solve micro-benchmark, and write BENCH_<net>.json")
-		benchJSON  = flag.String("bench-json", "", "override the BENCH output path (default BENCH_<net>.json per environment; implies -stats semantics for the file)")
+		stats      = flag.Bool("stats", false, "enable instrumentation and print solver counters and a span latency breakdown at the end")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address (e.g. localhost:6060)")
 		deadline   = flag.Duration("solver-deadline", 0, "per-interval TE solve budget across the harness; a missed solve degrades the interval to the last-good plan (0 = unbounded)")
-		injectSpec = flag.String("inject-solver", "", "inject controller faults into every sim, e.g. timeout=0.1,crash=0.01,stale=0.02; tags BENCH entries 'degraded'")
+		injectSpec = flag.String("inject-solver", "", "inject controller faults into every sim, e.g. timeout=0.1,crash=0.01,stale=0.02")
 	)
 	flag.Parse()
 
@@ -67,7 +58,6 @@ func main() {
 	if err != nil {
 		fatalf("-inject-solver: %v", err)
 	}
-	degradedRun := *deadline > 0 || injected.Enabled()
 
 	if *stats {
 		obs.Enable()
@@ -117,8 +107,7 @@ func main() {
 	defer cancel()
 
 	if needEnv {
-		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, TunnelsPerFlow: *tunnels, Parallelism: *par, WarmStart: *warm, SolverDeadline: *deadline, SolverFaults: injected,
-			BuildWorkers: experiments.BuildWorkersFor(*par), NoTemplate: !*template, Ctx: ctx}
+		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, TunnelsPerFlow: *tunnels, Parallelism: *par, WarmStart: *warm, SolverDeadline: *deadline, SolverFaults: injected, Ctx: ctx}
 		if *netKind == "lnet" || *netKind == "both" {
 			fmt.Fprintf(os.Stderr, "building L-Net environment (%d sites, %d intervals)...\n", *sites, *intervals)
 			env, err := experiments.NewLNet(cfg)
@@ -191,287 +180,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "all done in %v\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	workers := parallel.Workers(*par)
-	var serTimes *metrics.Stopwatch
 	if *compare {
-		if workers == 1 {
+		if parallel.Workers(*par) == 1 {
 			// The main pass already ran serially; re-running it would time
-			// the identical configuration twice. Reuse its timings as the
-			// serial numbers so downstream consumers (the -stats BENCH
-			// entries) still see a serial column without a duplicate run.
+			// the identical configuration twice.
 			fmt.Println("# wall-clock: -compare-serial skipped — the run was already serial (-parallel=1), nothing to compare")
-			serTimes = &parTimes
 		} else {
 			fmt.Fprintln(os.Stderr, "re-running serially (-parallel 1) for the speedup table...")
 			for _, env := range envs {
 				env.Parallelism = 1
 			}
-			serTimes = &metrics.Stopwatch{}
-			pass(io.Discard, serTimes, false)
+			var serTimes metrics.Stopwatch
+			pass(io.Discard, &serTimes, false)
 			fmt.Println("# wall-clock: serial vs parallel")
-			fmt.Print(metrics.RenderSpeedup(serTimes, &parTimes))
-			for _, env := range envs {
-				env.Parallelism = *par
-			}
+			fmt.Print(metrics.RenderSpeedup(&serTimes, &parTimes))
 		}
 	}
 
-	if *stats || *benchJSON != "" {
-		if len(envs) == 0 {
-			fmt.Fprintln(os.Stderr, "no environment built (-exp selected only synthetic figures); skipping the -stats micro-benchmark")
-		}
-		for i, env := range envs {
-			path := *benchJSON
-			if path == "" || len(envs) > 1 {
-				path = "BENCH_" + envLabel(env) + ".json"
-				if *benchJSON != "" && i == 0 {
-					fmt.Fprintln(os.Stderr, "-bench-json ignored: multiple environments, writing per-env BENCH files")
-				}
-			}
-			bf, err := statsPass(env, &parTimes, serTimes, workers)
-			if err != nil {
-				fatalf("stats micro-benchmark (%s): %v", env.Name, err)
-			}
-			if degradedRun {
-				// The experiment timings above ran under fault injection or a
-				// solve deadline; mark every entry so the CI gate skips them.
-				for i := range bf.Benchmarks {
-					bf.Benchmarks[i].Tags = append(bf.Benchmarks[i].Tags, obs.BenchTagDegraded)
-				}
-			}
-			if err := obs.WriteBenchFile(path, bf); err != nil {
-				fatalf("writing %s: %v", path, err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", path, len(bf.Benchmarks))
-		}
+	if *stats {
 		fmt.Fprintln(os.Stderr, "--- instrumentation dump (counters, spans) ---")
 		obs.Default().WriteText(os.Stderr)
 	}
-}
-
-// envLabel maps "S-Net" → "snet" for file names and "SNet" bench tags.
-func envLabel(env *experiments.Env) string {
-	return strings.ToLower(strings.ReplaceAll(env.Name, "-", ""))
-}
-
-func envTag(env *experiments.Env) string {
-	return strings.ReplaceAll(env.Name, "-", "")
-}
-
-// numFaultCases counts link-failure combinations of size 0..ke over the
-// physical links — the data-plane verifier's enumeration size.
-func numFaultCases(net *topology.Network, ke int) int64 {
-	phys := 0
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			phys++
-		}
-	}
-	total, choose := int64(0), int64(1)
-	for s := 0; s <= ke; s++ {
-		if s > 0 {
-			choose = choose * int64(phys-s+1) / int64(s)
-		}
-		total += choose
-	}
-	return total
-}
-
-// statsPass runs the instrumented micro-benchmark behind -stats: one plain
-// and one FFC (ke=2) TE solve, then the ke=2 data-plane verification both
-// serially and in parallel — the same workload as the repo's
-// BenchmarkVerifyDataPlaneSNet, with matching normalized names so the CI
-// gate compares them directly. Experiment wall-clock timings from the main
-// pass (and the -compare-serial speedups, when present) ride along.
-// workers is the effective -parallel value: at 1 the run is serial, so the
-// "parallel" verify leg would repeat the serial one and is skipped.
-func statsPass(env *experiments.Env, parTimes, serTimes *metrics.Stopwatch, workers int) (*obs.BenchFile, error) {
-	const ke = 2
-	tag := envTag(env)
-	fmt.Fprintf(os.Stderr, "stats micro-benchmark on %s (ke=%d)...\n", env.Name, ke)
-	solver := core.NewSolver(env.Net, env.Tun, env.Opts)
-	demands := sim.ScaleSeries(env.Series, env.Scale1)[0]
-
-	bf := &obs.BenchFile{Schema: obs.BenchSchema, Label: envLabel(env)}
-
-	// Plain TE solve.
-	t0 := time.Now()
-	st, plainStats, err := solver.Solve(core.Input{Demands: demands})
-	if err != nil {
-		return nil, err
-	}
-	bf.Benchmarks = append(bf.Benchmarks, obs.BenchEntry{
-		Name: "ffcbench/" + bf.Label + "/solve_plain", NsPerOp: float64(time.Since(t0).Nanoseconds()), Ops: 1,
-		Counters: map[string]int64{
-			"iters":        int64(plainStats.LP.Iters),
-			"reinversions": int64(plainStats.LP.Reinversions),
-			"basis_nnz":    int64(plainStats.LP.BasisNnz),
-		},
-	})
-
-	// FFC solve at ke=2 (data-plane protection).
-	t0 = time.Now()
-	_, ffcStats, err := solver.Solve(core.Input{Demands: demands, Prot: core.Protection{Ke: ke}})
-	if err != nil {
-		return nil, err
-	}
-	ffcNs := time.Since(t0)
-	bf.Benchmarks = append(bf.Benchmarks, obs.BenchEntry{
-		Name: "ffcbench/" + bf.Label + "/solve_ffc_ke2", NsPerOp: float64(ffcNs.Nanoseconds()), Ops: 1,
-		Counters: map[string]int64{
-			"iters":         int64(ffcStats.LP.Iters),
-			"phase1_iters":  int64(ffcStats.LP.Phase1Iters),
-			"reinversions":  int64(ffcStats.LP.Reinversions),
-			"devex_resets":  int64(ffcStats.LP.DevexResets),
-			"bound_flips":   int64(ffcStats.LP.BoundFlips),
-			"basis_nnz":     int64(ffcStats.LP.BasisNnz),
-			"presolve_rows": int64(ffcStats.LP.PresolveRows),
-			"presolve_cols": int64(ffcStats.LP.PresolveCols),
-			"lp_vars":       int64(ffcStats.Vars),
-			"lp_cons":       int64(ffcStats.Constraints),
-		},
-	})
-	fmt.Fprintf(os.Stderr, "  solve(ke=%d): %v  build %v  iters %d (phase1 %d)  reinversions %d  devex resets %d  basis nnz %d\n",
-		ke, ffcStats.SolveTime.Round(time.Millisecond), ffcStats.BuildTime.Round(time.Millisecond),
-		ffcStats.LP.Iters, ffcStats.LP.Phase1Iters, ffcStats.LP.Reinversions, ffcStats.LP.DevexResets, ffcStats.LP.BasisNnz)
-
-	// Warm vs cold interval re-solves: a short serial chain of FFC solves
-	// over a 5-minute-cadence drift series (σ = 5% per-interval noise,
-	// scaled to the calibrated load), once starting each interval from
-	// scratch and once carrying the previous interval's basis
-	// (core.Session) — the workload of BenchmarkResolveWarmVsCold, with
-	// matching counters so the CI gate can watch the iteration savings.
-	// Mice classification is off for both modes: it re-buckets flows by
-	// demand every interval, changing the LP's column set and forcing a
-	// model rebuild that neither mode could reuse.
-	gen := demand.Generate(env.Net, demand.Config{Intervals: 6, NoiseSigma: 0.05}, rand.New(rand.NewSource(61)))
-	ref := sim.ScaleSeries(env.Series, env.Scale1)[0].Total()
-	chain := sim.ScaleSeries(gen, ref/gen[0].Total())
-	resolveOpts := env.Opts
-	resolveOpts.MiceFraction = 0
-	resolveSolver := core.NewSolver(env.Net, env.Tun, resolveOpts)
-	resolve := func(warmStart bool) (time.Duration, int64, int64, error) {
-		var elapsed time.Duration
-		var iters, p1 int64
-		solve := resolveSolver.Solve
-		if warmStart {
-			solve = resolveSolver.NewSession().Solve
-		}
-		for i, dem := range chain {
-			if i == 0 {
-				continue // interval 0 is the cold build either way
-			}
-			t0 := time.Now()
-			_, s, err := solve(core.Input{Demands: dem, Prot: core.Protection{Ke: ke}})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			elapsed += time.Since(t0)
-			iters += int64(s.LP.Iters)
-			p1 += int64(s.LP.Phase1Iters)
-		}
-		return elapsed, iters, p1, nil
-	}
-	coldNs, coldIters, coldP1, err := resolve(false)
-	if err != nil {
-		return nil, err
-	}
-	warmNs, warmIters, warmP1, err := resolve(true)
-	if err != nil {
-		return nil, err
-	}
-	n := int64(len(chain) - 1)
-	bf.Benchmarks = append(bf.Benchmarks,
-		obs.BenchEntry{Name: "ffcbench/" + bf.Label + "/resolve_cold", NsPerOp: float64(coldNs.Nanoseconds()) / float64(n), Ops: n,
-			Counters: map[string]int64{"iters": coldIters, "phase1_iters": coldP1}},
-		obs.BenchEntry{Name: "ffcbench/" + bf.Label + "/resolve_warm", NsPerOp: float64(warmNs.Nanoseconds()) / float64(n), Ops: n,
-			Counters: map[string]int64{"iters": warmIters, "phase1_iters": warmP1},
-			Speedup:  metrics.Speedup(coldNs, warmNs)},
-	)
-	fmt.Fprintf(os.Stderr, "  resolve ×%d (ke=%d): cold %v / %d iters  warm %v / %d iters  (%.2fx time, %.2fx iters)\n",
-		n, ke, coldNs.Round(time.Millisecond), coldIters, warmNs.Round(time.Millisecond), warmIters,
-		metrics.Speedup(coldNs, warmNs), float64(coldIters)/float64(max64(warmIters, 1)))
-
-	// Model-build cold vs warm on the same drift chain, timing formulation
-	// only: cold builds every interval's LP from scratch (NewTemplate is
-	// exactly a scratch formulate), warm freezes one ModelTemplate and
-	// re-instantiates it per interval by rewriting bounds/RHS/objective
-	// coefficients in place.
-	buildIn := func(i int) core.Input {
-		return core.Input{Demands: chain[i], Prot: core.Protection{Ke: ke}}
-	}
-	t0 = time.Now()
-	for i := 1; i < len(chain); i++ {
-		if _, err := resolveSolver.NewTemplate(buildIn(i)); err != nil {
-			return nil, err
-		}
-	}
-	buildCold := time.Since(t0)
-	tmpl, err := resolveSolver.NewTemplate(buildIn(0))
-	if err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	for i := 1; i < len(chain); i++ {
-		if err := tmpl.Instantiate(buildIn(i)); err != nil {
-			return nil, err
-		}
-	}
-	buildWarm := time.Since(t0)
-	sizeCounters := map[string]int64{"lp_vars": int64(tmpl.Vars()), "lp_cons": int64(tmpl.Constraints())}
-	bf.Benchmarks = append(bf.Benchmarks,
-		obs.BenchEntry{Name: "ffcbench/" + bf.Label + "/modelbuild_cold", NsPerOp: float64(buildCold.Nanoseconds()) / float64(n), Ops: n,
-			Counters: sizeCounters},
-		obs.BenchEntry{Name: "ffcbench/" + bf.Label + "/modelbuild_warm", NsPerOp: float64(buildWarm.Nanoseconds()) / float64(n), Ops: n,
-			Counters: sizeCounters, Speedup: metrics.Speedup(buildCold, buildWarm)},
-	)
-	fmt.Fprintf(os.Stderr, "  modelbuild ×%d (ke=%d, %d vars, %d cons): cold %v  warm %v  (%.2fx)\n",
-		n, ke, tmpl.Vars(), tmpl.Constraints(), buildCold.Round(time.Millisecond), buildWarm.Round(time.Millisecond),
-		metrics.Speedup(buildCold, buildWarm))
-
-	// Data-plane verification, serial then parallel, on the plain state —
-	// the repo benchmark's workload (BenchmarkVerifyDataPlaneSNet). With
-	// -parallel=1 the parallel leg would be the serial leg re-run under
-	// another name, so only the serial entry is emitted.
-	cases := numFaultCases(env.Net, ke)
-	t0 = time.Now()
-	core.VerifyDataPlaneN(env.Net, env.Tun, st, ke, 0, nil, 1)
-	serial := time.Since(t0)
-	bf.Benchmarks = append(bf.Benchmarks,
-		obs.BenchEntry{Name: "VerifyDataPlane" + tag + "/serial", NsPerOp: float64(serial.Nanoseconds()), Ops: 1, Cases: cases})
-	if workers == 1 {
-		fmt.Fprintf(os.Stderr, "  verify(ke=%d, %d cases): serial %v  (parallel leg skipped at -parallel=1)\n",
-			ke, cases, serial.Round(time.Millisecond))
-	} else {
-		t0 = time.Now()
-		core.VerifyDataPlaneN(env.Net, env.Tun, st, ke, 0, nil, workers)
-		par := time.Since(t0)
-		bf.Benchmarks = append(bf.Benchmarks,
-			obs.BenchEntry{Name: "VerifyDataPlane" + tag + "/parallel", NsPerOp: float64(par.Nanoseconds()), Ops: 1, Cases: cases,
-				Speedup: metrics.Speedup(serial, par)})
-		fmt.Fprintf(os.Stderr, "  verify(ke=%d, %d cases): serial %v  parallel %v  speedup %.2fx\n",
-			ke, cases, serial.Round(time.Millisecond), par.Round(time.Millisecond), metrics.Speedup(serial, par))
-	}
-
-	// Experiment wall-clock from the main pass, with serial/parallel
-	// speedups when -compare-serial ran.
-	for _, id := range parTimes.Names() {
-		e := obs.BenchEntry{Name: "ffcbench/exp/" + id, NsPerOp: float64(parTimes.Get(id).Nanoseconds()), Ops: 1}
-		if serTimes != nil {
-			e.Speedup = metrics.Speedup(serTimes.Get(id), parTimes.Get(id))
-		}
-		bf.Benchmarks = append(bf.Benchmarks, e)
-	}
-
-	bf.Counters = obs.Default().CounterValues()
-	return bf, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func contains(xs []string, x string) bool {

@@ -57,7 +57,6 @@ func main() {
 		firstDelay = flag.Duration("first-solve-delay", 0, "hold the first recompute for this long after boot (the restored snapshot serves meanwhile; used by restart tests)")
 		injectSpec = flag.String("inject-solver", "", "inject controller faults per recompute, e.g. timeout=0.1,crash=0.01,stale=0.02")
 		injectSeed = flag.Int64("inject-seed", 1, "fault-injection RNG seed")
-		par        = flag.Int("parallel", 0, "LP constraint-emission workers (<=0 = all cores, 1 = serial)")
 		statsFlag  = flag.Bool("stats", false, "enable the obs registry (counters, latency histograms)")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
 		certify    = flag.Bool("certify", false, "independently certify every installed plan with internal/check (async; failures are logged and counted in cert_failures); restored snapshots certify before serving")
@@ -103,11 +102,6 @@ func main() {
 		Logf:            logger.Printf,
 	}
 	cfg.Opts = core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5}
-	if *par <= 0 {
-		cfg.Opts.BuildWorkers = -1
-	} else {
-		cfg.Opts.BuildWorkers = *par
-	}
 	switch *encoding {
 	case "sortnet":
 		cfg.Opts.Encoding = core.SortNet

@@ -7,8 +7,7 @@
 // the degraded fallback (used by the CI soak, which injects solver
 // faults and must see them absorbed).
 //
-//	ffcload -addr 127.0.0.1:7070 -qps 500 -duration 10s -churn \
-//	        -strict -bench-json BENCH_ctrl.json
+//	ffcload -addr 127.0.0.1:7070 -qps 500 -duration 10s -churn -strict
 //
 // A trace file is JSON: {"trace":[{"at_ms":120,"update":{...}}, ...]}
 // where each update is one wire.Update frame (see internal/wire).
@@ -27,7 +26,6 @@ import (
 
 	"ffc/internal/ctrl"
 	"ffc/internal/metrics"
-	"ffc/internal/obs"
 	"ffc/internal/wire"
 )
 
@@ -54,8 +52,6 @@ func main() {
 		churnEvery = flag.Duration("churn-every", 250*time.Millisecond, "synthetic churn period")
 		seed       = flag.Int64("seed", 1, "churn RNG seed")
 		timeout    = flag.Duration("timeout", 5*time.Second, "dial timeout")
-		benchJSON  = flag.String("bench-json", "", "write ctrl_serve/ctrl_install BENCH entries here")
-		benchLabel = flag.String("bench-label", "ctrl", "label for the BENCH file")
 		strict     = flag.Bool("strict", false, "exit non-zero if any query fails")
 		requireDeg = flag.Bool("require-degraded", false, "exit non-zero unless the daemon reports >=1 degraded install")
 	)
@@ -182,34 +178,6 @@ func main() {
 	}
 	fmt.Printf("daemon: plan seq %d (degraded=%q restored=%v), %d installs (%d degraded) during the run, solve mean %v\n",
 		meta.Seq, meta.Degraded, meta.Restored, installs, degraded, nsDur(float64(after.SolveMeanNs)))
-
-	if *benchJSON != "" {
-		f := &obs.BenchFile{Schema: obs.BenchSchema, Label: *benchLabel}
-		var tags []string
-		if degraded > 0 {
-			tags = []string{obs.BenchTagDegraded}
-		}
-		if serve.N() > 0 {
-			f.Benchmarks = append(f.Benchmarks, obs.BenchEntry{
-				Name: "ctrl_serve", NsPerOp: serve.Mean(), Ops: ok, Tags: tags,
-				Counters: map[string]int64{
-					"p50_ns": int64(serve.Percentile(50)),
-					"p99_ns": int64(serve.Percentile(99)),
-					"failed": failures.Load(),
-				},
-			})
-		}
-		if installs > 0 && after.SolveMeanNs > 0 {
-			f.Benchmarks = append(f.Benchmarks, obs.BenchEntry{
-				Name: "ctrl_install", NsPerOp: float64(after.SolveMeanNs), Ops: installs, Tags: tags,
-				Counters: map[string]int64{"degraded": degraded},
-			})
-		}
-		if err := obs.WriteBenchFile(*benchJSON, f); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote %s (%d entries)\n", *benchJSON, len(f.Benchmarks))
-	}
 
 	if *strict && failures.Load() > 0 {
 		fatalf("strict: %d queries failed", failures.Load())

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "first scenario seed; scenario i uses seed+i")
 		n          = fs.Int("n", 25, "number of scenarios to run (ignored with -duration or -repro)")
 		duration   = fs.Duration("duration", 0, "run scenarios until this much time has elapsed instead of a fixed -n")
-		pathFlag   = fs.String("path", "", "restrict scenarios to one solve path: scratch, template, warm, parallel (default: as generated)")
+		pathFlag   = fs.String("path", "", "restrict scenarios to one solve path: scratch, template (default: as generated)")
 		reproPath  = fs.String("repro", "", "replay one saved repro file instead of generating scenarios")
 		outDir     = fs.String("out", "", "directory for shrunk repro files (default: current directory)")
 		doShrink   = fs.Bool("shrink", true, "shrink failing scenarios before writing the repro")
@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *pathFlag != "" {
 		switch *pathFlag {
-		case prop.PathScratch, prop.PathTemplate, prop.PathWarm, prop.PathParallel:
+		case prop.PathScratch, prop.PathTemplate:
 		default:
 			fmt.Fprintf(stderr, "ffcprop: unknown -path %q\n", *pathFlag)
 			return 2

@@ -45,8 +45,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		mtbf       = flag.Duration("link-mtbf", 30*time.Minute, "network-wide link MTBF")
 		warm       = flag.Bool("warm", false, "warm-start each class's interval re-solves from the previous basis")
-		template   = flag.Bool("template", true, "reuse each class's LP model template across intervals (rebind bounds/RHS instead of re-formulating); -template=false forces scratch builds")
-		par        = flag.Int("parallel", 0, "worker count for parallel stages, including LP constraint emission (<=0 = all cores, 1 = serial)")
+		par        = flag.Int("parallel", 0, "worker count for parallel stages (<=0 = all cores, 1 = serial)")
 		stats      = flag.Bool("stats", false, "print solver counters and the per-interval solve latency breakdown to stderr after the run")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
 		deadline   = flag.Duration("solver-deadline", 0, "per-interval TE solve budget; a missed solve degrades the interval to the last-good plan (0 = unbounded)")
@@ -79,8 +78,7 @@ func main() {
 	defer cancel()
 
 	var env *experiments.Env
-	cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, Parallelism: *par,
-		BuildWorkers: experiments.BuildWorkersFor(*par), NoTemplate: !*template, Ctx: ctx}
+	cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, Parallelism: *par, Ctx: ctx}
 	switch *netKind {
 	case "lnet":
 		env, err = experiments.NewLNet(cfg)

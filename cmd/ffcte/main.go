@@ -39,8 +39,7 @@ func main() {
 		objective  = flag.String("objective", "throughput", "objective: throughput, mlu, maxmin")
 		verifyFlag = flag.Bool("verify", false, "exhaustively verify the guarantee (small networks)")
 		warm       = flag.Bool("warm", false, "warm-start successive LP solves from the previous basis (used by -objective maxmin's iterations)")
-		template   = flag.Bool("template", true, "reuse the LP model template across -objective maxmin's iterations; -template=false forces scratch builds")
-		par        = flag.Int("parallel", 0, "verification and LP constraint-emission workers (<=0 = all cores, 1 = serial)")
+		par        = flag.Int("parallel", 0, "verification workers (<=0 = all cores, 1 = serial)")
 		statsFlag  = flag.Bool("stats", false, "print the solver/verifier counter and latency breakdown to stderr")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
 		deadline   = flag.Duration("solver-deadline", 0, "solve budget; on a budget hit the best feasible configuration found so far is emitted with a warning (0 = unbounded)")
@@ -80,12 +79,7 @@ func main() {
 	}
 	set := tunnel.Layout(&net, flows, tunnel.LayoutConfig{TunnelsPerFlow: *tunnels, P: *p, Q: *q})
 
-	opts := core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5, DisableTemplate: !*template}
-	if *par <= 0 {
-		opts.BuildWorkers = -1 // all cores, matching -parallel's convention
-	} else {
-		opts.BuildWorkers = *par
-	}
+	opts := core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5}
 	switch *encoding {
 	case "sortnet":
 		opts.Encoding = core.SortNet

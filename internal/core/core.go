@@ -147,20 +147,6 @@ type Options struct {
 	// iterations, and a pathological re-solve must not eat the control
 	// interval. Input.Budget.Deadline overrides per computation.
 	SolveBudget time.Duration
-	// BuildWorkers bounds the goroutines used to emit independent
-	// constraint blocks (per-link capacity rows, per-flow data-plane
-	// sortnet blocks, per-link control-plane blocks) during formulation:
-	// 0 (the default) builds serially, negative values use all cores,
-	// positive values use exactly that many. Blocks are staged into
-	// detached batches and spliced in a fixed order, so the built model —
-	// and therefore the solution — is byte-identical for every setting.
-	BuildWorkers int
-	// DisableTemplate turns off Session model-template reuse (see
-	// ModelTemplate): every Session solve then re-formulates from scratch,
-	// keeping only the warm-start basis carry. Exists for A/B comparison
-	// and as an escape hatch; the template path produces bit-identical
-	// models, so the default (enabled) is always safe.
-	DisableTemplate bool
 }
 
 // Uncertain describes a flow whose current configuration is unknown between
@@ -468,13 +454,26 @@ func (s *Solver) tauAlive(f tunnel.Flow, prot Protection, alive []bool) int {
 	return n - prot.Ke*p - prot.Kv*q
 }
 
+// build validates in and formulates its LP from scratch — the one way a TE
+// model is constructed.
+func (s *Solver) build(in Input) (*builder, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
+	}
+	b := newBuilder(s, &in)
+	if err := b.formulate(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // FormulateOnly builds the LP for in and reports its size without solving
 // it — used to quantify encodings whose solve would be impractical (the
 // naive enumeration at scale).
 func (s *Solver) FormulateOnly(in Input) (*Stats, error) {
 	start := time.Now()
-	b := newBuilder(s, &in)
-	if err := b.formulate(); err != nil {
+	b, err := s.build(in)
+	if err != nil {
 		return nil, err
 	}
 	return &Stats{
@@ -486,13 +485,13 @@ func (s *Solver) FormulateOnly(in Input) (*Stats, error) {
 	}, nil
 }
 
-// Solve computes a TE configuration for in.
-func (s *Solver) Solve(in Input) (*State, *Stats, error) { return s.solve(in, nil) }
+// Solve computes a TE configuration for in: a Session of length one, so a
+// fresh model and a cold simplex start.
+func (s *Solver) Solve(in Input) (*State, *Stats, error) { return s.NewSession().Solve(in) }
 
-// solve is the shared implementation behind Solver.Solve (se == nil, always
-// a fresh model and cold simplex start) and Session.Solve (cached model
-// rebound in place when the structure allows it, simplex warm-started from
-// the previous basis).
+// Solve computes a TE configuration for in, reusing the session's cached
+// model (rebound in place when in matches the template's structure) and
+// warm-starting the simplex from the previous solve's basis.
 //
 // Error returns always carry non-nil Stats with Stats.Outcome set, so the
 // control loop can choose its fallback; on a budget hit that reached
@@ -500,7 +499,7 @@ func (s *Solver) Solve(in Input) (*State, *Stats, error) { return s.solve(in, ni
 // Panics escaping the formulation (including lp's internal-invariant
 // checks) are recovered into a solver-error outcome; panics inside the
 // simplex are already recovered at the lp boundary.
-func (s *Solver) solve(in Input, se *Session) (st *State, stats *Stats, err error) {
+func (se *Session) Solve(in Input) (st *State, stats *Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			st = nil
@@ -511,39 +510,25 @@ func (s *Solver) solve(in Input, se *Session) (st *State, stats *Stats, err erro
 			err = fmt.Errorf("core: TE solve panicked: %v", r)
 		}
 	}()
-	if err := in.validate(); err != nil {
-		return nil, &Stats{Outcome: OutcomeSolverError}, err
-	}
+	s := se.s
 	sp := obs.StartSpan("core.solve")
 	build := sp.Child("build")
 	start := time.Now()
-	var b *builder
-	var ws *lp.WarmStart
-	reused := false
-	if se != nil {
-		ws = se.warm
-		if !s.Opts.DisableTemplate && se.tmpl != nil && se.tmpl.Matches(&in) {
-			b = se.tmpl.instantiate(in)
-			reused = true
-			obsTemplateHits.Inc()
-			obsSessionRebinds.Inc()
-		}
-	}
-	if b == nil {
-		b = newBuilder(s, &in)
-		if err := b.formulate(); err != nil {
+	ws := se.warm
+	// A bad input falls through to build, which reports it.
+	reused := se.tmpl != nil && se.tmpl.Matches(&in) && in.validate() == nil
+	if reused {
+		se.tmpl.instantiate(in)
+		obsTemplateHits.Inc()
+	} else {
+		fresh, err := s.build(in)
+		if err != nil {
 			return nil, &Stats{Outcome: OutcomeSolverError}, err
 		}
-		if se != nil {
-			obsSessionBuilds.Inc()
-			if s.Opts.DisableTemplate {
-				se.tmpl = nil
-			} else {
-				se.tmpl = newTemplate(s, b, in)
-				obsTemplateMisses.Inc()
-			}
-		}
+		se.tmpl = newTemplate(s, fresh, in)
+		obsTemplateMisses.Inc()
 	}
+	b := se.tmpl.b
 	buildTime := time.Since(start)
 	build.End()
 	// The budget's deadline runs from start, so formulation time counts
@@ -552,7 +537,7 @@ func (s *Solver) solve(in Input, se *Session) (st *State, stats *Stats, err erro
 	deadline := in.Budget.Deadline
 	if deadline == 0 && s.Opts.SolveBudget > 0 {
 		deadline = s.Opts.SolveBudget
-		if se != nil && ws != nil {
+		if ws != nil {
 			deadline /= warmBudgetDiv
 		}
 	}
@@ -562,7 +547,7 @@ func (s *Solver) solve(in Input, se *Session) (st *State, stats *Stats, err erro
 	lpSpan := sp.Child("lp")
 	sol, err := b.model.SolveWith(ws, opts)
 	lpSpan.End()
-	if se != nil && sol != nil && sol.Warm() != nil {
+	if sol != nil && sol.Warm() != nil {
 		se.warm = sol.Warm()
 	}
 	stats = &Stats{

@@ -94,7 +94,7 @@ func (b *builder) demandFFC(u DemandUncertainty) error {
 		// usage + worst-case overage ≤ ce · u_fault (reusing the §5.4
 		// fault-MLU variable so operators can weight the robust case).
 		load := b.usageExpr(l.ID).AddExpr(1, res.Sum)
-		b.addCPConstraint(b.model, name, l.ID, load, b.s.capacity(b.in, l.ID))
+		b.addCPConstraint(name, l.ID, load, b.s.capacity(b.in, l.ID))
 	}
 	return nil
 }

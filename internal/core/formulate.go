@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ffc/internal/lp"
-	"ffc/internal/parallel"
 	"ffc/internal/sortnet"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
@@ -17,9 +16,6 @@ type builder struct {
 	s     *Solver
 	in    *Input
 	model *lp.Model
-	// workers is the effective constraint-emission parallelism (≥ 1),
-	// resolved from Options.BuildWorkers.
-	workers int
 
 	flows    []tunnel.Flow
 	bVar     map[tunnel.Flow]lp.Var
@@ -44,15 +40,8 @@ type builder struct {
 }
 
 func newBuilder(s *Solver, in *Input) *builder {
-	w := 1
-	switch {
-	case s.Opts.BuildWorkers < 0:
-		w = parallel.Workers(0)
-	case s.Opts.BuildWorkers > 0:
-		w = s.Opts.BuildWorkers
-	}
 	return &builder{
-		s: s, in: in, model: lp.NewModel(), workers: w,
+		s: s, in: in, model: lp.NewModel(),
 		bVar:     map[tunnel.Flow]lp.Var{},
 		aVar:     map[tunnel.Flow][]lp.Var{},
 		mice:     map[tunnel.Flow]bool{},
@@ -98,44 +87,18 @@ func (b *builder) formulate() error {
 	b.createVars()
 	b.coverageConstraints()
 	b.capacityConstraints()
-	if err := b.dataPlane(); err != nil {
-		return err
-	}
+	b.dataPlane()
 	if b.in.Prot.Kc > 0 {
 		if b.s.Opts.RateLimiter == LimitersIndependent {
 			b.independentReservations()
 		}
-		if err := b.controlPlane(); err != nil {
-			return err
-		}
+		b.controlPlane()
 	}
 	if err := b.demandFFC(b.in.Demand); err != nil {
 		return err
 	}
 	b.objective()
 	return nil
-}
-
-// emitBlocks stages n independent constraint blocks into detached
-// lp.Batches — fanned over the builder's worker count — and splices them
-// into the model in index order. A block may reference variables that
-// existed before the call plus the ones it creates itself, never another
-// block's. done(i, varBase, rowBase) runs in index order after block i's
-// rows land, for translating batch-local row/variable indices to model
-// indices. Splicing preserves each batch's staging order, so the final
-// model is byte-identical for every worker count, including 1.
-func (b *builder) emitBlocks(n int, emit func(i int, em lp.Emitter), done func(i, varBase, rowBase int)) {
-	batches := make([]*lp.Batch, n)
-	parallel.ForEach(n, b.workers, func(i int) {
-		batches[i] = lp.NewBatch()
-		emit(i, batches[i])
-	})
-	for i, bt := range batches {
-		vb, rb := b.model.Splice(bt)
-		if done != nil {
-			done(i, vb, rb)
-		}
-	}
 }
 
 // selectFlows picks flows with positive demand and at least one tunnel, in
@@ -309,47 +272,30 @@ func (b *builder) coverageConstraints() {
 }
 
 // capacityConstraints emits Eqn 2 (or the MLU coupling for MinMLU, or the
-// expandable-capacity form for PlanCapacity) as one block per link.
+// expandable-capacity form for PlanCapacity), one row per loaded link.
 func (b *builder) capacityConstraints() {
 	if b.s.Opts.Objective == MinMLU {
 		b.mluVar = b.model.NewVar("MLU", 0, lp.Inf)
 	}
-	links := b.s.Net.Links
-	type capOut struct {
-		row int    // batch-local capacity row (MaxThroughput), or -1
-		v   lp.Var // batch-local expansion variable (PlanCapacity), or -1
-	}
-	outs := make([]capOut, len(links))
-	b.emitBlocks(len(links), func(i int, em lp.Emitter) {
-		outs[i] = capOut{row: -1, v: -1}
-		l := links[i]
+	for _, l := range b.s.Net.Links {
 		use := b.usageExpr(l.ID)
 		if len(use.Terms) == 0 {
-			return
+			continue
 		}
 		c := b.s.capacity(b.in, l.ID)
 		switch b.s.Opts.Objective {
 		case MinMLU:
 			// u ≥ usage/ce  ⟺  usage − ce·u ≤ 0
 			use.Add(-c, b.mluVar)
-			em.AddNamed(fmt.Sprintf("mlu[e%d]", l.ID), use, lp.LE, 0)
+			b.model.AddNamed(fmt.Sprintf("mlu[e%d]", l.ID), use, lp.LE, 0)
 		case PlanCapacity:
 			// usage − x_e ≤ ce with x_e ≥ 0 the expansion bought.
-			v := em.NewVar(fmt.Sprintf("x[e%d]", l.ID), 0, lp.Inf)
-			outs[i].v = v
-			use.Add(-1, v)
-			em.AddNamed(fmt.Sprintf("cap[e%d]", l.ID), use, lp.LE, c)
+			use.Add(-1, b.expandVar(l.ID))
+			b.model.AddNamed(fmt.Sprintf("cap[e%d]", l.ID), use, lp.LE, c)
 		default:
-			outs[i].row = em.AddNamed(fmt.Sprintf("cap[e%d]", l.ID), use, lp.LE, c)
+			b.capRow[l.ID] = b.model.AddNamed(fmt.Sprintf("cap[e%d]", l.ID), use, lp.LE, c)
 		}
-	}, func(i, varBase, rowBase int) {
-		if outs[i].row >= 0 {
-			b.capRow[links[i].ID] = rowBase + outs[i].row
-		}
-		if outs[i].v >= 0 {
-			b.capVar[links[i].ID] = lp.SpliceVar(outs[i].v, varBase)
-		}
-	})
+	}
 }
 
 // expandVar lazily creates the PlanCapacity expansion variable for a link.
@@ -362,19 +308,15 @@ func (b *builder) expandVar(l topology.LinkID) lp.Var {
 	return v
 }
 
-// dataPlane emits Eqn 15 (or the naive Eqn 9 enumeration) as one block per
-// flow — the sortnet-heaviest phase, so the biggest parallel-emission win.
-func (b *builder) dataPlane() error {
+// dataPlane emits Eqn 15 (or the naive Eqn 9 enumeration) per flow.
+func (b *builder) dataPlane() {
 	prot := b.in.Prot
 	if prot.Ke == 0 && prot.Kv == 0 {
-		return nil
+		return
 	}
-	type dpOut struct{ vars, cons int }
-	outs := make([]dpOut, len(b.flows))
-	b.emitBlocks(len(b.flows), func(fi int, em lp.Emitter) {
-		f := b.flows[fi]
+	for _, f := range b.flows {
 		if b.mice[f] {
-			return // uniform split satisfies Eqn 15 by construction
+			continue // uniform split satisfies Eqn 15 by construction
 		}
 		var aliveTs []*tunnel.Tunnel
 		for _, t := range b.s.Tun.Tunnels(f) {
@@ -384,14 +326,14 @@ func (b *builder) dataPlane() error {
 		}
 		tau := b.aliveTau[f]
 		if tau <= 0 {
-			return // bf already fixed to 0
+			continue // bf already fixed to 0
 		}
 		if tau >= len(aliveTs) {
-			return // no tunnel can be lost at this protection level
+			continue // no tunnel can be lost at this protection level
 		}
 		if b.s.Opts.Encoding == Naive {
-			outs[fi].cons = b.dataPlaneNaive(em, f, aliveTs, prot)
-			return
+			b.encCons += b.dataPlaneNaive(f, aliveTs, prot)
+			continue
 		}
 		exprs := make([]*lp.Expr, len(aliveTs))
 		for i, t := range aliveTs {
@@ -404,37 +346,34 @@ func (b *builder) dataPlane() error {
 		if tau <= drop {
 			// Encode the smallest τ directly: Σ smallest-τ a ≥ bf.
 			if b.s.Opts.Encoding == Compact {
-				res = sortnet.BottomKCompact(em, exprs, tau, name)
+				res = sortnet.BottomKCompact(b.model, exprs, tau, name)
 			} else {
-				res = sortnet.SmallestSum(em, exprs, tau, name)
+				res = sortnet.SmallestSum(b.model, exprs, tau, name)
 			}
-			em.AddNamed(name, lp.NewExpr().AddExpr(1, res.Sum).AddExpr(-1, rhs), lp.GE, 0)
+			b.model.AddNamed(name, lp.NewExpr().AddExpr(1, res.Sum).AddExpr(-1, rhs), lp.GE, 0)
 		} else {
 			// Cheaper dual form: Σ all − Σ largest-(|T|−τ) ≥ bf.
 			if b.s.Opts.Encoding == Compact {
-				res = sortnet.TopKCompact(em, exprs, drop, name)
+				res = sortnet.TopKCompact(b.model, exprs, drop, name)
 			} else {
-				res = sortnet.LargestSum(em, exprs, drop, name)
+				res = sortnet.LargestSum(b.model, exprs, drop, name)
 			}
 			total := lp.NewExpr()
 			for _, t := range aliveTs {
 				total.Add(1, b.aVar[f][t.Index])
 			}
 			total.AddExpr(-1, res.Sum).AddExpr(-1, rhs)
-			em.AddNamed(name, total, lp.GE, 0)
+			b.model.AddNamed(name, total, lp.GE, 0)
 		}
-		outs[fi] = dpOut{res.Vars, res.Constraints + 1}
-	}, func(fi, _, _ int) {
-		b.encVars += outs[fi].vars
-		b.encCons += outs[fi].cons
-	})
-	return nil
+		b.encVars += res.Vars
+		b.encCons += res.Constraints + 1
+	}
 }
 
 // dataPlaneNaive enumerates Eqn 9's fault cases for one flow: every
 // combination of Ke physical links and Kv switches drawn from the elements
 // the flow's tunnels actually traverse. Returns the constraint count.
-func (b *builder) dataPlaneNaive(em lp.Emitter, f tunnel.Flow, ts []*tunnel.Tunnel, prot Protection) int {
+func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protection) int {
 	// Collect candidate physical links and intermediate switches.
 	linkSet := map[topology.LinkID]bool{}
 	swSet := map[topology.SwitchID]bool{}
@@ -480,7 +419,7 @@ func (b *builder) dataPlaneNaive(em lp.Emitter, f tunnel.Flow, ts []*tunnel.Tunn
 				}
 			}
 			e.Add(-1, b.bVar[f])
-			em.AddNamed(fmt.Sprintf("dp9[%v]", f), e, lp.GE, 0)
+			b.model.AddNamed(fmt.Sprintf("dp9[%v]", f), e, lp.GE, 0)
 			cons++
 		})
 	})
@@ -603,13 +542,12 @@ func idx(s []float64, i int) float64 {
 	return 0
 }
 
-// controlPlane emits Eqn 14 per link (or the naive Eqn 5 enumeration) in
-// two phases. Phase A runs serially in link order: β variables and their
-// defining rows are shared across every link a tunnel crosses, so they are
-// created up front along with each link's sorted (β−a) source grouping.
-// Phase B then emits the per-link sortnet blocks and safety rows — fully
-// independent — through emitBlocks.
-func (b *builder) controlPlane() error {
+// controlPlane emits Eqn 14 per link (or the naive Eqn 5 enumeration). A β
+// variable and its defining rows are shared by every link its tunnel
+// crosses, so a first pass in link order creates them all, along with each
+// link's sorted (β−a) source grouping; the second pass emits the per-link
+// M-sum encodings and safety rows.
+func (b *builder) controlPlane() {
 	prev := b.in.Prev
 	prevLoads := prev.ActualLinkLoads(b.s.Tun)
 	type cpBlock struct {
@@ -677,28 +615,10 @@ func (b *builder) controlPlane() error {
 		}
 		blocks = append(blocks, cpBlock{l: l.ID, c: c, exprs: exprs, kc: kc})
 	}
-	if len(blocks) == 0 {
-		return nil
-	}
-	// Variables shared across blocks must exist before phase B so the
-	// parallel blocks only read them.
-	if b.s.Opts.Objective == MinMLU && !b.haveMLUFault {
-		b.mluFaultVar = b.model.NewVar("MLUfault", 0, lp.Inf)
-		b.haveMLUFault = true
-	}
-	if b.s.Opts.Objective == PlanCapacity {
-		for _, blk := range blocks {
-			b.expandVar(blk.l)
-		}
-	}
-	type cpOut struct{ vars, cons int }
-	outs := make([]cpOut, len(blocks))
-	b.emitBlocks(len(blocks), func(i int, em lp.Emitter) {
-		blk := blocks[i]
+	for _, blk := range blocks {
 		use := b.usageExpr(blk.l)
 		name := fmt.Sprintf("cp[e%d]", blk.l)
-		switch b.s.Opts.Encoding {
-		case Naive:
+		if b.s.Opts.Encoding == Naive {
 			// Eqn 5/13 directly: every ≤kc subset. d ≥ 0, so only
 			// maximal subsets are needed.
 			forEachCombo(len(blk.exprs), blk.kc, func(sel []int) {
@@ -706,32 +626,28 @@ func (b *builder) controlPlane() error {
 				for _, j := range sel {
 					e.AddExpr(1, blk.exprs[j])
 				}
-				b.addCPConstraint(em, name, blk.l, e, blk.c)
-				outs[i].cons++
+				b.addCPConstraint(name, blk.l, e, blk.c)
+				b.encCons++
 			})
-		case Compact:
-			res := sortnet.TopKCompact(em, blk.exprs, blk.kc, name)
-			outs[i] = cpOut{res.Vars, res.Constraints + 1}
-			b.addCPConstraint(em, name, blk.l, use.Clone().AddExpr(1, res.Sum), blk.c)
-		default:
-			res := sortnet.LargestSum(em, blk.exprs, blk.kc, name)
-			outs[i] = cpOut{res.Vars, res.Constraints + 1}
-			b.addCPConstraint(em, name, blk.l, use.Clone().AddExpr(1, res.Sum), blk.c)
+			continue
 		}
-	}, func(i, _, _ int) {
-		b.encVars += outs[i].vars
-		b.encCons += outs[i].cons
-	})
-	return nil
+		var res sortnet.Result
+		if b.s.Opts.Encoding == Compact {
+			res = sortnet.TopKCompact(b.model, blk.exprs, blk.kc, name)
+		} else {
+			res = sortnet.LargestSum(b.model, blk.exprs, blk.kc, name)
+		}
+		b.encVars += res.Vars
+		b.encCons += res.Constraints + 1
+		b.addCPConstraint(name, blk.l, use.AddExpr(1, res.Sum), blk.c)
+	}
 }
 
 // addCPConstraint installs a control-plane safety bound for link l: a hard
 // capacity constraint for MaxThroughput, the fault-MLU coupling for MinMLU
-// (§5.4), or the expandable form for PlanCapacity. When em is a detached
-// batch the shared MLUfault/expansion variables must already exist (see
-// controlPlane's phase split); the lazy creation below only fires on serial
-// emitters (demandFFC).
-func (b *builder) addCPConstraint(em lp.Emitter, name string, l topology.LinkID, load *lp.Expr, c float64) {
+// (§5.4), or the expandable form for PlanCapacity. The MLUfault and
+// expansion variables are created on first use.
+func (b *builder) addCPConstraint(name string, l topology.LinkID, load *lp.Expr, c float64) {
 	switch b.s.Opts.Objective {
 	case MinMLU:
 		if !b.haveMLUFault {
@@ -739,12 +655,12 @@ func (b *builder) addCPConstraint(em lp.Emitter, name string, l topology.LinkID,
 			b.haveMLUFault = true
 		}
 		load.Add(-c, b.mluFaultVar)
-		em.AddNamed(name, load, lp.LE, 0)
+		b.model.AddNamed(name, load, lp.LE, 0)
 	case PlanCapacity:
 		load.Add(-1, b.expandVar(l))
-		em.AddNamed(name, load, lp.LE, c)
+		b.model.AddNamed(name, load, lp.LE, c)
 	default:
-		em.AddNamed(name, load, lp.LE, c)
+		b.model.AddNamed(name, load, lp.LE, c)
 	}
 }
 

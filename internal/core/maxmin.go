@@ -24,7 +24,7 @@ type MaxMinResult struct {
 // (a value ≤ the smallest interesting rate; it is lowered automatically if
 // it exceeds the smallest demand).
 func (s *Solver) SolveMaxMin(in Input, alpha, u0 float64) (*MaxMinResult, error) {
-	return s.solveMaxMin(in, alpha, u0, nil)
+	return solveMaxMin(in, alpha, u0, s.Solve)
 }
 
 // SolveMaxMin is Solver.SolveMaxMin with the session's cross-solve reuse:
@@ -32,10 +32,10 @@ func (s *Solver) SolveMaxMin(in Input, alpha, u0 float64) (*MaxMinResult, error)
 // re-solves from the previous iteration's basis (and rebinds the built
 // model when the shape allows).
 func (se *Session) SolveMaxMin(in Input, alpha, u0 float64) (*MaxMinResult, error) {
-	return se.s.solveMaxMin(in, alpha, u0, se)
+	return solveMaxMin(in, alpha, u0, se.Solve)
 }
 
-func (s *Solver) solveMaxMin(in Input, alpha, u0 float64, se *Session) (*MaxMinResult, error) {
+func solveMaxMin(in Input, alpha, u0 float64, solve func(Input) (*State, *Stats, error)) (*MaxMinResult, error) {
 	if alpha <= 1 {
 		alpha = 2
 	}
@@ -80,7 +80,7 @@ func (s *Solver) solveMaxMin(in Input, alpha, u0 float64, se *Session) (*MaxMinR
 				iter.RateFloors[f] = math.Min(d, prevBound)
 			}
 		}
-		st, stats, err := s.solve(iter, se)
+		st, stats, err := solve(iter)
 		if err != nil {
 			return nil, err
 		}

@@ -34,6 +34,14 @@ func TestInputValidateRejectsBadValues(t *testing.T) {
 	if !errors.Is(err, ErrBadInput) {
 		t.Fatalf("negative protection: err = %v, want ErrBadInput", err)
 	}
+
+	// FormulateOnly shares Solve's validation.
+	for _, d := range []float64{math.NaN(), math.Inf(1), -1} {
+		stats, err := s.FormulateOnly(Input{Demands: demand.Matrix{fx.f24: d}, Prot: Protection{Ke: 1}})
+		if !errors.Is(err, ErrBadInput) || stats != nil {
+			t.Fatalf("FormulateOnly demand %g: stats = %+v, err = %v, want ErrBadInput", d, stats, err)
+		}
+	}
 }
 
 func TestDegradeCapsRateToSurvivingAlloc(t *testing.T) {

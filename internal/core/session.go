@@ -1,9 +1,6 @@
 package core
 
-import (
-	"ffc/internal/lp"
-	"ffc/internal/obs"
-)
+import "ffc/internal/lp"
 
 // Session solves a sequence of closely-related TE inputs — the per-interval
 // recomputation loop of §5 — reusing work across calls:
@@ -16,31 +13,20 @@ import (
 //     SetBounds/SetRHS/SetObjCoef instead of being re-formulated, which
 //     also lets the lp layer reuse its presolve mapping.
 //
-// Options.DisableTemplate turns the second reuse off (every solve then
-// re-formulates; the basis carry remains). A Session is NOT safe for
-// concurrent use; create one per serial solve loop. Results are identical
-// to Solver.Solve up to the simplex's choice among alternate optima.
+// A Session is NOT safe for concurrent use; create one per serial solve
+// loop. Results are identical to Solver.Solve up to the simplex's choice
+// among alternate optima. Solve itself lives in core.go.
 type Session struct {
 	s    *Solver
 	warm *lp.WarmStart
 	tmpl *ModelTemplate
 }
 
-var (
-	obsSessionRebinds = obs.NewCounter("core.session_rebinds")
-	obsSessionBuilds  = obs.NewCounter("core.session_builds")
-)
-
 // NewSession returns a solve session bound to s.
 func (s *Solver) NewSession() *Session { return &Session{s: s} }
 
-// Solve is Solver.Solve with cross-call model and basis reuse.
-func (se *Session) Solve(in Input) (*State, *Stats, error) {
-	return se.s.solve(in, se)
-}
-
 // Template exposes the session's cached model template (nil until the
-// first successful build, or always nil with Options.DisableTemplate).
+// first successful build).
 func (se *Session) Template() *ModelTemplate { return se.tmpl }
 
 // Reset drops the cached template and basis; the next Solve starts cold.

@@ -57,11 +57,8 @@ type ModelTemplate struct {
 // reusable template. The returned template's Instantiate only accepts
 // inputs that Match the frozen structure.
 func (s *Solver) NewTemplate(in Input) (*ModelTemplate, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	b := newBuilder(s, &in)
-	if err := b.formulate(); err != nil {
+	b, err := s.build(in)
+	if err != nil {
 		return nil, err
 	}
 	return newTemplate(s, b, in), nil
@@ -141,8 +138,8 @@ func (t *ModelTemplate) Instantiate(in Input) error {
 
 // instantiate is Instantiate after the Matches check: it re-derives every
 // input-dependent bound, right-hand side, and objective coefficient of the
-// cached model from in and returns the rebound builder.
-func (t *ModelTemplate) instantiate(in Input) *builder {
+// cached model from in.
+func (t *ModelTemplate) instantiate(in Input) {
 	b := t.b
 	t.in = in
 	b.in = &t.in
@@ -165,7 +162,6 @@ func (t *ModelTemplate) instantiate(in Input) *builder {
 	for l, row := range b.capRow {
 		b.model.SetRHS(row, t.s.capacity(&t.in, l))
 	}
-	return b
 }
 
 func sameLinkSet(a, b map[topology.LinkID]bool) bool {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ffc/internal/demand"
 	"ffc/internal/lp"
@@ -64,7 +65,7 @@ func TestTemplateInstantiateBitIdentical(t *testing.T) {
 	for _, tc := range nets {
 		t.Run(tc.name, func(t *testing.T) {
 			set, series := buildFixture(t, tc.net, 3, 7)
-			s := NewSolver(tc.net, set, Options{BuildWorkers: 1})
+			s := NewSolver(tc.net, set, Options{})
 			mkIn := func(i int) Input {
 				return Input{Demands: series[i], Prot: Protection{Ke: tc.ke}}
 			}
@@ -103,62 +104,6 @@ func TestTemplateInstantiateBitIdentical(t *testing.T) {
 					if solT.X[j] != solS.X[j] {
 						t.Fatalf("x[%d] differs: template %v, scratch %v", j, solT.X[j], solS.X[j])
 					}
-				}
-			}
-		})
-	}
-}
-
-// TestBuildWorkersByteIdentical checks the parallel-emission guarantee from
-// Options.BuildWorkers: the formulated model is byte-identical for every
-// worker setting, across every encoding and the objectives/features that
-// emit constraint blocks in parallel (capacity rows, data-plane sortnet
-// blocks, control-plane blocks, capacity-expansion variables).
-func TestBuildWorkersByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	net, set, flows := randomNetwork(rng, 8, 6)
-	demands := demand.Matrix{}
-	for i, f := range flows {
-		demands[f] = 2 + float64(i)
-	}
-	plain := NewSolver(net, set, Options{})
-	prev, _, err := plain.Solve(Input{Demands: demands})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		opts Options
-		in   Input
-	}{
-		{"sortnet_ke_kv", Options{}, Input{Demands: demands, Prot: Protection{Ke: 1, Kv: 1}}},
-		{"compact_ke", Options{Encoding: Compact}, Input{Demands: demands, Prot: Protection{Ke: 1}}},
-		{"naive_ke", Options{Encoding: Naive}, Input{Demands: demands, Prot: Protection{Ke: 1}}},
-		{"sortnet_kc", Options{}, Input{Demands: demands, Prot: Protection{Kc: 2}, Prev: prev}},
-		{"compact_kc", Options{Encoding: Compact}, Input{Demands: demands, Prot: Protection{Kc: 1}, Prev: prev}},
-		{"naive_kc", Options{Encoding: Naive}, Input{Demands: demands, Prot: Protection{Kc: 1}, Prev: prev}},
-		{"minmlu_kc", Options{Objective: MinMLU}, Input{Demands: demands, Prot: Protection{Kc: 1}, Prev: prev}},
-		{"plancap_ke", Options{Objective: PlanCapacity}, Input{Demands: demands, Prot: Protection{Ke: 1}}},
-		{"mice_oldload", Options{MiceFraction: 0.2, OldLoadSkip: 1e-4, WeightSkip: 1e-3},
-			Input{Demands: demands, Prot: Protection{Kc: 1, Ke: 1}, Prev: prev}},
-	}
-	workerSettings := []int{0, 1, -1, 4}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var ref []byte
-			for _, w := range workerSettings {
-				opts := tc.opts
-				opts.BuildWorkers = w
-				s := NewSolver(net, set, opts)
-				got := modelBytes(t, scratchBuilder(t, s, tc.in).model)
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("BuildWorkers=%d model differs from BuildWorkers=%d (%d vs %d bytes)",
-						w, workerSettings[0], len(got), len(ref))
 				}
 			}
 		})
@@ -244,48 +189,88 @@ func TestTemplateMismatchRejected(t *testing.T) {
 }
 
 // TestSessionTemplateMatchesScratchSolve runs a warm-started Session chain
-// with the template enabled and disabled: since the instantiated model is
-// byte-identical to the scratch one and the carried basis evolves
-// identically, every interval's state must match exactly.
+// twice — rebinding the cached template, and with the template dropped
+// before every solve so each interval is a fresh formulation on the same
+// carried basis: since the instantiated model is byte-identical to the
+// fresh one and the basis evolves identically, every interval's state must
+// match bit for bit. The S-Net chain (demands scaled until the network is
+// congested, so the warm re-solves pivot; ke=1 keeps it to seconds) is
+// skipped with -short.
 func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
-	net := topology.FatTree(4, 10)
-	set, series := buildFixture(t, net, 4, 13)
-	run := func(disable bool) []*State {
-		opts := Options{DisableTemplate: disable}
-		se := NewSolver(net, set, opts).NewSession()
-		var out []*State
-		for i, dem := range series {
-			st, stats, err := se.Solve(Input{Demands: dem, Prot: Protection{Ke: 1}})
-			if err != nil {
-				t.Fatalf("disable=%v interval %d: %v", disable, i, err)
-			}
-			if wantReuse := !disable && i > 0; stats.ModelReused != wantReuse {
-				t.Fatalf("disable=%v interval %d: ModelReused=%v, want %v",
-					disable, i, stats.ModelReused, wantReuse)
-			}
-			out = append(out, st)
-		}
-		return out
+	fixtures := []struct {
+		name  string
+		net   *topology.Network
+		seed  int64
+		scale float64
+		slow  bool
+	}{
+		{"fattree", topology.FatTree(4, 10), 13, 1, false},
+		{"snet", topology.SNet(), 61, 4.5, true},
 	}
-	withTmpl, scratch := run(false), run(true)
-	for i := range withTmpl {
-		for f, r := range scratch[i].Rate {
-			if withTmpl[i].Rate[f] != r {
-				t.Fatalf("interval %d flow %v: rate %v (template) != %v (scratch)",
-					i, f, withTmpl[i].Rate[f], r)
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			if fx.slow && testing.Short() {
+				t.Skip("S-Net chain is slow; skipped with -short")
 			}
-		}
-		for f, alloc := range scratch[i].Alloc {
-			got := withTmpl[i].Alloc[f]
-			if len(got) != len(alloc) {
-				t.Fatalf("interval %d flow %v: alloc lengths differ", i, f)
+			set, series := buildFixture(t, fx.net, 4, fx.seed)
+			run := func(rebind bool) []*State {
+				se := NewSolver(fx.net, set, Options{}).NewSession()
+				var out []*State
+				for i, dem := range series {
+					in := Input{Demands: dem.Scale(fx.scale), Prot: Protection{Ke: 1}}
+					if i == 2 {
+						// A timed-out and a crashed solve in between must leave
+						// both sessions equivalent (the sim's degraded intervals).
+						for _, bad := range []Budget{
+							{Deadline: -time.Nanosecond},
+							{Hook: func(int) { panic("injected solver crash") }},
+						} {
+							if !rebind {
+								se.tmpl = nil
+							}
+							failing := in
+							failing.Budget = bad
+							if _, _, err := se.Solve(failing); err == nil {
+								t.Fatalf("rebind=%v interval %d: injected fault %+v did not fail the solve", rebind, i, bad)
+							}
+						}
+					}
+					if !rebind {
+						se.tmpl = nil
+					}
+					st, stats, err := se.Solve(in)
+					if err != nil {
+						t.Fatalf("rebind=%v interval %d: %v", rebind, i, err)
+					}
+					if wantReuse := rebind && i > 0; stats.ModelReused != wantReuse {
+						t.Fatalf("rebind=%v interval %d: ModelReused=%v, want %v",
+							rebind, i, stats.ModelReused, wantReuse)
+					}
+					out = append(out, st)
+				}
+				return out
 			}
-			for j := range alloc {
-				if got[j] != alloc[j] {
-					t.Fatalf("interval %d flow %v tunnel %d: alloc %v (template) != %v (scratch)",
-						i, f, j, got[j], alloc[j])
+			withTmpl, scratch := run(true), run(false)
+			for i := range withTmpl {
+				for f, r := range scratch[i].Rate {
+					if withTmpl[i].Rate[f] != r {
+						t.Fatalf("interval %d flow %v: rate %v (template) != %v (scratch)",
+							i, f, withTmpl[i].Rate[f], r)
+					}
+				}
+				for f, alloc := range scratch[i].Alloc {
+					got := withTmpl[i].Alloc[f]
+					if len(got) != len(alloc) {
+						t.Fatalf("interval %d flow %v: alloc lengths differ", i, f)
+					}
+					for j := range alloc {
+						if got[j] != alloc[j] {
+							t.Fatalf("interval %d flow %v tunnel %d: alloc %v (template) != %v (scratch)",
+								i, f, j, got[j], alloc[j])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

@@ -103,15 +103,6 @@ type EnvConfig struct {
 	SolverFaults faults.SolverFaultModel
 	// Ctx cancels every scenario the environment builds (see Env.Ctx).
 	Ctx context.Context
-	// BuildWorkers bounds parallel constraint emission inside each TE
-	// solve (core.Options.BuildWorkers): 0 (the default) derives it from
-	// Parallelism for sim runs, negative means all cores, positive is
-	// exact. Built models are bit-identical at any setting.
-	BuildWorkers int
-	// NoTemplate disables Session model-template reuse
-	// (core.Options.DisableTemplate): warm interval re-solves then
-	// re-formulate the LP from scratch each time.
-	NoTemplate bool
 }
 
 func (c *EnvConfig) fill() {
@@ -134,8 +125,7 @@ func buildEnv(name string, net *topology.Network, cfg EnvConfig) (*Env, error) {
 	series := demand.Generate(net, demand.Config{Intervals: cfg.Intervals}, rng)
 	flows := sim.FlowsOf(series)
 	tun := tunnel.Layout(net, flows, tunnel.LayoutConfig{TunnelsPerFlow: cfg.TunnelsPerFlow, P: 1, Q: 3})
-	opts := core.Options{Encoding: cfg.Encoding, MiceFraction: 0.01, OldLoadSkip: 1e-5, WeightSkip: 1e-3,
-		BuildWorkers: cfg.BuildWorkers, DisableTemplate: cfg.NoTemplate}
+	opts := core.Options{Encoding: cfg.Encoding, MiceFraction: 0.01, OldLoadSkip: 1e-5, WeightSkip: 1e-3}
 	solver := core.NewSolver(net, tun, opts)
 	scale1, err := sim.CalibrateScale(solver, series, 0.99, 3)
 	if err != nil {
@@ -149,29 +139,13 @@ func buildEnv(name string, net *topology.Network, cfg EnvConfig) (*Env, error) {
 // controller faults. Figure runners layer protection/priority config on
 // top of it.
 func (e *Env) runCfg(prot core.Protection) sim.RunConfig {
-	opts := e.Opts
-	if opts.BuildWorkers == 0 {
-		// Follow the harness parallelism knob (mutable between figure
-		// runs, e.g. ffcbench's serial comparison pass): ≤ 0 means all
-		// cores, mapped onto BuildWorkers' negative convention.
-		opts.BuildWorkers = BuildWorkersFor(e.Parallelism)
-	}
 	return sim.RunConfig{
 		Prot:           prot,
-		SolverOpts:     opts,
+		SolverOpts:     e.Opts,
 		WarmStart:      e.WarmStart,
 		SolverDeadline: e.SolverDeadline,
 		SolverFaults:   e.SolverFaults,
 	}
-}
-
-// BuildWorkersFor maps a harness parallelism knob (≤ 0 = all cores) onto
-// core.Options.BuildWorkers (0 = serial, < 0 = all cores).
-func BuildWorkersFor(parallelism int) int {
-	if parallelism <= 0 {
-		return -1
-	}
-	return parallelism
 }
 
 // NewLNet builds the L-Net-like environment.

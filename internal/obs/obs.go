@@ -1,8 +1,6 @@
 // Package obs is the repository's lightweight observability layer:
 // counters, gauges, latency histograms, and hierarchical span timers,
-// with text/JSON exporters, an expvar/pprof debug server, and the
-// machine-readable BENCH_*.json benchmark format the CI perf gate
-// consumes.
+// with text/JSON exporters and an expvar/pprof debug server.
 //
 // Design rules, in priority order:
 //
@@ -167,18 +165,6 @@ func (r *Registry) Reset() {
 	for _, h := range r.hists {
 		h.reset()
 	}
-}
-
-// CounterValues returns a name → value map of all counters (for embedding
-// into BENCH files).
-func (r *Registry) CounterValues() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counts))
-	for n, c := range r.counts {
-		out[n] = c.Value()
-	}
-	return out
 }
 
 func (r *Registry) sortedCounterNames() []string {

@@ -164,14 +164,14 @@ func (r *runner) run() {
 		DownLinks: e.downLinks, DownSwitches: e.downSwitches,
 	}
 	switch e.sc.Path {
-	case PathScratch, PathParallel:
+	case PathScratch:
 		st, stats, err := r.solver.Solve(mainIn)
 		if err != nil || stats.Outcome != core.OutcomeOptimal {
 			r.fail(InvSolveOK, "main %s solve: outcome %v err %v", e.sc.Path, outcomeOf(stats), err)
 			return
 		}
 		r.plan = st
-	case PathTemplate, PathWarm:
+	case PathTemplate:
 		se := r.solver.NewSession()
 		s1, stats, err := se.Solve(core.Input{
 			Demands: e.prevDem, Prot: e.prot, Prev: s0,

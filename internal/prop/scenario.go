@@ -34,13 +34,11 @@ import (
 // through different machinery; the invariants must hold on all of them.
 const (
 	PathScratch  = "scratch"  // Solver.Solve, fresh model, cold simplex
-	PathTemplate = "template" // Session with model-template rebinding
-	PathWarm     = "warm"     // Session with basis carry, template disabled
-	PathParallel = "parallel" // Solver.Solve with parallel constraint emission
+	PathTemplate = "template" // Session: basis carry and model-template rebinding
 )
 
 // Paths lists every solve path, in the order the harness cycles them.
-var Paths = []string{PathScratch, PathTemplate, PathWarm, PathParallel}
+var Paths = []string{PathScratch, PathTemplate}
 
 // Mutation is a deliberate post-solve corruption. It is applied after the
 // plan is computed and before it is verified/certified, so a mutated
@@ -419,11 +417,8 @@ func (sc *Scenario) materialize() (*env, error) {
 	default:
 		return nil, fmt.Errorf("prop: unknown rate-limiter mode %q", sc.RateLimiter)
 	}
-	if sc.Path == PathParallel {
-		e.opts.BuildWorkers = -1
-	}
 	switch sc.Path {
-	case PathScratch, PathTemplate, PathWarm, PathParallel:
+	case PathScratch, PathTemplate:
 	default:
 		return nil, fmt.Errorf("prop: unknown solve path %q", sc.Path)
 	}

@@ -151,7 +151,7 @@ func deriveTemplate(n, m int) *netTemplate {
 // stamp emits the recorded network into m over the given input expressions.
 // Auxiliary wires are materialized in recording order, so variable creation,
 // names, and constraint rows match the original direct construction exactly.
-func (t *netTemplate) stamp(m lp.Emitter, exprs []*lp.Expr, name string, largest bool) Result {
+func (t *netTemplate) stamp(m *lp.Model, exprs []*lp.Expr, name string, largest bool) Result {
 	res := Result{Sum: lp.NewExpr(), Comparators: t.comparators}
 	aux := make([]*lp.Expr, 0, 2*len(t.ops)+1)
 	wire := func(w int32) *lp.Expr {

@@ -75,20 +75,19 @@ type Result struct {
 // variables so negative inputs are handled too.
 //
 // The comparator network for a given (len(exprs), M) is derived once and
-// memoized (see cache.go); each call stamps the cached template into m. The
-// emitter may be a *lp.Model or a *lp.Batch for parallel block emission.
-func LargestSum(m lp.Emitter, exprs []*lp.Expr, M int, name string) Result {
+// memoized (see cache.go); each call stamps the cached template into m.
+func LargestSum(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
 	return partialSort(m, exprs, M, name, true)
 }
 
 // SmallestSum is the symmetric construction: the returned expression is
 // ≤ the sum of the M smallest inputs in any feasible assignment, for use on
 // the left side of a ≥ constraint (Eqn 15 of the paper).
-func SmallestSum(m lp.Emitter, exprs []*lp.Expr, M int, name string) Result {
+func SmallestSum(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
 	return partialSort(m, exprs, M, name, false)
 }
 
-func partialSort(m lp.Emitter, exprs []*lp.Expr, M int, name string, largest bool) Result {
+func partialSort(m *lp.Model, exprs []*lp.Expr, M int, name string, largest bool) Result {
 	if M < 0 {
 		M = 0
 	}
@@ -109,7 +108,7 @@ func partialSort(m lp.Emitter, exprs []*lp.Expr, M int, name string, largest boo
 // compareSwap emits one compare-swap operator. For largest=true, hi is an
 // over-approximation of max(x, y) and lo the complementary wire; for
 // largest=false the roles flip (hi under-approximates min).
-func compareSwap(m lp.Emitter, x, y *lp.Expr, name string, largest bool) (hi, lo *lp.Expr) {
+func compareSwap(m *lp.Model, x, y *lp.Expr, name string, largest bool) (hi, lo *lp.Expr) {
 	vh := m.NewVar(name+".h", negInf(), lp.Inf)
 	vl := m.NewVar(name+".l", negInf(), lp.Inf)
 	he := lp.NewExpr().Add(1, vh)
@@ -139,7 +138,7 @@ func negInf() float64 { return -lp.Inf }
 // (CVaR-style) constraint; it uses N+1 variables and N constraints versus
 // the sorting network's O(N·M). It exists as an ablation/validation
 // alternative to the paper's sorting-network encoding.
-func TopKCompact(m lp.Emitter, exprs []*lp.Expr, M int, name string) Result {
+func TopKCompact(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
 	if M < 0 {
 		M = 0
 	}
@@ -174,7 +173,7 @@ func publishCompact(res *Result) {
 
 // BottomKCompact is the symmetric compact encoding lower-bounding the sum of
 // the M smallest inputs: M·s − Σ tᵢ with tᵢ ≥ s − exprᵢ, tᵢ ≥ 0.
-func BottomKCompact(m lp.Emitter, exprs []*lp.Expr, M int, name string) Result {
+func BottomKCompact(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
 	if M < 0 {
 		M = 0
 	}

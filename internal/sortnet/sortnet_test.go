@@ -149,7 +149,7 @@ func TestSmallestSumSoundness(t *testing.T) {
 func TestEmbeddedOptimization(t *testing.T) {
 	for _, enc := range []struct {
 		name string
-		fn   func(lp.Emitter, []*lp.Expr, int, string) Result
+		fn   func(*lp.Model, []*lp.Expr, int, string) Result
 	}{
 		{"sortnet", LargestSum},
 		{"compact", TopKCompact},
@@ -196,7 +196,7 @@ func TestEncodingsAgree(t *testing.T) {
 			caps[i] = 1 + rng.Float64()*9
 		}
 		B := rng.Float64() * 20
-		solveWith := func(fn func(lp.Emitter, []*lp.Expr, int, string) Result) float64 {
+		solveWith := func(fn func(*lp.Model, []*lp.Expr, int, string) Result) float64 {
 			m := lp.NewModel()
 			exprs := make([]*lp.Expr, n)
 			obj := lp.NewExpr()

@@ -61,8 +61,7 @@ func buildChain(tb testing.TB, solver *core.Solver, series demand.Series, warm b
 // from scratch. (In practice the gap is orders of magnitude — instantiate
 // touches only bounds and RHS — so the 2x floor is safe against timer
 // noise.) Bit-identity of the resulting models and solutions is asserted
-// separately in internal/core's template equivalence suite and in
-// TestSessionTemplateSolveMatchesScratchSNet below.
+// separately in internal/core's template equivalence suite.
 func TestModelBuildTemplateSpeedupSNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("S-Net chain is slow; skipped with -short")
@@ -81,60 +80,10 @@ func TestModelBuildTemplateSpeedupSNet(t *testing.T) {
 		len(series)-1, cold, warm, float64(cold)/float64(warm))
 }
 
-// TestSessionTemplateSolveMatchesScratchSNet runs the warm-started S-Net
-// re-solve chain with the model template enabled and disabled and requires
-// exactly equal states: the instantiated model is byte-identical to a
-// scratch formulation, so with the same carried basis the simplex must walk
-// the same path to the same bits. ke=1 keeps the chain fast; byte-identity
-// of the ke=2 formulation itself is covered in internal/core's suite.
-func TestSessionTemplateSolveMatchesScratchSNet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("S-Net chain is slow; skipped with -short")
-	}
-	series := resolveSeries(t, 4)
-	e := getSNetEnv(t)
-	run := func(disable bool) []*core.State {
-		opts := e.Opts
-		opts.MiceFraction = 0
-		opts.DisableTemplate = disable
-		se := core.NewSolver(e.Net, e.Tun, opts).NewSession()
-		var out []*core.State
-		for i, dem := range series {
-			st, stats, err := se.Solve(core.Input{Demands: dem, Prot: core.Protection{Ke: 1}})
-			if err != nil {
-				t.Fatalf("disable=%v interval %d: %v", disable, i, err)
-			}
-			if wantReuse := !disable && i > 0; stats.ModelReused != wantReuse {
-				t.Fatalf("disable=%v interval %d: ModelReused=%v, want %v", disable, i, stats.ModelReused, wantReuse)
-			}
-			out = append(out, st)
-		}
-		return out
-	}
-	withTmpl, scratch := run(false), run(true)
-	for i := range withTmpl {
-		for f, r := range scratch[i].Rate {
-			if withTmpl[i].Rate[f] != r {
-				t.Fatalf("interval %d flow %v: rate %v (template) != %v (scratch)", i, f, withTmpl[i].Rate[f], r)
-			}
-		}
-		for f, alloc := range scratch[i].Alloc {
-			got := withTmpl[i].Alloc[f]
-			for j := range alloc {
-				if got[j] != alloc[j] {
-					t.Fatalf("interval %d flow %v tunnel %d: alloc %v (template) != %v (scratch)",
-						i, f, j, got[j], alloc[j])
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkModelBuildWarmVsCold times one S-Net model-construction chain
 // per op — every interval formulated from scratch (cold) versus one frozen
 // ModelTemplate re-instantiated per interval (warm). The warm/cold ns/op
-// ratio is the formulation cache's payoff; the CI bench gate watches both
-// entries (ffcbench emits the same workload as modelbuild_cold/_warm).
+// ratio is the formulation cache's payoff.
 func BenchmarkModelBuildWarmVsCold(b *testing.B) {
 	series := resolveSeries(b, 6)
 	solver := modelBuildSolver(b)
