@@ -344,7 +344,7 @@ type Stats struct {
 	// (formulation and encoding) before the simplex ran.
 	BuildTime time.Duration
 	// LP breaks down the simplex work (iteration split, reinversions,
-	// presolve reductions, basis fill-in).
+	// warm-start repairs, basis fill-in).
 	LP lp.SolveStats
 	// MLU is the max link utilization of the result (MinMLU objective).
 	MLU float64

@@ -10,8 +10,7 @@ import "ffc/internal/lp"
 //   - when the input differs from the cached one only in *values* (demands,
 //     capacities, rate caps/floors/fixings) and not in structure, the built
 //     LP model is re-instantiated from the cached ModelTemplate via
-//     SetBounds/SetRHS/SetObjCoef instead of being re-formulated, which
-//     also lets the lp layer reuse its presolve mapping.
+//     SetBounds/SetRHS/SetObjCoef instead of being re-formulated.
 //
 // A Session is NOT safe for concurrent use; create one per serial solve
 // loop. Results are identical to Solver.Solve up to the simplex's choice

@@ -142,6 +142,61 @@ func TestSessionStructureChangesRebuild(t *testing.T) {
 	if d := math.Abs(warmSt.TotalRate() - coldSt.TotalRate()); d > 1e-6 {
 		t.Fatalf("session %v vs cold %v with a down link", warmSt.TotalRate(), coldSt.TotalRate())
 	}
+
+	// L-Net at ke=1 through a link-down / link-up cycle: a loaded link
+	// fails (its tunnels' columns are pinned to [0,0]), demands drift while
+	// it is down (the carried basis is seated on a model holding those
+	// pinned columns), and it comes back. Every step must match a scratch
+	// solve, report what became of the carried basis, and stay
+	// congestion-free under any further single link failure.
+	lnet := topology.LNet(topology.LNetConfig{Sites: 6}, rand.New(rand.NewSource(5)))
+	set, series := buildFixture(t, lnet, 2, 5)
+	ls := NewSolver(lnet, set, Options{})
+	lse := ls.NewSession()
+	down := map[topology.LinkID]bool{}
+	for i, step := range []struct {
+		name    string
+		demands demand.Matrix
+		down    map[topology.LinkID]bool
+	}{
+		{"all up", series[0], nil},
+		{"link down", series[0], down},
+		{"drift while down", series[1], down},
+		{"link up", series[1], nil},
+	} {
+		// ×200 congests the fixture, so losing a loaded link moves the optimum.
+		lin := Input{Demands: step.demands.Scale(200), Prot: Protection{Ke: 1}, DownLinks: step.down}
+		got, stats, err := lse.Solve(lin)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if i > 0 && !stats.LP.Warm && !stats.LP.WarmFellBack {
+			t.Fatalf("%s: the carried basis was neither seated nor reported as dropped", step.name)
+		}
+		want, _, err := ls.Solve(lin)
+		if err != nil {
+			t.Fatalf("%s: scratch solve: %v", step.name, err)
+		}
+		if d := math.Abs(got.TotalRate() - want.TotalRate()); d > 1e-6 {
+			t.Fatalf("%s: session %v vs scratch %v", step.name, got.TotalRate(), want.TotalRate())
+		}
+		if v := VerifyDataPlane(lnet, set, got, 1, 0, nil); v != nil {
+			t.Fatalf("%s: %v", step.name, v)
+		}
+		if i == 0 {
+			if got.TotalRate() >= lin.Demands.Total()-1e-6 {
+				t.Fatal("L-Net fixture is uncongested")
+			}
+			loads := got.LinkLoads(set)
+			var loaded topology.LinkID
+			for _, l := range lnet.Links {
+				if loads[l.ID] > loads[loaded] {
+					loaded = l.ID
+				}
+			}
+			down[loaded] = true
+		}
+	}
 }
 
 // TestSessionMaxMin checks the warm-started max-min iteration against the

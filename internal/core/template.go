@@ -23,8 +23,8 @@ var (
 // capacities, rate caps/floors/fixings) the built LP can be re-instantiated
 // by rewriting bounds, right-hand sides, and objective coefficients through
 // the lp mutation API (SetBounds/SetRHS/SetObjCoef) instead of being
-// re-formulated. The lp layer then also reuses its presolve plan, and a
-// Session's warm-start basis still fits — the three caches compose.
+// re-formulated. A Session's warm-start basis still fits the rebound model,
+// so the two caches compose.
 //
 // Invalidation rules (any of these is a structural change → Matches returns
 // false and callers must build a fresh template):

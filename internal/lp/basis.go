@@ -45,6 +45,15 @@ type basisRep interface {
 // the product-form inverse.
 const pfiThreshold = 260
 
+// newBasisRep returns an empty representation for an m-row basis; force is
+// Model.forceRep (0 = by size, 1 = dense, 2 = product-form).
+func newBasisRep(m int, force int8) basisRep {
+	if force == 2 || (force == 0 && m >= pfiThreshold) {
+		return newPfiRep(m)
+	}
+	return newDenseRep(m)
+}
+
 // ---------------------------------------------------------------- dense --
 
 // denseRep is the explicit dense inverse.

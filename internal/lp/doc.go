@@ -18,9 +18,18 @@
 //	m.Maximize(lp.NewExpr().Add(1, x).Add(1, y))
 //	sol, err := m.Solve()
 //
-// The solver uses a revised simplex with an explicit dense basis inverse,
-// bounded variables (variable bounds never become rows), a Phase-I with
-// per-row artificials, Dantzig pricing with a Bland fallback for
-// anti-cycling, incremental reduced-cost updates, and periodic
-// refactorization (re-inversion) for numerical hygiene.
+// A model goes to the solver exactly as built — no reduction stage sits
+// in between — so Solution.X, Solution.Duals and a WarmStart are all in
+// the model's own column and row indices. The solver is a primal
+// revised simplex with bounded variables (variable bounds never become
+// rows; a fixed column, lo == hi, is carried but never priced). It starts
+// from the diagonal crash basis — slacks, plus one artificial per row the
+// slack cannot satisfy — or from a caller's WarmStart repaired against the
+// current bounds and right-hand sides; runs a Phase I over the artificials
+// when there are any; prices with Devex weights, falling back to Bland's
+// rule after a long degenerate run; and updates reduced costs
+// incrementally. The basis inverse is kept in product form (an eta file
+// with sparse FTRAN/BTRAN and Markowitz-ordered reinversion) from 260 rows
+// up and as an explicit dense matrix below that; both are refactorized
+// periodically for numerical hygiene.
 package lp

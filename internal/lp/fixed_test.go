@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestPresolveFoldsFixedVariables(t *testing.T) {
+func TestFixedVariablesFold(t *testing.T) {
 	m := NewModel()
 	x := m.NewVar("x", 0, Inf)
 	f := m.NewVar("f", 3, 3) // fixed
@@ -23,13 +23,13 @@ func TestPresolveFoldsFixedVariables(t *testing.T) {
 	if sol.X[f] != 3 {
 		t.Fatalf("fixed variable value %v", sol.X[f])
 	}
-	// Dual of the binding row survives presolve: marginal value 1.
+	// Dual of the binding row, fixed column's share folded in: marginal value 1.
 	if !almost(sol.Duals[r], 1, 1e-9) {
 		t.Fatalf("dual %v, want 1", sol.Duals[r])
 	}
 }
 
-func TestPresolveDetectsFixedInfeasibility(t *testing.T) {
+func TestFixedInfeasibilityDetected(t *testing.T) {
 	m := NewModel()
 	a := m.NewVar("a", 2, 2)
 	b := m.NewVar("b", 3, 3)
@@ -41,11 +41,11 @@ func TestPresolveDetectsFixedInfeasibility(t *testing.T) {
 	}
 }
 
-func TestPresolveVacuousEqualityRow(t *testing.T) {
+func TestVacuousEqualityRow(t *testing.T) {
 	m := NewModel()
 	a := m.NewVar("a", 2, 2)
 	x := m.NewVar("x", 0, 9)
-	m.AddEQ(NewExpr().Add(1, a), 2) // becomes 0 = 0 after folding
+	m.AddEQ(NewExpr().Add(1, a), 2) // vacuous: only the fixed column, 2 = 2
 	m.AddLE(NewExpr().Add(1, x), 5)
 	m.Maximize(NewExpr().Add(1, x))
 	sol, err := m.Solve()
@@ -56,11 +56,11 @@ func TestPresolveVacuousEqualityRow(t *testing.T) {
 		t.Fatalf("objective %v", sol.Objective)
 	}
 	if len(sol.Duals) != 2 || sol.Duals[0] != 0 {
-		t.Fatalf("removed row must have zero dual: %v", sol.Duals)
+		t.Fatalf("vacuous row must have zero dual: %v", sol.Duals)
 	}
 }
 
-func TestPresolveAllRowsVacuous(t *testing.T) {
+func TestVacuousAllRows(t *testing.T) {
 	m := NewModel()
 	a := m.NewVar("a", 1, 1)
 	x := m.NewVar("x", -2, 7)
@@ -95,11 +95,10 @@ func TestNoRowsUnbounded(t *testing.T) {
 	}
 }
 
-// TestPresolveRandomEquivalence: models with a random subset of variables
-// fixed must solve to the same optimum whether or not presolve fires
-// (comparison against a clone where fixing is expressed as an equality row,
-// which presolve cannot remove).
-func TestPresolveRandomEquivalence(t *testing.T) {
+// TestFixedRandomEquivalence: models with a random subset of variables
+// fixed through their bounds must solve to the same optimum as a clone
+// where the fixing is expressed as an equality row instead.
+func TestFixedRandomEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for trial := 0; trial < 60; trial++ {
 		n, k := 6, 5
@@ -155,13 +154,13 @@ func TestPresolveRandomEquivalence(t *testing.T) {
 			m.Maximize(obj)
 			return m
 		}
-		sa, ea := build(true).Solve()  // presolve folds the fixed vars
-		sb, eb := build(false).Solve() // equality rows keep them alive
+		sa, ea := build(true).Solve()  // fixed through lo == hi
+		sb, eb := build(false).Solve() // fixed through equality rows
 		if (ea == nil) != (eb == nil) {
 			t.Fatalf("trial %d: statuses diverge: %v vs %v", trial, sa.Status, sb.Status)
 		}
 		if ea == nil && math.Abs(sa.Objective-sb.Objective) > 1e-6 {
-			t.Fatalf("trial %d: presolved obj %v != reference %v", trial, sa.Objective, sb.Objective)
+			t.Fatalf("trial %d: bound-fixed obj %v != reference %v", trial, sa.Objective, sb.Objective)
 		}
 	}
 }

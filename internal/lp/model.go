@@ -80,7 +80,6 @@ type rowMeta struct {
 	name  string
 	sense Sense
 	rhs   float64
-	nnz   int
 }
 
 // Model is a linear program under construction. Models are not safe for
@@ -100,16 +99,6 @@ type Model struct {
 	// forceRep overrides basis-representation selection in tests:
 	// 0 = by size, 1 = dense, 2 = product-form.
 	forceRep int8
-
-	// Presolve cache for incremental re-solves. structVersion increments
-	// whenever the sparsity pattern changes (new variable or constraint);
-	// SetRHS/SetBounds/SetObjCoef leave it alone, so a repeat Solve can
-	// revalidate and reuse the previous presolve plan and reduced model
-	// instead of rebuilding them.
-	structVersion int
-	preCache      *presolved
-	preVersion    int
-	redCache      *Model
 }
 
 // NewModel returns an empty model.
@@ -128,7 +117,6 @@ func (m *Model) NewVar(name string, lo, hi float64) Var {
 		panic(fmt.Sprintf("lp: variable %q has lo %g > hi %g", name, lo, hi))
 	}
 	m.cols = append(m.cols, column{name: name, lo: lo, hi: hi})
-	m.structVersion++
 	return Var(len(m.cols) - 1)
 }
 
@@ -144,8 +132,8 @@ func (m *Model) SetBounds(v Var, lo, hi float64) {
 func (m *Model) Bounds(v Var) (lo, hi float64) { return m.cols[v].lo, m.cols[v].hi }
 
 // SetRHS replaces the right-hand side of a row (as returned by
-// AddConstraint). The sparsity pattern is untouched, so a follow-up Solve
-// can reuse the cached presolve mapping and a warm-start basis.
+// AddConstraint). The model's dimensions are untouched, so a warm-start
+// handle from an earlier solve still fits a follow-up SolveFrom.
 func (m *Model) SetRHS(row int, rhs float64) { m.rows[row].rhs = rhs }
 
 // RHS returns the current right-hand side of a row.
@@ -174,9 +162,8 @@ func (m *Model) AddNamed(name string, expr *Expr, sense Sense, rhs float64) int 
 
 func (m *Model) addConstraintNamed(name string, expr *Expr, sense Sense, rhs float64) int {
 	idx, coef := expr.compact()
-	m.structVersion++
 	r := int32(len(m.rows))
-	m.rows = append(m.rows, rowMeta{name: name, sense: sense, rhs: rhs - expr.Constant, nnz: len(idx)})
+	m.rows = append(m.rows, rowMeta{name: name, sense: sense, rhs: rhs - expr.Constant})
 	for i, ci := range idx {
 		c := &m.cols[ci]
 		c.rowIdx = append(c.rowIdx, r)
@@ -229,7 +216,7 @@ type Solution struct {
 	// Iters is the total number of simplex iterations used.
 	Iters int
 	// Stats breaks down the work the solve performed (iteration split,
-	// reinversions, presolve reductions, ...).
+	// reinversions, warm-start repairs, ...).
 	Stats SolveStats
 
 	// warm is the reusable basis snapshot (nil unless the solve reached
@@ -250,17 +237,17 @@ func (s *Solution) Value(v Var) float64 { return s.X[v] }
 // when the solve did not produce one (non-optimal status, empty model).
 func (s *Solution) Warm() *WarmStart { return s.warm }
 
-// Solve runs presolve then the simplex method. On non-optimal outcomes it
-// returns a Solution carrying the status plus an error wrapping
-// ErrNotOptimal.
+// Solve runs the simplex method on the model exactly as built, from the
+// cold diagonal crash basis. On non-optimal outcomes it returns a Solution
+// carrying the status plus an error wrapping ErrNotOptimal.
 func (m *Model) Solve() (*Solution, error) { return m.SolveWith(nil, SolveOpts{}) }
 
 // SolveFrom is Solve starting from a previous solution's basis: the warm
-// handle is mapped through the current presolve plan and crash-repaired
-// against the current bounds/RHS, so re-solves after SetRHS / SetBounds /
-// SetObjCoef mutations typically skip Phase 1 and most iterations. A handle
-// that no longer fits the model (structure changed) is ignored; passing nil
-// is exactly Solve.
+// handle, which is in this model's own column and row indices, is seated
+// and crash-repaired against the current bounds/RHS, so re-solves after
+// SetRHS / SetBounds / SetObjCoef mutations typically skip Phase 1 and most
+// iterations. A handle that no longer fits the model (variables or rows
+// were added) is ignored; passing nil is exactly Solve.
 func (m *Model) SolveFrom(ws *WarmStart) (*Solution, error) {
 	return m.SolveWith(ws, SolveOpts{})
 }
@@ -279,35 +266,11 @@ func (m *Model) SolveWith(ws *WarmStart, opts SolveOpts) (sol *Solution, err err
 		}
 	}()
 	sp := obs.StartSpan("lp.solve")
-	pre, preCached := m.presolveFor()
 	wsMismatch := ws != nil && !ws.fits(m)
 	if wsMismatch {
 		ws = nil
 	}
-	switch {
-	case pre.infeasible:
-		sol = &Solution{Status: Infeasible, X: make([]float64, len(m.cols)), Duals: make([]float64, len(m.rows))}
-		for j := range m.cols {
-			if pre.newCol[j] < 0 {
-				sol.X[j] = pre.fixedVal[j]
-			}
-		}
-	case pre.worthApplying(m):
-		rm := m.redCache
-		if preCached && rm != nil {
-			pre.refreshReduced(m, rm)
-		} else {
-			rm = pre.reducedModel(m)
-			m.redCache = rm
-		}
-		inner := solveSimplex(rm, pre.restrictWarm(ws), opts)
-		sol = pre.expand(m, inner)
-	default:
-		sol = solveSimplex(m, ws, opts)
-	}
-	sol.Stats.PresolveRows = len(m.rows) - len(pre.origRow)
-	sol.Stats.PresolveCols = len(m.cols) - len(pre.origCol)
-	sol.Stats.PresolveCached = preCached
+	sol = solveSimplex(m, ws, opts)
 	if wsMismatch {
 		sol.Stats.WarmFellBack = true
 	}

@@ -213,7 +213,7 @@ func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 	s.basis = make([]int, m)
 	s.xB = make([]float64, m)
 	warmed := false
-	if ws != nil && ws.nCols == nS && ws.nRows == m {
+	if ws != nil { // SolveWith has already dropped a handle that does not fit
 		if s.installWarm(ws, model) {
 			warmed = true
 			s.stats.Warm = true
@@ -301,23 +301,15 @@ func (s *simplexState) crashDiagonal(model *Model) {
 
 	// The initial basis matrix is diagonal: slack columns carry +1 and
 	// artificial columns carry ±1.
-	usePFI := m >= pfiThreshold
-	if model.forceRep == 1 {
-		usePFI = false
-	} else if model.forceRep == 2 {
-		usePFI = true
-	}
-	if usePFI {
-		s.rep = newPfiRep(m)
-		s.rep.refactor(s) // trivial for a diagonal basis
-	} else {
-		dr := newDenseRep(m)
+	s.rep = newBasisRep(m, model.forceRep)
+	if dr, ok := s.rep.(*denseRep); ok {
 		diag := make([]float64, m)
 		for i := 0; i < m; i++ {
 			diag[i] = s.colCoef[s.basis[i]][0]
 		}
 		dr.initDiagonal(diag)
-		s.rep = dr
+	} else {
+		s.rep.refactor(s) // trivial for a diagonal basis
 	}
 }
 

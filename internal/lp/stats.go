@@ -25,10 +25,6 @@ type SolveStats struct {
 	// representation (eta-file nonzeros for PFI, m² for dense) — the
 	// fill-in proxy.
 	BasisNnz int
-	// PresolveRows and PresolveCols count rows/columns removed before
-	// the simplex ran.
-	PresolveRows int
-	PresolveCols int
 	// Warm marks solves that successfully started from a caller-provided
 	// basis (SolveFrom with a seated handle).
 	Warm bool
@@ -40,9 +36,6 @@ type SolveStats struct {
 	// not be seated (structure change, singular basis, non-converging
 	// repairs) — the solve ran from the cold crash instead.
 	WarmFellBack bool
-	// PresolveCached marks solves that reused the previous solve's presolve
-	// mapping and reduced model (sparsity pattern unchanged).
-	PresolveCached bool
 }
 
 // Package-level handles into the Default registry: the publish path is a
@@ -56,13 +49,10 @@ var (
 	obsDevexResets  = obs.NewCounter("lp.devex_resets")
 	obsBlandActs    = obs.NewCounter("lp.bland_activations")
 	obsBoundFlips   = obs.NewCounter("lp.bound_flips")
-	obsPresolveRows = obs.NewCounter("lp.presolve_rows_removed")
-	obsPresolveCols = obs.NewCounter("lp.presolve_cols_removed")
 	obsBasisNnz     = obs.NewGauge("lp.basis_nnz_max")
 	obsWarmSolves   = obs.NewCounter("lp.warm_solves")
 	obsWarmRepairs  = obs.NewCounter("lp.warm_repairs")
 	obsWarmFellBack = obs.NewCounter("lp.warm_fallbacks")
-	obsPreCacheHits = obs.NewCounter("lp.presolve_cache_hits")
 	obsBudgetHits   = obs.NewCounter("lp.budget_hits")
 )
 
@@ -81,8 +71,6 @@ func (st *SolveStats) publish(status Status) {
 	obsDevexResets.Add(int64(st.DevexResets))
 	obsBlandActs.Add(int64(st.BlandActivations))
 	obsBoundFlips.Add(int64(st.BoundFlips))
-	obsPresolveRows.Add(int64(st.PresolveRows))
-	obsPresolveCols.Add(int64(st.PresolveCols))
 	obsBasisNnz.SetMax(int64(st.BasisNnz))
 	if st.Warm {
 		obsWarmSolves.Inc()
@@ -90,8 +78,5 @@ func (st *SolveStats) publish(status Status) {
 	obsWarmRepairs.Add(int64(st.WarmRepairs))
 	if st.WarmFellBack {
 		obsWarmFellBack.Inc()
-	}
-	if st.PresolveCached {
-		obsPreCacheHits.Inc()
 	}
 }

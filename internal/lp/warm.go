@@ -8,10 +8,9 @@ import (
 // WarmStart captures the final simplex basis of a solve so a follow-up
 // Solve of a structurally identical (or merely similar) model can resume
 // from it instead of cold-starting from the all-slack basis. Handles are
-// expressed in the *original* model's index space — one status per
-// structural column and one per row's slack — so they survive presolve:
-// the solver maps them through the current presolve plan on the way in and
-// back out on the way out.
+// expressed in the model's own index space — one status per structural
+// column and one per row's slack — the same space as Solution.X and
+// Solution.Duals.
 //
 // A handle is a basis *hint*, never a correctness requirement: the solver
 // validates it against the target model (dimensions, bound changes,
@@ -46,53 +45,6 @@ func (s *simplexState) captureWarm() *WarmStart {
 	return ws
 }
 
-// restrictWarm maps a warm start given in the original index space into the
-// reduced model's space (dropping statuses of presolved-away columns/rows).
-// The caller has already checked ws against the original dimensions.
-func (p *presolved) restrictWarm(ws *WarmStart) *WarmStart {
-	if ws == nil {
-		return nil
-	}
-	out := &WarmStart{
-		nCols:     len(p.origCol),
-		nRows:     len(p.origRow),
-		colStat:   make([]varStatus, len(p.origCol)),
-		slackStat: make([]varStatus, len(p.origRow)),
-	}
-	for nj, j := range p.origCol {
-		out.colStat[nj] = ws.colStat[j]
-	}
-	for ni, i := range p.origRow {
-		out.slackStat[ni] = ws.slackStat[i]
-	}
-	return out
-}
-
-// expandWarm maps a reduced-space warm start back to the original index
-// space: presolved-away columns are fixed (nonbasic at their bound) and
-// presolved-away rows are vacuous, so their slack is trivially "basic".
-func (p *presolved) expandWarm(inner *WarmStart, m *Model) *WarmStart {
-	out := &WarmStart{
-		nCols:     len(m.cols),
-		nRows:     len(m.rows),
-		colStat:   make([]varStatus, len(m.cols)),
-		slackStat: make([]varStatus, len(m.rows)),
-	}
-	for j := range out.colStat {
-		out.colStat[j] = stAtLower
-	}
-	for i := range out.slackStat {
-		out.slackStat[i] = stBasic
-	}
-	for nj, j := range p.origCol {
-		out.colStat[j] = inner.colStat[nj]
-	}
-	for ni, i := range p.origRow {
-		out.slackStat[i] = inner.slackStat[ni]
-	}
-	return out
-}
-
 // warmNonbasic resolves a remembered nonbasic status against the variable's
 // *current* bounds (which may have changed since the basis was captured)
 // and returns a valid status plus the value the variable parks at. A status
@@ -125,8 +77,8 @@ func warmNonbasic(st varStatus, lo, hi float64) (varStatus, float64) {
 }
 
 // installWarm seats ws as the starting basis: nonbasic statuses are
-// revalidated against the current bounds, the basic set is trimmed/padded
-// to exactly m members, the basis is factorized, and basic variables whose
+// revalidated against the current bounds, the basic set is padded to
+// exactly m members, the basis is factorized, and basic variables whose
 // values violate their (possibly new) bounds are repaired row by row —
 // demoted to a bound and replaced by a slack, or by a fresh artificial when
 // no slack can pivot, so Phase 1 work is confined to the repaired rows.
@@ -152,17 +104,9 @@ func (s *simplexState) installWarm(ws *WarmStart, model *Model) bool {
 		}
 		s.status[j], s.nbVal[j] = warmNonbasic(st, s.lo[j], s.hi[j])
 	}
-	// Trim extras (a handle restricted through a tighter presolve can carry
-	// more basics than the reduced model has rows); slacks sit at the tail
-	// of basisSet, so trimming from the end keeps the structural basics that
-	// carry the interesting values.
-	for len(basisSet) > m {
-		j := basisSet[len(basisSet)-1]
-		basisSet = basisSet[:len(basisSet)-1]
-		s.status[j], s.nbVal[j] = warmNonbasic(stAtLower, s.lo[j], s.hi[j])
-	}
-	// Pad with nonbasic slacks (basic artificials were dropped at capture;
-	// expansion through presolve can also leave the set short).
+	// A handle with m row slots was captured from m basis positions, so the
+	// set can only be short (basic artificials were dropped at capture): pad
+	// with nonbasic slacks.
 	for i := 0; i < m && len(basisSet) < m; i++ {
 		if sj := nS + i; s.status[sj] != stBasic {
 			s.status[sj] = stBasic
@@ -192,17 +136,7 @@ func (s *simplexState) installWarm(ws *WarmStart, model *Model) bool {
 	}
 	s.n = len(s.colIdx)
 
-	usePFI := m >= pfiThreshold
-	if model.forceRep == 1 {
-		usePFI = false
-	} else if model.forceRep == 2 {
-		usePFI = true
-	}
-	if usePFI {
-		s.rep = newPfiRep(m)
-	} else {
-		s.rep = newDenseRep(m)
-	}
+	s.rep = newBasisRep(m, model.forceRep)
 	refac := func() bool {
 		s.rep.refactor(s)
 		s.computeXB()
