@@ -162,9 +162,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "solved: %d vars, %d constraints, %d iterations, %v; throughput %.4g/%.4g\n",
 		stats.Vars, stats.Constraints, stats.Iters, stats.SolveTime.Round(0), st.TotalRate(), demands.Total())
 	if *statsFlag {
-		fmt.Fprintf(os.Stderr, "solver: build %v, solve %v; phase1 %d/%d iters, %d reinversions, %d devex resets, %d bound flips, basis nnz %d\n",
+		fmt.Fprintf(os.Stderr, "solver: build %v, solve %v; dual %d + phase1 %d of %d iters, %d reinversions, %d devex resets, %d bound flips, basis nnz %d\n",
 			stats.BuildTime.Round(0), stats.SolveTime.Round(0),
-			stats.LP.Phase1Iters, stats.LP.Iters, stats.LP.Reinversions, stats.LP.DevexResets,
+			stats.LP.DualIters, stats.LP.Phase1Iters, stats.LP.Iters, stats.LP.Reinversions, stats.LP.DevexResets,
 			stats.LP.BoundFlips, stats.LP.BasisNnz)
 		fmt.Fprintln(os.Stderr)
 		obs.Default().WriteText(os.Stderr)

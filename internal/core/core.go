@@ -143,9 +143,10 @@ type Options struct {
 	WeightSkip float64
 	// SolveBudget is the default wall-clock budget per computation
 	// (formulation + simplex); 0 means unlimited. Warm-started Session
-	// re-solves get SolveBudget/4 — they normally finish in a few
-	// iterations, and a pathological re-solve must not eat the control
-	// interval. Input.Budget.Deadline overrides per computation.
+	// re-solves (template rebound, previous basis held) get SolveBudget/4 —
+	// they normally finish in a few iterations, and a pathological re-solve
+	// must not eat the control interval; a solve that rebuilds the model
+	// gets all of it. Input.Budget.Deadline overrides per computation.
 	SolveBudget time.Duration
 }
 
@@ -343,8 +344,8 @@ type Stats struct {
 	// BuildTime is the slice of SolveTime spent constructing the LP
 	// (formulation and encoding) before the simplex ran.
 	BuildTime time.Duration
-	// LP breaks down the simplex work (iteration split, reinversions,
-	// warm-start repairs, basis fill-in).
+	// LP breaks down the simplex work (dual / Phase I / Phase II iteration
+	// split, reinversions, warm start or fallback, basis fill-in).
 	LP lp.SolveStats
 	// MLU is the max link utilization of the result (MinMLU objective).
 	MLU float64
@@ -537,7 +538,10 @@ func (se *Session) Solve(in Input) (st *State, stats *Stats, err error) {
 	deadline := in.Budget.Deadline
 	if deadline == 0 && s.Opts.SolveBudget > 0 {
 		deadline = s.Opts.SolveBudget
-		if ws != nil {
+		// Only a rebound template re-solves warm: a fresh formulation has
+		// new dimensions, lp drops the held basis, and the cold simplex
+		// that follows needs the whole budget.
+		if reused && ws != nil {
 			deadline /= warmBudgetDiv
 		}
 	}

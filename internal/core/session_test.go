@@ -173,9 +173,15 @@ func TestSessionStructureChangesRebuild(t *testing.T) {
 		if i > 0 && !stats.LP.Warm && !stats.LP.WarmFellBack {
 			t.Fatalf("%s: the carried basis was neither seated nor reported as dropped", step.name)
 		}
-		want, _, err := ls.Solve(lin)
+		if stats.LP.Warm && (stats.LP.Phase1Iters != 0 || stats.LP.WarmRepairs != 0) {
+			t.Fatalf("%s: the dual re-solve left Phase I work: %+v", step.name, stats.LP)
+		}
+		want, wantStats, err := ls.Solve(lin)
 		if err != nil {
 			t.Fatalf("%s: scratch solve: %v", step.name, err)
+		}
+		if d := math.Abs(stats.Objective - wantStats.Objective); d > 1e-6*(1+math.Abs(wantStats.Objective)) {
+			t.Fatalf("%s: session objective %v vs scratch %v", step.name, stats.Objective, wantStats.Objective)
 		}
 		if d := math.Abs(got.TotalRate() - want.TotalRate()); d > 1e-6 {
 			t.Fatalf("%s: session %v vs scratch %v", step.name, got.TotalRate(), want.TotalRate())

@@ -19,8 +19,8 @@ type SolveOpts struct {
 	// so an already-expired deadline returns without pivoting (fault
 	// injectors rely on this). Zero means no deadline.
 	Deadline time.Time
-	// MaxIters bounds the solve's total simplex iterations across both
-	// phases. Unlike Model.MaxIters (a safety net that yields IterLimit),
+	// MaxIters bounds the solve's total simplex iterations — dual pivots
+	// of a warm re-solve and both primal phases. Unlike Model.MaxIters (a safety net that yields IterLimit),
 	// exhausting this budget yields a *BudgetError. Zero means no bound.
 	MaxIters int
 	// Ctx cancels the solve between iteration batches; the simplex stops
@@ -66,7 +66,8 @@ type BudgetError struct {
 	Reason string
 	// Best is the best feasible point found before the stop — present only
 	// when the budget hit in Phase II, where every simplex iterate is
-	// primal-feasible (a mid-Phase-I stop has no feasible point to offer).
+	// primal-feasible (a stop in Phase I or inside a warm basis's dual
+	// re-solve has no feasible point to offer).
 	// Its Objective is valid but not optimal.
 	Best *Solution
 }

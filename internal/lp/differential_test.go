@@ -10,8 +10,9 @@ import (
 // variables, duplicate/degenerate rows) solved by the simplex are checked
 // against brute-force vertex enumeration, and warm-started re-solves after
 // random RHS/bound/objective perturbations are checked against a cold solve
-// of the same perturbed model (and against the enumerator again). Seeds are
-// fixed; the generator covers both basis representations via forceRep.
+// of the same perturbed model (and against the enumerator again); dual_test.go
+// repeats that one perturbation class at a time. Seeds are fixed; the
+// generator covers both basis representations via forceRep.
 
 // randomRefProblem draws a small LP with all-finite bounds (required by the
 // enumerator). Roughly 1 in 6 columns is fixed (lo == hi), which the
@@ -167,6 +168,7 @@ func TestRandomDifferentialLPs(t *testing.T) {
 		applyMutations(m, vars, p)
 		warmSol, warmErr := m.SolveFrom(sol.Warm())
 		checkAgainstRef(t, "warm-perturbed", p, warmSol, warmErr)
+		requireDualPath(t, "warm-perturbed", warmSol.Stats)
 
 		coldM, _ := p.toModel()
 		coldSol, coldErr := coldM.Solve()
@@ -174,7 +176,7 @@ func TestRandomDifferentialLPs(t *testing.T) {
 			t.Fatalf("case %d: warm status %v vs cold status %v", c, warmSol.Status, coldSol.Status)
 		}
 		if warmErr == nil {
-			if math.Abs(warmSol.Objective-coldSol.Objective) > 1e-7*(1+math.Abs(coldSol.Objective)) {
+			if math.Abs(warmSol.Objective-coldSol.Objective) > 1e-9*(1+math.Abs(coldSol.Objective)) {
 				t.Fatalf("case %d: warm objective %g != cold %g", c, warmSol.Objective, coldSol.Objective)
 			}
 		}

@@ -20,16 +20,18 @@
 //
 // A model goes to the solver exactly as built — no reduction stage sits
 // in between — so Solution.X, Solution.Duals and a WarmStart are all in
-// the model's own column and row indices. The solver is a primal
-// revised simplex with bounded variables (variable bounds never become
-// rows; a fixed column, lo == hi, is carried but never priced). It starts
-// from the diagonal crash basis — slacks, plus one artificial per row the
-// slack cannot satisfy — or from a caller's WarmStart repaired against the
-// current bounds and right-hand sides; runs a Phase I over the artificials
-// when there are any; prices with Devex weights, falling back to Bland's
-// rule after a long degenerate run; and updates reduced costs
-// incrementally. The basis inverse is kept in product form (an eta file
-// with sparse FTRAN/BTRAN and Markowitz-ordered reinversion) from 260 rows
-// up and as an explicit dense matrix below that; both are refactorized
-// periodically for numerical hygiene.
+// the model's own column and row indices. The solver is a primal revised
+// simplex with bounded variables (variable bounds never become rows; a
+// fixed column, lo == hi, is carried but never priced). It starts from the
+// diagonal crash basis — slacks, plus one artificial per row the slack
+// cannot satisfy — and runs a Phase I over the artificials when there are
+// any; or from a caller's WarmStart, factorized once and driven back inside
+// the current bounds and right-hand sides by a bounded-variable dual simplex
+// (dual.go), which needs no artificials and no Phase I and hands a feasible
+// basis to the primal Phase II. The primal prices with Devex weights,
+// falling back to Bland's rule after a long degenerate run; both update
+// reduced costs incrementally. The basis inverse is kept in product form
+// (an eta file with sparse FTRAN/BTRAN and Markowitz-ordered reinversion)
+// from 260 rows up and as an explicit dense matrix below that; both are
+// refactorized periodically for numerical hygiene.
 package lp

@@ -216,7 +216,7 @@ type Solution struct {
 	// Iters is the total number of simplex iterations used.
 	Iters int
 	// Stats breaks down the work the solve performed (iteration split,
-	// reinversions, warm-start repairs, ...).
+	// reinversions, warm start or fallback, ...).
 	Stats SolveStats
 
 	// warm is the reusable basis snapshot (nil unless the solve reached
@@ -225,7 +225,7 @@ type Solution struct {
 
 	// budgetReason and budgetFeasible describe a BudgetExceeded stop: why
 	// the budget fired and whether X holds a primal-feasible point (the
-	// stop landed in Phase II).
+	// stop landed in the primal Phase II).
 	budgetReason   string
 	budgetFeasible bool
 }
@@ -244,10 +244,12 @@ func (m *Model) Solve() (*Solution, error) { return m.SolveWith(nil, SolveOpts{}
 
 // SolveFrom is Solve starting from a previous solution's basis: the warm
 // handle, which is in this model's own column and row indices, is seated
-// and crash-repaired against the current bounds/RHS, so re-solves after
-// SetRHS / SetBounds / SetObjCoef mutations typically skip Phase 1 and most
-// iterations. A handle that no longer fits the model (variables or rows
-// were added) is ignored; passing nil is exactly Solve.
+// with one factorization and driven back to feasibility against the current
+// bounds/RHS by the dual simplex, so re-solves after SetRHS / SetBounds /
+// SetObjCoef mutations never run Phase 1 and skip most iterations. A handle
+// that no longer fits the model (variables or rows were added) is ignored,
+// one the dual simplex cannot re-solve falls back to the cold start;
+// passing nil is exactly Solve.
 func (m *Model) SolveFrom(ws *WarmStart) (*Solution, error) {
 	return m.SolveWith(ws, SolveOpts{})
 }

@@ -44,6 +44,7 @@ type simplexState struct {
 	gamma    []float64 // Devex reference weights, per variable
 	nbVal    []float64 // cached value of each nonbasic variable
 	phase1   bool
+	inDual   bool // inside dualSimplex: xB is not yet within its bounds
 	iters    int
 	maxIters int
 	nArtif   int
@@ -87,19 +88,20 @@ func solveSimplex(model *Model, ws *WarmStart, opts SolveOpts) *Solution {
 		sol.Duals = []float64{}
 		return sol
 	}
-	st := s.run()
+	st := s.run(model)
 	sol.Status = st
 	sol.Iters = s.iters
 	s.stats.Iters = s.iters
 	s.stats.BasisNnz = s.rep.nnzCount()
 	sol.Stats = s.stats
+	// Phase-II iterates are primal-feasible, so a Phase-II stop has a usable
+	// best-so-far point; a stop in Phase I or in the dual re-solve does not.
+	feasible := !s.phase1 && !s.inDual
 	if st == BudgetExceeded {
 		sol.budgetReason = s.budgetReason
-		// Phase-II iterates are primal-feasible, so a Phase-II stop has a
-		// usable best-so-far point; a mid-Phase-I stop does not.
-		sol.budgetFeasible = !s.phase1
+		sol.budgetFeasible = feasible
 	}
-	if st == Optimal || st == IterLimit || (st == BudgetExceeded && !s.phase1) {
+	if st == Optimal || st == IterLimit || (st == BudgetExceeded && feasible) {
 		xs := s.extract()
 		copy(sol.X, xs[:s.nStruct])
 		sol.Objective = objValue(model, sol.X)
@@ -147,9 +149,10 @@ func nearestBound(lo, hi float64) float64 {
 }
 
 // newState builds the working problem: slack per row, then either a warm
-// basis install (when ws matches) or the cold diagonal crash — initial
-// point with structural variables at a bound, slack basic where feasible,
-// artificials elsewhere. Returns nil for a completely empty model.
+// basis install (when ws matches; run re-solves it with the dual simplex)
+// or the cold diagonal crash — initial point with structural variables at a
+// bound, slack basic where feasible, artificials elsewhere. Returns nil for
+// a completely empty model.
 func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 	m := len(model.rows)
 	nS := len(model.cols)
@@ -212,32 +215,31 @@ func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 
 	s.basis = make([]int, m)
 	s.xB = make([]float64, m)
-	warmed := false
-	if ws != nil { // SolveWith has already dropped a handle that does not fit
-		if s.installWarm(ws, model) {
-			warmed = true
-			s.stats.Warm = true
-		} else {
-			// The failed install left the warm *nonbasic* statuses in
-			// place, so the diagonal crash still needs artificials only on
-			// rows those values don't satisfy.
-			s.stats.WarmFellBack = true
-		}
-	}
-	if !warmed {
+	// SolveWith has already dropped a handle that does not fit.
+	s.stats.Warm = ws != nil && s.installWarm(ws, model)
+	s.stats.WarmFellBack = ws != nil && !s.stats.Warm
+	if !s.stats.Warm {
+		// A failed install left the warm *nonbasic* statuses in place, so
+		// the diagonal crash needs artificials only on rows those values
+		// don't satisfy.
 		s.crashDiagonal(model)
 	}
-
-	s.d = make([]float64, s.n)
-	s.gamma = make([]float64, s.n)
-	s.resetDevex()
-	s.computeDuals()
+	s.price()
 
 	s.maxIters = model.MaxIters
 	if s.maxIters == 0 {
 		s.maxIters = 200*(m+s.n) + 20000
 	}
 	return s
+}
+
+// price sizes the per-variable pricing vectors for the seated basis (the
+// crash may have appended artificials) and computes the reduced costs.
+func (s *simplexState) price() {
+	s.d = make([]float64, s.n)
+	s.gamma = make([]float64, s.n)
+	s.resetDevex()
+	s.computeDuals()
 }
 
 // crashDiagonal builds the classic diagonal starting basis from the current
@@ -371,6 +373,13 @@ func (s *simplexState) refactor() {
 
 // computeXB recomputes xB = B⁻¹ (rhs − N x_N) from the factorization.
 func (s *simplexState) computeXB() {
+	res := s.rhsMinusNonbasic()
+	s.rep.ftranDense(res)
+	copy(s.xB, res)
+}
+
+// rhsMinusNonbasic returns rhs − N·x_N, the vector B·xB must equal.
+func (s *simplexState) rhsMinusNonbasic() []float64 {
 	res := make([]float64, s.m)
 	copy(res, s.rhs)
 	for j := 0; j < s.n; j++ {
@@ -385,8 +394,7 @@ func (s *simplexState) computeXB() {
 			res[r] -= s.colCoef[j][k] * v
 		}
 	}
-	s.rep.ftranDense(res)
-	copy(s.xB, res)
+	return res
 }
 
 // invertInPlace inverts the n×n row-major matrix a via Gauss-Jordan with
@@ -447,11 +455,24 @@ func swapRows(a []float64, n, i, j int) {
 	}
 }
 
-// run executes Phase I (if needed) then Phase II.
-func (s *simplexState) run() Status {
+// run re-solves a seated warm basis with the dual simplex — falling back
+// to the cold crash when that gives up — then executes Phase I (if needed)
+// and Phase II.
+func (s *simplexState) run(model *Model) Status {
+	if s.stats.Warm {
+		st, ok := s.dualSimplex()
+		if !ok {
+			s.abortWarm()
+			s.stats.Warm, s.stats.WarmFellBack = false, true
+			s.crashDiagonal(model)
+			s.price()
+		} else if st != Optimal {
+			return st
+		}
+	}
 	if s.phase1 {
 		st := s.optimize()
-		s.stats.Phase1Iters = s.iters
+		s.stats.Phase1Iters = s.iters - s.stats.DualIters
 		if st != Optimal {
 			if st == Unbounded {
 				// Phase-I objective is bounded below by zero; treat as numerical trouble.

@@ -7,10 +7,15 @@ import "ffc/internal/obs"
 // always did — the hot loop never touches the obs layer — and published
 // to the process-wide registry in one batch per solve.
 type SolveStats struct {
-	// Iters is total simplex iterations across both phases (== Solution.Iters).
+	// Iters is total simplex pivots, dual and primal, across both primal
+	// phases (== Solution.Iters).
 	Iters int
-	// Phase1Iters is the portion spent finding a feasible basis.
+	// Phase1Iters is the portion the primal simplex spent finding a
+	// feasible basis; it never includes dual pivots.
 	Phase1Iters int
+	// DualIters is the portion the dual simplex spent re-solving a warm
+	// basis (0 on a cold solve and when the warm basis was still feasible).
+	DualIters int
 	// Reinversions counts basis refactorizations after the initial one.
 	Reinversions int
 	// DevexResets counts Devex reference-framework resets forced by
@@ -28,13 +33,15 @@ type SolveStats struct {
 	// Warm marks solves that successfully started from a caller-provided
 	// basis (SolveFrom with a seated handle).
 	Warm bool
-	// WarmRepairs counts basic variables demoted while crashing the warm
-	// basis against the new bounds/RHS (0 = the old basis was immediately
-	// feasible).
+	// WarmRepairs always reads 0: the repair crash it counted is gone (a
+	// warm basis is re-solved by the dual simplex, see DualIters). The field
+	// stays only because benchmark/adapter.go names it; the next
+	// benchmark-archetype PR removes it together with lp.warm_repairs.
 	WarmRepairs int
 	// WarmFellBack marks solves where a warm basis was provided but could
-	// not be seated (structure change, singular basis, non-converging
-	// repairs) — the solve ran from the cold crash instead.
+	// not be used (dimensions changed, basis singular against the current
+	// matrix, dual simplex gave up) — the solve ran from the cold crash
+	// instead.
 	WarmFellBack bool
 }
 
@@ -45,13 +52,13 @@ var (
 	obsNotOptimal   = obs.NewCounter("lp.not_optimal")
 	obsIters        = obs.NewCounter("lp.iters")
 	obsPhase1Iters  = obs.NewCounter("lp.phase1_iters")
+	obsDualIters    = obs.NewCounter("lp.dual_iters")
 	obsReinversions = obs.NewCounter("lp.reinversions")
 	obsDevexResets  = obs.NewCounter("lp.devex_resets")
 	obsBlandActs    = obs.NewCounter("lp.bland_activations")
 	obsBoundFlips   = obs.NewCounter("lp.bound_flips")
 	obsBasisNnz     = obs.NewGauge("lp.basis_nnz_max")
 	obsWarmSolves   = obs.NewCounter("lp.warm_solves")
-	obsWarmRepairs  = obs.NewCounter("lp.warm_repairs")
 	obsWarmFellBack = obs.NewCounter("lp.warm_fallbacks")
 	obsBudgetHits   = obs.NewCounter("lp.budget_hits")
 )
@@ -67,6 +74,7 @@ func (st *SolveStats) publish(status Status) {
 	}
 	obsIters.Add(int64(st.Iters))
 	obsPhase1Iters.Add(int64(st.Phase1Iters))
+	obsDualIters.Add(int64(st.DualIters))
 	obsReinversions.Add(int64(st.Reinversions))
 	obsDevexResets.Add(int64(st.DevexResets))
 	obsBlandActs.Add(int64(st.BlandActivations))
@@ -75,7 +83,6 @@ func (st *SolveStats) publish(status Status) {
 	if st.Warm {
 		obsWarmSolves.Inc()
 	}
-	obsWarmRepairs.Add(int64(st.WarmRepairs))
 	if st.WarmFellBack {
 		obsWarmFellBack.Inc()
 	}
