@@ -6,7 +6,7 @@ import "math"
 // inverse. Two implementations exist:
 //
 //   - denseRep keeps an explicit dense B⁻¹ updated by elementary row
-//     operations — simple and fast for small bases;
+//     operations — the cold crash's choice for small bases;
 //   - pfiRep keeps B⁻¹ in product form (an eta file) with sparsity-aware
 //     FTRAN/BTRAN and periodic reinversion — the classic sparse-simplex
 //     scheme, orders of magnitude faster on the large, very sparse bases
@@ -41,12 +41,11 @@ type basisRep interface {
 	nnzCount() int
 }
 
-// pfiThreshold selects the representation: bases at least this large use
-// the product-form inverse.
+// pfiThreshold: cold-crash bases at least this large use the product form.
 const pfiThreshold = 260
 
-// newBasisRep returns an empty representation for an m-row basis; force is
-// Model.forceRep (0 = by size, 1 = dense, 2 = product-form).
+// newBasisRep returns an empty representation for the cold crash's m-row
+// basis (warm seats are product form); force is Model.forceRep.
 func newBasisRep(m int, force int8) basisRep {
 	if force == 2 || (force == 0 && m >= pfiThreshold) {
 		return newPfiRep(m)

@@ -11,8 +11,10 @@ import (
 // against brute-force vertex enumeration, and warm-started re-solves after
 // random RHS/bound/objective perturbations are checked against a cold solve
 // of the same perturbed model (and against the enumerator again); dual_test.go
-// repeats that one perturbation class at a time. Seeds are fixed; the
-// generator covers both basis representations via forceRep.
+// repeats that one perturbation class at a time. Seeds are fixed. forceRep
+// covers both basis representations for the cold crash; every warm re-solve
+// seats product form whatever forceRep says, so the dense legs are
+// dense-cold, product-form-warm.
 
 // randomRefProblem draws a small LP with all-finite bounds (required by the
 // enumerator). Roughly 1 in 6 columns is fixed (lo == hi), which the
@@ -137,7 +139,7 @@ func TestRandomDifferentialLPs(t *testing.T) {
 		p := randomRefProblem(rng)
 		m, vars := p.toModel()
 		if c%3 == 0 {
-			m.forceRep = 2 // cover the product-form inverse path too
+			m.forceRep = 2 // cold crash in product form; the rest crash dense
 		}
 		sol, err := m.Solve()
 		checkAgainstRef(t, "cold", p, sol, err)

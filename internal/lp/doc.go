@@ -31,7 +31,8 @@
 // basis to the primal Phase II. The primal prices with Devex weights,
 // falling back to Bland's rule after a long degenerate run; both update
 // reduced costs incrementally. The basis inverse is kept in product form
-// (an eta file with sparse FTRAN/BTRAN and Markowitz-ordered reinversion)
-// from 260 rows up and as an explicit dense matrix below that; both are
-// refactorized periodically for numerical hygiene.
+// (an eta file with sparse FTRAN/BTRAN and Markowitz-ordered reinversion),
+// except that a cold crash below 260 rows uses an explicit dense matrix;
+// every warm seat is product form at any size. Both are refactorized
+// periodically for numerical hygiene.
 package lp

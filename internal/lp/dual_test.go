@@ -48,6 +48,9 @@ func basicCount(ws *WarmStart) int {
 //     are frozen — and the primal Phase II finishes;
 //   - matrix: a fresh model of the same shape with other coefficients (what
 //     ffcd's link churn produces): the handle fits, the basis matrix differs.
+//
+// Even cases crash cold in product form, odd ones dense; the re-solve seats
+// product form on both legs, so the odd leg is dense-cold, product-form-warm.
 func TestWarmResolvePerturbationClasses(t *testing.T) {
 	classes := []struct {
 		name   string
@@ -273,7 +276,7 @@ func TestDualItersCountAgainstBudgets(t *testing.T) {
 // inverse to reinvert mid-loop; the recomputed xB and reduced costs must
 // carry the remaining pivots to the same optimum.
 func TestDualRefactorsOnSchedule(t *testing.T) {
-	const k = 300 // ≥ pfiThreshold rows, > 2×128 eta appends
+	const k = 300 // > 2×128 eta appends
 	m, xs := dualChain(k)
 	sol, err := m.Solve()
 	requireOptimal(t, sol, err)

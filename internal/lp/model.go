@@ -96,8 +96,8 @@ type Model struct {
 	// a generous default proportional to the problem size.
 	MaxIters int
 
-	// forceRep overrides basis-representation selection in tests:
-	// 0 = by size, 1 = dense, 2 = product-form.
+	// forceRep overrides the cold crash's basis representation in tests
+	// (0 = by size, 1 = dense, 2 = product-form); warm seats ignore it.
 	forceRep int8
 }
 

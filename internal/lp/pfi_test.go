@@ -170,6 +170,114 @@ func TestPFIRefactorPath(t *testing.T) {
 	}
 }
 
+// TestWarmSeatIsProductFormAtAnySize: far below pfiThreshold, where the cold
+// crash starts from the dense inverse, a warm handle is seated in product
+// form — its BasisNnz counts eta-file nonzeros, not m² — and the re-solve
+// matches the cold optimum and the enumerator to 1e-9.
+func TestWarmSeatIsProductFormAtAnySize(t *testing.T) {
+	const k = 40
+	m, xs := dualChain(k)
+	sol, err := m.Solve()
+	requireOptimal(t, sol, err)
+	if sol.Stats.BasisNnz != k*k {
+		t.Fatalf("cold crash BasisNnz = %d, want the dense inverse's %d", sol.Stats.BasisNnz, k*k)
+	}
+	for _, x := range xs {
+		m.SetBounds(x, 0, 2)
+	}
+	if s := newState(m, sol.Warm(), SolveOpts{}); !s.stats.Warm {
+		t.Fatal("warm handle not seated")
+	} else if _, ok := s.rep.(*pfiRep); !ok {
+		t.Fatalf("warm seat of %d rows uses %T, want *pfiRep", k, s.rep)
+	}
+	got, err := m.SolveFrom(sol.Warm())
+	requireOptimal(t, got, err)
+	requireDualPath(t, "chain", got.Stats)
+	if st := got.Stats; !st.Warm || st.DualIters != k || st.BasisNnz >= k*k {
+		t.Fatalf("stats %+v; want a warm re-solve of %d dual pivots on an eta file under %d nonzeros", st, k, k*k)
+	}
+	cold, coldXs := dualChain(k)
+	for _, x := range coldXs {
+		cold.SetBounds(x, 0, 2)
+	}
+	coldSol, err := cold.Solve()
+	requireOptimal(t, coldSol, err)
+	if !almost(got.Objective, coldSol.Objective, 1e-9) || !almost(got.Objective, 2*k, 1e-9) {
+		t.Fatalf("warm objective %g, cold %g, want %d", got.Objective, coldSol.Objective, 2*k)
+	}
+
+	rng := rand.New(rand.NewSource(260))
+	seated := 0
+	for c := 0; c < 400; c++ {
+		p := randomRefProblem(rng)
+		m, vars := p.toModel()
+		sol, err := m.Solve()
+		if err != nil {
+			continue
+		}
+		perturb(p, rng)
+		applyMutations(m, vars, p)
+		if s := newState(m, sol.Warm(), SolveOpts{}); s.stats.Warm {
+			if _, ok := s.rep.(*pfiRep); !ok {
+				t.Fatalf("case %d: warm seat uses %T, want *pfiRep", c, s.rep)
+			}
+			seated++
+		}
+		warm, warmErr := m.SolveFrom(sol.Warm())
+		refObj, _, feasible := refSolve(p)
+		if !feasible {
+			if warm.Status != Infeasible {
+				t.Fatalf("case %d: reference infeasible, warm re-solve %v", c, warm.Status)
+			}
+			continue
+		}
+		coldM, _ := p.toModel()
+		coldSol, coldErr := coldM.Solve()
+		if warmErr != nil || coldErr != nil {
+			t.Fatalf("case %d: reference optimum %g, warm err %v, cold err %v", c, refObj, warmErr, coldErr)
+		}
+		tol := 1e-9 * (1 + math.Abs(refObj))
+		if !almost(warm.Objective, refObj, tol) || !almost(warm.Objective, coldSol.Objective, tol) {
+			t.Fatalf("case %d: warm %g, cold %g, reference %g", c, warm.Objective, coldSol.Objective, refObj)
+		}
+	}
+	if seated < 100 {
+		t.Fatalf("only %d handles seated; the product-form seat is not exercised", seated)
+	}
+}
+
+// TestForceDenseCrashAndFallback: forceRep = 1 still selects the dense
+// inverse where the cold crash runs — from scratch, and after abortWarm
+// unseats a product-form warm basis — even past pfiThreshold.
+func TestForceDenseCrashAndFallback(t *testing.T) {
+	const k = pfiThreshold + 20
+	m, _ := dualChain(k)
+	m.forceRep = 1
+	if s := newState(m, nil, SolveOpts{}); s.stats.Warm {
+		t.Fatal("cold start reported warm")
+	} else if _, ok := s.rep.(*denseRep); !ok {
+		t.Fatalf("forceRep=1 cold crash uses %T, want *denseRep", s.rep)
+	}
+	sol, err := m.Solve()
+	requireOptimal(t, sol, err)
+	// y_0 (column 1) ≥ 6 leaves x_0 + y_0 ≤ 5 unsatisfiable: the dual ratio
+	// test comes up empty and the solve falls back to the cold crash.
+	m.SetBounds(Var(1), 6, 10)
+	s := newState(m, sol.Warm(), SolveOpts{})
+	if _, ok := s.rep.(*pfiRep); !s.stats.Warm || !ok {
+		t.Fatalf("warm seat: Warm %v, rep %T; want a seated *pfiRep", s.stats.Warm, s.rep)
+	}
+	if st := s.run(m); st != Infeasible {
+		t.Fatalf("status %v, want infeasible", st)
+	}
+	if !s.stats.WarmFellBack {
+		t.Fatal("infeasible verdict without the cold fallback")
+	}
+	if _, ok := s.rep.(*denseRep); !ok {
+		t.Fatalf("forceRep=1 fallback crash uses %T, want *denseRep", s.rep)
+	}
+}
+
 func benchLargeSparseLP(b *testing.B, force int8) {
 	r := rand.New(rand.NewSource(12))
 	n, k := 900, 700

@@ -216,7 +216,7 @@ func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 	s.basis = make([]int, m)
 	s.xB = make([]float64, m)
 	// SolveWith has already dropped a handle that does not fit.
-	s.stats.Warm = ws != nil && s.installWarm(ws, model)
+	s.stats.Warm = ws != nil && s.installWarm(ws)
 	s.stats.WarmFellBack = ws != nil && !s.stats.Warm
 	if !s.stats.Warm {
 		// A failed install left the warm *nonbasic* statuses in place, so

@@ -74,14 +74,14 @@ func warmNonbasic(st varStatus, lo, hi float64) (varStatus, float64) {
 }
 
 // installWarm seats ws as the starting basis: nonbasic statuses are
-// revalidated against the current bounds, the basic set is padded to
-// exactly m members, and the basis is factorized once. Basic values that
-// now violate their bounds are left for dualSimplex (dual.go). Returns
-// false after restoring an all-nonbasic state when the factorized basis
-// does not reproduce A·x = rhs (singular against the current matrix); the
-// caller then falls back to the diagonal crash, which retains the warm
-// *nonbasic* statuses so rows they already satisfy skip Phase 1.
-func (s *simplexState) installWarm(ws *WarmStart, model *Model) bool {
+// revalidated against the current bounds, the basic set is padded to exactly
+// m members, and the basis is factorized once, in product form at every size
+// (a dense seat is an O(m³) inversion). Basic values that now violate their
+// bounds are left for dualSimplex (dual.go). Returns false after restoring an
+// all-nonbasic state when the factorized basis does not reproduce A·x = rhs
+// (singular against the current matrix); the caller then falls back to the
+// diagonal crash, which retains the warm *nonbasic* statuses.
+func (s *simplexState) installWarm(ws *WarmStart) bool {
 	m, nS := s.m, s.nStruct
 	basisSet := make([]int, 0, m)
 	for j := 0; j < nS+m; j++ {
@@ -131,7 +131,7 @@ func (s *simplexState) installWarm(ws *WarmStart, model *Model) bool {
 	}
 	s.n = len(s.colIdx)
 
-	s.rep = newBasisRep(m, model.forceRep)
+	s.rep = newPfiRep(m)
 	s.rep.refactor(s)
 	s.computeXB()
 	if !s.consistent() {
