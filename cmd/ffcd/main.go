@@ -49,7 +49,6 @@ func main() {
 		tunnels    = flag.Int("tunnels", 6, "tunnels per flow")
 		p          = flag.Int("p", 1, "max tunnels of a flow per physical link")
 		q          = flag.Int("q", 3, "max tunnels of a flow per intermediate switch")
-		encoding   = flag.String("encoding", "sortnet", "bounded M-sum encoding: sortnet, compact, naive")
 		interval   = flag.Duration("interval", 5*time.Second, "recompute period (updates additionally trigger immediate recomputes)")
 		deadline   = flag.Duration("solver-deadline", 0, "per-recompute solve budget; a miss degrades to the last-good plan (0 = unbounded)")
 		snapPath   = flag.String("snapshot", "", "snapshot file for crash recovery (restored at boot, written periodically and on shutdown)")
@@ -102,16 +101,6 @@ func main() {
 		Logf:            logger.Printf,
 	}
 	cfg.Opts = core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5}
-	switch *encoding {
-	case "sortnet":
-		cfg.Opts.Encoding = core.SortNet
-	case "compact":
-		cfg.Opts.Encoding = core.Compact
-	case "naive":
-		cfg.Opts.Encoding = core.Naive
-	default:
-		fatalf("unknown encoding %q", *encoding)
-	}
 	cfg.Faults, err = faults.ParseSolverFaults(*injectSpec)
 	if err != nil {
 		fatalf("-inject-solver: %v", err)

@@ -35,7 +35,6 @@ func main() {
 		tunnels    = flag.Int("tunnels", 6, "tunnels per flow")
 		p          = flag.Int("p", 1, "max tunnels of a flow per physical link")
 		q          = flag.Int("q", 3, "max tunnels of a flow per intermediate switch")
-		encoding   = flag.String("encoding", "sortnet", "bounded M-sum encoding: sortnet, compact, naive")
 		objective  = flag.String("objective", "throughput", "objective: throughput, mlu, maxmin")
 		verifyFlag = flag.Bool("verify", false, "exhaustively verify the guarantee (small networks)")
 		warm       = flag.Bool("warm", false, "warm-start successive LP solves from the previous basis (used by -objective maxmin's iterations)")
@@ -80,16 +79,6 @@ func main() {
 	set := tunnel.Layout(&net, flows, tunnel.LayoutConfig{TunnelsPerFlow: *tunnels, P: *p, Q: *q})
 
 	opts := core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5}
-	switch *encoding {
-	case "sortnet":
-		opts.Encoding = core.SortNet
-	case "compact":
-		opts.Encoding = core.Compact
-	case "naive":
-		opts.Encoding = core.Naive
-	default:
-		fatalf("unknown encoding %q", *encoding)
-	}
 	if *objective == "mlu" {
 		opts.Objective = core.MinMLU
 	}

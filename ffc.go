@@ -21,7 +21,7 @@
 //	ctl.Install(state)
 //
 // Subpackages under internal/ implement the substrates: the LP solver
-// (internal/lp), sorting-network encodings (internal/sortnet), topology and
+// (internal/lp), bounded M-sum encodings (internal/sortnet), topology and
 // demand generators, tunnel layout, fault models, the evaluation simulator,
 // and the per-figure experiment harness.
 package ffc
@@ -78,10 +78,13 @@ type (
 
 // Encoding constants (how bounded-M-sum constraints are emitted).
 const (
-	// EncodingSortNet is the paper's partial bubble sorting network.
-	EncodingSortNet = core.SortNet
-	// EncodingCompact is the equivalent top-k dual encoding.
+	// EncodingCompact is the top-k dual encoding, the zero value of
+	// SolverOptions.Encoding and the one every CLI and the daemon use.
 	EncodingCompact = core.Compact
+	// EncodingSortNet is the paper's partial bubble sorting network: the
+	// same optimum from a larger LP, kept as the reference and for the
+	// encoding ablation.
+	EncodingSortNet = core.SortNet
 	// EncodingNaive enumerates all fault cases (tiny networks only).
 	EncodingNaive = core.Naive
 )

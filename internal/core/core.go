@@ -53,11 +53,14 @@ func (p Protection) String() string { return fmt.Sprintf("(%d,%d,%d)", p.Kc, p.K
 type Encoding int
 
 const (
-	// SortNet uses the paper's partial bubble sorting network (§4.4.2).
-	SortNet Encoding = iota
 	// Compact uses the top-k dual (CVaR-style) encoding: exactly the same
-	// feasible region with N+1 variables and N constraints per bound.
-	Compact
+	// feasible region as SortNet with N+1 variables and N constraints per
+	// bound. It is the zero value and the one production encoding.
+	Compact Encoding = iota
+	// SortNet uses the paper's partial bubble sorting network (§4.4.2):
+	// the reference formulation, reached only by explicit request (the
+	// encoding ablation and the cross-encoding tests).
+	SortNet
 	// Naive enumerates every fault case explicitly — intractable beyond
 	// tiny networks; exists to demonstrate exactly that (Table 2's
 	// ">12 hours" contrast) and to validate the reductions.
@@ -114,7 +117,7 @@ const (
 
 // Options tunes the solver.
 type Options struct {
-	// Encoding of bounded M-sum constraints; default SortNet.
+	// Encoding of bounded M-sum constraints; the zero value is Compact.
 	Encoding Encoding
 	// RateLimiter fault model; default LimitersSynced.
 	RateLimiter RateLimiterMode

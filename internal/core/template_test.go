@@ -8,7 +8,6 @@ import (
 
 	"ffc/internal/demand"
 	"ffc/internal/lp"
-	"ffc/internal/sortnet"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
@@ -107,35 +106,6 @@ func TestTemplateInstantiateBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSortnetCacheByteIdentical formulates the same inputs with the sortnet
-// comparator-network cache enabled and disabled: the stamped-out encodings
-// must be byte-identical to freshly derived ones, and the enabled pass must
-// actually hit the cache.
-func TestSortnetCacheByteIdentical(t *testing.T) {
-	net := topology.SNet()
-	set, series := buildFixture(t, net, 1, 9)
-	s := NewSolver(net, set, Options{})
-	in := Input{Demands: series[0], Prot: Protection{Ke: 2, Kv: 1}}
-
-	sortnet.SetCache(false)
-	cold := modelBytes(t, scratchBuilder(t, s, in).model)
-	sortnet.SetCache(true)
-	defer sortnet.SetCache(true) // leave the process-wide default in place
-	warm := modelBytes(t, scratchBuilder(t, s, in).model)
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("cache-off and cache-on formulations differ (%d vs %d bytes)", len(cold), len(warm))
-	}
-	if sortnet.CacheLen() == 0 {
-		t.Fatal("cache-on formulation left the sortnet cache empty")
-	}
-	// A second build of the same input must stamp from the cache alone.
-	h0, _ := sortnet.CacheCounters()
-	_ = modelBytes(t, scratchBuilder(t, s, in).model)
-	if h1, _ := sortnet.CacheCounters(); h1 <= h0 {
-		t.Fatalf("repeat formulation recorded no cache hits (%d → %d)", h0, h1)
 	}
 }
 

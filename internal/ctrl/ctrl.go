@@ -365,8 +365,8 @@ func (c *Controller) Stats() StatsSnapshot {
 
 // Apply resolves one wire update against the topology and folds it into the
 // desired state; the recompute loop is kicked. Unknown names error and
-// change nothing.
-func (c *Controller) Apply(u *wire.Update) error {
+// change nothing: a rejected update kicks no recompute.
+func (c *Controller) Apply(u *wire.Update) (err error) {
 	if err := u.Validate(); err != nil {
 		return err
 	}
@@ -374,6 +374,9 @@ func (c *Controller) Apply(u *wire.Update) error {
 	defer func() {
 		pending := c.pending
 		c.mu.Unlock()
+		if err != nil {
+			return
+		}
 		obsQueueDepth.Set(pending)
 		c.Kick()
 	}()

@@ -184,6 +184,36 @@ func TestApplyUpdates(t *testing.T) {
 	}
 }
 
+// TestRejectedApplyKicksNothing: on an unstarted controller, updates that
+// name no switch or link error, leave no kick queued and count nothing
+// pending; a valid update then does both.
+func TestRejectedApplyKicksNothing(t *testing.T) {
+	c, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := false
+	for _, u := range []*wire.Update{
+		{Op: wire.UpdateSwitch, Switch: "nope", Up: &down},
+		{Op: wire.UpdateLink, Src: "s1", Dst: "nope", Up: &down},
+		{Op: wire.UpdateLink, Src: "s1", Dst: "s1", Up: &down},
+		{Op: wire.UpdateDemands, Demands: []wire.DemandEntry{{Src: "s1", Dst: "s3", Demand: 1}, {Src: "nope", Dst: "s3", Demand: 1}}},
+	} {
+		if err := c.Apply(u); err == nil {
+			t.Fatalf("%+v accepted", u)
+		}
+		if len(c.kick) != 0 || c.pending != 0 {
+			t.Fatalf("rejected %+v: kick queued %d, pending %d; want 0, 0", u, len(c.kick), c.pending)
+		}
+	}
+	if err := c.Apply(&wire.Update{Op: wire.UpdateLink, Src: "s2", Dst: "s4", Up: &down}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.kick) != 1 || c.pending != 1 {
+		t.Fatalf("accepted update: kick queued %d, pending %d; want 1, 1", len(c.kick), c.pending)
+	}
+}
+
 // TestGetPlanHammer runs queries against concurrent recomputes and
 // updates; under -race this is the lock-free serving acceptance test.
 // Every observed snapshot must be internally consistent and the sequence

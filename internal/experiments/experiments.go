@@ -78,10 +78,10 @@ type EnvConfig struct {
 	// SeedSet distinguishes "seed 0" from "Seed left unset": without it
 	// the zero value is rewritten to the default of 1.
 	SeedSet bool
-	// Encoding for the big sweeps. Default core.Compact — identical
-	// optima to the paper's sorting network at a fraction of the LP size
-	// (the ablation experiment quantifies the difference; SortNet remains
-	// the default encoding of the core library itself).
+	// Encoding for the big sweeps. Default core.Compact, as everywhere in
+	// the library — identical optima to the paper's sorting network at a
+	// fraction of the LP size (the ablation experiment quantifies the
+	// difference).
 	Encoding core.Encoding
 	// TunnelsPerFlow for the (1,3) link-switch disjoint layout. Default 6.
 	TunnelsPerFlow int

@@ -23,9 +23,10 @@
 // reduce the final Σyⱼ.
 //
 // The package also provides the compact "top-k" dual encoding
-// (Σ largest-M nᵢ ≤ B  ⟺  ∃s, tᵢ ≥ 0: M·s + Σtᵢ ≤ B, tᵢ ≥ nᵢ − s) used as
-// an ablation baseline, and a full Batcher odd-even merge sorting network
-// used by tests as an oracle for network construction.
+// (Σ largest-M nᵢ ≤ B  ⟺  ∃s, tᵢ ≥ 0: M·s + Σtᵢ ≤ B, tᵢ ≥ nᵢ − s), which
+// is what production solves use (core.Compact), and a full Batcher
+// odd-even merge sorting network used by tests as an oracle for network
+// construction.
 package sortnet
 
 import (
@@ -74,8 +75,8 @@ type Result struct {
 // are non-negative traffic quantities); the auxiliaries are created as free
 // variables so negative inputs are handled too.
 //
-// The comparator network for a given (len(exprs), M) is derived once and
-// memoized (see cache.go); each call stamps the cached template into m.
+// The comparator network for (len(exprs), M) is derived and then stamped
+// into m (see template.go).
 func LargestSum(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
 	return partialSort(m, exprs, M, name, true)
 }
@@ -97,7 +98,7 @@ func partialSort(m *lp.Model, exprs []*lp.Expr, M int, name string, largest bool
 	if M == 0 {
 		return Result{Sum: lp.NewExpr()}
 	}
-	res := templateFor(largest, len(exprs), M).stamp(m, exprs, name, largest)
+	res := deriveTemplate(len(exprs), M).stamp(m, exprs, name, largest)
 	obsNetEncodings.Inc()
 	obsNetComparators.Add(int64(res.Comparators))
 	obsNetVars.Add(int64(res.Vars))

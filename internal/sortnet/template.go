@@ -1,33 +1,17 @@
-// Template cache for partial bubble networks.
+// Partial bubble network templates.
 //
-// The comparator sequence of a partial sort depends only on (direction, N,
-// M) — never on the input expressions — so deriving it symbolically once
-// and stamping the recorded operations per call removes the per-encoding
-// wire bookkeeping and fmt.Sprintf name construction from the hot
-// model-build path. Stamping replays the exact derivation, so the emitted
-// variables, names, and constraint rows are byte-identical to the original
-// direct construction with the cache on or off.
+// The comparator sequence of a partial sort depends only on (N, M) — never
+// on the input expressions — so LargestSum and SmallestSum first derive it
+// symbolically over wire ids and then stamp the recorded operations onto
+// the model. Stamping replays the derivation verbatim, so the emitted
+// variables, names and constraint rows are those of a direct construction.
 package sortnet
 
 import (
 	"fmt"
-	"sync"
 
 	"ffc/internal/lp"
-	"ffc/internal/obs"
 )
-
-var (
-	obsCacheHits   = obs.NewCounter("sortnet.cache.hits")
-	obsCacheMisses = obs.NewCounter("sortnet.cache.misses")
-)
-
-// netKey identifies one memoized network: the kind of network (largest-M
-// vs smallest-M partial bubble) and its dimensions.
-type netKey struct {
-	largest bool
-	n, m    int
-}
 
 // netOp is one recorded compare-swap: wire ids x, y are inputs (0..n-1) or
 // auxiliary wires (n+j = j-th auxiliary created during the stamp, in
@@ -39,8 +23,8 @@ type netOp struct {
 
 // netTemplate is a fully derived partial bubble network, ready to stamp.
 type netTemplate struct {
-	n, m int
-	ops  []netOp
+	n   int
+	ops []netOp
 	// tailWire/tailSuffix describe the single-wire final pass (the wire is
 	// its own extremum and is bound to a fresh variable); tailWire is -1
 	// when every pass ran a full comparator chain.
@@ -50,73 +34,10 @@ type netTemplate struct {
 	comparators int
 }
 
-var netCache struct {
-	sync.RWMutex
-	enabled bool
-	m       map[netKey]*netTemplate
-}
-
-func init() {
-	netCache.enabled = true
-	netCache.m = make(map[netKey]*netTemplate)
-}
-
-// SetCache enables or disables template memoization. Disabling also drops
-// the cached templates; stamping still goes through the same derive+stamp
-// path, so emitted models are identical either way. Intended for tests and
-// A/B benchmarks.
-func SetCache(on bool) {
-	netCache.Lock()
-	defer netCache.Unlock()
-	netCache.enabled = on
-	netCache.m = make(map[netKey]*netTemplate)
-}
-
-// CacheLen returns the number of memoized network templates.
-func CacheLen() int {
-	netCache.RLock()
-	defer netCache.RUnlock()
-	return len(netCache.m)
-}
-
-// CacheCounters returns the process-lifetime template cache hit and miss
-// totals (also published as obs counters sortnet.cache.hits/misses).
-func CacheCounters() (hits, misses int64) {
-	return obsCacheHits.Value(), obsCacheMisses.Value()
-}
-
-// templateFor returns the memoized template for (largest, n, m), deriving
-// it on first use. Callers must have clamped m to [1, n].
-func templateFor(largest bool, n, m int) *netTemplate {
-	key := netKey{largest: largest, n: n, m: m}
-	netCache.RLock()
-	t, ok := netCache.m[key]
-	enabled := netCache.enabled
-	netCache.RUnlock()
-	if ok {
-		obsCacheHits.Inc()
-		return t
-	}
-	obsCacheMisses.Inc()
-	t = deriveTemplate(n, m)
-	if enabled {
-		netCache.Lock()
-		if prev, ok := netCache.m[key]; ok {
-			t = prev // lost a race; both derivations are identical
-		} else {
-			netCache.m[key] = t
-		}
-		netCache.Unlock()
-	}
-	return t
-}
-
 // deriveTemplate runs the partial bubble sort (Algorithms 1 and 2 of the
 // paper) symbolically over wire ids, recording the compare-swap sequence.
-// This is the same traversal the pre-cache code performed directly on LP
-// expressions; stamp replays it verbatim.
 func deriveTemplate(n, m int) *netTemplate {
-	t := &netTemplate{n: n, m: m, tailWire: -1}
+	t := &netTemplate{n: n, tailWire: -1}
 	wires := make([]int32, n)
 	for i := range wires {
 		wires[i] = int32(i)
@@ -150,7 +71,7 @@ func deriveTemplate(n, m int) *netTemplate {
 
 // stamp emits the recorded network into m over the given input expressions.
 // Auxiliary wires are materialized in recording order, so variable creation,
-// names, and constraint rows match the original direct construction exactly.
+// names, and constraint rows match a direct construction exactly.
 func (t *netTemplate) stamp(m *lp.Model, exprs []*lp.Expr, name string, largest bool) Result {
 	res := Result{Sum: lp.NewExpr(), Comparators: t.comparators}
 	aux := make([]*lp.Expr, 0, 2*len(t.ops)+1)
