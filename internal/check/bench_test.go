@@ -37,6 +37,8 @@ func BenchmarkCertSNet(b *testing.B) {
 // BenchmarkCertLNet certifies the benchmark's L-Net plans exactly — what
 // ffcd's certifier does after every install at -ke 2 -kv 1, and the
 // lnet-drift workload at ke=2 — and reports the cost per enumerated case.
+// The ke1kv1 and ke1 legs (935 and 56 exact cases) bracket
+// parallelMinCases: run with -cpu 1,2 to see where sharding starts to pay.
 func BenchmarkCertLNet(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -44,6 +46,8 @@ func BenchmarkCertLNet(b *testing.B) {
 	}{
 		{"ke2kv1", core.Protection{Ke: 2, Kv: 1}},
 		{"ke2", core.Protection{Ke: 2}},
+		{"ke1kv1", core.Protection{Ke: 1, Kv: 1}},
+		{"ke1", core.Protection{Ke: 1}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			fx := lnetPlan(b, bc.prot)

@@ -12,7 +12,11 @@ import (
 
 // parallelMinCases is the enumeration size below which exactData stays on
 // the calling goroutine: workers, each with a memo to fill, cost more.
-const parallelMinCases = 4096
+// Measured with BenchmarkCertLNet on 2 cores, serial vs two workers: 56
+// cases (ke1) 0.23 vs 0.22–0.27 ms, no gain; 935 cases (ke1kv1) 1.5 vs
+// 0.93 ms; 1,597 cases (ke2) 2.85 vs 1.73–1.82 ms. The crossover lies
+// between 56 and 935 cases.
+const parallelMinCases = 256
 
 // exactData enumerates every combination of ≤ ke active physical-link
 // failures × ≤ kv active switch failures and evaluates the rescaled loads.

@@ -161,9 +161,10 @@ func TestTemplateMismatchRejected(t *testing.T) {
 // TestSessionTemplateMatchesScratchSolve runs a warm-started Session chain
 // twice — rebinding the cached template, and with the template dropped
 // before every solve so each interval is a fresh formulation on the same
-// carried basis: since the instantiated model is byte-identical to the
-// fresh one and the basis evolves identically, every interval's state must
-// match bit for bit. The S-Net chain (demands scaled until the network is
+// carried basis and factorization: since the instantiated model is
+// byte-identical to the fresh one (which both paths' FactorReused checks)
+// and the basis evolves identically, every interval's state must match bit
+// for bit. The S-Net chain (demands scaled until the network is
 // congested, so the warm re-solves pivot; ke=1 keeps it to seconds) is
 // skipped with -short.
 func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
@@ -215,6 +216,15 @@ func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
 					if wantReuse := rebind && i > 0; stats.ModelReused != wantReuse {
 						t.Fatalf("rebind=%v interval %d: ModelReused=%v, want %v",
 							rebind, i, stats.ModelReused, wantReuse)
+					}
+					// The rebound and the fresh model are bit-identical in
+					// their matrix, so on both paths every warm interval seats
+					// the factorization the last solve carried — except
+					// interval 2, whose handle the failed solves consumed.
+					wantCarry := i > 0 && i != 2
+					if (i > 0 && !stats.LP.Warm) || stats.LP.FactorReused != wantCarry {
+						t.Fatalf("rebind=%v interval %d: Warm=%v FactorReused=%v, want warm with FactorReused=%v",
+							rebind, i, stats.LP.Warm, stats.LP.FactorReused, wantCarry)
 					}
 					out = append(out, st)
 				}

@@ -45,7 +45,7 @@ type basisRep interface {
 const pfiThreshold = 260
 
 // newBasisRep returns an empty representation for the cold crash's m-row
-// basis (warm seats are product form); force is Model.forceRep.
+// basis (refactoring warm seats are product form); force is Model.forceRep.
 func newBasisRep(m int, force int8) basisRep {
 	if force == 2 || (force == 0 && m >= pfiThreshold) {
 		return newPfiRep(m)
@@ -165,7 +165,7 @@ func (d *denseRep) pivot(r int, w []float64, _ []int32) {
 	d.updates++
 }
 
-func (d *denseRep) shouldRefactor() bool { return d.updates >= 256 }
+func (d *denseRep) shouldRefactor() bool { return d.updates >= denseMaxUpdates }
 
 func (d *denseRep) nnzCount() int { return d.m * d.m }
 
@@ -321,7 +321,7 @@ func (p *pfiRep) shouldRefactor() bool {
 	}
 	// Only reinvert when it plausibly helps: bases whose factorization is
 	// inherently dense (baseNnz high) must not refactor on every pivot.
-	return appended >= 128 || p.nnz > 2*p.baseNnz+40*p.m+4096
+	return appended >= pfiMaxEtas || p.nnz > 2*p.baseNnz+pfiFillPerRow*p.m+pfiFillSlack
 }
 
 func (p *pfiRep) nnzCount() int { return p.nnz }

@@ -11,10 +11,11 @@ import (
 // against brute-force vertex enumeration, and warm-started re-solves after
 // random RHS/bound/objective perturbations are checked against a cold solve
 // of the same perturbed model (and against the enumerator again); dual_test.go
-// repeats that one perturbation class at a time. Seeds are fixed. forceRep
-// covers both basis representations for the cold crash; every warm re-solve
-// seats product form whatever forceRep says, so the dense legs are
-// dense-cold, product-form-warm.
+// repeats that one perturbation class at a time, and carry_test.go compares
+// a seat on the carried factorization with a refactored one per class. Seeds
+// are fixed. forceRep covers both basis representations for the cold crash;
+// a warm seat that refactors is product form whatever forceRep says, while
+// one that reuses the carried factorization keeps the cold solve's.
 
 // randomRefProblem draws a small LP with all-finite bounds (required by the
 // enumerator). Roughly 1 in 6 columns is fixed (lo == hi), which the
@@ -67,24 +68,30 @@ func randomRefProblem(rng *rand.Rand) *refProblem {
 // its model: RHS drift, bound drift, a link-down's pin (a free column —
 // possibly basic in the carried basis — becomes fixed at its lower bound),
 // objective drift.
-func perturb(p *refProblem, rng *rand.Rand) {
+func perturb(p *refProblem, rng *rand.Rand) { perturbClasses(p, rng, true, true, true) }
+
+// perturbClasses applies only the chosen classes of perturb's drift; with
+// all three it draws exactly what perturb draws.
+func perturbClasses(p *refProblem, rng *rand.Rand, rhs, bounds, obj bool) {
 	for i := range p.rhs {
-		if rng.Intn(2) == 0 {
+		if rhs && rng.Intn(2) == 0 {
 			p.rhs[i] += float64(rng.Intn(5)-2) / 2
 		}
 	}
 	for j := 0; j < p.n; j++ {
-		switch rng.Intn(4) {
-		case 0: // shift both bounds
-			d := float64(rng.Intn(3)-1) / 2
-			p.lo[j] += d
-			p.hi[j] += d
-		case 1: // widen
-			p.hi[j] += float64(rng.Intn(3)) / 2
-		case 2: // pin
-			p.hi[j] = p.lo[j]
+		if bounds {
+			switch rng.Intn(4) {
+			case 0: // shift both bounds
+				d := float64(rng.Intn(3)-1) / 2
+				p.lo[j] += d
+				p.hi[j] += d
+			case 1: // widen
+				p.hi[j] += float64(rng.Intn(3)) / 2
+			case 2: // pin
+				p.hi[j] = p.lo[j]
+			}
 		}
-		if rng.Intn(3) == 0 {
+		if obj && rng.Intn(3) == 0 {
 			p.obj[j] = float64(rng.Intn(9) - 4)
 		}
 	}

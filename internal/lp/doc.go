@@ -25,14 +25,15 @@
 // fixed column, lo == hi, is carried but never priced). It starts from the
 // diagonal crash basis — slacks, plus one artificial per row the slack
 // cannot satisfy — and runs a Phase I over the artificials when there are
-// any; or from a caller's WarmStart, factorized once and driven back inside
-// the current bounds and right-hand sides by a bounded-variable dual simplex
-// (dual.go), which needs no artificials and no Phase I and hands a feasible
-// basis to the primal Phase II. The primal prices with Devex weights,
-// falling back to Bland's rule after a long degenerate run; both update
-// reduced costs incrementally. The basis inverse is kept in product form
-// (an eta file with sparse FTRAN/BTRAN and Markowitz-ordered reinversion),
-// except that a cold crash below 260 rows uses an explicit dense matrix;
-// every warm seat is product form at any size. Both are refactorized
-// periodically for numerical hygiene.
+// any; or from a caller's WarmStart, seated on the factorization the handle
+// carries (its first seat, on a bit-identical matrix) or factorized once,
+// and driven back inside the current bounds and right-hand sides by a
+// bounded-variable dual simplex (dual.go), which needs no artificials and no
+// Phase I and hands a feasible basis to the primal Phase II. The primal
+// prices with Devex weights, falling back to Bland's rule after a long
+// degenerate run; both update reduced costs incrementally. The basis inverse
+// is an eta file (product form: sparse FTRAN/BTRAN, Markowitz-ordered
+// reinversion), except that a cold crash below 260 rows uses an explicit
+// dense matrix, which a carried handle keeps; a warm seat that refactors is
+// product form at any size. Both are refactorized on one policy (simplex.go).
 package lp

@@ -49,8 +49,9 @@ func basicCount(ws *WarmStart) int {
 //   - matrix: a fresh model of the same shape with other coefficients (what
 //     ffcd's link churn produces): the handle fits, the basis matrix differs.
 //
-// Even cases crash cold in product form, odd ones dense; the re-solve seats
-// product form on both legs, so the odd leg is dense-cold, product-form-warm.
+// Even cases crash cold in product form, odd ones dense. Where the matrix is
+// unchanged the re-solve keeps the carried factorization, so the dual runs
+// on both representations; the matrix class refactors in product form.
 func TestWarmResolvePerturbationClasses(t *testing.T) {
 	classes := []struct {
 		name   string

@@ -152,15 +152,11 @@ func (m *Model) VarName(v Var) string { return m.cols[v].name }
 // AddConstraint adds expr (sense) rhs. The expression's constant is moved to
 // the right-hand side. Returns the row index for diagnostics.
 func (m *Model) AddConstraint(expr *Expr, sense Sense, rhs float64) int {
-	return m.addConstraintNamed("", expr, sense, rhs)
+	return m.AddNamed("", expr, sense, rhs)
 }
 
 // AddNamed adds a named constraint; the name appears in diagnostics.
 func (m *Model) AddNamed(name string, expr *Expr, sense Sense, rhs float64) int {
-	return m.addConstraintNamed(name, expr, sense, rhs)
-}
-
-func (m *Model) addConstraintNamed(name string, expr *Expr, sense Sense, rhs float64) int {
 	idx, coef := expr.compact()
 	r := int32(len(m.rows))
 	m.rows = append(m.rows, rowMeta{name: name, sense: sense, rhs: rhs - expr.Constant})
@@ -243,13 +239,13 @@ func (s *Solution) Warm() *WarmStart { return s.warm }
 func (m *Model) Solve() (*Solution, error) { return m.SolveWith(nil, SolveOpts{}) }
 
 // SolveFrom is Solve starting from a previous solution's basis: the warm
-// handle, which is in this model's own column and row indices, is seated
-// with one factorization and driven back to feasibility against the current
-// bounds/RHS by the dual simplex, so re-solves after SetRHS / SetBounds /
-// SetObjCoef mutations never run Phase 1 and skip most iterations. A handle
-// that no longer fits the model (variables or rows were added) is ignored,
-// one the dual simplex cannot re-solve falls back to the cold start;
-// passing nil is exactly Solve.
+// handle, in this model's own column and row indices, is seated on the
+// factorization it carries (see WarmStart) or one fresh factorization, and
+// driven back to feasibility against the current bounds/RHS by the dual
+// simplex, so re-solves after SetRHS / SetBounds / SetObjCoef never run
+// Phase 1 and skip most iterations. A handle that no longer fits the model
+// is ignored, one the dual simplex cannot re-solve falls back to the cold
+// start; passing nil is exactly Solve.
 func (m *Model) SolveFrom(ws *WarmStart) (*Solution, error) {
 	return m.SolveWith(ws, SolveOpts{})
 }

@@ -170,10 +170,37 @@ func TestPFIRefactorPath(t *testing.T) {
 	}
 }
 
-// TestWarmSeatIsProductFormAtAnySize: far below pfiThreshold, where the cold
-// crash starts from the dense inverse, a warm handle is seated in product
-// form — its BasisNnz counts eta-file nonzeros, not m² — and the re-solve
-// matches the cold optimum and the enumerator to 1e-9.
+// requireSeatNeverInverts asserts a seat never inverts densely: a seat that
+// reused the handle's factorization holds carried, untouched; any other
+// warm seat refactored in product form.
+func requireSeatNeverInverts(t *testing.T, tag string, s *simplexState, carried basisRep) {
+	t.Helper()
+	if !s.stats.Warm {
+		return
+	}
+	if s.stats.FactorReused {
+		if carried == nil || s.rep != carried {
+			t.Fatalf("%s: reused seat holds %T, not the carried factorization", tag, s.rep)
+		}
+	} else if _, ok := s.rep.(*pfiRep); !ok {
+		t.Fatalf("%s: refactoring seat uses %T, want *pfiRep", tag, s.rep)
+	}
+}
+
+// carriedRep returns the factorization ws still carries, or nil.
+func carriedRep(ws *WarmStart) basisRep {
+	if f := ws.fact.Load(); f != nil {
+		return f.rep
+	}
+	return nil
+}
+
+// TestWarmSeatIsProductFormAtAnySize: a seat never inverts densely. Far
+// below pfiThreshold, where the cold crash starts from the dense inverse,
+// the handle's first seat onto the unchanged matrix takes that inverse as
+// is; a refactoring seat (here a consumed handle) builds product form — its
+// BasisNnz counts eta-file nonzeros, not m² — and the re-solve matches the
+// cold optimum and the enumerator to 1e-9.
 func TestWarmSeatIsProductFormAtAnySize(t *testing.T) {
 	const k = 40
 	m, xs := dualChain(k)
@@ -185,15 +212,19 @@ func TestWarmSeatIsProductFormAtAnySize(t *testing.T) {
 	for _, x := range xs {
 		m.SetBounds(x, 0, 2)
 	}
-	if s := newState(m, sol.Warm(), SolveOpts{}); !s.stats.Warm {
-		t.Fatal("warm handle not seated")
-	} else if _, ok := s.rep.(*pfiRep); !ok {
-		t.Fatalf("warm seat of %d rows uses %T, want *pfiRep", k, s.rep)
+	carried := carriedRep(sol.Warm())
+	for seat, wantReused := range []bool{true, false} {
+		s := newState(m, sol.Warm(), SolveOpts{})
+		if !s.stats.Warm || s.stats.FactorReused != wantReused {
+			t.Fatalf("seat %d: Warm %v, FactorReused %v; want a warm seat with FactorReused %v", seat, s.stats.Warm, s.stats.FactorReused, wantReused)
+		}
+		requireSeatNeverInverts(t, "chain", s, carried)
+		carried = nil
 	}
 	got, err := m.SolveFrom(sol.Warm())
 	requireOptimal(t, got, err)
 	requireDualPath(t, "chain", got.Stats)
-	if st := got.Stats; !st.Warm || st.DualIters != k || st.BasisNnz >= k*k {
+	if st := got.Stats; !st.Warm || st.FactorReused || st.DualIters != k || st.BasisNnz >= k*k {
 		t.Fatalf("stats %+v; want a warm re-solve of %d dual pivots on an eta file under %d nonzeros", st, k, k*k)
 	}
 	cold, coldXs := dualChain(k)
@@ -207,7 +238,7 @@ func TestWarmSeatIsProductFormAtAnySize(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(260))
-	seated := 0
+	reused, refactored := 0, 0
 	for c := 0; c < 400; c++ {
 		p := randomRefProblem(rng)
 		m, vars := p.toModel()
@@ -217,11 +248,19 @@ func TestWarmSeatIsProductFormAtAnySize(t *testing.T) {
 		}
 		perturb(p, rng)
 		applyMutations(m, vars, p)
-		if s := newState(m, sol.Warm(), SolveOpts{}); s.stats.Warm {
-			if _, ok := s.rep.(*pfiRep); !ok {
-				t.Fatalf("case %d: warm seat uses %T, want *pfiRep", c, s.rep)
+		// The first seat takes the carried factorization, the second
+		// refactors.
+		carried := carriedRep(sol.Warm())
+		for seat := 0; seat < 2; seat++ {
+			s := newState(m, sol.Warm(), SolveOpts{})
+			requireSeatNeverInverts(t, "random", s, carried)
+			switch {
+			case s.stats.FactorReused:
+				reused++
+			case s.stats.Warm:
+				refactored++
 			}
-			seated++
+			carried = nil
 		}
 		warm, warmErr := m.SolveFrom(sol.Warm())
 		refObj, _, feasible := refSolve(p)
@@ -241,14 +280,15 @@ func TestWarmSeatIsProductFormAtAnySize(t *testing.T) {
 			t.Fatalf("case %d: warm %g, cold %g, reference %g", c, warm.Objective, coldSol.Objective, refObj)
 		}
 	}
-	if seated < 100 {
-		t.Fatalf("only %d handles seated; the product-form seat is not exercised", seated)
+	if reused < 100 || refactored < 100 {
+		t.Fatalf("%d reused and %d refactored seats; both seats must be exercised", reused, refactored)
 	}
 }
 
 // TestForceDenseCrashAndFallback: forceRep = 1 still selects the dense
 // inverse where the cold crash runs — from scratch, and after abortWarm
-// unseats a product-form warm basis — even past pfiThreshold.
+// unseats a warm basis — even past pfiThreshold. The carried dense inverse
+// is seated as is; a consumed handle refactors in product form.
 func TestForceDenseCrashAndFallback(t *testing.T) {
 	const k = pfiThreshold + 20
 	m, _ := dualChain(k)
@@ -263,18 +303,23 @@ func TestForceDenseCrashAndFallback(t *testing.T) {
 	// y_0 (column 1) ≥ 6 leaves x_0 + y_0 ≤ 5 unsatisfiable: the dual ratio
 	// test comes up empty and the solve falls back to the cold crash.
 	m.SetBounds(Var(1), 6, 10)
-	s := newState(m, sol.Warm(), SolveOpts{})
-	if _, ok := s.rep.(*pfiRep); !s.stats.Warm || !ok {
-		t.Fatalf("warm seat: Warm %v, rep %T; want a seated *pfiRep", s.stats.Warm, s.rep)
-	}
-	if st := s.run(m); st != Infeasible {
-		t.Fatalf("status %v, want infeasible", st)
-	}
-	if !s.stats.WarmFellBack {
-		t.Fatal("infeasible verdict without the cold fallback")
-	}
-	if _, ok := s.rep.(*denseRep); !ok {
-		t.Fatalf("forceRep=1 fallback crash uses %T, want *denseRep", s.rep)
+	carried := carriedRep(sol.Warm())
+	for seat := 0; seat < 2; seat++ {
+		s := newState(m, sol.Warm(), SolveOpts{})
+		if !s.stats.Warm || s.stats.FactorReused != (seat == 0) {
+			t.Fatalf("seat %d: Warm %v, FactorReused %v", seat, s.stats.Warm, s.stats.FactorReused)
+		}
+		requireSeatNeverInverts(t, "dense-cold", s, carried)
+		if st := s.run(m); st != Infeasible {
+			t.Fatalf("seat %d: status %v, want infeasible", seat, st)
+		}
+		if !s.stats.WarmFellBack || s.stats.FactorReused {
+			t.Fatalf("seat %d: infeasible verdict without the cold fallback: %+v", seat, s.stats)
+		}
+		if _, ok := s.rep.(*denseRep); !ok {
+			t.Fatalf("seat %d: forceRep=1 fallback crash uses %T, want *denseRep", seat, s.rep)
+		}
+		carried = nil
 	}
 }
 

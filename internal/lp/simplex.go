@@ -16,6 +16,17 @@ const (
 	fixedEps = 1e-12 // lo==hi detection
 )
 
+// Refactor policy (shouldRefactor, checked after every pivot of either
+// simplex). A warm handle carries its factorization into the next solve, so
+// eta files span solves and these limits alone decide when a re-solve
+// reinverts; the solve boundary no longer does.
+const (
+	denseMaxUpdates = 256  // dense inverse: pivots since the last inversion
+	pfiMaxEtas      = 128  // product form: etas appended since the last reinversion
+	pfiFillPerRow   = 40   // product form: or once the eta file holds more than
+	pfiFillSlack    = 4096 // 2·baseNnz + pfiFillPerRow·m + pfiFillSlack nonzeros
+)
+
 type varStatus int8
 
 const (
@@ -582,16 +593,16 @@ func (s *simplexState) optimize() Status {
 				// Basic variable i decreases toward its lower bound.
 				if lo := s.lo[s.basis[i]]; !math.IsInf(lo, -1) {
 					t := (s.xB[i] - lo) / wi
-					if t < theta-degenEps || (t < theta+degenEps && better(leave, i, w, s)) {
-						theta, leave, leaveAtUpper = maxf(t, 0), i, false
+					if t < theta-degenEps || (t < theta+degenEps && better(leave, i, w)) {
+						theta, leave, leaveAtUpper = max(t, 0), i, false
 					}
 				}
 			} else if wi < -pivotTol {
 				// Basic variable i increases toward its upper bound.
 				if hi := s.hi[s.basis[i]]; !math.IsInf(hi, 1) {
 					t := (s.xB[i] - hi) / wi
-					if t < theta-degenEps || (t < theta+degenEps && better(leave, i, w, s)) {
-						theta, leave, leaveAtUpper = maxf(t, 0), i, true
+					if t < theta-degenEps || (t < theta+degenEps && better(leave, i, w)) {
+						theta, leave, leaveAtUpper = max(t, 0), i, true
 					}
 				}
 			}
@@ -735,21 +746,9 @@ func clearW(w []float64, pat []int32) {
 	}
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // better breaks ratio-test ties in favour of the larger pivot magnitude
 // for numerical stability.
-func better(cur, cand int, w []float64, s *simplexState) bool {
-	if cur < 0 {
-		return true
-	}
-	return math.Abs(w[cand]) > math.Abs(w[cur])
-}
+func better(cur, cand int, w []float64) bool { return cur < 0 || math.Abs(w[cand]) > math.Abs(w[cur]) }
 
 // chooseEntering returns the entering variable and its movement direction
 // (+1 increase, −1 decrease), or (-1, 0) when no candidate improves. It

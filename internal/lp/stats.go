@@ -33,6 +33,9 @@ type SolveStats struct {
 	// Warm marks solves that successfully started from a caller-provided
 	// basis (SolveFrom with a seated handle).
 	Warm bool
+	// FactorReused marks warm solves seated on the factorization the handle
+	// carried (unchanged matrix, unused handle) instead of a fresh one.
+	FactorReused bool
 	// WarmRepairs always reads 0: the repair crash it counted is gone (a
 	// warm basis is re-solved by the dual simplex, see DualIters). The field
 	// stays only because benchmark/adapter.go names it; the next
@@ -59,6 +62,7 @@ var (
 	obsBoundFlips   = obs.NewCounter("lp.bound_flips")
 	obsBasisNnz     = obs.NewGauge("lp.basis_nnz_max")
 	obsWarmSolves   = obs.NewCounter("lp.warm_solves")
+	obsFactorReused = obs.NewCounter("lp.factor_reused")
 	obsWarmFellBack = obs.NewCounter("lp.warm_fallbacks")
 	obsBudgetHits   = obs.NewCounter("lp.budget_hits")
 )
@@ -82,6 +86,9 @@ func (st *SolveStats) publish(status Status) {
 	obsBasisNnz.SetMax(int64(st.BasisNnz))
 	if st.Warm {
 		obsWarmSolves.Inc()
+	}
+	if st.FactorReused {
+		obsFactorReused.Inc()
 	}
 	if st.WarmFellBack {
 		obsWarmFellBack.Inc()

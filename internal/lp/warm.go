@@ -1,6 +1,10 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sync/atomic"
+)
 
 // WarmStart captures the final simplex basis of a solve so a follow-up
 // Solve of a structurally identical (or merely similar) model can resume
@@ -8,6 +12,13 @@ import "math"
 // expressed in the model's own index space — one status per structural
 // column and one per row's slack — the same space as Solution.X and
 // Solution.Duals.
+//
+// A handle also carries the solve's final factorization of that basis,
+// taken once: the first seat from the handle reuses it without a refactor
+// when the model's structural columns are bit-identical to the captured
+// ones (bounds, right-hand sides and objective may have moved). Later seats
+// from the same handle, and seats onto a changed matrix, factorize afresh,
+// so no solve ever sees an inverse another solve updated.
 //
 // A handle is a basis *hint*, never a correctness requirement: the solver
 // validates it against the target model (dimensions, bound changes,
@@ -22,6 +33,19 @@ type WarmStart struct {
 	// slacks instead.
 	colStat   []varStatus
 	slackStat []varStatus
+	// fact is the carried factorization, swapped to nil by the seat that
+	// takes it; nil from the start when a basic artificial was dropped.
+	fact atomic.Pointer[factorization]
+}
+
+// factorization is a basis representation as a solve left it: rep, the
+// variable at each of its positions, and the model's structural columns,
+// which stay as captured (there is no coefficient setter; AddNamed appends).
+type factorization struct {
+	rep     basisRep
+	basis   []int
+	colIdx  [][]int32
+	colCoef [][]float64
 }
 
 // fits reports whether the handle matches m's dimensions.
@@ -29,18 +53,37 @@ func (ws *WarmStart) fits(m *Model) bool {
 	return ws != nil && ws.nCols == len(m.cols) && ws.nRows == len(m.rows)
 }
 
-// captureWarm snapshots the state's final statuses in its model's space.
+// captureWarm snapshots the state's final statuses in its model's space and,
+// when every basic variable is a structural or a slack, its factorization.
 func (s *simplexState) captureWarm() *WarmStart {
+	nS := s.nStruct
 	ws := &WarmStart{
-		nCols:     s.nStruct,
+		nCols:     nS,
 		nRows:     s.m,
-		colStat:   make([]varStatus, s.nStruct),
+		colStat:   make([]varStatus, nS),
 		slackStat: make([]varStatus, s.m),
 	}
-	copy(ws.colStat, s.status[:s.nStruct])
-	copy(ws.slackStat, s.status[s.nStruct:s.nStruct+s.m])
+	copy(ws.colStat, s.status[:nS])
+	copy(ws.slackStat, s.status[nS:nS+s.m])
+	if !slices.ContainsFunc(s.basis, func(j int) bool { return j >= nS+s.m }) {
+		ws.fact.Store(&factorization{rep: s.rep, basis: s.basis, colIdx: s.colIdx[:nS:nS], colCoef: s.colCoef[:nS:nS]})
+	}
 	return ws
 }
+
+// factorizes reports whether s's structural columns (as many as f's: the
+// handle fits) are bit-identical to f's. Slack columns are unit vectors in
+// any model with as many rows, so the basis matrices are then identical.
+func (f *factorization) factorizes(s *simplexState) bool {
+	for j, idx := range f.colIdx {
+		if !slices.Equal(idx, s.colIdx[j]) || !slices.EqualFunc(f.colCoef[j], s.colCoef[j], sameBits) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // warmNonbasic resolves a remembered nonbasic status against the variable's
 // *current* bounds (which may have changed since the basis was captured)
@@ -74,13 +117,14 @@ func warmNonbasic(st varStatus, lo, hi float64) (varStatus, float64) {
 }
 
 // installWarm seats ws as the starting basis: nonbasic statuses are
-// revalidated against the current bounds, the basic set is padded to exactly
-// m members, and the basis is factorized once, in product form at every size
-// (a dense seat is an O(m³) inversion). Basic values that now violate their
-// bounds are left for dualSimplex (dual.go). Returns false after restoring an
-// all-nonbasic state when the factorized basis does not reproduce A·x = rhs
-// (singular against the current matrix); the caller then falls back to the
-// diagonal crash, which retains the warm *nonbasic* statuses.
+// revalidated against the current bounds, and the basis takes the handle's
+// factorization as is when the matrix is unchanged, or is padded to m members
+// and factorized once in product form (never a dense O(m³) inversion).
+// Basic values that now violate their bounds are left for dualSimplex
+// (dual.go). Returns false after restoring an all-nonbasic state when the
+// seated basis does not reproduce A·x = rhs (singular against the current
+// matrix); the caller then falls back to the diagonal crash, which retains
+// the warm *nonbasic* statuses.
 func (s *simplexState) installWarm(ws *WarmStart) bool {
 	m, nS := s.m, s.nStruct
 	basisSet := make([]int, 0, m)
@@ -99,6 +143,27 @@ func (s *simplexState) installWarm(ws *WarmStart) bool {
 		}
 		s.status[j], s.nbVal[j] = warmNonbasic(st, s.lo[j], s.hi[j])
 	}
+	s.n = len(s.colIdx)
+	// A carried factorization comes from a basis with no artificial, whose
+	// members are exactly basisSet.
+	if f := ws.fact.Swap(nil); f != nil && f.factorizes(s) {
+		copy(s.basis, f.basis)
+		s.rep, s.stats.FactorReused = f.rep, true
+	} else {
+		s.factorizeWarm(basisSet)
+	}
+	s.computeXB()
+	if !s.consistent() {
+		s.abortWarm()
+		return false
+	}
+	return true
+}
+
+// factorizeWarm pads the warm basic set to m members, assigns it basis
+// positions and factorizes it in product form.
+func (s *simplexState) factorizeWarm(basisSet []int) {
+	m, nS := s.m, s.nStruct
 	// A handle with m row slots was captured from m basis positions, so the
 	// set can only be short (basic artificials were dropped at capture): pad
 	// with nonbasic slacks.
@@ -129,29 +194,21 @@ func (s *simplexState) installWarm(ws *WarmStart) bool {
 			ri++
 		}
 	}
-	s.n = len(s.colIdx)
-
 	s.rep = newPfiRep(m)
 	s.rep.refactor(s)
-	s.computeXB()
-	if !s.consistent() {
-		s.abortWarm()
-		return false
-	}
-	return true
 }
 
 // abortWarm unseats the warm basis: every basic variable is demoted to a
 // bound, leaving a valid all-nonbasic state (the nonbasic statuses intact)
 // for the diagonal crash. The warm path never appends an artificial, so
-// there is nothing else to undo.
+// there is nothing else to undo but the factorization.
 func (s *simplexState) abortWarm() {
 	for j, st := range s.status {
 		if st == stBasic {
 			s.status[j], s.nbVal[j] = warmNonbasic(stAtLower, s.lo[j], s.hi[j])
 		}
 	}
-	s.rep = nil
+	s.rep, s.stats.FactorReused = nil, false
 }
 
 // consistent verifies the factorization just built: B·xB must reproduce
