@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"ffc/internal/core"
+	"ffc/internal/topology"
+	"ffc/internal/tunnel"
 )
 
 func BenchmarkCertSNet(b *testing.B) {
@@ -34,12 +36,19 @@ func BenchmarkCertSNet(b *testing.B) {
 	})
 }
 
-// BenchmarkCertLNet certifies the benchmark's L-Net plans exactly — what
-// ffcd's certifier does after every install at -ke 2 -kv 1, and the
-// lnet-drift workload at ke=2 — and reports the cost per enumerated case.
-// The ke1kv1 and ke1 legs (935 and 56 exact cases) bracket
-// parallelMinCases: run with -cpu 1,2 to see where sharding starts to pay.
+// BenchmarkCertLNet certifies the benchmark's L-Net plans exactly and
+// reports the cost per enumerated case. The daemon leg is what ffcd's
+// certifier does after an install in the ffcd-churn workload: the
+// calibrated scale-1 plan at ffcd's solver options, (0,2,1). The others
+// certify ×40-saturated plans, where more links bind: ke2 is the
+// lnet-drift level, and the ke1kv1 and ke1 legs (935 and 56 exact cases)
+// bracket parallelMinCases: run with -cpu 1,2 to see where sharding starts
+// to pay.
 func BenchmarkCertLNet(b *testing.B) {
+	b.Run("daemon", func(b *testing.B) {
+		net, set, steps := daemonPlans(b)
+		benchExact(b, net, set, steps[0].st, Params{Prot: daemonProt})
+	})
 	for _, bc := range []struct {
 		name string
 		prot core.Protection
@@ -51,20 +60,25 @@ func BenchmarkCertLNet(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			fx := lnetPlan(b, bc.prot)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var cases int64
-			for i := 0; i < b.N; i++ {
-				cert, err := Certify(fx.net, fx.set, fx.st, fx.st, Params{Prot: bc.prot})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !cert.OK || !cert.Exact {
-					b.Fatalf("fixture plan not certified exactly: %s", cert.Summary())
-				}
-				cases += cert.CasesChecked
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(cases), "us/case")
+			benchExact(b, fx.net, fx.set, fx.st, Params{Prot: bc.prot})
 		})
 	}
+}
+
+// benchExact certifies st b.N times, requiring an exact OK.
+func benchExact(b *testing.B, net *topology.Network, set *tunnel.Set, st *core.State, p Params) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cases int64
+	for i := 0; i < b.N; i++ {
+		cert, err := Certify(net, set, st, st, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !cert.OK || !cert.Exact {
+			b.Fatalf("fixture plan not certified exactly: %s", cert.Summary())
+		}
+		cases += cert.CasesChecked
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(cases), "us/case")
 }

@@ -239,6 +239,8 @@ func Certify(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Par
 	var data searchResult
 	if exact {
 		data = c.exactData()
+		obsLinksKept.Observe(int64(data.linksKept))
+		obsFlowsKept.Observe(int64(data.flowsKept))
 	} else {
 		data = c.adversarialData(rand.New(rand.NewSource(c.p.Seed)), c.newEvaluator().eval)
 	}
@@ -646,6 +648,8 @@ type searchResult struct {
 	slackSws   []int
 	worst      *Violation
 	aborted    bool
+
+	linksKept, flowsKept int // the size of an exact search's pruned index
 }
 
 // note folds one evaluated case into the running result; returns false

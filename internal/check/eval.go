@@ -2,6 +2,7 @@ package check
 
 import (
 	"math"
+	"slices"
 
 	"ffc/internal/topology"
 )
@@ -42,6 +43,34 @@ func (c *checker) newEvaluator() *evaluator {
 		tab:   make([]span, c.memoSlots),
 		arena: make([]contrib, 1),
 	}
+}
+
+// restrict returns an index whose evaluators load only the links keep
+// marks: it holds the flows whose carrying tunnels cross one, with every
+// tunnel (the survivors' weight total needs them all) listing only its kept
+// links, and kill lists over those flows. A kept link receives the same
+// additions in the same order as under c, so its sum and its first touch
+// relative to the other kept links are unchanged.
+func (c *checker) restrict(keep []bool) *checker {
+	r := *c
+	r.flows, r.memoSlots, r.killP, r.killS = nil, 0, make([][]kill, len(c.phys)), make([][]kill, len(c.sws))
+	for _, fl := range c.flows {
+		fl.tuns = slices.Clone(fl.tuns)
+		loads, carrying := false, 0
+		for ti := range fl.tuns {
+			t := &fl.tuns[ti]
+			t.links = slices.DeleteFunc(slices.Clone(t.links), func(l topology.LinkID) bool { return !keep[l] })
+			if !t.dead && t.w > 0 {
+				carrying++
+				loads = loads || len(t.links) > 0
+			}
+		}
+		if loads {
+			r.indexKills(&fl, carrying)
+			r.flows = append(r.flows, fl)
+		}
+	}
+	return &r
 }
 
 // eval computes every link's load with the candidate links physSel and

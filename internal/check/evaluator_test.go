@@ -99,7 +99,9 @@ func TestEvaluatorMatchesOracleSNet(t *testing.T) {
 	requireOracleEqual(t, "snet adversarial", net, set, st, st, Params{Prot: snetProt, Mode: Adversarial, Seed: 3})
 }
 
-func TestEvaluatorMatchesOracleFatTree(t *testing.T) {
+// fatTreePlan solves a k=4 fat-tree at (0,1,1).
+func fatTreePlan(t *testing.T) (*topology.Network, *tunnel.Set, *core.State, core.Protection) {
+	t.Helper()
 	net := topology.FatTree(4, 25)
 	series := demand.Generate(net, demand.Config{Intervals: 1}, rand.New(rand.NewSource(7)))
 	set := tunnel.Layout(net, series[0].Flows(), tunnel.LayoutConfig{})
@@ -108,6 +110,11 @@ func TestEvaluatorMatchesOracleFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return net, set, st, prot
+}
+
+func TestEvaluatorMatchesOracleFatTree(t *testing.T) {
+	net, set, st, prot := fatTreePlan(t)
 	atProcs(t, []int{1, 3}, func(t *testing.T, procs int) {
 		for _, p := range []Params{
 			{Prot: prot, Mode: Exact},
@@ -126,41 +133,72 @@ func TestEvaluatorMatchesOracleFatTree(t *testing.T) {
 // (uniform split) or a short one, zero-weight tunnels, FailFast.
 func TestEvaluatorMatchesOracleRandom(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
-		rng := rand.New(rand.NewSource(int64(6000 + trial)))
-		net, set, flows := randomNet(rng, 5+rng.Intn(5), 3+rng.Intn(6))
-		st := randomState(rng, set, flows, float64(trial%3))
-		for i, f := range flows {
-			switch (trial + i) % 5 {
-			case 0:
-				delete(st.Alloc, f) // ingress splits uniformly
-			case 1:
-				st.Alloc[f] = st.Alloc[f][:1]
-			case 2:
-				st.Alloc[f][rng.Intn(len(st.Alloc[f]))] = 0
-			}
-		}
-		p := Params{
-			Prot:     core.Protection{Ke: rng.Intn(3), Kv: rng.Intn(3)},
-			Mode:     Mode(trial % 3),
-			FailFast: trial%4 == 3,
-			Restarts: 6,
-			Seed:     int64(trial + 1),
-		}
-		if trial%2 == 0 {
-			l := net.Links[rng.Intn(len(net.Links))].ID
-			p.DownLinks = map[topology.LinkID]bool{l: true}
-			p.Capacity = map[topology.LinkID]float64{net.Links[rng.Intn(len(net.Links))].ID: 0.5 + rng.Float64()*3}
-		}
-		if trial%3 == 0 {
-			p.DownSwitches = map[topology.SwitchID]bool{topology.SwitchID(rng.Intn(len(net.Switches))): true}
-		}
+		net, set, st, p := randomTrial(trial)
 		requireOracleEqual(t, fmt.Sprintf("trial %d", trial), net, set, st, st, p)
 	}
+}
+
+// randomTrial draws trial's plan and certification parameters for
+// TestEvaluatorMatchesOracleRandom.
+func randomTrial(trial int) (*topology.Network, *tunnel.Set, *core.State, Params) {
+	rng := rand.New(rand.NewSource(int64(6000 + trial)))
+	net, set, flows := randomNet(rng, 5+rng.Intn(5), 3+rng.Intn(6))
+	st := randomState(rng, set, flows, float64(trial%3))
+	for i, f := range flows {
+		switch (trial + i) % 5 {
+		case 0:
+			delete(st.Alloc, f) // ingress splits uniformly
+		case 1:
+			st.Alloc[f] = st.Alloc[f][:1]
+		case 2:
+			st.Alloc[f][rng.Intn(len(st.Alloc[f]))] = 0
+		}
+	}
+	p := Params{
+		Prot:     core.Protection{Ke: rng.Intn(3), Kv: rng.Intn(3)},
+		Mode:     Mode(trial % 3),
+		FailFast: trial%4 == 3,
+		Restarts: 6,
+		Seed:     int64(trial + 1),
+	}
+	if trial%2 == 0 {
+		l := net.Links[rng.Intn(len(net.Links))].ID
+		p.DownLinks = map[topology.LinkID]bool{l: true}
+		p.Capacity = map[topology.LinkID]float64{net.Links[rng.Intn(len(net.Links))].ID: 0.5 + rng.Float64()*3}
+	}
+	if trial%3 == 0 {
+		p.DownSwitches = map[topology.SwitchID]bool{topology.SwitchID(rng.Intn(len(net.Switches))): true}
+	}
+	return net, set, st, p
 }
 
 // TestEvaluatorWideFlow: a flow with more tunnels than a dead-mask has bits
 // is evaluated directly, beside memoised flows, to the same numbers.
 func TestEvaluatorWideFlow(t *testing.T) {
+	net, set, st := widePlan(t)
+	c, err := prepare(net, set, st, st, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.flows[0].slot >= 0 || c.flows[1].slot < 0 {
+		t.Fatalf("memo slots %d, %d: want the wide flow direct and the narrow one memoised", c.flows[0].slot, c.flows[1].slot)
+	}
+	for _, p := range wideParams {
+		requireOracleEqual(t, fmt.Sprintf("wide %+v", p.Prot), net, set, st, st, p)
+	}
+}
+
+// wideParams are the certifications TestEvaluatorWideFlow runs on widePlan.
+var wideParams = []Params{
+	{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact},
+	{Prot: core.Protection{Ke: 1, Kv: 2}, Mode: Exact, DownSwitches: map[topology.SwitchID]bool{3: true}},
+	{Prot: core.Protection{Ke: 3, Kv: 1}, Mode: Adversarial, Seed: 2, Restarts: 6},
+}
+
+// widePlan is a dense 7-switch mesh with one flow of more than 64 tunnels
+// (listed first) beside two narrow ones, under a random state.
+func widePlan(t *testing.T) (*topology.Network, *tunnel.Set, *core.State) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	net := topology.NewNetwork("dense")
 	const n = 7
@@ -181,21 +219,7 @@ func TestEvaluatorWideFlow(t *testing.T) {
 	for _, f := range narrow {
 		set.Add(f, tunnel.Layout(net, []tunnel.Flow{f}, tunnel.LayoutConfig{}).Tunnels(f)...)
 	}
-	st := randomState(rng, set, append([]tunnel.Flow{wide}, narrow...), 1)
-	c, err := prepare(net, set, st, st, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.flows[0].slot >= 0 || c.flows[1].slot < 0 {
-		t.Fatalf("memo slots %d, %d: want the wide flow direct and the narrow one memoised", c.flows[0].slot, c.flows[1].slot)
-	}
-	for _, p := range []Params{
-		{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact},
-		{Prot: core.Protection{Ke: 1, Kv: 2}, Mode: Exact, DownSwitches: map[topology.SwitchID]bool{3: true}},
-		{Prot: core.Protection{Ke: 3, Kv: 1}, Mode: Adversarial, Seed: 2, Restarts: 6},
-	} {
-		requireOracleEqual(t, fmt.Sprintf("wide %+v", p.Prot), net, set, st, st, p)
-	}
+	return net, set, randomState(rng, set, append([]tunnel.Flow{wide}, narrow...), 1)
 }
 
 // requireFailFastFirst certifies a plan known to violate p with FailFast at

@@ -2,21 +2,26 @@ package check
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"ffc/internal/core"
+	"ffc/internal/obs"
 	"ffc/internal/parallel"
 	"ffc/internal/topology"
 )
 
 // parallelMinCases is the enumeration size below which exactData stays on
 // the calling goroutine: workers, each with a memo to fill, cost more.
-// Measured with BenchmarkCertLNet on 2 cores, serial vs two workers: 56
-// cases (ke1) 0.23 vs 0.22–0.27 ms, no gain; 935 cases (ke1kv1) 1.5 vs
-// 0.93 ms; 1,597 cases (ke2) 2.85 vs 1.73–1.82 ms. The crossover lies
-// between 56 and 935 cases.
+// BenchmarkCertLNet on 2 cores, serial vs two workers (pruned evaluator,
+// medians of six): 56 cases (ke1) 0.29 vs 0.31 ms; 935 (ke1kv1) 2.0 vs 1.2
+// ms; 1,597 (ke2) 2.3 vs 1.5 ms; 25,262 (daemon) 16.2 vs 8.6 ms. Pruning
+// only runs at ke ≥ 2, so the crossover still lies between 56 and 935.
 const parallelMinCases = 256
+
+// The links and flows each exact certification's last shards evaluated.
+var obsLinksKept, obsFlowsKept = obs.NewHistogram("check.links_kept"), obs.NewHistogram("check.flows_kept")
 
 // exactData enumerates every combination of ≤ ke active physical-link
 // failures × ≤ kv active switch failures and evaluates the rescaled loads.
@@ -34,6 +39,8 @@ const parallelMinCases = 256
 // reproduces the serial scan whatever the worker count. Under FailFast,
 // firstBad is the lowest shard known to hold a violation: later shards
 // stop, earlier ones finish, and only shards up to it are folded.
+// At ke ≥ 2 the shards after the single-link ones evaluate only the links
+// prune keeps; the certificate is bitwise the unpruned one.
 func (c *checker) exactData() searchResult {
 	ke, kv, n := c.p.Prot.Ke, c.p.Prot.Kv, len(c.activeP)
 	type shard struct{ size, first int }
@@ -48,44 +55,58 @@ func (c *checker) exactData() searchResult {
 		workers = min(parallel.Workers(0), len(shards))
 	}
 	results := make([]searchResult, len(shards))
-	evals := make([]*evaluator, workers)
 	var firstBad atomic.Int64
 	firstBad.Store(int64(len(shards)))
 
-	parallel.ForEachWorker(len(shards), workers, func(worker, k int) {
-		if evals[worker] == nil {
-			evals[worker] = c.newEvaluator()
-		}
-		e, res := evals[worker], &results[k]
-		*res = searchResult{slack: math.Inf(1), slackLink: -1}
-		sh := shards[k]
-		physSel, swSel := make([]int, 0, sh.size), make([]int, 0, kv)
-		prefix := make([]int, 0, sh.size)
-		if sh.size > 0 {
-			prefix = append(prefix, sh.first)
-		}
-		combos(prefix, sh.first+1, n, sh.size-len(prefix), func(ps []int) bool {
-			if int64(k) > firstBad.Load() {
-				return false
+	// run enumerates shards [lo, hi) with evaluators over the index idx.
+	run := func(idx *checker, lo, hi int) {
+		evals := make([]*evaluator, workers)
+		parallel.ForEachWorker(hi-lo, workers, func(worker, j int) {
+			if evals[worker] == nil {
+				evals[worker] = idx.newEvaluator()
 			}
-			physSel = physSel[:0]
-			for _, i := range ps {
-				physSel = append(physSel, c.activeP[i])
+			k := lo + j
+			e, res := evals[worker], &results[k]
+			*res = searchResult{slack: math.Inf(1), slackLink: -1}
+			sh := shards[k]
+			physSel, swSel := make([]int, 0, sh.size), make([]int, 0, kv)
+			prefix := make([]int, 0, sh.size)
+			if sh.size > 0 {
+				prefix = append(prefix, sh.first)
 			}
-			return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
-				swSel = swSel[:0]
-				for _, i := range ss {
-					swSel = append(swSel, c.activeS[i])
+			combos(prefix, sh.first+1, n, sh.size-len(prefix), func(ps []int) bool {
+				if int64(k) > firstBad.Load() {
+					return false
 				}
-				return c.note(res, e.eval(physSel, swSel), physSel, swSel)
+				physSel = physSel[:0]
+				for _, i := range ps {
+					physSel = append(physSel, c.activeP[i])
+				}
+				return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
+					swSel = swSel[:0]
+					for _, i := range ss {
+						swSel = append(swSel, c.activeS[i])
+					}
+					return c.note(res, e.eval(physSel, swSel), physSel, swSel)
+				})
 			})
-		})
-		for res.aborted {
-			if cur := firstBad.Load(); int64(k) >= cur || firstBad.CompareAndSwap(cur, int64(k)) {
-				break
+			for res.aborted {
+				if cur := firstBad.Load(); int64(k) >= cur || firstBad.CompareAndSwap(cur, int64(k)) {
+					break
+				}
 			}
-		}
-	})
+		})
+	}
+	split := len(shards)
+	if ke >= 2 {
+		split = 1 + n
+	}
+	run(c, 0, split)
+	idx, links := c, len(c.cap)
+	if split < len(shards) && firstBad.Load() >= int64(split) {
+		idx, links = c.prune(results[:split])
+		run(idx, split, len(shards))
+	}
 
 	res := searchResult{slack: math.Inf(1), slackLink: -1}
 	last := min(int(firstBad.Load()), len(shards)-1)
@@ -100,7 +121,103 @@ func (c *checker) exactData() searchResult {
 		}
 		res.aborted = r.aborted
 	}
+	res.linksKept, res.flowsKept = links, len(idx.flows)
 	return res
+}
+
+// prune returns the index the shards after head need and how many links it
+// keeps: those whose load bound comes within T = max(S, 0) of capacity, S
+// being the worst slack of cases evaluated in full (head's, and the worst
+// grown by one link), so S ≥ the final worst slack S*. A dropped link has
+// slack > T in every case: it can neither attain S* (nor tie it) nor
+// overload, and under FailFast the prefix minimum at the first violation is
+// < 0 ≤ T. No case's verdict changes, and every case keeps its count.
+func (c *checker) prune(head []searchResult) (*checker, int) {
+	worst := searchResult{slack: math.Inf(1)}
+	for _, r := range head {
+		if r.slack < worst.slack {
+			worst = r
+		}
+	}
+	ub := c.linkBounds()
+	if ub == nil {
+		return c, len(c.cap)
+	}
+	// One greedy step: the worst case so far with one more link failed
+	// tends to come far closer to S*.
+	t, e := worst.slack, c.newEvaluator()
+	phys := append(slices.Clone(worst.slackLinks), -1)
+	for _, pi := range c.activeP {
+		phys[len(phys)-1] = pi
+		t = min(t, e.eval(phys, worst.slackSws).slack)
+	}
+	t = max(t, 0)
+	keep, kept := make([]bool, len(ub)), 0
+	for l, u := range ub {
+		if keep[l] = !(c.cap[l]-u > t); keep[l] {
+			kept++
+		}
+	}
+	return c.restrict(keep), kept
+}
+
+// linkBounds returns per link an upper bound on its load in any case of
+// ≤ ke link and ≤ kv switch failures (Lemma 1 from plan data): a flow keeps
+// at least D = W − its ke heaviest link and kv heaviest switch kill weights
+// of its carrying weight W, so it puts at most rate·min(1, W_l/D), or rate
+// when D ≤ 0, on a link its carrying tunnels cross with weight W_l. D gives
+// up 1e-12·W to rounding, the sums a margin far above the evaluator's
+// (≈ 1e-13 relative). nil when a tunnel repeats a link: min(1, ·) fails.
+func (c *checker) linkBounds() []float64 {
+	ub := make([]float64, len(c.cap))
+	for _, fl := range c.flows {
+		var w float64
+		wl, kp, ks := map[topology.LinkID]float64{}, map[int]float64{}, map[int]float64{}
+		for _, t := range fl.tuns {
+			if t.dead || t.w <= 0 {
+				continue
+			}
+			w += t.w
+			for i, l := range t.links {
+				if slices.Contains(t.links[:i], l) {
+					return nil
+				}
+				wl[l] += t.w
+			}
+			for _, pi := range t.physC {
+				kp[pi] += t.w
+			}
+			for _, si := range t.midC {
+				ks[si] += t.w
+			}
+		}
+		d := w - heaviest(kp, c.p.Prot.Ke) - heaviest(ks, c.p.Prot.Kv) - 1e-12*w
+		for l, wt := range wl {
+			share := 1.0
+			if d > 0 {
+				share = min(1, wt/d)
+			}
+			ub[l] += fl.rate * share
+		}
+	}
+	for l := range ub {
+		ub[l] = ub[l]*(1+1e-9) + 1e-12*max(1, c.cap[l])
+	}
+	return ub
+}
+
+// heaviest sums the k largest values of m, in ascending order.
+func heaviest(m map[int]float64, k int) float64 {
+	vals := make([]float64, 0, len(m))
+	for _, v := range m {
+		vals = append(vals, v)
+	}
+	sort.Float64s(vals)
+	var s float64
+	for _, v := range vals[max(0, len(vals)-k):] {
+		s += v
+	}
+	return s
 }
 
 // combos calls fn with sel extended by every k-combination of the indexes

@@ -42,6 +42,29 @@ func FuzzCheckPlan(f *testing.F) {
 		}
 		f.Add(blob, uint16(3), uint8(1), uint8(1), uint8(1))
 	}
+	// An unsaturated multi-flow plan on the net seed 14 draws, at (0,2,1):
+	// its two-link shards run on a pruned index.
+	{
+		net, set, flows := randomNet(rand.New(rand.NewSource(14)), 7, 4)
+		st := randomState(rand.New(rand.NewSource(14)), set, flows, 0)
+		dem := map[tunnel.Flow]float64{}
+		for _, fl := range flows {
+			st.Rate[fl] *= 0.3
+			dem[fl] = st.Rate[fl]
+		}
+		c, err := prepare(net, set, st, st, Params{Prot: core.Protection{Ke: 2, Kv: 1}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if kept := c.exactData().linksKept; kept >= len(net.Links) {
+			f.Fatalf("pruning seed keeps all %d links", kept)
+		}
+		blob, err := json.Marshal(wire.EncodeState(net, set, dem, st))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob, uint16(14), uint8(0), uint8(2), uint8(1))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, netSeed uint16, kc, ke, kv uint8) {
 		prot := core.Protection{Kc: int(kc % 3), Ke: int(ke % 3), Kv: int(kv % 2)}

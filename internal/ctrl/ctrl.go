@@ -55,7 +55,9 @@ type Config struct {
 	Prot core.Protection
 	// Layout parameterizes tunnel layout for the demand flows.
 	Layout tunnel.LayoutConfig
-	// Opts tunes the solver (encoding, §6 skips, build workers, ...).
+	// Opts tunes the solver: the §6 skips (ffcd sets MiceFraction and
+	// OldLoadSkip), the rate-limiter mode, which certification also reads,
+	// and the solve budget. Encoding stays Compact unless set.
 	Opts core.Options
 	// Interval is the recompute ticker period; updates additionally kick an
 	// immediate recompute. Default 5s.

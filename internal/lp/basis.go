@@ -374,7 +374,7 @@ func (p *pfiRep) refactor(st *simplexState) {
 					break
 				}
 			}
-			w[best] += 1e-30
+			w[best] += singularPivot
 			pat = append(pat, int32(best))
 		}
 		pivoted[best] = true

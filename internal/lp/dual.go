@@ -66,7 +66,7 @@ func (s *simplexState) dualSimplex() (st Status, ok bool) {
 	rho := make([]float64, m)
 	w := make([]float64, m)
 	alpha := make([]float64, s.n)
-	for left := 4*m + 1000; ; left-- {
+	for left := dualPivotsPerRow*m + dualPivotSlack; ; left-- {
 		r := s.worstRow()
 		if r < 0 {
 			s.inDual = false
@@ -124,7 +124,7 @@ func (s *simplexState) dualSimplex() (st Status, ok bool) {
 		}
 		pat := s.rep.ftran(s.colIdx[q], s.colCoef[q], w)
 		piv := w[r]
-		if math.Abs(piv-alpha[q]) > 1e-6*(1+math.Abs(piv)) {
+		if math.Abs(piv-alpha[q]) > pivotAgreeTol*(1+math.Abs(piv)) {
 			return Optimal, false
 		}
 		s.iters++

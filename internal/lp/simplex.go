@@ -16,6 +16,16 @@ const (
 	fixedEps = 1e-12 // lo==hi detection
 )
 
+// Numerical guards beside the pivoting tolerances.
+const (
+	basisCheckTol    = 1e-6  // basisTimes: B·z must reproduce its right-hand side to this, relative
+	pivotAgreeTol    = 1e-6  // dualSimplex: FTRAN's pivot and the pivot row's α_q must agree to this, relative
+	phase1InfeasTol  = 1e-6  // Phase I ends infeasible when the artificials still sum above this
+	singularPivot    = 1e-30 // stand-in pivot for a numerically singular basis column
+	dualPivotsPerRow = 4     // dualSimplex gives up after dualPivotsPerRow·m + dualPivotSlack pivots
+	dualPivotSlack   = 1000
+)
+
 // Refactor policy (shouldRefactor, checked after every pivot of either
 // simplex). A warm handle carries its factorization into the next solve, so
 // eta files span solves and these limits alone decide when a re-solve
@@ -431,7 +441,7 @@ func invertInPlace(a []float64, n int) {
 		}
 		piv := a[col*n+col]
 		if piv == 0 {
-			piv = 1e-30
+			piv = singularPivot
 		}
 		invPiv := 1 / piv
 		ar := a[col*n : col*n+n]
@@ -502,7 +512,7 @@ func (s *simplexState) run(model *Model) Status {
 				infeas = s.nbVal[j]
 			}
 		}
-		if infeas > 1e-6 {
+		if infeas > phase1InfeasTol {
 			return Infeasible
 		}
 		// Fix artificials at zero and move to Phase II.

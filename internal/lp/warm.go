@@ -233,7 +233,7 @@ func (s *simplexState) consistent() bool {
 	return s.basisTimes(z, u)
 }
 
-// basisTimes reports whether z is finite and B·z equals want to 1e-6.
+// basisTimes reports whether z is finite and B·z equals want to basisCheckTol.
 func (s *simplexState) basisTimes(z, want []float64) bool {
 	act := make([]float64, s.m)
 	for i, j := range s.basis {
@@ -246,7 +246,7 @@ func (s *simplexState) basisTimes(z, want []float64) bool {
 		}
 	}
 	for i := range act {
-		if math.Abs(act[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
+		if math.Abs(act[i]-want[i]) > basisCheckTol*(1+math.Abs(want[i])) {
 			return false
 		}
 	}
