@@ -5,74 +5,34 @@ import (
 
 	"ffc/internal/check"
 	"ffc/internal/core"
+	"ffc/internal/demand"
 	"ffc/internal/obs"
 	"ffc/internal/topology"
-	"ffc/internal/tunnel"
 	"ffc/internal/wire"
 )
 
 var (
 	obsCertRuns       = obs.NewCounter("ctrl.cert_runs")
 	obsCertFailures   = obs.NewCounter("ctrl.cert_failures")
-	obsCertSkipped    = obs.NewCounter("ctrl.cert_skipped")
 	obsCertWorstSlack = obs.NewGauge("ctrl.cert_worst_slack_milli")
-	// obsCertMs is each certification's run time in whole milliseconds;
-	// with the cert_ms_mean stat it tells the certifier's own cost from the
-	// time a plan waited in its queue.
+	// obsCertMs is each certification's run time in whole milliseconds,
+	// all of it spent on the install path between solve and publish.
 	obsCertMs = obs.NewHistogram("ctrl.cert_ms")
 )
 
-// certJob carries everything a certification needs, captured at install
-// time: the installed plan, the previously installed state (the control
-// plane's stale configuration), and the tunnel set the plan was laid out
-// on — a later relayout must not change what an in-flight job checks.
-type certJob struct {
-	plan   *Plan
-	prev   *core.State
-	set    *tunnel.Set
-	params check.Params
-}
-
-// startCertifier launches the async certification goroutine when
-// Config.Certify is set. Called from Start; installs before Start (the
-// boot placeholder, the restored snapshot) are handled synchronously in
-// New instead.
-func (c *Controller) startCertifier() {
-	if c.cfg.Certify == nil {
-		return
-	}
-	c.certCh = make(chan certJob, 16)
-	c.certDone = make(chan struct{})
-	go func() {
-		defer close(c.certDone)
-		for job := range c.certCh {
-			c.runCert(job)
+// publish is the only way a solved or restored plan reaches c.plan: with
+// Config.Certify set it certifies st first and installs it only if the
+// certificate passes, so no uncertified plan is ever served. It reports
+// whether st was installed; on false the serving plan is unchanged.
+func (c *Controller) publish(st *core.State, dem demand.Matrix, prot core.Protection, m installMeta) bool {
+	if c.cfg.Certify != nil {
+		m.cert = c.certify(m.seq, st, m.prev, c.certParams(prot, m.degraded, m.downLinks, m.downSwitches))
+		if m.cert == nil {
+			return false
 		}
-	}()
-}
-
-// stopCertifier drains queued jobs and waits for the goroutine to exit.
-func (c *Controller) stopCertifier() {
-	if c.certCh == nil {
-		return
 	}
-	close(c.certCh)
-	<-c.certDone
-	c.certCh = nil
-}
-
-// enqueueCert hands a job to the certifier without ever blocking the
-// install path; a full queue drops the job and counts a skip.
-func (c *Controller) enqueueCert(job certJob) {
-	if c.certCh == nil {
-		return
-	}
-	select {
-	case c.certCh <- job:
-	default:
-		c.stats.certSkipped.Add(1)
-		obsCertSkipped.Inc()
-	}
+	c.install(st, dem, prot, m)
+	return true
 }
 
 // certParams instantiates Config.Certify for one install. Degraded plans
@@ -92,13 +52,14 @@ func (c *Controller) certParams(prot core.Protection, degraded string,
 	return p
 }
 
-// runCert certifies one installed plan and records the verdict in stats
-// and obs. Returns the certificate's OK (false on checker error too).
-func (c *Controller) runCert(job certJob) bool {
+// certify checks st against prev (the stale control-plane configuration)
+// on the current tunnel set and records the verdict in stats and obs. It
+// returns the certificate when st passes, nil on a violation or checker
+// error.
+func (c *Controller) certify(seq int64, st, prev *core.State, p check.Params) *check.Certificate {
 	start := time.Now()
-	cert, err := check.Certify(c.net, job.set, job.plan.State, job.prev, job.params)
+	cert, err := check.Certify(c.net, c.set, st, prev, p)
 	elapsed := time.Since(start)
-	// Time and cases first: a client that sees cert_runs = n reads run n's.
 	c.stats.certSumNs.Add(elapsed.Nanoseconds())
 	if err == nil {
 		c.stats.certCasesLast.Store(cert.CasesChecked)
@@ -109,20 +70,20 @@ func (c *Controller) runCert(job certJob) bool {
 	if err != nil {
 		c.stats.certFailures.Add(1)
 		obsCertFailures.Inc()
-		c.cfg.Logf("ctrl: CERT ERROR plan seq=%d: %v", job.plan.Seq, err)
-		return false
+		c.cfg.Logf("ctrl: CERT ERROR plan seq=%d: %v", seq, err)
+		return nil
 	}
 	if !cert.OK {
 		c.stats.certFailures.Add(1)
 		obsCertFailures.Inc()
 		v := cert.Violation
 		c.cfg.Logf("ctrl: CERT FAILED plan seq=%d (%s, kc=%d ke=%d kv=%d): link %s load %.6g > cap %.6g under %v",
-			job.plan.Seq, cert.Mode, cert.Kc, cert.Ke, cert.Kv,
+			seq, cert.Mode, cert.Kc, cert.Ke, cert.Kv,
 			v.LinkName, v.Load, v.Capacity, v.Faults)
-		return false
+		return nil
 	}
 	obsCertWorstSlack.Set(int64(cert.WorstSlack * 1000))
-	return true
+	return cert
 }
 
 // writeTrace appends one NDJSON record for an install when a trace writer

@@ -3,14 +3,20 @@ package ctrl
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ffc/internal/check"
+	"ffc/internal/core"
+	"ffc/internal/topology"
+	"ffc/internal/tunnel"
 	"ffc/internal/wire"
 )
 
@@ -55,7 +61,7 @@ func TestCertifyInstalls(t *testing.T) {
 	p := waitSeq(t, c, 1)
 	c.Kick()
 	waitSeq(t, c, p.Seq+1)
-	c.Stop() // drains the certifier
+	c.Stop()
 
 	s := c.Stats()
 	if s.CertRuns < 2 {
@@ -72,6 +78,14 @@ func TestCertifyInstalls(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatalf("trace has %d records, want >= 2", len(lines))
 	}
+	replayTrace(t, cfg.Net, lines, check.Params{Prot: cfg.Prot})
+}
+
+// replayTrace certifies every trace record offline, the way ffccheck
+// -trace does: records run seq 1, 2, …, degraded ones certify at zero
+// protection, and the rest at p.Prot.
+func replayTrace(t *testing.T, net *topology.Network, lines [][]byte, p check.Params) {
+	t.Helper()
 	for i, line := range lines {
 		rec, err := wire.ParseTraceRecord(line)
 		if err != nil {
@@ -82,17 +96,19 @@ func TestCertifyInstalls(t *testing.T) {
 		}
 		// Each record must certify on a set rebuilt purely from its own
 		// recorded paths — the offline ffccheck replay path.
-		set, err := wire.TunnelSetFromState(cfg.Net, &rec.State)
+		set, err := wire.TunnelSetFromState(net, &rec.State)
 		if err != nil {
 			t.Fatalf("trace line %d: %v", i, err)
 		}
-		st, err := wire.ResolveState(cfg.Net, set, &rec.State)
+		st, err := wire.ResolveState(net, set, &rec.State)
 		if err != nil {
 			t.Fatalf("trace line %d: %v", i, err)
 		}
-		cert, err := check.Certify(cfg.Net, set, st, st, check.Params{
-			Prot: cfg.Prot,
-		})
+		q := p
+		if rec.Degraded != "" {
+			q.Prot = core.None
+		}
+		cert, err := check.Certify(net, set, st, st, q)
 		if err != nil {
 			t.Fatalf("trace line %d: %v", i, err)
 		}
@@ -132,6 +148,142 @@ func TestCertifyRestoredSnapshot(t *testing.T) {
 	if s := c2.Stats(); s.CertRuns != 1 || s.CertFailures != 0 {
 		t.Fatalf("boot certification: %d runs %d failures, want 1/0", s.CertRuns, s.CertFailures)
 	}
+	if m := p.Meta(); !m.Certified || m.WorstSlack == nil {
+		t.Fatalf("restored plan's metadata does not carry its certificate: %+v", m)
+	}
+}
+
+// TestServesOnlyCertifiedPlans: the checker sees the three links that only
+// flow s3→s2 uses (one on each of its tunnels) at capacity cSmall, below
+// what the solver may use. Every update alternates that flow's demand
+// between fitting under cSmall and needing more than 2·cSmall, which no
+// ke=1 plan can carry over the three links. The oversized solves must
+// fail certification and be served as the certified "uncertified"
+// fallback, while a GetPlan hammer confirms that no served plan ever loads
+// those links beyond cSmall.
+func TestServesOnlyCertifiedPlans(t *testing.T) {
+	const (
+		cSmall   = 1.0
+		fits     = 1.0
+		oversize = 8.0
+		updates  = 10
+	)
+	cfg := testConfig(t)
+	net := cfg.Net
+	sw := func(name string) topology.SwitchID {
+		id, _ := net.SwitchByName(name)
+		return id
+	}
+	cut := map[topology.LinkID]float64{}
+	for _, pair := range [][2]string{{"s3", "s2"}, {"s3", "s1"}, {"s4", "s2"}} {
+		cut[net.FindLink(sw(pair[0]), sw(pair[1]))] = cSmall
+	}
+	cfg.Demands[tunnel.Flow{Src: sw("s3"), Dst: sw("s2")}] = fits
+	cfg.Certify = &check.Params{Capacity: cut}
+	trace := &syncBuffer{}
+	cfg.TraceWriter = trace
+
+	// cutLoad is the no-fault traffic a served plan puts on the most
+	// loaded cut link.
+	cutLoad := func(p *Plan) float64 {
+		loads := map[topology.LinkID]float64{}
+		for _, fl := range p.File.Flows {
+			for _, ta := range fl.Tunnels {
+				for h := 1; h < len(ta.Path); h++ {
+					l := net.FindLink(sw(ta.Path[h-1]), sw(ta.Path[h]))
+					if _, ok := cut[l]; ok {
+						loads[l] += fl.Rate * ta.Weight
+					}
+				}
+			}
+		}
+		worst := 0.0
+		for _, load := range loads {
+			worst = math.Max(worst, load)
+		}
+		return worst
+	}
+
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := c.GetPlan().Meta(); m.Certified || m.WorstSlack != nil {
+		t.Fatalf("unsolved placeholder claims a certificate: %+v", m)
+	}
+	c.Start()
+	defer c.Stop()
+	prev := waitSeq(t, c, 1)
+
+	stop := make(chan struct{})
+	errs := make(chan error, 1)
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := c.GetPlan()
+			err := checkPlan(p)
+			if m := p.Meta(); err == nil && (!m.Certified || m.WorstSlack == nil) {
+				err = fmt.Errorf("seq %d served without a certificate: %+v", p.Seq, m)
+			}
+			if load := cutLoad(p); err == nil && load > cSmall+1e-9 {
+				err = fmt.Errorf("seq %d served with load %g > %g on a cut link", p.Seq, load, cSmall)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+			reads.Add(1)
+		}
+	}()
+
+	oversized := int64(0)
+	for i := 1; i <= updates; i++ {
+		d, want := fits, ""
+		if i%2 == 1 {
+			d, want = oversize, "uncertified"
+			oversized++
+		}
+		if err := c.Apply(&wire.Update{Op: wire.UpdateDemands, Demands: []wire.DemandEntry{
+			{Src: "s3", Dst: "s2", Demand: d},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		p := waitSeq(t, c, prev.Seq+1)
+		if p.Degraded != want {
+			t.Fatalf("update %d (demand %g): served degraded %q, want %q", i, d, p.Degraded, want)
+		}
+		prev = p
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if reads.Load() == 0 {
+		t.Fatal("hammer read nothing")
+	}
+	s := c.Stats()
+	if s.CertFailures != oversized || s.DegradedInstalls != oversized {
+		t.Fatalf("cert_failures %d, degraded_installs %d; want %d each", s.CertFailures, s.DegradedInstalls, oversized)
+	}
+	c.Stop()
+	// The trace holds exactly the served plans: the boot solve and one per
+	// update, none of the rejected ones.
+	lines := trace.Lines()
+	if len(lines) != updates+1 {
+		t.Fatalf("trace has %d records, want %d", len(lines), updates+1)
+	}
+	replayTrace(t, net, lines, check.Params{Prot: cfg.Prot, Capacity: cut})
 }
 
 // writeHealthySnapshot runs a controller to seq>=1 with a snapshot path

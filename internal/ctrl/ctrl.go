@@ -6,8 +6,10 @@
 // block on a solve. Solver trouble — budget hits, crashes, injected faults,
 // infeasibility that survives the unprotected retry — falls back through
 // core.Degrade, with the reason exposed in the plan metadata and counted
-// in internal/obs. A periodic snapshot of the installed state lets a
-// restarted daemon serve its first query before its first solve completes.
+// in internal/obs. With Config.Certify set, every solved or restored plan is
+// certified by internal/check before it is served. A periodic snapshot of
+// the installed state lets a restarted daemon serve its first query before
+// its first solve completes.
 //
 // cmd/ffcd wraps a Controller + Server into the daemon binary; cmd/ffcload
 // is the matching load generator. The sim package remains the offline twin
@@ -88,13 +90,14 @@ type Config struct {
 	// transitions, restore, snapshot errors).
 	Logf func(format string, args ...interface{})
 	// Certify, when non-nil, independently certifies plans with
-	// internal/check: every install is checked asynchronously (never
-	// blocking the serve or solve path; a full queue drops the job and
-	// counts ctrl.cert_skipped), and a restored snapshot is checked
-	// synchronously at boot — a plan that fails certification is not
-	// served as restored. Prot, RateLimiter, and the down sets are filled
-	// per install; the remaining fields (Mode, MaxExactCases, Restarts,
-	// Seed, FailFast) come from this template.
+	// internal/check on the install path, between solve and publish: only
+	// certified plans are served. A solved plan that fails (or errors)
+	// degrades with reason "uncertified" to core.Degrade's fallback,
+	// itself certified; if that fails too the installed plan stays. A
+	// restored snapshot that fails is not served as restored. Prot,
+	// RateLimiter, and the down sets are filled per install; the remaining
+	// fields (Capacity, Mode, MaxExactCases, Restarts, Seed, FailFast) come
+	// from this template.
 	Certify *check.Params
 	// TraceWriter, when non-nil, receives one wire.TraceRecord NDJSON
 	// line per install — an offline-replayable plan history for
@@ -116,7 +119,6 @@ type statsCell struct {
 	solveMaxNs       atomic.Int64
 	certRuns         atomic.Int64
 	certFailures     atomic.Int64
-	certSkipped      atomic.Int64
 	certSumNs        atomic.Int64
 	certCasesLast    atomic.Int64
 }
@@ -137,7 +139,11 @@ type StatsSnapshot struct {
 	SolveMaxNs       int64 `json:"solve_max_ns"`
 	CertRuns         int64 `json:"cert_runs"`
 	CertFailures     int64 `json:"cert_failures"`
-	CertSkipped      int64 `json:"cert_skipped"`
+	// CertSkipped always reads 0: certification runs on the install path
+	// and skips nothing. The field stays only because benchmark/adapter.go
+	// names it; a benchmark-archetype change removes it together with the
+	// benchmark's ctrl.cert_skipped.
+	CertSkipped int64 `json:"cert_skipped"`
 	// CertMsMean is the mean run time of the CertRuns certifications and
 	// CertCasesLast the latest one's CasesChecked.
 	CertMsMean    float64 `json:"cert_ms_mean"`
@@ -178,10 +184,6 @@ type Controller struct {
 
 	stats    statsCell
 	restored bool
-
-	// Async certification (nil unless Config.Certify is set and Start ran).
-	certCh   chan certJob
-	certDone chan struct{}
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -250,27 +252,16 @@ func New(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ctrl: restoring snapshot state: %w", err)
 		}
-		certified := true
-		if cfg.Certify != nil {
-			// Re-certify synchronously before serving: a snapshot is the
-			// one plan this process never solved itself, so a corrupted or
-			// semantically-stale file must not be served as restored=true.
-			// prev = st (a restart installs exactly what was running, so no
-			// ingress is stale relative to it).
-			job := certJob{
-				prev: st, set: c.set,
-				params: c.certParams(c.prot, restoredReason, c.downLinks, c.downSwitches),
-			}
-			job.plan = &Plan{Seq: restoredSeq, Degraded: restoredReason, State: st}
-			certified = c.runCert(job)
-		}
-		if certified {
-			c.install(st, c.demands.Clone(), c.prot, installMeta{
-				seq: restoredSeq, degraded: restoredReason, restored: true,
-				outcome:   core.OutcomeOptimal,
-				downLinks: c.downLinks, downSwitches: c.downSwitches,
-				prev: st,
-			})
+		// A snapshot is the one plan this process never solved itself, so a
+		// corrupted or semantically-stale file must not be served as
+		// restored=true. prev = st: a restart installs exactly what was
+		// running, so no ingress is stale relative to it.
+		if c.publish(st, c.demands.Clone(), c.prot, installMeta{
+			seq: restoredSeq, degraded: restoredReason, restored: true,
+			outcome:   core.OutcomeOptimal,
+			downLinks: c.downLinks, downSwitches: c.downSwitches,
+			prev: st,
+		}) {
 			c.cfg.Logf("ctrl: restored plan seq=%d from %s (%d flows); serving while the first solve runs",
 				restoredSeq, cfg.SnapshotPath, len(restoredState.Flows))
 		} else {
@@ -291,24 +282,20 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Start launches the recompute loop (and the async certifier when
-// configured).
+// Start launches the recompute loop.
 func (c *Controller) Start() {
-	c.startCertifier()
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	go c.run()
 }
 
 // Stop drains the controller: the in-flight solve is cancelled through the
-// budget path, the loop exits, queued certifications finish, and a final
-// snapshot is written.
+// budget path, the loop exits, and a final snapshot is written.
 func (c *Controller) Stop() {
 	if c.cancel == nil {
 		return
 	}
 	c.cancel()
 	<-c.done
-	c.stopCertifier()
 	c.writeSnapshot(true)
 }
 
@@ -350,7 +337,6 @@ func (c *Controller) Stats() StatsSnapshot {
 		SolveMaxNs:       c.stats.solveMaxNs.Load(),
 		CertRuns:         c.stats.certRuns.Load(),
 		CertFailures:     c.stats.certFailures.Load(),
-		CertSkipped:      c.stats.certSkipped.Load(),
 		CertCasesLast:    c.stats.certCasesLast.Load(),
 	}
 	if p := c.plan.Load(); p != nil {
@@ -607,28 +593,38 @@ func (c *Controller) recompute() {
 	if stats != nil {
 		outcome = stats.Outcome
 	}
-	if reason != "" {
-		st = core.Degrade(c.net, c.set, prev, dl, ds)
-		// Installed limiters persist, but flows only offer current demand.
-		for f, r := range st.Rate {
-			if d := dem[f]; r > d {
-				st.Rate[f] = d
-			}
-		}
-		core.NoteDegradedInterval()
-	}
-
 	seq := int64(1)
 	if last != nil {
 		seq = last.Seq + 1
 	}
-	c.install(st, dem, achieved, installMeta{
-		seq: seq, degraded: reason, outcome: outcome, solveTime: solveTime,
+	m := installMeta{
+		seq: seq, outcome: outcome, solveTime: solveTime,
 		prev: prev, downLinks: dl, downSwitches: ds,
-	})
-	if reason != "" {
-		c.cfg.Logf("ctrl: installed DEGRADED plan seq=%d reason=%s (outcome %v, %v)", seq, reason, outcome, solveTime.Round(time.Microsecond))
 	}
+	if reason == "" {
+		if c.publish(st, dem, achieved, m) {
+			c.writeSnapshot(false)
+			return
+		}
+		reason = "uncertified"
+	}
+
+	// Degrade over the last published plan, which was certified whenever
+	// Config.Certify is set — the precondition of core.Degrade's soundness.
+	st = core.Degrade(c.net, c.set, prev, dl, ds)
+	// Installed limiters persist, but flows only offer current demand.
+	for f, r := range st.Rate {
+		if d := dem[f]; r > d {
+			st.Rate[f] = d
+		}
+	}
+	core.NoteDegradedInterval()
+	m.degraded = reason
+	if !c.publish(st, dem, achieved, m) {
+		c.cfg.Logf("ctrl: DEGRADED plan seq=%d reason=%s failed certification; keeping plan seq=%d", seq, reason, seq-1)
+		return
+	}
+	c.cfg.Logf("ctrl: installed DEGRADED plan seq=%d reason=%s (outcome %v, %v)", seq, reason, outcome, solveTime.Round(time.Microsecond))
 	c.writeSnapshot(false)
 }
 

@@ -115,6 +115,10 @@ func TestControllerSolvesAndServes(t *testing.T) {
 	if p.File.TotalRate <= 0 {
 		t.Fatalf("no throughput granted: %+v", p.Meta())
 	}
+	// Without Config.Certify no plan claims a certificate.
+	if m := p.Meta(); m.Certified || m.WorstSlack != nil {
+		t.Fatalf("uncertified controller marks its plan certified: %+v", m)
+	}
 }
 
 // TestApplyUpdates: streamed updates change the desired state and the next

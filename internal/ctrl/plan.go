@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"time"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/demand"
 	"ffc/internal/obs"
@@ -21,8 +22,9 @@ type Plan struct {
 	// InstalledAt stamps the install.
 	InstalledAt time.Time
 	// Degraded carries the degradation reason ("", or timeout/crash/stale/
-	// deadline/infeasible/solver-error/unsolved — the sim's vocabulary plus
-	// "unsolved" for the pre-first-solve empty plan).
+	// deadline/infeasible/solver-error/uncertified/unsolved — the sim's
+	// vocabulary plus "uncertified" for a solved plan that failed
+	// certification and "unsolved" for the pre-first-solve empty plan).
 	Degraded string
 	// Restored marks a plan loaded from a boot snapshot rather than solved
 	// by this process.
@@ -34,6 +36,9 @@ type Plan struct {
 	// SolveTime is the wall clock of the producing solve (zero for
 	// restored/unsolved plans).
 	SolveTime time.Duration
+	// Cert is the certificate this process's checker issued before install
+	// (nil for the unsolved placeholder and without Config.Certify).
+	Cert *check.Certificate
 
 	// State is the raw configuration (granted rates, tunnel allocations).
 	State *core.State
@@ -56,6 +61,8 @@ type Meta struct {
 	Ke          int           `json:"ke"`
 	Kv          int           `json:"kv"`
 	SolveTime   time.Duration `json:"solve_time_ns"`
+	Certified   bool          `json:"certified"`
+	WorstSlack  *float64      `json:"worst_slack,omitempty"`
 	Flows       int           `json:"flows"`
 	TotalRate   float64       `json:"total_rate"`
 	TotalDemand float64       `json:"total_demand"`
@@ -63,7 +70,7 @@ type Meta struct {
 
 // Meta summarizes the plan.
 func (p *Plan) Meta() Meta {
-	return Meta{
+	m := Meta{
 		Seq:         p.Seq,
 		InstalledAt: p.InstalledAt,
 		Degraded:    p.Degraded,
@@ -73,10 +80,16 @@ func (p *Plan) Meta() Meta {
 		Ke:          p.Prot.Ke,
 		Kv:          p.Prot.Kv,
 		SolveTime:   p.SolveTime,
+		Certified:   p.Cert != nil,
 		Flows:       len(p.File.Flows),
 		TotalRate:   p.File.TotalRate,
 		TotalDemand: p.File.TotalDemand,
 	}
+	if p.Cert != nil {
+		slack := p.Cert.WorstSlack // a copy: Meta must not alias the plan
+		m.WorstSlack = &slack
+	}
+	return m
 }
 
 // Routes returns the installed flow entries (rates, tunnel paths, splitting
@@ -89,10 +102,11 @@ type installMeta struct {
 	restored  bool
 	outcome   core.Outcome
 	solveTime time.Duration
+	cert      *check.Certificate
 
 	// prev is the previously installed state (the stale configuration for
-	// control-plane certification); nil skips certification and tracing
-	// (the pre-first-solve placeholder).
+	// control-plane certification); nil skips tracing (the pre-first-solve
+	// placeholder).
 	prev         *core.State
 	downLinks    map[topology.LinkID]bool
 	downSwitches map[topology.SwitchID]bool
@@ -100,7 +114,8 @@ type installMeta struct {
 
 // install publishes st as the serving plan: encode once, then swap the
 // atomic pointer. The previous plan stays valid for readers that already
-// hold it.
+// hold it. Solved and restored plans come through publish, which
+// certifies them first.
 func (c *Controller) install(st *core.State, dem demand.Matrix, prot core.Protection, m installMeta) {
 	start := time.Now()
 	file := wire.EncodeState(c.net, c.set, dem, st)
@@ -118,6 +133,7 @@ func (c *Controller) install(st *core.State, dem demand.Matrix, prot core.Protec
 		Outcome:     m.outcome,
 		Prot:        prot,
 		SolveTime:   m.solveTime,
+		Cert:        m.cert,
 		State:       st,
 		File:        file,
 		Encoded:     blob,
@@ -136,13 +152,5 @@ func (c *Controller) install(st *core.State, dem demand.Matrix, prot core.Protec
 	}
 	if m.prev != nil {
 		c.writeTrace(p, m.downLinks, m.downSwitches)
-		if c.cfg.Certify != nil && !m.restored {
-			// Restored plans were certified synchronously in New before
-			// this install; everything else certifies in the background.
-			c.enqueueCert(certJob{
-				plan: p, prev: m.prev, set: c.set,
-				params: c.certParams(prot, m.degraded, m.downLinks, m.downSwitches),
-			})
-		}
 	}
 }
