@@ -1,8 +1,8 @@
 // Command ffccheck independently certifies FFC TE plans: it rebuilds the
 // tunnel set purely from the paths recorded in a plan file or trace (no
 // layout flags to match against the producing process) and verifies the
-// congestion-freedom guarantees with internal/check — machinery that
-// shares nothing with the LP formulation or the solver-side verifiers.
+// congestion-freedom guarantees with internal/check, the certifier that
+// shares no code with the LP formulation.
 //
 // Certify one plan file (as written by ffcte, or a get_plan reply's state):
 //
@@ -91,21 +91,18 @@ func main() {
 		fatalf("%s: %v", *topoPath, err)
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-
 	var checked, failed int
 	if *planPath != "" {
 		base.Prot = core.Protection{Kc: *kc, Ke: *ke, Kv: *kv}
-		ok := certifyPlanFile(&net, *planPath, *prevPath, base, out, *quiet)
+		ok := certifyPlanFile(&net, *planPath, *prevPath, base, stdout, *quiet)
 		checked = 1
 		if !ok {
 			failed = 1
 		}
 	} else {
-		checked, failed = replayTrace(&net, *tracePath, base, out, *quiet)
+		checked, failed = replayTrace(&net, *tracePath, base, stdout, *quiet)
 	}
-	out.Flush()
+	stdout.Flush()
 	fmt.Fprintf(os.Stderr, "ffccheck: %d plan(s) certified, %d failed\n", checked, failed)
 	if failed > 0 {
 		os.Exit(1)
@@ -244,7 +241,12 @@ func emit(out *bufio.Writer, v verdict, quiet bool) {
 	out.WriteByte('\n')
 }
 
+// stdout buffers the verdict lines. Every exit flushes it, so the verdicts
+// certified before an input error still reach the caller.
+var stdout = bufio.NewWriter(os.Stdout)
+
 func fatalf(format string, args ...interface{}) {
+	stdout.Flush()
 	fmt.Fprintf(os.Stderr, "ffccheck: "+format+"\n", args...)
 	os.Exit(2)
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ffc/internal/check"
@@ -24,14 +25,7 @@ import (
 // violating case in enumeration order, cases_checked = cases_covered = its
 // index + 1 — however many workers the exact enumeration was sharded over.
 func TestFailFastAcrossCores(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the ffccheck binary; skipped with -short")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "ffccheck")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, bin := buildBinary(t)
 
 	net := topology.LNet(topology.LNetConfig{Sites: 8}, rand.New(rand.NewSource(1)))
 	dem := demand.Generate(net, demand.Config{Intervals: 1}, rand.New(rand.NewSource(8)))[0]
@@ -92,6 +86,79 @@ func TestFailFastAcrossCores(t *testing.T) {
 		got, _ := json.Marshal(run(procs, "-fail-fast"))
 		if !bytes.Equal(got, wantLine) {
 			t.Fatalf("GOMAXPROCS=%s verdict differs from the serial run's:\n%s\n%s", procs, got, wantLine)
+		}
+	}
+}
+
+// buildBinary builds ffccheck into a fresh temporary directory and returns
+// both.
+func buildBinary(t *testing.T) (dir, bin string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the ffccheck binary; skipped with -short")
+	}
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "ffccheck")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, bin
+}
+
+// TestBadTraceRecordKeepsEarlierVerdicts replays a trace whose first two
+// records are good plans and whose third line is garbage: the run must exit
+// 2 on the bad line and still print the two verdicts certified before it.
+func TestBadTraceRecordKeepsEarlierVerdicts(t *testing.T) {
+	dir, bin := buildBinary(t)
+	net := topology.Example4()
+	s2, _ := net.SwitchByName("s2")
+	s3, _ := net.SwitchByName("s3")
+	s4, _ := net.SwitchByName("s4")
+	dem := demand.Matrix{{Src: s2, Dst: s4}: 6, {Src: s3, Dst: s4}: 4}
+	set := tunnel.Layout(net, dem.Flows(), tunnel.LayoutConfig{TunnelsPerFlow: 2, P: 1, Q: 3})
+	st, _, err := core.NewSolver(net, set, core.Options{}).Solve(core.Input{Demands: dem, Prot: core.Protection{Ke: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	for seq := int64(1); seq <= 2; seq++ {
+		rec := &wire.TraceRecord{Seq: seq, Ke: 1, State: wire.EncodeState(net, set, dem, st)}
+		if err := wire.WriteTraceRecord(&trace, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trace.WriteString("not a trace record\n")
+	topoBlob, err := json.Marshal(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, tracePath := filepath.Join(dir, "net.json"), filepath.Join(dir, "run.trace")
+	if err := os.WriteFile(topo, topoBlob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tracePath, trace.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(bin, "-topo", topo, "-trace", tracePath)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("want exit 2 on the bad record, got %v\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want the 2 verdicts certified before the bad record, got %d bytes:\n%s", stdout.Len(), stdout.String())
+	}
+	for i, line := range lines {
+		var v verdict
+		if err := json.Unmarshal([]byte(line), &v); err != nil {
+			t.Fatalf("verdict %d %q: %v", i+1, line, err)
+		}
+		if v.Seq != int64(i+1) || v.Certificate == nil || !v.OK {
+			t.Fatalf("verdict %d: %s", i+1, line)
 		}
 	}
 }

@@ -6,8 +6,9 @@
 //
 // With -prev it computes relative to an existing configuration (required
 // for kc > 0; the previous state file must have been produced by ffcte on
-// the same topology). With -verify it exhaustively checks the result
-// against every fault combination at the protection level before printing.
+// the same topology). With -verify it certifies the result with
+// internal/check, enumerating every fault combination at the protection
+// level, and exits 1 with the certificate's summary if any overloads a link.
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/obs"
 	"ffc/internal/topology"
@@ -38,7 +40,6 @@ func main() {
 		objective  = flag.String("objective", "throughput", "objective: throughput, mlu, maxmin")
 		verifyFlag = flag.Bool("verify", false, "exhaustively verify the guarantee (small networks)")
 		warm       = flag.Bool("warm", false, "warm-start successive LP solves from the previous basis (used by -objective maxmin's iterations)")
-		par        = flag.Int("parallel", 0, "verification workers (<=0 = all cores, 1 = serial)")
 		statsFlag  = flag.Bool("stats", false, "print the solver/verifier counter and latency breakdown to stderr")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
 		deadline   = flag.Duration("solver-deadline", 0, "solve budget; on a budget hit the best feasible configuration found so far is emitted with a warning (0 = unbounded)")
@@ -137,13 +138,12 @@ func main() {
 	}
 
 	if *verifyFlag {
-		if v := core.VerifyDataPlaneN(&net, set, st, prot.Ke, prot.Kv, nil, *par); v != nil {
-			fatalf("verification failed (data plane): %+v", v)
+		cert, err := check.Certify(&net, set, st, prev, check.Params{Prot: prot, RateLimiter: opts.RateLimiter, Mode: check.Exact})
+		if err != nil {
+			fatalf("verify: %v", err)
 		}
-		if prot.Kc > 0 {
-			if v := core.VerifyControlPlaneN(&net, set, st, prev, prot.Kc, opts.RateLimiter, nil, *par); v != nil {
-				fatalf("verification failed (control plane): %+v", v)
-			}
+		if !cert.OK {
+			fatalf("verification failed: %s", cert.Summary())
 		}
 		fmt.Fprintln(os.Stderr, "verification passed: congestion-free under all fault cases at", prot)
 	}

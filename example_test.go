@@ -25,10 +25,16 @@ func Example() {
 	plain, _, _ := ctl.Compute(demands, ffc.NoProtection)
 	protected, _, _ := ctl.Compute(demands, ffc.Protection{Ke: 1})
 
-	fmt.Printf("plain: %.0f units, 1-link safe: %v\n",
-		plain.TotalRate(), ctl.VerifyDataPlane(plain, 1, 0) == nil)
-	fmt.Printf("FFC:   %.0f units, 1-link safe: %v\n",
-		protected.TotalRate(), ctl.VerifyDataPlane(protected, 1, 0) == nil)
+	// oneLinkSafe reports whether no single link failure congests st.
+	oneLinkSafe := func(st *ffc.State) bool {
+		v, err := ctl.VerifyDataPlane(st, 1, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return v == nil
+	}
+	fmt.Printf("plain: %.0f units, 1-link safe: %v\n", plain.TotalRate(), oneLinkSafe(plain))
+	fmt.Printf("FFC:   %.0f units, 1-link safe: %v\n", protected.TotalRate(), oneLinkSafe(protected))
 	// Output:
 	// plain: 20 units, 1-link safe: false
 	// FFC:   10 units, 1-link safe: true

@@ -59,9 +59,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		safe := ctl.VerifyControlPlane(st, kc) == nil
+		v, err := ctl.VerifyControlPlane(st, kc)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("kc=%d: admit %.0f units of s1→s4 (total %.0f, exhaustive %d-stale-switch check: %v)\n",
-			kc, st.Rate[f14], st.TotalRate(), kc, safe)
+			kc, st.Rate[f14], st.TotalRate(), kc, v == nil)
 	}
 	fmt.Println("\npaper's Figure 5: 10 units unprotected, 7 with kc=1, 4 with kc=2")
 
@@ -71,7 +74,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if v := ctl.VerifyControlPlane(plain, 1); v != nil {
-		fmt.Printf("\nunprotected plan under one stale switch: %s overloads by %.1f units\n", v.Case, v.Over)
+	v, err := ctl.VerifyControlPlane(plain, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if v != nil {
+		fmt.Printf("\nunprotected plan under one stale switch: %v keeps its old weights, link %s overloads by %.1f units\n",
+			v.Faults.StaleNames, v.LinkName, v.Over)
 	}
 }

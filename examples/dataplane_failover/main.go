@@ -37,9 +37,13 @@ func main() {
 
 	for name, st := range map[string]*ffc.State{"plain TE": plain, "FFC ke=1": protected} {
 		fmt.Printf("=== %s (throughput %.1f) ===\n", name, st.TotalRate())
-		if v := ctl.VerifyDataPlane(st, 1, 0); v != nil {
-			fmt.Printf("  UNSAFE: fault case {%s} overloads link %d by %.2f units\n",
-				v.Case, v.Link, v.Over)
+		v, err := ctl.VerifyDataPlane(st, 1, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if v != nil {
+			fmt.Printf("  UNSAFE: failing link %v overloads link %s by %.2f units\n",
+				v.Faults.LinkNames, v.LinkName, v.Over)
 		} else {
 			fmt.Println("  safe: no single link failure can congest any link after rescaling")
 		}

@@ -59,8 +59,8 @@ func main() {
 	fmt.Printf("  total granted: %.1f\n\n", grand)
 
 	// The headline property: the high class survives worst-case faults.
-	if v := ctl.VerifyDataPlane(states[0].State, 1, 0); v != nil {
-		log.Fatalf("high class not 1-link safe: %+v", v)
+	if v, err := ctl.VerifyDataPlane(states[0].State, 1, 0); err != nil || v != nil {
+		log.Fatalf("high class not 1-link safe: %+v (%v)", v, err)
 	}
 	fmt.Println("high class verified congestion-free under every single link failure;")
 	fmt.Println("low class uses the reserved headroom and is shed first by priority queueing when faults strike")

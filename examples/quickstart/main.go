@@ -39,11 +39,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// oneLinkSafe reports whether no single link failure congests st.
+	oneLinkSafe := func(st *ffc.State) bool {
+		v, err := ctl.VerifyDataPlane(st, 1, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return v == nil
+	}
 	fmt.Printf("demands: %.0f units total\n", demands.Total())
-	fmt.Printf("plain TE throughput:      %.2f  (1-link-failure safe: %v)\n",
-		plain.TotalRate(), ctl.VerifyDataPlane(plain, 1, 0) == nil)
-	fmt.Printf("FFC(ke=1) throughput:     %.2f  (1-link-failure safe: %v)\n",
-		protected.TotalRate(), ctl.VerifyDataPlane(protected, 1, 0) == nil)
+	fmt.Printf("plain TE throughput:      %.2f  (1-link-failure safe: %v)\n", plain.TotalRate(), oneLinkSafe(plain))
+	fmt.Printf("FFC(ke=1) throughput:     %.2f  (1-link-failure safe: %v)\n", protected.TotalRate(), oneLinkSafe(protected))
 	fmt.Printf("FFC LP: %d variables, %d constraints, solved in %v\n",
 		stats.Vars, stats.Constraints, stats.SolveTime.Round(0))
 

@@ -53,9 +53,12 @@ func main() {
 		}
 		safe := "n/a"
 		if prot.Ke > 0 {
-			if v := ctl.VerifyDataPlane(st, prot.Ke, 0); v == nil {
-				safe = "verified"
-			} else {
+			v, err := ctl.VerifyDataPlane(st, prot.Ke, 0)
+			if err != nil {
+				log.Fatal(err)
+			}
+			safe = "verified"
+			if v != nil {
 				safe = "VIOLATED"
 			}
 		}

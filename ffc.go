@@ -31,6 +31,7 @@ import (
 	"io"
 	"math/rand"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/demand"
 	"ffc/internal/topology"
@@ -72,8 +73,10 @@ type (
 	Uncertain = core.Uncertain
 	// UpdatePlan is a chain of congestion-free intermediate states (§5.2).
 	UpdatePlan = core.UpdatePlan
-	// Violation reports a fault case that breaks a guarantee.
-	Violation = core.Violation
+	// Violation reports a fault case that breaks a guarantee: the
+	// overloaded link (LinkName), by how much (Over), and the faults that
+	// cause it (Faults.LinkNames, SwitchNames, StaleNames).
+	Violation = check.Violation
 )
 
 // Encoding constants (how bounded-M-sum constraints are emitted).
@@ -234,16 +237,29 @@ func (c *Controller) PlanUpdate(target *State, kc, maxSteps int) (*UpdatePlan, e
 }
 
 // VerifyDataPlane exhaustively checks st against every combination of up to
-// ke link and kv switch failures; nil means the guarantee holds.
-// Exponential in (ke, kv): intended for tests and small networks.
-func (c *Controller) VerifyDataPlane(st *State, ke, kv int) *Violation {
-	return core.VerifyDataPlane(c.net, c.tun, st, ke, kv, nil)
+// ke link and kv switch failures and returns the worst overload; nil means
+// the guarantee holds. Exponential in (ke, kv). A negative level or a state
+// holding negative or non-finite values is an error.
+func (c *Controller) VerifyDataPlane(st *State, ke, kv int) (*Violation, error) {
+	return c.certify(st, st, Protection{Ke: ke, Kv: kv})
 }
 
 // VerifyControlPlane exhaustively checks st against every set of up to kc
-// stale switches relative to the installed configuration.
-func (c *Controller) VerifyControlPlane(st *State, kc int) *Violation {
-	return core.VerifyControlPlane(c.net, c.tun, st, c.current, kc, c.solver.Opts.RateLimiter, nil)
+// stale switches relative to the installed configuration, as
+// VerifyDataPlane does against failures.
+func (c *Controller) VerifyControlPlane(st *State, kc int) (*Violation, error) {
+	return c.certify(st, c.current, Protection{Kc: kc})
+}
+
+// certify runs the exact certifier and returns its worst violation.
+func (c *Controller) certify(st, prev *State, prot Protection) (*Violation, error) {
+	cert, err := check.Certify(c.net, c.tun, st, prev, check.Params{
+		Prot: prot, RateLimiter: c.solver.Opts.RateLimiter, Mode: check.Exact,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cert.Violation, nil
 }
 
 // DemandUncertainty re-exports the §9 demand-misprediction protection for

@@ -51,15 +51,15 @@ func TestControllerFFCGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := ctl.VerifyDataPlane(st, 1, 0); v != nil {
-		t.Fatalf("guarantee violated: %+v", v)
+	if v, err := ctl.VerifyDataPlane(st, 1, 0); err != nil || v != nil {
+		t.Fatalf("guarantee violated: %+v (%v)", v, err)
 	}
 	plain, _, err := ctl.Compute(Demands{f24: 14, f34: 6}, NoProtection)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := ctl.VerifyDataPlane(plain, 1, 0); v == nil {
-		t.Fatal("plain TE unexpectedly 1-link safe")
+	if v, err := ctl.VerifyDataPlane(plain, 1, 0); err != nil || v == nil {
+		t.Fatalf("plain TE unexpectedly 1-link safe (%v)", err)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestControllerControlPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := ctl.VerifyControlPlane(st, 1); v != nil {
-		t.Fatalf("control guarantee violated: %+v", v)
+	if v, err := ctl.VerifyControlPlane(st, 1); err != nil || v != nil {
+		t.Fatalf("control guarantee violated: %+v (%v)", v, err)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestControllerPriorities(t *testing.T) {
 		t.Fatalf("high class under-served: %v", states[0].State.TotalRate())
 	}
 	// High class keeps its data-plane guarantee.
-	if v := ctl.VerifyDataPlane(states[0].State, 1, 0); v != nil {
-		t.Fatalf("high class guarantee violated: %+v", v)
+	if v, err := ctl.VerifyDataPlane(states[0].State, 1, 0); err != nil || v != nil {
+		t.Fatalf("high class guarantee violated: %+v (%v)", v, err)
 	}
 	// Low class fills remaining capacity (well above zero).
 	if states[1].State.TotalRate() <= 0 {
@@ -230,8 +230,8 @@ func TestFFCOnFatTree(t *testing.T) {
 	if st.TotalRate() <= 0 {
 		t.Fatal("no throughput on fat-tree")
 	}
-	if v := ctl.VerifyDataPlane(st, 1, 0); v != nil {
-		t.Fatalf("fat-tree FFC guarantee violated: %+v", v)
+	if v, err := ctl.VerifyDataPlane(st, 1, 0); err != nil || v != nil {
+		t.Fatalf("fat-tree FFC guarantee violated: %+v (%v)", v, err)
 	}
 }
 

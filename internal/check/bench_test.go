@@ -2,7 +2,7 @@ package check
 
 // BenchmarkCertSNet measures certifying the saturated S-Net ke=2/kv=1
 // plan — the dominant cost of running ffccheck over a recorded trace or
-// the controller's async certifier. The exact variant enumerates every
+// of ffcd's certification on install. The exact variant enumerates every
 // pruned fault combination; the adversarial variant is the bounded
 // search large topologies fall back to.
 

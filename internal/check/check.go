@@ -1,10 +1,12 @@
-// Package check is an independent certifier for installed FFC TE plans.
-// It takes only a topology and a computed configuration (rates + tunnel
-// allocations) and verifies the paper's guarantees directly, sharing no
-// code with the LP formulation, the sorting-network encodings, or the
-// solver-side verifiers in internal/core — solver-side and checker-side
-// bugs don't correlate, so a plan that passes both was checked twice by
-// genuinely different machinery.
+// Package check is the certifier for FFC TE plans: every caller that asks
+// whether a plan is safe — ffcd's install path, ffcte -verify, ffccheck,
+// the ffc facade, the testbed, the property harness and the tests — asks
+// Certify. It takes only a topology and a computed configuration (rates +
+// tunnel allocations) and verifies the paper's guarantees directly,
+// sharing no code with the LP formulation or the sorting-network
+// encodings, so solver-side and checker-side bugs don't correlate. Its
+// results are held to serial test oracles (oracle_test.go) and to
+// core.VerifyDataPlane, the solver side's serial enumerator.
 //
 // Two data-plane strategies: exact enumeration of every fault combination
 // (with dominance pruning — only elements that can shift load are

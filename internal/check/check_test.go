@@ -126,13 +126,13 @@ func TestExactMatchesCoreDataPlane(t *testing.T) {
 	}
 }
 
-// TestControlMatchesCoreControlPlane does the same for the control plane:
-// the checker's per-link top-kc selection must agree with core's explicit
-// stale-set enumeration in every rate-limiter mode. Rates are pinned to
-// the allocation sums (as in any real plan) because the checker's no-fault
-// data case — deliberately — also audits rate-vs-allocation consistency,
-// which core's allocation-only control verifier does not model.
-func TestControlMatchesCoreControlPlane(t *testing.T) {
+// TestControlMatchesOracleControlPlane does the same for the control plane:
+// the checker's per-link top-kc selection must agree with controlOracle's
+// explicit stale-set enumeration in every rate-limiter mode. Rates are
+// pinned to the allocation sums (as in any real plan) because the checker's
+// no-fault data case — deliberately — also audits rate-vs-allocation
+// consistency, which the allocation-only oracle does not model.
+func TestControlMatchesOracleControlPlane(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(2000 + trial)))
 		net, set, flows := randomNet(rng, 4+rng.Intn(4), 2+rng.Intn(4))
@@ -141,20 +141,20 @@ func TestControlMatchesCoreControlPlane(t *testing.T) {
 		kc := 1 + rng.Intn(2)
 		mode := core.RateLimiterMode(rng.Intn(3))
 
-		coreV := core.VerifyControlPlane(net, set, st, prev, kc, mode, nil)
+		want := controlOracle(net, set, st, prev, kc, mode, nil)
 		cert, err := Certify(net, set, st, prev, Params{
 			Prot: core.Protection{Kc: kc}, RateLimiter: mode, Mode: Exact,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if (coreV == nil) != (cert.Violation == nil) {
-			t.Fatalf("trial %d kc=%d mode=%d: core %+v, checker %+v",
-				trial, kc, mode, coreV, cert.Violation)
+		if (want == nil) != (cert.Violation == nil) {
+			t.Fatalf("trial %d kc=%d mode=%d: oracle %+v, checker %+v",
+				trial, kc, mode, want, cert.Violation)
 		}
-		if coreV != nil {
-			if math.Abs(coreV.Over-cert.Violation.Over) > 1e-9*math.Max(1, coreV.Over) {
-				t.Fatalf("trial %d: worst over differs: core %g checker %g", trial, coreV.Over, cert.Violation.Over)
+		if want != nil {
+			if math.Abs(want.Over-cert.Violation.Over) > 1e-9*math.Max(1, want.Over) {
+				t.Fatalf("trial %d: worst over differs: oracle %g checker %g", trial, want.Over, cert.Violation.Over)
 			}
 			// A base-load violation needs no stale switch and surfaces as
 			// the (equal) data-plane no-fault case; otherwise the stale set

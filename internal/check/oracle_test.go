@@ -1,14 +1,18 @@
 package check
 
-// The differential oracle: the per-case evaluator and serial enumerator this
-// package shipped before the memoised, sharded ones, kept verbatim (own
-// scratch, own combination generator, math.Max tolerance). It walks every
-// tunnel of every flow for every case, so it is slow and obviously right;
-// the production evaluator must reproduce its results bit for bit.
+// The differential oracles. For the data plane: the per-case evaluator and
+// serial enumerator this package shipped before the memoised, sharded ones,
+// kept verbatim (own scratch, own combination generator, math.Max
+// tolerance). It walks every tunnel of every flow for every case, so it is
+// slow and obviously right; the production evaluator must reproduce its
+// results bit for bit. For the control plane: controlOracle, an explicit
+// enumeration of stale-switch sets that certifyControl's per-link top-kc
+// selection must agree with.
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ffc/internal/core"
@@ -207,4 +211,64 @@ func requireOracleEqual(tb testing.TB, name string, net *topology.Network, set *
 			name, fast.Summary(), *fast, slow.Summary(), *slow)
 	}
 	return fast
+}
+
+// controlOracle enumerates every set of up to kc ingress switches that keep
+// their previous configuration and returns the worst overload, the first in
+// enumeration order on ties, or nil. A stale ingress sends on each tunnel
+// whichever of its old and new behaviour (per the rate-limiter mode) loads
+// it more, a sound upper bound on any realizable mix. Serial, recomputing
+// every load per stale set: the reference for certifyControl's per-link
+// top-kc selection.
+func controlOracle(net *topology.Network, set *tunnel.Set, st, prev *core.State,
+	kc int, mode core.RateLimiterMode, capacity map[topology.LinkID]float64) *Violation {
+
+	var srcs []topology.SwitchID
+	for _, f := range set.All() {
+		if !slices.Contains(srcs, f.Src) {
+			srcs = append(srcs, f.Src)
+		}
+	}
+	slices.Sort(srcs)
+	var worst *Violation
+	stale := map[topology.SwitchID]bool{}
+	oracleCombosUpTo(len(srcs), kc, func(sel []int) bool {
+		clear(stale)
+		for _, i := range sel {
+			stale[srcs[i]] = true
+		}
+		loads := make([]float64, len(net.Links))
+		for _, f := range set.All() {
+			alloc, oldAlloc := st.Alloc[f], prev.Alloc[f]
+			oldW, newW := tunnel.Weights(oldAlloc), st.Weights(f)
+			for _, t := range set.Tunnels(f) {
+				load := at(alloc, t.Index)
+				if stale[f.Src] {
+					switch mode {
+					case core.LimitersOrdered:
+						load = math.Max(at(oldAlloc, t.Index), load)
+					case core.LimitersIndependent: // any mix of {old,new} weights × {old,new} rate
+						load = math.Max(math.Max(at(oldAlloc, t.Index), load),
+							math.Max(at(oldW, t.Index)*st.Rate[f], at(newW, t.Index)*prev.Rate[f]))
+					default: // LimitersSynced: old weights split the new rate
+						load = math.Max(at(oldW, t.Index)*st.Rate[f], load)
+					}
+				}
+				for _, l := range t.Links {
+					loads[l] += load
+				}
+			}
+		}
+		for _, l := range net.Links {
+			c := l.Capacity
+			if o, ok := capacity[l.ID]; ok {
+				c = o
+			}
+			if over := loads[l.ID] - c; over > 1e-6*math.Max(1, c) && (worst == nil || over > worst.Over) {
+				worst = &Violation{Plane: "control", Link: l.ID, Load: loads[l.ID], Capacity: c, Over: over}
+			}
+		}
+		return true
+	})
+	return worst
 }

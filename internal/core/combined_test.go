@@ -8,39 +8,6 @@ import (
 	"ffc/internal/demand"
 )
 
-// TestCombinedProtectionProperty verifies §4.5: a single solve with
-// (kc, ke, kv) simultaneously satisfies both planes' guarantees.
-func TestCombinedProtectionProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2024))
-	for trial := 0; trial < 12; trial++ {
-		net, tun, flows := randomNetwork(rng, 6, 4)
-		if len(flows) == 0 {
-			continue
-		}
-		d1, d2 := demand.Matrix{}, demand.Matrix{}
-		for _, f := range flows {
-			d1[f] = 1 + rng.Float64()*6
-			d2[f] = 1 + rng.Float64()*6
-		}
-		s := NewSolver(net, tun, Options{Encoding: Encoding(rng.Intn(2))})
-		prev, _, err := s.Solve(Input{Demands: d1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prot := Protection{Kc: 1 + rng.Intn(2), Ke: 1, Kv: rng.Intn(2)}
-		st, _, err := s.Solve(Input{Demands: d2, Prot: prot, Prev: prev})
-		if err != nil {
-			t.Fatalf("trial %d %v: %v", trial, prot, err)
-		}
-		if v := VerifyDataPlane(net, tun, st, prot.Ke, prot.Kv, nil); v != nil {
-			t.Fatalf("trial %d %v: data plane violated: %+v", trial, prot, v)
-		}
-		if v := VerifyControlPlane(net, tun, st, prev, prot.Kc, LimitersSynced, nil); v != nil {
-			t.Fatalf("trial %d %v: control plane violated: %+v", trial, prot, v)
-		}
-	}
-}
-
 // TestProtectionMonotoneOverhead: throughput is non-increasing in each
 // protection dimension (more protection can never admit more traffic).
 func TestProtectionMonotoneOverhead(t *testing.T) {
@@ -84,75 +51,6 @@ func TestProtectionMonotoneOverhead(t *testing.T) {
 	}
 }
 
-// TestEqn15OverprotectionEffect validates the §4.4.1 observation: with a
-// (1,q) layout, protecting ke=q link failures also covers one switch
-// failure "for free" (kt = ke·p ≥ kv·q tunnel failures).
-func TestEqn15OverprotectionEffect(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	for trial := 0; trial < 6; trial++ {
-		net, tun, flows := randomNetwork(rng, 7, 4)
-		if len(flows) == 0 {
-			continue
-		}
-		demands := demand.Matrix{}
-		for _, f := range flows {
-			demands[f] = 1 + rng.Float64()*5
-		}
-		// Measure the layout's worst q.
-		qMax := 0
-		for _, f := range flows {
-			_, q := tun.PQ(f)
-			if q > qMax {
-				qMax = q
-			}
-		}
-		if qMax == 0 {
-			qMax = 1
-		}
-		s := NewSolver(net, tun, Options{})
-		st, _, err := s.Solve(Input{Demands: demands, Prot: Protection{Ke: qMax}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// ke=qMax link protection must imply kv=1 switch protection.
-		if v := VerifyDataPlane(net, tun, st, 0, 1, nil); v != nil {
-			t.Fatalf("trial %d: ke=%d did not cover one switch failure: %+v", trial, qMax, v)
-		}
-	}
-}
-
-// TestOrderedLimitersTighter: Eqn 18 (ordered updates) admits at least as
-// much as LimitersIndependent's reservation-based handling of Eqn 17.
-func TestOrderedLimitersTighter(t *testing.T) {
-	fx := newFig25(t)
-	prev := NewState()
-	prev.Rate[fx.f24], prev.Alloc[fx.f24] = 10, []float64{7, 3}
-	prev.Rate[fx.f34], prev.Alloc[fx.f34] = 10, []float64{7, 3}
-	demands := demand.Matrix{fx.f24: 10, fx.f34: 10, fx.f14: 10}
-	in := Input{Demands: demands, Prot: Protection{Kc: 1}, Prev: prev}
-
-	rate := func(mode RateLimiterMode) float64 {
-		s := NewSolver(fx.net, fx.tun, Options{RateLimiter: mode})
-		st, _, err := s.Solve(in)
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		if v := VerifyControlPlane(fx.net, fx.tun, st, prev, 1, mode, nil); v != nil {
-			t.Fatalf("mode %d: violated: %+v", mode, v)
-		}
-		return st.TotalRate()
-	}
-	ordered := rate(LimitersOrdered)
-	synced := rate(LimitersSynced)
-	independent := rate(LimitersIndependent)
-	if independent > synced+1e-6 {
-		t.Fatalf("independent (%v) admits more than synced (%v)", independent, synced)
-	}
-	if ordered < synced-1e-6 {
-		t.Fatalf("ordered (%v) admits less than synced (%v); Eqn 18 should be no tighter", ordered, synced)
-	}
-}
-
 // TestBigFaultWaiverEndToEnd simulates the §4.5 situation end to end: a
 // fault beyond the protection level overloads a link; the next computation
 // must still be feasible (waiving kc on overloaded links) and drain it.
@@ -176,58 +74,6 @@ func TestBigFaultWaiverEndToEnd(t *testing.T) {
 		if load > fx.net.Links[l].Capacity+1e-6 {
 			t.Fatalf("link %d still overloaded at %v", l, load)
 		}
-	}
-}
-
-// TestSolverReuseAcrossIntervals exercises the controller pattern: many
-// sequential solves against evolving demands with kc protection, each
-// verified, mimicking a production control loop.
-func TestSolverReuseAcrossIntervals(t *testing.T) {
-	rng := rand.New(rand.NewSource(5150))
-	net, tun, flows := randomNetwork(rng, 6, 5)
-	if len(flows) == 0 {
-		t.Skip("degenerate network")
-	}
-	s := NewSolver(net, tun, Options{MiceFraction: 0.01, OldLoadSkip: 1e-5})
-	prev := NewState()
-	for interval := 0; interval < 8; interval++ {
-		demands := demand.Matrix{}
-		for _, f := range flows {
-			demands[f] = 1 + rng.Float64()*8
-		}
-		st, _, err := s.Solve(Input{Demands: demands, Prot: Protection{Kc: 1, Ke: 1}, Prev: prev})
-		if err != nil {
-			t.Fatalf("interval %d: %v", interval, err)
-		}
-		if v := VerifyControlPlane(net, tun, st, prev, 1, LimitersSynced, nil); v != nil {
-			t.Fatalf("interval %d: control violated: %+v", interval, v)
-		}
-		if v := VerifyDataPlane(net, tun, st, 1, 0, nil); v != nil {
-			t.Fatalf("interval %d: data violated: %+v", interval, v)
-		}
-		prev = st
-	}
-}
-
-// TestVerifierCatchesPlantedViolation guards the verifiers themselves: a
-// hand-planted unsafe state must be flagged.
-func TestVerifierCatchesPlantedViolation(t *testing.T) {
-	fx := newFig25(t)
-	bad := NewState()
-	// 14 units forced onto the single direct link (cap 10): no faults even
-	// needed, but VerifyDataPlane(0,0) checks the fault-free case too.
-	bad.Rate[fx.f24], bad.Alloc[fx.f24] = 14, []float64{14, 0}
-	if v := VerifyDataPlane(fx.net, fx.tun, bad, 0, 0, nil); v == nil {
-		t.Fatal("verifier missed a planted overload")
-	}
-	// Control-plane verifier: new state overloads when s2 keeps old 100%-
-	// direct weights at the new higher rate.
-	old := NewState()
-	old.Rate[fx.f24], old.Alloc[fx.f24] = 8, []float64{8, 0}
-	upd := NewState()
-	upd.Rate[fx.f24], upd.Alloc[fx.f24] = 14, []float64{7, 7}
-	if v := VerifyControlPlane(fx.net, fx.tun, upd, old, 1, LimitersSynced, nil); v == nil {
-		t.Fatal("control verifier missed a planted stale-weights overload")
 	}
 }
 

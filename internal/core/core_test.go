@@ -117,105 +117,6 @@ func TestBasicTEUsesMultipleTunnels(t *testing.T) {
 	}
 }
 
-// TestControlPlaneFFCPaperNumbers reproduces Figures 3 and 5 exactly: with
-// the old configuration splitting {s2,s3}→s4 as 7 direct + 3 via s1, the
-// admissible new flow s1→s4 is 10 without FFC, 7 with kc=1, 4 with kc=2.
-func TestControlPlaneFFCPaperNumbers(t *testing.T) {
-	fx := newFig25(t)
-	prev := NewState()
-	prev.Rate[fx.f24], prev.Alloc[fx.f24] = 10, []float64{7, 3}
-	prev.Rate[fx.f34], prev.Alloc[fx.f34] = 10, []float64{7, 3}
-	demands := demand.Matrix{fx.f24: 10, fx.f34: 10, fx.f14: 10}
-
-	for _, tc := range []struct {
-		kc   int
-		want float64
-	}{
-		{0, 10}, {1, 7}, {2, 4},
-	} {
-		s := NewSolver(fx.net, fx.tun, Options{})
-		st, _, err := s.Solve(Input{Demands: demands, Prot: Protection{Kc: tc.kc}, Prev: prev})
-		if err != nil {
-			t.Fatalf("kc=%d: %v", tc.kc, err)
-		}
-		if math.Abs(st.Rate[fx.f14]-tc.want) > 1e-6 {
-			t.Fatalf("kc=%d: new flow admitted %v, want %v", tc.kc, st.Rate[fx.f14], tc.want)
-		}
-		// Existing flows keep their rates (the optimum of the walkthrough).
-		if math.Abs(st.Rate[fx.f24]-10) > 1e-6 || math.Abs(st.Rate[fx.f34]-10) > 1e-6 {
-			t.Fatalf("kc=%d: existing flows got %v/%v, want 10/10", tc.kc, st.Rate[fx.f24], st.Rate[fx.f34])
-		}
-		// And the computed state must pass exhaustive verification.
-		if v := VerifyControlPlane(fx.net, fx.tun, st, prev, tc.kc, LimitersSynced, nil); v != nil {
-			t.Fatalf("kc=%d: verification failed: %+v", tc.kc, v)
-		}
-	}
-}
-
-// TestControlPlaneNonFFCUnsafe shows that the kc=0 solution genuinely
-// violates the kc=1 guarantee (the situation of Figure 3(c)).
-func TestControlPlaneNonFFCUnsafe(t *testing.T) {
-	fx := newFig25(t)
-	prev := NewState()
-	prev.Rate[fx.f24], prev.Alloc[fx.f24] = 10, []float64{7, 3}
-	prev.Rate[fx.f34], prev.Alloc[fx.f34] = 10, []float64{7, 3}
-	s := NewSolver(fx.net, fx.tun, Options{})
-	st, _, err := s.Solve(Input{Demands: demand.Matrix{fx.f24: 10, fx.f34: 10, fx.f14: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := VerifyControlPlane(fx.net, fx.tun, st, prev, 1, LimitersSynced, nil); v == nil {
-		t.Fatal("non-FFC plan unexpectedly safe under one stale switch")
-	}
-}
-
-// TestDataPlaneFFCFig24 reproduces the Figure 2/4 situation: without FFC a
-// 14-unit flow overloads s1−s4 after its direct link fails; with ke=1 the
-// network stays congestion-free in every single-failure case.
-func TestDataPlaneFFCFig24(t *testing.T) {
-	fx := newFig25(t)
-	demands := demand.Matrix{fx.f24: 14, fx.f34: 6}
-
-	plain := NewSolver(fx.net, fx.tun, Options{})
-	stPlain, _, err := plain.Solve(Input{Demands: demands})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(stPlain.TotalRate()-20) > 1e-6 {
-		t.Fatalf("plain throughput %v, want 20", stPlain.TotalRate())
-	}
-	if v := VerifyDataPlane(fx.net, fx.tun, stPlain, 1, 0, nil); v == nil {
-		t.Fatal("plain TE unexpectedly survives all single link failures")
-	}
-
-	ffc := NewSolver(fx.net, fx.tun, Options{})
-	stFFC, _, err := ffc.Solve(Input{Demands: demands, Prot: Protection{Ke: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := VerifyDataPlane(fx.net, fx.tun, stFFC, 1, 0, nil); v != nil {
-		t.Fatalf("FFC state violates ke=1 guarantee: %+v", v)
-	}
-	// With 2 tunnels per flow and τ=1, every admitted unit must fit on
-	// both tunnels; shared link s1−s4 caps total at 10.
-	if math.Abs(stFFC.TotalRate()-10) > 1e-6 {
-		t.Fatalf("FFC throughput %v, want 10", stFFC.TotalRate())
-	}
-}
-
-func TestDataPlaneSwitchFailureProtection(t *testing.T) {
-	fx := newFig25(t)
-	// kv=1 with q: via-s1 tunnels die when s1 fails; τ = 2 − q(=1) = 1.
-	s := NewSolver(fx.net, fx.tun, Options{})
-	st, _, err := s.Solve(Input{Demands: demand.Matrix{fx.f24: 14, fx.f34: 6}, Prot: Protection{Kv: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := VerifyDataPlane(fx.net, fx.tun, st, 0, 1, nil); v != nil {
-		t.Fatalf("kv=1 guarantee violated: %+v", v)
-	}
-}
-
 // TestFlowZeroedWhenTauNonPositive: s1→s4 has one tunnel; ke=1 can kill it,
 // so FFC must refuse the flow entirely.
 func TestFlowZeroedWhenTauNonPositive(t *testing.T) {
@@ -254,65 +155,6 @@ func TestEncodingsAgreeOnExamples(t *testing.T) {
 	// (the paper's exactness case).
 	if math.Abs(objs[0]-objs[1]) > 1e-5 || math.Abs(objs[0]-objs[2]) > 1e-5 {
 		t.Fatalf("encodings disagree: sortnet=%v compact=%v naive=%v", objs[0], objs[1], objs[2])
-	}
-}
-
-// TestFFCPropertyRandom is the central guarantee test: on random small
-// networks with random demands and protection levels, the computed state
-// must survive exhaustive fault enumeration (Lemma 1 + §4.4.1 soundness).
-func TestFFCPropertyRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		net, tun, flows := randomNetwork(rng, 5+rng.Intn(3), 2+rng.Intn(3))
-		if len(flows) == 0 {
-			continue
-		}
-		demands := demand.Matrix{}
-		for _, f := range flows {
-			demands[f] = 1 + rng.Float64()*9
-		}
-		prot := Protection{Ke: rng.Intn(3), Kv: rng.Intn(2)}
-		s := NewSolver(net, tun, Options{Encoding: Encoding(rng.Intn(2))})
-		st, _, err := s.Solve(Input{Demands: demands, Prot: prot})
-		if err != nil {
-			t.Fatalf("trial %d prot %v: %v", trial, prot, err)
-		}
-		if v := VerifyDataPlane(net, tun, st, prot.Ke, prot.Kv, nil); v != nil {
-			t.Fatalf("trial %d prot %v: guarantee violated: %+v", trial, prot, v)
-		}
-	}
-}
-
-// TestControlFFCPropertyRandom does the same for control-plane faults:
-// solve plain TE for interval 1, then FFC TE for interval 2's demands,
-// and verify every ≤kc stale-switch combination.
-func TestControlFFCPropertyRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 20; trial++ {
-		net, tun, flows := randomNetwork(rng, 5+rng.Intn(3), 2+rng.Intn(2))
-		if len(flows) == 0 {
-			continue
-		}
-		d1, d2 := demand.Matrix{}, demand.Matrix{}
-		for _, f := range flows {
-			d1[f] = 1 + rng.Float64()*8
-			d2[f] = 1 + rng.Float64()*8
-		}
-		s := NewSolver(net, tun, Options{})
-		prev, _, err := s.Solve(Input{Demands: d1})
-		if err != nil {
-			t.Fatalf("trial %d: prev solve: %v", trial, err)
-		}
-		kc := 1 + rng.Intn(2)
-		mode := RateLimiterMode(rng.Intn(3))
-		s2 := NewSolver(net, tun, Options{RateLimiter: mode, Encoding: Encoding(rng.Intn(2))})
-		st, _, err := s2.Solve(Input{Demands: d2, Prot: Protection{Kc: kc}, Prev: prev})
-		if err != nil {
-			t.Fatalf("trial %d kc=%d mode=%d: %v", trial, kc, mode, err)
-		}
-		if v := VerifyControlPlane(net, tun, st, prev, kc, mode, nil); v != nil {
-			t.Fatalf("trial %d kc=%d mode=%d: %+v", trial, kc, mode, v)
-		}
 	}
 }
 
@@ -356,39 +198,6 @@ func randomNetwork(rng *rand.Rand, nSwitch, nFlow int) (*topology.Network, *tunn
 	return net, set, ok
 }
 
-func TestMiceOptimization(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	net, tun, flows := randomNetwork(rng, 7, 5)
-	demands := demand.Matrix{}
-	for i, f := range flows {
-		if i == 0 {
-			demands[f] = 100 // elephant
-		} else {
-			demands[f] = 0.05 // mice
-		}
-	}
-	withMice := NewSolver(net, tun, Options{MiceFraction: 0.01})
-	st, stats, err := withMice.Solve(Input{Demands: demands, Prot: Protection{Ke: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Guarantee must still hold with the shortcut.
-	if v := VerifyDataPlane(net, tun, st, 1, 0, nil); v != nil {
-		t.Fatalf("mice shortcut broke the guarantee: %+v", v)
-	}
-	without := NewSolver(net, tun, Options{})
-	st2, stats2, err := without.Solve(Input{Demands: demands, Prot: Protection{Ke: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Vars >= stats2.Vars {
-		t.Fatalf("mice shortcut did not reduce variables: %d vs %d", stats.Vars, stats2.Vars)
-	}
-	if st.TotalRate() < st2.TotalRate()-0.2 {
-		t.Fatalf("mice shortcut lost too much throughput: %v vs %v", st.TotalRate(), st2.TotalRate())
-	}
-}
-
 func TestMinMLUObjective(t *testing.T) {
 	fx := newFig25(t)
 	s := NewSolver(fx.net, fx.tun, Options{Objective: MinMLU})
@@ -417,28 +226,6 @@ func TestMinMLUOversubscribed(t *testing.T) {
 		t.Fatalf("MLU %v, want > 1 for oversubscribed demand", stats.MLU)
 	}
 	_ = st
-}
-
-func TestMinMLUWithControlFFC(t *testing.T) {
-	fx := newFig25(t)
-	prev := NewState()
-	prev.Rate[fx.f24], prev.Alloc[fx.f24] = 10, []float64{7, 3}
-	prev.Rate[fx.f34], prev.Alloc[fx.f34] = 10, []float64{7, 3}
-	s := NewSolver(fx.net, fx.tun, Options{Objective: MinMLU, MLUSigma: 0.5})
-	st, stats, err := s.Solve(Input{
-		Demands: demand.Matrix{fx.f24: 10, fx.f34: 10, fx.f14: 4},
-		Prot:    Protection{Kc: 2},
-		Prev:    prev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.MLU > 1+1e-6 {
-		t.Fatalf("MLU %v, want ≤ 1 (fits as shown by the throughput test)", stats.MLU)
-	}
-	if v := VerifyControlPlane(fx.net, fx.tun, st, prev, 2, LimitersSynced, nil); v != nil {
-		t.Fatalf("MinMLU control FFC violated: %+v", v)
-	}
 }
 
 func TestUncertainFlows(t *testing.T) {

@@ -5,10 +5,7 @@ import (
 	"sort"
 
 	"ffc/internal/lp"
-	"ffc/internal/obs"
-	"ffc/internal/parallel"
 	"ffc/internal/sortnet"
-	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
 
@@ -97,81 +94,4 @@ func (b *builder) demandFFC(u DemandUncertainty) error {
 		b.addCPConstraint(name, l.ID, load, b.s.capacity(b.in, l.ID))
 	}
 	return nil
-}
-
-// VerifyDemandUncertainty enumerates every set of up to count flows sending
-// factor × their planned rate (everyone else at plan) and returns the worst
-// overload, or nil when the state is robust. Exponential in count; for
-// tests and small networks. Cases are verified across all cores; use
-// VerifyDemandUncertaintyN to bound the worker count.
-func VerifyDemandUncertainty(net *topology.Network, tun *tunnel.Set, st *State,
-	count int, factor float64, capacity map[topology.LinkID]float64) *Violation {
-	return VerifyDemandUncertaintyN(net, tun, st, count, factor, capacity, 0)
-}
-
-// VerifyDemandUncertaintyN is VerifyDemandUncertainty sharded over workers
-// goroutines (≤ 0 means all cores); misprediction sets are the sharding
-// unit and the reduction preserves serial enumeration order.
-func VerifyDemandUncertaintyN(net *topology.Network, tun *tunnel.Set, st *State,
-	count int, factor float64, capacity map[topology.LinkID]float64, workers int) *Violation {
-
-	flows := make([]tunnel.Flow, 0, len(st.Rate))
-	for f := range st.Rate {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
-	// Base loads plus each flow's per-link load.
-	base := map[topology.LinkID]float64{}
-	perFlow := make([]map[topology.LinkID]float64, len(flows))
-	for i, f := range flows {
-		perFlow[i] = map[topology.LinkID]float64{}
-		w := st.Weights(f)
-		for _, t := range tun.Tunnels(f) {
-			share := st.Rate[f] * w[t.Index]
-			if share == 0 {
-				continue
-			}
-			for _, l := range t.Links {
-				base[l] += share
-				perFlow[i][l] += share
-			}
-		}
-	}
-	cases := combosUpTo(len(flows), count)
-	sp := obs.StartSpan("core.verify/demand")
-	defer sp.End()
-	obsVerifyDemandCases.Add(int64(len(cases)))
-	worst := make([]*Violation, len(cases))
-	parallel.ForEachWorkerObs("core.verify.demand", len(cases), verifyShardWorkers(workers, len(cases)), func(_, ci int) {
-		sel := cases[ci]
-		overdriven := make([]tunnel.Flow, len(sel))
-		for i, fi := range sel {
-			overdriven[i] = flows[fi]
-		}
-		var local *Violation
-		for _, l := range net.Links {
-			load := base[l.ID]
-			for _, i := range sel {
-				load += (factor - 1) * perFlow[i][l.ID]
-			}
-			c := l.Capacity
-			if capacity != nil {
-				if o, ok := capacity[l.ID]; ok {
-					c = o
-				}
-			}
-			if overThreshold(load, c) {
-				if over := load - c; local == nil || over > local.Over {
-					local = &Violation{Case: fmt.Sprintf("overdriven=%v", overdriven), Link: l.ID, Over: over}
-				}
-			}
-		}
-		worst[ci] = local
-	})
-	return reduceWorst(worst)
 }

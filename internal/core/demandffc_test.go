@@ -1,12 +1,65 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ffc/internal/demand"
 	"ffc/internal/topology"
+	"ffc/internal/tunnel"
 )
+
+// demandOracle enumerates every set of up to count flows sending factor ×
+// their planned rate (everyone else at plan) and returns the worst
+// overload, or nil when st is robust. Serial and exponential in count; it
+// is the reference the §9 demand-FFC tests check solver plans against.
+func demandOracle(net *topology.Network, tun *tunnel.Set, st *State,
+	count int, factor float64, capacity map[topology.LinkID]float64) *Violation {
+
+	flows := make([]tunnel.Flow, 0, len(st.Rate))
+	for f := range st.Rate {
+		flows = append(flows, f)
+	}
+	sort.Slice(flows, func(i, j int) bool {
+		if flows[i].Src != flows[j].Src {
+			return flows[i].Src < flows[j].Src
+		}
+		return flows[i].Dst < flows[j].Dst
+	})
+	var worst *Violation
+	overdriven := map[tunnel.Flow]bool{}
+	forEachComboUpTo(len(flows), count, func(sel []int) {
+		clear(overdriven)
+		for _, i := range sel {
+			overdriven[flows[i]] = true
+		}
+		loads := map[topology.LinkID]float64{}
+		for _, f := range flows {
+			rate := st.Rate[f]
+			if overdriven[f] {
+				rate *= factor
+			}
+			w := st.Weights(f)
+			for _, t := range tun.Tunnels(f) {
+				for _, l := range t.Links {
+					loads[l] += rate * w[t.Index]
+				}
+			}
+		}
+		for _, l := range net.Links {
+			c := l.Capacity
+			if o, ok := capacity[l.ID]; ok {
+				c = o
+			}
+			if load := loads[l.ID]; overThreshold(load, c) && (worst == nil || load-c > worst.Over) {
+				worst = &Violation{Case: fmt.Sprintf("overdriven=%v", sel), Link: l.ID, Over: load - c}
+			}
+		}
+	})
+	return worst
+}
 
 func TestDemandFFCRequiresMinMLU(t *testing.T) {
 	fx := newFig25(t)
@@ -35,7 +88,7 @@ func TestDemandFFCSpreadsForHeadroom(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Robustness: no single 1.5× misprediction may overload any link.
-	if v := VerifyDemandUncertainty(fx.net, fx.tun, st, 1, 1.5, nil); v != nil {
+	if v := demandOracle(fx.net, fx.tun, st, 1, 1.5, nil); v != nil {
 		t.Fatalf("demand FFC violated: %+v", v)
 	}
 }
@@ -50,7 +103,7 @@ func TestDemandFFCPlainMLUIsUnsafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := VerifyDemandUncertainty(fx.net, fx.tun, st, 2, 2.0, nil); v == nil {
+	if v := demandOracle(fx.net, fx.tun, st, 2, 2.0, nil); v == nil {
 		t.Skip("plain MLU happened to be robust on this instance")
 	}
 	// With demand FFC at the same level the guarantee must hold relative
@@ -70,7 +123,7 @@ func TestDemandFFCPlainMLUIsUnsafe(t *testing.T) {
 	for _, l := range fx.net.Links {
 		caps[l.ID] = l.Capacity * (stats.FaultMLU + 1e-6)
 	}
-	if v := VerifyDemandUncertainty(fx.net, fx.tun, robust, 2, 2.0, caps); v != nil {
+	if v := demandOracle(fx.net, fx.tun, robust, 2, 2.0, caps); v != nil {
 		t.Fatalf("demand FFC violated its planned ceiling: %+v", v)
 	}
 }
@@ -103,7 +156,7 @@ func TestDemandFFCPropertyRandom(t *testing.T) {
 		for _, l := range net.Links {
 			caps[l.ID] = l.Capacity * (stats.FaultMLU + 1e-6)
 		}
-		if v := VerifyDemandUncertainty(net, tun, st, count, factor, caps); v != nil {
+		if v := demandOracle(net, tun, st, count, factor, caps); v != nil {
 			t.Fatalf("trial %d (count=%d factor=%.2f, fault MLU %.3f): %+v",
 				trial, count, factor, stats.FaultMLU, v)
 		}

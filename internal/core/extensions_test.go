@@ -71,25 +71,6 @@ func lineNetwork() (*topology.Network, *tunnel.Set, []tunnel.Flow) {
 	return net, set, flows
 }
 
-func TestMaxMinWithFFC(t *testing.T) {
-	fx := newFig25(t)
-	s := NewSolver(fx.net, fx.tun, Options{})
-	res, err := s.SolveMaxMin(Input{
-		Demands: demand.Matrix{fx.f24: 14, fx.f34: 14},
-		Prot:    Protection{Ke: 1},
-	}, 1.1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := VerifyDataPlane(fx.net, fx.tun, res.State, 1, 0, nil); v != nil {
-		t.Fatalf("max-min FFC state violates guarantee: %+v", v)
-	}
-	r1, r2 := res.State.Rate[fx.f24], res.State.Rate[fx.f34]
-	if math.Abs(r1-r2) > 1.0 { // α=1.1 approximation slack
-		t.Fatalf("max-min FFC rates uneven: %v vs %v", r1, r2)
-	}
-}
-
 func TestMaxMinEmptyDemands(t *testing.T) {
 	fx := newFig25(t)
 	s := NewSolver(fx.net, fx.tun, Options{})

@@ -51,40 +51,6 @@ func TestPlanCapacityBuysExactShortfall(t *testing.T) {
 	}
 }
 
-func TestPlanCapacityForFFCProtection(t *testing.T) {
-	// With ke=1 and two link-disjoint tunnels, τ=1: both tunnels must carry
-	// the full 14 → the via-s1 route needs 4 extra on each of its two hops
-	// and the direct link 4 → 12 units total.
-	fx := newFig25(t)
-	s := NewSolver(fx.net, fx.tun, Options{Objective: PlanCapacity})
-	st, stats, err := s.Solve(Input{Demands: demand.Matrix{fx.f24: 14}, Prot: Protection{Ke: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(st.Rate[fx.f24]-14) > 1e-6 {
-		t.Fatalf("rate %v, want 14", st.Rate[fx.f24])
-	}
-	var total float64
-	for _, x := range stats.AddedCapacity {
-		total += x
-	}
-	if math.Abs(total-12) > 1e-6 {
-		t.Fatalf("bought %v units (%v), want 12", total, stats.AddedCapacity)
-	}
-	// The expanded network must satisfy the ke=1 guarantee: verify against
-	// the raised capacities.
-	caps := map[topology.LinkID]float64{}
-	for _, l := range fx.net.Links {
-		caps[l.ID] = l.Capacity
-	}
-	for l, x := range stats.AddedCapacity {
-		caps[l] += x
-	}
-	if v := VerifyDataPlane(fx.net, fx.tun, st, 1, 0, caps); v != nil {
-		t.Fatalf("planned capacity insufficient: %+v", v)
-	}
-}
-
 func TestPlanCapacityWeightedCost(t *testing.T) {
 	// Make the direct link prohibitively expensive: the optimum should
 	// expand the two-hop via-s1 route instead (total 8 units, cost 8).

@@ -3,24 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"ffc/internal/obs"
-	"ffc/internal/parallel"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
 
-// Fault-case totals per verifier — the denominators for the per-shard
-// timings ForEachWorkerObs records under core.verify.*.
-var (
-	obsVerifyDataCases   = obs.NewCounter("core.verify.dataplane.cases")
-	obsVerifyCtrlCases   = obs.NewCounter("core.verify.controlplane.cases")
-	obsVerifyDemandCases = obs.NewCounter("core.verify.demand.cases")
-)
-
 // Violation describes one fault case that overloads a link.
 type Violation struct {
+	// Case lists the failed physical links and switches by their
+	// positions in the enumeration.
 	Case string
 	Link topology.LinkID
 	// Over is load − capacity (positive).
@@ -28,274 +19,74 @@ type Violation struct {
 }
 
 // overThreshold is the single overload-tolerance comparison shared by every
-// verifier and planner: load counts as exceeding cap only beyond
+// planner in this package: load counts as exceeding cap only beyond
 // 1e-6·max(1, cap), so solver round-off on large-capacity links doesn't
 // trip false violations (an absolute cutoff would).
 func overThreshold(load, cap float64) bool {
 	return load-cap > 1e-6*math.Max(1, cap)
 }
 
-// serialVerifyCases is the sharding-unit count below which the verifiers
-// stay on the serial path — fanning a handful of cases over a worker pool
-// costs more than it saves.
-const serialVerifyCases = 64
-
-// verifyShardWorkers picks the worker count for nCases sharding units.
-func verifyShardWorkers(workers, nCases int) int {
-	if nCases < serialVerifyCases {
-		return 1
-	}
-	return parallel.Workers(workers)
-}
-
-// combosUpTo materializes every index combination of size 0..k over [0,n)
-// in enumeration order — the verifiers' sharding unit. The slice is
-// proportional to the number of fault cases, which the per-case load
-// computation dominates anyway.
-func combosUpTo(n, k int) [][]int {
-	var out [][]int
-	forEachComboUpTo(n, k, func(sel []int) {
-		out = append(out, append([]int(nil), sel...))
-	})
-	return out
-}
-
-// reduceWorst folds per-shard worst violations in shard order with the
-// strictly-greater rule the serial scan uses, so the parallel verifiers
-// return the exact violation the serial enumeration would.
-func reduceWorst(vs []*Violation) *Violation {
-	var worst *Violation
-	for _, v := range vs {
-		if v != nil && (worst == nil || v.Over > worst.Over) {
-			worst = v
-		}
-	}
-	return worst
-}
-
 // VerifyDataPlane enumerates every fault case with up to ke physical link
 // failures and kv switch failures, applies ingress rescaling, and returns
 // the worst overload found (nil if the state is congestion-free in all
-// cases — the guarantee of Lemma 1). Exponential in (ke, kv); intended for
-// tests and small networks. Cases are verified across all cores; use
-// VerifyDataPlaneN to bound the worker count.
+// cases — the guarantee of Lemma 1). Serial and exponential in (ke, kv).
+// Plans are certified by internal/check; this map-based enumerator is kept
+// only as the solver-side cross-check that check's tests and the
+// benchmark's verify diagnostic compare against.
 func VerifyDataPlane(net *topology.Network, tun *tunnel.Set, st *State, ke, kv int, capacity map[topology.LinkID]float64) *Violation {
-	return VerifyDataPlaneN(net, tun, st, ke, kv, capacity, 0)
-}
-
-// VerifyDataPlaneN is VerifyDataPlane sharded over workers goroutines
-// (≤ 0 means all cores). Link-failure combinations are the sharding unit;
-// each worker keeps its own load buffers and a local worst violation, and
-// the per-shard results are reduced in enumeration order, so the outcome is
-// identical to the serial enumeration regardless of worker count.
-func VerifyDataPlaneN(net *topology.Network, tun *tunnel.Set, st *State, ke, kv int, capacity map[topology.LinkID]float64, workers int) *Violation {
-	links := physicalLinks(net)
-	switches := make([]topology.SwitchID, 0, len(net.Switches))
-	for _, sw := range net.Switches {
-		switches = append(switches, sw.ID)
-	}
-	cases := combosUpTo(len(links), ke)
-	w := verifyShardWorkers(workers, len(cases))
-	sp := obs.StartSpan("core.verify/dataplane")
-	defer sp.End()
-	obsVerifyDataCases.Add(int64(len(cases)))
-
-	type buffers struct {
-		down  map[topology.LinkID]bool
-		loads map[topology.LinkID]float64
-	}
-	bufs := make([]buffers, w)
-	worst := make([]*Violation, len(cases))
-	parallel.ForEachWorkerObs("core.verify.dataplane", len(cases), w, func(worker, ci int) {
-		b := &bufs[worker]
-		if b.down == nil {
-			b.down = map[topology.LinkID]bool{}
-			b.loads = map[topology.LinkID]float64{}
+	var links []topology.LinkID // one direction per physical link
+	for _, l := range net.Links {
+		if l.Twin == topology.None || l.ID < l.Twin {
+			links = append(links, l.ID)
 		}
-		clear(b.down)
-		li := cases[ci]
-		linkIDs := make([]topology.LinkID, len(li))
-		for i, idx := range li {
-			linkIDs[i] = links[idx]
-			b.down[links[idx]] = true
-			if tw := net.Links[links[idx]].Twin; tw != topology.None {
-				b.down[tw] = true
+	}
+	down := map[topology.LinkID]bool{}
+	downSw := map[topology.SwitchID]bool{}
+	loads := map[topology.LinkID]float64{}
+	var worst *Violation
+	forEachComboUpTo(len(links), ke, func(li []int) {
+		clear(down)
+		for _, i := range li {
+			down[links[i]] = true
+			if tw := net.Links[links[i]].Twin; tw != topology.None {
+				down[tw] = true
 			}
 		}
-		var local *Violation
-		forEachComboUpTo(len(switches), kv, func(si []int) {
-			downSw := make(map[topology.SwitchID]bool, len(si))
-			swIDs := make([]topology.SwitchID, len(si))
-			for i, idx := range si {
-				swIDs[i] = switches[idx]
-				downSw[switches[idx]] = true
+		forEachComboUpTo(len(net.Switches), kv, func(si []int) {
+			clear(downSw)
+			for _, i := range si {
+				downSw[net.Switches[i].ID] = true
 			}
-			v := checkRescaledLoads(net, tun, st, b.down, downSw, capacity, b.loads)
-			if v != nil {
-				v.Case = fmt.Sprintf("links=%v switches=%v", linkIDs, swIDs)
-				if local == nil || v.Over > local.Over {
-					local = v
+			// Every surviving flow rescales onto its surviving tunnels;
+			// flows whose ingress or egress failed send nothing.
+			clear(loads)
+			for _, f := range tun.All() {
+				rate := st.Rate[f]
+				if rate == 0 || downSw[f.Src] || downSw[f.Dst] {
+					continue
+				}
+				tl := tun.Rescale(f, st.Weights(f), rate, down, downSw)
+				for _, t := range tun.Tunnels(f) {
+					if tl[t.Index] == 0 {
+						continue
+					}
+					for _, l := range t.Links {
+						loads[l] += tl[t.Index]
+					}
+				}
+			}
+			for l, load := range loads {
+				c := net.Links[l].Capacity
+				if o, ok := capacity[l]; ok {
+					c = o
+				}
+				if !down[l] && overThreshold(load, c) && (worst == nil || load-c > worst.Over) {
+					worst = &Violation{Case: fmt.Sprintf("links=%v switches=%v", li, si), Link: l, Over: load - c}
 				}
 			}
 		})
-		worst[ci] = local
 	})
-	return reduceWorst(worst)
-}
-
-// checkRescaledLoads computes per-link load after every ingress rescales
-// around the fault sets, skipping links that are themselves down, and
-// returns the worst overload (nil if none). Flows whose ingress or egress
-// switch failed send nothing. loads is the caller's scratch buffer (cleared
-// here), so repeated case checks don't reallocate it.
-func checkRescaledLoads(net *topology.Network, tun *tunnel.Set, st *State,
-	down map[topology.LinkID]bool, downSw map[topology.SwitchID]bool,
-	capacity map[topology.LinkID]float64, loads map[topology.LinkID]float64) *Violation {
-
-	clear(loads)
-	for _, f := range tun.All() {
-		rate := st.Rate[f]
-		if rate == 0 || downSw[f.Src] || downSw[f.Dst] {
-			continue
-		}
-		w := st.Weights(f)
-		tl := tun.Rescale(f, w, rate, down, downSw)
-		for _, t := range tun.Tunnels(f) {
-			if tl[t.Index] == 0 {
-				continue
-			}
-			for _, l := range t.Links {
-				loads[l] += tl[t.Index]
-			}
-		}
-	}
-	var worst *Violation
-	for l, load := range loads {
-		if down[l] {
-			continue
-		}
-		c := net.Links[l].Capacity
-		if capacity != nil {
-			if o, ok := capacity[l]; ok {
-				c = o
-			}
-		}
-		if overThreshold(load, c) {
-			if over := load - c; worst == nil || over > worst.Over {
-				worst = &Violation{Link: l, Over: over}
-			}
-		}
-	}
 	return worst
-}
-
-// VerifyControlPlane enumerates every set of up to kc ingress switches whose
-// configuration update fails. A failed switch keeps old tunnel-splitting
-// weights per the rate-limiter mode; per-flow the adversary picks whichever
-// of old/new behavior loads each link more (a sound upper bound on any
-// realizable combination). Returns the worst overload, or nil. Cases are
-// verified across all cores; use VerifyControlPlaneN to bound the worker
-// count.
-func VerifyControlPlane(net *topology.Network, tun *tunnel.Set, newSt, oldSt *State,
-	kc int, mode RateLimiterMode, capacity map[topology.LinkID]float64) *Violation {
-	return VerifyControlPlaneN(net, tun, newSt, oldSt, kc, mode, capacity, 0)
-}
-
-// VerifyControlPlaneN is VerifyControlPlane sharded over workers goroutines
-// (≤ 0 means all cores); stale-switch-set combinations are the sharding
-// unit and the reduction preserves serial enumeration order, so the result
-// is identical at any worker count.
-func VerifyControlPlaneN(net *topology.Network, tun *tunnel.Set, newSt, oldSt *State,
-	kc int, mode RateLimiterMode, capacity map[topology.LinkID]float64, workers int) *Violation {
-
-	// Per-link per-source contributions under "updated" and "stale".
-	type key struct {
-		link topology.LinkID
-		src  topology.SwitchID
-	}
-	newLoad := map[key]float64{}
-	staleLoad := map[key]float64{}
-	srcSet := map[topology.SwitchID]bool{}
-
-	for _, f := range tun.All() {
-		srcSet[f.Src] = true
-		alloc := newSt.Alloc[f]
-		oldW := tunnel.Weights(oldSt.Alloc[f])
-		newW := newSt.Weights(f)
-		for _, t := range tun.Tunnels(f) {
-			a := idx(alloc, t.Index)
-			var stale float64
-			switch mode {
-			case LimitersOrdered:
-				stale = math.Max(idx(oldSt.Alloc[f], t.Index), a)
-			case LimitersIndependent:
-				// Any mix of {old,new} weights × {old,new} rate.
-				stale = math.Max(math.Max(idx(oldSt.Alloc[f], t.Index), a),
-					math.Max(idx(oldW, t.Index)*newSt.Rate[f],
-						idx(newW, t.Index)*oldSt.Rate[f]))
-			default: // LimitersSynced: old weights, new rate
-				stale = math.Max(idx(oldW, t.Index)*newSt.Rate[f], a)
-			}
-			for _, l := range t.Links {
-				newLoad[key{l, f.Src}] += a
-				staleLoad[key{l, f.Src}] += stale
-			}
-		}
-	}
-	var srcs []topology.SwitchID
-	for v := range srcSet {
-		srcs = append(srcs, v)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-
-	cases := combosUpTo(len(srcs), kc)
-	sp := obs.StartSpan("core.verify/controlplane")
-	defer sp.End()
-	obsVerifyCtrlCases.Add(int64(len(cases)))
-	worst := make([]*Violation, len(cases))
-	parallel.ForEachWorkerObs("core.verify.controlplane", len(cases), verifyShardWorkers(workers, len(cases)), func(_, ci int) {
-		sel := cases[ci]
-		failed := make(map[topology.SwitchID]bool, len(sel))
-		failedIDs := make([]topology.SwitchID, len(sel))
-		for i, idx := range sel {
-			failedIDs[i] = srcs[idx]
-			failed[srcs[idx]] = true
-		}
-		var local *Violation
-		for _, l := range net.Links {
-			var load float64
-			for _, v := range srcs {
-				if failed[v] {
-					load += staleLoad[key{l.ID, v}]
-				} else {
-					load += newLoad[key{l.ID, v}]
-				}
-			}
-			c := l.Capacity
-			if capacity != nil {
-				if o, ok := capacity[l.ID]; ok {
-					c = o
-				}
-			}
-			if overThreshold(load, c) {
-				if over := load - c; local == nil || over > local.Over {
-					local = &Violation{Case: fmt.Sprintf("failed=%v link=%d", failedIDs, l.ID), Link: l.ID, Over: over}
-				}
-			}
-		}
-		worst[ci] = local
-	})
-	return reduceWorst(worst)
-}
-
-func physicalLinks(net *topology.Network) []topology.LinkID {
-	var out []topology.LinkID
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			out = append(out, l.ID)
-		}
-	}
-	return out
 }
 
 // forEachComboUpTo calls fn with every index combination of size 0..k.

@@ -4,7 +4,7 @@
 // which keeps every parallel path bit-identical to its serial counterpart
 // (the reduction over slots happens in index order afterwards).
 //
-// The verifiers in internal/core shard fault-case enumeration through it,
+// The certifier (internal/check) shards fault-case enumeration through it,
 // and the experiment harness (internal/experiments, internal/sim) shards
 // independent TE intervals and scenario replays.
 package parallel

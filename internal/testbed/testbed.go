@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/faults"
 	"ffc/internal/topology"
@@ -272,8 +273,12 @@ func Fig10Setup() (net *topology.Network, tun *tunnel.Set, ffc, plain *core.Stat
 	ffc.Rate[f37], ffc.Alloc[f37] = 1, []float64{0.9, 0, 0.1}
 	ffc.Rate[f45], ffc.Alloc[f45] = 1, []float64{0.5, 0, 0.5}
 
-	if v := core.VerifyDataPlane(net, tun, ffc, 1, 0, nil); v != nil {
-		return nil, nil, nil, nil, fmt.Errorf("testbed: FFC Fig 10 state not 1-link safe: %+v", v)
+	cert, err := check.Certify(net, tun, ffc, ffc, check.Params{Prot: core.Protection{Ke: 1}, Mode: check.Exact})
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("testbed: certifying the FFC Fig 10 state: %w", err)
+	}
+	if !cert.OK {
+		return nil, nil, nil, nil, fmt.Errorf("testbed: FFC Fig 10 state not 1-link safe: %s", cert.Summary())
 	}
 	return net, tun, ffc, plain, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
@@ -25,6 +26,16 @@ func setup(t *testing.T) (*Emulation, *tunnel.Set, *core.State, *core.State, top
 		t.Fatal("link s6–s7 missing")
 	}
 	return e, tun, ffc, plain, link
+}
+
+// oneLinkSafe certifies st exactly against every single link failure.
+func oneLinkSafe(t *testing.T, net *topology.Network, tun *tunnel.Set, st *core.State) bool {
+	t.Helper()
+	cert, err := check.Certify(net, tun, st, st, check.Params{Prot: core.Protection{Ke: 1}, Mode: check.Exact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert.OK
 }
 
 func TestFFCTimelineNoControllerReaction(t *testing.T) {
@@ -75,8 +86,8 @@ func TestFFCVsNonFFCLoss(t *testing.T) {
 	e, tun, ffc, plain, link := setup(t)
 	// Confirm the FFC state really survives every single link failure and
 	// the plain state does not (otherwise the comparison is vacuous).
-	if v := core.VerifyDataPlane(e.Net, tun, ffc, 1, 0, nil); v != nil {
-		t.Fatalf("FFC state not 1-link safe: %+v", v)
+	if !oneLinkSafe(t, e.Net, tun, ffc) {
+		t.Fatal("FFC state not 1-link safe")
 	}
 	rng := rand.New(rand.NewSource(3))
 	of := e.FailLink(link, ffc, rng, 100*time.Millisecond)
@@ -127,7 +138,7 @@ func TestFig10StatesDiffer(t *testing.T) {
 		t.Fatalf("overflow paths wrong: ffc %v plain %v", ffc.Alloc[f45], plain.Alloc[f45])
 	}
 	// And the paper's headline: plain is not 1-link safe, FFC is.
-	if v := core.VerifyDataPlane(e.Net, tun, plain, 1, 0, nil); v == nil {
+	if oneLinkSafe(t, e.Net, tun, plain) {
 		t.Fatal("plain Fig 10 state unexpectedly 1-link safe")
 	}
 }
