@@ -45,7 +45,6 @@ func main() {
 		tunnels    = flag.Int("tunnels", 6, "tunnels per flow")
 		quick      = flag.Bool("quick", false, "shrink everything for a fast smoke run")
 		par        = flag.Int("parallel", 0, "worker count for parallel stages (<=0 = all cores, 1 = serial)")
-		warm       = flag.Bool("warm", false, "warm-start serial interval re-solves from the previous basis across the harness")
 		compare    = flag.Bool("compare-serial", false, "after the run, repeat with -parallel 1 and print a wall-clock speedup table")
 		stats      = flag.Bool("stats", false, "enable instrumentation and print solver counters and a span latency breakdown at the end")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address (e.g. localhost:6060)")
@@ -107,7 +106,7 @@ func main() {
 	defer cancel()
 
 	if needEnv {
-		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, TunnelsPerFlow: *tunnels, Parallelism: *par, WarmStart: *warm, SolverDeadline: *deadline, SolverFaults: injected, Ctx: ctx}
+		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, TunnelsPerFlow: *tunnels, Parallelism: *par, SolverDeadline: *deadline, SolverFaults: injected, Ctx: ctx}
 		if *netKind == "lnet" || *netKind == "both" {
 			fmt.Fprintf(os.Stderr, "building L-Net environment (%d sites, %d intervals)...\n", *sites, *intervals)
 			env, err := experiments.NewLNet(cfg)

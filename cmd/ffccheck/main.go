@@ -193,7 +193,8 @@ func replayTrace(net *topology.Network, path string, base check.Params, out *buf
 		if rec.Degraded != "" && rec.Degraded != "unsolved" {
 			// A degraded install is the last-good plan rescaled around the
 			// faults; it promises congestion-freedom under them, nothing
-			// more.
+			// more. Current recorders already write zero protection for it;
+			// older traces carry the configured level.
 			params.Prot = core.None
 		}
 		params.DownLinks, params.DownSwitches, err = wire.ResolveDownSets(net, rec.DownLinks, rec.DownSwitches)

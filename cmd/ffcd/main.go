@@ -4,9 +4,10 @@
 // Queries are answered from an immutable plan snapshot behind an atomic
 // pointer and never wait for a solve; streamed updates (demand changes,
 // link/switch up/down, protection-level changes) kick an immediate
-// recompute. Solver trouble degrades to the last-good plan via the same
-// core.Degrade path the simulator models, with the reason in the plan
-// metadata.
+// recompute. Each recompute runs the control step the simulator runs
+// (core.Session.Step), so solver trouble degrades to the last-good plan
+// exactly as in ffcsim, with the reason in the plan metadata and zero
+// protection reported for the fallback.
 //
 // With -certify, every plan is certified by internal/check between solve
 // and publish, so only certified plans are served: a plan that fails

@@ -44,7 +44,6 @@ func main() {
 		multi      = flag.Bool("multi", false, "multi-priority (§8.4) protection levels")
 		seed       = flag.Int64("seed", 1, "random seed")
 		mtbf       = flag.Duration("link-mtbf", 30*time.Minute, "network-wide link MTBF")
-		warm       = flag.Bool("warm", false, "warm-start each class's interval re-solves from the previous basis")
 		par        = flag.Int("parallel", 0, "worker count for parallel stages (<=0 = all cores, 1 = serial)")
 		stats      = flag.Bool("stats", false, "print solver counters and the per-interval solve latency breakdown to stderr after the run")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
@@ -103,8 +102,8 @@ func main() {
 	sc := env.Scenario(*scale, sw)
 	sc.Failures.LinkMTBF = *mtbf
 
-	baseCfg := sim.RunConfig{SolverOpts: env.Opts, WarmStart: *warm}
-	ffcCfg := sim.RunConfig{Prot: core.Protection{Kc: *kc, Ke: *ke, Kv: *kv}, SolverOpts: env.Opts, WarmStart: *warm}
+	baseCfg := sim.RunConfig{SolverOpts: env.Opts}
+	ffcCfg := sim.RunConfig{Prot: core.Protection{Kc: *kc, Ke: *ke, Kv: *kv}, SolverOpts: env.Opts}
 	if *multi {
 		rng := rand.New(rand.NewSource(*seed + 99))
 		splits := demand.RandomSplits(sim.FlowsOf(sc.Series), rng)
@@ -112,8 +111,8 @@ func main() {
 		mp.Prot[demand.High] = core.Protection{Kc: 3, Ke: 3}
 		mp.Prot[demand.Med] = core.Protection{Kc: 2, Ke: 1}
 		mp.Prot[demand.Low] = core.None
-		ffcCfg = sim.RunConfig{Multi: mp, SolverOpts: env.Opts, WarmStart: *warm}
-		baseCfg = sim.RunConfig{Multi: &sim.PriorityConfig{Splits: splits}, SolverOpts: env.Opts, WarmStart: *warm}
+		ffcCfg = sim.RunConfig{Multi: mp, SolverOpts: env.Opts}
+		baseCfg = sim.RunConfig{Multi: &sim.PriorityConfig{Splits: splits}, SolverOpts: env.Opts}
 	}
 	for _, c := range []*sim.RunConfig{&baseCfg, &ffcCfg} {
 		c.SolverDeadline = *deadline

@@ -39,7 +39,6 @@ func main() {
 		q          = flag.Int("q", 3, "max tunnels of a flow per intermediate switch")
 		objective  = flag.String("objective", "throughput", "objective: throughput, mlu, maxmin")
 		verifyFlag = flag.Bool("verify", false, "exhaustively verify the guarantee (small networks)")
-		warm       = flag.Bool("warm", false, "warm-start successive LP solves from the previous basis (used by -objective maxmin's iterations)")
 		statsFlag  = flag.Bool("stats", false, "print the solver/verifier counter and latency breakdown to stderr")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
 		deadline   = flag.Duration("solver-deadline", 0, "solve budget; on a budget hit the best feasible configuration found so far is emitted with a warning (0 = unbounded)")
@@ -112,13 +111,7 @@ func main() {
 	var st *core.State
 	var stats *core.Stats
 	if *objective == "maxmin" {
-		var res *core.MaxMinResult
-		var merr error
-		if *warm {
-			res, merr = solver.NewSession().SolveMaxMin(in, 2, 0)
-		} else {
-			res, merr = solver.SolveMaxMin(in, 2, 0)
-		}
+		res, merr := solver.SolveMaxMin(in, 2, 0)
 		if merr != nil {
 			fatalf("solve: %v", merr)
 		}

@@ -212,7 +212,7 @@ func TestDifferentialPathEquivalence(t *testing.T) {
 			if tw := net.Links[l].Twin; tw != topology.None {
 				dl[tw] = true
 			}
-			deg := core.Degrade(net, set, tmpl, dl, nil)
+			deg := core.Degrade(net, set, tmpl, series[1], dl, nil)
 			dcert, err := Certify(net, set, deg, deg, Params{Prot: core.None, Mode: Exact, DownLinks: dl})
 			if err != nil {
 				t.Fatal(err)

@@ -22,17 +22,12 @@ type MaxMinResult struct {
 // every iteration, yielding an allocation that is both fair and
 // fault-protected. alpha must exceed 1; u0 > 0 seeds the first bound
 // (a value ≤ the smallest interesting rate; it is lowered automatically if
-// it exceeds the smallest demand).
+// it exceeds the smallest demand). The iterations differ only in rate caps,
+// floors, and fixings, so they run on one Session: each re-solves from the
+// previous iteration's basis (and rebinds the built model when the shape
+// allows).
 func (s *Solver) SolveMaxMin(in Input, alpha, u0 float64) (*MaxMinResult, error) {
-	return solveMaxMin(in, alpha, u0, s.Solve)
-}
-
-// SolveMaxMin is Solver.SolveMaxMin with the session's cross-solve reuse:
-// the iterations differ only in rate caps, floors, and fixings, so each one
-// re-solves from the previous iteration's basis (and rebinds the built
-// model when the shape allows).
-func (se *Session) SolveMaxMin(in Input, alpha, u0 float64) (*MaxMinResult, error) {
-	return solveMaxMin(in, alpha, u0, se.Solve)
+	return solveMaxMin(in, alpha, u0, s.NewSession().Solve)
 }
 
 func solveMaxMin(in Input, alpha, u0 float64, solve func(Input) (*State, *Stats, error)) (*MaxMinResult, error) {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"time"
 
+	"ffc/internal/demand"
+	"ffc/internal/faults"
 	"ffc/internal/obs"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
@@ -129,12 +131,69 @@ var (
 // per such interval.
 func NoteDegradedInterval() { obsDegradedIntervals.Inc() }
 
+// Step runs one control interval's TE computation on the session: the
+// policy ffcd's recompute loop and the simulator's interval loop share.
+// In order it
+//
+//   - applies the injected controller fault, if any: a timeout starts the
+//     solve with its deadline already expired, a crash panics inside the
+//     simplex (through the budget hook), a stale result solves and then
+//     discards the plan;
+//   - solves in on the session;
+//   - retries a protected solve that is infeasible (heavy faults can shrink
+//     the network below the protection level) once, cold and unprotected;
+//   - names the failure, if one remains: "cancelled" (in.Budget.Ctx is
+//     done), the injected fault's kind, "deadline", "infeasible" or
+//     "solver-error";
+//   - on failure, falls back to Degrade over in.Prev around in's down sets,
+//     capped at in.Demands.
+//
+// It returns the plan to install, the protection that plan achieves
+// (core.None after the unprotected retry or a fallback), the reason ("" when
+// the solve landed) and the final solve's stats (never nil).
+func (se *Session) Step(in Input, fault *faults.SolverFaultKind) (st *State, achieved Protection, reason string, stats *Stats) {
+	if fault != nil {
+		switch *fault {
+		case faults.SolverTimeout:
+			in.Budget.Deadline = -time.Nanosecond
+		case faults.SolverCrash:
+			in.Budget.Hook = func(int) { panic("core: injected solver crash") }
+		}
+	}
+	achieved = in.Prot
+	st, stats, err := se.Solve(in)
+	if err != nil && stats.Outcome == OutcomeInfeasible && in.Prot != None {
+		// A one-shot solve: the unprotected model has another shape, and
+		// the session keeps the protected template for the next interval.
+		retry := in
+		retry.Prot = None
+		st, stats, err = se.s.Solve(retry)
+		achieved = None
+	}
+	switch {
+	case err == nil && (fault == nil || *fault != faults.SolverStale):
+		return st, achieved, "", stats
+	case err != nil && in.Budget.Ctx != nil && in.Budget.Ctx.Err() != nil:
+		reason = "cancelled"
+	case fault != nil:
+		reason = fault.String()
+	case stats.Outcome == OutcomeBudgetHit:
+		reason = "deadline"
+	case stats.Outcome == OutcomeInfeasible:
+		reason = "infeasible"
+	default:
+		reason = "solver-error"
+	}
+	return Degrade(se.s.Net, se.s.Tun, in.Prev, in.Demands, in.DownLinks, in.DownSwitches), None, reason, stats
+}
+
 // Degrade derives the operating configuration for a control interval whose
 // TE computation missed its window (budget hit, solver crash, stale
 // result): keep the last successfully installed state, drop allocation
 // from tunnels that have failed since it was computed, and cap each flow's
 // rate to its surviving allocation — the FFC headroom rule applied at the
-// controller instead of the ingress.
+// controller instead of the ingress — and to its current demand (the
+// installed rate limiters persist, but flows only offer what they ask for).
 //
 // Soundness: ingress rescaling sends rate·alloc[t]/Σalive alloc on each
 // surviving tunnel, so capping rate to Σalive alloc makes every tunnel's
@@ -142,7 +201,7 @@ func NoteDegradedInterval() { obsDegradedIntervals.Inc() }
 // degraded interval is congestion-free for all faults known at degrade
 // time, and retains the plan's FFC guarantee against further faults up to
 // its protection level (lowering rates only relaxes Eqn 15).
-func Degrade(net *topology.Network, set *tunnel.Set, last *State, downLinks map[topology.LinkID]bool, downSwitches map[topology.SwitchID]bool) *State {
+func Degrade(net *topology.Network, set *tunnel.Set, last *State, dem demand.Matrix, downLinks map[topology.LinkID]bool, downSwitches map[topology.SwitchID]bool) *State {
 	st := NewState()
 	for f, alloc := range last.Alloc {
 		na := make([]float64, len(alloc))
@@ -161,6 +220,9 @@ func Degrade(net *topology.Network, set *tunnel.Set, last *State, downLinks map[
 		r := last.Rate[f]
 		if r > aliveSum {
 			r = aliveSum
+		}
+		if d := dem[f]; r > d {
+			r = d
 		}
 		st.Rate[f] = r
 	}

@@ -99,19 +99,19 @@ func TestSessionRebindTracksCapacity(t *testing.T) {
 	}
 }
 
-// TestSessionMaxMin checks the warm-started max-min iteration against the
-// cold one: same fixed point, same LP count, fewer or equal simplex
-// iterations in total.
+// TestSessionMaxMin checks the session-backed max-min iteration against one
+// that solves every iteration cold: same fixed point, same LP count, fewer
+// or equal simplex iterations in total.
 func TestSessionMaxMin(t *testing.T) {
 	fx := newFig25(t)
 	s := NewSolver(fx.net, fx.tun, Options{})
 	in := Input{Demands: demand.Matrix{fx.f24: 10, fx.f34: 10, fx.f14: 6}}
 
-	cold, err := s.SolveMaxMin(in, 2, 0)
+	cold, err := solveMaxMin(in, 2, 0, s.Solve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s.NewSession().SolveMaxMin(in, 2, 0)
+	warm, err := s.SolveMaxMin(in, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

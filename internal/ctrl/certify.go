@@ -22,11 +22,17 @@ var (
 
 // publish is the only way a solved or restored plan reaches c.plan: with
 // Config.Certify set it certifies st first and installs it only if the
-// certificate passes, so no uncertified plan is ever served. It reports
+// certificate passes, so no uncertified plan is ever served. A degraded
+// plan (a last-good fallback) only promises congestion-freedom under the
+// faults it degraded around, so it is certified — and reported, in the
+// plan, its metadata and the trace — at zero protection. publish reports
 // whether st was installed; on false the serving plan is unchanged.
 func (c *Controller) publish(st *core.State, dem demand.Matrix, prot core.Protection, m installMeta) bool {
+	if m.degraded != "" {
+		prot = core.None
+	}
 	if c.cfg.Certify != nil {
-		m.cert = c.certify(m.seq, st, m.prev, c.certParams(prot, m.degraded, m.downLinks, m.downSwitches))
+		m.cert = c.certify(m.seq, st, m.prev, c.certParams(prot, m.downLinks, m.downSwitches))
 		if m.cert == nil {
 			return false
 		}
@@ -35,17 +41,11 @@ func (c *Controller) publish(st *core.State, dem demand.Matrix, prot core.Protec
 	return true
 }
 
-// certParams instantiates Config.Certify for one install. Degraded plans
-// (last-good fallbacks) only promise congestion-freedom under the faults
-// they degraded around, so they certify at zero protection; everything
-// else certifies at the protection it was solved for.
-func (c *Controller) certParams(prot core.Protection, degraded string,
-	dl map[topology.LinkID]bool, ds map[topology.SwitchID]bool) check.Params {
+// certParams instantiates Config.Certify for one install at the
+// protection the plan reports.
+func (c *Controller) certParams(prot core.Protection, dl map[topology.LinkID]bool, ds map[topology.SwitchID]bool) check.Params {
 	p := *c.cfg.Certify
 	p.Prot = prot
-	if degraded != "" {
-		p.Prot = core.None
-	}
 	p.RateLimiter = c.cfg.Opts.RateLimiter
 	p.DownLinks = dl
 	p.DownSwitches = ds

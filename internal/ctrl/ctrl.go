@@ -3,17 +3,19 @@
 // intervals), ingests streamed topology/demand updates, recomputes the TE
 // plan on a ticker and on update arrival, and serves the installed plan
 // from an immutable snapshot behind an atomic pointer so queries never
-// block on a solve. Solver trouble — budget hits, crashes, injected faults,
-// infeasibility that survives the unprotected retry — falls back through
-// core.Degrade, with the reason exposed in the plan metadata and counted
-// in internal/obs. With Config.Certify set, every solved or restored plan is
-// certified by internal/check before it is served. A periodic snapshot of
-// the installed state lets a restarted daemon serve its first query before
-// its first solve completes.
+// block on a solve. Each recompute runs core.Session.Step — the control
+// step the simulator's interval loop runs too — so solver trouble (budget
+// hits, crashes, injected faults, infeasibility that survives the
+// unprotected retry) falls back through core.Degrade with the same reasons
+// in both; here the reason is exposed in the plan metadata and counted in
+// internal/obs, and a degraded plan reports zero protection. With
+// Config.Certify set, every solved or restored plan is certified by
+// internal/check before it is served. A periodic snapshot of the installed
+// state lets a restarted daemon serve its first query before its first
+// solve completes.
 //
 // cmd/ffcd wraps a Controller + Server into the daemon binary; cmd/ffcload
-// is the matching load generator. The sim package remains the offline twin
-// of this loop — both degrade through the same core paths.
+// is the matching load generator.
 package ctrl
 
 import (
@@ -175,7 +177,6 @@ type Controller struct {
 
 	// Solver state, owned by the recompute loop (rebuilt on re-layout).
 	set     *tunnel.Set
-	solver  *core.Solver
 	session *core.Session
 
 	rng          *rand.Rand
@@ -481,13 +482,12 @@ func (c *Controller) run() {
 	}
 }
 
-// relayout (re)builds the tunnel set, solver, and session for the flows of
+// relayout (re)builds the tunnel set and solve session for the flows of
 // dem. The session starts cold — a changed flow set changes the model shape.
 func (c *Controller) relayout(dem demand.Matrix) {
 	flows := dem.Flows()
 	c.set = tunnel.Layout(c.net, flows, c.cfg.Layout)
-	c.solver = core.NewSolver(c.net, c.set, c.cfg.Opts)
-	c.session = c.solver.NewSession()
+	c.session = core.NewSolver(c.net, c.set, c.cfg.Opts).NewSession()
 	c.stats.relayouts.Add(1)
 	obsRelayouts.Inc()
 }
@@ -502,9 +502,10 @@ func (c *Controller) covered(dem demand.Matrix) bool {
 	return true
 }
 
-// recompute runs one control interval: snapshot the desired state, solve
-// (warm, templated), and install either the fresh plan or the core.Degrade
-// fallback with its reason.
+// recompute runs one control interval: snapshot the desired state, run
+// the shared control step (core.Session.Step: warm, templated solve →
+// unprotected retry → degrade), and publish its plan. A solved plan that
+// fails certification degrades with reason "uncertified".
 func (c *Controller) recompute() {
 	c.mu.Lock()
 	dem := c.demands.Clone()
@@ -536,37 +537,14 @@ func (c *Controller) recompute() {
 	in.Budget.Deadline = c.cfg.SolveDeadline
 	in.Budget.Hook = c.cfg.Hook
 
-	injected := ""
+	var fault *faults.SolverFaultKind
 	if k, ok := c.cfg.Faults.Sample(c.intervalN, c.rng); ok {
-		switch k {
-		case faults.SolverTimeout:
-			in.Budget.Deadline = -time.Nanosecond
-			injected = "timeout"
-		case faults.SolverCrash:
-			in.Budget.Hook = func(int) { panic("ctrl: injected solver crash") }
-			injected = "crash"
-		case faults.SolverStale:
-			injected = "stale"
-		}
+		fault = &k
 	}
 	c.intervalN++
 
 	start := time.Now()
-	achieved := prot
-	st, stats, err := c.session.Solve(in)
-	if err != nil && stats != nil && stats.Outcome == core.OutcomeInfeasible && prot != core.None {
-		// The protected LP has no solution (heavy faults can shrink the
-		// network below the protection level): retry unprotected, cold.
-		in2 := in
-		in2.Prot = core.None
-		st, stats, err = c.solver.Solve(in2)
-		if err == nil {
-			// The installed plan was solved without protection; record
-			// that, or certification (and clients) would hold it to a
-			// guarantee it never promised.
-			achieved = core.None
-		}
-	}
+	st, achieved, reason, stats := c.session.Step(in, fault)
 	solveTime := time.Since(start)
 	c.stats.solveCount.Add(1)
 	c.stats.solveSumNs.Add(solveTime.Nanoseconds())
@@ -576,29 +554,17 @@ func (c *Controller) recompute() {
 			break
 		}
 	}
-	if c.ctx.Err() != nil && err != nil {
+	if reason == "cancelled" {
 		// Shutting down: the cancelled solve must not install anything.
 		return
 	}
 
-	reason := ""
-	switch {
-	case err != nil:
-		reason = degradeReason(stats, injected)
-	case injected == "stale":
-		// The fresh plan missed its installation window.
-		reason = "stale"
-	}
-	outcome := core.OutcomeSolverError
-	if stats != nil {
-		outcome = stats.Outcome
-	}
 	seq := int64(1)
 	if last != nil {
 		seq = last.Seq + 1
 	}
 	m := installMeta{
-		seq: seq, outcome: outcome, solveTime: solveTime,
+		seq: seq, outcome: stats.Outcome, solveTime: solveTime, degraded: reason,
 		prev: prev, downLinks: dl, downSwitches: ds,
 	}
 	if reason == "" {
@@ -606,44 +572,19 @@ func (c *Controller) recompute() {
 			c.writeSnapshot(false)
 			return
 		}
-		reason = "uncertified"
-	}
-
-	// Degrade over the last published plan, which was certified whenever
-	// Config.Certify is set — the precondition of core.Degrade's soundness.
-	st = core.Degrade(c.net, c.set, prev, dl, ds)
-	// Installed limiters persist, but flows only offer current demand.
-	for f, r := range st.Rate {
-		if d := dem[f]; r > d {
-			st.Rate[f] = d
-		}
+		// Degrade over the last published plan, which was certified
+		// whenever Config.Certify is set — the precondition of
+		// core.Degrade's soundness.
+		m.degraded = "uncertified"
+		st = core.Degrade(c.net, c.set, prev, dem, dl, ds)
 	}
 	core.NoteDegradedInterval()
-	m.degraded = reason
 	if !c.publish(st, dem, achieved, m) {
-		c.cfg.Logf("ctrl: DEGRADED plan seq=%d reason=%s failed certification; keeping plan seq=%d", seq, reason, seq-1)
+		c.cfg.Logf("ctrl: DEGRADED plan seq=%d reason=%s failed certification; keeping plan seq=%d", seq, m.degraded, seq-1)
 		return
 	}
-	c.cfg.Logf("ctrl: installed DEGRADED plan seq=%d reason=%s (outcome %v, %v)", seq, reason, outcome, solveTime.Round(time.Microsecond))
+	c.cfg.Logf("ctrl: installed DEGRADED plan seq=%d reason=%s (outcome %v, %v)", seq, m.degraded, stats.Outcome, solveTime.Round(time.Microsecond))
 	c.writeSnapshot(false)
-}
-
-// degradeReason names why a recompute failed, mirroring the sim's
-// accounting so timelines and daemon metadata agree.
-func degradeReason(stats *core.Stats, injected string) string {
-	if injected != "" {
-		return injected
-	}
-	if stats == nil {
-		return "solver-error"
-	}
-	switch stats.Outcome {
-	case core.OutcomeBudgetHit:
-		return "deadline"
-	case core.OutcomeInfeasible:
-		return "infeasible"
-	}
-	return "solver-error"
 }
 
 func cloneIDSet(m map[topology.LinkID]bool) map[topology.LinkID]bool {

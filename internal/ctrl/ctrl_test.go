@@ -305,8 +305,8 @@ func TestGetPlanHammer(t *testing.T) {
 }
 
 // TestInjectedFaultsDegrade forces one fault of each kind and checks the
-// controller installs a degraded plan (with the right reason) instead of
-// failing, then recovers.
+// controller installs a degraded plan (with the right reason, reporting
+// zero protection) instead of failing, then recovers.
 func TestInjectedFaultsDegrade(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Faults = faults.SolverFaultModel{Force: map[int]faults.SolverFaultKind{
@@ -333,6 +333,10 @@ func TestInjectedFaultsDegrade(t *testing.T) {
 		if p.Degraded != reason {
 			t.Fatalf("install %d: degraded %q, want %q", i, p.Degraded, reason)
 		}
+		// The last-good fallback promises no protection, so it reports none.
+		if m := p.Meta(); m.Kc != 0 || m.Ke != 0 || m.Kv != 0 {
+			t.Fatalf("install %d (%s): degraded plan reports kc=%d ke=%d kv=%d, want 0", i, reason, m.Kc, m.Ke, m.Kv)
+		}
 		if err := checkPlan(p); err != nil {
 			t.Fatal(err)
 		}
@@ -347,6 +351,9 @@ func TestInjectedFaultsDegrade(t *testing.T) {
 	p := waitSeq(t, c, good.Seq+4)
 	if p.Degraded != "" {
 		t.Fatalf("recovery solve still degraded: %q", p.Degraded)
+	}
+	if p.Prot != cfg.Prot {
+		t.Fatalf("recovery solve reports protection %v, want %v", p.Prot, cfg.Prot)
 	}
 	if got := c.Stats().DegradedInstalls; got != 3 {
 		t.Fatalf("degraded installs: %d, want 3", got)

@@ -31,7 +31,9 @@ type Plan struct {
 	Restored bool
 	// Outcome is the solver outcome that produced the plan.
 	Outcome core.Outcome
-	// Prot is the protection level the plan was computed for.
+	// Prot is the protection the plan achieves: the requested level, or
+	// core.None for a degraded plan and after the unprotected retry of an
+	// infeasible protected solve.
 	Prot core.Protection
 	// SolveTime is the wall clock of the producing solve (zero for
 	// restored/unsolved plans).

@@ -45,11 +45,6 @@ type Env struct {
 	// Parallelism bounds the per-figure worker pools (see
 	// EnvConfig.Parallelism). Mutable between figure runs.
 	Parallelism int
-	// WarmStart carries each serial interval loop's LP basis (and, where the
-	// model shape allows, the built model) across intervals: it is forwarded
-	// to every sim.RunConfig the harness builds and to Table2's per-config
-	// solve chains. Mutable between figure runs.
-	WarmStart bool
 	// SolverDeadline bounds every per-interval TE solve the harness runs; a
 	// solve that misses it degrades the interval to the last-good plan (see
 	// sim.RunConfig.SolverDeadline). Zero means unbounded. Mutable between
@@ -91,10 +86,6 @@ type EnvConfig struct {
 	// bit-identical at any setting (per-interval RNG seeds are derived
 	// with faults.DeriveSeed).
 	Parallelism int
-	// WarmStart enables warm-started interval re-solves throughout the
-	// harness (see Env.WarmStart). Optima match cold runs; the simplex may
-	// pick a different vertex among ties.
-	WarmStart bool
 	// SolverDeadline bounds each per-interval TE solve (see
 	// Env.SolverDeadline). Zero means unbounded.
 	SolverDeadline time.Duration
@@ -131,18 +122,16 @@ func buildEnv(name string, net *topology.Network, cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: calibrating %s: %w", name, err)
 	}
-	return &Env{Name: name, Net: net, Tun: tun, Series: series, Scale1: scale1, Seed: cfg.Seed, Opts: opts, Parallelism: cfg.Parallelism, WarmStart: cfg.WarmStart, SolverDeadline: cfg.SolverDeadline, SolverFaults: cfg.SolverFaults, Ctx: cfg.Ctx}, nil
+	return &Env{Name: name, Net: net, Tun: tun, Series: series, Scale1: scale1, Seed: cfg.Seed, Opts: opts, Parallelism: cfg.Parallelism, SolverDeadline: cfg.SolverDeadline, SolverFaults: cfg.SolverFaults, Ctx: cfg.Ctx}, nil
 }
 
 // runCfg seeds a sim.RunConfig with the environment-wide solver settings:
-// LP options, warm starting, the per-solve deadline, and injected
-// controller faults. Figure runners layer protection/priority config on
-// top of it.
+// LP options, the per-solve deadline, and injected controller faults.
+// Figure runners layer protection/priority config on top of it.
 func (e *Env) runCfg(prot core.Protection) sim.RunConfig {
 	return sim.RunConfig{
 		Prot:           prot,
 		SolverOpts:     e.Opts,
-		WarmStart:      e.WarmStart,
 		SolverDeadline: e.SolverDeadline,
 		SolverFaults:   e.SolverFaults,
 	}
@@ -355,7 +344,9 @@ type Table2Row struct {
 // plain TE, averaged over the series' intervals. The three configurations
 // are independent and run across e.Parallelism workers (each one's
 // intervals chain through its previous state, so they stay serial within a
-// configuration); per-solve times are measured inside Solve, but expect
+// configuration). Every solve is cold — a fresh formulation and a cold
+// simplex — since the table reports the paper's per-interval computation
+// time. Per-solve times are measured inside Solve, but expect
 // some wall-clock contention when comparing absolute numbers across
 // parallel runs.
 func Table2(e *Env, w io.Writer) ([]Table2Row, error) {
@@ -380,18 +371,12 @@ func Table2(e *Env, w io.Writer) ([]Table2Row, error) {
 		var total time.Duration
 		var vars, cons int
 		prev := core.NewState()
-		// Each configuration's intervals form one serial solve chain, the
-		// natural consumer of a warm-start session.
-		solve := solver.Solve
-		if e.WarmStart {
-			solve = solver.NewSession().Solve
-		}
 		for i := 0; i < n; i++ {
 			in := core.Input{Demands: series[i], Prot: cfg.prot}
 			if cfg.prot.Kc > 0 {
 				in.Prev = prev
 			}
-			st, stats, err := solve(in)
+			st, stats, err := solver.Solve(in)
 			if err != nil {
 				errs[ci] = fmt.Errorf("table2 %s: %w", cfg.name, err)
 				return

@@ -509,7 +509,10 @@ func (r *runner) degradedCertifies() {
 		downSws[v] = true
 	}
 
-	degraded := core.Degrade(e.net, e.set, r.observedPlan(), downLinks, downSws)
+	// The demand cap is the plan's own rates, so it changes nothing: the
+	// invariant checks the degrade rule alone.
+	plan := r.observedPlan()
+	degraded := core.Degrade(e.net, e.set, plan, plan.Rate, downLinks, downSws)
 	cert, err := check.Certify(e.net, e.set, degraded, nil, check.Params{
 		Prot: core.None, RateLimiter: e.opts.RateLimiter, Mode: check.Auto,
 		Capacity: r.observedCapacity(), DownLinks: downLinks, DownSwitches: downSws,

@@ -182,9 +182,8 @@ func TestSNetInjectedTimeouts(t *testing.T) {
 }
 
 // TestSolverFaultSoak hammers the fault-injected control loop — random
-// timeouts, crashes, and stale results on top of organic data-plane faults,
-// with and without warm-started sessions — and checks the run always
-// completes with coherent accounting. Run with -race in CI.
+// timeouts, crashes, and stale results on top of organic data-plane faults
+// — and checks the run always completes with coherent accounting. Run with -race in CI.
 func TestSolverFaultSoak(t *testing.T) {
 	sc := testScenario(t, 31, 10, 1.0)
 	sc.Failures.LinkMTBF = 10 * time.Minute
@@ -193,7 +192,6 @@ func TestSolverFaultSoak(t *testing.T) {
 		{SolverFaults: model},
 		{Prot: core.Protection{Ke: 1}, SolverFaults: model},
 		{Prot: core.Protection{Kc: 1, Ke: 1}, SolverFaults: model},
-		{Prot: core.Protection{Ke: 1}, WarmStart: true, SolverFaults: model},
 		{Prot: core.Protection{Ke: 1}, SolverDeadline: 50 * time.Millisecond, SolverFaults: model},
 	}
 	results, err := RunMany(sc, cfgs)

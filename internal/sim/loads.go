@@ -22,11 +22,10 @@ type intervalState struct {
 	sc      *Scenario
 	cfg     *RunConfig
 	rng     *rand.Rand
-	solver  *core.Solver
 	res     *Result
 	classes []demand.Priority
-	// sessions, when non-nil, holds one core.Session per class for
-	// warm-started interval re-solves (RunConfig.WarmStart).
+	// sessions holds one core.Session per class: each class's LP model and
+	// simplex basis carry over from interval to interval.
 	sessions []*core.Session
 
 	downLinks    map[topology.LinkID]bool
@@ -56,14 +55,13 @@ type intervalState struct {
 }
 
 // solveTE computes this interval's TE per class, cascading residual
-// capacity (§5.1). On LP infeasibility (possible when heavy faults shrink
-// the network below the protection level), the run falls back to
-// unprotected TE for the interval, mirroring the paper's "only big, rare
-// faults are handled reactively". Every other solve failure — a missed
-// deadline, a crashed solver, a plan arriving after its installation
-// window — degrades the class to its last successfully installed
-// allocation via core.Degrade; solveTE itself never fails on solver
-// trouble, which is the whole point of the robust control loop.
+// capacity (§5.1). Each class runs the controller's control step
+// (core.Session.Step) on its own session: an infeasible protected LP is
+// retried unprotected, and every other solve failure — a missed deadline,
+// a crashed solver, a plan arriving after its installation window —
+// degrades the class to its last successfully installed allocation.
+// solveTE itself never fails on solver trouble, which is the whole point of
+// the robust control loop.
 func (iv *intervalState) solveTE(prev []*core.State) error {
 	iv.prev = prev
 	iv.states = make([]*core.State, len(iv.classes))
@@ -88,70 +86,18 @@ func (iv *intervalState) solveTE(prev []*core.State) error {
 		}
 		in.Budget.Deadline = iv.cfg.SolverDeadline
 		in.Budget.Ctx = iv.sc.Ctx
-		injected := ""
-		if iv.solverFault != nil {
-			switch *iv.solverFault {
-			case faults.SolverTimeout:
-				// The controller missed its window: the solve starts with
-				// its deadline already expired, driving the real budget
-				// machinery rather than a simulated shortcut.
-				in.Budget.Deadline = -time.Nanosecond
-				injected = "timeout"
-			case faults.SolverCrash:
-				in.Budget.Hook = func(int) { panic("faults: injected solver crash") }
-				injected = "crash"
-			case faults.SolverStale:
-				injected = "stale"
-			}
-		}
-		var st *core.State
-		var stats *core.Stats
-		var err error
-		if iv.sessions != nil {
-			st, stats, err = iv.sessions[ci].Solve(in)
-		} else {
-			st, stats, err = iv.solver.Solve(in)
-		}
-		achieved := prot
-		if err != nil && stats != nil && stats.Outcome == core.OutcomeInfeasible {
-			// Retry unprotected (always cold: a one-shot solve with a
-			// different protection shape cannot reuse the session model).
-			in.Prot = core.None
-			st, stats, err = iv.solver.Solve(in)
-			if err == nil {
-				iv.res.InfeasibleIntervals++
-				achieved = core.None
-			}
-		}
-		reason := ""
+		st, achieved, reason, stats := iv.sessions[ci].Step(in, iv.solverFault)
 		switch {
-		case err != nil && iv.sc.Ctx != nil && iv.sc.Ctx.Err() != nil:
-			// The run is being cancelled; the interval degrades to last-good
-			// and the interval loop exits with Result.Interrupted.
-			reason = "cancelled"
-		case err != nil:
-			reason = degradeReason(stats, injected)
-		case injected == "stale":
-			// The fresh plan missed its installation window; the network
-			// keeps running the previous configuration.
-			reason = "stale"
-		}
-		if reason != "" {
+		case reason != "":
 			if iv.degraded == "" {
 				iv.degraded = reason
 				core.NoteDegradedInterval()
 			}
-			achieved = core.None // last-good rescale promises no protection
-			st = core.Degrade(iv.sc.Net, iv.sc.Tun, prev[ci], iv.downLinks, iv.downSwitches)
-			// The installed rate limiters persist, but flows only offer
-			// this interval's demand.
-			for f, r := range st.Rate {
-				if d := iv.demands[ci][f]; r > d {
-					st.Rate[f] = d
-				}
-			}
+		case achieved != prot:
+			// The protected LP was infeasible; the unprotected retry landed.
+			iv.res.InfeasibleIntervals++
 		}
-		if err == nil && stats != nil {
+		if stats.Outcome == core.OutcomeOptimal {
 			iv.res.SolveTime.Add(stats.SolveTime.Seconds())
 			if obs.Enabled() {
 				obsIntervalSolve.ObserveDuration(stats.SolveTime)
@@ -172,26 +118,6 @@ func (iv *intervalState) solveTE(prev []*core.State) error {
 		}
 	}
 	return nil
-}
-
-// degradeReason names why a class's solve failed, for IntervalRecord
-// accounting; injected faults report their own kind.
-func degradeReason(stats *core.Stats, injected string) string {
-	if injected != "" {
-		return injected
-	}
-	if stats == nil {
-		return "solver-error"
-	}
-	switch stats.Outcome {
-	case core.OutcomeBudgetHit:
-		return "deadline"
-	case core.OutcomeInfeasible:
-		// The unprotected retry failed too (e.g. the network is partitioned
-		// below the demand set): serve the last-good plan.
-		return "infeasible"
-	}
-	return "solver-error"
 }
 
 func cloneCaps(m map[topology.LinkID]float64) map[topology.LinkID]float64 {

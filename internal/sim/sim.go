@@ -55,7 +55,11 @@ type PriorityConfig struct {
 	Prot [demand.NumPriorities]core.Protection
 }
 
-// RunConfig selects the TE approach under test.
+// RunConfig selects the TE approach under test. Every class solves its
+// intervals on its own core.Session through core.Session.Step, the control
+// step ffcd runs: the model and basis carry over from interval to interval,
+// so a run can differ from cold solves only in the simplex's choice among
+// alternate optima.
 type RunConfig struct {
 	// Prot is the single-priority protection level; core.None disables FFC
 	// (the baseline).
@@ -73,13 +77,6 @@ type RunConfig struct {
 	// NoCarryover disables adding unserved demand to the next interval
 	// (micro-benchmarks use this).
 	NoCarryover bool
-	// WarmStart reuses each class's LP model and simplex basis across
-	// intervals (core.Session): consecutive intervals differ only in
-	// demands, capacities, and previous rates, so the solver rebinds
-	// bounds/RHS and re-solves from the old basis instead of starting cold.
-	// Results can differ from cold solves only by the simplex's choice among
-	// alternate optima; the infeasible-interval fallback always solves cold.
-	WarmStart bool
 	// DetectDelaySet / ControlDetectSet mark an explicit zero in the
 	// corresponding field as intentional (instantaneous detection) instead
 	// of "unset, use the default" — the same sentinel-free pattern as
@@ -95,10 +92,11 @@ type RunConfig struct {
 	// trouble; the zero value injects nothing and consumes no randomness.
 	SolverFaults faults.SolverFaultModel
 	// OnPlan, when non-nil, observes every installed per-class state right
-	// after its interval completes — the offline twin of the controller's
-	// install hook, used to trace runs for independent certification
-	// (cmd/ffcsim -trace → cmd/ffccheck). The record's fields are shared
-	// with the simulator; the callback must not mutate them.
+	// after its interval completes — the simulator's counterpart of ffcd's
+	// install trace (both run core.Session.Step), used to trace runs for
+	// independent certification (cmd/ffcsim -trace → cmd/ffccheck). The
+	// record's fields are shared with the simulator; the callback must not
+	// mutate them.
 	OnPlan func(PlanRecord)
 }
 
@@ -160,7 +158,7 @@ type IntervalRecord struct {
 	// Degraded is empty when the interval's TE solves all landed; otherwise
 	// the reason the interval fell back to the last-good allocation
 	// ("timeout", "crash", "stale", "deadline", "infeasible",
-	// "solver-error").
+	// "solver-error", "cancelled").
 	Degraded string
 }
 
@@ -228,14 +226,11 @@ func Run(sc Scenario, cfg RunConfig) (*Result, error) {
 
 	// Per-priority previous states (single-priority runs use index 0).
 	classes := classesOf(cfg)
-	// One solve session per class when warm-starting: the interval loop is
-	// serial, so each class's basis and model carry over interval to interval.
-	var sessions []*core.Session
-	if cfg.WarmStart {
-		sessions = make([]*core.Session, len(classes))
-		for i := range sessions {
-			sessions[i] = solver.NewSession()
-		}
+	// One solve session per class: the interval loop is serial, so each
+	// class's model and basis carry over interval to interval.
+	sessions := make([]*core.Session, len(classes))
+	for i := range sessions {
+		sessions[i] = solver.NewSession()
 	}
 	prev := make([]*core.State, len(classes))
 	for i := range prev {
@@ -254,7 +249,7 @@ func Run(sc Scenario, cfg RunConfig) (*Result, error) {
 		}
 		res.Intervals++
 		iv := intervalState{
-			sc: &sc, cfg: &cfg, rng: rng, solver: solver,
+			sc: &sc, cfg: &cfg, rng: rng,
 			res: res, classes: classes, sessions: sessions,
 		}
 		// Elements already down at interval start.

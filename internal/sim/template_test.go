@@ -9,7 +9,7 @@ import (
 )
 
 // TestTemplateInvariantUnderSolverFaults runs a fault-injected,
-// warm-started control loop twice and requires identical outcomes —
+// session-backed control loop twice and requires identical outcomes —
 // including the degraded intervals, where the loop falls back to the
 // last-good plan around a timed-out, crashed, or stale solve while the
 // session keeps its model template and basis. (That rebinding the template
@@ -18,8 +18,7 @@ import (
 func TestTemplateInvariantUnderSolverFaults(t *testing.T) {
 	sc := quietScenario(t, 23, 8, 0.9)
 	cfg := RunConfig{
-		Prot:      core.Protection{Ke: 1},
-		WarmStart: true,
+		Prot: core.Protection{Ke: 1},
 		SolverFaults: faults.SolverFaultModel{
 			Force: map[int]faults.SolverFaultKind{
 				2: faults.SolverStale,

@@ -7,66 +7,50 @@ import (
 	"ffc/internal/core"
 )
 
-// TestWarmStartMatchesColdRun replays the same scenario with and without
-// RunConfig.WarmStart and checks interval-level equivalence. The comparison
-// is tolerance-based, not bit-exact, by design: a warm re-solve may land on
-// a different vertex among alternate optima, so per-flow allocations (and
-// hence loss under faults) can legitimately differ — but every interval's
-// demand and granted throughput are optimal-value quantities and must
+// TestWarmStartMatchesColdRun replays each interval the session-backed
+// loop installed (recorded through RunConfig.OnPlan) with a cold
+// Solver.Solve of the recorded input and checks the granted throughput
+// agrees. The comparison is tolerance-based, not bit-exact, by design: a
+// warm re-solve may land on a different vertex among alternate optima, so
+// per-flow allocations (and hence loss under faults) can legitimately
+// differ — but granted throughput is an optimal-value quantity and must
 // match. NoCarryover keeps interval demands independent of the chosen
-// vertex so the per-interval comparison stays meaningful; Kc is 0 so the
-// previous state does not feed back into the LP.
+// vertex; Kc is 0 so the previous state does not feed back into the LP.
 func TestWarmStartMatchesColdRun(t *testing.T) {
 	sc := testScenario(t, 33, 8, 1.0)
+	solver := core.NewSolver(sc.Net, sc.Tun, core.Options{})
 	for _, prot := range []core.Protection{core.None, {Ke: 1}, {Ke: 2, Kv: 1}} {
-		cold, err := Run(sc, RunConfig{Prot: prot, NoCarryover: true})
+		var recs []PlanRecord
+		res, err := Run(sc, RunConfig{Prot: prot, NoCarryover: true, OnPlan: func(pr PlanRecord) { recs = append(recs, pr) }})
 		if err != nil {
-			t.Fatalf("prot %v cold: %v", prot, err)
+			t.Fatalf("prot %v: %v", prot, err)
 		}
-		warm, err := Run(sc, RunConfig{Prot: prot, NoCarryover: true, WarmStart: true})
-		if err != nil {
-			t.Fatalf("prot %v warm: %v", prot, err)
+		if len(recs) != res.Intervals || res.DegradedIntervals != 0 {
+			t.Fatalf("prot %v: %d records, %d intervals, %d degraded", prot, len(recs), res.Intervals, res.DegradedIntervals)
 		}
-		if cold.Intervals != warm.Intervals || len(cold.Timeline) != len(warm.Timeline) {
-			t.Fatalf("prot %v: interval counts diverged (%d vs %d)", prot, cold.Intervals, warm.Intervals)
-		}
-		if cold.InfeasibleIntervals != warm.InfeasibleIntervals {
-			t.Fatalf("prot %v: infeasible-interval counts diverged (%d vs %d)",
-				prot, cold.InfeasibleIntervals, warm.InfeasibleIntervals)
-		}
-		for i := range cold.Timeline {
-			c, w := cold.Timeline[i], warm.Timeline[i]
-			if math.Abs(c.Demand-w.Demand) > 1e-9*(1+c.Demand) {
-				t.Fatalf("prot %v interval %d: demand %g vs %g (fault replay diverged)", prot, i, c.Demand, w.Demand)
+		for _, pr := range recs {
+			cold, _, err := solver.Solve(core.Input{
+				Demands: pr.Demands, Prot: pr.Prot, Prev: pr.Prev,
+				DownLinks: pr.DownLinks, DownSwitches: pr.DownSwitches,
+			})
+			if err != nil {
+				t.Fatalf("prot %v interval %d: cold solve: %v", prot, pr.Interval, err)
 			}
-			if math.Abs(c.Granted-w.Granted) > 1e-6*(1+c.Granted) {
-				t.Fatalf("prot %v interval %d: granted %g (cold) vs %g (warm)", prot, i, c.Granted, w.Granted)
-			}
-			if c.LinkFaults != w.LinkFaults || c.SwitchFaults != w.SwitchFaults || c.StaleSwitches != w.StaleSwitches {
-				t.Fatalf("prot %v interval %d: fault replay diverged (%+v vs %+v)", prot, i, c, w)
-			}
-		}
-		for _, agg := range []struct {
-			name string
-			c, w float64
-		}{
-			{"demand", cold.Total.DemandBytes, warm.Total.DemandBytes},
-			{"granted", cold.Total.GrantedBytes, warm.Total.GrantedBytes},
-		} {
-			if math.Abs(agg.c-agg.w) > 1e-7*(1+math.Abs(agg.c)) {
-				t.Fatalf("prot %v: total %s %g (cold) vs %g (warm)", prot, agg.name, agg.c, agg.w)
+			c, w := cold.TotalRate(), pr.State.TotalRate()
+			if math.Abs(c-w) > 1e-6*(1+c) {
+				t.Fatalf("prot %v interval %d: granted %g (cold) vs %g (session)", prot, pr.Interval, c, w)
 			}
 		}
 	}
 }
 
 // TestWarmStartCarryoverStaysFeasible exercises the full accounting path
-// (carryover, faults, losses) under WarmStart: totals must stay within the
-// physically meaningful envelope even though vertex choices may reshape the
-// per-interval loss breakdown relative to a cold run.
+// (carryover, faults, losses) of the session-backed loop: totals must stay
+// within the physically meaningful envelope even though vertex choices may
+// reshape the per-interval loss breakdown relative to a cold run.
 func TestWarmStartCarryoverStaysFeasible(t *testing.T) {
 	sc := testScenario(t, 34, 8, 1.0)
-	res, err := Run(sc, RunConfig{Prot: core.Protection{Ke: 1}, WarmStart: true})
+	res, err := Run(sc, RunConfig{Prot: core.Protection{Ke: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
