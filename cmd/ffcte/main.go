@@ -138,7 +138,7 @@ func main() {
 		if !cert.OK {
 			fatalf("verification failed: %s", cert.Summary())
 		}
-		fmt.Fprintln(os.Stderr, "verification passed: congestion-free under all fault cases at", prot)
+		fmt.Fprintf(os.Stderr, "verification passed: congestion-free under all fault cases at %v (%s)\n", prot, cert.Summary())
 	}
 
 	fmt.Fprintf(os.Stderr, "solved: %d vars, %d constraints, %d iterations, %v; throughput %.4g/%.4g\n",

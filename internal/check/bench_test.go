@@ -2,24 +2,30 @@ package check
 
 // BenchmarkCertSNet measures certifying the saturated S-Net ke=2/kv=1
 // plan — the dominant cost of running ffccheck over a recorded trace or
-// of ffcd's certification on install. The exact variant enumerates every
-// pruned fault combination; the adversarial variant is the bounded
-// search large topologies fall back to.
+// of ffcd's certification on install. The exact variant resolves every
+// pruned fault combination and reports, like BenchmarkCertLNet, the cost
+// per case and the cases evaluated rather than dismissed by a node bound;
+// the adversarial variant is the bounded search large topologies fall
+// back to.
 
 import (
 	"testing"
 
 	"ffc/internal/core"
+	"ffc/internal/obs"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
 
 func BenchmarkCertSNet(b *testing.B) {
 	net, set, _, st := snetPlan(b)
-	run := func(b *testing.B, p Params) {
+	b.Run("exact", func(b *testing.B) {
+		benchExact(b, net, set, st, Params{Prot: snetProt, Mode: Exact})
+	})
+	b.Run("adversarial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cert, err := Certify(net, set, st, st, p)
+			cert, err := Certify(net, set, st, st, Params{Prot: snetProt, Mode: Adversarial})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -27,17 +33,11 @@ func BenchmarkCertSNet(b *testing.B) {
 				b.Fatalf("fixture plan failed certification: %+v", cert.Violation)
 			}
 		}
-	}
-	b.Run("exact", func(b *testing.B) {
-		run(b, Params{Prot: snetProt, Mode: Exact})
-	})
-	b.Run("adversarial", func(b *testing.B) {
-		run(b, Params{Prot: snetProt, Mode: Adversarial})
 	})
 }
 
 // BenchmarkCertLNet certifies the benchmark's L-Net plans exactly and
-// reports the cost per enumerated case. The daemon leg is what ffcd's
+// reports the cost per resolved case and the cases evaluated per run. The daemon leg is what ffcd's
 // certifier does after an install in the ffcd-churn workload: the
 // calibrated scale-1 plan at ffcd's solver options, (0,2,1). The others
 // certify ×40-saturated plans, where more links bind: ke2 is the
@@ -69,7 +69,9 @@ func BenchmarkCertLNet(b *testing.B) {
 func benchExact(b *testing.B, net *topology.Network, set *tunnel.Set, st *core.State, p Params) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	evals := obs.Default().Histogram("check.cases_evaluated")
 	var cases int64
+	evals0 := evals.Sum()
 	for i := 0; i < b.N; i++ {
 		cert, err := Certify(net, set, st, st, p)
 		if err != nil {
@@ -81,4 +83,5 @@ func benchExact(b *testing.B, net *topology.Network, set *tunnel.Set, st *core.S
 		cases += cert.CasesChecked
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(cases), "us/case")
+	b.ReportMetric(float64(evals.Sum()-evals0)/float64(b.N), "evals/op")
 }

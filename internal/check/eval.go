@@ -16,19 +16,21 @@ type contrib struct {
 // span locates one memo entry in an evaluator's arena; off 0 is unfilled.
 type span struct{ off, end int }
 
-// evaluator computes the link loads of one fault case at a time; it is one
-// goroutine's. A flow's loads depend only on which of its tunnels died, so
-// rate·w/total is computed once per distinct dead-tunnel mask, on first use,
-// and a case is a gather-add of memo entries in flow → tunnel → link order:
-// the order, hence the floating-point sums, of evaluating every flow afresh.
+// evaluator computes the link loads of one fault case at a time, or one
+// node's load bounds; it is one goroutine's. A flow's loads depend only on
+// which of its tunnels died, so rate·w/total is computed once per distinct
+// dead-tunnel mask, on first use, and a case is a gather-add of memo
+// entries in flow → tunnel → link order: the order, hence the
+// floating-point sums, of evaluating every flow afresh.
 type evaluator struct {
 	c       *checker
 	loads   []float64
 	touched []topology.LinkID
 	// mask is each flow's dead-tunnel mask under the case being evaluated.
 	mask []uint32
-	// tab holds one span per (flow, mask) into arena, whose element 0 is a
-	// dummy so that no entry starts at 0; alive and wide are scratch.
+	// tab holds one span per (flow, mask) into arena (element 0 a dummy so
+	// no entry starts at 0): loads, then, on first use, node bounds per link
+	// budget r = 0..ke. alive and wide are scratch.
 	tab   []span
 	arena []contrib
 	alive []bool
@@ -80,37 +82,7 @@ func (c *checker) restrict(keep []bool) *checker {
 // nothing.
 func (e *evaluator) eval(physSel, swSel []int) caseResult {
 	c := e.c
-	for _, pi := range physSel {
-		for _, k := range c.killP[pi] {
-			e.mask[k.flow] |= k.mask
-		}
-	}
-	for _, si := range swSel {
-		for _, k := range c.killS[si] {
-			e.mask[k.flow] |= k.mask
-		}
-	}
-	for fi := range c.flows {
-		var ents []contrib
-		if slot := c.flows[fi].slot; slot < 0 {
-			ents = e.wideLoads(&c.flows[fi], physSel, swSel)
-		} else {
-			m := e.mask[fi]
-			e.mask[fi] = 0
-			if sp := e.tab[slot+int(m)]; sp.off != 0 {
-				ents = e.arena[sp.off:sp.end]
-			} else {
-				ents = e.fill(fi, m)
-			}
-		}
-		for _, ct := range ents {
-			if e.loads[ct.link] == 0 {
-				e.touched = append(e.touched, ct.link)
-			}
-			e.loads[ct.link] += ct.load
-		}
-	}
-
+	e.gather(physSel, swSel, -1)
 	res := caseResult{slack: math.Inf(1), slackLink: -1, overLink: -1}
 	for _, l := range e.touched {
 		load := e.loads[l]
@@ -133,21 +105,80 @@ func (e *evaluator) eval(physSel, swSel []int) caseResult {
 	return res
 }
 
-// fill computes and memoises flow fi's link loads under dead-tunnel mask m.
-func (e *evaluator) fill(fi int, m uint32) []contrib {
+// dismissed reports whether the node that fails the links physSel, with r
+// more links and ≤ kv switches to fail, leaves every loaded link a slack
+// > thr in every case below it by its Lemma-1 bound.
+func (e *evaluator) dismissed(physSel []int, r int, thr float64) bool {
+	e.gather(physSel, nil, r)
+	ok := true
+	for _, l := range e.touched {
+		ok = ok && e.c.cap[l]-bounded(e.loads[l], e.c.cap[l]) > thr
+		e.loads[l] = 0
+	}
+	e.touched = e.touched[:0]
+	return ok
+}
+
+// gather adds every flow's loads under the case that fails physSel and
+// swSel into e.loads, listing first touches in e.touched — or, for r ≥ 0,
+// its bounds over the cases below with r more links and ≤ kv switches to
+// fail, which spare at most the tunnels this case spares.
+func (e *evaluator) gather(physSel, swSel []int, r int) {
+	c := e.c
+	for _, pi := range physSel {
+		for _, k := range c.killP[pi] {
+			e.mask[k.flow] |= k.mask
+		}
+	}
+	for _, si := range swSel {
+		for _, k := range c.killS[si] {
+			e.mask[k.flow] |= k.mask
+		}
+	}
+	layer := (r + 1) * c.memoSlots
+	if len(e.tab) < layer+c.memoSlots {
+		e.tab = append(e.tab, make([]span, layer+c.memoSlots-len(e.tab))...)
+	}
+	tab, loads, touched := e.tab[layer:], e.loads, e.touched
+	for fi := range c.flows {
+		var ents []contrib
+		if slot := c.flows[fi].slot; slot < 0 {
+			ents = e.wideLoads(&c.flows[fi], physSel, swSel, r)
+		} else {
+			m := e.mask[fi]
+			e.mask[fi] = 0
+			if sp := tab[slot+int(m)]; sp.off != 0 {
+				ents = e.arena[sp.off:sp.end]
+			} else {
+				ents = e.fill(fi, m, r, layer+slot+int(m))
+			}
+		}
+		for _, ct := range ents {
+			if loads[ct.link] == 0 {
+				touched = append(touched, ct.link)
+			}
+			loads[ct.link] += ct.load
+		}
+	}
+	e.touched = touched
+}
+
+// fill computes and memoises at tab[key] flow fi's contributions under
+// dead-tunnel mask m.
+func (e *evaluator) fill(fi int, m uint32, r, key int) []contrib {
 	fl := &e.c.flows[fi]
 	e.alive = e.alive[:0]
 	for ti := range fl.tuns {
 		e.alive = append(e.alive, fl.tuns[ti].bit&^m != 0)
 	}
 	off := len(e.arena)
-	e.arena = fl.spread(e.alive, e.arena)
-	e.tab[fl.slot+int(m)] = span{off, len(e.arena)}
+	e.arena = fl.spread(e.alive, r, e.arena)
+	e.tab[key] = span{off, len(e.arena)}
 	return e.arena[off:]
 }
 
 // wideLoads evaluates a flow too wide for the memo by walking its tunnels.
-func (e *evaluator) wideLoads(fl *cflow, physSel, swSel []int) []contrib {
+func (e *evaluator) wideLoads(fl *cflow, physSel, swSel []int, r int) []contrib {
 	if meets(swSel, []int{fl.srcC, fl.dstC}) {
 		return nil
 	}
@@ -156,7 +187,7 @@ func (e *evaluator) wideLoads(fl *cflow, physSel, swSel []int) []contrib {
 		t := &fl.tuns[ti]
 		e.alive = append(e.alive, t.w > 0 && !t.dead && !meets(t.physC, physSel) && !meets(t.midC, swSel))
 	}
-	e.wide = fl.spread(e.alive, e.wide[:0])
+	e.wide = fl.spread(e.alive, r, e.wide[:0])
 	return e.wide
 }
 
@@ -172,9 +203,45 @@ func meets(a, b []int) bool {
 	return false
 }
 
+// bound appends, per link the marked tunnels cross with weight W_l, the
+// most load the flow puts on it while it keeps ≥ D = W − lose[r] − 1e-12·W
+// of their weight W (1e-12·W given up to rounding): rate·min(1, W_l/D), or
+// rate when D ≤ 0.
+func (fl *cflow) bound(alive []bool, r int, out []contrib) []contrib {
+	var w float64
+	off := len(out)
+	for ti := range fl.tuns {
+		if !alive[ti] {
+			continue
+		}
+		t := &fl.tuns[ti]
+		w += t.w
+		for _, l := range t.links {
+			if j := slices.IndexFunc(out[off:], func(ct contrib) bool { return ct.link == l }); j >= 0 {
+				out[off+j].load += t.w
+			} else {
+				out = append(out, contrib{t.w, l})
+			}
+		}
+	}
+	d := w - fl.lose[r] - 1e-12*w
+	for j := off; j < len(out); j++ {
+		share := 1.0
+		if d > 0 {
+			share = min(1, out[j].load/d)
+		}
+		out[j].load = fl.rate * share
+	}
+	return out
+}
+
 // spread appends the flow's link loads, in tunnel → link order, when exactly
-// the marked tunnels (all of positive weight) survive.
-func (fl *cflow) spread(alive []bool, out []contrib) []contrib {
+// the marked tunnels (all of positive weight) survive — or, for r ≥ 0,
+// their bounds.
+func (fl *cflow) spread(alive []bool, r int, out []contrib) []contrib {
+	if r >= 0 {
+		return fl.bound(alive, r, out)
+	}
 	var total float64
 	for ti := range fl.tuns {
 		if alive[ti] {

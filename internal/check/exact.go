@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -14,14 +15,17 @@ import (
 
 // parallelMinCases is the enumeration size below which exactData stays on
 // the calling goroutine: workers, each with a memo to fill, cost more.
-// BenchmarkCertLNet on 2 cores, serial vs two workers (pruned evaluator,
-// medians of six): 56 cases (ke1) 0.29 vs 0.31 ms; 935 (ke1kv1) 2.0 vs 1.2
-// ms; 1,597 (ke2) 2.3 vs 1.5 ms; 25,262 (daemon) 16.2 vs 8.6 ms. Pruning
-// only runs at ke ≥ 2, so the crossover still lies between 56 and 935.
+// BenchmarkCertLNet on 2 cores, serial vs two workers (node bounds,
+// medians of six): 56 cases (ke1) 0.45 vs 0.52 ms; 935 (ke1kv1) 2.5 vs 1.7
+// ms; 1,597 (ke2, 290 evaluated) 1.5 vs 1.7 ms; 25,262 (daemon, 2,159
+// evaluated) 5.3 vs 3.7 ms. The crossover lies between 56 and 935 cases
+// evaluated; node bounds leave the ke2 size below it.
 const parallelMinCases = 256
 
-// The links and flows each exact certification's last shards evaluated.
-var obsLinksKept, obsFlowsKept = obs.NewHistogram("check.links_kept"), obs.NewHistogram("check.flows_kept")
+// The links and flows each exact certification's last shards evaluated,
+// and the cases it evaluated rather than dismissed by a node bound.
+var obsLinksKept, obsFlowsKept = obs.NewValueHistogram("check.links_kept"), obs.NewValueHistogram("check.flows_kept")
+var obsCasesEvaluated = obs.NewValueHistogram("check.cases_evaluated")
 
 // exactData enumerates every combination of ≤ ke active physical-link
 // failures × ≤ kv active switch failures and evaluates the rescaled loads.
@@ -40,7 +44,8 @@ var obsLinksKept, obsFlowsKept = obs.NewHistogram("check.links_kept"), obs.NewHi
 // firstBad is the lowest shard known to hold a violation: later shards
 // stop, earlier ones finish, and only shards up to it are folded.
 // At ke ≥ 2 the shards after the single-link ones evaluate only the links
-// prune keeps; the certificate is bitwise the unpruned one.
+// prune keeps and skip every subtree a node bound dismisses; the
+// certificate is bitwise the unpruned one.
 func (c *checker) exactData() searchResult {
 	ke, kv, n := c.p.Prot.Ke, c.p.Prot.Kv, len(c.activeP)
 	type shard struct{ size, first int }
@@ -57,6 +62,8 @@ func (c *checker) exactData() searchResult {
 	results := make([]searchResult, len(shards))
 	var firstBad atomic.Int64
 	firstBad.Store(int64(len(shards)))
+	// t becomes prune's threshold, ≥ 0, once node bounds are on.
+	swCases, t := int64(binomSum(len(c.activeS), kv)), -1.0
 
 	// run enumerates shards [lo, hi) with evaluators over the index idx.
 	run := func(idx *checker, lo, hi int) {
@@ -69,18 +76,28 @@ func (c *checker) exactData() searchResult {
 			e, res := evals[worker], &results[k]
 			*res = searchResult{slack: math.Inf(1), slackLink: -1}
 			sh := shards[k]
-			physSel, swSel := make([]int, 0, sh.size), make([]int, 0, kv)
-			prefix := make([]int, 0, sh.size)
-			if sh.size > 0 {
-				prefix = append(prefix, sh.first)
-			}
-			combos(prefix, sh.first+1, n, sh.size-len(prefix), func(ps []int) bool {
+			swSel := make([]int, 0, kv)
+			// walk enumerates the node physSel, whose last link has
+			// position a, with r more links to fail: it skips the node's
+			// C(n−a−1, r) link sets × swCases switch sets when its bound
+			// proves every loaded link's slack > max(min(t, res.slack), 0).
+			var walk func(physSel []int, a, r int) bool
+			walk = func(physSel []int, a, r int) bool {
+				if cases := int64(binom(n-a-1, r)) * swCases; t >= 0 && cases >= 2 &&
+					e.dismissed(physSel, r, max(min(t, res.slack), 0)) {
+					res.cases += cases
+					return true
+				}
+				if r > 0 {
+					for i := a + 1; i <= n-r; i++ {
+						if !walk(append(physSel, c.activeP[i]), i, r-1) {
+							return false
+						}
+					}
+					return true
+				}
 				if int64(k) > firstBad.Load() {
 					return false
-				}
-				physSel = physSel[:0]
-				for _, i := range ps {
-					physSel = append(physSel, c.activeP[i])
 				}
 				return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
 					swSel = swSel[:0]
@@ -89,7 +106,12 @@ func (c *checker) exactData() searchResult {
 					}
 					return c.note(res, e.eval(physSel, swSel), physSel, swSel)
 				})
-			})
+			}
+			if physSel := make([]int, 0, sh.size); sh.size == 0 {
+				walk(physSel, -1, 0)
+			} else {
+				walk(append(physSel, c.activeP[sh.first]), sh.first, sh.size-1)
+			}
 			for res.aborted {
 				if cur := firstBad.Load(); int64(k) >= cur || firstBad.CompareAndSwap(cur, int64(k)) {
 					break
@@ -104,7 +126,7 @@ func (c *checker) exactData() searchResult {
 	run(c, 0, split)
 	idx, links := c, len(c.cap)
 	if split < len(shards) && firstBad.Load() >= int64(split) {
-		idx, links = c.prune(results[:split])
+		idx, links, t = c.prune(results[:split])
 		run(idx, split, len(shards))
 	}
 
@@ -112,6 +134,7 @@ func (c *checker) exactData() searchResult {
 	last := min(int(firstBad.Load()), len(shards)-1)
 	for _, r := range results[:last+1] {
 		res.cases += r.cases
+		res.evaluated += r.evaluated
 		if r.slackLink >= 0 && r.slack < res.slack {
 			res.slack, res.slackLink = r.slack, r.slackLink
 			res.slackLinks, res.slackSws = r.slackLinks, r.slackSws
@@ -125,23 +148,24 @@ func (c *checker) exactData() searchResult {
 	return res
 }
 
-// prune returns the index the shards after head need and how many links it
-// keeps: those whose load bound comes within T = max(S, 0) of capacity, S
-// being the worst slack of cases evaluated in full (head's, and the worst
-// grown by one link), so S ≥ the final worst slack S*. A dropped link has
+// prune returns the index the shards after head need, how many links it
+// keeps and its threshold T = max(S, 0), S being the worst slack of cases
+// evaluated in full (head's, and the worst grown by one link), so S ≥ the
+// final worst slack S*. It keeps the links whose root node bound (no link
+// failed yet, ke to go) comes within T of capacity. A dropped link has
 // slack > T in every case: it can neither attain S* (nor tie it) nor
-// overload, and under FailFast the prefix minimum at the first violation is
-// < 0 ≤ T. No case's verdict changes, and every case keeps its count.
-func (c *checker) prune(head []searchResult) (*checker, int) {
+// overload, and under FailFast the prefix minimum at the first violation
+// is < 0 ≤ T. T is −1 (bounds off, c returned whole) when a tunnel repeats
+// a link: min(1, ·) in the bound fails.
+func (c *checker) prune(head []searchResult) (*checker, int, float64) {
 	worst := searchResult{slack: math.Inf(1)}
 	for _, r := range head {
 		if r.slack < worst.slack {
 			worst = r
 		}
 	}
-	ub := c.linkBounds()
-	if ub == nil {
-		return c, len(c.cap)
+	if !c.indexBounds() {
+		return c, len(c.cap), -1
 	}
 	// One greedy step: the worst case so far with one more link failed
 	// tends to come far closer to S*.
@@ -152,73 +176,73 @@ func (c *checker) prune(head []searchResult) (*checker, int) {
 		t = min(t, e.eval(phys, worst.slackSws).slack)
 	}
 	t = max(t, 0)
-	keep, kept := make([]bool, len(ub)), 0
-	for l, u := range ub {
-		if keep[l] = !(c.cap[l]-u > t); keep[l] {
+	e.gather(nil, nil, c.p.Prot.Ke)
+	keep, kept := make([]bool, len(c.cap)), 0
+	for l, u := range e.loads {
+		if keep[l] = !(c.cap[l]-bounded(u, c.cap[l]) > t); keep[l] {
 			kept++
 		}
 	}
-	return c.restrict(keep), kept
+	return c.restrict(keep), kept, t
 }
 
-// linkBounds returns per link an upper bound on its load in any case of
-// ≤ ke link and ≤ kv switch failures (Lemma 1 from plan data): a flow keeps
-// at least D = W − its ke heaviest link and kv heaviest switch kill weights
-// of its carrying weight W, so it puts at most rate·min(1, W_l/D), or rate
-// when D ≤ 0, on a link its carrying tunnels cross with weight W_l. D gives
-// up 1e-12·W to rounding, the sums a margin far above the evaluator's
-// (≈ 1e-13 relative). nil when a tunnel repeats a link: min(1, ·) fails.
-func (c *checker) linkBounds() []float64 {
-	ub := make([]float64, len(c.cap))
-	for _, fl := range c.flows {
-		var w float64
-		wl, kp, ks := map[topology.LinkID]float64{}, map[int]float64{}, map[int]float64{}
+// indexBounds gives every flow the weight its node bounds subtract: lose[r]
+// sums its r heaviest link and kv heaviest switch kill weights (the
+// carrying weight each failure takes, unfailed). It reports false when a
+// carrying tunnel repeats a link.
+func (c *checker) indexBounds() bool {
+	ke, kv, np := c.p.Prot.Ke, c.p.Prot.Kv, len(c.phys)
+	kw := make([]float64, np+len(c.sws)) // links, then switches
+	var hit []int
+	add := func(i int, w float64) {
+		if kw[i] == 0 {
+			hit = append(hit, i)
+		}
+		kw[i] += w
+	}
+	for fi := range c.flows {
+		fl := &c.flows[fi]
+		hit = hit[:0]
 		for _, t := range fl.tuns {
 			if t.dead || t.w <= 0 {
 				continue
 			}
-			w += t.w
 			for i, l := range t.links {
 				if slices.Contains(t.links[:i], l) {
-					return nil
+					return false
 				}
-				wl[l] += t.w
 			}
 			for _, pi := range t.physC {
-				kp[pi] += t.w
+				add(pi, t.w)
 			}
 			for _, si := range t.midC {
-				ks[si] += t.w
+				add(np+si, t.w)
 			}
 		}
-		d := w - heaviest(kp, c.p.Prot.Ke) - heaviest(ks, c.p.Prot.Kv) - 1e-12*w
-		for l, wt := range wl {
-			share := 1.0
-			if d > 0 {
-				share = min(1, wt/d)
+		slices.SortFunc(hit, func(i, j int) int { return cmp.Compare(kw[j], kw[i]) })
+		fl.lose = make([]float64, ke+1)
+		links, sws := 0, 0
+		for _, i := range hit {
+			switch {
+			case i < np && links < ke:
+				links++
+				fl.lose[links] = kw[i]
+			case i >= np && sws < kv:
+				sws++
+				fl.lose[0] += kw[i]
 			}
-			ub[l] += fl.rate * share
+			kw[i] = 0
+		}
+		for r := 1; r <= ke; r++ {
+			fl.lose[r] += fl.lose[r-1]
 		}
 	}
-	for l := range ub {
-		ub[l] = ub[l]*(1+1e-9) + 1e-12*max(1, c.cap[l])
-	}
-	return ub
+	return true
 }
 
-// heaviest sums the k largest values of m, in ascending order.
-func heaviest(m map[int]float64, k int) float64 {
-	vals := make([]float64, 0, len(m))
-	for _, v := range m {
-		vals = append(vals, v)
-	}
-	sort.Float64s(vals)
-	var s float64
-	for _, v := range vals[max(0, len(vals)-k):] {
-		s += v
-	}
-	return s
-}
+// bounded adds the bound's rounding margin, far above the evaluator's
+// (≈ 1e-13 relative), to a bound sum u on a link of capacity cp.
+func bounded(u, cp float64) float64 { return u*(1+1e-9) + 1e-12*max(1, cp) }
 
 // combos calls fn with sel extended by every k-combination of the indexes
 // [lo, n), in lexicographic order. fn returns false to stop; combos then

@@ -1,14 +1,16 @@
 package check
 
-// Bound-pruned enumeration (prune, linkBounds, restrict): the certificate
+// Bound-pruned enumeration (prune, restrict, node bounds): the certificate
 // must stay bitwise the oracle's on the plans the daemon certifies, with
-// the restriction visibly engaged, and the per-link load bound must
-// dominate every case the oracle evaluates.
+// the restriction and the node bounds visibly engaged, and every node's
+// load bound must dominate every case the oracle evaluates below it.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -132,12 +134,13 @@ func loadedLinks(c *checker) int {
 	return n
 }
 
-// TestPrunedCertifyMatchesOracle: on every plan of the daemon's churn
+// TestBranchBoundMatchesOracle: on every plan of the daemon's churn
 // sequence the certificate is bitwise the oracle's at any core count, while
 // fewer than half the loaded links are evaluated past the single-link
-// shards. A rate-bumped copy, just violating in a two-link case, must stop
-// under FailFast exactly where the serial oracle stops.
-func TestPrunedCertifyMatchesOracle(t *testing.T) {
+// shards and, on the redraws, node bounds dismiss more than three quarters
+// of the cases. A rate-bumped copy, just violating in a two-link case, must
+// stop under FailFast exactly where the serial oracle stops.
+func TestBranchBoundMatchesOracle(t *testing.T) {
 	net, set, steps := daemonPlans(t)
 	for _, s := range raceSteps(steps) {
 		p := Params{Prot: daemonProt, DownLinks: s.down}
@@ -157,7 +160,9 @@ func TestPrunedCertifyMatchesOracle(t *testing.T) {
 				t.Fatalf("%s procs=%d: certificate differs from the oracle's\ngot:    %+v\noracle: %+v", s.name, procs, *got, *want)
 			}
 		})
-		requireKept(t, s.name, net, set, s.st, s.prev, p)
+		if res := requireKept(t, s.name, net, set, s.st, s.prev, p); strings.HasPrefix(s.name, "redraw") && 4*res.evaluated >= res.cases {
+			t.Fatalf("%s: evaluated %d of %d cases: the node bounds did not engage", s.name, res.evaluated, res.cases)
+		}
 
 		bumped := false
 		for delta := 1e-5; delta < 1 && !bumped; delta *= 4 {
@@ -186,9 +191,19 @@ func TestPrunedCertifyMatchesOracle(t *testing.T) {
 	}
 }
 
+// exactRun runs the exact search of one certification.
+func exactRun(t *testing.T, net *topology.Network, set *tunnel.Set, st, prev *core.State, p Params) searchResult {
+	t.Helper()
+	c, err := prepare(net, set, st, prev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.exactData()
+}
+
 // requireKept fails unless the exact search evaluated fewer than half the
-// loaded links in its pruned shards.
-func requireKept(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st, prev *core.State, p Params) {
+// loaded links in its pruned shards, and returns its result.
+func requireKept(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st, prev *core.State, p Params) searchResult {
 	t.Helper()
 	c, err := prepare(net, set, st, prev, p)
 	if err != nil {
@@ -198,10 +213,11 @@ func requireKept(t *testing.T, name string, net *topology.Network, set *tunnel.S
 	if loaded := loadedLinks(c); 2*res.linksKept >= loaded {
 		t.Fatalf("%s: kept %d of %d loaded links: the restriction did not engage", name, res.linksKept, loaded)
 	}
+	return res
 }
 
 // requireBoundsDominate certifies a plan with the oracle against link
-// capacities set to linkBounds at the plan's (ke, kv): a negative worst
+// capacities set to the root's node bounds at the plan's (ke, kv): a negative worst
 // slack is an evaluated case loading some link beyond its bound. It
 // reports false when the plan has no bounds (a tunnel repeats a link).
 func requireBoundsDominate(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool {
@@ -211,10 +227,10 @@ func requireBoundsDominate(t *testing.T, name string, net *topology.Network, set
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub := c.linkBounds()
-	if ub == nil {
+	if !c.indexBounds() {
 		return false
 	}
+	ub := nodeBounds(c.newEvaluator(), nil, p.Prot.Ke)
 	p.Capacity = map[topology.LinkID]float64{}
 	for l, u := range ub {
 		p.Capacity[topology.LinkID(l)] = u
@@ -230,37 +246,133 @@ func requireBoundsDominate(t *testing.T, name string, net *topology.Network, set
 	return true
 }
 
-// TestLinkBoundsDominateCases: no case the oracle evaluates loads a link
-// beyond linkBounds, on solver plans and on the random states that carry
-// pre-down sets, capacity overrides, missing and short allocation vectors
-// and zero weights, and beside a wide flow.
-func TestLinkBoundsDominateCases(t *testing.T) {
+// boundFixtures calls check on the plans the bound tests cover: solver
+// plans, and the random states that carry pre-down sets, capacity
+// overrides, missing and short allocation vectors and zero weights, and
+// beside a wide flow. check reports false when a plan has no bounds.
+func boundFixtures(t *testing.T, check func(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool) {
 	for _, prot := range []core.Protection{{Ke: 2, Kv: 1}, {Ke: 2}, {Kc: 2, Ke: 1}} {
 		fx := lnetPlan(t, prot)
-		requireBoundsDominate(t, "lnet", fx.net, fx.set, fx.st, Params{Prot: prot})
+		check(t, "lnet", fx.net, fx.set, fx.st, Params{Prot: prot})
 	}
 	net, set, steps := daemonPlans(t)
 	for _, s := range raceSteps(steps) {
-		requireBoundsDominate(t, s.name, net, set, s.st, Params{Prot: daemonProt, DownLinks: s.down})
+		check(t, s.name, net, set, s.st, Params{Prot: daemonProt, DownLinks: s.down})
 	}
 	if !raceEnabled {
 		net, set, _, st := snetPlan(t)
-		requireBoundsDominate(t, "snet", net, set, st, Params{Prot: snetProt})
+		check(t, "snet", net, set, st, Params{Prot: snetProt})
 	}
 	net, set, st, _ := fatTreePlan(t)
 	for _, prot := range []core.Protection{{Ke: 1, Kv: 1}, {Ke: 2, Kv: 1}} {
-		requireBoundsDominate(t, "fattree", net, set, st, Params{Prot: prot})
+		check(t, "fattree", net, set, st, Params{Prot: prot})
 	}
 	net, set, st = widePlan(t)
 	for _, p := range wideParams {
-		requireBoundsDominate(t, "wide", net, set, st, p)
+		check(t, "wide", net, set, st, p)
 	}
 	for trial := 0; trial < 120; trial++ {
 		net, set, st, p := randomTrial(trial)
-		if !requireBoundsDominate(t, fmt.Sprintf("trial %d", trial), net, set, st, p) {
+		if !check(t, fmt.Sprintf("trial %d", trial), net, set, st, p) {
 			t.Fatalf("trial %d: no link bounds", trial)
 		}
 	}
+}
+
+// TestLinkBoundsDominateCases: no case the oracle evaluates loads a link
+// beyond the root's node bound (no link failed yet, ke to go), the bound
+// prune keeps links by.
+func TestLinkBoundsDominateCases(t *testing.T) {
+	boundFixtures(t, requireBoundsDominate)
+}
+
+// TestNodeBoundsDominateCases: every case the oracle evaluates loads each
+// link at most the bound of every node on its path — each prefix of its
+// link set, with the rest of the set still to fail.
+func TestNodeBoundsDominateCases(t *testing.T) {
+	boundFixtures(t, requireNodeBoundsDominate)
+}
+
+// nodeBounds returns the node's bound on every link's load, margin included.
+func nodeBounds(e *evaluator, physSel []int, r int) []float64 {
+	e.gather(physSel, nil, r)
+	ub := make([]float64, len(e.c.cap))
+	for _, l := range e.touched {
+		ub[l], e.loads[l] = e.loads[l], 0
+	}
+	e.touched = e.touched[:0]
+	for l := range ub {
+		ub[l] = bounded(ub[l], e.c.cap[l])
+	}
+	return ub
+}
+
+// requireNodeBoundsDominate walks the node tree of a plan's exact search,
+// every shard of size ≥ 1, and evaluates every case below each node with
+// the oracle against capacities set to the node's bounds: a negative
+// slack is a case loading some link beyond them. It reports false when the
+// plan has no bounds.
+func requireNodeBoundsDominate(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool {
+	t.Helper()
+	p.Prot.Kc, p.Mode, p.FailFast = 0, Exact, false
+	c, err := prepare(net, set, st, st, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.indexBounds() {
+		return false
+	}
+	e, oc := c.newEvaluator(), *c
+	oc.cap = make([]float64, len(c.cap))
+	o, n := newOracle(&oc), len(c.activeP)
+	var pre []int // activeP positions
+	// below evaluates every case that fails pre, r more links after
+	// position a and ≤ kv switches.
+	below := func(a, r int) {
+		combos(slices.Clone(pre), a+1, n, r, func(ps []int) bool {
+			for _, i := range ps {
+				o.downP[c.activeP[i]] = true
+			}
+			oracleCombosUpTo(len(c.activeS), p.Prot.Kv, func(ss []int) bool {
+				for _, i := range ss {
+					o.downS[c.activeS[i]] = true
+				}
+				if cr := o.evalData(o.downP, o.downS); cr.slack < 0 {
+					t.Fatalf("%s %+v: links %v switches %v load %s %g beyond the bound of node %v, %d to go",
+						name, p.Prot, ps, ss, c.linkName(cr.slackLink), -cr.slack, pre, r)
+				}
+				for _, i := range ss {
+					o.downS[c.activeS[i]] = false
+				}
+				return true
+			})
+			for _, i := range ps {
+				o.downP[c.activeP[i]] = false
+			}
+			return true
+		})
+	}
+	var visit func(a, r int)
+	visit = func(a, r int) {
+		physSel := make([]int, len(pre))
+		for j, i := range pre {
+			physSel[j] = c.activeP[i]
+		}
+		copy(oc.cap, nodeBounds(e, physSel, r))
+		below(a, r)
+		for i := a + 1; i <= n-r && r > 0; i++ {
+			pre = append(pre, i)
+			visit(i, r-1)
+			pre = pre[:len(pre)-1]
+		}
+	}
+	for size := 1; size <= min(p.Prot.Ke, n); size++ {
+		for first := 0; first <= n-size; first++ {
+			pre = append(pre[:0], first)
+			visit(first, size-1)
+		}
+	}
+	return true
 }
 
 // TestPruneThresholdNotNegative: the pruning threshold is max(S, 0), never
@@ -294,6 +406,131 @@ func TestPruneThresholdNotNegative(t *testing.T) {
 		t.Fatalf("want a violation on the small link and a negative worst slack: %s", cert.Summary())
 	}
 	requireKept(t, "straddle", net, set, st, st, p)
+}
+
+// TestNodeThresholdNotNegative: a node bound is held to max(min(T, S), 0),
+// never to a shard's negative running worst slack S. Flow f overloads the
+// 1-unit link a>b by 1e-4 only once its three detours die, which takes two
+// links and a switch; g's three tunnels put it 5e-4 over its 1000-unit
+// link, inside that link's tolerance, once both detours die. The first
+// violation, a-x a-y with switch z, comes in shard a-x after a-x c-u with
+// switch v has driven S to −5e-4, and its node's bound sits 1e-4 above a>b
+// and far below g's capacity: held to S it would be dismissed, and the
+// first violation would move to shard a-y.
+func TestNodeThresholdNotNegative(t *testing.T) {
+	net := topology.NewNetwork("straddle3")
+	sw := map[string]topology.SwitchID{}
+	for _, name := range []string{"a", "b", "x", "y", "z", "c", "d", "u", "v"} {
+		sw[name] = net.AddSwitch(name, name, 0, 0)
+	}
+	hop := func(a, b string, cp float64) { net.AddDuplex(sw[a], sw[b], cp) }
+	hop("a", "b", 1)
+	hop("a", "x", 10)
+	hop("x", "b", 10)
+	hop("c", "u", 1e4)
+	hop("u", "d", 1e4)
+	hop("c", "v", 1e4)
+	hop("v", "d", 1e4)
+	hop("c", "d", 1000)
+	hop("a", "y", 10)
+	hop("y", "b", 10)
+	hop("a", "z", 10)
+	hop("z", "b", 10)
+	path := func(names ...string) *tunnel.Tunnel {
+		ids := make([]topology.SwitchID, len(names))
+		for i, name := range names {
+			ids[i] = sw[name]
+		}
+		return pathOf(net, ids...)
+	}
+	set := tunnel.NewSet(net)
+	f, g := tunnel.Flow{Src: sw["a"], Dst: sw["b"]}, tunnel.Flow{Src: sw["c"], Dst: sw["d"]}
+	set.Add(f, path("a", "b"), path("a", "x", "b"), path("a", "y", "b"), path("a", "z", "b"))
+	set.Add(g, path("c", "d"), path("c", "u", "d"), path("c", "v", "d"))
+	st := core.NewState()
+	st.Rate[f], st.Alloc[f] = 1.0001, []float64{1, 1, 1, 1}
+	st.Rate[g], st.Alloc[g] = 1000.0005, []float64{1, 1, 1}
+
+	p := Params{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact}
+	cert := requireOracleEqual(t, "straddle3", net, set, st, st, p)
+	if v := cert.Violation; v == nil || v.LinkName != "a>b" || !slices.Equal(v.Faults.LinkNames, []string{"a-x", "a-y"}) {
+		t.Fatalf("want the first violation on a>b under a-x a-y z: %s", cert.Summary())
+	}
+	if res := exactRun(t, net, set, st, st, p); res.evaluated == res.cases {
+		t.Fatalf("no node bound dismissed a case of %d", res.cases)
+	}
+}
+
+// TestNodeBoundsSkipDroppedLinks: node bounds are taken on the restricted
+// index, so a link prune dropped cannot hold a subtree back. g's three
+// tunnels leave its direct link k at slack 0.1 once both detours fail, so
+// T = 0.1 and k is the only kept link. f's bound on its 0.9-unit link l is
+// 0.5 at the root (dropped) but 1 at the node that fails f's heaviest
+// tunnel, the direct link a-b: counted against l, that node's 6 pairs
+// would be evaluated. At (0,2,0) the 12 active links give 79 cases: the
+// empty set, 12 single links, the 34 pairs under g's four detour links,
+// whose nodes leave k at slack 0.1 ≤ T, and the last shard's single pair
+// are evaluated; every other two-link shard is dismissed.
+func TestNodeBoundsSkipDroppedLinks(t *testing.T) {
+	net := topology.NewNetwork("dropped")
+	sw := map[string]topology.SwitchID{}
+	for _, name := range []string{"c", "d", "q1", "q2", "a", "b", "p2", "p3", "p4"} {
+		sw[name] = net.AddSwitch(name, name, 0, 0)
+	}
+	net.AddDuplex(sw["c"], sw["d"], 1)
+	for _, q := range []string{"q1", "q2"} {
+		net.AddDuplex(sw["c"], sw[q], 10)
+		net.AddDuplex(sw[q], sw["d"], 10)
+	}
+	net.AddDuplex(sw["a"], sw["b"], 10)
+	for _, q := range []string{"p2", "p3", "p4"} {
+		cp := 10.0
+		if q == "p2" {
+			cp = 0.9
+		}
+		net.AddDuplex(sw["a"], sw[q], cp)
+		net.AddDuplex(sw[q], sw["b"], 10)
+	}
+	set := tunnel.NewSet(net)
+	f, g := tunnel.Flow{Src: sw["a"], Dst: sw["b"]}, tunnel.Flow{Src: sw["c"], Dst: sw["d"]}
+	set.Add(g, pathOf(net, sw["c"], sw["d"]), pathOf(net, sw["c"], sw["q1"], sw["d"]), pathOf(net, sw["c"], sw["q2"], sw["d"]))
+	set.Add(f, pathOf(net, sw["a"], sw["b"]), pathOf(net, sw["a"], sw["p2"], sw["b"]),
+		pathOf(net, sw["a"], sw["p3"], sw["b"]), pathOf(net, sw["a"], sw["p4"], sw["b"]))
+	st := core.NewState()
+	st.Rate[g], st.Alloc[g] = 0.9, []float64{1, 1, 1}
+	st.Rate[f], st.Alloc[f] = 1, []float64{2, 1, 1, 1}
+
+	p := Params{Prot: core.Protection{Ke: 2}, Mode: Exact}
+	requireOracleEqual(t, "dropped", net, set, st, st, p)
+	if res := exactRun(t, net, set, st, st, p); res.cases != 79 || res.linksKept != 1 || res.evaluated != 48 {
+		t.Fatalf("%d cases, kept %d links, evaluated %d: want 79, 1, 48", res.cases, res.linksKept, res.evaluated)
+	}
+}
+
+// TestRepeatedLinkBoundsOff: a carrying tunnel that crosses one link twice
+// defeats min(1, ·) in the bounds, so the search keeps every link and
+// dismisses nothing, and still certifies as the oracle does.
+func TestRepeatedLinkBoundsOff(t *testing.T) {
+	net := topology.NewNetwork("loop")
+	for _, name := range []string{"a", "b", "c", "x"} {
+		net.AddSwitch(name, name, 0, 0)
+	}
+	a, b, c, x := topology.SwitchID(0), topology.SwitchID(1), topology.SwitchID(2), topology.SwitchID(3)
+	net.AddDuplex(a, b, 10)
+	net.AddDuplex(b, c, 10)
+	net.AddDuplex(a, x, 10)
+	net.AddDuplex(x, c, 10)
+	set := tunnel.NewSet(net)
+	f := tunnel.Flow{Src: a, Dst: c}
+	set.Add(f, pathOf(net, a, b, c), pathOf(net, a, x, c), pathOf(net, a, b, a, b, c))
+	st := core.NewState()
+	st.Rate[f], st.Alloc[f] = 3, []float64{1, 1, 1}
+
+	p := Params{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact}
+	requireOracleEqual(t, "loop", net, set, st, st, p)
+	if res := exactRun(t, net, set, st, st, p); res.linksKept != len(net.Links) || res.evaluated != res.cases {
+		t.Fatalf("kept %d of %d links, evaluated %d of %d cases: want bounds off", res.linksKept, len(net.Links), res.evaluated, res.cases)
+	}
 }
 
 // TestPrunedTiesKeepFirstTouch: the worst slack is attained at once on both
@@ -333,24 +570,22 @@ func pathOf(net *topology.Network, sws ...topology.SwitchID) *tunnel.Tunnel {
 	return t
 }
 
-// TestKeptPublished: each exact certification adds what it kept to the
-// check.links_kept and check.flows_kept histograms.
+// TestKeptPublished: each exact certification adds what it kept and how
+// many cases it evaluated to the check.links_kept, check.flows_kept and
+// check.cases_evaluated histograms.
 func TestKeptPublished(t *testing.T) {
 	net, set, steps := daemonPlans(t)
 	s := steps[0]
 	p := Params{Prot: daemonProt}
-	c, err := prepare(net, set, s.st, s.prev, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := c.exactData()
-	links, flows := obs.Default().Histogram("check.links_kept"), obs.Default().Histogram("check.flows_kept")
-	n, sumL, sumF := links.Count(), links.Sum(), flows.Sum()
+	res := exactRun(t, net, set, s.st, s.prev, p)
+	reg := obs.Default()
+	links, flows, evals := reg.Histogram("check.links_kept"), reg.Histogram("check.flows_kept"), reg.Histogram("check.cases_evaluated")
+	n, sumL, sumF, sumE := links.Count(), links.Sum(), flows.Sum(), evals.Sum()
 	if _, err := Certify(net, set, s.st, s.prev, p); err != nil {
 		t.Fatal(err)
 	}
-	if links.Count() != n+1 || links.Sum()-sumL != int64(res.linksKept) || flows.Sum()-sumF != int64(res.flowsKept) {
-		t.Fatalf("published %d links, %d flows over %d runs; want %d, %d over one",
-			links.Sum()-sumL, flows.Sum()-sumF, links.Count()-n, res.linksKept, res.flowsKept)
+	if links.Count() != n+1 || links.Sum()-sumL != int64(res.linksKept) || flows.Sum()-sumF != int64(res.flowsKept) || evals.Sum()-sumE != res.evaluated {
+		t.Fatalf("published %d links, %d flows, %d cases over %d runs; want %d, %d, %d over one",
+			links.Sum()-sumL, flows.Sum()-sumF, evals.Sum()-sumE, links.Count()-n, res.linksKept, res.flowsKept, res.evaluated)
 	}
 }

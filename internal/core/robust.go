@@ -123,7 +123,7 @@ func (in *Input) validate() error {
 
 var (
 	obsDegradedIntervals = obs.NewCounter("core.degraded_intervals")
-	obsSolveVsDeadline   = obs.NewHistogram("core.solve_vs_deadline_pct")
+	obsSolveVsDeadline   = obs.NewValueHistogram("core.solve_vs_deadline_pct")
 )
 
 // NoteDegradedInterval records one control interval that fell back to a

@@ -15,9 +15,9 @@ var (
 	obsCertRuns       = obs.NewCounter("ctrl.cert_runs")
 	obsCertFailures   = obs.NewCounter("ctrl.cert_failures")
 	obsCertWorstSlack = obs.NewGauge("ctrl.cert_worst_slack_milli")
-	// obsCertMs is each certification's run time in whole milliseconds,
-	// all of it spent on the install path between solve and publish.
-	obsCertMs = obs.NewHistogram("ctrl.cert_ms")
+	// obsCertTime is each certification's run time, all of it spent on the
+	// install path between solve and publish.
+	obsCertTime = obs.NewHistogram("ctrl.cert_time")
 )
 
 // publish is the only way a solved or restored plan reaches c.plan: with
@@ -66,7 +66,7 @@ func (c *Controller) certify(seq int64, st, prev *core.State, p check.Params) *c
 	}
 	c.stats.certRuns.Add(1)
 	obsCertRuns.Inc()
-	obsCertMs.Observe(elapsed.Milliseconds())
+	obsCertTime.ObserveDuration(elapsed)
 	if err != nil {
 		c.stats.certFailures.Add(1)
 		obsCertFailures.Inc()

@@ -15,9 +15,11 @@ type CounterSnap struct {
 }
 
 // HistSnap is one histogram in a Snapshot. Values are in the histogram's
-// native unit — nanoseconds for span timers and worker-busy timings.
+// native unit — nanoseconds for span timers and worker-busy timings, plain
+// numbers when Plain is set.
 type HistSnap struct {
 	Name  string  `json:"name"`
+	Plain bool    `json:"plain,omitempty"`
 	Count int64   `json:"count"`
 	Sum   int64   `json:"sum"`
 	Mean  float64 `json:"mean"`
@@ -52,6 +54,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		h := r.hists[n]
 		s.Spans = append(s.Spans, HistSnap{
 			Name:  n,
+			Plain: h.plain.Load(),
 			Count: h.Count(),
 			Sum:   h.Sum(),
 			Mean:  h.Mean(),
@@ -78,7 +81,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WriteText writes a human-readable dump: counters and gauges as aligned
 // name/value pairs, histograms as a "/"-indented span tree with duration
-// formatting.
+// formatting, plain-number histograms as numbers.
 func (r *Registry) WriteText(w io.Writer) error {
 	s := r.Snapshot()
 	if len(s.Counters) > 0 {
@@ -110,11 +113,15 @@ func (r *Registry) WriteText(w io.Writer) error {
 				continue
 			}
 			depth := strings.Count(h.Name, "/")
+			v := func(x int64) any {
+				if h.Plain {
+					return x
+				}
+				return time.Duration(x)
+			}
 			if _, err := fmt.Fprintf(w, "  %s%-*s %10v %10v %10v %10v %10v ×%d\n",
 				strings.Repeat("  ", depth), 36-2*depth, h.Name,
-				time.Duration(h.Sum), time.Duration(int64(h.Mean)),
-				time.Duration(h.P50), time.Duration(h.P99),
-				time.Duration(h.Max), h.Count); err != nil {
+				v(h.Sum), v(int64(h.Mean)), v(h.P50), v(h.P99), v(h.Max), h.Count); err != nil {
 				return err
 			}
 		}

@@ -17,6 +17,9 @@ const histBuckets = 64
 // a factor-of-two resolution — plenty for "where does the time go" and
 // cheap enough to sit on a per-interval solve path.
 type Histogram struct {
+	// plain marks samples that are numbers (counts, percentages), not
+	// nanoseconds; dumps print them as such.
+	plain   atomic.Bool
 	count   atomic.Int64
 	sum     atomic.Int64
 	min     atomic.Int64 // math.MaxInt64 when empty

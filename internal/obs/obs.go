@@ -152,6 +152,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// ValueHistogram is Histogram for samples that are plain numbers (counts,
+// percentages) rather than nanoseconds: the text dump prints them as such.
+func (r *Registry) ValueHistogram(name string) *Histogram {
+	h := r.Histogram(name)
+	h.plain.Store(true)
+	return h
+}
+
 // Reset zeroes every metric's value. Registered handles stay valid.
 func (r *Registry) Reset() {
 	r.mu.RLock()
@@ -202,5 +210,10 @@ func NewCounter(name string) *Counter { return def.Counter(name) }
 // NewGauge registers (or fetches) a gauge in the Default registry.
 func NewGauge(name string) *Gauge { return def.Gauge(name) }
 
-// NewHistogram registers (or fetches) a histogram in the Default registry.
+// NewHistogram registers (or fetches) a histogram of durations in the
+// Default registry.
 func NewHistogram(name string) *Histogram { return def.Histogram(name) }
+
+// NewValueHistogram registers (or fetches) a histogram of plain numbers in
+// the Default registry.
+func NewValueHistogram(name string) *Histogram { return def.ValueHistogram(name) }

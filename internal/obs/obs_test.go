@@ -166,3 +166,33 @@ func TestSnapshotDeterministicAndText(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteTextUnits: duration histograms print as durations, value
+// histograms as the numbers they hold, whichever handle a caller asks for
+// after registration.
+func TestWriteTextUnits(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("lat").ObserveDuration(1500 * time.Microsecond)
+	r.ValueHistogram("kept").Observe(39)
+	r.Histogram("kept").Observe(41)
+
+	var txt bytes.Buffer
+	if err := r.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string][]string{}
+	for _, line := range strings.Split(txt.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			fields[f[0]] = f[1:]
+		}
+	}
+	if got := fields["lat"]; len(got) != 6 || got[0] != "1.5ms" || got[4] != "1.5ms" || got[5] != "×1" {
+		t.Fatalf("duration histogram: got %q, want 1.5ms total and max over 1", got)
+	}
+	if got := fields["kept"]; len(got) != 6 || got[0] != "80" || got[1] != "40" || got[4] != "41" || got[5] != "×2" {
+		t.Fatalf("value histogram: got %q, want total 80, mean 40, max 41 over 2", got)
+	}
+	if s := r.Snapshot(); !s.Spans[0].Plain || s.Spans[1].Plain {
+		t.Fatalf("snapshot plain flags: %+v", s.Spans)
+	}
+}
