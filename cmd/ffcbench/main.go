@@ -106,7 +106,7 @@ func main() {
 	defer cancel()
 
 	if needEnv {
-		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, TunnelsPerFlow: *tunnels, Parallelism: *par, SolverDeadline: *deadline, SolverFaults: injected, Ctx: ctx}
+		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, SeedSet: true, TunnelsPerFlow: *tunnels, Parallelism: *par, SolverDeadline: *deadline, SolverFaults: injected, Ctx: ctx}
 		if *netKind == "lnet" || *netKind == "both" {
 			fmt.Fprintf(os.Stderr, "building L-Net environment (%d sites, %d intervals)...\n", *sites, *intervals)
 			env, err := experiments.NewLNet(cfg)

@@ -106,7 +106,7 @@ func main() {
 		FaultSeed:       *injectSeed,
 		Logf:            logger.Printf,
 	}
-	cfg.Opts = core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5}
+	cfg.Opts = core.Options{MiceFraction: 0.01}
 	cfg.Faults, err = faults.ParseSolverFaults(*injectSpec)
 	if err != nil {
 		fatalf("-inject-solver: %v", err)

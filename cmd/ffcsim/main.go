@@ -77,7 +77,7 @@ func main() {
 	defer cancel()
 
 	var env *experiments.Env
-	cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, Parallelism: *par, Ctx: ctx}
+	cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, SeedSet: true, Parallelism: *par, Ctx: ctx}
 	switch *netKind {
 	case "lnet":
 		env, err = experiments.NewLNet(cfg)

@@ -78,7 +78,7 @@ func main() {
 	}
 	set := tunnel.Layout(&net, flows, tunnel.LayoutConfig{TunnelsPerFlow: *tunnels, P: *p, Q: *q})
 
-	opts := core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5}
+	opts := core.Options{MiceFraction: 0.01}
 	if *objective == "mlu" {
 		opts.Objective = core.MinMLU
 	}

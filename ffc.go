@@ -66,7 +66,8 @@ type (
 	Protection = core.Protection
 	// Stats reports LP size and solve time for one computation.
 	Stats = core.Stats
-	// SolverOptions tunes encodings and the §6 optimizations.
+	// SolverOptions tunes the encoding, rate-limiter fault model,
+	// objective and the §6 mice optimization.
 	SolverOptions = core.Options
 	// Uncertain marks a flow whose installed configuration is unconfirmed
 	// (§5.6).
@@ -149,8 +150,8 @@ type ControllerConfig struct {
 	// P and Q bound tunnel sharing per physical link / intermediate switch
 	// (§4.3; default (1,3)).
 	P, Q int
-	// Solver tunes encoding, rate-limiter fault model, objective, and §6
-	// optimizations.
+	// Solver tunes encoding, rate-limiter fault model, objective, and the
+	// §6 mice optimization.
 	Solver SolverOptions
 }
 

@@ -25,7 +25,7 @@ func TestEncodingsAgreeAtDaemonOptions(t *testing.T) {
 	encodings := []core.Encoding{core.Compact, core.SortNet}
 	solvers := make([]*core.Solver, len(encodings))
 	for i, enc := range encodings {
-		solvers[i] = core.NewSolver(net, set, core.Options{Encoding: enc, MiceFraction: 0.01, OldLoadSkip: 1e-5})
+		solvers[i] = core.NewSolver(net, set, core.Options{Encoding: enc, MiceFraction: 0.01})
 	}
 
 	for _, prot := range []core.Protection{{Ke: 2, Kv: 1}, {Kc: 1, Ke: 2, Kv: 1}} {

@@ -65,7 +65,7 @@ func daemonPlans(tb testing.TB) (*topology.Network, *tunnel.Set, []daemonStep) {
 			return
 		}
 		series = sim.ScaleSeries(series, scale)
-		se := core.NewSolver(net, set, core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5}).NewSession()
+		se := core.NewSolver(net, set, core.Options{MiceFraction: 0.01}).NewSession()
 		down := map[topology.LinkID]bool{}
 		prev := core.NewState()
 		for i, step := range []struct {

@@ -233,7 +233,7 @@ func TestMiceOptimization(t *testing.T) {
 func TestMinMLUWithControlFFC(t *testing.T) {
 	fx := core.NewFig25(t)
 	prev := fig3Prev(fx)
-	s := core.NewSolver(fx.Net, fx.Tun, core.Options{Objective: core.MinMLU, MLUSigma: 0.5})
+	s := core.NewSolver(fx.Net, fx.Tun, core.Options{Objective: core.MinMLU})
 	prot := core.Protection{Kc: 2}
 	st, stats, err := s.Solve(core.Input{
 		Demands: demand.Matrix{fx.F24: 10, fx.F34: 10, fx.F14: 4},
@@ -358,7 +358,7 @@ func TestSolverReuseAcrossIntervals(t *testing.T) {
 	if len(flows) == 0 {
 		t.Skip("degenerate network")
 	}
-	s := core.NewSolver(net, tun, core.Options{MiceFraction: 0.01, OldLoadSkip: 1e-5})
+	s := core.NewSolver(net, tun, core.Options{MiceFraction: 0.01})
 	prot := core.Protection{Kc: 1, Ke: 1}
 	prev := core.NewState()
 	for interval := 0; interval < 8; interval++ {

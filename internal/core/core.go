@@ -123,34 +123,15 @@ type Options struct {
 	RateLimiter RateLimiterMode
 	// Objective; default MaxThroughput.
 	Objective Objective
-	// MLUSigma is §5.4's σ weighting fault-case MLU; default 0.5.
-	MLUSigma float64
 	// MiceFraction: flows collectively carrying up to this fraction of
 	// total demand are "mice" whose tunnel split is fixed to uniform
-	// (§6), removing their a-variables. Default 0 (disabled); the
-	// experiment harness sets 0.01.
+	// (§6), removing their a-variables. Default 0 (disabled); ffcd,
+	// ffcte, topogen's calibration and the experiment harness set 0.01.
 	MiceFraction float64
-	// OldLoadSkip: sources whose previous traffic on a link is below this
-	// fraction of capacity are ignored in that link's control-plane
-	// constraint (§6). Default 0 (disabled); the harness sets 1e-5.
-	OldLoadSkip float64
 	// CapacityCost weights each link's expansion in the PlanCapacity
 	// objective (e.g. proportional to fiber distance). Nil means unit
 	// cost per capacity unit.
 	CapacityCost func(topology.LinkID) float64
-	// WeightSkip: old tunnel-splitting weights below this threshold are
-	// treated as zero in control-plane FFC (in the spirit of §6's
-	// negligible-load skips). A stale switch can then overload a link by
-	// at most Σ_f |Tf|·WeightSkip·bf beyond the guarantee — set 0 (the
-	// default) for exactness; the experiment harness uses 1e-3.
-	WeightSkip float64
-	// SolveBudget is the default wall-clock budget per computation
-	// (formulation + simplex); 0 means unlimited. Warm-started Session
-	// re-solves (template rebound, previous basis held) get SolveBudget/4 —
-	// they normally finish in a few iterations, and a pathological re-solve
-	// must not eat the control interval; a solve that rebuilds the model
-	// gets all of it. Input.Budget.Deadline overrides per computation.
-	SolveBudget time.Duration
 }
 
 // Uncertain describes a flow whose current configuration is unknown between
@@ -197,8 +178,7 @@ type Input struct {
 	// direction); only meaningful with the MinMLU objective.
 	Demand DemandUncertainty
 	// Budget bounds this computation (deadline, iteration cap,
-	// cancellation); see Budget. The zero value defers to the solver's
-	// Options.SolveBudget.
+	// cancellation); see Budget. The zero value imposes nothing.
 	Budget Budget
 }
 
@@ -393,9 +373,6 @@ type flowTunnel struct {
 // NewSolver builds a solver. The tunnel set must cover every flow that will
 // appear in inputs.
 func NewSolver(net *topology.Network, tun *tunnel.Set, opts Options) *Solver {
-	if opts.MLUSigma == 0 {
-		opts.MLUSigma = 0.5
-	}
 	s := &Solver{Net: net, Tun: tun, Opts: opts,
 		incidence: map[topology.LinkID][]flowTunnel{},
 		pq:        map[tunnel.Flow][2]int{}}
@@ -538,18 +515,8 @@ func (se *Session) Solve(in Input) (st *State, stats *Stats, err error) {
 	// The budget's deadline runs from start, so formulation time counts
 	// against it — the controller's window covers the whole computation.
 	opts := lp.SolveOpts{MaxIters: in.Budget.MaxIters, Ctx: in.Budget.Ctx, Hook: in.Budget.Hook}
-	deadline := in.Budget.Deadline
-	if deadline == 0 && s.Opts.SolveBudget > 0 {
-		deadline = s.Opts.SolveBudget
-		// Only a rebound template re-solves warm: a fresh formulation has
-		// new dimensions, lp drops the held basis, and the cold simplex
-		// that follows needs the whole budget.
-		if reused && ws != nil {
-			deadline /= warmBudgetDiv
-		}
-	}
-	if deadline != 0 {
-		opts.Deadline = start.Add(deadline)
+	if in.Budget.Deadline != 0 {
+		opts.Deadline = start.Add(in.Budget.Deadline)
 	}
 	lpSpan := sp.Child("lp")
 	sol, err := b.model.SolveWith(ws, opts)
@@ -574,8 +541,8 @@ func (se *Session) Solve(in Input) (st *State, stats *Stats, err error) {
 		stats.LP = sol.Stats
 		stats.Warm = sol.Stats.Warm
 	}
-	if deadline > 0 && obs.Enabled() {
-		obsSolveVsDeadline.Observe(int64(100 * stats.SolveTime / deadline))
+	if d := in.Budget.Deadline; d > 0 && obs.Enabled() {
+		obsSolveVsDeadline.Observe(int64(100 * stats.SolveTime / d))
 	}
 	if err != nil {
 		sp.End()

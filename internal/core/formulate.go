@@ -11,6 +11,9 @@ import (
 	"ffc/internal/tunnel"
 )
 
+// mluSigma is §5.4's σ, the MinMLU objective's weight on fault-case MLU.
+const mluSigma = 0.5
+
 // builder assembles one TE LP.
 type builder struct {
 	s     *Solver
@@ -426,9 +429,9 @@ func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protec
 	return cons
 }
 
-// betaExpr returns (β_{f,t} − a_{f,t}) as an expression for the configured
-// rate-limiter mode, or nil when the difference is identically zero (the §6
-// skip). Lazily creates β variables for non-mice flows.
+// betaMinusAlpha returns (β_{f,t} − a_{f,t}) as an expression for the
+// configured rate-limiter mode, or nil when the difference is identically
+// zero. Lazily creates β variables for non-mice flows.
 func (b *builder) betaMinusAlpha(f tunnel.Flow, t int) *lp.Expr {
 	prev := b.in.Prev
 	if u, ok := b.in.Uncertain[f]; ok {
@@ -450,13 +453,7 @@ func (b *builder) betaMinusAlpha(f tunnel.Flow, t int) *lp.Expr {
 			oldWeight = w[t]
 		}
 	}
-	if oldWeight <= b.s.Opts.WeightSkip {
-		oldWeight = 0
-	}
 	oldAlloc := idx(prev.Alloc[f], t)
-	if oldAlloc <= b.s.Opts.WeightSkip*prev.Rate[f] {
-		oldAlloc = 0
-	}
 
 	if b.mice[f] {
 		// β − a = (max(w', 1/τ) − 1/τ)·bf, a constant coefficient on bf.
@@ -572,12 +569,10 @@ func (b *builder) controlPlane() {
 
 		// Group (β−a) contributions by ingress switch.
 		bySrc := map[topology.SwitchID]*lp.Expr{}
-		oldLoad := map[topology.SwitchID]float64{}
 		for _, ft := range inc {
 			if _, ok := b.bVar[ft.flow]; !ok {
 				continue
 			}
-			oldLoad[ft.flow.Src] += idx(prev.Alloc[ft.flow], ft.idx)
 			d := b.betaMinusAlpha(ft.flow, ft.idx)
 			if d == nil {
 				continue
@@ -588,25 +583,17 @@ func (b *builder) controlPlane() {
 				bySrc[ft.flow.Src] = d
 			}
 		}
-		// §6: ignore sources with (near-)zero old load on this link.
-		type srcExpr struct {
-			src topology.SwitchID
-			e   *lp.Expr
-		}
-		var pairs []srcExpr
-		for v, e := range bySrc {
-			if b.s.Opts.OldLoadSkip > 0 && oldLoad[v] < b.s.Opts.OldLoadSkip*c {
-				continue
-			}
-			pairs = append(pairs, srcExpr{v, e})
-		}
-		if len(pairs) == 0 {
+		if len(bySrc) == 0 {
 			continue
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].src < pairs[j].src }) // determinism
-		exprs := make([]*lp.Expr, len(pairs))
-		for i, p := range pairs {
-			exprs[i] = p.e
+		srcs := make([]topology.SwitchID, 0, len(bySrc))
+		for v := range bySrc {
+			srcs = append(srcs, v)
+		}
+		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] }) // determinism
+		exprs := make([]*lp.Expr, len(srcs))
+		for i, v := range srcs {
+			exprs[i] = bySrc[v]
 		}
 
 		kc := b.in.Prot.Kc
@@ -669,7 +656,7 @@ func (b *builder) objective() {
 	case MinMLU:
 		obj := lp.NewExpr().Add(1, b.mluVar)
 		if b.haveMLUFault {
-			obj.Add(b.s.Opts.MLUSigma, b.mluFaultVar)
+			obj.Add(mluSigma, b.mluFaultVar)
 		}
 		b.model.Minimize(obj)
 	case PlanCapacity:

@@ -14,15 +14,14 @@ import (
 	"ffc/internal/tunnel"
 )
 
-// Budget bounds one TE computation. The zero value imposes nothing (the
-// solver's Options.SolveBudget default, if any, still applies). The budget
-// covers the whole computation — formulation and simplex — measured from
-// the moment Solve is called.
+// Budget bounds one TE computation. The zero value imposes nothing. The
+// budget covers the whole computation — formulation and simplex — measured
+// from the moment Solve is called.
 type Budget struct {
 	// Deadline is the wall-clock budget relative to the start of the
 	// computation. Negative means already expired (fault injection uses
 	// this to force a deterministic budget hit before the first pivot);
-	// zero falls back to Options.SolveBudget.
+	// zero means no deadline.
 	Deadline time.Duration
 	// MaxIters bounds total simplex iterations; exceeding it is a budget
 	// hit, not an lp.IterLimit. Zero means no bound.
@@ -35,12 +34,6 @@ type Budget struct {
 	// outcome instead of killing the process.
 	Hook func(iters int)
 }
-
-// warmBudgetDiv tightens the default budget for warm-started Session
-// re-solves: they typically finish in a few simplex iterations, so giving
-// them the full cold-solve budget would let a pathological re-solve eat an
-// entire control interval. An explicit Input.Budget.Deadline overrides.
-const warmBudgetDiv = 4
 
 // Outcome classifies one TE computation for control-loop decisions: only
 // OutcomeOptimal yields a plan safe to install as-is; the other outcomes

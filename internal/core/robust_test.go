@@ -135,8 +135,10 @@ func TestSolveRecoversInjectedPanic(t *testing.T) {
 
 func TestSolveBudgetGenerousCompletes(t *testing.T) {
 	fx := newFig25(t)
-	s := NewSolver(fx.net, fx.tun, Options{SolveBudget: time.Minute})
-	st, stats, err := s.Solve(Input{Demands: demand.Matrix{fx.f24: 10, fx.f34: 10}})
+	s := NewSolver(fx.net, fx.tun, Options{})
+	in := Input{Demands: demand.Matrix{fx.f24: 10, fx.f34: 10}}
+	in.Budget.Deadline = time.Minute
+	st, stats, err := s.Solve(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,50 +147,6 @@ func TestSolveBudgetGenerousCompletes(t *testing.T) {
 	}
 	if math.Abs(st.TotalRate()-20) > 1e-6 {
 		t.Fatalf("throughput %v, want 20", st.TotalRate())
-	}
-}
-
-// The default budget is quartered only for a warm re-solve of the rebound
-// template. A session that merely holds a basis from a model of other
-// dimensions (protection changed → fresh formulation, cold simplex) gets the
-// whole SolveBudget.
-func TestSessionBudgetQuarteredOnlyWhenTemplateRebound(t *testing.T) {
-	fx := newFig25(t)
-	const budget = time.Second
-	s := NewSolver(fx.net, fx.tun, Options{SolveBudget: budget})
-	// stall burns more than budget/warmBudgetDiv but well under budget
-	// before the first pivot; the deadline is checked right after the hook.
-	stall := func() func(int) {
-		done := false
-		return func(int) {
-			if !done {
-				done = true
-				time.Sleep(budget/warmBudgetDiv + budget/20)
-			}
-		}
-	}
-	in := Input{Demands: demand.Matrix{fx.f24: 10, fx.f34: 10}}
-	se := s.NewSession()
-	if _, _, err := se.Solve(in); err != nil {
-		t.Fatal(err)
-	}
-
-	same := in
-	same.Budget.Hook = stall()
-	if _, stats, err := se.Solve(same); err == nil || !stats.ModelReused || stats.Outcome != OutcomeBudgetHit {
-		t.Fatalf("rebound re-solve stalled past budget/%d: reused=%v outcome=%v err=%v, want a budget hit",
-			warmBudgetDiv, stats.ModelReused, stats.Outcome, err)
-	}
-
-	changed := in
-	changed.Prot.Ke = 1
-	changed.Budget.Hook = stall()
-	st, stats, err := se.Solve(changed)
-	if err != nil {
-		t.Fatalf("protection change ran on a quartered budget: %v", err)
-	}
-	if stats.ModelReused || stats.LP.Warm || stats.Outcome != OutcomeOptimal || st == nil {
-		t.Fatalf("stats = %+v, want a fresh cold optimal solve", stats)
 	}
 }
 

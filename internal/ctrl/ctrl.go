@@ -59,15 +59,15 @@ type Config struct {
 	Prot core.Protection
 	// Layout parameterizes tunnel layout for the demand flows.
 	Layout tunnel.LayoutConfig
-	// Opts tunes the solver: the §6 skips (ffcd sets MiceFraction and
-	// OldLoadSkip), the rate-limiter mode, which certification also reads,
-	// and the solve budget. Encoding stays Compact unless set.
+	// Opts tunes the solver: §6 mice (ffcd sets MiceFraction) and the
+	// rate-limiter mode, which certification also reads. Encoding stays
+	// Compact unless set.
 	Opts core.Options
 	// Interval is the recompute ticker period; updates additionally kick an
 	// immediate recompute. Default 5s.
 	Interval time.Duration
 	// SolveDeadline bounds each recompute's wall clock; a miss degrades to
-	// the last-good plan. Zero defers to Opts.SolveBudget.
+	// the last-good plan. Zero means no deadline.
 	SolveDeadline time.Duration
 	// SnapshotPath, when set, enables crash recovery: the installed state is
 	// persisted there (atomic rename) and restored at boot.

@@ -73,11 +73,6 @@ type EnvConfig struct {
 	// SeedSet distinguishes "seed 0" from "Seed left unset": without it
 	// the zero value is rewritten to the default of 1.
 	SeedSet bool
-	// Encoding for the big sweeps. Default core.Compact, as everywhere in
-	// the library — identical optima to the paper's sorting network at a
-	// fraction of the LP size (the ablation experiment quantifies the
-	// difference).
-	Encoding core.Encoding
 	// TunnelsPerFlow for the (1,3) link-switch disjoint layout. Default 6.
 	TunnelsPerFlow int
 	// Parallelism bounds the worker count for the harness's independent
@@ -116,7 +111,7 @@ func buildEnv(name string, net *topology.Network, cfg EnvConfig) (*Env, error) {
 	series := demand.Generate(net, demand.Config{Intervals: cfg.Intervals}, rng)
 	flows := sim.FlowsOf(series)
 	tun := tunnel.Layout(net, flows, tunnel.LayoutConfig{TunnelsPerFlow: cfg.TunnelsPerFlow, P: 1, Q: 3})
-	opts := core.Options{Encoding: cfg.Encoding, MiceFraction: 0.01, OldLoadSkip: 1e-5, WeightSkip: 1e-3}
+	opts := core.Options{MiceFraction: 0.01}
 	solver := core.NewSolver(net, tun, opts)
 	scale1, err := sim.CalibrateScale(solver, series, 0.99, 3)
 	if err != nil {

@@ -66,7 +66,7 @@ type RunConfig struct {
 	Prot core.Protection
 	// Multi switches to the multi-priority cascade; Prot is then ignored.
 	Multi *PriorityConfig
-	// SolverOpts tunes the FFC solver (encoding, §6 optimizations, ...).
+	// SolverOpts tunes the FFC solver (encoding, §6 mice, ...).
 	SolverOpts core.Options
 	// DetectDelay is failure detection + ingress notification before
 	// rescaling (the paper's testbed: ≈50 ms).
