@@ -25,7 +25,7 @@ var (
 func getBenchEnv(b *testing.B) *experiments.Env {
 	benchEnvOnce.Do(func() {
 		benchEnv, benchEnvErr = experiments.NewLNet(experiments.EnvConfig{
-			Sites: 6, Intervals: 6, TunnelsPerFlow: 4,
+			Sites: 6, Intervals: 6, Seed: 1, TunnelsPerFlow: 4,
 		})
 	})
 	if benchEnvErr != nil {

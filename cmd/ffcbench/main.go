@@ -16,7 +16,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -25,9 +24,7 @@ import (
 
 	"ffc/internal/experiments"
 	"ffc/internal/faults"
-	"ffc/internal/metrics"
 	"ffc/internal/obs"
-	"ffc/internal/parallel"
 )
 
 var allExperiments = []string{
@@ -44,8 +41,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		tunnels    = flag.Int("tunnels", 6, "tunnels per flow")
 		quick      = flag.Bool("quick", false, "shrink everything for a fast smoke run")
-		par        = flag.Int("parallel", 0, "worker count for parallel stages (<=0 = all cores, 1 = serial)")
-		compare    = flag.Bool("compare-serial", false, "after the run, repeat with -parallel 1 and print a wall-clock speedup table")
 		stats      = flag.Bool("stats", false, "enable instrumentation and print solver counters and a span latency breakdown at the end")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address (e.g. localhost:6060)")
 		deadline   = flag.Duration("solver-deadline", 0, "per-interval TE solve budget across the harness; a missed solve degrades the interval to the last-good plan (0 = unbounded)")
@@ -106,7 +101,7 @@ func main() {
 	defer cancel()
 
 	if needEnv {
-		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, SeedSet: true, TunnelsPerFlow: *tunnels, Parallelism: *par, SolverDeadline: *deadline, SolverFaults: injected, Ctx: ctx}
+		cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, TunnelsPerFlow: *tunnels, SolverDeadline: *deadline, SolverFaults: injected, Ctx: ctx}
 		if *netKind == "lnet" || *netKind == "both" {
 			fmt.Fprintf(os.Stderr, "building L-Net environment (%d sites, %d intervals)...\n", *sites, *intervals)
 			env, err := experiments.NewLNet(cfg)
@@ -128,72 +123,44 @@ func main() {
 		}
 	}
 
-	pass := func(out io.Writer, sw *metrics.Stopwatch, verbose bool) {
-		run := func(id string, fn func() error) {
-			if !want[id] {
-				return
-			}
-			t0 := time.Now()
-			if verbose {
-				fmt.Fprintf(os.Stderr, "running %s...\n", id)
-			}
-			if err := fn(); err != nil {
-				fatalf("%s: %v", id, err)
-			}
-			d := time.Since(t0)
-			sw.Record(id, d)
-			if verbose {
-				fmt.Fprintf(os.Stderr, "  %s done in %v\n", id, d.Round(time.Millisecond))
-			}
-			fmt.Fprintln(out)
+	out := os.Stdout
+	run := func(id string, fn func() error) {
+		if !want[id] {
+			return
 		}
-
-		run("fig2to5", func() error { return experiments.Fig2to5(out) })
-		run("fig6", func() error { experiments.Fig6(out); return nil })
-		run("fig11", func() error { return experiments.Fig11(out) })
-		for _, env := range envs {
-			env := env
-			run("fig1a", func() error { _, err := experiments.Fig1a(env, out); return err })
-			run("fig1b", func() error { _, err := experiments.Fig1b(env, out); return err })
-			run("fig12", func() error { _, err := experiments.Fig12(env, out); return err })
-			run("table2", func() error { _, err := experiments.Table2(env, out); return err })
-			run("fig13", func() error { _, err := experiments.Fig13(env, out, nil, nil); return err })
-			run("fig14", func() error {
-				_, err := experiments.Fig14(env, out, faults.Realistic())
-				return err
-			})
-			run("fig15", func() error { _, err := experiments.Fig15(env, out, nil, 0); return err })
-			run("fig16", func() error { _, err := experiments.Fig16(env, out, 0); return err })
-			run("ablation_encoding", func() error { _, err := experiments.AblationEncoding(env, out); return err })
-			run("ablation_tunnels", func() error { _, err := experiments.AblationTunnels(env, out); return err })
-			run("ablation_rescaling", func() error { _, err := experiments.AblationRescaling(env, out); return err })
+		t0 := time.Now()
+		fmt.Fprintf(os.Stderr, "running %s...\n", id)
+		if err := fn(); err != nil {
+			fatalf("%s: %v", id, err)
 		}
+		fmt.Fprintf(os.Stderr, "  %s done in %v\n", id, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintln(out)
 	}
 
 	start := time.Now()
-	var parTimes metrics.Stopwatch
-	pass(os.Stdout, &parTimes, true)
+	run("fig2to5", func() error { return experiments.Fig2to5(out) })
+	run("fig6", func() error { experiments.Fig6(out); return nil })
+	run("fig11", func() error { return experiments.Fig11(out) })
+	for _, env := range envs {
+		run("fig1a", func() error { _, err := experiments.Fig1a(env, out); return err })
+		run("fig1b", func() error { _, err := experiments.Fig1b(env, out); return err })
+		run("fig12", func() error { _, err := experiments.Fig12(env, out); return err })
+		run("table2", func() error { _, err := experiments.Table2(env, out); return err })
+		run("fig13", func() error { _, err := experiments.Fig13(env, out, nil, nil); return err })
+		run("fig14", func() error {
+			_, err := experiments.Fig14(env, out, faults.Realistic())
+			return err
+		})
+		run("fig15", func() error { _, err := experiments.Fig15(env, out, nil, 0); return err })
+		run("fig16", func() error { _, err := experiments.Fig16(env, out, 0); return err })
+		run("ablation_encoding", func() error { _, err := experiments.AblationEncoding(env, out); return err })
+		run("ablation_tunnels", func() error { _, err := experiments.AblationTunnels(env, out); return err })
+		run("ablation_rescaling", func() error { _, err := experiments.AblationRescaling(env, out); return err })
+	}
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "interrupted after %v: figure aggregates above cover only the completed intervals\n", time.Since(start).Round(time.Millisecond))
 	} else {
 		fmt.Fprintf(os.Stderr, "all done in %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	if *compare {
-		if parallel.Workers(*par) == 1 {
-			// The main pass already ran serially; re-running it would time
-			// the identical configuration twice.
-			fmt.Println("# wall-clock: -compare-serial skipped — the run was already serial (-parallel=1), nothing to compare")
-		} else {
-			fmt.Fprintln(os.Stderr, "re-running serially (-parallel 1) for the speedup table...")
-			for _, env := range envs {
-				env.Parallelism = 1
-			}
-			var serTimes metrics.Stopwatch
-			pass(io.Discard, &serTimes, false)
-			fmt.Println("# wall-clock: serial vs parallel")
-			fmt.Print(metrics.RenderSpeedup(&serTimes, &parTimes))
-		}
 	}
 
 	if *stats {

@@ -44,7 +44,6 @@ func main() {
 		multi      = flag.Bool("multi", false, "multi-priority (§8.4) protection levels")
 		seed       = flag.Int64("seed", 1, "random seed")
 		mtbf       = flag.Duration("link-mtbf", 30*time.Minute, "network-wide link MTBF")
-		par        = flag.Int("parallel", 0, "worker count for parallel stages (<=0 = all cores, 1 = serial)")
 		stats      = flag.Bool("stats", false, "print solver counters and the per-interval solve latency breakdown to stderr after the run")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
 		deadline   = flag.Duration("solver-deadline", 0, "per-interval TE solve budget; a missed solve degrades the interval to the last-good plan (0 = unbounded)")
@@ -77,7 +76,7 @@ func main() {
 	defer cancel()
 
 	var env *experiments.Env
-	cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, SeedSet: true, Parallelism: *par, Ctx: ctx}
+	cfg := experiments.EnvConfig{Sites: *sites, Intervals: *intervals, Seed: *seed, Ctx: ctx}
 	switch *netKind {
 	case "lnet":
 		env, err = experiments.NewLNet(cfg)

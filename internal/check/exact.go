@@ -3,6 +3,7 @@ package check
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -57,7 +58,7 @@ func (c *checker) exactData() searchResult {
 	}
 	workers := 1
 	if c.exactCases() >= parallelMinCases {
-		workers = min(parallel.Workers(0), len(shards))
+		workers = min(runtime.GOMAXPROCS(0), len(shards))
 	}
 	results := make([]searchResult, len(shards))
 	var firstBad atomic.Int64

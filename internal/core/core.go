@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"ffc/internal/demand"
@@ -220,31 +219,11 @@ func (s *State) Clone() *State {
 // Weights returns the tunnel splitting weights installed for f.
 func (s *State) Weights(f tunnel.Flow) []float64 { return tunnel.Weights(s.Alloc[f]) }
 
-// sortedFlows returns m's keys in deterministic order. Every accumulation
-// over a State iterates through it: floating-point sums must add in a fixed
-// order, or run-to-run ULP noise leaks into anything compared against a
-// boundary (the control-plane formulation skips links whose previous load
-// already exceeds capacity — and a plain-TE previous state sits exactly at
-// capacity on its bottleneck links).
-func sortedFlows(m map[tunnel.Flow]float64) []tunnel.Flow {
-	flows := make([]tunnel.Flow, 0, len(m))
-	for f := range m {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
-	return flows
-}
-
 // TotalRate sums granted rates (in deterministic flow order, so repeated
 // runs accumulate identical floating-point results).
 func (s *State) TotalRate() float64 {
 	var t float64
-	for _, f := range sortedFlows(s.Rate) {
+	for _, f := range tunnel.SortedFlows(s.Rate) {
 		t += s.Rate[f]
 	}
 	return t
@@ -252,20 +231,10 @@ func (s *State) TotalRate() float64 {
 
 // LinkLoads returns the no-fault load each link carries under allocation
 // {af,t} (upper bound on actual traffic; actual is weights×rate).
-// Accumulation is in deterministic flow order (see sortedFlows).
+// Accumulation is in deterministic flow order (tunnel.SortedFlows).
 func (s *State) LinkLoads(set *tunnel.Set) map[topology.LinkID]float64 {
 	loads := map[topology.LinkID]float64{}
-	flows := make([]tunnel.Flow, 0, len(s.Alloc))
-	for f := range s.Alloc {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
-	for _, f := range flows {
+	for _, f := range tunnel.SortedFlows(s.Alloc) {
 		alloc := s.Alloc[f]
 		for _, t := range set.Tunnels(f) {
 			if t.Index >= len(alloc) {
@@ -285,12 +254,13 @@ func (s *State) LinkLoads(set *tunnel.Set) map[topology.LinkID]float64 {
 
 // ActualLinkLoads returns the traffic each link carries when every flow
 // sends Rate[f] split by Weights(f) (Σ loads = Σ rates per flow).
-// Accumulation is in deterministic flow order (see sortedFlows): the
-// control-plane formulation compares these loads against capacity, and the
-// skip decision must not depend on map iteration order.
+// Accumulation is in deterministic flow order (tunnel.SortedFlows): the
+// control-plane formulation compares these loads against capacity — and a
+// plain-TE previous state sits exactly at capacity on its bottleneck links
+// — so the skip decision must not depend on map iteration order.
 func (s *State) ActualLinkLoads(set *tunnel.Set) map[topology.LinkID]float64 {
 	loads := map[topology.LinkID]float64{}
-	for _, f := range sortedFlows(s.Rate) {
+	for _, f := range tunnel.SortedFlows(s.Rate) {
 		r := s.Rate[f]
 		if r == 0 {
 			continue

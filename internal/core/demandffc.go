@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ffc/internal/lp"
 	"ffc/internal/sortnet"
@@ -61,16 +60,7 @@ func (b *builder) demandFFC(u DemandUncertainty) error {
 		if len(byFlow) == 0 {
 			continue
 		}
-		var flows []tunnel.Flow
-		for f := range byFlow {
-			flows = append(flows, f)
-		}
-		sort.Slice(flows, func(i, j int) bool {
-			if flows[i].Src != flows[j].Src {
-				return flows[i].Src < flows[j].Src
-			}
-			return flows[i].Dst < flows[j].Dst
-		})
+		flows := tunnel.SortedFlows(byFlow)
 		exprs := make([]*lp.Expr, len(flows))
 		for i, f := range flows {
 			exprs[i] = lp.NewExpr().AddExpr(over, byFlow[f])

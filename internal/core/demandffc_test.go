@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"ffc/internal/demand"
@@ -18,16 +17,7 @@ import (
 func demandOracle(net *topology.Network, tun *tunnel.Set, st *State,
 	count int, factor float64, capacity map[topology.LinkID]float64) *Violation {
 
-	flows := make([]tunnel.Flow, 0, len(st.Rate))
-	for f := range st.Rate {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
+	flows := tunnel.SortedFlows(st.Rate)
 	var worst *Violation
 	overdriven := map[tunnel.Flow]bool{}
 	forEachComboUpTo(len(flows), count, func(sel []int) {

@@ -79,17 +79,7 @@ func planFlows(states ...*State) []tunnel.Flow {
 			set[f] = true
 		}
 	}
-	flows := make([]tunnel.Flow, 0, len(set))
-	for f := range set {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
-	return flows
+	return tunnel.SortedFlows(set)
 }
 
 // actualLoadBySrc returns, per link and ingress switch, the traffic st

@@ -13,7 +13,6 @@ package demand
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
@@ -45,19 +44,7 @@ func (m Matrix) Scale(k float64) Matrix {
 func (m Matrix) Clone() Matrix { return m.Scale(1) }
 
 // Flows returns the matrix's flows in deterministic order.
-func (m Matrix) Flows() []tunnel.Flow {
-	fs := make([]tunnel.Flow, 0, len(m))
-	for f := range m {
-		fs = append(fs, f)
-	}
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Src != fs[j].Src {
-			return fs[i].Src < fs[j].Src
-		}
-		return fs[i].Dst < fs[j].Dst
-	})
-	return fs
-}
+func (m Matrix) Flows() []tunnel.Flow { return tunnel.SortedFlows(m) }
 
 // Series is a sequence of per-interval matrices.
 type Series []Matrix

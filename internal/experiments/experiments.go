@@ -42,23 +42,10 @@ type Env struct {
 	Scale1 float64       // multiplier defining traffic scale 1.0
 	Seed   int64
 	Opts   core.Options
-	// Parallelism bounds the per-figure worker pools (see
-	// EnvConfig.Parallelism). Mutable between figure runs.
-	Parallelism int
-	// SolverDeadline bounds every per-interval TE solve the harness runs; a
-	// solve that misses it degrades the interval to the last-good plan (see
-	// sim.RunConfig.SolverDeadline). Zero means unbounded. Mutable between
-	// figure runs.
-	SolverDeadline time.Duration
-	// SolverFaults injects controller failures (timeouts, crashes, stale
-	// results) into every sim the harness builds. Mutable between figure
-	// runs.
-	SolverFaults faults.SolverFaultModel
-	// Ctx cancels every sim.Scenario the environment builds (see
-	// sim.Scenario.Ctx): long CLI runs wire SIGINT/SIGTERM here so an
-	// interrupted sweep still reports the intervals it finished. Mutable
-	// between figure runs.
-	Ctx context.Context
+	// cfg is the configuration the environment was built from; its
+	// solver deadline, injected controller faults and context reach every
+	// sim the environment builds.
+	cfg EnvConfig
 }
 
 // EnvConfig sizes an environment.
@@ -67,27 +54,20 @@ type EnvConfig struct {
 	Sites int
 	// Intervals in the demand series. Default 24.
 	Intervals int
-	// Seed for all generation. A zero Seed defaults to 1 unless SeedSet
-	// marks it as explicitly requested.
+	// Seed for all generation, used as given (0 is a valid seed).
 	Seed int64
-	// SeedSet distinguishes "seed 0" from "Seed left unset": without it
-	// the zero value is rewritten to the default of 1.
-	SeedSet bool
 	// TunnelsPerFlow for the (1,3) link-switch disjoint layout. Default 6.
 	TunnelsPerFlow int
-	// Parallelism bounds the worker count for the harness's independent
-	// TE intervals and scenario replays. ≤ 0 means all cores
-	// (runtime.GOMAXPROCS(0)); 1 forces the serial path. Results are
-	// bit-identical at any setting (per-interval RNG seeds are derived
-	// with faults.DeriveSeed).
-	Parallelism int
-	// SolverDeadline bounds each per-interval TE solve (see
-	// Env.SolverDeadline). Zero means unbounded.
+	// SolverDeadline bounds every per-interval TE solve the harness runs; a
+	// solve that misses it degrades the interval to the last-good plan (see
+	// sim.RunConfig.SolverDeadline). Zero means unbounded.
 	SolverDeadline time.Duration
-	// SolverFaults injects controller failures into every sim run (see
-	// Env.SolverFaults).
+	// SolverFaults injects controller failures (timeouts, crashes, stale
+	// results) into every sim the harness builds.
 	SolverFaults faults.SolverFaultModel
-	// Ctx cancels every scenario the environment builds (see Env.Ctx).
+	// Ctx cancels every sim.Scenario the environment builds (see
+	// sim.Scenario.Ctx): long CLI runs wire SIGINT/SIGTERM here so an
+	// interrupted sweep still reports the intervals it finished.
 	Ctx context.Context
 }
 
@@ -97,9 +77,6 @@ func (c *EnvConfig) fill() {
 	}
 	if c.Intervals == 0 {
 		c.Intervals = 24
-	}
-	if c.Seed == 0 && !c.SeedSet {
-		c.Seed = 1
 	}
 	if c.TunnelsPerFlow == 0 {
 		c.TunnelsPerFlow = 6
@@ -117,7 +94,7 @@ func buildEnv(name string, net *topology.Network, cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: calibrating %s: %w", name, err)
 	}
-	return &Env{Name: name, Net: net, Tun: tun, Series: series, Scale1: scale1, Seed: cfg.Seed, Opts: opts, Parallelism: cfg.Parallelism, SolverDeadline: cfg.SolverDeadline, SolverFaults: cfg.SolverFaults, Ctx: cfg.Ctx}, nil
+	return &Env{Name: name, Net: net, Tun: tun, Series: series, Scale1: scale1, Seed: cfg.Seed, Opts: opts, cfg: cfg}, nil
 }
 
 // runCfg seeds a sim.RunConfig with the environment-wide solver settings:
@@ -127,8 +104,8 @@ func (e *Env) runCfg(prot core.Protection) sim.RunConfig {
 	return sim.RunConfig{
 		Prot:           prot,
 		SolverOpts:     e.Opts,
-		SolverDeadline: e.SolverDeadline,
-		SolverFaults:   e.SolverFaults,
+		SolverDeadline: e.cfg.SolverDeadline,
+		SolverFaults:   e.cfg.SolverFaults,
 	}
 }
 
@@ -150,13 +127,11 @@ func NewSNet(cfg EnvConfig) (*Env, error) {
 func (e *Env) Scenario(scale float64, model faults.SwitchModel) sim.Scenario {
 	return sim.Scenario{
 		Net: e.Net, Tun: e.Tun,
-		Series:      sim.ScaleSeries(e.Series, e.Scale1*scale),
-		Interval:    5 * time.Minute,
-		Failures:    faults.LNetFailures(),
-		Switches:    model,
-		Seed:        e.Seed + 1000,
-		Parallelism: e.Parallelism,
-		Ctx:         e.Ctx,
+		Series:   sim.ScaleSeries(e.Series, e.Scale1*scale),
+		Failures: faults.LNetFailures(),
+		Switches: model,
+		Seed:     e.Seed + 1000,
+		Ctx:      e.cfg.Ctx,
 	}
 }
 
@@ -245,8 +220,8 @@ type Fig12Row struct {
 // Intervals are independent here (the FFC solve's Prev is the previous
 // interval's plain-TE state, itself computed without carryover), so both
 // the shared plain-TE baselines and each protection level's sweep fan out
-// over e.Parallelism workers; the simplex is deterministic per input, so
-// the rows are identical to a serial run.
+// over runtime.GOMAXPROCS(0) workers; the simplex is deterministic per
+// input, so the rows are identical to a serial run.
 func Fig12(e *Env, w io.Writer) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	solver := core.NewSolver(e.Net, e.Tun, e.Opts)
@@ -259,7 +234,7 @@ func Fig12(e *Env, w io.Writer) ([]Fig12Row, error) {
 		series := sim.ScaleSeries(e.Series, e.Scale1*scale)
 		states := make([]*core.State, len(series))
 		errs := make([]error, len(series))
-		parallel.ForEach(len(series), e.Parallelism, func(t int) {
+		parallel.ForEach(len(series), func(t int) {
 			states[t], _, errs[t] = solver.Solve(core.Input{Demands: series[t]})
 		})
 		if err := parallel.FirstError(errs); err != nil {
@@ -273,7 +248,7 @@ func Fig12(e *Env, w io.Writer) ([]Fig12Row, error) {
 			series, base := scaled[scale], baseStates[scale]
 			for _, k := range ks {
 				overheadPct := make([]float64, len(series))
-				parallel.ForEach(len(series), e.Parallelism, func(t int) {
+				parallel.ForEach(len(series), func(t int) {
 					prev := core.NewState()
 					if t > 0 {
 						prev = base[t-1]
@@ -336,21 +311,14 @@ type Table2Row struct {
 
 // Table2 benchmarks TE computation time for FFC (3,3,0)∪(3,0,1) (which the
 // (1,3)-disjoint layout provides via the Eqn 15 slack), FFC (2,1,0), and
-// plain TE, averaged over the series' intervals. The three configurations
-// are independent and run across e.Parallelism workers (each one's
-// intervals chain through its previous state, so they stay serial within a
-// configuration). Every solve is cold — a fresh formulation and a cold
-// simplex — since the table reports the paper's per-interval computation
-// time. Per-solve times are measured inside Solve, but expect
-// some wall-clock contention when comparing absolute numbers across
-// parallel runs.
+// plain TE, averaged over the series' intervals. The configurations run
+// one after another, each chaining its intervals through its previous
+// state. Every solve is cold — a fresh formulation and a cold simplex —
+// since the table reports the paper's per-interval computation time.
 func Table2(e *Env, w io.Writer) ([]Table2Row, error) {
 	solver := core.NewSolver(e.Net, e.Tun, e.Opts)
 	series := sim.ScaleSeries(e.Series, e.Scale1)
-	n := len(series)
-	if n > 6 {
-		n = 6
-	}
+	n := min(len(series), 6)
 	configs := []struct {
 		name string
 		prot core.Protection
@@ -359,10 +327,8 @@ func Table2(e *Env, w io.Writer) ([]Table2Row, error) {
 		{"FFC (2,1,0)", core.Protection{Kc: 2, Ke: 1}},
 		{"Non-FFC", core.None},
 	}
-	rows := make([]Table2Row, len(configs))
-	errs := make([]error, len(configs))
-	parallel.ForEach(len(configs), e.Parallelism, func(ci int) {
-		cfg := configs[ci]
+	var rows []Table2Row
+	for _, cfg := range configs {
 		var total time.Duration
 		var vars, cons int
 		prev := core.NewState()
@@ -373,8 +339,7 @@ func Table2(e *Env, w io.Writer) ([]Table2Row, error) {
 			}
 			st, stats, err := solver.Solve(in)
 			if err != nil {
-				errs[ci] = fmt.Errorf("table2 %s: %w", cfg.name, err)
-				return
+				return nil, fmt.Errorf("table2 %s: %w", cfg.name, err)
 			}
 			if obs.Enabled() {
 				obsExpSolve.ObserveDuration(stats.SolveTime)
@@ -383,10 +348,7 @@ func Table2(e *Env, w io.Writer) ([]Table2Row, error) {
 			vars, cons = stats.Vars, stats.Constraints
 			prev = st
 		}
-		rows[ci] = Table2Row{e.Name, cfg.name, total / time.Duration(n), vars, cons}
-	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
+		rows = append(rows, Table2Row{e.Name, cfg.name, total / time.Duration(n), vars, cons})
 	}
 	fmt.Fprintf(w, "## Table 2 — %s: TE computation time\n", e.Name)
 	tab := metrics.NewTable("network", "config", "mean-time", "vars", "constraints")
@@ -433,7 +395,7 @@ func Fig13(e *Env, w io.Writer, models []faults.SwitchModel, scales []float64) (
 	}
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
-	parallel.ForEach(len(jobs), e.Parallelism, func(i int) {
+	parallel.ForEach(len(jobs), func(i int) {
 		results[i], errs[i] = sim.Run(jobs[i].sc, jobs[i].cfg)
 	})
 	if err := parallel.FirstError(errs); err != nil {
@@ -556,7 +518,7 @@ func Fig15(e *Env, w io.Writer, scales []float64, maxKe int) ([]Fig15Point, erro
 	}
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
-	parallel.ForEach(len(jobs), e.Parallelism, func(i int) {
+	parallel.ForEach(len(jobs), func(i int) {
 		results[i], errs[i] = sim.Run(jobs[i].sc, jobs[i].cfg)
 	})
 	if err := parallel.FirstError(errs); err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // tinyEnv keeps experiment tests fast.
 func tinyEnv(t *testing.T) *Env {
 	t.Helper()
-	e, err := NewLNet(EnvConfig{Sites: 6, Intervals: 6, TunnelsPerFlow: 4})
+	e, err := NewLNet(EnvConfig{Sites: 6, Intervals: 6, Seed: 1, TunnelsPerFlow: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestSNetEnvBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("S-Net env is slow")
 	}
-	e, err := NewSNet(EnvConfig{Intervals: 2})
+	e, err := NewSNet(EnvConfig{Intervals: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,30 +273,14 @@ func TestAblationRescalingSandwich(t *testing.T) {
 	}
 }
 
-func TestEnvConfigSeedSentinel(t *testing.T) {
-	c := EnvConfig{}
-	c.fill()
-	if c.Seed != 1 {
-		t.Fatalf("unset seed = %d, want default 1", c.Seed)
-	}
-	c = EnvConfig{SeedSet: true}
-	c.fill()
-	if c.Seed != 0 {
-		t.Fatalf("explicit seed 0 rewritten to %d", c.Seed)
-	}
-	c = EnvConfig{Seed: 5}
-	c.fill()
-	if c.Seed != 5 {
-		t.Fatalf("seed 5 rewritten to %d", c.Seed)
-	}
-}
-
-// TestFiguresParallelMatchSerial reruns the sharded figures at several
-// worker counts and requires byte-identical results: per-interval RNG
-// derivation and in-order reductions make worker count invisible.
+// TestFiguresParallelMatchSerial reruns the sharded figures at one and at
+// eight GOMAXPROCS and requires byte-identical results: per-interval RNG
+// derivation and in-order reductions make worker count invisible. It pins
+// GOMAXPROCS, so it must not run in parallel.
 func TestFiguresParallelMatchSerial(t *testing.T) {
 	e := tinyEnv(t)
-	e.Parallelism = 1
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	a1, err := Fig1a(e, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +293,7 @@ func TestFiguresParallelMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Parallelism = 8
+	runtime.GOMAXPROCS(8)
 	a8, err := Fig1a(e, io.Discard)
 	if err != nil {
 		t.Fatal(err)

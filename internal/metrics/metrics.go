@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Dist accumulates samples of one scalar metric.
@@ -207,61 +206,4 @@ func SafeRatio(num, den, def float64) float64 {
 		return def
 	}
 	return num / den
-}
-
-// Stopwatch accumulates labelled wall-clock durations in insertion order —
-// the harness records per-experiment wall time with it and compares
-// parallel against serial passes.
-type Stopwatch struct {
-	names []string
-	d     map[string]time.Duration
-}
-
-// Record adds d to the label's accumulated duration.
-func (s *Stopwatch) Record(name string, d time.Duration) {
-	if s.d == nil {
-		s.d = map[string]time.Duration{}
-	}
-	if _, ok := s.d[name]; !ok {
-		s.names = append(s.names, name)
-	}
-	s.d[name] += d
-}
-
-// Names returns the labels in first-recorded order.
-func (s *Stopwatch) Names() []string { return s.names }
-
-// Get returns the accumulated duration for a label (0 if never recorded).
-func (s *Stopwatch) Get(name string) time.Duration { return s.d[name] }
-
-// Total sums all recorded durations.
-func (s *Stopwatch) Total() time.Duration {
-	var t time.Duration
-	for _, d := range s.d {
-		t += d
-	}
-	return t
-}
-
-// Speedup returns serial/parallel as a × factor (0 when parallel is 0).
-func Speedup(serial, parallel time.Duration) float64 {
-	if parallel == 0 {
-		return 0
-	}
-	return float64(serial) / float64(parallel)
-}
-
-// RenderSpeedup renders a wall-clock comparison of two Stopwatch passes
-// over the same labels (parallel's label order), with a total row.
-func RenderSpeedup(serial, parallel *Stopwatch) string {
-	tab := NewTable("experiment", "serial", "parallel", "speedup")
-	for _, n := range parallel.Names() {
-		tab.Row(n, serial.Get(n).Round(time.Millisecond).String(),
-			parallel.Get(n).Round(time.Millisecond).String(),
-			Speedup(serial.Get(n), parallel.Get(n)))
-	}
-	tab.Row("total", serial.Total().Round(time.Millisecond).String(),
-		parallel.Total().Round(time.Millisecond).String(),
-		Speedup(serial.Total(), parallel.Total()))
-	return tab.String()
 }

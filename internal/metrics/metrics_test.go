@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestPercentileBasics(t *testing.T) {
@@ -151,47 +150,5 @@ func TestSafeRatio(t *testing.T) {
 	}
 	if SafeRatio(4, 0, 9) != 9 {
 		t.Fatal("default not used")
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	var sw Stopwatch
-	if sw.Total() != 0 || sw.Get("x") != 0 || len(sw.Names()) != 0 {
-		t.Fatal("zero Stopwatch not empty")
-	}
-	sw.Record("fig1a", 2*time.Second)
-	sw.Record("fig12", time.Second)
-	sw.Record("fig1a", time.Second) // accumulates, keeps insertion order
-	if got := sw.Get("fig1a"); got != 3*time.Second {
-		t.Fatalf("fig1a = %v, want 3s", got)
-	}
-	if got := sw.Total(); got != 4*time.Second {
-		t.Fatalf("total = %v, want 4s", got)
-	}
-	names := sw.Names()
-	if len(names) != 2 || names[0] != "fig1a" || names[1] != "fig12" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(4*time.Second, 2*time.Second); got != 2 {
-		t.Fatalf("speedup = %v, want 2", got)
-	}
-	if got := Speedup(time.Second, 0); got != 0 {
-		t.Fatalf("speedup with zero parallel = %v, want 0", got)
-	}
-}
-
-func TestRenderSpeedup(t *testing.T) {
-	var ser, par Stopwatch
-	ser.Record("fig1a", 4*time.Second)
-	par.Record("fig1a", 2*time.Second)
-	out := RenderSpeedup(&ser, &par)
-	if !strings.Contains(out, "fig1a") || !strings.Contains(out, "total") {
-		t.Fatalf("missing rows:\n%s", out)
-	}
-	if !strings.Contains(out, "2") {
-		t.Fatalf("missing speedup factor:\n%s", out)
 	}
 }

@@ -15,28 +15,19 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a parallelism knob: values ≤ 0 mean "all cores"
-// (runtime.GOMAXPROCS(0)); positive values are used as given.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // ForEach invokes fn(i) exactly once for every i in [0,n), fanned out over
-// Workers(w) goroutines. With one worker it runs inline in index order.
-// fn must confine its writes to per-index (or per-worker) state; results
-// written by slot are deterministic regardless of scheduling.
-func ForEach(n, w int, fn func(i int)) {
-	ForEachWorker(n, w, func(_, i int) { fn(i) })
+// runtime.GOMAXPROCS(0) goroutines. With one worker it runs inline in index
+// order. fn must confine its writes to per-index state; results written by
+// slot are deterministic regardless of scheduling.
+func ForEach(n int, fn func(i int)) {
+	ForEachWorker(n, runtime.GOMAXPROCS(0), func(_, i int) { fn(i) })
 }
 
-// ForEachWorker is ForEach with the worker's identity passed to fn
-// (0 ≤ worker < effective worker count), so callers can reuse per-worker
-// scratch buffers across the indices a worker processes.
+// ForEachWorker is ForEach over an explicit count of w workers, with the
+// worker's identity passed to fn (0 ≤ worker < min(w, n)), so callers can
+// reuse per-worker scratch buffers across the indices a worker processes.
+// w ≤ 1 runs inline in index order.
 func ForEachWorker(n, w int, fn func(worker, i int)) {
-	w = Workers(w)
 	if w > n {
 		w = n
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ffc/internal/core"
 	"ffc/internal/demand"
@@ -370,16 +369,7 @@ func (sc *Scenario) materialize() (*env, error) {
 	for f := range e.prevDem {
 		flowSet[f] = true
 	}
-	flows := make([]tunnel.Flow, 0, len(flowSet))
-	for f := range flowSet {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
+	flows := tunnel.SortedFlows(flowSet)
 	e.set = tunnel.Layout(e.net, flows, tunnel.LayoutConfig{TunnelsPerFlow: sc.TunnelsPerFlow})
 	for _, f := range flows {
 		if len(e.set.Tunnels(f)) == 0 {

@@ -124,7 +124,6 @@ func snetScenario(t testing.TB, seed int64, intervals int, scale float64) Scenar
 	return Scenario{
 		Net: net, Tun: tun,
 		Series:   ScaleSeries(series, k*scale),
-		Interval: 5 * time.Minute,
 		Failures: faults.LNetFailures(),
 		Switches: faults.Realistic(),
 		Seed:     seed + 1000,
@@ -229,23 +228,5 @@ func TestSolverFaultSoak(t *testing.T) {
 	}
 	if !anyDegraded {
 		t.Fatalf("no run degraded despite 40%% injection rates")
-	}
-}
-
-func TestRunConfigExplicitZeroDelays(t *testing.T) {
-	c := RunConfig{DetectDelaySet: true, ControlDetectSet: true}
-	c.fill()
-	if c.DetectDelay != 0 || c.ControlDetect != 0 {
-		t.Fatalf("explicit zeros overwritten: %v, %v", c.DetectDelay, c.ControlDetect)
-	}
-	d := RunConfig{}
-	d.fill()
-	if d.DetectDelay != 50*time.Millisecond || d.ControlDetect != time.Second {
-		t.Fatalf("defaults not applied: %v, %v", d.DetectDelay, d.ControlDetect)
-	}
-	e := RunConfig{DetectDelay: time.Millisecond, ControlDetect: 2 * time.Second}
-	e.fill()
-	if e.DetectDelay != time.Millisecond || e.ControlDetect != 2*time.Second {
-		t.Fatalf("explicit values overwritten: %v, %v", e.DetectDelay, e.ControlDetect)
 	}
 }

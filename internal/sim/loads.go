@@ -145,14 +145,14 @@ func (iv *intervalState) sampleControlFaults() {
 			continue
 		}
 		// Repair: detection plus repeated update attempts.
-		repair := iv.cfg.ControlDetect
+		repair := controlDetect
 		for {
 			d, failed := iv.sc.Switches.SampleUpdate(iv.rng)
 			if !failed {
 				repair += d
 				break
 			}
-			repair += iv.cfg.ControlDetect
+			repair += controlDetect
 		}
 		iv.staleUntil[f.Src] = repair
 	}
@@ -169,20 +169,20 @@ func (iv *intervalState) reactionTime(at time.Duration) time.Duration {
 	for i := 0; i < 8; i++ {
 		d, failed := iv.sc.Switches.SampleUpdate(iv.rng)
 		if failed {
-			d = iv.cfg.ControlDetect * 4
+			d = controlDetect * 4
 		}
 		if d > worst {
 			worst = d
 		}
 	}
-	return at + iv.cfg.ControlDetect/2 + compute + worst
+	return at + controlDetect/2 + compute + worst
 }
 
 // integrate walks the interval's piecewise-constant segments, accumulates
 // blackhole and congestion losses, and returns the interval's worst link
 // oversubscription ratio.
 func (iv *intervalState) integrate() float64 {
-	T := iv.sc.Interval
+	T := interval
 
 	// Determine the reaction moment, if any.
 	reactAt := time.Duration(-1)
@@ -205,7 +205,7 @@ func (iv *intervalState) integrate() float64 {
 			exceeded = true
 		}
 		if exceeded && reactAt < 0 {
-			reactAt = iv.reactionTime(af.At + iv.cfg.DetectDelay)
+			reactAt = iv.reactionTime(af.At + detectDelay)
 		}
 	}
 	// Stale switches repair on their own per-switch timelines (already
@@ -224,7 +224,7 @@ func (iv *intervalState) integrate() float64 {
 	}
 	for _, af := range iv.striking {
 		addPt(af.At)
-		addPt(af.At + iv.cfg.DetectDelay)
+		addPt(af.At + detectDelay)
 	}
 	for _, until := range iv.staleUntil {
 		addPt(until)
@@ -282,7 +282,7 @@ func (iv *intervalState) segmentLoss(from time.Duration, dur float64, reacted bo
 		if af.At > from {
 			continue // not struck yet
 		}
-		detected := af.At+iv.cfg.DetectDelay <= from
+		detected := af.At+detectDelay <= from
 		switch af.Kind {
 		case faults.LinkFailure:
 			ids := []topology.LinkID{af.Link}

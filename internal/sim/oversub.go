@@ -15,18 +15,18 @@ import (
 // state (plain TE by default; pass prot for an FFC variant), fail nLinks
 // random physical links (or one switch when failSwitch is set), rescale,
 // and record the maximum link oversubscription percentage. Intervals run
-// across sc.Parallelism workers; each draws its fault set from a
+// across runtime.GOMAXPROCS(0) workers; each draws its fault set from a
 // faults.DeriveSeed-derived RNG, so the distribution is bit-identical at
 // any worker count.
 func OversubDataFaults(sc Scenario, prot core.Protection, nLinks int, failSwitch bool) (*metrics.Dist, error) {
 	solver := core.NewSolver(sc.Net, sc.Tun, core.Options{})
-	states, err := solveSeries(solver, sc, prot, sc.Parallelism)
+	states, err := solveSeries(solver, sc, prot)
 	if err != nil {
 		return nil, err
 	}
 	phys := physicalLinkIDs(sc.Net)
 	samples := make([]float64, len(sc.Series))
-	parallel.ForEach(len(sc.Series), sc.Parallelism, func(t int) {
+	parallel.ForEach(len(sc.Series), func(t int) {
 		rng := rand.New(rand.NewSource(faults.DeriveSeed(sc.Seed, int64(t))))
 		down := map[topology.LinkID]bool{}
 		downSw := map[topology.SwitchID]bool{}
@@ -56,7 +56,7 @@ func OversubDataFaults(sc Scenario, prot core.Protection, nLinks int, failSwitch
 // kc > 0 chains them), then the per-interval stale replays.
 func OversubControlFaults(sc Scenario, prot core.Protection, nStale int) (*metrics.Dist, error) {
 	solver := core.NewSolver(sc.Net, sc.Tun, core.Options{})
-	states, err := solveSeries(solver, sc, prot, sc.Parallelism)
+	states, err := solveSeries(solver, sc, prot)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func OversubControlFaults(sc Scenario, prot core.Protection, nStale int) (*metri
 	}
 	// The first interval has no previous configuration to be stale on.
 	samples := make([]float64, len(states)-1)
-	parallel.ForEach(len(samples), sc.Parallelism, func(i int) {
+	parallel.ForEach(len(samples), func(i int) {
 		t := i + 1
 		rng := rand.New(rand.NewSource(faults.DeriveSeed(sc.Seed, int64(t))))
 		stale := map[topology.SwitchID]bool{}

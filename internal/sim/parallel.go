@@ -6,7 +6,7 @@ import (
 )
 
 // RunMany executes several run configurations of the same scenario
-// concurrently (sc.Parallelism workers). The §8 comparisons replay
+// concurrently (runtime.GOMAXPROCS(0) workers). The §8 comparisons replay
 // identical fault sequences under different TE approaches; each replay is
 // fully independent (its own RNG, solver, and accounting), so they
 // parallelize perfectly. Results are returned in cfgs order; the first
@@ -14,7 +14,7 @@ import (
 func RunMany(sc Scenario, cfgs []RunConfig) ([]*Result, error) {
 	out := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	parallel.ForEach(len(cfgs), sc.Parallelism, func(i int) {
+	parallel.ForEach(len(cfgs), func(i int) {
 		out[i], errs[i] = Run(sc, cfgs[i])
 	})
 	if err := parallel.FirstError(errs); err != nil {
@@ -29,7 +29,7 @@ func RunMany(sc Scenario, cfgs []RunConfig) ([]*Result, error) {
 // the intervals are solved serially; otherwise each interval is independent
 // and they are fanned out over workers. Either way the returned states are
 // identical — the simplex is deterministic per input.
-func solveSeries(solver *core.Solver, sc Scenario, prot core.Protection, workers int) ([]*core.State, error) {
+func solveSeries(solver *core.Solver, sc Scenario, prot core.Protection) ([]*core.State, error) {
 	states := make([]*core.State, len(sc.Series))
 	if prot.Kc > 0 {
 		prev := core.NewState()
@@ -44,7 +44,7 @@ func solveSeries(solver *core.Solver, sc Scenario, prot core.Protection, workers
 		return states, nil
 	}
 	errs := make([]error, len(sc.Series))
-	parallel.ForEach(len(sc.Series), workers, func(t int) {
+	parallel.ForEach(len(sc.Series), func(t int) {
 		states[t], _, errs[t] = solver.Solve(core.Input{Demands: sc.Series[t], Prot: prot})
 	})
 	if err := parallel.FirstError(errs); err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,15 +10,22 @@ import (
 	"ffc/internal/metrics"
 )
 
+// setProcs pins GOMAXPROCS, which sizes the harness's worker pools, for
+// the rest of the test. Tests that call it must not run in parallel.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestOversubDataFaultsParallelMatchesSerial(t *testing.T) {
 	sc := testScenario(t, 20, 8, 1.0)
-	sc.Parallelism = 1
+	setProcs(t, 1)
 	serial, err := OversubDataFaults(sc, core.None, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		sc.Parallelism = w
+		setProcs(t, w)
 		par, err := OversubDataFaults(sc, core.None, 2, false)
 		if err != nil {
 			t.Fatal(err)
@@ -31,12 +39,12 @@ func TestOversubDataFaultsParallelMatchesSerial(t *testing.T) {
 
 func TestOversubControlFaultsParallelMatchesSerial(t *testing.T) {
 	sc := testScenario(t, 21, 8, 1.0)
-	sc.Parallelism = 1
+	setProcs(t, 1)
 	serial, err := OversubControlFaults(sc, core.None, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Parallelism = 8
+	setProcs(t, 8)
 	par, err := OversubControlFaults(sc, core.None, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +62,7 @@ func TestRunManyMatchesIndividualRuns(t *testing.T) {
 		{},
 		{Prot: core.Protection{Kc: 2, Ke: 1}},
 	}
+	setProcs(t, 1)
 	want := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
 		r, err := Run(sc, cfg)
@@ -62,7 +71,7 @@ func TestRunManyMatchesIndividualRuns(t *testing.T) {
 		}
 		want[i] = r
 	}
-	sc.Parallelism = 4
+	setProcs(t, 4)
 	got, err := RunMany(sc, cfgs)
 	if err != nil {
 		t.Fatal(err)

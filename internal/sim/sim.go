@@ -21,24 +21,33 @@ import (
 	"ffc/internal/tunnel"
 )
 
+// The §8 timings are fixed, as in the paper's evaluation.
+const (
+	// interval is the TE interval: each demand matrix is served for 5
+	// minutes.
+	interval = 5 * time.Minute
+	// detectDelay is failure detection + ingress notification before
+	// rescaling (the paper's testbed: ≈50 ms).
+	detectDelay = 50 * time.Millisecond
+	// controlDetect is how long the controller takes to notice a failed
+	// switch update and begin repair.
+	controlDetect = time.Second
+)
+
 // Scenario fixes the network, demand series, and fault environment shared
 // by the runs being compared (FFC vs non-FFC use identical scenarios and
-// seeds, so they see identical faults).
+// seeds, so they see identical faults). Each matrix of Series is one
+// 5-minute TE interval. Independent work (the oversubscription replays'
+// intervals, RunMany's runs) fans out over runtime.GOMAXPROCS(0) workers;
+// every interval draws from its own faults.DeriveSeed-derived RNG, so
+// results are bit-identical at any worker count.
 type Scenario struct {
 	Net      *topology.Network
 	Tun      *tunnel.Set
 	Series   demand.Series
-	Interval time.Duration
 	Failures faults.FailureModel
 	Switches faults.SwitchModel
 	Seed     int64
-	// Parallelism bounds the worker count for the scenario's
-	// embarrassingly-parallel work: independent TE intervals in the
-	// oversubscription replays and independent runs in RunMany. ≤ 0 means
-	// all cores (runtime.GOMAXPROCS(0)); 1 forces the serial path. Every
-	// interval draws from its own faults.DeriveSeed-derived RNG, so
-	// results are bit-identical at any setting.
-	Parallelism int
 	// Ctx, when non-nil, cancels the run: the interval loop stops at the
 	// next interval boundary, and the in-flight solve is cancelled through
 	// the budget path (within one simplex iteration batch). A cancelled run
@@ -59,7 +68,8 @@ type PriorityConfig struct {
 // intervals on its own core.Session through core.Session.Step, the control
 // step ffcd runs: the model and basis carry over from interval to interval,
 // so a run can differ from cold solves only in the simplex's choice among
-// alternate optima.
+// alternate optima. Fault detection and repair take the fixed §8 delays
+// (detectDelay, controlDetect); no field changes them.
 type RunConfig struct {
 	// Prot is the single-priority protection level; core.None disables FFC
 	// (the baseline).
@@ -68,21 +78,9 @@ type RunConfig struct {
 	Multi *PriorityConfig
 	// SolverOpts tunes the FFC solver (encoding, §6 mice, ...).
 	SolverOpts core.Options
-	// DetectDelay is failure detection + ingress notification before
-	// rescaling (the paper's testbed: ≈50 ms).
-	DetectDelay time.Duration
-	// ControlDetect is how long the controller takes to notice a failed
-	// switch update and begin repair.
-	ControlDetect time.Duration
 	// NoCarryover disables adding unserved demand to the next interval
 	// (micro-benchmarks use this).
 	NoCarryover bool
-	// DetectDelaySet / ControlDetectSet mark an explicit zero in the
-	// corresponding field as intentional (instantaneous detection) instead
-	// of "unset, use the default" — the same sentinel-free pattern as
-	// experiments.EnvConfig.SeedSet.
-	DetectDelaySet   bool
-	ControlDetectSet bool
 	// SolverDeadline bounds each TE computation's wall clock; a solve that
 	// misses it degrades the interval to the last installed allocation
 	// (core.Degrade) instead of stalling the control loop. 0 = unlimited.
@@ -121,15 +119,6 @@ type PlanRecord struct {
 	// computed.
 	DownLinks    map[topology.LinkID]bool
 	DownSwitches map[topology.SwitchID]bool
-}
-
-func (c *RunConfig) fill() {
-	if c.DetectDelay == 0 && !c.DetectDelaySet {
-		c.DetectDelay = 50 * time.Millisecond
-	}
-	if c.ControlDetect == 0 && !c.ControlDetectSet {
-		c.ControlDetect = time.Second
-	}
 }
 
 // PriorityResult aggregates per-class accounting.
@@ -215,10 +204,6 @@ type activeFault struct {
 
 // Run executes the scenario under cfg.
 func Run(sc Scenario, cfg RunConfig) (*Result, error) {
-	cfg.fill()
-	if sc.Interval == 0 {
-		sc.Interval = 5 * time.Minute
-	}
 	rng := rand.New(rand.NewSource(sc.Seed))
 	res := &Result{}
 
@@ -317,10 +302,10 @@ func Run(sc Scenario, cfg RunConfig) (*Result, error) {
 		for ci := range classes {
 			granted := iv.states[ci].TotalRate()
 			dem := iv.demands[ci].Total()
-			res.ByPriority[classes[ci]].DemandBytes += dem * sc.Interval.Seconds()
-			res.ByPriority[classes[ci]].GrantedBytes += granted * sc.Interval.Seconds()
-			res.Total.DemandBytes += dem * sc.Interval.Seconds()
-			res.Total.GrantedBytes += granted * sc.Interval.Seconds()
+			res.ByPriority[classes[ci]].DemandBytes += dem * interval.Seconds()
+			res.ByPriority[classes[ci]].GrantedBytes += granted * interval.Seconds()
+			res.Total.DemandBytes += dem * interval.Seconds()
+			res.Total.GrantedBytes += granted * interval.Seconds()
 			if !cfg.NoCarryover {
 				backlog[ci] = nextBacklog(iv.demands[ci], iv.states[ci])
 			}

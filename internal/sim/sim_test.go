@@ -29,7 +29,6 @@ func testScenario(t testing.TB, seed int64, intervals int, scale float64) Scenar
 	return Scenario{
 		Net: net, Tun: tun,
 		Series:   ScaleSeries(series, k*scale),
-		Interval: 5 * time.Minute,
 		Failures: faults.LNetFailures(),
 		Switches: faults.Realistic(),
 		Seed:     seed + 1000,
@@ -309,7 +308,7 @@ func TestTimelineRecords(t *testing.T) {
 			t.Fatalf("record %d: granted exceeds demand", i)
 		}
 		lost += rec.Lost
-		granted += rec.Granted * sc.Interval.Seconds()
+		granted += rec.Granted * interval.Seconds()
 		faultsSeen += rec.LinkFaults + rec.SwitchFaults
 	}
 	if diff := lost - res.Total.LossBytes; diff > 1e-6 || diff < -1e-6 {
@@ -343,7 +342,7 @@ func TestNoCarryover(t *testing.T) {
 	}
 	var offered float64
 	for _, m := range sc.Series {
-		offered += m.Total() * sc.Interval.Seconds()
+		offered += m.Total() * interval.Seconds()
 	}
 	if diff := without.Total.DemandBytes - offered; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("NoCarryover demand %v != offered %v", without.Total.DemandBytes, offered)

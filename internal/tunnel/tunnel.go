@@ -5,7 +5,9 @@
 package tunnel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ffc/internal/topology"
@@ -17,6 +19,20 @@ type Flow struct {
 }
 
 func (f Flow) String() string { return fmt.Sprintf("%d→%d", f.Src, f.Dst) }
+
+// SortedFlows returns m's keys in the canonical (Src, Dst) order. Every
+// pass over a flow map whose result must not depend on map iteration order
+// — floating-point sums, LP row order, tunnel layout — iterates through it.
+func SortedFlows[V any](m map[Flow]V) []Flow {
+	flows := make([]Flow, 0, len(m))
+	for f := range m {
+		flows = append(flows, f)
+	}
+	slices.SortFunc(flows, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return flows
+}
 
 // Tunnel is one path assigned to a flow.
 type Tunnel struct {

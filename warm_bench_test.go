@@ -22,7 +22,7 @@ var (
 
 func getSNetEnv(tb testing.TB) *experiments.Env {
 	snetEnvOnce.Do(func() {
-		snetEnv, snetEnvErr = experiments.NewSNet(experiments.EnvConfig{Intervals: 8})
+		snetEnv, snetEnvErr = experiments.NewSNet(experiments.EnvConfig{Intervals: 8, Seed: 1})
 	})
 	if snetEnvErr != nil {
 		tb.Fatal(snetEnvErr)
@@ -85,7 +85,7 @@ func TestWarmResolveIterationSavingsLNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-solve chain is slow; skipped with -short")
 	}
-	e, err := experiments.NewLNet(experiments.EnvConfig{Intervals: 8})
+	e, err := experiments.NewLNet(experiments.EnvConfig{Intervals: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
