@@ -21,7 +21,9 @@ type basisRep interface {
 	refactor(st *simplexState)
 	// ftran computes w = B⁻¹·a into the zeroed dense vector w, where a is
 	// given sparsely. Returns the nonzero pattern of w, or nil meaning
-	// "treat w as dense".
+	// "treat w as dense". The pattern may be the representation's own
+	// buffer, overwritten by the next ftran: optimize, dualSimplex and
+	// refactor each finish with it before their next ftran.
 	ftran(aIdx []int32, aCoef []float64, w []float64) []int32
 	// ftranDense computes x = B⁻¹·x in place for dense x.
 	ftranDense(x []float64)
@@ -172,25 +174,27 @@ func (d *denseRep) nnzCount() int { return d.m * d.m }
 // ------------------------------------------------------------------ pfi --
 
 // eta is one elementary column transformation: the identity with column r
-// replaced by the sparse vector (idx, vals); vals holds the pivot element
-// at the position where idx[k] == r.
+// replaced by the pivot piv at row r and the off-pivot entries
+// pfiRep.idx[lo:hi] / pfiRep.vals[lo:hi].
 type eta struct {
-	r    int32
-	idx  []int32
-	vals []float64
-	// pivIdx locates r within idx.
-	pivIdx int32
+	r      int32
+	lo, hi int
+	piv    float64
 }
 
 // pfiRep is the product-form inverse: B = E₁·E₂·…·E_k, so
 // B⁻¹x = E_k⁻¹(…(E₁⁻¹x)). Reinversion rebuilds the chain from the basis
-// columns, choosing a sparsity-friendly pivot order.
+// columns, choosing a sparsity-friendly pivot order. The etas' off-pivot
+// entries lie back to back in one arena (idx, vals), each eta's in the order
+// its FTRAN first touched them; BTRAN sums its dot products in that order.
 type pfiRep struct {
 	m        int
 	etas     []eta
-	nnz      int // total stored nonzeros
-	baseEtas int // chain length after the last refactor
-	baseNnz  int // stored nonzeros after the last refactor
+	idx      []int32   // off-pivot rows of every eta, eta after eta
+	vals     []float64 // their values
+	nnz      int       // stored nonzeros: the arena plus one per pivot entry
+	baseEtas int       // chain length after the last refactor
+	baseNnz  int       // stored nonzeros after the last refactor
 	mark     []bool
 	pat      []int32
 }
@@ -199,58 +203,55 @@ func newPfiRep(m int) *pfiRep {
 	return &pfiRep{m: m, mark: make([]bool, m), pat: make([]int32, 0, m)}
 }
 
-// applyEtaInv applies E⁻¹ to the dense vector x with pattern tracking
-// (pattern nil = dense, no tracking). Returns the updated pattern.
-func (p *pfiRep) applyEtaInv(e *eta, x []float64, pattern []int32, track bool) []int32 {
-	xr := x[e.r]
-	if xr == 0 {
-		return pattern
-	}
-	piv := e.vals[e.pivIdx]
-	xr /= piv
-	x[e.r] = xr
-	for k, i := range e.idx {
-		if i == e.r {
-			continue
-		}
-		before := x[i]
-		x[i] = before - e.vals[k]*xr
-		if track && !p.mark[i] {
-			p.mark[i] = true
-			pattern = append(pattern, i)
-		}
-	}
-	return pattern
-}
-
 func (p *pfiRep) ftran(aIdx []int32, aCoef []float64, w []float64) []int32 {
-	pattern := p.pat[:0]
+	pat, mark := p.pat[:0], p.mark
 	for k, r := range aIdx {
 		if aCoef[k] == 0 {
 			continue
 		}
 		w[r] += aCoef[k]
-		if !p.mark[r] {
-			p.mark[r] = true
-			pattern = append(pattern, r)
+		if !mark[r] {
+			mark[r] = true
+			pat = append(pat, r)
 		}
 	}
-	for i := range p.etas {
-		pattern = p.applyEtaInv(&p.etas[i], w, pattern, true)
+	for _, e := range p.etas {
+		xr := w[e.r]
+		if xr == 0 {
+			continue
+		}
+		xr /= e.piv
+		w[e.r] = xr
+		idx, vals := p.idx[e.lo:e.hi], p.vals[e.lo:e.hi]
+		vals = vals[:len(idx)]
+		for k, i := range idx {
+			w[i] = w[i] - vals[k]*xr
+			if !mark[i] {
+				mark[i] = true
+				pat = append(pat, i)
+			}
+		}
 	}
-	// Clear marks; keep the pattern storage for reuse.
-	for _, i := range pattern {
-		p.mark[i] = false
+	for _, i := range pat {
+		mark[i] = false
 	}
-	p.pat = pattern[:0:cap(pattern)]
-	out := make([]int32, len(pattern))
-	copy(out, pattern)
-	return out
+	p.pat = pat
+	return pat
 }
 
 func (p *pfiRep) ftranDense(x []float64) {
-	for i := range p.etas {
-		p.applyEtaInv(&p.etas[i], x, nil, false)
+	for _, e := range p.etas {
+		xr := x[e.r]
+		if xr == 0 {
+			continue
+		}
+		xr /= e.piv
+		x[e.r] = xr
+		idx, vals := p.idx[e.lo:e.hi], p.vals[e.lo:e.hi]
+		vals = vals[:len(idx)]
+		for k, i := range idx {
+			x[i] = x[i] - vals[k]*xr
+		}
 	}
 }
 
@@ -264,54 +265,32 @@ func (p *pfiRep) btranDense(y []float64) {
 	// eta: z_j = y_j (j≠r), z_r = (y_r − Σ_{i≠r} y_i v_i)/v_r.
 	for i := len(p.etas) - 1; i >= 0; i-- {
 		e := &p.etas[i]
+		idx, vals := p.idx[e.lo:e.hi], p.vals[e.lo:e.hi]
+		vals = vals[:len(idx)]
 		var dot float64
-		for k, idx := range e.idx {
-			if idx == e.r {
-				continue
-			}
-			dot += y[idx] * e.vals[k]
+		for k, j := range idx {
+			dot += y[j] * vals[k]
 		}
-		y[e.r] = (y[e.r] - dot) / e.vals[e.pivIdx]
+		y[e.r] = (y[e.r] - dot) / e.piv
 	}
 }
 
+// pivot appends the eta of w pivoting row r: pat's nonzero off-pivot
+// entries, in pat's order. The pivot entry counts as one stored nonzero per
+// listing of r in pat, and at least one (refactor's singular path can list
+// r twice).
 func (p *pfiRep) pivot(r int, w []float64, pat []int32) {
-	e := eta{r: int32(r)}
-	if pat == nil {
-		for i, v := range w {
-			if v != 0 || i == r {
-				e.idx = append(e.idx, int32(i))
-				e.vals = append(e.vals, v)
-			}
-		}
-	} else {
-		e.idx = make([]int32, 0, len(pat)+1)
-		e.vals = make([]float64, 0, len(pat)+1)
-		seenR := false
-		for _, i := range pat {
-			v := w[i]
-			if v == 0 && int(i) != r {
-				continue
-			}
-			e.idx = append(e.idx, i)
-			e.vals = append(e.vals, v)
-			if int(i) == r {
-				seenR = true
-			}
-		}
-		if !seenR {
-			e.idx = append(e.idx, int32(r))
-			e.vals = append(e.vals, w[r])
-		}
-	}
-	for k, i := range e.idx {
+	lo, pivots := len(p.idx), 0
+	for _, i := range pat {
 		if int(i) == r {
-			e.pivIdx = int32(k)
-			break
+			pivots++
+		} else if v := w[i]; v != 0 {
+			p.idx = append(p.idx, i)
+			p.vals = append(p.vals, v)
 		}
 	}
-	p.etas = append(p.etas, e)
-	p.nnz += len(e.idx)
+	p.etas = append(p.etas, eta{r: int32(r), lo: lo, hi: len(p.idx), piv: w[r]})
+	p.nnz += len(p.idx) - lo + max(pivots, 1)
 }
 
 func (p *pfiRep) shouldRefactor() bool {
@@ -334,12 +313,11 @@ func (p *pfiRep) nnzCount() int { return p.nnz }
 // The order matters enormously: a column whose nonzeros all lie in rows
 // not yet pivoted produces an eta identical to the column (zero fill), so
 // the triangular part of the basis — which dominates in network LPs — is
-// peeled first via Markowitz-style singleton elimination; only the
-// remaining "bump" incurs fill.
+// peeled first by singleton elimination; only the remaining "bump", taken
+// in fewest-remaining-rows order with partial pivoting on |w|, incurs fill.
 func (p *pfiRep) refactor(st *simplexState) {
 	m := p.m
-	p.etas = p.etas[:0]
-	p.nnz = 0
+	p.etas, p.idx, p.vals, p.nnz = p.etas[:0], p.idx[:0], p.vals[:0], 0
 
 	order, pivRow := triangularOrder(st)
 
@@ -387,28 +365,39 @@ func (p *pfiRep) refactor(st *simplexState) {
 		w[best] = 0
 	}
 	copy(st.basis, newBasis)
-	p.baseEtas = len(p.etas)
-	p.baseNnz = p.nnz
+	p.baseEtas, p.baseNnz = len(p.etas), p.nnz
 }
 
-// triangularOrder peels the basis pattern with Markowitz-style singleton
-// elimination and returns the column processing order plus, per position,
-// the structurally assigned pivot row (-1 when the column landed in the
-// bump and the row must be chosen numerically).
+// triangularOrder peels column and row singletons off the basis pattern,
+// breaking stalls with the bump column of fewest remaining rows. It returns
+// the column processing order and, per position, the structural pivot row
+// (-1 for a bump column, whose row is chosen numerically).
 func triangularOrder(st *simplexState) (order []int, pivRow []int) {
 	m := st.m
 	// Column patterns restricted to basis columns.
 	cols := st.basis
 	colRows := make([][]int32, m)
-	rowCols := make([][]int32, m)
 	colCnt := make([]int, m) // remaining-nnz per basis position
 	rowCnt := make([]int, m)
+	nnz := 0
 	for ci, v := range cols {
 		colRows[ci] = st.colIdx[v]
 		colCnt[ci] = len(st.colIdx[v])
+		nnz += colCnt[ci]
 		for _, r := range st.colIdx[v] {
-			rowCols[r] = append(rowCols[r], int32(ci))
 			rowCnt[r]++
+		}
+	}
+	// Row patterns as a counted CSR: each row's list is carved from one
+	// array at its count, then filled in ascending position order.
+	rowCols := make([][]int32, m)
+	all := make([]int32, nnz)
+	for r, c := range rowCnt {
+		rowCols[r], all = all[:0:c], all[c:]
+	}
+	for ci, rows := range colRows {
+		for _, r := range rows {
+			rowCols[r] = append(rowCols[r], int32(ci))
 		}
 	}
 	colDone := make([]bool, m)

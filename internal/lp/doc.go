@@ -32,8 +32,9 @@
 // Phase I and hands a feasible basis to the primal Phase II. The primal
 // prices with Devex weights, falling back to Bland's rule after a long
 // degenerate run; both update reduced costs incrementally. The basis inverse
-// is an eta file (product form: sparse FTRAN/BTRAN, Markowitz-ordered
-// reinversion), except that a cold crash below 260 rows uses an explicit
+// is an eta file packed in one arena (sparse FTRAN/BTRAN; reinversion peels
+// singletons, then pivots the bump, fewest remaining rows first, on the
+// largest |w|), except that a cold crash below 260 rows uses an explicit
 // dense matrix, which a carried handle keeps; a warm seat that refactors is
 // product form at any size. Both are refactorized on one policy (simplex.go).
 package lp

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -356,3 +358,288 @@ func benchLargeSparseLP(b *testing.B, force int8) {
 // product-form inverse's advantage on a sparse 700-row basis.
 func BenchmarkSimplexDenseRep(b *testing.B) { benchLargeSparseLP(b, 1) }
 func BenchmarkSimplexPFIRep(b *testing.B)   { benchLargeSparseLP(b, 2) }
+
+// refPFI is the product form's eta layout before the packed arena, kept as
+// the bit-identity reference: each eta owns its idx/vals with the pivot
+// entry inline at pivIdx. applyEtaInv, ftran, btranDense and pivot are the
+// old kernels verbatim (pivot without the dense-pattern branch no caller
+// reached).
+type refPFI struct {
+	etas []refEta
+	nnz  int
+	mark []bool
+}
+
+type refEta struct {
+	r      int32
+	idx    []int32
+	vals   []float64
+	pivIdx int32
+}
+
+func (p *refPFI) applyEtaInv(e *refEta, x []float64, pattern []int32, track bool) []int32 {
+	xr := x[e.r]
+	if xr == 0 {
+		return pattern
+	}
+	piv := e.vals[e.pivIdx]
+	xr /= piv
+	x[e.r] = xr
+	for k, i := range e.idx {
+		if i == e.r {
+			continue
+		}
+		before := x[i]
+		x[i] = before - e.vals[k]*xr
+		if track && !p.mark[i] {
+			p.mark[i] = true
+			pattern = append(pattern, i)
+		}
+	}
+	return pattern
+}
+
+func (p *refPFI) ftran(aIdx []int32, aCoef []float64, w []float64) []int32 {
+	var pattern []int32
+	for k, r := range aIdx {
+		if aCoef[k] == 0 {
+			continue
+		}
+		w[r] += aCoef[k]
+		if !p.mark[r] {
+			p.mark[r] = true
+			pattern = append(pattern, r)
+		}
+	}
+	for i := range p.etas {
+		pattern = p.applyEtaInv(&p.etas[i], w, pattern, true)
+	}
+	for _, i := range pattern {
+		p.mark[i] = false
+	}
+	return pattern
+}
+
+func (p *refPFI) ftranDense(x []float64) {
+	for i := range p.etas {
+		p.applyEtaInv(&p.etas[i], x, nil, false)
+	}
+}
+
+func (p *refPFI) btranDense(y []float64) {
+	for i := len(p.etas) - 1; i >= 0; i-- {
+		e := &p.etas[i]
+		var dot float64
+		for k, idx := range e.idx {
+			if idx == e.r {
+				continue
+			}
+			dot += y[idx] * e.vals[k]
+		}
+		y[e.r] = (y[e.r] - dot) / e.vals[e.pivIdx]
+	}
+}
+
+func (p *refPFI) pivot(r int, w []float64, pat []int32) {
+	e := refEta{r: int32(r)}
+	seenR := false
+	for _, i := range pat {
+		v := w[i]
+		if v == 0 && int(i) != r {
+			continue
+		}
+		e.idx = append(e.idx, i)
+		e.vals = append(e.vals, v)
+		if int(i) == r {
+			seenR = true
+		}
+	}
+	if !seenR {
+		e.idx = append(e.idx, int32(r))
+		e.vals = append(e.vals, w[r])
+	}
+	for k, i := range e.idx {
+		if int(i) == r {
+			e.pivIdx = int32(k)
+			break
+		}
+	}
+	p.etas = append(p.etas, e)
+	p.nnz += len(e.idx)
+}
+
+// replay rebuilds ref along the pivot sequence p.refactor(st) just chose:
+// eta k pivots row p.etas[k].r on the column now basic there, through the
+// reference FTRAN and refactor's singular-column rule (a pivot that fails
+// pivotTol gets singularPivot added and its row appended to the pattern).
+func (ref *refPFI) replay(p *pfiRep, st *simplexState) {
+	ref.etas, ref.nnz = nil, 0
+	w := make([]float64, st.m)
+	for _, e := range p.etas {
+		r, v := int(e.r), st.basis[e.r]
+		pat := ref.ftran(st.colIdx[v], st.colCoef[v], w)
+		if math.Abs(w[r]) <= pivotTol {
+			w[r] += singularPivot
+			pat = append(pat, e.r)
+		}
+		ref.pivot(r, w, pat)
+		for _, i := range pat {
+			w[i] = 0
+		}
+	}
+}
+
+// requireSameEtas fails unless p stores exactly ref's etas: the same pivot
+// rows and pivot bits, the same off-pivot entries in the same order, and
+// the same nnzCount.
+func requireSameEtas(t *testing.T, tag string, p *pfiRep, ref *refPFI) {
+	t.Helper()
+	if len(p.etas) != len(ref.etas) || p.nnzCount() != ref.nnz {
+		t.Fatalf("%s: %d etas / nnz %d, reference %d / %d", tag, len(p.etas), p.nnzCount(), len(ref.etas), ref.nnz)
+	}
+	for k, e := range ref.etas {
+		var idx []int32
+		var vals []float64
+		for j, i := range e.idx {
+			if i != e.r {
+				idx, vals = append(idx, i), append(vals, e.vals[j])
+			}
+		}
+		pe := p.etas[k]
+		if pe.r != e.r || !sameBits(pe.piv, e.vals[e.pivIdx]) ||
+			!slices.Equal(p.idx[pe.lo:pe.hi], idx) || !slices.EqualFunc(p.vals[pe.lo:pe.hi], vals, sameBits) {
+			t.Fatalf("%s: eta %d differs from the reference", tag, k)
+		}
+	}
+}
+
+// randomSparseState returns an m-row state whose columns are m unit
+// slacks followed by 2m random structurals of one to four nonzeros (some
+// stored as explicit zeros), with the slack basis.
+func randomSparseState(rng *rand.Rand, m int) *simplexState {
+	st := &simplexState{m: m, basis: make([]int, m)}
+	for i := 0; i < m; i++ {
+		st.colIdx = append(st.colIdx, []int32{int32(i)})
+		st.colCoef = append(st.colCoef, []float64{1})
+		st.basis[i] = i
+	}
+	for j := 0; j < 2*m; j++ {
+		var idx []int32
+		var coef []float64
+		for _, r := range rng.Perm(m)[:1+rng.Intn(4)] {
+			c := 0.5 + 1.5*rng.Float64()
+			switch rng.Intn(8) {
+			case 0:
+				c = 0
+			case 1, 2:
+				c = -c
+			}
+			idx, coef = append(idx, int32(r)), append(coef, c)
+		}
+		st.colIdx, st.colCoef = append(st.colIdx, idx), append(st.colCoef, coef)
+	}
+	return st
+}
+
+// TestPackedEtaArenaBitIdentical drives the packed eta arena and refPFI, the
+// layout it replaced, through the same pivots and reinversions on seeded
+// random sparse bases. Every FTRAN, dense FTRAN, unit BTRAN and dense BTRAN
+// must agree bit for bit, with the same pattern order and nnzCount. Some
+// reinversions run on a basis holding one column twice, so refactor's
+// singular-column path appends the pivot row to a pattern that already
+// lists it, and that row counts twice.
+func TestPackedEtaArenaBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	doubled := 0
+	for trial := 0; trial < 30; trial++ {
+		m := 20 + rng.Intn(50)
+		st := randomSparseState(rng, m)
+		n := len(st.colIdx)
+		p, ref := newPfiRep(m), &refPFI{mark: make([]bool, m)}
+		reinvert := func(tag string) {
+			p.refactor(st)
+			ref.replay(p, st)
+			requireSameEtas(t, tag, p, ref)
+			for _, e := range ref.etas {
+				if slices.Index(e.idx[slices.Index(e.idx, e.r)+1:], e.r) >= 0 {
+					doubled++
+				}
+			}
+		}
+		compare := func(tag string, got, want []float64) {
+			if !slices.EqualFunc(got, want, sameBits) {
+				t.Fatalf("trial %d: %s output differs from the reference", trial, tag)
+			}
+		}
+		random := func() []float64 {
+			x := make([]float64, m)
+			for i := range x {
+				if rng.Intn(3) == 0 {
+					x[i] = rng.NormFloat64()
+				}
+			}
+			return x
+		}
+		reinvert("slack basis")
+		wGot, wWant := make([]float64, m), make([]float64, m)
+		for step := 0; step < 300; step++ {
+			tag := fmt.Sprintf("trial %d step %d", trial, step)
+			q := m + rng.Intn(n-m)
+			if slices.Contains(st.basis, q) {
+				continue
+			}
+			patGot := p.ftran(st.colIdx[q], st.colCoef[q], wGot)
+			patWant := ref.ftran(st.colIdx[q], st.colCoef[q], wWant)
+			if !slices.Equal(patGot, patWant) {
+				t.Fatalf("%s: ftran pattern %v, reference %v", tag, patGot, patWant)
+			}
+			compare("ftran", wGot, wWant)
+			x := random()
+			xRef := slices.Clone(x)
+			p.ftranDense(x)
+			ref.ftranDense(xRef)
+			compare("ftranDense", x, xRef)
+			y := random()
+			yRef := slices.Clone(y)
+			p.btranDense(y)
+			ref.btranDense(yRef)
+			compare("btranDense", y, yRef)
+
+			r, best := -1, pivotTol
+			for _, i := range patGot {
+				if a := math.Abs(wGot[i]); a > best {
+					r, best = int(i), a
+				}
+			}
+			if r >= 0 {
+				u, uRef := make([]float64, m), make([]float64, m)
+				uRef[r] = 1
+				p.btranUnit(r, u)
+				ref.btranDense(uRef)
+				compare("btranUnit", u, uRef)
+				p.pivot(r, wGot, patGot)
+				ref.pivot(r, wWant, patWant)
+				requireSameEtas(t, tag, p, ref)
+				st.basis[r] = q
+			}
+			clear(wGot)
+			clear(wWant)
+			switch step % 50 {
+			case 49:
+				reinvert("reinversion")
+			case 24:
+				// Reinvert with one basic column doubled, then restore it.
+				if a, b := rng.Intn(m), rng.Intn(m); a != b {
+					v, keep := st.basis[a], st.basis[b]
+					st.basis[b] = v
+					reinvert("doubled column")
+					st.basis[slices.Index(st.basis, v)] = keep
+					reinvert("restored")
+				}
+			}
+		}
+	}
+	if doubled == 0 {
+		t.Fatal("no reinversion listed a pivot row twice; the singular-column path went untested")
+	}
+}
