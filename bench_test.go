@@ -13,7 +13,6 @@ import (
 	"ffc/internal/core"
 	"ffc/internal/experiments"
 	"ffc/internal/faults"
-	"ffc/internal/sim"
 )
 
 var (
@@ -82,7 +81,7 @@ func BenchmarkFig12ThroughputOverhead(b *testing.B) {
 // configuration — the direct analogue of the paper's Table 2 cells.
 func BenchmarkTable2ComputationTime(b *testing.B) {
 	e := getBenchEnv(b)
-	series := sim.ScaleSeries(e.Series, e.Scale1)
+	series := e.Series.Scale(e.Scale1)
 	solver := core.NewSolver(e.Net, e.Tun, e.Opts)
 	prev, _, err := solver.Solve(core.Input{Demands: series[0]})
 	if err != nil {
@@ -180,7 +179,7 @@ func benchSolve(b *testing.B, enc core.Encoding, prot core.Protection) {
 	opts := e.Opts
 	opts.Encoding = enc
 	solver := core.NewSolver(e.Net, e.Tun, opts)
-	series := sim.ScaleSeries(e.Series, e.Scale1)
+	series := e.Series.Scale(e.Scale1)
 	prev, _, err := solver.Solve(core.Input{Demands: series[0]})
 	if err != nil {
 		b.Fatal(err)

@@ -9,10 +9,11 @@
 // exactly as in ffcsim, with the reason in the plan metadata and zero
 // protection reported for the fallback.
 //
-// With -certify, every plan is certified by internal/check between solve
-// and publish, so only certified plans are served: a plan that fails
-// degrades with reason "uncertified" to the last published plan, capped at
-// current demand and certified at zero protection.
+// Every plan is certified by internal/check before it is served: a solved
+// plan that fails degrades with reason "uncertified" to the last served
+// plan, capped at current demand and certified at zero protection; if that
+// fails too, the served plan stays. A restored snapshot certifies the same
+// way, and ffcd exits 1 at drain if any certification failed.
 //
 //	ffcd -topo net.json -demands d.json -kc 2 -ke 1 -listen 127.0.0.1:7070 \
 //	     -snapshot /var/run/ffcd.snap
@@ -34,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/ctrl"
 	"ffc/internal/faults"
@@ -64,7 +64,7 @@ func main() {
 		injectSeed = flag.Int64("inject-seed", 1, "fault-injection RNG seed")
 		statsFlag  = flag.Bool("stats", false, "enable the obs registry (counters, latency histograms)")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
-		certify    = flag.Bool("certify", false, "certify every plan with internal/check before serving it; a failing plan is logged, counted in cert_failures and replaced by a certified degraded fallback (reason uncertified); restored snapshots certify the same way")
+		_          = flag.Bool("certify", true, "accepted and ignored: every plan is certified before it is served (a failing plan is logged, counted in cert_failures and replaced by a certified degraded fallback, reason uncertified)")
 		tracePath  = flag.String("trace", "", "append one NDJSON trace record per installed plan (replayable offline with ffccheck -trace)")
 	)
 	flag.Parse()
@@ -110,9 +110,6 @@ func main() {
 	cfg.Faults, err = faults.ParseSolverFaults(*injectSpec)
 	if err != nil {
 		fatalf("-inject-solver: %v", err)
-	}
-	if *certify {
-		cfg.Certify = &check.Params{}
 	}
 	var traceFile *os.File
 	if *tracePath != "" {
@@ -160,12 +157,10 @@ func main() {
 	s := c.Stats()
 	logger.Printf("drained: %d plans installed (%d degraded), %d updates, %d queries served",
 		s.PlansInstalled, s.DegradedInstalls, s.UpdatesApplied, s.QueriesServed)
-	if *certify {
-		logger.Printf("certification: %d runs, %d failures, %.2f ms mean (last: %d cases)",
-			s.CertRuns, s.CertFailures, s.CertMsMean, s.CertCasesLast)
-		if s.CertFailures > 0 {
-			os.Exit(1)
-		}
+	logger.Printf("certification: %d runs, %d failures, %.2f ms mean (last: %d cases)",
+		s.CertRuns, s.CertFailures, s.CertMsMean, s.CertCasesLast)
+	if s.CertFailures > 0 {
+		os.Exit(1)
 	}
 }
 

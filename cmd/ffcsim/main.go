@@ -105,7 +105,7 @@ func main() {
 	ffcCfg := sim.RunConfig{Prot: core.Protection{Kc: *kc, Ke: *ke, Kv: *kv}, SolverOpts: env.Opts}
 	if *multi {
 		rng := rand.New(rand.NewSource(*seed + 99))
-		splits := demand.RandomSplits(sim.FlowsOf(sc.Series), rng)
+		splits := demand.RandomSplits(sc.Series.Flows(), rng)
 		mp := &sim.PriorityConfig{Splits: splits}
 		mp.Prot[demand.High] = core.Protection{Kc: 3, Ke: 3}
 		mp.Prot[demand.Med] = core.Protection{Kc: 2, Ke: 1}
@@ -170,10 +170,8 @@ func main() {
 	tab.Row("max-oversub p99 (%)", 100*base.MaxOversub.Percentile(99), 100*ffcRes.MaxOversub.Percentile(99), "")
 	tab.Row("controller reactions", base.Reactions, ffcRes.Reactions, "")
 	tab.Row("TE solve mean (s)", base.SolveTime.Mean(), ffcRes.SolveTime.Mean(), "")
-	if *deadline > 0 || injected.Enabled() {
-		tab.Row("degraded intervals", base.DegradedIntervals, ffcRes.DegradedIntervals, "")
-		tab.Row("degraded max-oversub (%)", 100*base.DegradedOversub.Max(), 100*ffcRes.DegradedOversub.Max(), "")
-	}
+	tab.Row("degraded intervals", base.DegradedIntervals, ffcRes.DegradedIntervals, "")
+	tab.Row("degraded oversub (%)", 100*base.DegradedOversub.Max(), 100*ffcRes.DegradedOversub.Max(), "")
 	fmt.Print(tab.String())
 
 	if *timeline {

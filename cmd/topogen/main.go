@@ -30,7 +30,6 @@ import (
 	"ffc/internal/demand"
 	"ffc/internal/faults"
 	"ffc/internal/obs"
-	"ffc/internal/sim"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 	"ffc/internal/wire"
@@ -102,10 +101,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *demPath != "" {
 		demRng := rand.New(rand.NewSource(faults.DeriveSeed(*seed, 1)))
 		series := demand.Generate(net, demand.Config{Intervals: 3}, demRng)
-		flows := sim.FlowsOf(series)
+		flows := series.Flows()
 		set := tunnel.Layout(net, flows, tunnel.LayoutConfig{})
 		solver := core.NewSolver(net, set, core.Options{MiceFraction: 0.01})
-		k, err := sim.CalibrateScale(solver, series, 0.99, 2)
+		k, err := core.CalibrateScale(solver, series, 0.99, 2)
 		if err != nil {
 			return fmt.Errorf("calibrating: %w", err)
 		}

@@ -17,7 +17,6 @@ import (
 	"ffc/internal/core"
 	"ffc/internal/demand"
 	"ffc/internal/obs"
-	"ffc/internal/sim"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
@@ -58,13 +57,13 @@ func daemonPlans(tb testing.TB) (*topology.Network, *tunnel.Set, []daemonStep) {
 				m[f] *= math.Exp(rng.NormFloat64() * 0.05)
 			}
 		}
-		set := tunnel.Layout(net, sim.FlowsOf(series), tunnel.LayoutConfig{TunnelsPerFlow: 6, P: 1, Q: 3})
-		scale, err := sim.CalibrateScale(core.NewSolver(net, set, core.Options{}), series, 0.99, 3)
+		set := tunnel.Layout(net, series.Flows(), tunnel.LayoutConfig{TunnelsPerFlow: 6, P: 1, Q: 3})
+		scale, err := core.CalibrateScale(core.NewSolver(net, set, core.Options{}), series, 0.99, 3)
 		if err != nil {
 			daemonFx.err = err
 			return
 		}
-		series = sim.ScaleSeries(series, scale)
+		series = series.Scale(scale)
 		se := core.NewSolver(net, set, core.Options{MiceFraction: 0.01}).NewSession()
 		down := map[topology.LinkID]bool{}
 		prev := core.NewState()

@@ -114,15 +114,7 @@ func (in *Input) validate() error {
 	return nil
 }
 
-var (
-	obsDegradedIntervals = obs.NewCounter("core.degraded_intervals")
-	obsSolveVsDeadline   = obs.NewValueHistogram("core.solve_vs_deadline_pct")
-)
-
-// NoteDegradedInterval records one control interval that fell back to a
-// degraded (last-good) configuration; the sim's control loop calls it once
-// per such interval.
-func NoteDegradedInterval() { obsDegradedIntervals.Inc() }
+var obsSolveVsDeadline = obs.NewValueHistogram("core.solve_vs_deadline_pct")
 
 // Step runs one control interval's TE computation on the session: the
 // policy ffcd's recompute loop and the simulator's interval loop share.
@@ -135,16 +127,23 @@ func NoteDegradedInterval() { obsDegradedIntervals.Inc() }
 //   - solves in on the session;
 //   - retries a protected solve that is infeasible (heavy faults can shrink
 //     the network below the protection level) once, cold and unprotected;
+//   - certifies a landed plan at the protection it achieves, with certify;
 //   - names the failure, if one remains: "cancelled" (in.Budget.Ctx is
-//     done), the injected fault's kind, "deadline", "infeasible" or
-//     "solver-error";
+//     done), the injected fault's kind, "deadline", "infeasible",
+//     "solver-error" or "uncertified";
 //   - on failure, falls back to Degrade over in.Prev around in's down sets,
-//     capped at in.Demands.
+//     capped at in.Demands, and certifies that at core.None.
 //
-// It returns the plan to install, the protection that plan achieves
-// (core.None after the unprotected retry or a fallback), the reason ("" when
-// the solve landed) and the final solve's stats (never nil).
-func (se *Session) Step(in Input, fault *faults.SolverFaultKind) (st *State, achieved Protection, reason string, stats *Stats) {
+// certify is required: it reports whether st is congestion-free for in at
+// protection prot. core cannot import the certifier, so the callers pass a
+// closure over check.Certify; in.Prev must be a plan it certified, the
+// precondition of Degrade's soundness.
+//
+// It returns the plan to install — nil when the fallback fails
+// certification too, so the installed plan stays — the protection that plan
+// achieves (core.None after the unprotected retry or a fallback), the reason
+// ("" when the solve landed) and the final solve's stats (never nil).
+func (se *Session) Step(in Input, fault *faults.SolverFaultKind, certify func(st *State, prot Protection) bool) (st *State, achieved Protection, reason string, stats *Stats) {
 	if fault != nil {
 		switch *fault {
 		case faults.SolverTimeout:
@@ -165,7 +164,10 @@ func (se *Session) Step(in Input, fault *faults.SolverFaultKind) (st *State, ach
 	}
 	switch {
 	case err == nil && (fault == nil || *fault != faults.SolverStale):
-		return st, achieved, "", stats
+		if certify(st, achieved) {
+			return st, achieved, "", stats
+		}
+		reason = "uncertified"
 	case err != nil && in.Budget.Ctx != nil && in.Budget.Ctx.Err() != nil:
 		reason = "cancelled"
 	case fault != nil:
@@ -177,7 +179,11 @@ func (se *Session) Step(in Input, fault *faults.SolverFaultKind) (st *State, ach
 	default:
 		reason = "solver-error"
 	}
-	return Degrade(se.s.Net, se.s.Tun, in.Prev, in.Demands, in.DownLinks, in.DownSwitches), None, reason, stats
+	st = Degrade(se.s.Net, se.s.Tun, in.Prev, in.Demands, in.DownLinks, in.DownSwitches)
+	if !certify(st, None) {
+		st = nil
+	}
+	return st, None, reason, stats
 }
 
 // Degrade derives the operating configuration for a control interval whose

@@ -150,9 +150,11 @@ func TestSolveBudgetGenerousCompletes(t *testing.T) {
 	}
 }
 
-// TestStep runs the shared control step through each of its branches. A
-// failed step must serve Degrade(prev) capped at the interval's demand, and
-// the session must still reach a fresh session's optimum on its next call.
+// TestStep runs the shared control step through each of its branches, with
+// a fake certifier. A failed step must serve Degrade(prev) capped at the
+// interval's demand and certified at core.None, or no plan when that
+// certification fails too, and the session must still reach a fresh
+// session's optimum on its next call.
 func TestStep(t *testing.T) {
 	fx := newFig25(t)
 	s := NewSolver(fx.net, fx.tun, Options{})
@@ -175,10 +177,25 @@ func TestStep(t *testing.T) {
 	floor25 := Input{Demands: demand.Matrix{fx.f24: 25}, RateFloors: map[tunnel.Flow]float64{fx.f24: 25}}
 	with := func(in Input, prot Protection) Input { in.Prot = prot; return in }
 
+	// certifier is a fake check.Certify that rejects its first reject
+	// calls and records every call.
+	type certCall struct {
+		st   *State
+		prot Protection
+	}
+	certifier := func(reject int, calls *[]certCall) func(*State, Protection) bool {
+		return func(st *State, prot Protection) bool {
+			*calls = append(*calls, certCall{st, prot})
+			return len(*calls) > reject
+		}
+	}
+	accept := func(*State, Protection) bool { return true }
+
 	for _, tc := range []struct {
 		name     string
 		in       Input // Demands default to dem; Prev is always prev
 		fault    *faults.SolverFaultKind
+		reject   int // certifications the fake certifier rejects
 		reason   string
 		achieved Protection
 		solves   int64 // LP solves the step runs; 0 is not checked
@@ -194,6 +211,11 @@ func TestStep(t *testing.T) {
 		{name: "infeasible", in: with(floor25, ke1), reason: "infeasible", solves: 2},
 		{name: "unprotected infeasible", in: floor25, reason: "infeasible", solves: 1},
 		{name: "cancelled", in: Input{Prot: ke1, Budget: Budget{Ctx: cancelled}}, reason: "cancelled", solves: 1},
+		// The solved plan fails certification: the fallback is certified
+		// at core.None and served.
+		{name: "uncertified", in: Input{Prot: ke1}, reject: 1, reason: "uncertified", solves: 1},
+		// The fallback fails too: Step returns no plan.
+		{name: "uncertified fallback", in: Input{Prot: ke1}, reject: 2, reason: "uncertified", solves: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := tc.in
@@ -203,20 +225,42 @@ func TestStep(t *testing.T) {
 			in.Prev = prev
 			next := Input{Demands: dem, Prot: ke1, Prev: prev}
 			se := s.NewSession()
-			if _, _, reason, _ := se.Step(next, nil); reason != "" {
+			if _, _, reason, _ := se.Step(next, nil, accept); reason != "" {
 				t.Fatalf("warm-up step degraded: %s", reason)
 			}
 
 			solves := obs.Default().Counter("lp.solves")
 			before := solves.Value()
-			st, achieved, reason, stats := se.Step(in, tc.fault)
+			var calls []certCall
+			st, achieved, reason, stats := se.Step(in, tc.fault, certifier(tc.reject, &calls))
 			if n := solves.Value() - before; tc.solves != 0 && n != tc.solves {
 				t.Fatalf("step ran %d LP solves, want %d", n, tc.solves)
 			}
 			if reason != tc.reason || achieved != tc.achieved || stats == nil {
 				t.Fatalf("reason %q achieved %v stats %v, want reason %q achieved %v", reason, achieved, stats, tc.reason, tc.achieved)
 			}
-			if reason == "" {
+			// The last certification is always the returned plan's (or the
+			// rejected fallback's), at the protection it reports.
+			if len(calls) == 0 {
+				t.Fatal("step certified nothing")
+			}
+			last := calls[len(calls)-1]
+			if last.prot != achieved {
+				t.Fatalf("last certification at %v, want the achieved %v", last.prot, achieved)
+			}
+			if tc.reject >= len(calls) {
+				if st != nil {
+					t.Fatal("step returned a plan whose fallback failed certification")
+				}
+			} else if last.st != st {
+				t.Fatal("the returned plan is not the one certified last")
+			}
+			if tc.reason == "uncertified" && calls[0].prot != ke1 {
+				t.Fatalf("solved plan certified at %v, want %v", calls[0].prot, ke1)
+			}
+			switch {
+			case st == nil:
+			case reason == "":
 				want, _, err := s.Solve(with(in, achieved))
 				if err != nil {
 					t.Fatal(err)
@@ -224,7 +268,7 @@ func TestStep(t *testing.T) {
 				if d := math.Abs(st.TotalRate() - want.TotalRate()); d > 1e-9 {
 					t.Fatalf("step granted %g, a fresh solve %g", st.TotalRate(), want.TotalRate())
 				}
-			} else {
+			default:
 				want := Degrade(fx.net, fx.tun, prev, in.Demands, in.DownLinks, in.DownSwitches)
 				for f, r := range st.Rate {
 					if r != want.Rate[f] || r > in.Demands[f] {
@@ -236,7 +280,7 @@ func TestStep(t *testing.T) {
 				}
 			}
 
-			got, _, reason, _ := se.Step(next, nil)
+			got, _, reason, _ := se.Step(next, nil, accept)
 			want, _, err := s.Solve(next)
 			if err != nil {
 				t.Fatal(err)

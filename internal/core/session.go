@@ -23,12 +23,3 @@ type Session struct {
 
 // NewSession returns a solve session bound to s.
 func (s *Solver) NewSession() *Session { return &Session{s: s} }
-
-// Template exposes the session's cached model template (nil until the
-// first successful build).
-func (se *Session) Template() *ModelTemplate { return se.tmpl }
-
-// Reset drops the cached template and basis; the next Solve starts cold.
-func (se *Session) Reset() {
-	se.warm, se.tmpl = nil, nil
-}

@@ -5,7 +5,6 @@ import (
 
 	"ffc/internal/check"
 	"ffc/internal/core"
-	"ffc/internal/demand"
 	"ffc/internal/obs"
 	"ffc/internal/topology"
 	"ffc/internal/wire"
@@ -16,49 +15,23 @@ var (
 	obsCertFailures   = obs.NewCounter("ctrl.cert_failures")
 	obsCertWorstSlack = obs.NewGauge("ctrl.cert_worst_slack_milli")
 	// obsCertTime is each certification's run time, all of it spent on the
-	// install path between solve and publish.
+	// install path, inside the control step.
 	obsCertTime = obs.NewHistogram("ctrl.cert_time")
 )
 
-// publish is the only way a solved or restored plan reaches c.plan: with
-// Config.Certify set it certifies st first and installs it only if the
-// certificate passes, so no uncertified plan is ever served. A degraded
-// plan (a last-good fallback) only promises congestion-freedom under the
-// faults it degraded around, so it is certified — and reported, in the
-// plan, its metadata and the trace — at zero protection. publish reports
-// whether st was installed; on false the serving plan is unchanged.
-func (c *Controller) publish(st *core.State, dem demand.Matrix, prot core.Protection, m installMeta) bool {
-	if m.degraded != "" {
-		prot = core.None
-	}
-	if c.cfg.Certify != nil {
-		m.cert = c.certify(m.seq, st, m.prev, c.certParams(prot, m.downLinks, m.downSwitches))
-		if m.cert == nil {
-			return false
-		}
-	}
-	c.install(st, dem, prot, m)
-	return true
-}
-
-// certParams instantiates Config.Certify for one install at the
-// protection the plan reports.
-func (c *Controller) certParams(prot core.Protection, dl map[topology.LinkID]bool, ds map[topology.SwitchID]bool) check.Params {
-	p := *c.cfg.Certify
-	p.Prot = prot
-	p.RateLimiter = c.cfg.Opts.RateLimiter
-	p.DownLinks = dl
-	p.DownSwitches = ds
-	return p
-}
-
-// certify checks st against prev (the stale control-plane configuration)
-// on the current tunnel set and records the verdict in stats and obs. It
-// returns the certificate when st passes, nil on a violation or checker
-// error.
-func (c *Controller) certify(seq int64, st, prev *core.State, p check.Params) *check.Certificate {
+// certify checks st at protection prot against prev (the stale
+// control-plane configuration) and the down sets, on the current tunnel
+// set, and records the verdict in stats and obs. It returns the
+// certificate when st passes, nil on a violation or checker error.
+func (c *Controller) certify(seq int64, st, prev *core.State, prot core.Protection, dl map[topology.LinkID]bool, ds map[topology.SwitchID]bool) *check.Certificate {
 	start := time.Now()
-	cert, err := check.Certify(c.net, c.set, st, prev, p)
+	cert, err := check.Certify(c.net, c.set, st, prev, check.Params{
+		Prot:         prot,
+		RateLimiter:  c.cfg.Opts.RateLimiter,
+		Capacity:     c.certCapacity,
+		DownLinks:    dl,
+		DownSwitches: ds,
+	})
 	elapsed := time.Since(start)
 	c.stats.certSumNs.Add(elapsed.Nanoseconds())
 	if err == nil {

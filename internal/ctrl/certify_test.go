@@ -45,11 +45,10 @@ func (b *syncBuffer) Lines() [][]byte {
 	return out
 }
 
-// TestCertifyInstalls: with Certify configured, every recompute's install
-// is certified, none fail, and the trace records replay cleanly.
+// TestCertifyInstalls: every recompute's install is certified, none fail,
+// and the trace records replay cleanly.
 func TestCertifyInstalls(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.Certify = &check.Params{}
 	trace := &syncBuffer{}
 	cfg.TraceWriter = trace
 
@@ -134,7 +133,6 @@ func TestCertifyRestoredSnapshot(t *testing.T) {
 	c1.Stop()
 
 	cfg2 := cfg
-	cfg2.Certify = &check.Params{}
 	cfg2.FirstSolveDelay = time.Hour
 	c2, err := New(cfg2)
 	if err != nil {
@@ -153,8 +151,9 @@ func TestCertifyRestoredSnapshot(t *testing.T) {
 	}
 }
 
-// TestServesOnlyCertifiedPlans: the checker sees the three links that only
-// flow s3→s2 uses (one on each of its tunnels) at capacity cSmall, below
+// TestServesOnlyCertifiedPlans: the checker sees (through the certCapacity
+// override) the three links that only flow s3→s2 uses (one on each of its
+// tunnels) at capacity cSmall, below
 // what the solver may use. Every update alternates that flow's demand
 // between fitting under cSmall and needing more than 2·cSmall, which no
 // ke=1 plan can carry over the three links. The oversized solves must
@@ -179,7 +178,6 @@ func TestServesOnlyCertifiedPlans(t *testing.T) {
 		cut[net.FindLink(sw(pair[0]), sw(pair[1]))] = cSmall
 	}
 	cfg.Demands[tunnel.Flow{Src: sw("s3"), Dst: sw("s2")}] = fits
-	cfg.Certify = &check.Params{Capacity: cut}
 	trace := &syncBuffer{}
 	cfg.TraceWriter = trace
 
@@ -208,6 +206,7 @@ func TestServesOnlyCertifiedPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.certCapacity = cut
 	if m := c.GetPlan().Meta(); m.Certified || m.WorstSlack != nil {
 		t.Fatalf("unsolved placeholder claims a certificate: %+v", m)
 	}
@@ -406,20 +405,13 @@ func TestSnapshotRestoreRejectedByCertifier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without certification the poisoned snapshot is served as restored —
-	// that is the hole the certifier closes.
-	cfgNoCert := cfg
-	cfgNoCert.FirstSolveDelay = time.Hour
-	cNo, err := New(cfgNoCert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := cNo.GetPlan(); !p.Restored {
-		t.Fatalf("precondition: poisoned snapshot should parse and restore without certification, got %+v", p.Meta())
+	// The poisoned snapshot parses and names a valid plan: only the
+	// certifier can refuse it.
+	if _, err := loadSnapshot(snap); err != nil {
+		t.Fatalf("precondition: poisoned snapshot should parse: %v", err)
 	}
 
 	cfg2 := cfg
-	cfg2.Certify = &check.Params{}
 	cfg2.FirstSolveDelay = time.Hour
 	c, err := New(cfg2)
 	if err != nil {

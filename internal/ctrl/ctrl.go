@@ -6,13 +6,13 @@
 // block on a solve. Each recompute runs core.Session.Step — the control
 // step the simulator's interval loop runs too — so solver trouble (budget
 // hits, crashes, injected faults, infeasibility that survives the
-// unprotected retry) falls back through core.Degrade with the same reasons
-// in both; here the reason is exposed in the plan metadata and counted in
-// internal/obs, and a degraded plan reports zero protection. With
-// Config.Certify set, every solved or restored plan is certified by
-// internal/check before it is served. A periodic snapshot of the installed
-// state lets a restarted daemon serve its first query before its first
-// solve completes.
+// unprotected retry, a plan that fails certification) falls back through
+// core.Degrade with the same reasons in both; here the reason is exposed in
+// the plan metadata and counted in internal/obs, and a degraded plan
+// reports zero protection. Every served plan — solved, degraded or
+// restored — is certified by internal/check first. A periodic snapshot of
+// the installed state lets a restarted daemon serve its first query before
+// its first solve completes.
 //
 // cmd/ffcd wraps a Controller + Server into the daemon binary; cmd/ffcload
 // is the matching load generator.
@@ -91,16 +91,6 @@ type Config struct {
 	// Logf, when non-nil, receives operational log lines (install
 	// transitions, restore, snapshot errors).
 	Logf func(format string, args ...interface{})
-	// Certify, when non-nil, independently certifies plans with
-	// internal/check on the install path, between solve and publish: only
-	// certified plans are served. A solved plan that fails (or errors)
-	// degrades with reason "uncertified" to core.Degrade's fallback,
-	// itself certified; if that fails too the installed plan stays. A
-	// restored snapshot that fails is not served as restored. Prot,
-	// RateLimiter, and the down sets are filled per install; the remaining
-	// fields (Capacity, Mode, MaxExactCases, Restarts, Seed, FailFast) come
-	// from this template.
-	Certify *check.Params
 	// TraceWriter, when non-nil, receives one wire.TraceRecord NDJSON
 	// line per install — an offline-replayable plan history for
 	// cmd/ffccheck.
@@ -185,6 +175,10 @@ type Controller struct {
 
 	stats    statsCell
 	restored bool
+	// certCapacity, when non-nil, replaces the link capacities the
+	// certifier checks against (tests shrink links below what the solver
+	// may use, to force certification failures).
+	certCapacity map[topology.LinkID]float64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -256,13 +250,19 @@ func New(cfg Config) (*Controller, error) {
 		// A snapshot is the one plan this process never solved itself, so a
 		// corrupted or semantically-stale file must not be served as
 		// restored=true. prev = st: a restart installs exactly what was
-		// running, so no ingress is stale relative to it.
-		if c.publish(st, c.demands.Clone(), c.prot, installMeta{
-			seq: restoredSeq, degraded: restoredReason, restored: true,
-			outcome:   core.OutcomeOptimal,
-			downLinks: c.downLinks, downSwitches: c.downSwitches,
-			prev: st,
-		}) {
+		// running, so no ingress is stale relative to it. A degraded plan
+		// only ever promised zero protection.
+		prot := c.prot
+		if restoredReason != "" {
+			prot = core.None
+		}
+		if cert := c.certify(restoredSeq, st, st, prot, c.downLinks, c.downSwitches); cert != nil {
+			c.install(st, c.demands.Clone(), prot, installMeta{
+				seq: restoredSeq, degraded: restoredReason, restored: true,
+				outcome: core.OutcomeOptimal, cert: cert,
+				downLinks: c.downLinks, downSwitches: c.downSwitches,
+				prev: st,
+			})
 			c.cfg.Logf("ctrl: restored plan seq=%d from %s (%d flows); serving while the first solve runs",
 				restoredSeq, cfg.SnapshotPath, len(restoredState.Flows))
 		} else {
@@ -504,14 +504,13 @@ func (c *Controller) covered(dem demand.Matrix) bool {
 
 // recompute runs one control interval: snapshot the desired state, run
 // the shared control step (core.Session.Step: warm, templated solve →
-// unprotected retry → degrade), and publish its plan. A solved plan that
-// fails certification degrades with reason "uncertified".
+// unprotected retry → certify → degrade), and install its plan.
 func (c *Controller) recompute() {
 	c.mu.Lock()
 	dem := c.demands.Clone()
 	prot := c.prot
-	dl := cloneIDSet(c.downLinks)
-	ds := cloneSwitchSet(c.downSwitches)
+	dl := cloneSet(c.downLinks)
+	ds := cloneSet(c.downSwitches)
 	c.pending = 0
 	c.mu.Unlock()
 	obsQueueDepth.Set(0)
@@ -524,6 +523,10 @@ func (c *Controller) recompute() {
 	prev := core.NewState()
 	if last != nil && last.State != nil {
 		prev = last.State
+	}
+	seq := int64(1)
+	if last != nil {
+		seq = last.Seq + 1
 	}
 
 	in := core.Input{
@@ -543,9 +546,20 @@ func (c *Controller) recompute() {
 	}
 	c.intervalN++
 
+	// The step's last certification is the returned plan's. solveTime
+	// leaves certification out: ctrl.cert_time and the cert_* stats
+	// measure it.
+	var cert *check.Certificate
+	var certTime time.Duration
+	certify := func(st *core.State, level core.Protection) bool {
+		start := time.Now()
+		cert = c.certify(seq, st, prev, level, dl, ds)
+		certTime += time.Since(start)
+		return cert != nil
+	}
 	start := time.Now()
-	st, achieved, reason, stats := c.session.Step(in, fault)
-	solveTime := time.Since(start)
+	st, achieved, reason, stats := c.session.Step(in, fault, certify)
+	solveTime := time.Since(start) - certTime
 	c.stats.solveCount.Add(1)
 	c.stats.solveSumNs.Add(solveTime.Nanoseconds())
 	for {
@@ -558,47 +572,23 @@ func (c *Controller) recompute() {
 		// Shutting down: the cancelled solve must not install anything.
 		return
 	}
-
-	seq := int64(1)
-	if last != nil {
-		seq = last.Seq + 1
-	}
-	m := installMeta{
-		seq: seq, outcome: stats.Outcome, solveTime: solveTime, degraded: reason,
-		prev: prev, downLinks: dl, downSwitches: ds,
-	}
-	if reason == "" {
-		if c.publish(st, dem, achieved, m) {
-			c.writeSnapshot(false)
-			return
-		}
-		// Degrade over the last published plan, which was certified
-		// whenever Config.Certify is set — the precondition of
-		// core.Degrade's soundness.
-		m.degraded = "uncertified"
-		st = core.Degrade(c.net, c.set, prev, dem, dl, ds)
-	}
-	core.NoteDegradedInterval()
-	if !c.publish(st, dem, achieved, m) {
-		c.cfg.Logf("ctrl: DEGRADED plan seq=%d reason=%s failed certification; keeping plan seq=%d", seq, m.degraded, seq-1)
+	if st == nil {
+		c.cfg.Logf("ctrl: DEGRADED plan seq=%d reason=%s failed certification; keeping plan seq=%d", seq, reason, seq-1)
 		return
 	}
-	c.cfg.Logf("ctrl: installed DEGRADED plan seq=%d reason=%s (outcome %v, %v)", seq, m.degraded, stats.Outcome, solveTime.Round(time.Microsecond))
+	c.install(st, dem, achieved, installMeta{
+		seq: seq, outcome: stats.Outcome, solveTime: solveTime, degraded: reason, cert: cert,
+		prev: prev, downLinks: dl, downSwitches: ds,
+	})
+	if reason != "" {
+		c.cfg.Logf("ctrl: installed DEGRADED plan seq=%d reason=%s (outcome %v, %v)", seq, reason, stats.Outcome, solveTime.Round(time.Microsecond))
+	}
 	c.writeSnapshot(false)
 }
 
-func cloneIDSet(m map[topology.LinkID]bool) map[topology.LinkID]bool {
-	out := make(map[topology.LinkID]bool, len(m))
-	for k, v := range m {
-		if v {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func cloneSwitchSet(m map[topology.SwitchID]bool) map[topology.SwitchID]bool {
-	out := make(map[topology.SwitchID]bool, len(m))
+// cloneSet copies the true entries of a down set.
+func cloneSet[K comparable](m map[K]bool) map[K]bool {
+	out := make(map[K]bool, len(m))
 	for k, v := range m {
 		if v {
 			out[k] = v

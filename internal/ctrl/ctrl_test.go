@@ -115,9 +115,9 @@ func TestControllerSolvesAndServes(t *testing.T) {
 	if p.File.TotalRate <= 0 {
 		t.Fatalf("no throughput granted: %+v", p.Meta())
 	}
-	// Without Config.Certify no plan claims a certificate.
-	if m := p.Meta(); m.Certified || m.WorstSlack != nil {
-		t.Fatalf("uncertified controller marks its plan certified: %+v", m)
+	// Every served plan carries the certificate it passed.
+	if m := p.Meta(); !m.Certified || m.WorstSlack == nil {
+		t.Fatalf("served plan is not marked certified: %+v", m)
 	}
 }
 

@@ -22,9 +22,9 @@ type Plan struct {
 	// InstalledAt stamps the install.
 	InstalledAt time.Time
 	// Degraded carries the degradation reason ("", or timeout/crash/stale/
-	// deadline/infeasible/solver-error/uncertified/unsolved — the sim's
-	// vocabulary plus "uncertified" for a solved plan that failed
-	// certification and "unsolved" for the pre-first-solve empty plan).
+	// deadline/infeasible/solver-error/uncertified/unsolved — the reasons
+	// of core.Session.Step, shared with the sim, plus "unsolved" for the
+	// pre-first-solve empty plan).
 	Degraded string
 	// Restored marks a plan loaded from a boot snapshot rather than solved
 	// by this process.
@@ -38,8 +38,8 @@ type Plan struct {
 	// SolveTime is the wall clock of the producing solve (zero for
 	// restored/unsolved plans).
 	SolveTime time.Duration
-	// Cert is the certificate this process's checker issued before install
-	// (nil for the unsolved placeholder and without Config.Certify).
+	// Cert is the certificate this process's checker issued before install;
+	// nil only for the unsolved placeholder.
 	Cert *check.Certificate
 
 	// State is the raw configuration (granted rates, tunnel allocations).
@@ -116,8 +116,8 @@ type installMeta struct {
 
 // install publishes st as the serving plan: encode once, then swap the
 // atomic pointer. The previous plan stays valid for readers that already
-// hold it. Solved and restored plans come through publish, which
-// certifies them first.
+// hold it. Every plan but the unsolved placeholder arrives with the
+// certificate it passed.
 func (c *Controller) install(st *core.State, dem demand.Matrix, prot core.Protection, m installMeta) {
 	start := time.Now()
 	file := wire.EncodeState(c.net, c.set, dem, st)

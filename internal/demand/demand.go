@@ -49,6 +49,31 @@ func (m Matrix) Flows() []tunnel.Flow { return tunnel.SortedFlows(m) }
 // Series is a sequence of per-interval matrices.
 type Series []Matrix
 
+// Flows lists the flows appearing anywhere in the series, in order of first
+// appearance (each interval's flows sorted).
+func (s Series) Flows() []tunnel.Flow {
+	seen := map[tunnel.Flow]bool{}
+	var out []tunnel.Flow
+	for _, m := range s {
+		for _, f := range m.Flows() {
+			if !seen[f] {
+				seen[f] = true
+				out = append(out, f)
+			}
+		}
+	}
+	return out
+}
+
+// Scale returns a copy of the series with every interval multiplied by k.
+func (s Series) Scale(k float64) Series {
+	out := make(Series, len(s))
+	for i, m := range s {
+		out[i] = m.Scale(k)
+	}
+	return out
+}
+
 // Config parameterizes the generator.
 type Config struct {
 	// Intervals is the number of TE intervals to generate. Default 48.

@@ -10,7 +10,6 @@ import (
 	"ffc/internal/core"
 	"ffc/internal/demand"
 	"ffc/internal/metrics"
-	"ffc/internal/sim"
 	"ffc/internal/testbed"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
@@ -31,7 +30,7 @@ type EncodingRow struct {
 // enumeration whose intractability motivates §4.4. All three must agree on
 // the optimum; they differ in LP size and solve time.
 func AblationEncoding(e *Env, w io.Writer) ([]EncodingRow, error) {
-	series := sim.ScaleSeries(e.Series, e.Scale1)
+	series := e.Series.Scale(e.Scale1)
 	demands := series[0]
 	solverPlain := core.NewSolver(e.Net, e.Tun, core.Options{})
 	prev, _, err := solverPlain.Solve(core.Input{Demands: demands})
@@ -73,7 +72,7 @@ func AblationEncoding(e *Env, w io.Writer) ([]EncodingRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	smallSeries := sim.ScaleSeries(smallEnv.Series, smallEnv.Scale1)
+	smallSeries := smallEnv.Series.Scale(smallEnv.Scale1)
 	smallPrev, _, err := core.NewSolver(smallEnv.Net, smallEnv.Tun, core.Options{}).Solve(core.Input{Demands: smallSeries[0]})
 	if err != nil {
 		return nil, err
@@ -147,8 +146,8 @@ type TunnelRow struct {
 // AblationTunnels contrasts the §4.3 (1,3) link-switch-disjoint layout with
 // unconstrained k-shortest paths.
 func AblationTunnels(e *Env, w io.Writer) ([]TunnelRow, error) {
-	flows := sim.FlowsOf(e.Series)
-	demands := sim.ScaleSeries(e.Series, e.Scale1)[0]
+	flows := e.Series.Flows()
+	demands := e.Series.Scale(e.Scale1)[0]
 
 	layouts := []struct {
 		name string
@@ -309,7 +308,7 @@ type RescalingRow struct {
 // ke=1 (one configuration, commodity rescaling). FFC ≤ per-case ≤ plain
 // always; how close FFC gets to per-case is the interesting number.
 func AblationRescaling(e *Env, w io.Writer) ([]RescalingRow, error) {
-	demands := sim.ScaleSeries(e.Series, e.Scale1)[0]
+	demands := e.Series.Scale(e.Scale1)[0]
 	solver := core.NewSolver(e.Net, e.Tun, e.Opts)
 
 	plain, _, err := solver.Solve(core.Input{Demands: demands})

@@ -14,7 +14,8 @@ import (
 // certifies every installed plan exactly against the plan it replaced, the
 // elements already down and the protection the class achieved. The
 // guarantee is the paper's product: no plan may overload a link under any
-// fault combination within its protection level.
+// fault combination within its protection level. The run's own
+// certification in the control step must reject none of them.
 func TestDefaultFFCRunCertifies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a (2,1,0) simulation")
@@ -42,10 +43,15 @@ func TestDefaultFFCRunCertifies(t *testing.T) {
 			t.Errorf("interval %d at %v: %s", pr.Interval, pr.Prot, cert.Summary())
 		}
 	}
-	if _, err := sim.Run(e.Scenario(1, faults.Realistic()), cfg); err != nil {
+	res, err := sim.Run(e.Scenario(1, faults.Realistic()), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if plans == 0 {
 		t.Fatal("the run installed no plans")
+	}
+	// The run certifies each plan itself; none may fall back.
+	if res.DegradedIntervals != 0 {
+		t.Fatalf("%d intervals degraded, want 0", res.DegradedIntervals)
 	}
 }

@@ -86,11 +86,11 @@ func (c *EnvConfig) fill() {
 func buildEnv(name string, net *topology.Network, cfg EnvConfig) (*Env, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	series := demand.Generate(net, demand.Config{Intervals: cfg.Intervals}, rng)
-	flows := sim.FlowsOf(series)
+	flows := series.Flows()
 	tun := tunnel.Layout(net, flows, tunnel.LayoutConfig{TunnelsPerFlow: cfg.TunnelsPerFlow, P: 1, Q: 3})
 	opts := core.Options{MiceFraction: 0.01}
 	solver := core.NewSolver(net, tun, opts)
-	scale1, err := sim.CalibrateScale(solver, series, 0.99, 3)
+	scale1, err := core.CalibrateScale(solver, series, 0.99, 3)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: calibrating %s: %w", name, err)
 	}
@@ -127,7 +127,7 @@ func NewSNet(cfg EnvConfig) (*Env, error) {
 func (e *Env) Scenario(scale float64, model faults.SwitchModel) sim.Scenario {
 	return sim.Scenario{
 		Net: e.Net, Tun: e.Tun,
-		Series:   sim.ScaleSeries(e.Series, e.Scale1*scale),
+		Series:   e.Series.Scale(e.Scale1 * scale),
 		Failures: faults.LNetFailures(),
 		Switches: model,
 		Seed:     e.Seed + 1000,
@@ -231,7 +231,7 @@ func Fig12(e *Env, w io.Writer) ([]Fig12Row, error) {
 	scaled := map[float64]demand.Series{}
 	baseStates := map[float64][]*core.State{}
 	for _, scale := range scales {
-		series := sim.ScaleSeries(e.Series, e.Scale1*scale)
+		series := e.Series.Scale(e.Scale1 * scale)
 		states := make([]*core.State, len(series))
 		errs := make([]error, len(series))
 		parallel.ForEach(len(series), func(t int) {
@@ -317,7 +317,7 @@ type Table2Row struct {
 // since the table reports the paper's per-interval computation time.
 func Table2(e *Env, w io.Writer) ([]Table2Row, error) {
 	solver := core.NewSolver(e.Net, e.Tun, e.Opts)
-	series := sim.ScaleSeries(e.Series, e.Scale1)
+	series := e.Series.Scale(e.Scale1)
 	n := min(len(series), 6)
 	configs := []struct {
 		name string
@@ -441,7 +441,7 @@ type Fig14Row struct {
 func Fig14(e *Env, w io.Writer, model faults.SwitchModel) ([]Fig14Row, error) {
 	sc := e.Scenario(1.0, model)
 	rng := rand.New(rand.NewSource(e.Seed + 99))
-	splits := demand.RandomSplits(sim.FlowsOf(sc.Series), rng)
+	splits := demand.RandomSplits(sc.Series.Flows(), rng)
 
 	multiProt := &sim.PriorityConfig{Splits: splits}
 	multiProt.Prot[demand.High] = core.Protection{Kc: 3, Ke: 3}

@@ -114,7 +114,7 @@ func benchmarkCalibration(kind string, seed int64, intervals int) calibrationCas
 			m[f] *= math.Exp(rng.NormFloat64() * 0.05)
 		}
 	}
-	set := tunnel.Layout(net, FlowsOf(series), tunnel.LayoutConfig{TunnelsPerFlow: 6, P: 1, Q: 3})
+	set := tunnel.Layout(net, series.Flows(), tunnel.LayoutConfig{TunnelsPerFlow: 6, P: 1, Q: 3})
 	return calibrationCase{
 		name:    fmt.Sprintf("%s/seed%d", kind, seed),
 		solver:  core.NewSolver(net, set, core.Options{Encoding: core.Compact}),
@@ -127,7 +127,7 @@ func benchmarkCalibration(kind string, seed int64, intervals int) calibrationCas
 // default tunnels.
 func plainCalibration(name string, net *topology.Network, opts core.Options, intervals, samples int, rng *rand.Rand) calibrationCase {
 	series := demand.Generate(net, demand.Config{Intervals: intervals}, rng)
-	set := tunnel.Layout(net, FlowsOf(series), tunnel.LayoutConfig{})
+	set := tunnel.Layout(net, series.Flows(), tunnel.LayoutConfig{})
 	return calibrationCase{name: name, solver: core.NewSolver(net, set, opts), series: series, samples: samples}
 }
 
@@ -156,7 +156,7 @@ func TestCalibrateScaleMatchesColdOracle(t *testing.T) {
 				t.Fatalf("cold oracle: %v", err)
 			}
 			s1, w1, f1 := lpCounts()
-			got, err := CalibrateScale(c.solver, c.series, 0.99, c.samples)
+			got, err := core.CalibrateScale(c.solver, c.series, 0.99, c.samples)
 			if err != nil {
 				t.Fatalf("warm calibration: %v", err)
 			}
@@ -196,7 +196,7 @@ func TestCalibrateScaleRejectsDegenerateSeries(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s0, _, _ := lpCounts()
-			k, err := CalibrateScale(c.solver, tc.series, 0.99, 3)
+			k, err := core.CalibrateScale(c.solver, tc.series, 0.99, 3)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("scale %v, err %v; want an error mentioning %q", k, err, tc.want)
 			}

@@ -114,16 +114,16 @@ func snetScenario(t testing.TB, seed int64, intervals int, scale float64) Scenar
 	rng := rand.New(rand.NewSource(seed))
 	net := topology.SNet()
 	series := demand.Generate(net, demand.Config{Intervals: intervals}, rng)
-	flows := FlowsOf(series)
+	flows := series.Flows()
 	tun := tunnel.Layout(net, flows, tunnel.LayoutConfig{TunnelsPerFlow: 4})
 	solver := core.NewSolver(net, tun, core.Options{})
-	k, err := CalibrateScale(solver, series, 0.99, 3)
+	k, err := core.CalibrateScale(solver, series, 0.99, 3)
 	if err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
 	return Scenario{
 		Net: net, Tun: tun,
-		Series:   ScaleSeries(series, k*scale),
+		Series:   series.Scale(k * scale),
 		Failures: faults.LNetFailures(),
 		Switches: faults.Realistic(),
 		Seed:     seed + 1000,

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/demand"
 	"ffc/internal/faults"
@@ -16,6 +17,11 @@ import (
 // obsIntervalSolve is the per-interval TE solve latency distribution for
 // simulated scenarios (one sample per interval per priority class).
 var obsIntervalSolve = obs.NewHistogram("sim.interval_solve")
+
+// certCapacity, when non-nil, replaces the link capacities every class's
+// plans are certified against (tests shrink links below what the solver
+// may use, to force certification failures).
+var certCapacity map[topology.LinkID]float64
 
 // intervalState is the working state of one simulated TE interval.
 type intervalState struct {
@@ -56,12 +62,14 @@ type intervalState struct {
 
 // solveTE computes this interval's TE per class, cascading residual
 // capacity (§5.1). Each class runs the controller's control step
-// (core.Session.Step) on its own session: an infeasible protected LP is
-// retried unprotected, and every other solve failure — a missed deadline,
-// a crashed solver, a plan arriving after its installation window —
-// degrades the class to its last successfully installed allocation.
-// solveTE itself never fails on solver trouble, which is the whole point of
-// the robust control loop.
+// (core.Session.Step) on its own session, certifying with check.Certify
+// against the class's capacity exactly as ffcd does: an infeasible
+// protected LP is retried unprotected, and every other solve failure — a
+// missed deadline, a crashed solver, a plan arriving after its installation
+// window, a plan that fails certification — degrades the class to its last
+// installed allocation. If even that fallback fails certification the
+// class keeps its installed state unchanged. solveTE itself never fails on
+// solver trouble, which is the whole point of the robust control loop.
 func (iv *intervalState) solveTE(prev []*core.State) error {
 	iv.prev = prev
 	iv.states = make([]*core.State, len(iv.classes))
@@ -86,12 +94,28 @@ func (iv *intervalState) solveTE(prev []*core.State) error {
 		}
 		in.Budget.Deadline = iv.cfg.SolverDeadline
 		in.Budget.Ctx = iv.sc.Ctx
-		st, achieved, reason, stats := iv.sessions[ci].Step(in, iv.solverFault)
+		caps := in.Capacity
+		if certCapacity != nil {
+			caps = certCapacity
+		}
+		certify := func(st *core.State, level core.Protection) bool {
+			cert, err := check.Certify(iv.sc.Net, iv.sc.Tun, st, in.Prev, check.Params{
+				Prot:         level,
+				RateLimiter:  iv.cfg.SolverOpts.RateLimiter,
+				Capacity:     caps,
+				DownLinks:    in.DownLinks,
+				DownSwitches: in.DownSwitches,
+			})
+			return err == nil && cert.OK
+		}
+		st, achieved, reason, stats := iv.sessions[ci].Step(in, iv.solverFault, certify)
+		if st == nil {
+			st = in.Prev
+		}
 		switch {
 		case reason != "":
 			if iv.degraded == "" {
 				iv.degraded = reason
-				core.NoteDegradedInterval()
 			}
 		case achieved != prot:
 			// The protected LP was infeasible; the unprotected retry landed.

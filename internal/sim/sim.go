@@ -144,10 +144,10 @@ type IntervalRecord struct {
 	LinkFaults, SwitchFaults, StaleSwitches int
 	// MaxOversub is the interval's worst link oversubscription ratio.
 	MaxOversub float64
-	// Degraded is empty when the interval's TE solves all landed; otherwise
-	// the reason the interval fell back to the last-good allocation
-	// ("timeout", "crash", "stale", "deadline", "infeasible",
-	// "solver-error", "cancelled").
+	// Degraded is empty when the interval's TE solves all landed and
+	// certified; otherwise the reason the interval fell back to the
+	// last-good allocation ("timeout", "crash", "stale", "deadline",
+	// "infeasible", "solver-error", "cancelled", "uncertified").
 	Degraded string
 }
 
@@ -169,8 +169,9 @@ type Result struct {
 	// feasible solution and the run fell back to the unprotected TE.
 	InfeasibleIntervals int
 	// DegradedIntervals counts intervals that served the last-good
-	// allocation because a solve missed its deadline, crashed, or arrived
-	// stale (see IntervalRecord.Degraded for per-interval reasons).
+	// allocation because a solve missed its deadline, crashed, arrived
+	// stale or failed certification (see IntervalRecord.Degraded for
+	// per-interval reasons).
 	DegradedIntervals int
 	// DegradedOversub collects MaxOversub over degraded intervals only —
 	// the availability cost of controller failures.

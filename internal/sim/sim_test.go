@@ -19,16 +19,16 @@ func testScenario(t testing.TB, seed int64, intervals int, scale float64) Scenar
 	rng := rand.New(rand.NewSource(seed))
 	net := topology.LNet(topology.LNetConfig{Sites: 6}, rng)
 	series := demand.Generate(net, demand.Config{Intervals: intervals}, rng)
-	flows := FlowsOf(series)
+	flows := series.Flows()
 	tun := tunnel.Layout(net, flows, tunnel.LayoutConfig{TunnelsPerFlow: 4})
 	solver := core.NewSolver(net, tun, core.Options{})
-	k, err := CalibrateScale(solver, series, 0.99, 3)
+	k, err := core.CalibrateScale(solver, series, 0.99, 3)
 	if err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
 	return Scenario{
 		Net: net, Tun: tun,
-		Series:   ScaleSeries(series, k*scale),
+		Series:   series.Scale(k * scale),
 		Failures: faults.LNetFailures(),
 		Switches: faults.Realistic(),
 		Seed:     seed + 1000,
@@ -134,7 +134,7 @@ func TestRunMultiPriority(t *testing.T) {
 	sc := testScenario(t, 5, 8, 1.0)
 	sc.Failures.LinkMTBF = 10 * time.Minute
 	rng := rand.New(rand.NewSource(42))
-	splits := demand.RandomSplits(FlowsOf(sc.Series), rng)
+	splits := demand.RandomSplits(sc.Series.Flows(), rng)
 	multi := &PriorityConfig{Splits: splits}
 	multi.Prot[demand.High] = core.Protection{Kc: 3, Ke: 3}
 	multi.Prot[demand.Med] = core.Protection{Kc: 2, Ke: 1}
@@ -279,7 +279,7 @@ func TestSimulateUpdateExecutionRealisticStalls(t *testing.T) {
 
 func TestScaleSeries(t *testing.T) {
 	s := demand.Series{demand.Matrix{tunnel.Flow{Src: 0, Dst: 1}: 2}}
-	out := ScaleSeries(s, 3)
+	out := s.Scale(3)
 	if out[0][tunnel.Flow{Src: 0, Dst: 1}] != 6 {
 		t.Fatal("scale wrong")
 	}

@@ -9,7 +9,6 @@ import (
 	"ffc/internal/core"
 	"ffc/internal/demand"
 	"ffc/internal/experiments"
-	"ffc/internal/sim"
 )
 
 // S-Net environment for the warm-start measurements (the paper's 12-site
@@ -38,8 +37,8 @@ func getSNetEnv(tb testing.TB) *experiments.Env {
 // opposed to the coarse high-noise snapshots the fault experiments use.
 func driftSeries(e *experiments.Env, intervals int) demand.Series {
 	gen := demand.Generate(e.Net, demand.Config{Intervals: intervals, NoiseSigma: 0.05}, rand.New(rand.NewSource(61)))
-	ref := sim.ScaleSeries(e.Series, e.Scale1)[0].Total()
-	return sim.ScaleSeries(gen, ref/gen[0].Total())
+	ref := e.Series.Scale(e.Scale1)[0].Total()
+	return gen.Scale(ref / gen[0].Total())
 }
 
 // resolveSeries is driftSeries on the shared S-Net environment.
