@@ -559,3 +559,111 @@ func TestSessionStructureChangesRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionReturnsToPreviousStructure checks the session's
+// previous-structure slot: a link coming back up, and a protected interval
+// after Step's unprotected retry, rebind the template the session left,
+// with the basis and factorization it left with; a kc > 0 session never
+// rebinds.
+func TestSessionReturnsToPreviousStructure(t *testing.T) {
+	ke1 := core.Protection{Ke: 1}
+	t.Run("link up", func(t *testing.T) {
+		lnet := topology.LNet(topology.LNetConfig{Sites: 6}, rand.New(rand.NewSource(5)))
+		set, series := core.BuildFixture(t, lnet, 2, 5)
+		s := core.NewSolver(lnet, set, core.Options{MiceFraction: 0.01})
+		se := s.NewSession()
+		up := core.Input{Demands: series[0].Scale(200), Prot: ke1}
+		st, _, err := se.Solve(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := st.LinkLoads(set)
+		var loaded topology.LinkID
+		for _, l := range lnet.Links {
+			if loads[l.ID] > loads[loaded] {
+				loaded = l.ID
+			}
+		}
+		down := up
+		down.DownLinks = map[topology.LinkID]bool{loaded: true}
+		if _, stats, err := se.Solve(down); err != nil || stats.ModelReused {
+			t.Fatalf("link down: err %v, ModelReused %v; want a fresh formulation", err, stats.ModelReused)
+		}
+		up.Demands = series[1].Scale(200)
+		got, stats, err := se.Solve(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.ModelReused || !stats.LP.Warm || !stats.LP.FactorReused {
+			t.Fatalf("link up: ModelReused %v Warm %v FactorReused %v, want all true",
+				stats.ModelReused, stats.LP.Warm, stats.LP.FactorReused)
+		}
+		_, want, err := s.Solve(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(stats.Objective - want.Objective); d > 1e-9*math.Abs(want.Objective) {
+			t.Fatalf("link up: objective %v, fresh solve %v", stats.Objective, want.Objective)
+		}
+		if cert := certify(t, lnet, set, got, got, check.Params{Prot: ke1}); !cert.OK {
+			t.Fatalf("link up: %s", cert.Summary())
+		}
+	})
+
+	t.Run("after unprotected retry", func(t *testing.T) {
+		fx := core.NewFig25(t)
+		se := core.NewSolver(fx.Net, fx.Tun, core.Options{MiceFraction: 0.01}).NewSession()
+		accept := func(*core.State, core.Protection) bool { return true }
+		in := core.Input{Demands: demand.Matrix{fx.F24: 5, fx.F34: 6}, Prot: ke1}
+		if _, _, reason, _ := se.Step(in, nil, accept); reason != "" {
+			t.Fatalf("protected step degraded: %s", reason)
+		}
+		// At ke = 1 f24 gets at most 10 (each tunnel must carry it alone).
+		floor := core.Input{Demands: demand.Matrix{fx.F24: 14}, Prot: ke1,
+			RateFloors: map[tunnel.Flow]float64{fx.F24: 14}}
+		if _, achieved, reason, _ := se.Step(floor, nil, accept); reason != "" || achieved != core.None {
+			t.Fatalf("retry step: reason %q achieved %v, want the unprotected retry", reason, achieved)
+		}
+		_, _, reason, stats := se.Step(in, nil, accept)
+		if reason != "" || !stats.ModelReused || !stats.LP.Warm {
+			t.Fatalf("protected step after the retry: reason %q ModelReused %v Warm %v, want a warm rebind",
+				reason, stats.ModelReused, stats.LP.Warm)
+		}
+	})
+
+	t.Run("kc > 0", func(t *testing.T) {
+		fx := core.NewFig25(t)
+		s := core.NewSolver(fx.Net, fx.Tun, core.Options{MiceFraction: 0.01})
+		se := s.NewSession()
+		prev := fig3Prev(fx)
+		down := map[topology.LinkID]bool{fx.Net.FindLink(fx.S2, fx.S4): true}
+		// kc > 0 templates never enter the slot, so the unprotected one
+		// stays there across them and the last step rebinds it.
+		for i, step := range []struct {
+			prot  core.Protection
+			down  map[topology.LinkID]bool
+			reuse bool
+		}{
+			{core.Protection{Kc: 1}, nil, false},
+			{core.Protection{Kc: 1}, nil, false},
+			{core.Protection{Kc: 1}, down, false},
+			{core.Protection{Kc: 1}, nil, false},
+			{core.None, nil, false},
+			{core.Protection{Kc: 1}, nil, false},
+			{core.Protection{Kc: 1, Ke: 1}, nil, false},
+			{core.Protection{Kc: 1}, nil, false},
+			{core.None, nil, true},
+		} {
+			in := core.Input{Demands: demand.Matrix{fx.F24: 10, fx.F34: 10, fx.F14: 10},
+				Prot: step.prot, Prev: prev, DownLinks: step.down}
+			st, stats, err := se.Solve(in)
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			if stats.ModelReused != step.reuse {
+				t.Fatalf("step %d (%v): ModelReused %v, want %v", i, step.prot, stats.ModelReused, step.reuse)
+			}
+			prev = st
+		}
+	})
+}

@@ -441,7 +441,8 @@ func (s *Solver) FormulateOnly(in Input) (*Stats, error) {
 func (s *Solver) Solve(in Input) (*State, *Stats, error) { return s.NewSession().Solve(in) }
 
 // Solve computes a TE configuration for in, reusing the session's cached
-// model (rebound in place when in matches the template's structure) and
+// model (rebound in place when in matches the template's structure, or the
+// previous structure's template and basis when in matches that) and
 // warm-starting the simplex from the previous solve's basis.
 //
 // Error returns always carry non-nil Stats with Stats.Outcome set, so the
@@ -465,9 +466,16 @@ func (se *Session) Solve(in Input) (st *State, stats *Stats, err error) {
 	sp := obs.StartSpan("core.solve")
 	build := sp.Child("build")
 	start := time.Now()
-	ws := se.warm
 	// A bad input falls through to build, which reports it.
-	reused := se.tmpl != nil && se.tmpl.Matches(&in) && in.validate() == nil
+	valid := in.validate() == nil
+	reused := valid && se.tmpl.Matches(&in)
+	if !reused && valid && se.prev.Matches(&in) {
+		// Back to the structure left last, with the basis it left with.
+		back, backWarm := se.prev, se.prevWarm
+		se.prev, se.prevWarm = nil, nil
+		se.leave()
+		se.tmpl, se.warm, reused = back, backWarm, true
+	}
 	if reused {
 		se.tmpl.instantiate(in)
 		obsTemplateHits.Inc()
@@ -476,9 +484,11 @@ func (se *Session) Solve(in Input) (st *State, stats *Stats, err error) {
 		if err != nil {
 			return nil, &Stats{Outcome: OutcomeSolverError}, err
 		}
+		se.leave()
 		se.tmpl = newTemplate(s, fresh, in)
 		obsTemplateMisses.Inc()
 	}
+	ws := se.warm
 	b := se.tmpl.b
 	buildTime := time.Since(start)
 	build.End()

@@ -121,40 +121,51 @@ func (b *builder) selectFlows() {
 	}
 }
 
-// selectMice marks the smallest flows carrying at most MiceFraction of the
-// total demand (§6); their tunnel split is fixed to uniform-over-τf.
+// selectMice marks miceOf's flows; their tunnel split is fixed to
+// uniform-over-τf.
 func (b *builder) selectMice() {
+	for _, f := range b.miceOf(b.in) {
+		b.mice[f] = true
+		b.miceCoef[f] = 1 / float64(b.aliveTau[f])
+	}
+}
+
+// miceOf returns the smallest of b's flows carrying at most MiceFraction of
+// in's total demand (§6), in selection order. Beyond in it reads only b's
+// flow list and τf, which the flow list, down sets and protection fix, so a
+// template can ask whether a matching input keeps its frozen mice set.
+func (b *builder) miceOf(in *Input) []tunnel.Flow {
 	frac := b.s.Opts.MiceFraction
 	if frac <= 0 {
-		return
+		return nil
 	}
 	total := 0.0
 	for _, f := range b.flows {
-		total += b.in.Demands[f]
+		total += in.Demands[f]
 	}
 	order := append([]tunnel.Flow(nil), b.flows...)
-	sort.Slice(order, func(i, j int) bool { return b.in.Demands[order[i]] < b.in.Demands[order[j]] })
+	sort.Slice(order, func(i, j int) bool { return in.Demands[order[i]] < in.Demands[order[j]] })
 	budget := frac * total
+	var mice []tunnel.Flow
 	for _, f := range order {
-		d := b.in.Demands[f]
+		d := in.Demands[f]
 		if d > budget {
 			break
 		}
-		if _, isUncertain := b.in.Uncertain[f]; isUncertain {
+		if _, isUncertain := in.Uncertain[f]; isUncertain {
 			continue // uncertain flows are pinned, not re-split
 		}
-		if b.s.Opts.RateLimiter == LimitersIndependent && b.in.Prot.Kc > 0 &&
-			b.in.Prev != nil && b.in.Prev.Rate[f] > 0 {
+		if b.s.Opts.RateLimiter == LimitersIndependent && in.Prot.Kc > 0 &&
+			in.Prev != nil && in.Prev.Rate[f] > 0 {
 			continue // needs the Σa ≥ b' reservation, which mice can't carry
 		}
-		tau := b.aliveTau[f]
-		if tau <= 0 {
+		if b.aliveTau[f] <= 0 {
 			continue // flow will be zeroed anyway
 		}
 		budget -= d
-		b.mice[f] = true
-		b.miceCoef[f] = 1 / float64(tau)
+		mice = append(mice, f)
 	}
+	return mice
 }
 
 // rateBounds derives bf's bounds from the current input (a pure function

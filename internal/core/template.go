@@ -18,13 +18,14 @@ var (
 )
 
 // ModelTemplate is a TE formulation frozen for one structural fingerprint:
-// the topology, tunnel set, and k-vector fix every variable and constraint
-// index, so as long as successive inputs differ only in values (demands,
-// capacities, rate caps/floors/fixings) the built LP can be re-instantiated
-// by rewriting bounds, right-hand sides, and objective coefficients through
-// the lp mutation API (SetBounds/SetRHS/SetObjCoef) instead of being
-// re-formulated. A Session's warm-start basis still fits the rebound model,
-// so the two caches compose.
+// the topology, tunnel set, k-vector, down sets and mice set fix every
+// variable and constraint index, so as long as successive inputs differ
+// only in values (demands, capacities, rate caps/floors/fixings) the built
+// LP can be re-instantiated by rewriting bounds, right-hand sides, and
+// objective coefficients through the lp mutation API
+// (SetBounds/SetRHS/SetObjCoef) instead of being re-formulated. A
+// Session's warm-start basis still fits the rebound model, so the two
+// caches compose.
 //
 // Invalidation rules (any of these is a structural change → Matches returns
 // false and callers must build a fresh template):
@@ -35,9 +36,10 @@ var (
 //     or removes variables);
 //   - different down-link/down-switch sets (fault state selects which
 //     tunnel terms exist and the τf network sizes);
-//   - objectives other than MaxThroughput, mice selection, or
-//     demand-uncertainty FFC (their input values become matrix
-//     coefficients, not bounds/RHS).
+//   - a different mice set (a mouse has no allocation variables; its
+//     coefficient 1/τf is fixed by the down sets and protection);
+//   - objectives other than MaxThroughput, or demand-uncertainty FFC
+//     (their input values become matrix coefficients, not bounds/RHS).
 //
 // A ModelTemplate is not safe for concurrent use.
 type ModelTemplate struct {
@@ -68,9 +70,9 @@ func (s *Solver) NewTemplate(in Input) (*ModelTemplate, error) {
 // structural fingerprint under which the model may be rebound later. Only
 // the plain max-throughput shape qualifies: MinMLU/PlanCapacity embed
 // capacities as coefficients, control-plane FFC (Kc > 0) embeds the
-// previous state's weights, mice selection depends on demand values, and
-// demand-uncertainty FFC embeds per-flow loads — all structure, not
-// bounds/RHS.
+// previous state's weights, and demand-uncertainty FFC embeds per-flow
+// loads — all structure, not bounds/RHS. The mice set is structure too, but
+// Matches recomputes and compares it, so it does not bar rebinding.
 func newTemplate(s *Solver, b *builder, in Input) *ModelTemplate {
 	t := &ModelTemplate{s: s, b: b, in: in,
 		flows:     b.flows,
@@ -79,7 +81,6 @@ func newTemplate(s *Solver, b *builder, in Input) *ModelTemplate {
 	}
 	b.in = &t.in
 	t.rebindable = s.Opts.Objective == MaxThroughput &&
-		s.Opts.MiceFraction <= 0 &&
 		in.Prot.Kc == 0 &&
 		(in.Demand.Count <= 0 || in.Demand.Factor <= 1)
 	return t
@@ -90,10 +91,11 @@ func (t *ModelTemplate) Vars() int        { return t.b.model.NumVars() }
 func (t *ModelTemplate) Constraints() int { return t.b.model.NumRows() }
 
 // Matches reports whether in has the structure the template froze: same
-// protection, same candidate flow list, same down sets, and a shape whose
-// input values appear only in bounds and right-hand sides.
+// protection, same candidate flow list, same down sets, same mice set, and
+// a shape whose input values appear only in bounds and right-hand sides. A
+// nil template matches nothing.
 func (t *ModelTemplate) Matches(in *Input) bool {
-	if t.b == nil || !t.rebindable {
+	if t == nil || t.b == nil || !t.rebindable {
 		return false
 	}
 	if in.Prot != t.in.Prot {
@@ -102,7 +104,7 @@ func (t *ModelTemplate) Matches(in *Input) bool {
 	if in.Demand.Count > 0 && in.Demand.Factor > 1 {
 		return false
 	}
-	if !sameLinkSet(in.DownLinks, t.downLinks) || !sameSwitchSet(in.DownSwitches, t.downSw) {
+	if !sameSet(in.DownLinks, t.downLinks) || !sameSet(in.DownSwitches, t.downSw) {
 		return false
 	}
 	// The candidate flow list (positive demand, has tunnels) must be
@@ -117,7 +119,19 @@ func (t *ModelTemplate) Matches(in *Input) bool {
 		}
 		i++
 	}
-	return i == len(t.flows)
+	if i != len(t.flows) {
+		return false
+	}
+	mice := t.b.miceOf(in)
+	if len(mice) != len(t.b.mice) {
+		return false
+	}
+	for _, f := range mice {
+		if !t.b.mice[f] {
+			return false
+		}
+	}
+	return true
 }
 
 // Instantiate rewrites the frozen model for in — bounds, right-hand sides,
@@ -164,28 +178,15 @@ func (t *ModelTemplate) instantiate(in Input) {
 	}
 }
 
-func sameLinkSet(a, b map[topology.LinkID]bool) bool {
-	for l, v := range a {
-		if v && !b[l] {
+// sameSet reports whether a and b hold the same true-valued keys.
+func sameSet[K comparable](a, b map[K]bool) bool {
+	for k, v := range a {
+		if v && !b[k] {
 			return false
 		}
 	}
-	for l, v := range b {
-		if v && !a[l] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameSwitchSet(a, b map[topology.SwitchID]bool) bool {
-	for s, v := range a {
-		if v && !b[s] {
-			return false
-		}
-	}
-	for s, v := range b {
-		if v && !a[s] {
+	for k, v := range b {
+		if v && !a[k] {
 			return false
 		}
 	}

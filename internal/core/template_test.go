@@ -142,6 +142,25 @@ func TestTemplateMismatchRejected(t *testing.T) {
 		t.Fatalf("fault-state change: got %v, want ErrTemplateMismatch", err)
 	}
 
+	// The mice set is part of the fingerprint: doubling every demand keeps
+	// it and rebinds; one mouse grown past the budget changes it.
+	ms := NewSolver(net, set, Options{MiceFraction: 0.01})
+	miceTmpl, err := ms.NewTemplate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(miceTmpl.b.mice) == 0 {
+		t.Fatal("fixture has no mice")
+	}
+	if err := miceTmpl.Instantiate(Input{Demands: series[0].Scale(2), Prot: Protection{Ke: 1}}); err != nil {
+		t.Fatalf("value change keeping the mice set rejected: %v", err)
+	}
+	miceChange := Input{Demands: series[0].Clone(), Prot: Protection{Ke: 1}}
+	miceChange.Demands[miceTmpl.b.miceOf(&base)[0]] *= 1000
+	if err := miceTmpl.Instantiate(miceChange); err != ErrTemplateMismatch {
+		t.Fatalf("mice-set change: got %v, want ErrTemplateMismatch", err)
+	}
+
 	// Control-plane FFC embeds the previous state as coefficients: never
 	// rebindable, even against an identical input.
 	st, _, err := s.Solve(base)
@@ -164,19 +183,23 @@ func TestTemplateMismatchRejected(t *testing.T) {
 // carried basis and factorization: since the instantiated model is
 // byte-identical to the fresh one (which both paths' FactorReused checks)
 // and the basis evolves identically, every interval's state must match bit
-// for bit. The S-Net chain (demands scaled until the network is
-// congested, so the warm re-solves pivot; ke=1 keeps it to seconds) is
-// skipped with -short.
+// for bit. The L-Net chain runs with §6 mice (the same three flows every
+// interval), so its rebinds pass the mice-set fingerprint. The S-Net chain
+// (demands scaled until the network is congested, so the warm re-solves
+// pivot; ke=1 keeps it to seconds) is skipped with -short.
 func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
 	fixtures := []struct {
 		name  string
 		net   *topology.Network
 		seed  int64
 		scale float64
+		opts  Options
 		slow  bool
 	}{
-		{"fattree", topology.FatTree(4, 10), 13, 1, false},
-		{"snet", topology.SNet(), 61, 4.5, true},
+		{"fattree", topology.FatTree(4, 10), 13, 1, Options{}, false},
+		// Three mice, the same three in every interval.
+		{"lnet-mice", topology.LNet(topology.LNetConfig{Sites: 8}, rand.New(rand.NewSource(1))), 5, 200, Options{MiceFraction: 0.01}, false},
+		{"snet", topology.SNet(), 61, 4.5, Options{}, true},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -185,7 +208,7 @@ func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
 			}
 			set, series := buildFixture(t, fx.net, 4, fx.seed)
 			run := func(rebind bool) []*State {
-				se := NewSolver(fx.net, set, Options{}).NewSession()
+				se := NewSolver(fx.net, set, fx.opts).NewSession()
 				var out []*State
 				for i, dem := range series {
 					in := Input{Demands: dem.Scale(fx.scale), Prot: Protection{Ke: 1}}
@@ -197,7 +220,7 @@ func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
 							{Hook: func(int) { panic("injected solver crash") }},
 						} {
 							if !rebind {
-								se.tmpl = nil
+								se.tmpl, se.prev = nil, nil
 							}
 							failing := in
 							failing.Budget = bad
@@ -207,7 +230,7 @@ func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
 						}
 					}
 					if !rebind {
-						se.tmpl = nil
+						se.tmpl, se.prev = nil, nil
 					}
 					st, stats, err := se.Solve(in)
 					if err != nil {
@@ -225,6 +248,9 @@ func TestSessionTemplateMatchesScratchSolve(t *testing.T) {
 					if (i > 0 && !stats.LP.Warm) || stats.LP.FactorReused != wantCarry {
 						t.Fatalf("rebind=%v interval %d: Warm=%v FactorReused=%v, want warm with FactorReused=%v",
 							rebind, i, stats.LP.Warm, stats.LP.FactorReused, wantCarry)
+					}
+					if fx.opts.MiceFraction > 0 && len(se.tmpl.b.mice) == 0 {
+						t.Fatalf("rebind=%v interval %d: fixture has no mice", rebind, i)
 					}
 					out = append(out, st)
 				}
