@@ -6,78 +6,22 @@ import (
 )
 
 // adversarialData is the bounded data-plane search for topologies whose
-// exact case count is out of reach: a greedy pass grows one fault set by
-// repeatedly failing whichever single additional element leaves the worst
-// residual capacity, then seeded random restarts (each polished by a
-// one-pass swap hill-climb) probe fault sets the greedy's myopia misses.
-// Any violation it reports is a real, fully evaluated fault case; an OK is
-// evidence, not a proof — the Certificate carries Exact=false. evalCase
-// evaluates one case given its failed candidate links and switches.
+// exact case count is out of reach: greedy grows one fault set, then seeded
+// random restarts (each polished by a one-pass swap hill-climb) probe fault
+// sets the greedy's myopia misses. Any violation it reports is a real,
+// fully evaluated fault case; an OK is evidence, not a proof — the
+// Certificate carries Exact=false. evalCase evaluates one case given its
+// failed candidate links and switches.
 func (c *checker) adversarialData(rng *rand.Rand, evalCase func(physSel, swSel []int) caseResult) searchResult {
 	res := searchResult{slack: math.Inf(1), slackLink: -1}
 	ke, kv := c.p.Prot.Ke, c.p.Prot.Kv
-
-	curP := make([]int, 0, ke)
-	curS := make([]int, 0, kv)
-	eval := func() (caseResult, bool) {
-		cr := evalCase(curP, curS)
-		return cr, c.note(&res, cr, curP, curS)
+	eval := func(physSel, swSel []int) (caseResult, bool) {
+		cr := evalCase(physSel, swSel)
+		return cr, c.note(&res, cr, physSel, swSel)
 	}
-
-	// The no-fault case is always checked.
-	if _, cont := eval(); !cont {
+	curP, curS, cont := c.greedy(eval)
+	if !cont {
 		return res
-	}
-
-	// Greedy: at each step try every single-element addition within the
-	// remaining budget and commit the one with the worst residual slack.
-	inP := make([]bool, len(c.phys))
-	inS := make([]bool, len(c.sws))
-	for len(curP) < min(ke, len(c.activeP)) || len(curS) < min(kv, len(c.activeS)) {
-		bestSlack := math.Inf(1)
-		bestIdx, bestIsSwitch := -1, false
-		if len(curP) < ke {
-			for _, pi := range c.activeP {
-				if inP[pi] {
-					continue
-				}
-				curP = append(curP, pi)
-				cr, cont := eval()
-				curP = curP[:len(curP)-1]
-				if !cont {
-					return res
-				}
-				if cr.slack < bestSlack {
-					bestSlack, bestIdx, bestIsSwitch = cr.slack, pi, false
-				}
-			}
-		}
-		if len(curS) < kv {
-			for _, si := range c.activeS {
-				if inS[si] {
-					continue
-				}
-				curS = append(curS, si)
-				cr, cont := eval()
-				curS = curS[:len(curS)-1]
-				if !cont {
-					return res
-				}
-				if cr.slack < bestSlack {
-					bestSlack, bestIdx, bestIsSwitch = cr.slack, si, true
-				}
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		if bestIsSwitch {
-			curS = append(curS, bestIdx)
-			inS[bestIdx] = true
-		} else {
-			curP = append(curP, bestIdx)
-			inP[bestIdx] = true
-		}
 	}
 
 	// Random restarts: sample a maximal fault set, then one swap pass per
@@ -85,7 +29,7 @@ func (c *checker) adversarialData(rng *rand.Rand, evalCase func(physSel, swSel [
 	for r := 0; r < c.p.Restarts; r++ {
 		curP = sampleInto(curP[:0], c.activeP, ke, rng)
 		curS = sampleInto(curS[:0], c.activeS, kv, rng)
-		cr, cont := eval()
+		cr, cont := eval(curP, curS)
 		if !cont {
 			return res
 		}
@@ -98,7 +42,7 @@ func (c *checker) adversarialData(rng *rand.Rand, evalCase func(physSel, swSel [
 				}
 				old := curP[i]
 				curP[i] = alt
-				cr, cont := eval()
+				cr, cont := eval(curP, curS)
 				if !cont {
 					return res
 				}
@@ -117,7 +61,7 @@ func (c *checker) adversarialData(rng *rand.Rand, evalCase func(physSel, swSel [
 				}
 				old := curS[i]
 				curS[i] = alt
-				cr, cont := eval()
+				cr, cont := eval(curP, curS)
 				if !cont {
 					return res
 				}
@@ -130,6 +74,64 @@ func (c *checker) adversarialData(rng *rand.Rand, evalCase func(physSel, swSel [
 		}
 	}
 	return res
+}
+
+// greedy evaluates the no-fault case, then grows one fault set by
+// repeatedly failing whichever single additional active element leaves the
+// worst residual slack, up to ke links and kv switches. It passes every
+// case to eval, stopping when eval returns false, and returns the grown set
+// and whether it ran to its end. eval's slices are reused.
+func (c *checker) greedy(eval func(physSel, swSel []int) (caseResult, bool)) ([]int, []int, bool) {
+	ke, kv := c.p.Prot.Ke, c.p.Prot.Kv
+	curP, curS := make([]int, 0, ke), make([]int, 0, kv)
+	if _, cont := eval(curP, curS); !cont {
+		return curP, curS, false
+	}
+	inP := make([]bool, len(c.phys))
+	inS := make([]bool, len(c.sws))
+	for len(curP) < min(ke, len(c.activeP)) || len(curS) < min(kv, len(c.activeS)) {
+		bestSlack := math.Inf(1)
+		bestIdx, bestIsSwitch := -1, false
+		if len(curP) < ke {
+			for _, pi := range c.activeP {
+				if inP[pi] {
+					continue
+				}
+				cr, cont := eval(append(curP, pi), curS)
+				if !cont {
+					return curP, curS, false
+				}
+				if cr.slack < bestSlack {
+					bestSlack, bestIdx, bestIsSwitch = cr.slack, pi, false
+				}
+			}
+		}
+		if len(curS) < kv {
+			for _, si := range c.activeS {
+				if inS[si] {
+					continue
+				}
+				cr, cont := eval(curP, append(curS, si))
+				if !cont {
+					return curP, curS, false
+				}
+				if cr.slack < bestSlack {
+					bestSlack, bestIdx, bestIsSwitch = cr.slack, si, true
+				}
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		if bestIsSwitch {
+			curS = append(curS, bestIdx)
+			inS[bestIdx] = true
+		} else {
+			curP = append(curP, bestIdx)
+			inP[bestIdx] = true
+		}
+	}
+	return curP, curS, true
 }
 
 // sampleInto fills dst with up to k distinct elements of pool, uniformly.

@@ -426,9 +426,6 @@ type cflow struct {
 	// slot is the flow's first entry in an evaluator's memo table, one per
 	// dead-tunnel mask; −1 marks a wide flow.
 	slot int
-	// lose[r] is the carrying weight node bounds assume r more link and kv
-	// switch failures take (indexBounds); nil until then.
-	lose []float64
 }
 
 type ctun struct {

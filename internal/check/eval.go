@@ -30,11 +30,15 @@ type evaluator struct {
 	mask []uint32
 	// tab holds one span per (flow, mask) into arena (element 0 a dummy so
 	// no entry starts at 0): loads, then, on first use, node bounds per link
-	// budget r = 0..ke. alive and wide are scratch.
-	tab   []span
-	arena []contrib
-	alive []bool
-	wide  []contrib
+	// budget r = 0..ke. alive, wide and the fields after them are scratch.
+	tab    []span
+	arena  []contrib
+	alive  []bool
+	wide   []contrib
+	across []uint32
+	kw     []float64
+	hit    []int
+	top    []float64
 }
 
 func (c *checker) newEvaluator() *evaluator {
@@ -172,7 +176,7 @@ func (e *evaluator) fill(fi int, m uint32, r, key int) []contrib {
 		e.alive = append(e.alive, fl.tuns[ti].bit&^m != 0)
 	}
 	off := len(e.arena)
-	e.arena = fl.spread(e.alive, r, e.arena)
+	e.arena = e.spread(fl, r, e.arena)
 	e.tab[key] = span{off, len(e.arena)}
 	return e.arena[off:]
 }
@@ -187,7 +191,7 @@ func (e *evaluator) wideLoads(fl *cflow, physSel, swSel []int, r int) []contrib 
 		t := &fl.tuns[ti]
 		e.alive = append(e.alive, t.w > 0 && !t.dead && !meets(t.physC, physSel) && !meets(t.midC, swSel))
 	}
-	e.wide = fl.spread(e.alive, r, e.wide[:0])
+	e.wide = e.spread(fl, r, e.wide[:0])
 	return e.wide
 }
 
@@ -203,15 +207,18 @@ func meets(a, b []int) bool {
 	return false
 }
 
-// bound appends, per link the marked tunnels cross with weight W_l, the
-// most load the flow puts on it while it keeps ≥ D = W − lose[r] − 1e-12·W
-// of their weight W (1e-12·W given up to rounding): rate·min(1, W_l/D), or
-// rate when D ≤ 0.
-func (fl *cflow) bound(alive []bool, r int, out []contrib) []contrib {
+// bound appends, per link l the alive tunnels cross with weight W_l, the
+// most load the flow puts on l in any case that fails r more links and ≤ kv
+// switches: rate·min(1, W_l/D_l), or rate when D_l ≤ 0. D_l = W − lose_l −
+// 1e-12·W (1e-12·W given up to rounding) is the least alive weight left,
+// lose_l summing the r heaviest link and kv heaviest switch kill weights
+// over the alive tunnels that avoid l: killing a tunnel across l only
+// lowers l's share, and no r links and kv switches kill more of the rest.
+func (e *evaluator) bound(fl *cflow, r int, out []contrib) []contrib {
 	var w float64
-	off := len(out)
+	off, across := len(out), e.across[:0]
 	for ti := range fl.tuns {
-		if !alive[ti] {
+		if !e.alive[ti] {
 			continue
 		}
 		t := &fl.tuns[ti]
@@ -219,29 +226,81 @@ func (fl *cflow) bound(alive []bool, r int, out []contrib) []contrib {
 		for _, l := range t.links {
 			if j := slices.IndexFunc(out[off:], func(ct contrib) bool { return ct.link == l }); j >= 0 {
 				out[off+j].load += t.w
+				across[j] |= t.bit
 			} else {
 				out = append(out, contrib{t.w, l})
+				across = append(across, t.bit)
 			}
 		}
 	}
-	d := w - fl.lose[r] - 1e-12*w
+	lose := 0.0
 	for j := off; j < len(out); j++ {
+		// across holds the bits of the tunnels across each link: a link
+		// crossed by the same tunnels as the one before it (in a flow
+		// narrow enough to have bits) shares its lose.
+		if j == off || fl.slot < 0 || across[j-off] != across[j-off-1] {
+			lose = e.lose(fl, out[j].link, r)
+		}
 		share := 1.0
-		if d > 0 {
+		if d := w - lose - 1e-12*w; d > 0 {
 			share = min(1, out[j].load/d)
 		}
 		out[j].load = fl.rate * share
 	}
+	e.across = across
 	return out
 }
 
-// spread appends the flow's link loads, in tunnel → link order, when exactly
-// the marked tunnels (all of positive weight) survive — or, for r ≥ 0,
-// their bounds.
-func (fl *cflow) spread(alive []bool, r int, out []contrib) []contrib {
-	if r >= 0 {
-		return fl.bound(alive, r, out)
+// lose sums the r largest link and kv largest switch kill weights over the
+// alive tunnels of fl that avoid link l.
+func (e *evaluator) lose(fl *cflow, l topology.LinkID, r int) (lose float64) {
+	if e.kw == nil {
+		e.kw = make([]float64, max(len(e.c.phys), len(e.c.sws)))
 	}
+	for k, n := range [2]int{r, e.c.p.Prot.Kv} { // links, then switches
+		if n == 0 {
+			continue
+		}
+		hit, top := e.hit[:0], e.top[:0] // top: the n largest, descending
+		for ti := range fl.tuns {
+			if t := &fl.tuns[ti]; e.alive[ti] && !slices.Contains(t.links, l) {
+				for _, i := range [2][]int{t.physC, t.midC}[k] {
+					if e.kw[i] == 0 {
+						hit = append(hit, i)
+					}
+					e.kw[i] += t.w
+				}
+			}
+		}
+		for _, i := range hit {
+			if v := e.kw[i]; len(top) < n || v > top[n-1] {
+				if len(top) < n {
+					top = append(top, 0)
+				}
+				p := len(top) - 1
+				for ; p > 0 && top[p-1] < v; p-- {
+					top[p] = top[p-1]
+				}
+				top[p] = v
+			}
+			e.kw[i] = 0
+		}
+		for _, v := range top {
+			lose += v
+		}
+		e.hit, e.top = hit, top
+	}
+	return lose
+}
+
+// spread appends flow fl's link loads, in tunnel → link order, when exactly
+// the tunnels e.alive marks (all of positive weight) survive — or, for
+// r ≥ 0, their bounds.
+func (e *evaluator) spread(fl *cflow, r int, out []contrib) []contrib {
+	if r >= 0 {
+		return e.bound(fl, r, out)
+	}
+	alive := e.alive
 	var total float64
 	for ti := range fl.tuns {
 		if alive[ti] {

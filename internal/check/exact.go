@@ -1,7 +1,6 @@
 package check
 
 import (
-	"cmp"
 	"math"
 	"runtime"
 	"slices"
@@ -16,15 +15,17 @@ import (
 
 // parallelMinCases is the enumeration size below which exactData stays on
 // the calling goroutine: workers, each with a memo to fill, cost more.
-// BenchmarkCertLNet on 2 cores, serial vs two workers (node bounds,
-// medians of six): 56 cases (ke1) 0.45 vs 0.52 ms; 935 (ke1kv1) 2.5 vs 1.7
-// ms; 1,597 (ke2, 290 evaluated) 1.5 vs 1.7 ms; 25,262 (daemon, 2,159
-// evaluated) 5.3 vs 3.7 ms. The crossover lies between 56 and 935 cases
-// evaluated; node bounds leave the ke2 size below it.
+// Bounded enumerations (ke ≥ 2) always stay there, each shard's threshold
+// folding in the shards before it. Medians of five alternating runs on 2
+// cores: 935 cases (BenchmarkCertLNet/ke1kv1, unbounded) take 2.8 ms
+// serial and 1.9 ms on two workers; the bounded legs, serial vs two
+// workers folding between batches of 8 shards, daemon 1.75 vs 2.03 ms, ke2
+// 1.67 vs 2.02, ke2kv1 3.1 vs 3.4 and BenchmarkCertSNet/exact 12.8 vs 11.8:
+// they evaluate too few cases for a second memo to pay.
 const parallelMinCases = 256
 
-// The links and flows each exact certification's last shards evaluated,
-// and the cases it evaluated rather than dismissed by a node bound.
+// The links and flows each exact certification's shards evaluated, and the
+// cases it evaluated rather than dismissed by a node bound.
 var obsLinksKept, obsFlowsKept = obs.NewValueHistogram("check.links_kept"), obs.NewValueHistogram("check.flows_kept")
 var obsCasesEvaluated = obs.NewValueHistogram("check.cases_evaluated")
 
@@ -44,8 +45,9 @@ var obsCasesEvaluated = obs.NewValueHistogram("check.cases_evaluated")
 // reproduces the serial scan whatever the worker count. Under FailFast,
 // firstBad is the lowest shard known to hold a violation: later shards
 // stop, earlier ones finish, and only shards up to it are folded.
-// At ke ≥ 2 the shards after the single-link ones evaluate only the links
-// prune keeps and skip every subtree a node bound dismisses; the
+// At ke ≥ 2 the shards run in order on the calling goroutine over the
+// links prune keeps, each skipping every subtree a node bound dismisses at
+// a threshold that folds in the worst slack of the shards before it; the
 // certificate is bitwise the unpruned one.
 func (c *checker) exactData() searchResult {
 	ke, kv, n := c.p.Prot.Ke, c.p.Prot.Kv, len(c.activeP)
@@ -56,80 +58,77 @@ func (c *checker) exactData() searchResult {
 			shards = append(shards, shard{size, first})
 		}
 	}
+	// t is the node bounds' threshold, ≥ 0, or −1 with bounds off.
+	idx, links, t := c, len(c.cap), -1.0
+	if ke >= 2 {
+		idx, links, t = c.prune()
+	}
 	workers := 1
-	if c.exactCases() >= parallelMinCases {
+	if t < 0 && c.exactCases() >= parallelMinCases {
 		workers = min(runtime.GOMAXPROCS(0), len(shards))
 	}
 	results := make([]searchResult, len(shards))
 	var firstBad atomic.Int64
 	firstBad.Store(int64(len(shards)))
-	// t becomes prune's threshold, ≥ 0, once node bounds are on.
-	swCases, t := int64(binomSum(len(c.activeS), kv)), -1.0
-
-	// run enumerates shards [lo, hi) with evaluators over the index idx.
-	run := func(idx *checker, lo, hi int) {
-		evals := make([]*evaluator, workers)
-		parallel.ForEachWorker(hi-lo, workers, func(worker, j int) {
-			if evals[worker] == nil {
-				evals[worker] = idx.newEvaluator()
+	swCases := int64(binomSum(len(c.activeS), kv))
+	evals := make([]*evaluator, workers)
+	parallel.ForEachWorker(len(shards), workers, func(worker, k int) {
+		if int64(k) > firstBad.Load() {
+			return
+		}
+		if evals[worker] == nil {
+			evals[worker] = idx.newEvaluator()
+		}
+		e, res := evals[worker], &results[k]
+		*res = searchResult{slack: math.Inf(1), slackLink: -1}
+		sh := shards[k]
+		swSel := make([]int, 0, kv)
+		// walk enumerates the node physSel, whose last link has
+		// position a, with r more links to fail: it skips the node's
+		// C(n−a−1, r) link sets × swCases switch sets when its bound
+		// proves every loaded link's slack > max(min(t, res.slack), 0).
+		var walk func(physSel []int, a, r int) bool
+		walk = func(physSel []int, a, r int) bool {
+			if cases := int64(binom(n-a-1, r)) * swCases; t >= 0 && cases >= 2 &&
+				e.dismissed(physSel, r, max(min(t, res.slack), 0)) {
+				res.cases += cases
+				return true
 			}
-			k := lo + j
-			e, res := evals[worker], &results[k]
-			*res = searchResult{slack: math.Inf(1), slackLink: -1}
-			sh := shards[k]
-			swSel := make([]int, 0, kv)
-			// walk enumerates the node physSel, whose last link has
-			// position a, with r more links to fail: it skips the node's
-			// C(n−a−1, r) link sets × swCases switch sets when its bound
-			// proves every loaded link's slack > max(min(t, res.slack), 0).
-			var walk func(physSel []int, a, r int) bool
-			walk = func(physSel []int, a, r int) bool {
-				if cases := int64(binom(n-a-1, r)) * swCases; t >= 0 && cases >= 2 &&
-					e.dismissed(physSel, r, max(min(t, res.slack), 0)) {
-					res.cases += cases
-					return true
-				}
-				if r > 0 {
-					for i := a + 1; i <= n-r; i++ {
-						if !walk(append(physSel, c.activeP[i]), i, r-1) {
-							return false
-						}
+			if r > 0 {
+				for i := a + 1; i <= n-r; i++ {
+					if !walk(append(physSel, c.activeP[i]), i, r-1) {
+						return false
 					}
-					return true
 				}
-				if int64(k) > firstBad.Load() {
-					return false
+				return true
+			}
+			if int64(k) > firstBad.Load() {
+				return false
+			}
+			return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
+				swSel = swSel[:0]
+				for _, i := range ss {
+					swSel = append(swSel, c.activeS[i])
 				}
-				return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
-					swSel = swSel[:0]
-					for _, i := range ss {
-						swSel = append(swSel, c.activeS[i])
-					}
-					return c.note(res, e.eval(physSel, swSel), physSel, swSel)
-				})
+				return c.note(res, e.eval(physSel, swSel), physSel, swSel)
+			})
+		}
+		if physSel := make([]int, 0, sh.size); sh.size == 0 {
+			walk(physSel, -1, 0)
+		} else {
+			walk(append(physSel, c.activeP[sh.first]), sh.first, sh.size-1)
+		}
+		for res.aborted {
+			if cur := firstBad.Load(); int64(k) >= cur || firstBad.CompareAndSwap(cur, int64(k)) {
+				break
 			}
-			if physSel := make([]int, 0, sh.size); sh.size == 0 {
-				walk(physSel, -1, 0)
-			} else {
-				walk(append(physSel, c.activeP[sh.first]), sh.first, sh.size-1)
-			}
-			for res.aborted {
-				if cur := firstBad.Load(); int64(k) >= cur || firstBad.CompareAndSwap(cur, int64(k)) {
-					break
-				}
-			}
-		})
-	}
-	split := len(shards)
-	if ke >= 2 {
-		split = 1 + n
-	}
-	run(c, 0, split)
-	idx, links := c, len(c.cap)
-	if split < len(shards) && firstBad.Load() >= int64(split) {
-		idx, links, t = c.prune(results[:split])
-		run(idx, split, len(shards))
-	}
+		}
+		// Bounded runs are serial: the next shard is held to the worst
+		// slack of every shard before it.
+		if t >= 0 && res.slackLink >= 0 {
+			t = max(min(t, res.slack), 0)
+		}
+	})
 
 	res := searchResult{slack: math.Inf(1), slackLink: -1}
 	last := min(int(firstBad.Load()), len(shards)-1)
@@ -149,34 +148,26 @@ func (c *checker) exactData() searchResult {
 	return res
 }
 
-// prune returns the index the shards after head need, how many links it
-// keeps and its threshold T = max(S, 0), S being the worst slack of cases
-// evaluated in full (head's, and the worst grown by one link), so S ≥ the
-// final worst slack S*. It keeps the links whose root node bound (no link
-// failed yet, ke to go) comes within T of capacity. A dropped link has
-// slack > T in every case: it can neither attain S* (nor tie it) nor
-// overload, and under FailFast the prefix minimum at the first violation
-// is < 0 ≤ T. T is −1 (bounds off, c returned whole) when a tunnel repeats
-// a link: min(1, ·) in the bound fails.
-func (c *checker) prune(head []searchResult) (*checker, int, float64) {
-	worst := searchResult{slack: math.Inf(1)}
-	for _, r := range head {
-		if r.slack < worst.slack {
-			worst = r
-		}
-	}
-	if !c.indexBounds() {
+// prune returns the index every shard evaluates at ke ≥ 2, how many links
+// it keeps and its threshold T = max(S, 0), S being the worst slack of the
+// cases greedy evaluates in full, so S ≥ the final worst slack S*. It keeps
+// the links whose root node bound (no link failed yet, ke to go) comes
+// within T of capacity. A dropped link has slack > T in every case: it can
+// neither attain S* (nor tie it) nor overload, and under FailFast the
+// prefix minimum at the first violation is < 0 ≤ T. T is −1 (bounds off, c
+// returned whole) when a tunnel repeats a link: min(1, ·) in the bound
+// fails.
+func (c *checker) prune() (*checker, int, float64) {
+	if !c.boundable() {
 		return c, len(c.cap), -1
 	}
-	// One greedy step: the worst case so far with one more link failed
-	// tends to come far closer to S*.
-	t, e := worst.slack, c.newEvaluator()
-	phys := append(slices.Clone(worst.slackLinks), -1)
-	for _, pi := range c.activeP {
-		phys[len(phys)-1] = pi
-		t = min(t, e.eval(phys, worst.slackSws).slack)
-	}
-	t = max(t, 0)
+	e, s := c.newEvaluator(), math.Inf(1)
+	c.greedy(func(physSel, swSel []int) (caseResult, bool) {
+		cr := e.eval(physSel, swSel)
+		s = min(s, cr.slack)
+		return cr, s > 0 // T is 0 from here on
+	})
+	t := max(s, 0)
 	e.gather(nil, nil, c.p.Prot.Ke)
 	keep, kept := make([]bool, len(c.cap)), 0
 	for l, u := range e.loads {
@@ -187,55 +178,16 @@ func (c *checker) prune(head []searchResult) (*checker, int, float64) {
 	return c.restrict(keep), kept, t
 }
 
-// indexBounds gives every flow the weight its node bounds subtract: lose[r]
-// sums its r heaviest link and kv heaviest switch kill weights (the
-// carrying weight each failure takes, unfailed). It reports false when a
-// carrying tunnel repeats a link.
-func (c *checker) indexBounds() bool {
-	ke, kv, np := c.p.Prot.Ke, c.p.Prot.Kv, len(c.phys)
-	kw := make([]float64, np+len(c.sws)) // links, then switches
-	var hit []int
-	add := func(i int, w float64) {
-		if kw[i] == 0 {
-			hit = append(hit, i)
-		}
-		kw[i] += w
-	}
-	for fi := range c.flows {
-		fl := &c.flows[fi]
-		hit = hit[:0]
+// boundable reports whether node bounds hold: min(1, ·) in them fails when
+// a carrying tunnel repeats a link.
+func (c *checker) boundable() bool {
+	for _, fl := range c.flows {
 		for _, t := range fl.tuns {
-			if t.dead || t.w <= 0 {
-				continue
-			}
 			for i, l := range t.links {
-				if slices.Contains(t.links[:i], l) {
+				if !t.dead && t.w > 0 && slices.Contains(t.links[:i], l) {
 					return false
 				}
 			}
-			for _, pi := range t.physC {
-				add(pi, t.w)
-			}
-			for _, si := range t.midC {
-				add(np+si, t.w)
-			}
-		}
-		slices.SortFunc(hit, func(i, j int) int { return cmp.Compare(kw[j], kw[i]) })
-		fl.lose = make([]float64, ke+1)
-		links, sws := 0, 0
-		for _, i := range hit {
-			switch {
-			case i < np && links < ke:
-				links++
-				fl.lose[links] = kw[i]
-			case i >= np && sws < kv:
-				sws++
-				fl.lose[0] += kw[i]
-			}
-			kw[i] = 0
-		}
-		for r := 1; r <= ke; r++ {
-			fl.lose[r] += fl.lose[r-1]
 		}
 	}
 	return true

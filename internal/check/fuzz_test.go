@@ -43,7 +43,7 @@ func FuzzCheckPlan(f *testing.F) {
 		f.Add(blob, uint16(3), uint8(1), uint8(1), uint8(1))
 	}
 	// An unsaturated multi-flow plan on the net seed 14 draws, at (0,2,1):
-	// its two-link shards run on a pruned index.
+	// its shards run on a pruned index.
 	{
 		net, set, flows := randomNet(rand.New(rand.NewSource(14)), 7, 4)
 		st := randomState(rand.New(rand.NewSource(14)), set, flows, 0)
