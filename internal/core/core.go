@@ -8,10 +8,13 @@
 // The basic TE formulation is Eqns 1–4 of the paper; control-plane FFC is
 // Eqns 5–8 reduced via the bounded M-sum transformation to Eqn 14;
 // data-plane FFC is Eqn 9 reduced to Eqn 15 (sound, and exact for disjoint
-// layouts — Lemma 1). The combinatorially many fault cases are encoded in
-// O(k·n) constraints with partial sorting networks (internal/sortnet);
-// a compact top-k dual encoding and a naive full enumeration are available
-// for ablation and validation.
+// layouts — Lemma 1). Every bounded M-sum ("any k of these terms sum to
+// ≤ B") goes through the one internal/sortnet emitter that Options.Encoding
+// names, resolved once in NewSolver: the compact top-k dual (production),
+// the paper's partial sorting network (O(k·n) constraints, the reference),
+// or explicit enumeration (tiny networks; Naive also enumerates Eqn 9's
+// data-plane fault cases, the ground truth the reductions are tested
+// against).
 //
 // Extensions: multi-priority cascades (§5.1), congestion-free multi-step
 // updates robust to update failures (§5.2), approximate max-min fairness
@@ -28,6 +31,7 @@ import (
 	"ffc/internal/demand"
 	"ffc/internal/lp"
 	"ffc/internal/obs"
+	"ffc/internal/sortnet"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
@@ -288,8 +292,10 @@ type Stats struct {
 	Objective   float64
 	Vars        int
 	Constraints int
-	// EncodingVars/EncodingConstraints count only the sorting-network (or
-	// alternative) auxiliaries, the paper's §4.4.3 accounting.
+	// EncodingVars/EncodingConstraints count the fault-protection rows and
+	// auxiliaries, the paper's §4.4.3 accounting: every M-sum emitter's
+	// auxiliaries plus one constraint per bound row it asks for, Naive's
+	// explicit Eqn 9 rows, control-plane β rows and Eqn 17 reservations.
 	EncodingVars        int
 	EncodingConstraints int
 	Iters               int
@@ -333,6 +339,13 @@ type Solver struct {
 	incidence map[topology.LinkID][]flowTunnel
 	// Cached (p,q) per flow.
 	pq map[tunnel.Flow][2]int
+
+	// msum emits every bounded M-sum, per Options.Encoding; naiveDP
+	// enumerates the data plane's Eqn 9 fault cases instead of Eqn 15.
+	// encErr rejects an unknown encoding at every formulation.
+	msum    sortnet.Emitter
+	naiveDP bool
+	encErr  error
 }
 
 type flowTunnel struct {
@@ -346,6 +359,16 @@ func NewSolver(net *topology.Network, tun *tunnel.Set, opts Options) *Solver {
 	s := &Solver{Net: net, Tun: tun, Opts: opts,
 		incidence: map[topology.LinkID][]flowTunnel{},
 		pq:        map[tunnel.Flow][2]int{}}
+	switch opts.Encoding {
+	case Compact:
+		s.msum = sortnet.Compact
+	case SortNet:
+		s.msum = sortnet.Bubble
+	case Naive:
+		s.msum, s.naiveDP = sortnet.Subsets, true
+	default:
+		s.encErr = fmt.Errorf("core: unknown Options.Encoding %d", int(opts.Encoding))
+	}
 	for _, f := range tun.All() {
 		for _, t := range tun.Tunnels(f) {
 			for _, l := range t.Links {
@@ -408,6 +431,9 @@ func (s *Solver) tauAlive(f tunnel.Flow, prot Protection, alive []bool) int {
 // build validates in and formulates its LP from scratch — the one way a TE
 // model is constructed.
 func (s *Solver) build(in Input) (*builder, error) {
+	if s.encErr != nil {
+		return nil, s.encErr
+	}
 	if err := in.validate(); err != nil {
 		return nil, err
 	}

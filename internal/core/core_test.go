@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ffc/internal/demand"
@@ -410,5 +411,26 @@ func TestDownSwitchExcludesTunnels(t *testing.T) {
 	}
 	if math.Abs(st.Rate[fx.f24]-10) > 1e-6 {
 		t.Fatalf("rate %v, want 10 (direct only)", st.Rate[fx.f24])
+	}
+}
+
+// TestUnknownEncodingIsAnError: an Options.Encoding outside the three
+// constants must not fall back to some encoding silently; every entry
+// point that formulates an LP names the bad value.
+func TestUnknownEncodingIsAnError(t *testing.T) {
+	fx := newFig25(t)
+	s := NewSolver(fx.net, fx.tun, Options{Encoding: Encoding(7)})
+	in := Input{Demands: demand.Matrix{fx.f24: 10}, Prot: Protection{Ke: 1}}
+	st := NewState()
+	st.Rate[fx.f24], st.Alloc[fx.f24] = 5, []float64{5, 0}
+	_, _, errSolve := s.Solve(in)
+	_, errFormulate := s.FormulateOnly(in)
+	_, errTemplate := s.NewTemplate(in)
+	_, errUpdate := s.PlanUpdate(st, st, 1, 2)
+	for name, err := range map[string]error{"Solve": errSolve, "FormulateOnly": errFormulate,
+		"NewTemplate": errTemplate, "PlanUpdate": errUpdate} {
+		if err == nil || !strings.Contains(err.Error(), "Encoding 7") {
+			t.Errorf("%s: err = %v, want one naming Encoding 7", name, err)
+		}
 	}
 }

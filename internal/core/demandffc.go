@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ffc/internal/lp"
-	"ffc/internal/sortnet"
 	"ffc/internal/tunnel"
 )
 
@@ -16,8 +15,8 @@ import (
 // Factor × its predicted demand: since an uncontrolled flow's link load
 // scales proportionally with its rate, the extra load a mispredicted flow
 // puts on link e is (Factor−1) × its planned load there, and the worst case
-// over all misprediction sets is a bounded M-sum — encoded with the same
-// partial sorting networks as §4.4.
+// over all misprediction sets is a bounded M-sum — emitted by the same
+// encoding as §4.4's.
 type DemandUncertainty struct {
 	// Count is the number of simultaneously mispredicted flows tolerated.
 	Count int
@@ -65,23 +64,12 @@ func (b *builder) demandFFC(u DemandUncertainty) error {
 		for i, f := range flows {
 			exprs[i] = lp.NewExpr().AddExpr(over, byFlow[f])
 		}
-		M := u.Count
-		if M > len(exprs) {
-			M = len(exprs)
-		}
 		name := fmt.Sprintf("du[e%d]", l.ID)
-		var res sortnet.Result
-		if b.s.Opts.Encoding == Compact {
-			res = sortnet.TopKCompact(b.model, exprs, M, name)
-		} else {
-			res = sortnet.LargestSum(b.model, exprs, M, name)
-		}
-		b.encVars += res.Vars
-		b.encCons += res.Constraints + 1
 		// usage + worst-case overage ≤ ce · u_fault (reusing the §5.4
 		// fault-MLU variable so operators can weight the robust case).
-		load := b.usageExpr(l.ID).AddExpr(1, res.Sum)
-		b.addCPConstraint(name, l.ID, load, b.s.capacity(b.in, l.ID))
+		b.msum(exprs, u.Count, true, name, func(sum *lp.Expr) {
+			b.addCPConstraint(name, l.ID, b.usageExpr(l.ID).AddExpr(1, sum), b.s.capacity(b.in, l.ID))
+		})
 	}
 	return nil
 }

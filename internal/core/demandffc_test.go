@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -121,6 +122,8 @@ func TestDemandFFCPlainMLUIsUnsafe(t *testing.T) {
 // TestDemandFFCPropertyRandom: the guarantee in MinMLU mode is relative to
 // the planned fault-case MLU (Stats.FaultMLU): no combination of up to
 // Count mispredicted flows may load any link beyond FaultMLU × capacity.
+// Every trial runs under all three encodings, which must plan the same
+// FaultMLU.
 func TestDemandFFCPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for trial := 0; trial < 10; trial++ {
@@ -134,21 +137,30 @@ func TestDemandFFCPropertyRandom(t *testing.T) {
 		}
 		count := 1 + rng.Intn(2)
 		factor := 1.2 + rng.Float64()
-		s := NewSolver(net, tun, Options{Objective: MinMLU, Encoding: Encoding(rng.Intn(2))})
-		st, stats, err := s.Solve(Input{Demands: demands, Demand: DemandUncertainty{Count: count, Factor: factor}})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if stats.FaultMLU <= 0 {
-			t.Fatalf("trial %d: FaultMLU not reported", trial)
-		}
-		caps := map[topology.LinkID]float64{}
-		for _, l := range net.Links {
-			caps[l.ID] = l.Capacity * (stats.FaultMLU + 1e-6)
-		}
-		if v := demandOracle(net, tun, st, count, factor, caps); v != nil {
-			t.Fatalf("trial %d (count=%d factor=%.2f, fault MLU %.3f): %+v",
-				trial, count, factor, stats.FaultMLU, v)
+		_ = rng.Intn(2) // still drawn, so later trials see the same random stream
+		var ref float64
+		for _, enc := range []Encoding{Compact, SortNet, Naive} {
+			s := NewSolver(net, tun, Options{Objective: MinMLU, Encoding: enc})
+			st, stats, err := s.Solve(Input{Demands: demands, Demand: DemandUncertainty{Count: count, Factor: factor}})
+			if err != nil {
+				t.Fatalf("trial %d %v: %v", trial, enc, err)
+			}
+			if stats.FaultMLU <= 0 {
+				t.Fatalf("trial %d %v: FaultMLU not reported", trial, enc)
+			}
+			if enc == Compact {
+				ref = stats.FaultMLU
+			} else if math.Abs(stats.FaultMLU-ref) > 1e-7*ref {
+				t.Fatalf("trial %d: %v plans FaultMLU %v, compact %v", trial, enc, stats.FaultMLU, ref)
+			}
+			caps := map[topology.LinkID]float64{}
+			for _, l := range net.Links {
+				caps[l.ID] = l.Capacity * (stats.FaultMLU + 1e-6)
+			}
+			if v := demandOracle(net, tun, st, count, factor, caps); v != nil {
+				t.Fatalf("trial %d %v (count=%d factor=%.2f, fault MLU %.3f): %+v",
+					trial, enc, count, factor, stats.FaultMLU, v)
+			}
 		}
 	}
 }

@@ -42,6 +42,14 @@ type builder struct {
 	capVar map[topology.LinkID]lp.Var
 }
 
+// msum emits one bounded M-sum through the solver's encoding (row is
+// called once per constraint the bound takes) and counts its size.
+func (b *builder) msum(exprs []*lp.Expr, k int, largest bool, name string, row func(*lp.Expr)) {
+	vars, cons := b.s.msum(b.model, exprs, k, largest, name, row)
+	b.encVars += vars
+	b.encCons += cons
+}
+
 func newBuilder(s *Solver, in *Input) *builder {
 	return &builder{
 		s: s, in: in, model: lp.NewModel(),
@@ -345,7 +353,7 @@ func (b *builder) dataPlane() {
 		if tau >= len(aliveTs) {
 			continue // no tunnel can be lost at this protection level
 		}
-		if b.s.Opts.Encoding == Naive {
+		if b.s.naiveDP {
 			b.encCons += b.dataPlaneNaive(f, aliveTs, prot)
 			continue
 		}
@@ -356,31 +364,21 @@ func (b *builder) dataPlane() {
 		drop := len(aliveTs) - tau
 		rhs := lp.NewExpr().Add(1, b.bVar[f])
 		name := fmt.Sprintf("dp[%v]", f)
-		var res sortnet.Result
 		if tau <= drop {
 			// Encode the smallest τ directly: Σ smallest-τ a ≥ bf.
-			if b.s.Opts.Encoding == Compact {
-				res = sortnet.BottomKCompact(b.model, exprs, tau, name)
-			} else {
-				res = sortnet.SmallestSum(b.model, exprs, tau, name)
-			}
-			b.model.AddNamed(name, lp.NewExpr().AddExpr(1, res.Sum).AddExpr(-1, rhs), lp.GE, 0)
-		} else {
-			// Cheaper dual form: Σ all − Σ largest-(|T|−τ) ≥ bf.
-			if b.s.Opts.Encoding == Compact {
-				res = sortnet.TopKCompact(b.model, exprs, drop, name)
-			} else {
-				res = sortnet.LargestSum(b.model, exprs, drop, name)
-			}
-			total := lp.NewExpr()
-			for _, t := range aliveTs {
-				total.Add(1, b.aVar[f][t.Index])
-			}
-			total.AddExpr(-1, res.Sum).AddExpr(-1, rhs)
-			b.model.AddNamed(name, total, lp.GE, 0)
+			b.msum(exprs, tau, false, name, func(sum *lp.Expr) {
+				b.model.AddNamed(name, lp.NewExpr().AddExpr(1, sum).AddExpr(-1, rhs), lp.GE, 0)
+			})
+			continue
 		}
-		b.encVars += res.Vars
-		b.encCons += res.Constraints + 1
+		// Cheaper dual form: Σ all − Σ largest-(|T|−τ) ≥ bf.
+		b.msum(exprs, drop, true, name, func(sum *lp.Expr) {
+			total := lp.NewExpr()
+			for _, e := range exprs {
+				total.AddExpr(1, e)
+			}
+			b.model.AddNamed(name, total.AddExpr(-1, sum).AddExpr(-1, rhs), lp.GE, 0)
+		})
 	}
 }
 
@@ -413,7 +411,7 @@ func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protec
 	// Maximal fault sets dominate smaller ones (residual sets shrink
 	// monotonically), so only size-ke × size-kv combinations are emitted.
 	cons := 0
-	forEachCombo(len(links), ke, func(li []int) {
+	sortnet.ForEachCombo(len(links), ke, func(li []int) {
 		down := map[topology.LinkID]bool{}
 		for _, i := range li {
 			down[links[i]] = true
@@ -421,7 +419,7 @@ func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protec
 				down[tw] = true
 			}
 		}
-		forEachCombo(len(sws), kv, func(si []int) {
+		sortnet.ForEachCombo(len(sws), kv, func(si []int) {
 			downSw := map[topology.SwitchID]bool{}
 			for _, i := range si {
 				downSw[sws[i]] = true
@@ -550,11 +548,12 @@ func idx(s []float64, i int) float64 {
 	return 0
 }
 
-// controlPlane emits Eqn 14 per link (or the naive Eqn 5 enumeration). A β
-// variable and its defining rows are shared by every link its tunnel
-// crosses, so a first pass in link order creates them all, along with each
-// link's sorted (β−a) source grouping; the second pass emits the per-link
-// M-sum encodings and safety rows.
+// controlPlane emits Eqn 14 per link (Eqn 5 itself under Subsets: d ≥ 0,
+// so only the maximal kc-subsets are needed). A β variable and its
+// defining rows are shared by every link its tunnel crosses, so a first
+// pass in link order creates them all, along with each link's sorted (β−a)
+// source grouping; the second pass emits the per-link M-sum encodings and
+// safety rows.
 func (b *builder) controlPlane() {
 	prev := b.in.Prev
 	prevLoads := prev.ActualLinkLoads(b.s.Tun)
@@ -562,7 +561,6 @@ func (b *builder) controlPlane() {
 		l     topology.LinkID
 		c     float64
 		exprs []*lp.Expr
-		kc    int
 	}
 	var blocks []cpBlock
 	for _, l := range b.s.Net.Links {
@@ -607,37 +605,14 @@ func (b *builder) controlPlane() {
 			exprs[i] = bySrc[v]
 		}
 
-		kc := b.in.Prot.Kc
-		if kc > len(exprs) {
-			kc = len(exprs)
-		}
-		blocks = append(blocks, cpBlock{l: l.ID, c: c, exprs: exprs, kc: kc})
+		blocks = append(blocks, cpBlock{l: l.ID, c: c, exprs: exprs})
 	}
 	for _, blk := range blocks {
 		use := b.usageExpr(blk.l)
 		name := fmt.Sprintf("cp[e%d]", blk.l)
-		if b.s.Opts.Encoding == Naive {
-			// Eqn 5/13 directly: every ≤kc subset. d ≥ 0, so only
-			// maximal subsets are needed.
-			forEachCombo(len(blk.exprs), blk.kc, func(sel []int) {
-				e := use.Clone()
-				for _, j := range sel {
-					e.AddExpr(1, blk.exprs[j])
-				}
-				b.addCPConstraint(name, blk.l, e, blk.c)
-				b.encCons++
-			})
-			continue
-		}
-		var res sortnet.Result
-		if b.s.Opts.Encoding == Compact {
-			res = sortnet.TopKCompact(b.model, blk.exprs, blk.kc, name)
-		} else {
-			res = sortnet.LargestSum(b.model, blk.exprs, blk.kc, name)
-		}
-		b.encVars += res.Vars
-		b.encCons += res.Constraints + 1
-		b.addCPConstraint(name, blk.l, use.AddExpr(1, res.Sum), blk.c)
+		b.msum(blk.exprs, b.in.Prot.Kc, true, name, func(sum *lp.Expr) {
+			b.addCPConstraint(name, blk.l, use.Clone().AddExpr(1, sum), blk.c)
+		})
 	}
 }
 
@@ -743,25 +718,4 @@ func sortedSwitches(m map[topology.SwitchID]bool) []topology.SwitchID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// forEachCombo calls fn with every size-k index combination from [0,n).
-// k = 0 yields the empty combination once.
-func forEachCombo(n, k int, fn func([]int)) {
-	if k > n {
-		k = n
-	}
-	sel := make([]int, k)
-	var rec func(pos, start int)
-	rec = func(pos, start int) {
-		if pos == k {
-			fn(sel)
-			return
-		}
-		for i := start; i <= n-(k-pos); i++ {
-			sel[pos] = i
-			rec(pos+1, i+1)
-		}
-	}
-	rec(0, 0)
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ffc/internal/lp"
-	"ffc/internal/sortnet"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
@@ -40,6 +39,9 @@ func (s *Solver) PlanUpdate(prev, target *State, kc, maxSteps int) (*UpdatePlan,
 		maxSteps = 8
 	}
 	plan := &UpdatePlan{}
+	if s.encErr != nil {
+		return plan, s.encErr
+	}
 	history := []*State{prev}
 	cur := prev
 	for step := 0; step < maxSteps; step++ {
@@ -304,21 +306,12 @@ func (s *Solver) planOneStep(history []*State, target *State, kc int) (*State, e
 				}
 			}
 		}
+		// Σ_v M_v plus the kc largest stale excesses fits the link (excess
+		// is empty at kc = 0, leaving the one row Σ_v M_v ≤ c).
 		c := s.Net.Links[l.ID].Capacity
-		if kc > 0 && len(excess) > 0 {
-			k := kc
-			if k > len(excess) {
-				k = len(excess)
-			}
-			var res sortnet.Result
-			if s.Opts.Encoding == Compact {
-				res = sortnet.TopKCompact(model, excess, k, fmt.Sprintf("upd[e%d]", l.ID))
-			} else {
-				res = sortnet.LargestSum(model, excess, k, fmt.Sprintf("upd[e%d]", l.ID))
-			}
-			base.AddExpr(1, res.Sum)
-		}
-		model.AddNamed(fmt.Sprintf("trans[e%d]", l.ID), base, lp.LE, c)
+		s.msum(model, excess, kc, true, fmt.Sprintf("upd[e%d]", l.ID), func(sum *lp.Expr) {
+			model.AddNamed(fmt.Sprintf("trans[e%d]", l.ID), base.Clone().AddExpr(1, sum), lp.LE, c)
+		})
 	}
 
 	model.Maximize(obj)

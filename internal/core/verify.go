@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"ffc/internal/sortnet"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
@@ -95,6 +96,6 @@ func forEachComboUpTo(n, k int, fn func([]int)) {
 		k = n
 	}
 	for size := 0; size <= k; size++ {
-		forEachCombo(n, size, fn)
+		sortnet.ForEachCombo(n, size, fn)
 	}
 }

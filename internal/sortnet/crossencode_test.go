@@ -9,10 +9,11 @@ import (
 	"ffc/internal/lp"
 )
 
-// Cross-encoding property tests: the partial bubble network (the paper's
-// encoding), a generic LP encoding of any full comparator network (here
-// Batcher's odd-even merge sort), and the compact CVaR-style dual must all
-// produce the SAME largest-M (and smallest-M) bound on identical inputs.
+// Cross-encoding property tests: the three emitters (the paper's partial
+// bubble network, the compact CVaR-style dual and explicit subsets) and a
+// generic LP encoding of any full comparator network (here Batcher's
+// odd-even merge sort) must all produce the SAME largest-M (and smallest-M)
+// bound on identical inputs.
 // Inputs are pinned via lo == hi variable bounds so every model's optimum
 // is the exact order statistic, which in turn makes disagreement between
 // encodings impossible to miss.
@@ -45,23 +46,28 @@ func encodeNetworkSum(m *lp.Model, values []float64, net Network, M int, largest
 	return sum
 }
 
-// solveBound builds a one-off model around build, optimizes the returned
-// bound expression toward the true value (minimize for upper bounds,
-// maximize for lower bounds), and returns the optimum.
-func solveBound(t *testing.T, tag string, minimize bool, build func(m *lp.Model) *lp.Expr) float64 {
+// crossBounds optimizes the largest-M (or smallest-M) bound of every
+// emitter, through its epigraph, and of the Batcher network toward the
+// true value, and returns each optimum by encoding name.
+func crossBounds(t *testing.T, tag string, vals []float64, M int, largest bool) map[string]float64 {
 	t.Helper()
+	got := map[string]float64{}
+	for _, enc := range emitters {
+		got[enc.name] = solveEpigraph(t, enc.emit, vals, M, largest)
+	}
 	m := lp.NewModel()
-	sum := build(m)
-	if minimize {
+	sum := encodeNetworkSum(m, vals, OddEvenMergeSort(len(vals)), M, largest)
+	if largest {
 		m.Minimize(sum)
 	} else {
 		m.Maximize(sum)
 	}
 	sol, err := m.Solve()
 	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
+		t.Fatalf("%s/batcher: %v", tag, err)
 	}
-	return sol.Objective
+	got["batcher"] = sol.Objective
+	return got
 }
 
 func TestCrossEncodingsAgreeLargest(t *testing.T) {
@@ -91,21 +97,9 @@ func TestCrossEncodingsAgreeLargest(t *testing.T) {
 	}
 	for _, tc := range cases {
 		truth := topMSum(tc.vals, tc.M)
-		bubble := solveBound(t, tc.name+"/bubble", true, func(m *lp.Model) *lp.Expr {
-			return LargestSum(m, fixedExprs(m, tc.vals), tc.M, "top").Sum
-		})
-		batcher := solveBound(t, tc.name+"/batcher", true, func(m *lp.Model) *lp.Expr {
-			return encodeNetworkSum(m, tc.vals, OddEvenMergeSort(len(tc.vals)), tc.M, true)
-		})
-		cvar := solveBound(t, tc.name+"/cvar", true, func(m *lp.Model) *lp.Expr {
-			return TopKCompact(m, fixedExprs(m, tc.vals), tc.M, "top").Sum
-		})
-		for _, enc := range []struct {
-			name string
-			got  float64
-		}{{"bubble", bubble}, {"batcher", batcher}, {"cvar", cvar}} {
-			if math.Abs(enc.got-truth) > 1e-7*(1+math.Abs(truth)) {
-				t.Errorf("%s/%s: bound %g, true top-%d sum %g", tc.name, enc.name, enc.got, tc.M, truth)
+		for name, got := range crossBounds(t, tc.name, tc.vals, tc.M, true) {
+			if math.Abs(got-truth) > 1e-7*(1+math.Abs(truth)) {
+				t.Errorf("%s/%s: bound %g, true top-%d sum %g", tc.name, name, got, tc.M, truth)
 			}
 		}
 	}
@@ -122,21 +116,9 @@ func TestCrossEncodingsAgreeSmallest(t *testing.T) {
 		}
 		tag := fmt.Sprintf("seeded-%d", trial)
 		truth := bottomMSum(vals, M)
-		bubble := solveBound(t, tag+"/bubble", false, func(m *lp.Model) *lp.Expr {
-			return SmallestSum(m, fixedExprs(m, vals), M, "bot").Sum
-		})
-		batcher := solveBound(t, tag+"/batcher", false, func(m *lp.Model) *lp.Expr {
-			return encodeNetworkSum(m, vals, OddEvenMergeSort(len(vals)), M, false)
-		})
-		cvar := solveBound(t, tag+"/cvar", false, func(m *lp.Model) *lp.Expr {
-			return BottomKCompact(m, fixedExprs(m, vals), M, "bot").Sum
-		})
-		for _, enc := range []struct {
-			name string
-			got  float64
-		}{{"bubble", bubble}, {"batcher", batcher}, {"cvar", cvar}} {
-			if math.Abs(enc.got-truth) > 1e-7*(1+math.Abs(truth)) {
-				t.Errorf("%s/%s: bound %g, true bottom-%d sum %g", tag, enc.name, enc.got, M, truth)
+		for name, got := range crossBounds(t, tag, vals, M, false) {
+			if math.Abs(got-truth) > 1e-7*(1+math.Abs(truth)) {
+				t.Errorf("%s/%s: bound %g, true bottom-%d sum %g", tag, name, got, M, truth)
 			}
 		}
 	}
@@ -144,11 +126,12 @@ func TestCrossEncodingsAgreeSmallest(t *testing.T) {
 
 // TestCrossEncodingWarmPerturbed re-solves a largest-M model with perturbed
 // pinned inputs from the previous basis and checks the optimum still equals
-// the recomputed order statistic — the sortnet encodings are exactly the
+// the recomputed order statistic — the emitters' rows are exactly the
 // structures the warm-started TE re-solves carry between intervals.
 func TestCrossEncodingWarmPerturbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(445))
 	for trial := 0; trial < 25; trial++ {
+		enc := emitters[trial%len(emitters)]
 		n := 3 + rng.Intn(4)
 		M := 1 + rng.Intn(n)
 		vals := make([]float64, n)
@@ -162,13 +145,13 @@ func TestCrossEncodingWarmPerturbed(t *testing.T) {
 			ins[i] = m.NewVar("in", v, v)
 			es[i] = lp.NewExpr().Add(1, ins[i])
 		}
-		m.Minimize(LargestSum(m, es, M, "top").Sum)
+		m.Minimize(lp.NewExpr().Add(1, epigraph(m, enc.emit, es, M, true)))
 		sol, err := m.Solve()
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("trial %d %s: %v", trial, enc.name, err)
 		}
 		if math.Abs(sol.Objective-topMSum(vals, M)) > 1e-7 {
-			t.Fatalf("trial %d: cold bound %g != %g", trial, sol.Objective, topMSum(vals, M))
+			t.Fatalf("trial %d %s: cold bound %g != %g", trial, enc.name, sol.Objective, topMSum(vals, M))
 		}
 		for step := 0; step < 3; step++ {
 			for i := range vals {
@@ -179,11 +162,11 @@ func TestCrossEncodingWarmPerturbed(t *testing.T) {
 			}
 			sol, err = m.SolveFrom(sol.Warm())
 			if err != nil {
-				t.Fatalf("trial %d step %d: %v", trial, step, err)
+				t.Fatalf("trial %d %s step %d: %v", trial, enc.name, step, err)
 			}
 			want := topMSum(vals, M)
 			if math.Abs(sol.Objective-want) > 1e-7*(1+math.Abs(want)) {
-				t.Fatalf("trial %d step %d: warm bound %g, want %g", trial, step, sol.Objective, want)
+				t.Fatalf("trial %d %s step %d: warm bound %g, want %g", trial, enc.name, step, sol.Objective, want)
 			}
 		}
 	}

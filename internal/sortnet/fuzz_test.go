@@ -4,17 +4,16 @@ import (
 	"math"
 	"sort"
 	"testing"
-
-	"ffc/internal/lp"
 )
 
-// FuzzPartialBubbleVsSort fuzzes the partial bubble sorting network against
-// plain sorting (sort.Slice): with the network's inputs pinned by variable
-// bounds, minimizing the encoded top-M sum (resp. maximizing the bottom-M
-// sum) must recover exactly the sum of the M largest (smallest) values —
-// the encoding is tight on constants. Values are byte-derived quarters, so
-// the oracle's sums are exact in float64. M may exceed n to exercise the
-// encoder's clamping.
+// FuzzPartialBubbleVsSort fuzzes every emitter — the partial bubble
+// sorting network, the compact dual and explicit subsets — against plain
+// sorting (sort.Slice): with the inputs pinned by variable bounds,
+// minimizing the epigraph of the encoded top-M sum (resp. maximizing the
+// bottom-M one) must recover exactly the sum of the M largest (smallest)
+// values — each encoding is tight on constants. Values are byte-derived
+// quarters, so the oracle's sums are exact in float64. M may exceed n to
+// exercise the emitters' clamping.
 func FuzzPartialBubbleVsSort(f *testing.F) {
 	f.Add(uint8(1), []byte{10, 20, 30})
 	f.Add(uint8(3), []byte{5, 5, 5, 5})
@@ -42,26 +41,13 @@ func FuzzPartialBubbleVsSort(f *testing.F) {
 			bottom += sorted[n-1-i]
 		}
 
-		m := lp.NewModel()
-		res := LargestSum(m, fixedExprs(m, vals), M, "top")
-		m.Minimize(res.Sum)
-		sol, err := m.Solve()
-		if err != nil {
-			t.Fatalf("largest: solve failed: %v (vals %v, M %d)", err, vals, M)
-		}
-		if math.Abs(sol.Objective-top) > 1e-6*(1+top) {
-			t.Fatalf("largest: min Σtop%d = %v, sort.Slice says %v (vals %v)", M, sol.Objective, top, vals)
-		}
-
-		m2 := lp.NewModel()
-		res2 := SmallestSum(m2, fixedExprs(m2, vals), M, "bot")
-		m2.Maximize(res2.Sum)
-		sol2, err := m2.Solve()
-		if err != nil {
-			t.Fatalf("smallest: solve failed: %v (vals %v, M %d)", err, vals, M)
-		}
-		if math.Abs(sol2.Objective-bottom) > 1e-6*(1+bottom) {
-			t.Fatalf("smallest: max Σbottom%d = %v, sort.Slice says %v (vals %v)", M, sol2.Objective, bottom, vals)
+		for _, enc := range emitters {
+			if got := solveEpigraph(t, enc.emit, vals, M, true); math.Abs(got-top) > 1e-6*(1+top) {
+				t.Fatalf("%s largest: min Σtop%d = %v, sort.Slice says %v (vals %v)", enc.name, M, got, top, vals)
+			}
+			if got := solveEpigraph(t, enc.emit, vals, M, false); math.Abs(got-bottom) > 1e-6*(1+bottom) {
+				t.Fatalf("%s smallest: max Σbottom%d = %v, sort.Slice says %v (vals %v)", enc.name, M, got, bottom, vals)
+			}
 		}
 	})
 }

@@ -30,39 +30,11 @@ func (n Network) ApplyInPlace(values []float64) {
 	}
 }
 
-// Bubble returns the full bubble-sort network over n wires (ascending:
-// wire n−1 receives the maximum). It uses n·(n−1)/2 comparators.
-func Bubble(n int) Network {
-	var net Network
-	for pass := 0; pass < n-1; pass++ {
-		for i := 0; i < n-1-pass; i++ {
-			net = append(net, Comparator{A: i, B: i + 1})
-		}
-	}
-	return net
-}
-
-// BubblePartial returns the first m passes of the bubble network over n
-// wires: after application, the top m positions (n−m … n−1) hold the m
-// largest values in sorted order. This is the partial network of the paper
-// (Figure 8(b)), with O(n·m) comparators.
-func BubblePartial(n, m int) Network {
-	if m > n-1 {
-		m = n - 1
-	}
-	var net Network
-	for pass := 0; pass < m; pass++ {
-		for i := 0; i < n-1-pass; i++ {
-			net = append(net, Comparator{A: i, B: i + 1})
-		}
-	}
-	return net
-}
-
 // OddEvenMergeSort returns Batcher's odd-even merge sorting network for n
 // wires (n need not be a power of two; the construction pads virtually).
 // It uses O(n·log²n) comparators and is included as the "practical sorting
-// network" the paper contrasts against (§4.4.2).
+// network" the paper contrasts against (§4.4.2); the tests encode it as an
+// oracle for Bubble.
 func OddEvenMergeSort(n int) Network {
 	var net Network
 	// Classic recursive construction over the padded size.

@@ -1,19 +1,10 @@
 package sortnet
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestBubbleIsSortingNetwork(t *testing.T) {
-	for n := 1; n <= 10; n++ {
-		if !IsSortingNetwork(Bubble(n), n) {
-			t.Fatalf("Bubble(%d) does not sort", n)
-		}
-	}
-}
 
 func TestOddEvenMergeSortIsSortingNetwork(t *testing.T) {
 	for n := 1; n <= 12; n++ {
@@ -23,55 +14,19 @@ func TestOddEvenMergeSortIsSortingNetwork(t *testing.T) {
 	}
 }
 
+// TestOddEvenCheaperThanBubble: Batcher's network beats a full bubble
+// sort's n·(n−1)/2 comparators.
 func TestOddEvenCheaperThanBubble(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
-		if len(OddEvenMergeSort(n)) >= len(Bubble(n)) {
-			t.Fatalf("n=%d: odd-even %d comparators ≥ bubble %d", n,
-				len(OddEvenMergeSort(n)), len(Bubble(n)))
-		}
-	}
-}
-
-func TestBubblePartialTopM(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(12)
-		m := 1 + rng.Intn(n)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.Float64() * 100
-		}
-		out := BubblePartial(n, m).Apply(vals)
-		want := append([]float64(nil), vals...)
-		sort.Float64s(want)
-		// Positions n−m … n−1 must hold the m largest in sorted order.
-		top := m
-		if top > n-1 {
-			top = n - 1 // m = n and m = n−1 partial networks coincide
-		}
-		for j := 0; j < top; j++ {
-			if out[n-1-j] != want[n-1-j] {
-				t.Fatalf("n=%d m=%d: position %d = %v, want %v (vals %v)",
-					n, m, n-1-j, out[n-1-j], want[n-1-j], vals)
-			}
-		}
-	}
-}
-
-func TestBubblePartialComparatorCount(t *testing.T) {
-	// m passes over n wires: Σ_{p<m} (n−1−p) comparators.
-	for _, tc := range []struct{ n, m, want int }{
-		{4, 1, 3}, {4, 2, 5}, {4, 3, 6}, {10, 2, 17},
-	} {
-		if got := len(BubblePartial(tc.n, tc.m)); got != tc.want {
-			t.Errorf("BubblePartial(%d,%d) = %d comparators, want %d", tc.n, tc.m, got, tc.want)
+		if got, bubble := len(OddEvenMergeSort(n)), n*(n-1)/2; got >= bubble {
+			t.Fatalf("n=%d: odd-even %d comparators ≥ bubble %d", n, got, bubble)
 		}
 	}
 }
 
 func TestApplyDoesNotMutate(t *testing.T) {
 	in := []float64{3, 1, 2}
-	_ = Bubble(3).Apply(in)
+	_ = OddEvenMergeSort(3).Apply(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Fatalf("Apply mutated its input: %v", in)
 	}

@@ -1,18 +1,23 @@
-// Package sortnet encodes "bounded M-sum" constraints into linear programs
-// using partial sorting networks, the core constraint-reduction technique of
-// the FFC paper (§4.4).
+// Package sortnet encodes "bounded M-sum" constraints into linear programs,
+// the core constraint-reduction technique of the FFC paper (§4.4).
 //
 // The bounded M-sum problem asks that the sum of any M out of N quantities
 // stay below a bound B. Naively this is C(N,M) constraints; all of them hold
-// iff the sum of the *largest* M quantities is ≤ B. This package emits, for
-// a slice of LP expressions, auxiliary variables y₁…y_M and O(N·M) linear
-// constraints such that in every feasible assignment Σyⱼ upper-bounds the
-// sum of the M largest expressions (Algorithms 1 and 2 of the paper).
-// A symmetric construction lower-bounds the sum of the M smallest.
+// iff the sum of the *largest* M quantities is ≤ B (symmetrically, "any M
+// sum to ≥ B" iff the smallest M do). An Emitter writes one such bound into
+// a model and hands the caller, through a row callback, the expression(s) to
+// compare against B. Three emitters share the signature:
 //
-// The construction is a partial bubble-sort network: pass j extracts (an
-// over-approximation of) the j-th largest value. Each compare-swap on wires
-// (x, y) introduces hi, lo with
+//   - Bubble, the paper's partial bubble-sort network (Algorithms 1 and 2):
+//     O(N·M) auxiliaries and rows, one row callback.
+//   - Compact, the top-k dual (Σ largest-M nᵢ ≤ B ⟺ ∃s, tᵢ ≥ 0:
+//     M·s + Σtᵢ ≤ B, tᵢ ≥ nᵢ − s): N+1 auxiliaries, N rows, one row
+//     callback. It is what production solves use (core.Compact).
+//   - Subsets, the explicit enumeration: no auxiliaries, one row callback
+//     per M-subset — the paper's Table 2 ">12 hours" contrast.
+//
+// In Bubble, pass j extracts (an over-approximation of) the j-th largest
+// value. Each compare-swap on wires (x, y) introduces hi, lo with
 //
 //	hi ≥ x,  hi ≥ y,  hi + lo = x + y,
 //
@@ -22,11 +27,8 @@
 // adversarial solution adds to hi is exactly removed from lo and cannot
 // reduce the final Σyⱼ.
 //
-// The package also provides the compact "top-k" dual encoding
-// (Σ largest-M nᵢ ≤ B  ⟺  ∃s, tᵢ ≥ 0: M·s + Σtᵢ ≤ B, tᵢ ≥ nᵢ − s), which
-// is what production solves use (core.Compact), and a full Batcher
-// odd-even merge sorting network used by tests as an oracle for network
-// construction.
+// A full Batcher odd-even merge sorting network (network.go) is kept as a
+// test oracle for network construction.
 package sortnet
 
 import (
@@ -49,61 +51,43 @@ var (
 	obsCmpCons        = obs.NewCounter("sortnet.compact.constraints")
 )
 
-// Result carries the outputs of a partial sorting-network encoding.
-type Result struct {
-	// Ranked[j] is an expression for the (j+1)-th largest (or smallest)
-	// input: a single auxiliary LP variable per rank.
-	Ranked []*lp.Expr
-	// Sum is Σ Ranked, the bound on the M-sum.
-	Sum *lp.Expr
-	// Vars is the number of auxiliary variables added to the model.
-	Vars int
-	// Constraints is the number of constraints added to the model.
-	Constraints int
-	// Comparators is the number of compare-swap operators emitted (zero
-	// for the compact encodings, which have none).
-	Comparators int
-}
-
-// LargestSum adds a partial bubble network over exprs to m and returns an
-// expression that, in any feasible assignment, is ≥ the sum of the M largest
-// input expressions. Using it on the left side of a ≤ constraint yields the
-// exact bounded M-sum semantics (the LP can always set the auxiliaries to
-// the true sorted values). M is clamped to [0, len(exprs)].
+// Emitter adds to m the auxiliaries a bounded M-sum over exprs needs and
+// calls row once per constraint the bound takes, passing an expression e:
+// with largest, every feasible assignment has e ≥ the sum of the k largest
+// exprs (for use on the left of a ≤ row); otherwise e ≤ the sum of the k
+// smallest (left of a ≥ row, Eqn 15). The caller emits each row itself.
+// The emitter clamps k to [0, len(exprs)]; at k = 0 it calls row once with
+// an empty expression. It returns the auxiliary variables it added and the
+// constraints, counting one per row call.
 //
 // Inputs are assumed bounded below in the model (the usual case: FFC inputs
-// are non-negative traffic quantities); the auxiliaries are created as free
-// variables so negative inputs are handled too.
-//
-// The comparator network for (len(exprs), M) is derived and then stamped
-// into m (see template.go).
-func LargestSum(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
-	return partialSort(m, exprs, M, name, true)
-}
+// are non-negative traffic quantities); auxiliaries that stand for input
+// values are free variables, so negative inputs are handled too.
+type Emitter func(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name string, row func(*lp.Expr)) (vars, cons int)
 
-// SmallestSum is the symmetric construction: the returned expression is
-// ≤ the sum of the M smallest inputs in any feasible assignment, for use on
-// the left side of a ≥ constraint (Eqn 15 of the paper).
-func SmallestSum(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
-	return partialSort(m, exprs, M, name, false)
-}
+func clamp(k, n int) int { return max(0, min(k, n)) }
 
-func partialSort(m *lp.Model, exprs []*lp.Expr, M int, name string, largest bool) Result {
-	if M < 0 {
-		M = 0
+// Bubble emits the partial bubble network: the comparator sequence for
+// (len(exprs), k) is derived and then stamped into m (see template.go), and
+// row receives the sum of its k ranked outputs.
+func Bubble(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name string, row func(*lp.Expr)) (vars, cons int) {
+	k = clamp(k, len(exprs))
+	if k == 0 {
+		row(lp.NewExpr())
+		return 0, 1
 	}
-	if M > len(exprs) {
-		M = len(exprs)
-	}
-	if M == 0 {
-		return Result{Sum: lp.NewExpr()}
-	}
-	res := deriveTemplate(len(exprs), M).stamp(m, exprs, name, largest)
+	t := deriveTemplate(len(exprs), k)
+	ranked, vars, cons := t.stamp(m, exprs, name, largest)
 	obsNetEncodings.Inc()
-	obsNetComparators.Add(int64(res.Comparators))
-	obsNetVars.Add(int64(res.Vars))
-	obsNetCons.Add(int64(res.Constraints))
-	return res
+	obsNetComparators.Add(int64(t.comparators))
+	obsNetVars.Add(int64(vars))
+	obsNetCons.Add(int64(cons))
+	sum := lp.NewExpr()
+	for _, e := range ranked {
+		sum.AddExpr(1, e)
+	}
+	row(sum)
+	return vars, cons + 1
 }
 
 // compareSwap emits one compare-swap operator. For largest=true, hi is an
@@ -130,73 +114,74 @@ func compareSwap(m *lp.Model, x, y *lp.Expr, name string, largest bool) (hi, lo 
 
 func negInf() float64 { return -lp.Inf }
 
-// TopKCompact adds the compact dual encoding of "sum of the M largest of
-// exprs" and returns an expression that upper-bounds it:
+// Compact emits the compact dual encoding, the classic exact LP
+// representation of the sum of the k largest (CVaR-style); row receives
 //
-//	M·s + Σ tᵢ   with  tᵢ ≥ exprᵢ − s,  tᵢ ≥ 0,  s free.
+//	k·s + Σ tᵢ   with  tᵢ ≥ exprᵢ − s,  tᵢ ≥ 0,  s free,
 //
-// This is the classic exact LP representation of the sum-of-k-largest
-// (CVaR-style) constraint; it uses N+1 variables and N constraints versus
-// the sorting network's O(N·M). It exists as an ablation/validation
-// alternative to the paper's sorting-network encoding.
-func TopKCompact(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
-	if M < 0 {
-		M = 0
+// an upper bound on that sum. The smallest-k twin negates s and every t:
+// k·s − Σ tᵢ with tᵢ ≥ s − exprᵢ lower-bounds the sum of the k smallest.
+// It uses N+1 variables and N constraints versus the network's O(N·k).
+func Compact(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name string, row func(*lp.Expr)) (vars, cons int) {
+	k = clamp(k, len(exprs))
+	if k == 0 {
+		row(lp.NewExpr())
+		return 0, 1
 	}
-	if M > len(exprs) {
-		M = len(exprs)
-	}
-	res := Result{Sum: lp.NewExpr()}
-	if M == 0 {
-		return res
+	sign := 1.0
+	if !largest {
+		sign = -1
 	}
 	s := m.NewVar(name+".s", negInf(), lp.Inf)
-	res.Vars++
-	sum := lp.NewExpr().Add(float64(M), s)
+	sum := lp.NewExpr().Add(float64(k), s)
 	for i, e := range exprs {
 		t := m.NewVar(fmt.Sprintf("%s.t%d", name, i), 0, lp.Inf)
-		res.Vars++
-		// t ≥ e − s
-		m.AddGE(lp.NewExpr().Add(1, t).Add(1, s).AddExpr(-1, e), 0)
-		res.Constraints++
-		sum.Add(1, t)
+		// t ≥ sign·(e − s)
+		m.AddGE(lp.NewExpr().Add(1, t).Add(sign, s).AddExpr(-sign, e), 0)
+		sum.Add(sign, t)
 	}
-	res.Sum = sum
-	publishCompact(&res)
-	return res
-}
-
-func publishCompact(res *Result) {
+	vars, cons = len(exprs)+1, len(exprs)
 	obsCmpEncodings.Inc()
-	obsCmpVars.Add(int64(res.Vars))
-	obsCmpCons.Add(int64(res.Constraints))
+	obsCmpVars.Add(int64(vars))
+	obsCmpCons.Add(int64(cons))
+	row(sum)
+	return vars, cons + 1
 }
 
-// BottomKCompact is the symmetric compact encoding lower-bounding the sum of
-// the M smallest inputs: M·s − Σ tᵢ with tᵢ ≥ s − exprᵢ, tᵢ ≥ 0.
-func BottomKCompact(m *lp.Model, exprs []*lp.Expr, M int, name string) Result {
-	if M < 0 {
-		M = 0
+// Subsets enumerates the bound explicitly: row receives the sum of every
+// size-k subset of exprs, in lexicographic index order, and no auxiliary is
+// added. The subset sums bound both directions exactly, so largest is
+// ignored; the price is C(N,k) rows.
+func Subsets(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name string, row func(*lp.Expr)) (vars, cons int) {
+	ForEachCombo(len(exprs), clamp(k, len(exprs)), func(sel []int) {
+		sum := lp.NewExpr()
+		for _, j := range sel {
+			sum.AddExpr(1, exprs[j])
+		}
+		row(sum)
+		cons++
+	})
+	return 0, cons
+}
+
+// ForEachCombo calls fn with every size-k index combination from [0,n), in
+// lexicographic order; k = 0 yields the empty combination once. fn must not
+// keep the slice.
+func ForEachCombo(n, k int, fn func([]int)) {
+	if k > n {
+		k = n
 	}
-	if M > len(exprs) {
-		M = len(exprs)
+	sel := make([]int, k)
+	var rec func(pos, start int)
+	rec = func(pos, start int) {
+		if pos == k {
+			fn(sel)
+			return
+		}
+		for i := start; i <= n-(k-pos); i++ {
+			sel[pos] = i
+			rec(pos+1, i+1)
+		}
 	}
-	res := Result{Sum: lp.NewExpr()}
-	if M == 0 {
-		return res
-	}
-	s := m.NewVar(name+".s", negInf(), lp.Inf)
-	res.Vars++
-	sum := lp.NewExpr().Add(float64(M), s)
-	for i, e := range exprs {
-		t := m.NewVar(fmt.Sprintf("%s.t%d", name, i), 0, lp.Inf)
-		res.Vars++
-		// t ≥ s − e
-		m.AddGE(lp.NewExpr().Add(1, t).Add(-1, s).AddExpr(1, e), 0)
-		res.Constraints++
-		sum.Add(-1, t)
-	}
-	res.Sum = sum
-	publishCompact(&res)
-	return res
+	rec(0, 0)
 }

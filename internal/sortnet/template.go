@@ -1,10 +1,10 @@
 // Partial bubble network templates.
 //
 // The comparator sequence of a partial sort depends only on (N, M) — never
-// on the input expressions — so LargestSum and SmallestSum first derive it
-// symbolically over wire ids and then stamp the recorded operations onto
-// the model. Stamping replays the derivation verbatim, so the emitted
-// variables, names and constraint rows are those of a direct construction.
+// on the input expressions — so Bubble first derives it symbolically over
+// wire ids and then stamps the recorded operations onto the model. Stamping
+// replays the derivation verbatim, so the emitted variables, names and
+// constraint rows are those of a direct construction.
 package sortnet
 
 import (
@@ -69,11 +69,11 @@ func deriveTemplate(n, m int) *netTemplate {
 	return t
 }
 
-// stamp emits the recorded network into m over the given input expressions.
-// Auxiliary wires are materialized in recording order, so variable creation,
-// names, and constraint rows match a direct construction exactly.
-func (t *netTemplate) stamp(m *lp.Model, exprs []*lp.Expr, name string, largest bool) Result {
-	res := Result{Sum: lp.NewExpr(), Comparators: t.comparators}
+// stamp emits the recorded network into m over the given input expressions
+// and returns an expression per rank with the variables and constraints it
+// added. Auxiliary wires are materialized in recording order, so variable
+// creation, names, and constraint rows match a direct construction exactly.
+func (t *netTemplate) stamp(m *lp.Model, exprs []*lp.Expr, name string, largest bool) (ranked []*lp.Expr, vars, cons int) {
 	aux := make([]*lp.Expr, 0, 2*len(t.ops)+1)
 	wire := func(w int32) *lp.Expr {
 		if w < int32(t.n) {
@@ -84,9 +84,8 @@ func (t *netTemplate) stamp(m *lp.Model, exprs []*lp.Expr, name string, largest 
 	for _, op := range t.ops {
 		hi, lo := compareSwap(m, wire(op.x), wire(op.y), name+op.suffix, largest)
 		aux = append(aux, hi, lo)
-		res.Vars += 2
-		res.Constraints += 3
 	}
+	vars, cons = 2*len(t.ops), 3*len(t.ops)
 	if t.tailWire >= 0 {
 		y := m.NewVar(name+t.tailSuffix, negInf(), lp.Inf)
 		if largest {
@@ -94,14 +93,12 @@ func (t *netTemplate) stamp(m *lp.Model, exprs []*lp.Expr, name string, largest 
 		} else {
 			m.AddLE(lp.NewExpr().Add(1, y).AddExpr(-1, wire(t.tailWire)), 0)
 		}
-		res.Vars++
-		res.Constraints++
+		vars++
+		cons++
 		aux = append(aux, lp.NewExpr().Add(1, y))
 	}
 	for _, w := range t.ranked {
-		e := wire(w)
-		res.Ranked = append(res.Ranked, e)
-		res.Sum.AddExpr(1, e)
+		ranked = append(ranked, wire(w))
 	}
-	return res
+	return ranked, vars, cons
 }
