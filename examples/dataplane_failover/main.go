@@ -49,10 +49,8 @@ func main() {
 		}
 		// Walk each physical link failure and report the worst post-rescale load.
 		tun := ctl.Tunnels()
-		for _, l := range net.Links {
-			if l.Twin != -1 && l.Twin < l.ID {
-				continue // one direction per physical link
-			}
+		for _, id := range net.PhysicalLinks() {
+			l := net.Links[id]
 			down := map[ffc.LinkID]bool{l.ID: true}
 			if l.Twin != -1 {
 				down[l.Twin] = true

@@ -471,8 +471,7 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 		c.physOf[i] = -1
 	}
 	for _, l := range net.Links {
-		canonical := l.Twin == topology.None || l.ID < l.Twin
-		if !canonical || linkDown(l.ID) {
+		if net.Physical(l.ID) != l.ID || linkDown(l.ID) {
 			continue
 		}
 		ci := len(c.phys)

@@ -298,7 +298,7 @@ func TestEqn15OverprotectionEffect(t *testing.T) {
 		// Measure the layout's worst q.
 		qMax := 0
 		for _, f := range flows {
-			_, q := tun.PQ(f)
+			_, q := tun.PQ(f, nil)
 			if q > qMax {
 				qMax = q
 			}

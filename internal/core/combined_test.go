@@ -108,7 +108,8 @@ func TestEncodingSizeMatchesPaperBounds(t *testing.T) {
 			sumT := 0
 			for _, f := range flows {
 				nT := len(tun.Tunnels(f))
-				tau := s.tauOf(f, prot)
+				p, q := tun.PQ(f, nil)
+				tau := nT - prot.Ke*p - prot.Kv*q
 				m := nT - tau
 				if tau < m {
 					m = tau

@@ -334,11 +334,12 @@ type Solver struct {
 	Tun  *tunnel.Set
 	Opts Options
 
-	// Cached incidence: for every directed link, the (flow, tunnel) pairs
-	// crossing it.
-	incidence map[topology.LinkID][]flowTunnel
-	// Cached (p,q) per flow.
-	pq map[tunnel.Flow][2]int
+	// flows are the tunnel set's flows that have at least one tunnel, in
+	// canonical (Src, Dst) order; a flow's position is its flow index.
+	flows []tunnel.Flow
+	// incidence, by LinkID: the (flow index, tunnel) pairs crossing each
+	// directed link, in tunnel-set order.
+	incidence [][]flowTunnel
 
 	// msum emits every bounded M-sum, per Options.Encoding; naiveDP
 	// enumerates the data plane's Eqn 9 fault cases instead of Eqn 15.
@@ -349,16 +350,14 @@ type Solver struct {
 }
 
 type flowTunnel struct {
-	flow tunnel.Flow
+	flow int // index into Solver.flows
 	idx  int // tunnel index within the flow
 }
 
 // NewSolver builds a solver. The tunnel set must cover every flow that will
 // appear in inputs.
 func NewSolver(net *topology.Network, tun *tunnel.Set, opts Options) *Solver {
-	s := &Solver{Net: net, Tun: tun, Opts: opts,
-		incidence: map[topology.LinkID][]flowTunnel{},
-		pq:        map[tunnel.Flow][2]int{}}
+	s := &Solver{Net: net, Tun: tun, Opts: opts, incidence: make([][]flowTunnel, len(net.Links))}
 	switch opts.Encoding {
 	case Compact:
 		s.msum = sortnet.Compact
@@ -369,14 +368,22 @@ func NewSolver(net *topology.Network, tun *tunnel.Set, opts Options) *Solver {
 	default:
 		s.encErr = fmt.Errorf("core: unknown Options.Encoding %d", int(opts.Encoding))
 	}
+	index := map[tunnel.Flow]int{}
+	for _, f := range tun.All() {
+		if len(tun.Tunnels(f)) > 0 {
+			index[f] = 0
+		}
+	}
+	s.flows = tunnel.SortedFlows(index)
+	for i, f := range s.flows {
+		index[f] = i
+	}
 	for _, f := range tun.All() {
 		for _, t := range tun.Tunnels(f) {
 			for _, l := range t.Links {
-				s.incidence[l] = append(s.incidence[l], flowTunnel{f, t.Index})
+				s.incidence[l] = append(s.incidence[l], flowTunnel{index[f], t.Index})
 			}
 		}
-		p, q := tun.PQ(f)
-		s.pq[f] = [2]int{p, q}
 	}
 	return s
 }
@@ -391,38 +398,15 @@ func (s *Solver) capacity(in *Input, e topology.LinkID) float64 {
 	return s.Net.Links[e].Capacity
 }
 
-// tauOf returns τf = |Tf| − ke·pf − kv·qf, the guaranteed number of residual
-// tunnels for f under the protection level.
-func (s *Solver) tauOf(f tunnel.Flow, prot Protection) int {
-	nT := len(s.Tun.Tunnels(f))
-	pq := s.pq[f]
-	return nT - prot.Ke*pq[0] - prot.Kv*pq[1]
-}
-
-// tauAlive is tauOf restricted to the surviving tunnel subset: τ computed
-// with (p,q) measured over alive tunnels only.
-func (s *Solver) tauAlive(f tunnel.Flow, prot Protection, alive []bool) int {
+// tau returns τf = |Tf| − ke·pf − kv·qf counted over the tunnels alive
+// marks: how many of them are guaranteed to survive the protection level's
+// faults.
+func (s *Solver) tau(f tunnel.Flow, prot Protection, alive []bool) int {
+	p, q := s.Tun.PQ(f, alive)
 	n := 0
-	linkUse := map[topology.LinkID]int{}
-	swUse := map[topology.SwitchID]int{}
-	p, q := 0, 0
-	for _, t := range s.Tun.Tunnels(f) {
-		if !alive[t.Index] {
-			continue
-		}
-		n++
-		for _, l := range t.Links {
-			cl := canonLink(s.Net, l)
-			linkUse[cl]++
-			if linkUse[cl] > p {
-				p = linkUse[cl]
-			}
-		}
-		for _, v := range t.Switches[1 : len(t.Switches)-1] {
-			swUse[v]++
-			if swUse[v] > q {
-				q = swUse[v]
-			}
+	for _, a := range alive {
+		if a {
+			n++
 		}
 	}
 	return n - prot.Ke*p - prot.Kv*q
@@ -574,15 +558,15 @@ func (se *Session) Solve(in Input) (st *State, stats *Stats, err error) {
 	case MaxThroughput:
 		stats.LinkShadowPrice = map[topology.LinkID]float64{}
 		for l, row := range b.capRow {
-			if d := sol.Duals[row]; d > 1e-9 {
-				stats.LinkShadowPrice[l] = d
+			if row >= 0 && sol.Duals[row] > 1e-9 {
+				stats.LinkShadowPrice[topology.LinkID(l)] = sol.Duals[row]
 			}
 		}
 	case PlanCapacity:
 		stats.AddedCapacity = map[topology.LinkID]float64{}
 		for l, v := range b.capVar {
-			if x := sol.Value(v); x > 1e-9 {
-				stats.AddedCapacity[l] = x
+			if v >= 0 && sol.Value(v) > 1e-9 {
+				stats.AddedCapacity[topology.LinkID(l)] = sol.Value(v)
 			}
 		}
 	}

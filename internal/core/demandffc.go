@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ffc/internal/lp"
-	"ffc/internal/tunnel"
 )
 
 // DemandUncertainty extends FFC to demand faults, the future-work direction
@@ -35,34 +34,29 @@ func (b *builder) demandFFC(u DemandUncertainty) error {
 		return fmt.Errorf("core: demand-uncertainty FFC applies to networks without rate control (MinMLU objective)")
 	}
 	over := u.Factor - 1
+	byFlow := make([]*lp.Expr, len(b.s.flows))
 	for _, l := range b.s.Net.Links {
-		// Per-flow planned load on this link.
-		byFlow := map[tunnel.Flow]*lp.Expr{}
+		// Per-flow overage on this link, in flow-index order.
 		for _, ft := range b.s.incidence[l.ID] {
-			if _, ok := b.bVar[ft.flow]; !ok {
+			fv := &b.fv[ft.flow]
+			if !fv.sel || !fv.alive[ft.idx] {
 				continue
 			}
-			if !b.alive[ft.flow][ft.idx] {
-				continue
+			if byFlow[ft.flow] == nil {
+				byFlow[ft.flow] = lp.NewExpr()
 			}
-			e := byFlow[ft.flow]
-			if e == nil {
-				e = lp.NewExpr()
-				byFlow[ft.flow] = e
-			}
-			if b.mice[ft.flow] {
-				e.Add(b.miceCoef[ft.flow], b.bVar[ft.flow])
-			} else {
-				e.Add(1, b.aVar[ft.flow][ft.idx])
+			coef, v := fv.alloc(ft.idx)
+			byFlow[ft.flow].Add(over*coef, v)
+		}
+		var exprs []*lp.Expr
+		for i, e := range byFlow {
+			if e != nil {
+				exprs = append(exprs, e)
+				byFlow[i] = nil
 			}
 		}
-		if len(byFlow) == 0 {
+		if len(exprs) == 0 {
 			continue
-		}
-		flows := tunnel.SortedFlows(byFlow)
-		exprs := make([]*lp.Expr, len(flows))
-		for i, f := range flows {
-			exprs[i] = lp.NewExpr().AddExpr(over, byFlow[f])
 		}
 		name := fmt.Sprintf("du[e%d]", l.ID)
 		// usage + worst-case overage ≤ ce · u_fault (reusing the §5.4

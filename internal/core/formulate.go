@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ffc/internal/lp"
@@ -20,26 +21,47 @@ type builder struct {
 	in    *Input
 	model *lp.Model
 
-	flows    []tunnel.Flow
-	bVar     map[tunnel.Flow]lp.Var
-	aVar     map[tunnel.Flow][]lp.Var // nil for mice flows
-	mice     map[tunnel.Flow]bool
-	miceCoef map[tunnel.Flow]float64 // per-tunnel share of bf for mice
-	// betaVar caches β_{f,t} variables, created lazily per tunnel.
-	betaVar map[tunnel.Flow][]lp.Var
-	// alive[f][i] reports whether tunnel i of f survives the input's down
-	// sets; aliveTau[f] is τf computed over surviving tunnels.
-	alive    map[tunnel.Flow][]bool
-	aliveTau map[tunnel.Flow]int
+	// fv is the flow table, by the solver's flow index; flows lists the
+	// indexes in this LP in index order, and mice those whose split is
+	// fixed (§6).
+	fv    []flowVars
+	flows []int
+	mice  []int
 
 	encVars, encCons int
 	mluVar           lp.Var
 	mluFaultVar      lp.Var
 	haveMLUFault     bool
-	// capRow maps links to their Eqn 2 row (for shadow prices); capVar
-	// maps links to their expansion variable (PlanCapacity objective).
-	capRow map[topology.LinkID]int
-	capVar map[topology.LinkID]lp.Var
+	// capRow holds each link's Eqn 2 row (for shadow prices) and capVar
+	// its expansion variable (PlanCapacity objective), by LinkID; −1 for
+	// none.
+	capRow []int
+	capVar []lp.Var
+}
+
+// flowVars is one flow's share of the formulation.
+type flowVars struct {
+	sel bool // positive demand: the flow is in this LP
+	b   lp.Var
+	a   []lp.Var // per tunnel; nil for mice
+	// A mouse splits uniformly over τf tunnels: a_{f,t} = coef·bf.
+	mice bool
+	coef float64
+	// beta caches β_{f,t}, created lazily per tunnel (−1 until then).
+	beta []lp.Var
+	// alive[t] reports whether tunnel t survives the input's down sets;
+	// tau is τf computed over the surviving tunnels.
+	alive []bool
+	tau   int
+}
+
+// alloc returns a_{f,t} as one term: the allocation variable, or a mouse's
+// share of bf.
+func (fv *flowVars) alloc(t int) (float64, lp.Var) {
+	if fv.mice {
+		return fv.coef, fv.b
+	}
+	return 1, fv.a[t]
 }
 
 // msum emits one bounded M-sum through the solver's encoding (row is
@@ -51,18 +73,15 @@ func (b *builder) msum(exprs []*lp.Expr, k int, largest bool, name string, row f
 }
 
 func newBuilder(s *Solver, in *Input) *builder {
-	return &builder{
-		s: s, in: in, model: lp.NewModel(),
-		bVar:     map[tunnel.Flow]lp.Var{},
-		aVar:     map[tunnel.Flow][]lp.Var{},
-		mice:     map[tunnel.Flow]bool{},
-		miceCoef: map[tunnel.Flow]float64{},
-		betaVar:  map[tunnel.Flow][]lp.Var{},
-		alive:    map[tunnel.Flow][]bool{},
-		aliveTau: map[tunnel.Flow]int{},
-		capRow:   map[topology.LinkID]int{},
-		capVar:   map[topology.LinkID]lp.Var{},
+	b := &builder{s: s, in: in, model: lp.NewModel(),
+		fv:     make([]flowVars, len(s.flows)),
+		capRow: make([]int, len(s.Net.Links)),
+		capVar: make([]lp.Var, len(s.Net.Links)),
 	}
+	for l := range b.capRow {
+		b.capRow[l], b.capVar[l] = -1, -1
+	}
+	return b
 }
 
 // independentReservations handles Eqn 17's bilinear old-rate × new-weights
@@ -72,16 +91,17 @@ func newBuilder(s *Solver, in *Input) *builder {
 // one interval — exactly the capacity that must be held while the old rate
 // limiter may still be live.
 func (b *builder) independentReservations() {
-	for _, f := range b.flows {
+	for _, i := range b.flows {
+		f, fv := b.s.flows[i], &b.fv[i]
 		old := b.in.Prev.Rate[f]
-		if old <= 0 || b.mice[f] {
+		if old <= 0 || fv.mice {
 			continue
 		}
 		if _, ok := b.in.Uncertain[f]; ok {
 			continue // pinned to the old configuration already
 		}
 		e := lp.NewExpr()
-		for _, v := range b.aVar[f] {
+		for _, v := range fv.a {
 			e.Add(1, v)
 		}
 		b.model.AddNamed(fmt.Sprintf("resv[%v]", f), e, lp.GE, old)
@@ -112,29 +132,26 @@ func (b *builder) formulate() error {
 	return nil
 }
 
-// selectFlows picks flows with positive demand and at least one tunnel, in
-// deterministic order.
+// selectFlows picks the flows with positive demand, in flow-index order. A
+// flow without tunnels has no index, so it never enters the LP.
 func (b *builder) selectFlows() {
-	for _, f := range b.in.Demands.Flows() {
+	for i, f := range b.s.flows {
 		if b.in.Demands[f] <= 0 {
 			continue
 		}
-		if len(b.s.Tun.Tunnels(f)) == 0 {
-			continue
-		}
-		b.flows = append(b.flows, f)
 		alive := b.in.aliveTunnels(b.s.Net, b.s.Tun, f)
-		b.alive[f] = alive
-		b.aliveTau[f] = b.s.tauAlive(f, b.in.Prot, alive)
+		b.fv[i] = flowVars{sel: true, alive: alive, tau: b.s.tau(f, b.in.Prot, alive)}
+		b.flows = append(b.flows, i)
 	}
 }
 
 // selectMice marks miceOf's flows; their tunnel split is fixed to
 // uniform-over-τf.
 func (b *builder) selectMice() {
-	for _, f := range b.miceOf(b.in) {
-		b.mice[f] = true
-		b.miceCoef[f] = 1 / float64(b.aliveTau[f])
+	b.mice = b.miceOf(b.in)
+	for _, i := range b.mice {
+		b.fv[i].mice = true
+		b.fv[i].coef = 1 / float64(b.fv[i].tau)
 	}
 }
 
@@ -142,21 +159,22 @@ func (b *builder) selectMice() {
 // in's total demand (§6), in selection order. Beyond in it reads only b's
 // flow list and τf, which the flow list, down sets and protection fix, so a
 // template can ask whether a matching input keeps its frozen mice set.
-func (b *builder) miceOf(in *Input) []tunnel.Flow {
+func (b *builder) miceOf(in *Input) []int {
 	frac := b.s.Opts.MiceFraction
 	if frac <= 0 {
 		return nil
 	}
+	dem := func(i int) float64 { return in.Demands[b.s.flows[i]] }
 	total := 0.0
-	for _, f := range b.flows {
-		total += in.Demands[f]
+	for _, i := range b.flows {
+		total += dem(i)
 	}
-	order := append([]tunnel.Flow(nil), b.flows...)
-	sort.Slice(order, func(i, j int) bool { return in.Demands[order[i]] < in.Demands[order[j]] })
+	order := slices.Clone(b.flows)
+	sort.Slice(order, func(x, y int) bool { return dem(order[x]) < dem(order[y]) })
 	budget := frac * total
-	var mice []tunnel.Flow
-	for _, f := range order {
-		d := in.Demands[f]
+	var mice []int
+	for _, i := range order {
+		f, d := b.s.flows[i], dem(i)
 		if d > budget {
 			break
 		}
@@ -167,11 +185,11 @@ func (b *builder) miceOf(in *Input) []tunnel.Flow {
 			in.Prev != nil && in.Prev.Rate[f] > 0 {
 			continue // needs the Σa ≥ b' reservation, which mice can't carry
 		}
-		if b.aliveTau[f] <= 0 {
+		if b.fv[i].tau <= 0 {
 			continue // flow will be zeroed anyway
 		}
 		budget -= d
-		mice = append(mice, f)
+		mice = append(mice, i)
 	}
 	return mice
 }
@@ -179,7 +197,8 @@ func (b *builder) miceOf(in *Input) []tunnel.Flow {
 // rateBounds derives bf's bounds from the current input (a pure function
 // of values, given fixed flow structure — Session.rebind reuses it to
 // re-bound a cached model without re-formulating).
-func (b *builder) rateBounds(f tunnel.Flow) (lo, hi float64) {
+func (b *builder) rateBounds(i int) (lo, hi float64) {
+	f := b.s.flows[i]
 	d := b.in.Demands[f]
 	lo, hi = 0.0, d
 	if b.s.Opts.Objective == MinMLU || b.s.Opts.Objective == PlanCapacity {
@@ -206,7 +225,7 @@ func (b *builder) rateBounds(f tunnel.Flow) (lo, hi float64) {
 		prevRate := b.in.Prev.Rate[f]
 		lo, hi = prevRate, prevRate
 	}
-	if b.aliveTau[f] <= 0 {
+	if b.fv[i].tau <= 0 {
 		// Worst-case faults can kill every surviving tunnel: the flow
 		// cannot be admitted under this protection level (§4.3).
 		lo, hi = 0, 0
@@ -216,63 +235,41 @@ func (b *builder) rateBounds(f tunnel.Flow) (lo, hi float64) {
 
 // allocBounds derives a_{f,t}'s bounds from the current input (also reused
 // by Session.rebind).
-func (b *builder) allocBounds(f tunnel.Flow, i int) (alo, ahi float64) {
+func (b *builder) allocBounds(i, t int) (alo, ahi float64) {
 	alo, ahi = 0, lp.Inf
-	if _, ok := b.in.Uncertain[f]; ok {
-		prev := 0.0
-		if pa := b.in.Prev.Alloc[f]; i < len(pa) {
-			prev = pa[i]
-		}
+	if _, ok := b.in.Uncertain[b.s.flows[i]]; ok {
+		prev := idx(b.in.Prev.Alloc[b.s.flows[i]], t)
 		alo, ahi = prev, prev
 	}
-	if !b.alive[f][i] {
+	if !b.fv[i].alive[t] {
 		alo, ahi = 0, 0 // tunnel is currently down
 	}
 	return alo, ahi
 }
 
 func (b *builder) createVars() {
-	for _, f := range b.flows {
-		lo, hi := b.rateBounds(f)
-		b.bVar[f] = b.model.NewVar(fmt.Sprintf("b[%v]", f), lo, hi)
-
-		if b.mice[f] {
-			b.aVar[f] = nil
+	for _, i := range b.flows {
+		f, fv := b.s.flows[i], &b.fv[i]
+		lo, hi := b.rateBounds(i)
+		fv.b = b.model.NewVar(fmt.Sprintf("b[%v]", f), lo, hi)
+		if fv.mice {
 			continue
 		}
-		ts := b.s.Tun.Tunnels(f)
-		as := make([]lp.Var, len(ts))
-		for i := range ts {
-			alo, ahi := b.allocBounds(f, i)
-			as[i] = b.model.NewVar(fmt.Sprintf("a[%v,%d]", f, i), alo, ahi)
+		fv.a = make([]lp.Var, len(fv.alive))
+		for t := range fv.a {
+			alo, ahi := b.allocBounds(i, t)
+			fv.a[t] = b.model.NewVar(fmt.Sprintf("a[%v,%d]", f, t), alo, ahi)
 		}
-		b.aVar[f] = as
 	}
-}
-
-// allocExpr returns the allocation a_{f,t} as an expression (variable, or
-// mice coefficient on bf).
-func (b *builder) allocExpr(f tunnel.Flow, t int) *lp.Expr {
-	if b.mice[f] {
-		return lp.NewExpr().Add(b.miceCoef[f], b.bVar[f])
-	}
-	return lp.NewExpr().Add(1, b.aVar[f][t])
 }
 
 // usageExpr builds Σ_{f,t crossing e} a_{f,t} for link e.
 func (b *builder) usageExpr(e topology.LinkID) *lp.Expr {
 	expr := lp.NewExpr()
 	for _, ft := range b.s.incidence[e] {
-		if _, ok := b.bVar[ft.flow]; !ok {
-			continue // flow not in this computation
-		}
-		if !b.alive[ft.flow][ft.idx] {
-			continue // down tunnel carries nothing
-		}
-		if b.mice[ft.flow] {
-			expr.Add(b.miceCoef[ft.flow], b.bVar[ft.flow])
-		} else {
-			expr.Add(1, b.aVar[ft.flow][ft.idx])
+		// Skip flows outside this computation and down tunnels.
+		if fv := &b.fv[ft.flow]; fv.sel && fv.alive[ft.idx] {
+			expr.Add(fv.alloc(ft.idx))
 		}
 	}
 	return expr
@@ -280,16 +277,17 @@ func (b *builder) usageExpr(e topology.LinkID) *lp.Expr {
 
 // coverageConstraints emits Eqn 3: Σ_t a_{f,t} ≥ bf.
 func (b *builder) coverageConstraints() {
-	for _, f := range b.flows {
-		if b.mice[f] {
+	for _, i := range b.flows {
+		fv := &b.fv[i]
+		if fv.mice {
 			continue // |Tf|·bf/τf ≥ bf holds by construction
 		}
 		e := lp.NewExpr()
-		for _, v := range b.aVar[f] {
+		for _, v := range fv.a {
 			e.Add(1, v)
 		}
-		e.Add(-1, b.bVar[f])
-		b.model.AddNamed(fmt.Sprintf("cover[%v]", f), e, lp.GE, 0)
+		e.Add(-1, fv.b)
+		b.model.AddNamed(fmt.Sprintf("cover[%v]", b.s.flows[i]), e, lp.GE, 0)
 	}
 }
 
@@ -322,12 +320,10 @@ func (b *builder) capacityConstraints() {
 
 // expandVar lazily creates the PlanCapacity expansion variable for a link.
 func (b *builder) expandVar(l topology.LinkID) lp.Var {
-	if v, ok := b.capVar[l]; ok {
-		return v
+	if b.capVar[l] < 0 {
+		b.capVar[l] = b.model.NewVar(fmt.Sprintf("x[e%d]", l), 0, lp.Inf)
 	}
-	v := b.model.NewVar(fmt.Sprintf("x[e%d]", l), 0, lp.Inf)
-	b.capVar[l] = v
-	return v
+	return b.capVar[l]
 }
 
 // dataPlane emits Eqn 15 (or the naive Eqn 9 enumeration) per flow.
@@ -336,17 +332,18 @@ func (b *builder) dataPlane() {
 	if prot.Ke == 0 && prot.Kv == 0 {
 		return
 	}
-	for _, f := range b.flows {
-		if b.mice[f] {
+	for _, i := range b.flows {
+		f, fv := b.s.flows[i], &b.fv[i]
+		if fv.mice {
 			continue // uniform split satisfies Eqn 15 by construction
 		}
 		var aliveTs []*tunnel.Tunnel
 		for _, t := range b.s.Tun.Tunnels(f) {
-			if b.alive[f][t.Index] {
+			if fv.alive[t.Index] {
 				aliveTs = append(aliveTs, t)
 			}
 		}
-		tau := b.aliveTau[f]
+		tau := fv.tau
 		if tau <= 0 {
 			continue // bf already fixed to 0
 		}
@@ -354,15 +351,15 @@ func (b *builder) dataPlane() {
 			continue // no tunnel can be lost at this protection level
 		}
 		if b.s.naiveDP {
-			b.encCons += b.dataPlaneNaive(f, aliveTs, prot)
+			b.encCons += b.dataPlaneNaive(f, fv, aliveTs, prot)
 			continue
 		}
 		exprs := make([]*lp.Expr, len(aliveTs))
-		for i, t := range aliveTs {
-			exprs[i] = lp.NewExpr().Add(1, b.aVar[f][t.Index])
+		for k, t := range aliveTs {
+			exprs[k] = lp.NewExpr().Add(1, fv.a[t.Index])
 		}
 		drop := len(aliveTs) - tau
-		rhs := lp.NewExpr().Add(1, b.bVar[f])
+		rhs := lp.NewExpr().Add(1, fv.b)
 		name := fmt.Sprintf("dp[%v]", f)
 		if tau <= drop {
 			// Encode the smallest τ directly: Σ smallest-τ a ≥ bf.
@@ -385,20 +382,21 @@ func (b *builder) dataPlane() {
 // dataPlaneNaive enumerates Eqn 9's fault cases for one flow: every
 // combination of Ke physical links and Kv switches drawn from the elements
 // the flow's tunnels actually traverse. Returns the constraint count.
-func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protection) int {
-	// Collect candidate physical links and intermediate switches.
-	linkSet := map[topology.LinkID]bool{}
-	swSet := map[topology.SwitchID]bool{}
+func (b *builder) dataPlaneNaive(f tunnel.Flow, fv *flowVars, ts []*tunnel.Tunnel, prot Protection) int {
+	// Mark candidate physical links and intermediate switches by ID.
+	net := b.s.Net
+	onLink := make([]bool, len(net.Links))
+	onSw := make([]bool, len(net.Switches))
 	for _, t := range ts {
 		for _, l := range t.Links {
-			linkSet[canonLink(b.s.Net, l)] = true
+			onLink[net.Physical(l)] = true
 		}
 		for _, v := range t.Switches[1 : len(t.Switches)-1] {
-			swSet[v] = true
+			onSw[v] = true
 		}
 	}
-	links := sortedLinks(linkSet)
-	sws := sortedSwitches(swSet)
+	links := marked[topology.LinkID](onLink)
+	sws := marked[topology.SwitchID](onSw)
 
 	ke := prot.Ke
 	if ke > len(links) {
@@ -415,7 +413,7 @@ func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protec
 		down := map[topology.LinkID]bool{}
 		for _, i := range li {
 			down[links[i]] = true
-			if tw := b.s.Net.Links[links[i]].Twin; tw != topology.None {
+			if tw := net.Links[links[i]].Twin; tw != topology.None {
 				down[tw] = true
 			}
 		}
@@ -426,11 +424,11 @@ func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protec
 			}
 			e := lp.NewExpr()
 			for _, t := range ts {
-				if t.Alive(b.s.Net, down, downSw) {
-					e.Add(1, b.aVar[f][t.Index])
+				if t.Alive(net, down, downSw) {
+					e.Add(1, fv.a[t.Index])
 				}
 			}
-			e.Add(-1, b.bVar[f])
+			e.Add(-1, fv.b)
 			b.model.AddNamed(fmt.Sprintf("dp9[%v]", f), e, lp.GE, 0)
 			cons++
 		})
@@ -438,10 +436,22 @@ func (b *builder) dataPlaneNaive(f tunnel.Flow, ts []*tunnel.Tunnel, prot Protec
 	return cons
 }
 
+// marked returns the indexes set in marks, ascending.
+func marked[ID ~int](marks []bool) []ID {
+	var out []ID
+	for i, m := range marks {
+		if m {
+			out = append(out, ID(i))
+		}
+	}
+	return out
+}
+
 // betaMinusAlpha returns (β_{f,t} − a_{f,t}) as an expression for the
 // configured rate-limiter mode, or nil when the difference is identically
 // zero. Lazily creates β variables for non-mice flows.
-func (b *builder) betaMinusAlpha(f tunnel.Flow, t int) *lp.Expr {
+func (b *builder) betaMinusAlpha(i, t int) *lp.Expr {
+	f, fv := b.s.flows[i], &b.fv[i]
 	prev := b.in.Prev
 	if u, ok := b.in.Uncertain[f]; ok {
 		// §5.6: β = max of the two candidate old configurations; the
@@ -464,24 +474,17 @@ func (b *builder) betaMinusAlpha(f tunnel.Flow, t int) *lp.Expr {
 	}
 	oldAlloc := idx(prev.Alloc[f], t)
 
-	if b.mice[f] {
+	if fv.mice {
 		// β − a = (max(w', 1/τ) − 1/τ)·bf, a constant coefficient on bf.
-		c := b.miceCoef[f]
-		var coef float64
-		switch b.s.Opts.RateLimiter {
-		case LimitersOrdered:
-			// β = max(a', a) with a = c·bf: a constant part max(a'−c·bf,0)
-			// is not linear; fall back to the synced shape which dominates
-			// it when weights persist. For mice this conservative choice
-			// is negligible by construction.
-			coef = math.Max(oldWeight, c) - c
-		default:
-			coef = math.Max(oldWeight, c) - c
-		}
+		// Under LimitersOrdered β = max(a', a) with a = c·bf has the
+		// constant part max(a'−c·bf, 0), which is not linear; the synced
+		// shape dominates it when weights persist, and for mice this
+		// conservative choice is negligible by construction.
+		coef := math.Max(oldWeight, fv.coef) - fv.coef
 		if coef <= 0 {
 			return nil
 		}
-		return lp.NewExpr().Add(coef, b.bVar[f])
+		return lp.NewExpr().Add(coef, fv.b)
 	}
 
 	var needs []func(beta lp.Var)
@@ -492,7 +495,7 @@ func (b *builder) betaMinusAlpha(f tunnel.Flow, t int) *lp.Expr {
 			return nil // β = a exactly; contributes nothing
 		}
 		needs = append(needs, func(beta lp.Var) {
-			b.model.AddGE(lp.NewExpr().Add(1, beta).Add(-oldWeight, b.bVar[f]), 0)
+			b.model.AddGE(lp.NewExpr().Add(1, beta).Add(-oldWeight, fv.b), 0)
 		})
 	case LimitersOrdered:
 		// Eqn 18: β ≥ a' (constant), β ≥ a.
@@ -513,24 +516,22 @@ func (b *builder) betaMinusAlpha(f tunnel.Flow, t int) *lp.Expr {
 				b.model.AddGE(lp.NewExpr().Add(1, beta), oldAlloc)
 			}
 			if oldWeight > 0 {
-				b.model.AddGE(lp.NewExpr().Add(1, beta).Add(-oldWeight, b.bVar[f]), 0)
+				b.model.AddGE(lp.NewExpr().Add(1, beta).Add(-oldWeight, fv.b), 0)
 			}
 		})
 	}
 
 	// Create (or reuse) the β variable for this tunnel.
-	bs := b.betaVar[f]
-	if bs == nil {
-		bs = make([]lp.Var, len(b.s.Tun.Tunnels(f)))
-		for i := range bs {
-			bs[i] = -1
+	if fv.beta == nil {
+		fv.beta = make([]lp.Var, len(fv.alive))
+		for k := range fv.beta {
+			fv.beta[k] = -1
 		}
-		b.betaVar[f] = bs
 	}
-	if bs[t] < 0 {
+	if fv.beta[t] < 0 {
 		beta := b.model.NewVar(fmt.Sprintf("beta[%v,%d]", f, t), 0, lp.Inf)
-		bs[t] = beta
-		b.model.AddGE(lp.NewExpr().Add(1, beta).Add(-1, b.aVar[f][t]), 0)
+		fv.beta[t] = beta
+		b.model.AddGE(lp.NewExpr().Add(1, beta).Add(-1, fv.a[t]), 0)
 		b.encCons++
 		for _, add := range needs {
 			add(beta)
@@ -538,7 +539,7 @@ func (b *builder) betaMinusAlpha(f tunnel.Flow, t int) *lp.Expr {
 		}
 		b.encVars++
 	}
-	return lp.NewExpr().Add(1, lp.Var(bs[t])).Add(-1, b.aVar[f][t])
+	return lp.NewExpr().Add(1, fv.beta[t]).Add(-1, fv.a[t])
 }
 
 func idx(s []float64, i int) float64 {
@@ -551,9 +552,9 @@ func idx(s []float64, i int) float64 {
 // controlPlane emits Eqn 14 per link (Eqn 5 itself under Subsets: d ≥ 0,
 // so only the maximal kc-subsets are needed). A β variable and its
 // defining rows are shared by every link its tunnel crosses, so a first
-// pass in link order creates them all, along with each link's sorted (β−a)
-// source grouping; the second pass emits the per-link M-sum encodings and
-// safety rows.
+// pass in link order creates them all, along with each link's (β−a)
+// source grouping in switch order; the second pass emits the per-link
+// M-sum encodings and safety rows.
 func (b *builder) controlPlane() {
 	prev := b.in.Prev
 	prevLoads := prev.ActualLinkLoads(b.s.Tun)
@@ -563,6 +564,7 @@ func (b *builder) controlPlane() {
 		exprs []*lp.Expr
 	}
 	var blocks []cpBlock
+	bySrc := make([]*lp.Expr, len(b.s.Net.Switches))
 	for _, l := range b.s.Net.Links {
 		inc := b.s.incidence[l.ID]
 		if len(inc) == 0 {
@@ -577,35 +579,30 @@ func (b *builder) controlPlane() {
 		}
 
 		// Group (β−a) contributions by ingress switch.
-		bySrc := map[topology.SwitchID]*lp.Expr{}
 		for _, ft := range inc {
-			if _, ok := b.bVar[ft.flow]; !ok {
+			if !b.fv[ft.flow].sel {
 				continue
 			}
 			d := b.betaMinusAlpha(ft.flow, ft.idx)
 			if d == nil {
 				continue
 			}
-			if e := bySrc[ft.flow.Src]; e != nil {
-				e.AddExpr(1, d)
+			if src := b.s.flows[ft.flow].Src; bySrc[src] != nil {
+				bySrc[src].AddExpr(1, d)
 			} else {
-				bySrc[ft.flow.Src] = d
+				bySrc[src] = d
 			}
 		}
-		if len(bySrc) == 0 {
-			continue
+		var exprs []*lp.Expr
+		for v, e := range bySrc {
+			if e != nil {
+				exprs = append(exprs, e)
+				bySrc[v] = nil
+			}
 		}
-		srcs := make([]topology.SwitchID, 0, len(bySrc))
-		for v := range bySrc {
-			srcs = append(srcs, v)
+		if len(exprs) > 0 {
+			blocks = append(blocks, cpBlock{l: l.ID, c: c, exprs: exprs})
 		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] }) // determinism
-		exprs := make([]*lp.Expr, len(srcs))
-		for i, v := range srcs {
-			exprs[i] = bySrc[v]
-		}
-
-		blocks = append(blocks, cpBlock{l: l.ID, c: c, exprs: exprs})
 	}
 	for _, blk := range blocks {
 		use := b.usageExpr(blk.l)
@@ -648,17 +645,20 @@ func (b *builder) objective() {
 	case PlanCapacity:
 		obj := lp.NewExpr()
 		for l, v := range b.capVar {
+			if v < 0 {
+				continue
+			}
 			cost := 1.0
 			if b.s.Opts.CapacityCost != nil {
-				cost = b.s.Opts.CapacityCost(l)
+				cost = b.s.Opts.CapacityCost(topology.LinkID(l))
 			}
 			obj.Add(cost, v)
 		}
 		b.model.Minimize(obj)
 	default:
 		obj := lp.NewExpr()
-		for _, f := range b.flows {
-			obj.Add(1, b.bVar[f])
+		for _, i := range b.flows {
+			obj.Add(1, b.fv[i].b)
 		}
 		b.model.Maximize(obj)
 	}
@@ -667,20 +667,16 @@ func (b *builder) objective() {
 // extract reads the solved LP back into a State.
 func (b *builder) extract(sol *lp.Solution) *State {
 	st := NewState()
-	for _, f := range b.flows {
-		rate := clampTiny(sol.Value(b.bVar[f]))
+	for _, i := range b.flows {
+		f, fv := b.s.flows[i], &b.fv[i]
+		rate := clampTiny(sol.Value(fv.b))
 		st.Rate[f] = rate
-		ts := b.s.Tun.Tunnels(f)
-		alloc := make([]float64, len(ts))
-		if b.mice[f] {
-			for i := range alloc {
-				if b.alive[f][i] {
-					alloc[i] = clampTiny(b.miceCoef[f] * rate)
-				}
-			}
-		} else {
-			for i := range alloc {
-				alloc[i] = clampTiny(sol.Value(b.aVar[f][i]))
+		alloc := make([]float64, len(fv.alive))
+		for t := range alloc {
+			if !fv.mice {
+				alloc[t] = clampTiny(sol.Value(fv.a[t]))
+			} else if fv.alive[t] {
+				alloc[t] = clampTiny(fv.coef * rate)
 			}
 		}
 		st.Alloc[f] = alloc
@@ -693,29 +689,4 @@ func clampTiny(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-func canonLink(net *topology.Network, l topology.LinkID) topology.LinkID {
-	if tw := net.Links[l].Twin; tw != topology.None && tw < l {
-		return tw
-	}
-	return l
-}
-
-func sortedLinks(m map[topology.LinkID]bool) []topology.LinkID {
-	out := make([]topology.LinkID, 0, len(m))
-	for l := range m {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedSwitches(m map[topology.SwitchID]bool) []topology.SwitchID {
-	out := make([]topology.SwitchID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ffc/internal/lp"
 	"ffc/internal/topology"
-	"ffc/internal/tunnel"
 )
 
 // SolvePerCaseOptimal implements the comparison point of §9's related work
@@ -24,30 +22,31 @@ import (
 // duplex link, as everywhere in this repository.
 func (s *Solver) SolvePerCaseOptimal(in Input, cases []FailureCase) (*State, *Stats, error) {
 	model := lp.NewModel()
-	flows := in.Demands.Flows()
 
-	// Shared rates and base-case allocations.
-	bVar := map[tunnel.Flow]lp.Var{}
-	base := map[tunnel.Flow][]lp.Var{}
+	// Shared rates and base-case allocations, by flow index (−1 / nil for
+	// flows outside this computation).
+	bVar := make([]lp.Var, len(s.flows))
+	base := make([][]lp.Var, len(s.flows))
 	obj := lp.NewExpr()
-	for _, f := range flows {
+	for i, f := range s.flows {
+		bVar[i] = -1
 		d := in.Demands[f]
-		if d <= 0 || len(s.Tun.Tunnels(f)) == 0 {
+		if d <= 0 {
 			continue
 		}
-		bVar[f] = model.NewVar(fmt.Sprintf("b[%v]", f), 0, d)
-		obj.Add(1, bVar[f])
+		bVar[i] = model.NewVar(fmt.Sprintf("b[%v]", f), 0, d)
+		obj.Add(1, bVar[i])
 		ts := s.Tun.Tunnels(f)
 		vars := make([]lp.Var, len(ts))
-		for i := range ts {
-			vars[i] = model.NewVar(fmt.Sprintf("a[%v,%d]", f, i), 0, lp.Inf)
+		for t := range ts {
+			vars[t] = model.NewVar(fmt.Sprintf("a[%v,%d]", f, t), 0, lp.Inf)
 		}
-		base[f] = vars
+		base[i] = vars
 		cover := lp.NewExpr()
 		for _, v := range vars {
 			cover.Add(1, v)
 		}
-		model.AddGE(cover.Add(-1, bVar[f]), 0)
+		model.AddGE(cover.Add(-1, bVar[i]), 0)
 	}
 	s.addCaseCapacity(model, in, base, nil, nil)
 
@@ -59,9 +58,9 @@ func (s *Solver) SolvePerCaseOptimal(in Input, cases []FailureCase) (*State, *St
 		for _, v := range fc.Switches {
 			downSw[v] = true
 		}
-		caseAlloc := map[tunnel.Flow][]lp.Var{}
-		for _, f := range flows {
-			if _, ok := bVar[f]; !ok {
+		caseAlloc := make([][]lp.Var, len(s.flows))
+		for i, f := range s.flows {
+			if bVar[i] < 0 {
 				continue
 			}
 			ts := s.Tun.Tunnels(f)
@@ -78,7 +77,7 @@ func (s *Solver) SolvePerCaseOptimal(in Input, cases []FailureCase) (*State, *St
 				anyAlive = false
 			}
 			if !anyAlive {
-				model.SetBounds(bVar[f], 0, 0)
+				model.SetBounds(bVar[i], 0, 0)
 				continue
 			}
 			if !affected {
@@ -86,17 +85,17 @@ func (s *Solver) SolvePerCaseOptimal(in Input, cases []FailureCase) (*State, *St
 			}
 			vars := make([]lp.Var, len(ts))
 			cover := lp.NewExpr()
-			for i, t := range ts {
+			for k, t := range ts {
 				if !t.Alive(s.Net, down, downSw) {
-					vars[i] = -1
+					vars[k] = -1
 					continue
 				}
-				v := model.NewVar(fmt.Sprintf("a%d[%v,%d]", ci, f, i), 0, lp.Inf)
-				vars[i] = v
+				v := model.NewVar(fmt.Sprintf("a%d[%v,%d]", ci, f, k), 0, lp.Inf)
+				vars[k] = v
 				cover.Add(1, v)
 			}
-			caseAlloc[f] = vars
-			model.AddGE(cover.Add(-1, bVar[f]), 0)
+			caseAlloc[i] = vars
+			model.AddGE(cover.Add(-1, bVar[i]), 0)
 		}
 		s.addCaseCapacity(model, in, base, caseAlloc, down)
 	}
@@ -111,22 +110,26 @@ func (s *Solver) SolvePerCaseOptimal(in Input, cases []FailureCase) (*State, *St
 		return nil, stats, fmt.Errorf("core: per-case solve: %w", err)
 	}
 	st := NewState()
-	for f, bv := range bVar {
-		st.Rate[f] = clampTiny(sol.Value(bv))
-		alloc := make([]float64, len(base[f]))
-		for i, v := range base[f] {
-			alloc[i] = clampTiny(sol.Value(v))
+	for i, f := range s.flows {
+		if bVar[i] < 0 {
+			continue
+		}
+		st.Rate[f] = clampTiny(sol.Value(bVar[i]))
+		alloc := make([]float64, len(base[i]))
+		for t, v := range base[i] {
+			alloc[t] = clampTiny(sol.Value(v))
 		}
 		st.Alloc[f] = alloc
 	}
 	return st, stats, nil
 }
 
-// addCaseCapacity emits link-capacity rows for one case: flows present in
-// caseAlloc use their per-case variables (with dead tunnels omitted),
-// everyone else the base variables. Links in down are skipped.
+// addCaseCapacity emits link-capacity rows for one case: flows with
+// per-case variables in caseAlloc (by flow index; nil in the base case)
+// use them, with dead tunnels omitted, everyone else the base variables.
+// Links in down are skipped.
 func (s *Solver) addCaseCapacity(model *lp.Model, in Input,
-	base, caseAlloc map[tunnel.Flow][]lp.Var, down map[topology.LinkID]bool) {
+	base, caseAlloc [][]lp.Var, down map[topology.LinkID]bool) {
 
 	for _, l := range s.Net.Links {
 		if down[l.ID] {
@@ -134,15 +137,12 @@ func (s *Solver) addCaseCapacity(model *lp.Model, in Input,
 		}
 		use := lp.NewExpr()
 		for _, ft := range s.incidence[l.ID] {
-			vars, ok := caseAlloc[ft.flow]
-			if !ok {
-				vars, ok = base[ft.flow]
-				if !ok {
-					continue
-				}
+			vars := base[ft.flow]
+			if caseAlloc != nil && caseAlloc[ft.flow] != nil {
+				vars = caseAlloc[ft.flow]
 			}
-			if v := vars[ft.idx]; v >= 0 {
-				use.Add(1, v)
+			if vars != nil && vars[ft.idx] >= 0 {
+				use.Add(1, vars[ft.idx])
 			}
 		}
 		if len(use.Terms) == 0 {
@@ -174,11 +174,8 @@ func (fc FailureCase) downLinks(net *topology.Network) map[topology.LinkID]bool 
 // SingleLinkCases enumerates one FailureCase per physical link.
 func SingleLinkCases(net *topology.Network) []FailureCase {
 	var out []FailureCase
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			out = append(out, FailureCase{Links: []topology.LinkID{l.ID}})
-		}
+	for _, l := range net.PhysicalLinks() {
+		out = append(out, FailureCase{Links: []topology.LinkID{l}})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Links[0] < out[j].Links[0] })
 	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"ffc/internal/obs"
 	"ffc/internal/topology"
-	"ffc/internal/tunnel"
 )
 
 // ErrTemplateMismatch is returned by ModelTemplate.Instantiate when the
@@ -50,7 +49,6 @@ type ModelTemplate struct {
 	// current values.
 	in         Input
 	rebindable bool
-	flows      []tunnel.Flow
 	downLinks  map[topology.LinkID]bool
 	downSw     map[topology.SwitchID]bool
 }
@@ -74,11 +72,7 @@ func (s *Solver) NewTemplate(in Input) (*ModelTemplate, error) {
 // loads — all structure, not bounds/RHS. The mice set is structure too, but
 // Matches recomputes and compares it, so it does not bar rebinding.
 func newTemplate(s *Solver, b *builder, in Input) *ModelTemplate {
-	t := &ModelTemplate{s: s, b: b, in: in,
-		flows:     b.flows,
-		downLinks: in.DownLinks,
-		downSw:    in.DownSwitches,
-	}
+	t := &ModelTemplate{s: s, b: b, in: in, downLinks: in.DownLinks, downSw: in.DownSwitches}
 	b.in = &t.in
 	t.rebindable = s.Opts.Objective == MaxThroughput &&
 		in.Prot.Kc == 0 &&
@@ -107,31 +101,20 @@ func (t *ModelTemplate) Matches(in *Input) bool {
 	if !sameSet(in.DownLinks, t.downLinks) || !sameSet(in.DownSwitches, t.downSw) {
 		return false
 	}
-	// The candidate flow list (positive demand, has tunnels) must be
-	// identical — it determines every variable and constraint.
-	i := 0
-	for _, f := range in.Demands.Flows() {
-		if in.Demands[f] <= 0 || len(t.s.Tun.Tunnels(f)) == 0 {
-			continue
-		}
-		if i >= len(t.flows) || t.flows[i] != f {
+	// The selected flows (positive demand; a flow without tunnels has no
+	// index) fix every variable and constraint.
+	for i, f := range t.s.flows {
+		if (in.Demands[f] > 0) != t.b.fv[i].sel {
 			return false
 		}
-		i++
-	}
-	if i != len(t.flows) {
-		return false
 	}
 	mice := t.b.miceOf(in)
-	if len(mice) != len(t.b.mice) {
-		return false
-	}
-	for _, f := range mice {
-		if !t.b.mice[f] {
+	for _, i := range mice {
+		if !t.b.fv[i].mice {
 			return false
 		}
 	}
-	return true
+	return len(mice) == len(t.b.mice)
 }
 
 // Instantiate rewrites the frozen model for in — bounds, right-hand sides,
@@ -157,24 +140,24 @@ func (t *ModelTemplate) instantiate(in Input) {
 	b := t.b
 	t.in = in
 	b.in = &t.in
-	for _, f := range b.flows {
-		lo, hi := b.rateBounds(f)
-		b.model.SetBounds(b.bVar[f], lo, hi)
+	for _, i := range b.flows {
+		fv := &b.fv[i]
+		lo, hi := b.rateBounds(i)
+		b.model.SetBounds(fv.b, lo, hi)
 		// The rebindable shape is MaxThroughput: the objective is Σ bf.
 		// Values can't change it, but restating it through SetObjCoef
 		// keeps Instantiate a full value rewrite (and repairs any caller
 		// mutation between solves).
-		b.model.SetObjCoef(b.bVar[f], 1)
-		if b.mice[f] {
-			continue
-		}
-		for i, v := range b.aVar[f] {
-			alo, ahi := b.allocBounds(f, i)
+		b.model.SetObjCoef(fv.b, 1)
+		for k, v := range fv.a { // none for mice
+			alo, ahi := b.allocBounds(i, k)
 			b.model.SetBounds(v, alo, ahi)
 		}
 	}
 	for l, row := range b.capRow {
-		b.model.SetRHS(row, t.s.capacity(&t.in, l))
+		if row >= 0 {
+			b.model.SetRHS(row, t.s.capacity(&t.in, topology.LinkID(l)))
+		}
 	}
 }
 

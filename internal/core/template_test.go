@@ -130,6 +130,14 @@ func TestTemplateMismatchRejected(t *testing.T) {
 		t.Fatalf("protection change: got %v, want ErrTemplateMismatch", err)
 	}
 
+	// A flow the layout gave no tunnel never enters the LP: demand for it
+	// changes no structure.
+	untunneled := Input{Demands: series[0].Clone(), Prot: Protection{Ke: 1}}
+	untunneled.Demands[tunnel.Flow{Src: 0, Dst: 0}] = 5
+	if err := tmpl.Instantiate(untunneled); err != nil {
+		t.Fatalf("demand for a flow without tunnels rejected: %v", err)
+	}
+
 	flowChange := Input{Demands: series[0].Clone(), Prot: Protection{Ke: 1}}
 	flowChange.Demands[series[0].Flows()[0]] = 0 // drops the flow's variables
 	if err := tmpl.Instantiate(flowChange); err != ErrTemplateMismatch {
@@ -156,7 +164,7 @@ func TestTemplateMismatchRejected(t *testing.T) {
 		t.Fatalf("value change keeping the mice set rejected: %v", err)
 	}
 	miceChange := Input{Demands: series[0].Clone(), Prot: Protection{Ke: 1}}
-	miceChange.Demands[miceTmpl.b.miceOf(&base)[0]] *= 1000
+	miceChange.Demands[ms.flows[miceTmpl.b.miceOf(&base)[0]]] *= 1000
 	if err := miceTmpl.Instantiate(miceChange); err != ErrTemplateMismatch {
 		t.Fatalf("mice-set change: got %v, want ErrTemplateMismatch", err)
 	}

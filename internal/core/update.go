@@ -249,11 +249,12 @@ func (s *Solver) planOneStep(history []*State, target *State, kc int) (*State, e
 		// New per-source loads (allocation upper-bounds the traffic).
 		bySrc := map[topology.SwitchID]*lp.Expr{}
 		for _, ft := range s.incidence[l.ID] {
-			if vars, ok := aVar[ft.flow]; ok {
-				e := bySrc[ft.flow.Src]
+			f := s.flows[ft.flow]
+			if vars, ok := aVar[f]; ok {
+				e := bySrc[f.Src]
 				if e == nil {
 					e = lp.NewExpr()
-					bySrc[ft.flow.Src] = e
+					bySrc[f.Src] = e
 				}
 				e.Add(1, vars[ft.idx])
 			}

@@ -35,12 +35,7 @@ func overThreshold(load, cap float64) bool {
 // only as the solver-side cross-check that check's tests and the
 // benchmark's verify diagnostic compare against.
 func VerifyDataPlane(net *topology.Network, tun *tunnel.Set, st *State, ke, kv int, capacity map[topology.LinkID]float64) *Violation {
-	var links []topology.LinkID // one direction per physical link
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			links = append(links, l.ID)
-		}
-	}
+	links := net.PhysicalLinks()
 	down := map[topology.LinkID]bool{}
 	downSw := map[topology.SwitchID]bool{}
 	loads := map[topology.LinkID]float64{}

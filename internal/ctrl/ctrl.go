@@ -85,9 +85,6 @@ type Config struct {
 	// and the CI soak can deterministically observe a restart answering
 	// queries before its first solve completes.
 	FirstSolveDelay time.Duration
-	// Hook is forwarded to every solve's Budget.Hook (observation and fault
-	// injection in tests).
-	Hook func(iters int)
 	// Logf, when non-nil, receives operational log lines (install
 	// transitions, restore, snapshot errors).
 	Logf func(format string, args ...interface{})
@@ -538,7 +535,6 @@ func (c *Controller) recompute() {
 	}
 	in.Budget.Ctx = c.ctx
 	in.Budget.Deadline = c.cfg.SolveDeadline
-	in.Budget.Hook = c.cfg.Hook
 
 	var fault *faults.SolverFaultKind
 	if k, ok := c.cfg.Faults.Sample(c.intervalN, c.rng); ok {

@@ -137,7 +137,7 @@ func (c *Controller) writeSnapshot(force bool) {
 		}
 		lk := c.net.Links[l]
 		// Record each physical link once (the twin is re-derived on load).
-		if lk.Twin != topology.None && lk.Twin < l {
+		if c.net.Physical(l) != l {
 			continue
 		}
 		snap.DownLinks = append(snap.DownLinks, [2]string{

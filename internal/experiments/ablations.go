@@ -103,12 +103,7 @@ func AblationEncoding(e *Env, w io.Writer) ([]EncodingRow, error) {
 // (network-wide, as written in the paper).
 func literalNaiveRows(e *Env, prot core.Protection) int {
 	nV := e.Net.NumSwitches()
-	phys := 0
-	for _, l := range e.Net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			phys++
-		}
-	}
+	phys := len(e.Net.PhysicalLinks())
 	cases := func(n, k int) int {
 		total := 0
 		for j := 1; j <= k; j++ {
@@ -160,7 +155,7 @@ func AblationTunnels(e *Env, w io.Writer) ([]TunnelRow, error) {
 	for _, lay := range layouts {
 		var sumP, sumQ float64
 		for _, f := range flows {
-			p, q := lay.set.PQ(f)
+			p, q := lay.set.PQ(f, nil)
 			sumP += float64(p)
 			sumQ += float64(q)
 		}

@@ -192,12 +192,7 @@ func LNetFailures() FailureModel {
 // of elements (the paper derives S-Net's rates from L-Net's the same way).
 func (m FailureModel) SampleInterval(net *topology.Network, rng *rand.Rand) []Fault {
 	var out []Fault
-	var phys []topology.LinkID
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			phys = append(phys, l.ID)
-		}
-	}
+	phys := net.PhysicalLinks()
 	if m.LinkMTBF > 0 && len(phys) > 0 {
 		pNet := float64(m.Interval) / float64(m.LinkMTBF) // expected failures per interval
 		pLink := pNet / float64(len(phys))
@@ -246,12 +241,7 @@ func (m FailureModel) sampleDown(rng *rand.Rand) int {
 // generation needs (internal/prop seeds pre-down sets and post-install
 // faults with it).
 func PickFaults(net *topology.Network, rng *rand.Rand, nLinks, nSwitches int) ([]topology.LinkID, []topology.SwitchID) {
-	var phys []topology.LinkID
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			phys = append(phys, l.ID)
-		}
-	}
+	phys := net.PhysicalLinks()
 	if nLinks > len(phys) {
 		nLinks = len(phys)
 	}

@@ -268,12 +268,7 @@ func binomSum(n, k int) float64 {
 }
 
 func countElements(net *topology.Network) (phys, sws int) {
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			phys++
-		}
-	}
-	return phys, net.NumSwitches()
+	return len(net.PhysicalLinks()), net.NumSwitches()
 }
 
 // encodeDemands renders a matrix as name-keyed entries in deterministic

@@ -261,11 +261,8 @@ func dropSwitchPass(sc *Scenario) []*Scenario {
 // dropLinkPass removes one physical link per candidate.
 func dropLinkPass(sc *Scenario) []*Scenario {
 	var out []*Scenario
-	for _, l := range sc.Topo.Links {
-		if l.Twin != topology.None && l.Twin < l.ID {
-			continue // canonical direction only
-		}
-		if c := removeLink(sc, l.ID); c != nil {
+	for _, l := range sc.Topo.PhysicalLinks() {
+		if c := removeLink(sc, l); c != nil {
 			out = append(out, c)
 		}
 	}
@@ -341,7 +338,7 @@ func removeSwitch(sc *Scenario, name string) *Scenario {
 		newID[sw.Name] = net.AddSwitch(sw.Name, sw.Site, sw.Lat, sw.Lon)
 	}
 	for _, l := range old.Links {
-		if l.Twin != topology.None && l.Twin < l.ID {
+		if old.Physical(l.ID) != l.ID {
 			continue
 		}
 		if l.Src == victim || l.Dst == victim {
@@ -403,7 +400,7 @@ func removeLink(sc *Scenario, victim topology.LinkID) *Scenario {
 		net.AddSwitch(sw.Name, sw.Site, sw.Lat, sw.Lon)
 	}
 	for _, l := range old.Links {
-		if l.Twin != topology.None && l.Twin < l.ID {
+		if old.Physical(l.ID) != l.ID {
 			continue
 		}
 		if l.ID == victim {

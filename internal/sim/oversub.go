@@ -24,7 +24,7 @@ func OversubDataFaults(sc Scenario, prot core.Protection, nLinks int, failSwitch
 	if err != nil {
 		return nil, err
 	}
-	phys := physicalLinkIDs(sc.Net)
+	phys := sc.Net.PhysicalLinks()
 	samples := make([]float64, len(sc.Series))
 	parallel.ForEach(len(sc.Series), func(t int) {
 		rng := rand.New(rand.NewSource(faults.DeriveSeed(sc.Seed, int64(t))))
@@ -80,16 +80,6 @@ func OversubControlFaults(sc Scenario, prot core.Protection, nStale int) (*metri
 		dist.Add(s)
 	}
 	return &dist, nil
-}
-
-func physicalLinkIDs(net *topology.Network) []topology.LinkID {
-	var out []topology.LinkID
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			out = append(out, l.ID)
-		}
-	}
-	return out
 }
 
 func ingressSwitches(tun *tunnel.Set) []topology.SwitchID {

@@ -83,6 +83,28 @@ func (n *Network) AddDuplex(a, b SwitchID, capacity float64) LinkID {
 	return f
 }
 
+// Physical returns the physical identity of directed link l: the lower ID of
+// its twin pair, so both directions of a duplex link share one identity (a
+// physical, data-plane, failure takes out both).
+func (n *Network) Physical(l LinkID) LinkID {
+	if tw := n.Links[l].Twin; tw != None && tw < l {
+		return tw
+	}
+	return l
+}
+
+// PhysicalLinks returns one directed link per physical link, the one whose
+// ID is its physical identity, in ID order.
+func (n *Network) PhysicalLinks() []LinkID {
+	var out []LinkID
+	for _, l := range n.Links {
+		if n.Physical(l.ID) == l.ID {
+			out = append(out, l.ID)
+		}
+	}
+	return out
+}
+
 // NumSwitches returns |V|.
 func (n *Network) NumSwitches() int { return len(n.Switches) }
 

@@ -23,6 +23,24 @@ func TestAddDuplexTwins(t *testing.T) {
 	}
 }
 
+func TestPhysicalFoldsTwins(t *testing.T) {
+	n := NewNetwork("t")
+	a := n.AddSwitch("a", "a", 0, 0)
+	b := n.AddSwitch("b", "b", 0, 1)
+	c := n.AddSwitch("c", "c", 0, 2)
+	one := n.AddLink(c, a, 1) // simplex: its own identity
+	f := n.AddDuplex(a, b, 5)
+	r := n.Links[f].Twin
+	for _, tc := range []struct{ l, want LinkID }{{one, one}, {f, f}, {r, f}} {
+		if got := n.Physical(tc.l); got != tc.want {
+			t.Fatalf("Physical(%d) = %d, want %d", tc.l, got, tc.want)
+		}
+	}
+	if got := n.PhysicalLinks(); len(got) != 2 || got[0] != one || got[1] != f {
+		t.Fatalf("PhysicalLinks() = %v, want [%d %d]", got, one, f)
+	}
+}
+
 func TestValidateCatchesBadLinks(t *testing.T) {
 	n := NewNetwork("t")
 	a := n.AddSwitch("a", "a", 0, 0)

@@ -254,7 +254,7 @@ func layoutFlow(net *topology.Network, f Flow, cfg LayoutConfig) []*Tunnel {
 		t := newTunnel(net, f, path)
 		tunnels = append(tunnels, t)
 		for _, l := range path {
-			linkUse[canonicalLink(net, l)]++
+			linkUse[net.Physical(l)]++
 		}
 		for _, v := range t.Switches[1 : len(t.Switches)-1] {
 			swUse[v]++
@@ -287,8 +287,7 @@ func layoutFlow(net *topology.Network, f Flow, cfg LayoutConfig) []*Tunnel {
 		// p/q limits bind.
 		w := func(l topology.LinkID) float64 {
 			base := cfg.Weights(l)
-			can := canonicalLink(net, l)
-			return base * (1 + 2*float64(linkUse[can]))
+			return base * (1 + 2*float64(linkUse[net.Physical(l)]))
 		}
 		path := ShortestPath(net, f.Src, f.Dst, w, banLink, banSwitch)
 		if path == nil {

@@ -76,7 +76,7 @@ func TestLayoutUsesSuurballeSeed(t *testing.T) {
 	if got := len(set.Tunnels(Flow{Src: s, Dst: dst})); got != 2 {
 		t.Fatalf("layout produced %d tunnels, want 2 (greedy-only finds 1 here)", got)
 	}
-	p, _ := set.PQ(Flow{Src: s, Dst: dst})
+	p, _ := set.PQ(Flow{Src: s, Dst: dst}, nil)
 	if p != 1 {
 		t.Fatalf("p = %d, want 1", p)
 	}

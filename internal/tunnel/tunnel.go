@@ -139,35 +139,27 @@ func (s *Set) All() []Flow { return s.Flows }
 // intermediate switch. Endpoints are excluded from q — every tunnel
 // necessarily transits them, and FFC's residual-tunnel bound covers
 // non-terminal switch failures (an ingress/egress failure kills the flow
-// entirely, which no traffic spreading can mitigate).
-func (s *Set) PQ(f Flow) (p, q int) {
+// entirely, which no traffic spreading can mitigate). alive, indexed by
+// tunnel Index, restricts the count to the tunnels it marks; nil means
+// every tunnel.
+func (s *Set) PQ(f Flow, alive []bool) (p, q int) {
 	linkUse := map[topology.LinkID]int{}
 	swUse := map[topology.SwitchID]int{}
 	for _, t := range s.tunMap[f] {
+		if alive != nil && !alive[t.Index] {
+			continue
+		}
 		for _, l := range t.Links {
-			id := canonicalLink(s.Net, l)
+			id := s.Net.Physical(l)
 			linkUse[id]++
-			if linkUse[id] > p {
-				p = linkUse[id]
-			}
+			p = max(p, linkUse[id])
 		}
 		for _, v := range t.Switches[1 : len(t.Switches)-1] {
 			swUse[v]++
-			if swUse[v] > q {
-				q = swUse[v]
-			}
+			q = max(q, swUse[v])
 		}
 	}
 	return p, q
-}
-
-// canonicalLink folds a directed link onto its physical identity (the lower
-// of the twin pair) so both directions count as one physical link.
-func canonicalLink(net *topology.Network, l topology.LinkID) topology.LinkID {
-	if tw := net.Links[l].Twin; tw != topology.None && tw < l {
-		return tw
-	}
-	return l
 }
 
 // Residual returns the tunnels of f alive under the fault sets.

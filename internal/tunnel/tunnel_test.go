@@ -126,7 +126,7 @@ func TestLayoutPQRespected(t *testing.T) {
 		if len(ts) == 0 {
 			t.Fatalf("flow %v got no tunnels", f)
 		}
-		p, q := set.PQ(f)
+		p, q := set.PQ(f, nil)
 		if p > 1 {
 			t.Fatalf("flow %v: p = %d, want ≤ 1", f, p)
 		}
@@ -247,12 +247,30 @@ func TestPQComputation(t *testing.T) {
 	p1 := []topology.LinkID{n.FindLink(s2, s1), n.FindLink(s1, s4)}
 	p2 := []topology.LinkID{n.FindLink(s2, s3), n.FindLink(s3, s1), n.FindLink(s1, s4)}
 	set.Add(f, newTunnel(n, f, p1), newTunnel(n, f, p2))
-	p, q := set.PQ(f)
+	p, q := set.PQ(f, nil)
 	if p != 2 {
 		t.Fatalf("p = %d, want 2 (shared s1→s4)", p)
 	}
 	if q != 2 {
 		t.Fatalf("q = %d, want 2 (both transit s1)", q)
+	}
+	// A third tunnel on the reverse direction of s1−s4's twin pair is
+	// the same physical link; a mask drops the tunnels it leaves out.
+	p3 := []topology.LinkID{n.FindLink(s2, s4), n.FindLink(s4, s1), n.FindLink(s1, s4)}
+	set.Add(f, newTunnel(n, f, p3))
+	for _, tc := range []struct {
+		alive []bool
+		p, q  int
+	}{
+		{nil, 4, 3},
+		{[]bool{true, true, true}, 4, 3},
+		{[]bool{true, false, true}, 3, 2},
+		{[]bool{false, false, true}, 2, 1},
+		{[]bool{false, false, false}, 0, 0},
+	} {
+		if p, q := set.PQ(f, tc.alive); p != tc.p || q != tc.q {
+			t.Fatalf("PQ(alive %v) = (%d, %d), want (%d, %d)", tc.alive, p, q, tc.p, tc.q)
+		}
 	}
 }
 
@@ -291,7 +309,7 @@ func TestLayoutOnLNetAllFlowsGetTunnels(t *testing.T) {
 		if len(ts) < 2 {
 			t.Fatalf("flow %v has %d tunnels, want ≥ 2", f, len(ts))
 		}
-		p, q := set.PQ(f)
+		p, q := set.PQ(f, nil)
 		if p > 1 || q > 3 {
 			t.Fatalf("flow %v violates (1,3): p=%d q=%d", f, p, q)
 		}

@@ -113,7 +113,7 @@ func NamedDownSets(net *topology.Network, dl map[topology.LinkID]bool, ds map[to
 			continue
 		}
 		lk := net.Links[l]
-		if lk.Twin != topology.None && lk.Twin < l {
+		if net.Physical(l) != l {
 			continue
 		}
 		links = append(links, [2]string{net.Switches[lk.Src].Name, net.Switches[lk.Dst].Name})
