@@ -31,10 +31,13 @@
 // bounded-variable dual simplex (dual.go), which needs no artificials and no
 // Phase I and hands a feasible basis to the primal Phase II. The primal
 // prices with Devex weights, falling back to Bland's rule after a long
-// degenerate run; both update reduced costs incrementally. The basis inverse
-// is an eta file packed in one arena (sparse FTRAN/BTRAN; reinversion peels
-// singletons, then pivots the bump, fewest remaining rows first, on the
-// largest |w|), except that a cold crash below 260 rows uses an explicit
-// dense matrix, which a carried handle keeps; a warm seat that refactors is
-// product form at any size. Both are refactorized on one policy (simplex.go).
+// degenerate run; both update reduced costs incrementally. Pricing is by
+// row: both simplexes get the pivot row α = ρ·A by scattering ρ's nonzero
+// rows over a row-wise copy of A that the model keeps between solves. The
+// basis inverse is an eta file packed in one arena (sparse FTRAN/BTRAN;
+// reinversion peels singletons, then pivots the bump, fewest remaining rows
+// first, on the largest |w|), except that a cold crash below 260 rows uses
+// an explicit dense matrix, which a carried handle keeps; a warm seat that
+// refactors is product form at any size. Both are refactorized on one
+// policy (simplex.go).
 package lp

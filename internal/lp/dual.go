@@ -94,20 +94,17 @@ func (s *simplexState) dualSimplex() (st Status, ok bool) {
 			rho[i] = 0
 		}
 		s.rep.btranUnit(r, rho)
+		pivotRow(s, rho, alpha)
 
 		// x_r moves by −α_j·Δx_j, so column j helps only when it can move
 		// in the direction that pushes x_r back toward the violated bound.
 		q, best, bestA := -1, math.Inf(1), 0.0
 		for j, js := range s.status {
-			alpha[j] = 0
 			if js == stBasic {
+				alpha[j] = 0
 				continue
 			}
-			var a float64
-			for k, i := range s.colIdx[j] {
-				a += rho[i] * s.colCoef[j][k]
-			}
-			alpha[j] = a
+			a := alpha[j]
 			if frozen[j] || s.hi[j]-s.lo[j] <= fixedEps || math.Abs(a) <= pivotTol {
 				continue
 			}
@@ -129,6 +126,7 @@ func (s *simplexState) dualSimplex() (st Status, ok bool) {
 		}
 		s.iters++
 		s.stats.DualIters++
+		s.fresh = false
 
 		// Primal step: x_r lands on its bound, q enters at row r.
 		step := (s.xB[r] - bound) / piv

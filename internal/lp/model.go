@@ -83,12 +83,13 @@ type rowMeta struct {
 }
 
 // Model is a linear program under construction. Models are not safe for
-// concurrent mutation.
+// concurrent mutation or concurrent solves (a solve may build byRow).
 type Model struct {
 	cols     []column
 	rows     []rowMeta
 	maximize bool
 	objConst float64
+	byRow    *rowCopy // built by the first solve; NewVar and AddNamed drop it
 
 	// Options.
 
@@ -117,6 +118,7 @@ func (m *Model) NewVar(name string, lo, hi float64) Var {
 		panic(fmt.Sprintf("lp: variable %q has lo %g > hi %g", name, lo, hi))
 	}
 	m.cols = append(m.cols, column{name: name, lo: lo, hi: hi})
+	m.byRow = nil
 	return Var(len(m.cols) - 1)
 }
 
@@ -160,12 +162,52 @@ func (m *Model) AddNamed(name string, expr *Expr, sense Sense, rhs float64) int 
 	idx, coef := expr.compact()
 	r := int32(len(m.rows))
 	m.rows = append(m.rows, rowMeta{name: name, sense: sense, rhs: rhs - expr.Constant})
+	m.byRow = nil
 	for i, ci := range idx {
 		c := &m.cols[ci]
 		c.rowIdx = append(c.rowIdx, r)
 		c.rowCoef = append(c.rowCoef, coef[i])
 	}
 	return int(r)
+}
+
+// rowCopy holds the structural columns row by row (CSR): row i's entries are
+// col/val[start[i]:start[i+1]], in ascending column order. Row i's slack
+// column is carved from shared arrays: ones[i:i+1] at rows unit[i:i+1].
+type rowCopy struct {
+	start     []int
+	col, unit []int32
+	val, ones []float64
+}
+
+// rowWise returns the model's row-wise copy, building it on first use.
+func (m *Model) rowWise() *rowCopy {
+	if m.byRow != nil {
+		return m.byRow
+	}
+	nR := len(m.rows)
+	t := &rowCopy{start: make([]int, nR+1), unit: make([]int32, nR), ones: make([]float64, nR)}
+	for i := range t.unit {
+		t.unit[i], t.ones[i] = int32(i), 1
+	}
+	for j := range m.cols {
+		for _, r := range m.cols[j].rowIdx {
+			t.start[r+1]++
+		}
+	}
+	for i := 0; i < nR; i++ {
+		t.start[i+1] += t.start[i]
+	}
+	t.col, t.val = make([]int32, t.start[nR]), make([]float64, t.start[nR])
+	next := append([]int(nil), t.start[:nR]...)
+	for j, c := range m.cols {
+		for k, r := range c.rowIdx {
+			t.col[next[r]], t.val[next[r]] = int32(j), c.rowCoef[k]
+			next[r]++
+		}
+	}
+	m.byRow = t
+	return t
 }
 
 // AddLE adds expr ≤ rhs.

@@ -53,6 +53,7 @@ type simplexState struct {
 	nStruct  int
 	colIdx   [][]int32
 	colCoef  [][]float64
+	byRow    *rowCopy // the model's structural columns row by row
 	lo, hi   []float64
 	cost     []float64 // phase-II cost (minimization direction)
 	p1cost   []float64 // phase-I cost
@@ -62,6 +63,8 @@ type simplexState struct {
 	xB       []float64 // values of basic variables, per row
 	rep      basisRep  // factorized basis inverse (dense or product-form)
 	d        []float64 // reduced costs, per variable
+	y        []float64 // the simplex multipliers of the last computeDuals
+	fresh    bool      // d and y are Phase II computeDuals' output for the current basis
 	gamma    []float64 // Devex reference weights, per variable
 	nbVal    []float64 // cached value of each nonbasic variable
 	phase1   bool
@@ -135,13 +138,16 @@ func solveSimplex(model *Model, ws *WarmStart, opts SolveOpts) *Solution {
 }
 
 // dualValues returns y = c_B B⁻¹ per row, flipped back into the user's
-// objective direction (the solver minimizes internally).
+// objective direction (the solver minimizes internally). A fresh y is
+// exactly that: Phase II's computeDuals left it, and no pivot came after.
 func (s *simplexState) dualValues(maximize bool) []float64 {
-	y := make([]float64, s.m)
-	for i := 0; i < s.m; i++ {
-		y[i] = s.cost[s.basis[i]]
+	y := s.y
+	if !s.fresh {
+		for i := 0; i < s.m; i++ {
+			y[i] = s.cost[s.basis[i]]
+		}
+		s.rep.btranDense(y)
 	}
-	s.rep.btranDense(y)
 	if maximize {
 		for k := range y {
 			y[k] = -y[k]
@@ -180,7 +186,7 @@ func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 	if m == 0 {
 		return nil
 	}
-	s := &simplexState{m: m, nStruct: nS, opts: opts, checkBudget: !opts.unbounded()}
+	s := &simplexState{m: m, nStruct: nS, byRow: model.rowWise(), opts: opts, checkBudget: !opts.unbounded()}
 	total := nS + m // artificials appended later
 	s.colIdx = make([][]int32, total, total+m)
 	s.colCoef = make([][]float64, total, total+m)
@@ -189,6 +195,7 @@ func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 	s.cost = make([]float64, total, total+m)
 	s.p1cost = make([]float64, total, total+m)
 	s.rhs = make([]float64, m)
+	s.y = make([]float64, m)
 	s.status = make([]varStatus, total, total+m)
 	s.nbVal = make([]float64, total, total+m)
 
@@ -205,8 +212,8 @@ func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 	}
 	for i := 0; i < m; i++ {
 		j := nS + i
-		s.colIdx[j] = []int32{int32(i)}
-		s.colCoef[j] = []float64{1}
+		s.colIdx[j] = s.byRow.unit[i : i+1 : i+1]
+		s.colCoef[j] = s.byRow.ones[i : i+1 : i+1]
 		switch model.rows[i].sense {
 		case LE:
 			s.lo[j], s.hi[j] = 0, Inf
@@ -363,9 +370,8 @@ func (s *simplexState) resetDevex() {
 // computeDuals recomputes all reduced costs from scratch:
 // y = c_B B⁻¹, d_j = c_j − y·A_j.
 func (s *simplexState) computeDuals() {
-	m := s.m
-	y := make([]float64, m)
-	for i := 0; i < m; i++ {
+	y := s.y
+	for i := 0; i < s.m; i++ {
 		y[i] = s.activeCost(s.basis[i])
 	}
 	s.rep.btranDense(y)
@@ -381,6 +387,7 @@ func (s *simplexState) computeDuals() {
 		}
 		s.d[j] = dj
 	}
+	s.fresh = !s.phase1
 }
 
 // refactor rebuilds the basis representation and the basic solution.
@@ -392,11 +399,13 @@ func (s *simplexState) refactor() {
 	s.computeDuals()
 }
 
-// computeXB recomputes xB = B⁻¹ (rhs − N x_N) from the factorization.
-func (s *simplexState) computeXB() {
+// computeXB recomputes xB = B⁻¹ (rhs − N x_N) from the factorization and
+// returns rhs − N x_N.
+func (s *simplexState) computeXB() []float64 {
 	res := s.rhsMinusNonbasic()
-	s.rep.ftranDense(res)
 	copy(s.xB, res)
+	s.rep.ftranDense(s.xB)
+	return res
 }
 
 // rhsMinusNonbasic returns rhs − N·x_N, the vector B·xB must equal.
@@ -563,6 +572,7 @@ func (s *simplexState) optimize() Status {
 	m := s.m
 	w := make([]float64, m)
 	rho := make([]float64, m)
+	alpha := make([]float64, s.n)
 	bland := false
 	degenRun := 0
 	for {
@@ -576,8 +586,11 @@ func (s *simplexState) optimize() Status {
 		}
 		q, dir := s.chooseEntering(bland)
 		if q < 0 {
-			// Optimal for this phase. Verify with fresh duals once, to
-			// guard against drift in the incremental reduced costs.
+			// Optimal for this phase. Unless d is fresh, verify with fresh
+			// duals once, to guard against drift in the incremental updates.
+			if s.fresh {
+				return Optimal
+			}
 			s.computeDuals()
 			q, dir = s.chooseEntering(bland)
 			if q < 0 {
@@ -585,6 +598,7 @@ func (s *simplexState) optimize() Status {
 			}
 		}
 		s.iters++
+		s.fresh = false
 
 		// FTRAN: w = B⁻¹ A_q (w arrives zeroed; see loop tail).
 		pat := s.rep.ftran(s.colIdx[q], s.colCoef[q], w)
@@ -687,6 +701,7 @@ func (s *simplexState) optimize() Status {
 		invPiv := 1 / piv
 		s.rep.pivot(leave, w, pat)
 		clearW(w, pat)
+		pivotRow(s, rho, alpha)
 
 		// Incremental reduced costs (d_j -= (d_q/piv)·(ρ·A_j)) and Devex
 		// weight updates (Forrest–Goldfarb) from the same pivot row.
@@ -697,15 +712,12 @@ func (s *simplexState) optimize() Status {
 				s.d[j] = 0
 				continue
 			}
-			var alpha float64
-			for k, r := range s.colIdx[j] {
-				alpha += rho[r] * s.colCoef[j][k]
-			}
-			if alpha == 0 {
+			a := alpha[j]
+			if a == 0 {
 				continue
 			}
-			s.d[j] -= ratio * alpha
-			if g := (alpha * invPiv) * (alpha * invPiv) * gq; g > s.gamma[j] {
+			s.d[j] -= ratio * a
+			if g := (a * invPiv) * (a * invPiv) * gq; g > s.gamma[j] {
 				s.gamma[j] = g
 			}
 		}
@@ -724,6 +736,31 @@ func (s *simplexState) optimize() Status {
 		if s.rep.shouldRefactor() {
 			s.refactor()
 		}
+	}
+}
+
+// pivotRow computes the pivot row α_j = ρ·A_j of every column j into alpha;
+// the bit-identity test swaps in the column-wise reference.
+var pivotRow = (*simplexState).pivotRowByRows
+
+// pivotRowByRows scatters ρ's nonzero rows over the row-wise copy of A; slack
+// and artificial columns are unit columns. Each α_j equals the column-wise
+// dot bit for bit: rows go in ascending order, as every column's entries do,
+// and a sum from +0 is unchanged by the dot's ±0 terms for ρ's zero rows.
+func (s *simplexState) pivotRowByRows(rho, alpha []float64) {
+	t, nS := s.byRow, s.nStruct
+	clear(alpha[:nS])
+	for i, ri := range rho {
+		if ri == 0 {
+			continue
+		}
+		for k := t.start[i]; k < t.start[i+1]; k++ {
+			alpha[t.col[k]] += ri * t.val[k]
+		}
+	}
+	copy(alpha[nS:], rho)
+	for j := nS + s.m; j < s.n; j++ {
+		alpha[j] = rho[s.colIdx[j][0]] * s.colCoef[j][0]
 	}
 }
 

@@ -152,8 +152,7 @@ func (s *simplexState) installWarm(ws *WarmStart) bool {
 	} else {
 		s.factorizeWarm(basisSet)
 	}
-	s.computeXB()
-	if !s.consistent() {
+	if !s.consistent(s.computeXB()) {
 		s.abortWarm()
 		return false
 	}
@@ -212,14 +211,14 @@ func (s *simplexState) abortWarm() {
 }
 
 // consistent verifies the factorization just built: B·xB must reproduce
-// rhs − N·x_N, and B·(B⁻¹u) a generic probe u. A structurally singular warm
-// basis survives factorization via tiny fallback pivots. The residual
+// res = rhs − N·x_N, and B·(B⁻¹u) a generic probe u. A structurally singular
+// warm basis survives factorization via tiny fallback pivots. The residual
 // exposes it unless the right-hand side happens to lie in the singular
 // basis's range — exactly so on small integer models, where the seated
 // point is then feasible and its garbage reduced costs can pass for
 // optimal — and that is what the probe catches.
-func (s *simplexState) consistent() bool {
-	if !s.basisTimes(s.xB, s.rhsMinusNonbasic()) {
+func (s *simplexState) consistent(res []float64) bool {
+	if !s.basisTimes(s.xB, res) {
 		return false
 	}
 	u := make([]float64, s.m)

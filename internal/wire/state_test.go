@@ -103,3 +103,70 @@ func TestParseStateErrors(t *testing.T) {
 		}
 	}
 }
+
+// encodeStateByAppend is EncodeState as it was before its slices were sized
+// up front: every path, tunnel list and flow list grown by append.
+func encodeStateByAppend(net *topology.Network, tun *tunnel.Set, demands demand.Matrix, st *core.State) StateFile {
+	out := StateFile{TotalDemand: demands.Total(), TotalRate: st.TotalRate()}
+	for _, fl := range demands.Flows() {
+		sf := StateFlow{
+			Src: net.Switches[fl.Src].Name, Dst: net.Switches[fl.Dst].Name,
+			Demand: demands[fl], Rate: st.Rate[fl],
+		}
+		alloc := st.Alloc[fl]
+		weights := st.Weights(fl)
+		for _, t := range tun.Tunnels(fl) {
+			ta := TunnelAlloc{}
+			for _, sw := range t.Switches {
+				ta.Path = append(ta.Path, net.Switches[sw].Name)
+			}
+			if t.Index < len(alloc) {
+				ta.Alloc = alloc[t.Index]
+				ta.Weight = weights[t.Index]
+			}
+			sf.Tunnels = append(sf.Tunnels, ta)
+		}
+		out.Flows = append(out.Flows, sf)
+	}
+	return out
+}
+
+// TestEncodeStateMatchesAppendEncoding: the presized encoding marshals to
+// the same bytes as the append-grown one — nil lists stay null — and its
+// carved slices do not alias: appending to one flow's tunnels or one
+// tunnel's path leaves the next untouched.
+func TestEncodeStateMatchesAppendEncoding(t *testing.T) {
+	net, set, demands, st := solveExample(t)
+	s3, _ := net.SwitchByName("s3")
+	s4, _ := net.SwitchByName("s4")
+	untunnelled := demand.Matrix{tunnel.Flow{Src: s3, Dst: s4}: 2}
+	for f, d := range demands {
+		untunnelled[f] = d
+	}
+	for _, dm := range []demand.Matrix{demands, untunnelled, {}} {
+		got, err := json.Marshal(EncodeState(net, set, dm, st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(encodeStateByAppend(net, set, dm, st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%d flows: encoding differs:\n got %s\nwant %s", len(dm), got, want)
+		}
+	}
+	sf := EncodeState(net, set, demands, st)
+	if len(sf.Flows) < 2 || len(sf.Flows[0].Tunnels) < 2 {
+		t.Fatalf("fixture too small: %+v", sf)
+	}
+	next, hop := sf.Flows[1].Tunnels[0], sf.Flows[0].Tunnels[1].Path[0]
+	_ = append(sf.Flows[0].Tunnels, TunnelAlloc{Path: []string{"x"}})
+	_ = append(sf.Flows[0].Tunnels[0].Path, "x")
+	if got := sf.Flows[1].Tunnels[0]; got.Path[0] != next.Path[0] || got.Alloc != next.Alloc {
+		t.Fatalf("appending to flow 0's tunnels changed flow 1's: %+v", got)
+	}
+	if got := sf.Flows[0].Tunnels[1].Path[0]; got != hop {
+		t.Fatalf("appending to tunnel 0's path changed tunnel 1's first hop to %q", got)
+	}
+}

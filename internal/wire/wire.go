@@ -88,25 +88,47 @@ type StateFile struct {
 }
 
 // EncodeState renders a computed configuration.
+//
+// Every slice is sized up front: the tunnels and the path hops of the whole
+// plan are each carved from one backing array, capped so an append to one
+// never writes into the next. A flow without tunnels keeps a nil list, as
+// appending left it.
 func EncodeState(net *topology.Network, tun *tunnel.Set, demands demand.Matrix, st *core.State) StateFile {
 	out := StateFile{TotalDemand: demands.Total(), TotalRate: st.TotalRate()}
-	for _, fl := range demands.Flows() {
+	flows := demands.Flows()
+	nTun, nHop := 0, 0
+	for _, fl := range flows {
+		for _, t := range tun.Tunnels(fl) {
+			nTun++
+			nHop += len(t.Switches)
+		}
+	}
+	tas, hops := make([]TunnelAlloc, 0, nTun), make([]string, 0, nHop)
+	if len(flows) > 0 {
+		out.Flows = make([]StateFlow, 0, len(flows))
+	}
+	for _, fl := range flows {
 		sf := StateFlow{
 			Src: net.Switches[fl.Src].Name, Dst: net.Switches[fl.Dst].Name,
 			Demand: demands[fl], Rate: st.Rate[fl],
 		}
 		alloc := st.Alloc[fl]
 		weights := st.Weights(fl)
+		first := len(tas)
 		for _, t := range tun.Tunnels(fl) {
-			ta := TunnelAlloc{}
+			h := len(hops)
 			for _, sw := range t.Switches {
-				ta.Path = append(ta.Path, net.Switches[sw].Name)
+				hops = append(hops, net.Switches[sw].Name)
 			}
+			ta := TunnelAlloc{Path: hops[h:len(hops):len(hops)]}
 			if t.Index < len(alloc) {
 				ta.Alloc = alloc[t.Index]
 				ta.Weight = weights[t.Index]
 			}
-			sf.Tunnels = append(sf.Tunnels, ta)
+			tas = append(tas, ta)
+		}
+		if len(tas) > first {
+			sf.Tunnels = tas[first:len(tas):len(tas)]
 		}
 		out.Flows = append(out.Flows, sf)
 	}
