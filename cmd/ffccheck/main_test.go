@@ -23,7 +23,7 @@ import (
 // failure at -ke 2 -kv 1 with -fail-fast, at GOMAXPROCS 1, 2 and 4: the
 // process must exit 1 with the same verdict line each time — the first
 // violating case in enumeration order, cases_checked = cases_covered = its
-// index + 1 — however many workers the exact enumeration was sharded over.
+// index + 1 — whatever the core count.
 func TestFailFastAcrossCores(t *testing.T) {
 	dir, bin := buildBinary(t)
 

@@ -42,8 +42,9 @@ func BenchmarkCertSNet(b *testing.B) {
 // calibrated scale-1 plan at ffcd's solver options, (0,2,1). The others
 // certify ×40-saturated plans, where more links bind: ke2 is the
 // lnet-drift level, and the ke1kv1 and ke1 legs (935 and 56 exact cases)
-// bracket parallelMinCases: run with -cpu 1,2 to see where sharding starts
-// to pay.
+// are the single-link levels: node bounds dismiss most of ke1kv1's cases,
+// while at ke1 every node holds a single case, so the probe's greedy pass,
+// itself a full single-link enumeration, buys nothing there.
 func BenchmarkCertLNet(b *testing.B) {
 	b.Run("daemon", func(b *testing.B) {
 		net, set, steps := daemonPlans(b)

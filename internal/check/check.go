@@ -172,7 +172,7 @@ type Certificate struct {
 	WorstCase FaultSet `json:"worst_case"`
 
 	// Violation is the worst overload found (nil when OK); with FailFast,
-	// the first in enumeration order, whatever the worker count.
+	// the first in enumeration order.
 	Violation *Violation `json:"violation,omitempty"`
 
 	Elapsed time.Duration `json:"elapsed_ns"`

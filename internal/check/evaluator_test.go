@@ -1,8 +1,8 @@
 package check
 
-// The memoised, sharded evaluator against the oracle (oracle_test.go),
+// The memoised evaluator against the oracle (oracle_test.go),
 // bitwise, on every kind of plan the certifier meets; FailFast accounting
-// and the certificate's independence from the worker count; and a hammer
+// and the certificate's independence from the core count; and a hammer
 // for the race detector.
 
 import (
@@ -223,7 +223,7 @@ func widePlan(t *testing.T) (*topology.Network, *tunnel.Set, *core.State) {
 }
 
 // requireFailFastFirst certifies a plan known to violate p with FailFast at
-// GOMAXPROCS 1, 2 and 4: whatever the worker count, the run must stop where
+// GOMAXPROCS 1, 2 and 4: whatever the core count, the run must stop where
 // the serial oracle stops — the reported violation is the first violating
 // case in enumeration order and CasesChecked = CasesCovered = that case's
 // enumeration index + 1.

@@ -2,29 +2,15 @@ package check
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"ffc/internal/core"
 	"ffc/internal/obs"
-	"ffc/internal/parallel"
 	"ffc/internal/topology"
 )
 
-// parallelMinCases is the enumeration size below which exactData stays on
-// the calling goroutine: workers, each with a memo to fill, cost more.
-// Bounded enumerations (ke ≥ 2) always stay there, each shard's threshold
-// folding in the shards before it. Medians of five alternating runs on 2
-// cores: 935 cases (BenchmarkCertLNet/ke1kv1, unbounded) take 2.8 ms
-// serial and 1.9 ms on two workers; the bounded legs, serial vs two
-// workers folding between batches of 8 shards, daemon 1.75 vs 2.03 ms, ke2
-// 1.67 vs 2.02, ke2kv1 3.1 vs 3.4 and BenchmarkCertSNet/exact 12.8 vs 11.8:
-// they evaluate too few cases for a second memo to pay.
-const parallelMinCases = 256
-
-// The links and flows each exact certification's shards evaluated, and the
+// The links and flows each exact certification's index kept, and the
 // cases it evaluated rather than dismissed by a node bound.
 var obsLinksKept, obsFlowsKept = obs.NewValueHistogram("check.links_kept"), obs.NewValueHistogram("check.flows_kept")
 var obsCasesEvaluated = obs.NewValueHistogram("check.cases_evaluated")
@@ -39,124 +25,66 @@ var obsCasesEvaluated = obs.NewValueHistogram("check.cases_evaluated")
 // exactly like its active-only projection — which is enumerated.
 //
 // The order is link sets by size then lexicographically, under each the
-// switch sets likewise. Workers take shards of it — the empty link set,
-// then per size every first link with all sets that start with it — and
-// folding the shards' results in shard order with note's strict comparisons
-// reproduces the serial scan whatever the worker count. Under FailFast,
-// firstBad is the lowest shard known to hold a violation: later shards
-// stop, earlier ones finish, and only shards up to it are folded.
-// At ke ≥ 2 the shards run in order on the calling goroutine over the
-// links prune keeps, each skipping every subtree a node bound dismisses at
-// a threshold that folds in the worst slack of the shards before it; the
-// certificate is bitwise the unpruned one.
+// switch sets likewise: the empty link set, then per size every first link
+// with all sets that start with it. One running result folds the cases in
+// that order with note's strict comparisons, and the walk returns at the
+// first FailFast violation. It runs over the links prune keeps, skipping
+// every subtree a node bound dismisses at a threshold that folds in the
+// worst slack so far; the certificate is bitwise the unpruned one.
 func (c *checker) exactData() searchResult {
 	ke, kv, n := c.p.Prot.Ke, c.p.Prot.Kv, len(c.activeP)
-	type shard struct{ size, first int }
-	shards := []shard{{}}
-	for size := 1; size <= min(ke, n); size++ {
-		for first := 0; first <= n-size; first++ {
-			shards = append(shards, shard{size, first})
-		}
-	}
 	// t is the node bounds' threshold, ≥ 0, or −1 with bounds off.
-	idx, links, t := c, len(c.cap), -1.0
-	if ke >= 2 {
-		idx, links, t = c.prune()
-	}
-	workers := 1
-	if t < 0 && c.exactCases() >= parallelMinCases {
-		workers = min(runtime.GOMAXPROCS(0), len(shards))
-	}
-	results := make([]searchResult, len(shards))
-	var firstBad atomic.Int64
-	firstBad.Store(int64(len(shards)))
-	swCases := int64(binomSum(len(c.activeS), kv))
-	evals := make([]*evaluator, workers)
-	parallel.ForEachWorker(len(shards), workers, func(worker, k int) {
-		if int64(k) > firstBad.Load() {
-			return
-		}
-		if evals[worker] == nil {
-			evals[worker] = idx.newEvaluator()
-		}
-		e, res := evals[worker], &results[k]
-		*res = searchResult{slack: math.Inf(1), slackLink: -1}
-		sh := shards[k]
-		swSel := make([]int, 0, kv)
-		// walk enumerates the node physSel, whose last link has
-		// position a, with r more links to fail: it skips the node's
-		// C(n−a−1, r) link sets × swCases switch sets when its bound
-		// proves every loaded link's slack > max(min(t, res.slack), 0).
-		var walk func(physSel []int, a, r int) bool
-		walk = func(physSel []int, a, r int) bool {
-			if cases := int64(binom(n-a-1, r)) * swCases; t >= 0 && cases >= 2 &&
-				e.dismissed(physSel, r, max(min(t, res.slack), 0)) {
-				res.cases += cases
-				return true
-			}
-			if r > 0 {
-				for i := a + 1; i <= n-r; i++ {
-					if !walk(append(physSel, c.activeP[i]), i, r-1) {
-						return false
-					}
-				}
-				return true
-			}
-			if int64(k) > firstBad.Load() {
-				return false
-			}
-			return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
-				swSel = swSel[:0]
-				for _, i := range ss {
-					swSel = append(swSel, c.activeS[i])
-				}
-				return c.note(res, e.eval(physSel, swSel), physSel, swSel)
-			})
-		}
-		if physSel := make([]int, 0, sh.size); sh.size == 0 {
-			walk(physSel, -1, 0)
-		} else {
-			walk(append(physSel, c.activeP[sh.first]), sh.first, sh.size-1)
-		}
-		for res.aborted {
-			if cur := firstBad.Load(); int64(k) >= cur || firstBad.CompareAndSwap(cur, int64(k)) {
-				break
-			}
-		}
-		// Bounded runs are serial: the next shard is held to the worst
-		// slack of every shard before it.
-		if t >= 0 && res.slackLink >= 0 {
-			t = max(min(t, res.slack), 0)
-		}
-	})
-
+	idx, links, t := c.prune()
+	e, swCases := idx.newEvaluator(), int64(binomSum(len(c.activeS), kv))
 	res := searchResult{slack: math.Inf(1), slackLink: -1}
-	last := min(int(firstBad.Load()), len(shards)-1)
-	for _, r := range results[:last+1] {
-		res.cases += r.cases
-		res.evaluated += r.evaluated
-		if r.slackLink >= 0 && r.slack < res.slack {
-			res.slack, res.slackLink = r.slack, r.slackLink
-			res.slackLinks, res.slackSws = r.slackLinks, r.slackSws
+	swSel := make([]int, 0, kv)
+	// walk enumerates the node physSel, whose last link has position a,
+	// with r more links to fail: it skips the node's C(n−a−1, r) link sets
+	// × swCases switch sets when its bound proves every loaded link's
+	// slack > max(min(t, res.slack), 0).
+	var walk func(physSel []int, a, r int) bool
+	walk = func(physSel []int, a, r int) bool {
+		if cases := int64(binom(n-a-1, r)) * swCases; t >= 0 && cases >= 2 &&
+			e.dismissed(physSel, r, max(min(t, res.slack), 0)) {
+			res.cases += cases
+			return true
 		}
-		if r.worst != nil && (res.worst == nil || r.worst.Over > res.worst.Over) {
-			res.worst = r.worst
+		if r > 0 {
+			for i := a + 1; i <= n-r; i++ {
+				if !walk(append(physSel, c.activeP[i]), i, r-1) {
+					return false
+				}
+			}
+			return true
 		}
-		res.aborted = r.aborted
+		return combosUpTo(len(c.activeS), kv, func(ss []int) bool {
+			swSel = swSel[:0]
+			for _, i := range ss {
+				swSel = append(swSel, c.activeS[i])
+			}
+			return c.note(&res, e.eval(physSel, swSel), physSel, swSel)
+		})
+	}
+	physSel := make([]int, 0, ke)
+	cont := walk(physSel, -1, 0)
+	for size := 1; cont && size <= min(ke, n); size++ {
+		for first := 0; cont && first <= n-size; first++ {
+			cont = walk(append(physSel, c.activeP[first]), first, size-1)
+		}
 	}
 	res.linksKept, res.flowsKept = links, len(idx.flows)
 	return res
 }
 
-// prune returns the index every shard evaluates at ke ≥ 2, how many links
-// it keeps and its threshold T = max(S, 0), S being the worst slack of the
-// cases greedy evaluates in full, so S ≥ the final worst slack S*. It keeps
-// the links whose root node bound (no link failed yet, ke to go) comes
-// within T of capacity. A dropped link has slack > T in every case: it can
-// neither attain S* (nor tie it) nor overload, and under FailFast the
-// prefix minimum at the first violation is < 0 ≤ T. T is −1 (bounds off, c
-// returned whole) when a tunnel repeats a link: min(1, ·) in the bound
-// fails.
+// prune returns the index exactData walks at every protection level, how
+// many links it keeps and its threshold T = max(S, 0), S being the worst
+// slack of the cases greedy evaluates in full, so S ≥ the final worst slack
+// S*. It keeps the links whose root node bound (no link failed yet, ke to
+// go) comes within T of capacity. A dropped link has slack > T in every
+// case: it can neither attain S* (nor tie it) nor overload, and under
+// FailFast the prefix minimum at the first violation is < 0 ≤ T. T is −1
+// (bounds off, c returned whole) when a tunnel repeats a link: min(1, ·) in
+// the bound fails.
 func (c *checker) prune() (*checker, int, float64) {
 	if !c.boundable() {
 		return c, len(c.cap), -1

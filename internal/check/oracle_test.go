@@ -1,7 +1,7 @@
 package check
 
 // The differential oracles. For the data plane: the per-case evaluator and
-// serial enumerator this package shipped before the memoised, sharded ones,
+// serial enumerator this package shipped before the memoised, bounded ones,
 // kept verbatim (own scratch, own combination generator, math.Max
 // tolerance). It walks every tunnel of every flow for every case, so it is
 // slow and obviously right; the production evaluator must reproduce its

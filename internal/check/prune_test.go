@@ -135,9 +135,9 @@ func loadedLinks(c *checker) int {
 
 // TestBranchBoundMatchesOracle: on every plan of the daemon's churn
 // sequence the certificate is bitwise the oracle's at any core count, while
-// every shard evaluates fewer than half the loaded links and, on the
+// the walk evaluates fewer than half the loaded links and, on the
 // redraws, node bounds dismiss more than nine tenths of the cases, the
-// single-link shards' included. A rate-bumped copy, just violating in a
+// single-link subtrees' included. A rate-bumped copy, just violating in a
 // two-link case, must stop under FailFast exactly where the serial oracle
 // stops.
 func TestBranchBoundMatchesOracle(t *testing.T) {
@@ -180,7 +180,7 @@ func TestBranchBoundMatchesOracle(t *testing.T) {
 			}
 			bumped = true
 			if n := len(cert.Violation.Faults.Links); n != 2 {
-				t.Fatalf("%s ×(1+%g): first violation fails %d links, want 2 (a two-link shard)", s.name, delta, n)
+				t.Fatalf("%s ×(1+%g): first violation fails %d links, want 2 (a two-link case)", s.name, delta, n)
 			}
 			requireKept(t, s.name+" bumped", net, set, mut, mut, p)
 			requireFailFastFirst(t, net, set, mut, p)
@@ -280,13 +280,13 @@ func boundFixtures(t *testing.T, check func(t *testing.T, name string, net *topo
 }
 
 // TestEvaluationCountsIgnoreCores: what the exact search keeps and
-// evaluates depends on the plan alone. A threshold shared across shards
-// that folded in whichever shards happened to finish first would move
-// these counts with the core count, though never the certificate. On the
+// evaluates depends on the plan alone, whatever the core count. On the
 // ×40 (0,2,1) plan the probe ends at T = 20.2 while S* = 11.70 needs two
-// links and a switch together; folding each shard's worst slack into the
-// next one's threshold keeps the evaluations under 2 % of the cases (170
-// of 25,262; 2,023 without the fold).
+// links and a switch together; folding the worst slack so far into the
+// threshold as the walk goes keeps the evaluations under 2 % of the cases
+// (170 of 25,262; 2,023 without the fold). The ×40 (0,1,1) plan is bounded
+// too: the probe and node bounds run at every protection level, so it
+// evaluates under half of its 935 cases (all of them with bounds off).
 func TestEvaluationCountsIgnoreCores(t *testing.T) {
 	type plan struct {
 		name     string
@@ -300,9 +300,11 @@ func TestEvaluationCountsIgnoreCores(t *testing.T) {
 	for _, s := range steps {
 		plans = append(plans, plan{s.name, net, set, s.st, s.prev, Params{Prot: daemonProt, DownLinks: s.down}})
 	}
-	prot := core.Protection{Ke: 2, Kv: 1}
-	fx := lnetPlan(t, prot)
-	plans = append(plans, plan{"lnet ×40", fx.net, fx.set, fx.st, fx.st, Params{Prot: prot}})
+	for _, prot := range []core.Protection{{Ke: 2, Kv: 1}, {Ke: 1, Kv: 1}} {
+		fx := lnetPlan(t, prot)
+		name := fmt.Sprintf("lnet ×40 ke%dkv%d", prot.Ke, prot.Kv)
+		plans = append(plans, plan{name, fx.net, fx.set, fx.st, fx.st, Params{Prot: prot}})
+	}
 	for _, pl := range plans {
 		var want searchResult
 		atProcs(t, []int{1, 2, 4}, func(t *testing.T, procs int) {
@@ -315,8 +317,11 @@ func TestEvaluationCountsIgnoreCores(t *testing.T) {
 					pl.name, procs, got.evaluated, got.linksKept, got.flowsKept, want.evaluated, want.linksKept, want.flowsKept)
 			}
 		})
-		if pl.name == "lnet ×40" && 50*want.evaluated >= want.cases {
+		if pl.name == "lnet ×40 ke2kv1" && 50*want.evaluated >= want.cases {
 			t.Fatalf("%s: evaluated %d of %d cases: the threshold did not fold", pl.name, want.evaluated, want.cases)
+		}
+		if pl.name == "lnet ×40 ke1kv1" && 2*want.evaluated >= want.cases {
+			t.Fatalf("%s: evaluated %d of %d cases: bounds did not reach ke = 1", pl.name, want.evaluated, want.cases)
 		}
 	}
 }
@@ -350,9 +355,9 @@ func nodeBounds(e *evaluator, physSel []int, r int) []float64 {
 }
 
 // requireNodeBoundsDominate walks the node tree of a plan's exact search,
-// every shard of size ≥ 1, and evaluates every case below each node with
-// the oracle against capacities set to the node's bounds: a negative
-// slack is a case loading some link beyond them. It reports false when the
+// every first-link subtree of size ≥ 1, and evaluates every case below
+// each node with the oracle against capacities set to the node's bounds: a
+// negative slack is a case loading some link beyond them. It reports false when the
 // plan has no bounds.
 func requireNodeBoundsDominate(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool {
 	t.Helper()
@@ -483,14 +488,14 @@ func TestProbeThresholdCoversWorstSlack(t *testing.T) {
 }
 
 // TestNodeThresholdNotNegative: a node bound is held to max(min(T, S), 0),
-// never to a shard's negative running worst slack S. Flow f overloads the
+// never to a negative running worst slack S. Flow f overloads the
 // 1-unit link a>b by 1e-4 only once its three detours die, which takes two
 // links and a switch; g's three tunnels put it 5e-4 over its 1000-unit
 // link, inside that link's tolerance, once both detours die. The first
-// violation, a-x a-y with switch z, comes in shard a-x after a-x c-u with
+// violation, a-x a-y with switch z, comes under a-x after a-x c-u with
 // switch v has driven S to −5e-4, and its node's bound sits 1e-4 above a>b
 // and far below g's capacity: held to S it would be dismissed, and the
-// first violation would move to shard a-y.
+// first violation would move under a-y.
 func TestNodeThresholdNotNegative(t *testing.T) {
 	net := topology.NewNetwork("straddle3")
 	sw := map[string]topology.SwitchID{}
@@ -531,7 +536,7 @@ func TestNodeThresholdNotNegative(t *testing.T) {
 		t.Fatalf("want the first violation on a>b under a-x a-y z: %s", cert.Summary())
 	}
 	// The threshold stays ≥ 0 once the worst slack turns negative, so node
-	// bounds keep dismissing in the shards after it: 300 of the 474 cases
+	// bounds keep dismissing in the subtrees after it: 300 of the 474 cases
 	// are evaluated (450 if a negative threshold switched them off).
 	if res := exactRun(t, net, set, st, st, p); res.evaluated != 300 {
 		t.Fatalf("evaluated %d of %d cases, want 300", res.evaluated, res.cases)
@@ -540,19 +545,19 @@ func TestNodeThresholdNotNegative(t *testing.T) {
 
 // TestNodeBoundsSkipDroppedLinks: node bounds are taken on the restricted
 // index, where a link prune dropped holds no subtree back, and they are
-// tight enough to dismiss every shard g's detours do not feed. Bounds never
-// grow down the tree (a failed link removes its avoid-l kill weight from
-// lose_l and its across-l weight from W_l and D_l alike), so a dropped
-// link, slack > T at the root, would not hold one back on the full index
-// either, barring rounding. g's three tunnels leave its direct link k at slack 0.1 once both
-// detours fail: the probe fails them in its first two steps, so T = 0.1,
-// and k is the only kept link. f's bound on its 0.9-unit link l is 0.5 at
-// the root (lose_l = 3: a-b and one detour link, both avoiding l) and 0.5
-// at the node that fails a-b. At (0,2,0) the 12 active links give 79
-// cases: the empty set, 12 single links, the 34 pairs under g's four
-// detour links, whose nodes leave k at slack 0.1 ≤ T, and the last shard's
-// single pair are evaluated; every other two-link shard is dismissed
-// (failing one of f's links leaves k at most 0.45).
+// tight enough to dismiss every first-link subtree g's detours do not feed.
+// Bounds never grow down the tree (a failed link removes its avoid-l kill
+// weight from lose_l and its across-l weight from W_l and D_l alike), so a
+// dropped link, slack > T at the root, would not hold one back on the full
+// index either, barring rounding. g's three tunnels leave its direct link k
+// at slack 0.1 once both detours fail: the probe fails them in its first
+// two steps, so T = 0.1, and k is the only kept link. f's bound on its
+// 0.9-unit link l is 0.5 at the root (lose_l = 3: a-b and one detour link,
+// both avoiding l) and 0.5 at the node that fails a-b. At (0,2,0) the 12
+// active links give 79 cases: the empty set, 12 single links, the 34 pairs
+// under g's four detour links, whose nodes leave k at slack 0.1 ≤ T, and
+// the last subtree's single pair are evaluated; every other two-link
+// subtree is dismissed (failing one of f's links leaves k at most 0.45).
 func TestNodeBoundsSkipDroppedLinks(t *testing.T) {
 	net := topology.NewNetwork("dropped")
 	sw := map[string]topology.SwitchID{}

@@ -281,17 +281,6 @@ func DeriveSeed(base, shard int64) int64 {
 	return int64(z)
 }
 
-// ExpectedLinkFailuresPerInterval is a convenience for tests/calibration.
-func (m FailureModel) ExpectedLinkFailuresPerInterval() float64 {
-	if m.LinkMTBF == 0 {
-		return 0
-	}
-	return float64(m.Interval) / float64(m.LinkMTBF)
-}
-
-// Median returns the model's 50th-percentile latency.
-func (m *LatencyModel) Median() time.Duration { return m.Quantile(0.5) }
-
 // Mean estimates the distribution mean by numeric integration.
 func (m *LatencyModel) Mean() time.Duration {
 	const steps = 1000

@@ -16,8 +16,8 @@ func TestLatencyModelQuantiles(t *testing.T) {
 	if m.Quantile(0) != 0 {
 		t.Fatalf("q0 = %v", m.Quantile(0))
 	}
-	if m.Median() != 100*time.Millisecond {
-		t.Fatalf("median = %v", m.Median())
+	if m.Quantile(0.5) != 100*time.Millisecond {
+		t.Fatalf("median = %v", m.Quantile(0.5))
 	}
 	if m.Quantile(1) != time.Second {
 		t.Fatalf("q1 = %v", m.Quantile(1))
@@ -51,7 +51,7 @@ func TestSamplingMatchesQuantiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 20000
 	var below float64
-	med := m.Median()
+	med := m.Quantile(0.5)
 	for i := 0; i < n; i++ {
 		if m.Sample(rng) <= med {
 			below++
@@ -65,7 +65,7 @@ func TestSamplingMatchesQuantiles(t *testing.T) {
 
 func TestRealisticVsOptimisticShape(t *testing.T) {
 	r, o := Realistic(), Optimistic()
-	if r.PerRule.Median() <= o.PerRule.Median() {
+	if r.PerRule.Quantile(0.5) <= o.PerRule.Quantile(0.5) {
 		t.Fatal("Realistic per-rule median must exceed Optimistic")
 	}
 	if o.ConfigFailureRate != 0 {
@@ -75,8 +75,8 @@ func TestRealisticVsOptimisticShape(t *testing.T) {
 		t.Fatalf("Realistic failure rate %v, want 0.01 (the paper's 1%%)", r.ConfigFailureRate)
 	}
 	// §2.3: Optimistic per-rule median 10 ms, worst case ~hundreds of ms.
-	if o.PerRule.Median() != 10*time.Millisecond {
-		t.Fatalf("Optimistic per-rule median %v, want 10ms", o.PerRule.Median())
+	if o.PerRule.Quantile(0.5) != 10*time.Millisecond {
+		t.Fatalf("Optimistic per-rule median %v, want 10ms", o.PerRule.Quantile(0.5))
 	}
 	if o.PerRule.Quantile(1) < 200*time.Millisecond {
 		t.Fatalf("Optimistic worst case %v, want ≥ 200ms", o.PerRule.Quantile(1))

@@ -23,13 +23,6 @@ func (d *Dist) Add(v float64) {
 	d.sorted = false
 }
 
-// AddN appends v n times (weighted sample).
-func (d *Dist) AddN(v float64, n int) {
-	for i := 0; i < n; i++ {
-		d.Add(v)
-	}
-}
-
 // N returns the sample count.
 func (d *Dist) N() int { return len(d.xs) }
 

@@ -45,7 +45,8 @@ func TestMeanSumMax(t *testing.T) {
 	var d Dist
 	d.Add(1)
 	d.Add(3)
-	d.AddN(2, 2)
+	d.Add(2)
+	d.Add(2)
 	if d.Sum() != 8 || d.N() != 4 || d.Mean() != 2 || d.Max() != 3 {
 		t.Fatalf("sum=%v n=%v mean=%v max=%v", d.Sum(), d.N(), d.Mean(), d.Max())
 	}

@@ -35,9 +35,6 @@ var enabled atomic.Bool
 // Enable turns on spans, histograms, and per-worker timings.
 func Enable() { enabled.Store(true) }
 
-// Disable restores the near-zero-cost default.
-func Disable() { enabled.Store(false) }
-
 // Enabled reports whether the costlier instrumentation is active.
 func Enabled() bool { return enabled.Load() }
 

@@ -101,8 +101,8 @@ func TestHistogramStats(t *testing.T) {
 }
 
 func TestSpanRecordsOnlyWhenEnabled(t *testing.T) {
-	defer Disable()
-	Disable()
+	defer enabled.Store(false)
+	enabled.Store(false)
 	Default().Reset()
 
 	s := StartSpan("t.root")

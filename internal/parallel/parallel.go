@@ -4,9 +4,10 @@
 // which keeps every parallel path bit-identical to its serial counterpart
 // (the reduction over slots happens in index order afterwards).
 //
-// The certifier (internal/check) shards fault-case enumeration through it,
-// and the experiment harness (internal/experiments, internal/sim) shards
-// independent TE intervals and scenario replays.
+// Its callers are the simulator (internal/sim) and the experiment harness
+// (internal/experiments), which shard independent TE intervals and
+// scenario replays, and core.CalibrateScale, which solves each bracket
+// step's sample sessions side by side.
 package parallel
 
 import (
@@ -20,20 +21,10 @@ import (
 // order. fn must confine its writes to per-index state; results written by
 // slot are deterministic regardless of scheduling.
 func ForEach(n int, fn func(i int)) {
-	ForEachWorker(n, runtime.GOMAXPROCS(0), func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach over an explicit count of w workers, with the
-// worker's identity passed to fn (0 ≤ worker < min(w, n)), so callers can
-// reuse per-worker scratch buffers across the indices a worker processes.
-// w ≤ 1 runs inline in index order.
-func ForEachWorker(n, w int, fn func(worker, i int)) {
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -41,16 +32,16 @@ func ForEachWorker(n, w int, fn func(worker, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				fn(i)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }

@@ -49,19 +49,6 @@ func TestForEachSerialIsOrdered(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerIDsInRange(t *testing.T) {
-	const n, w = 200, 4
-	var bad atomic.Int32
-	ForEachWorker(n, w, func(worker, i int) {
-		if worker < 0 || worker >= w {
-			bad.Add(1)
-		}
-	})
-	if bad.Load() != 0 {
-		t.Fatal("worker id out of range")
-	}
-}
-
 func TestFirstError(t *testing.T) {
 	e1, e2 := errors.New("a"), errors.New("b")
 	if err := FirstError([]error{nil, nil}); err != nil {

@@ -27,8 +27,8 @@
 // adversarial solution adds to hi is exactly removed from lo and cannot
 // reduce the final Σyⱼ.
 //
-// A full Batcher odd-even merge sorting network (network.go) is kept as a
-// test oracle for network construction.
+// A full Batcher odd-even merge sorting network (network_test.go) is kept
+// as a test oracle for network construction.
 package sortnet
 
 import (

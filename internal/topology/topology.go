@@ -51,7 +51,6 @@ type Network struct {
 	Links    []Link   `json:"links"`
 
 	out [][]LinkID // lazily built adjacency
-	in  [][]LinkID
 }
 
 // NewNetwork returns an empty named network.
@@ -61,7 +60,7 @@ func NewNetwork(name string) *Network { return &Network{Name: name} }
 func (n *Network) AddSwitch(name, site string, lat, lon float64) SwitchID {
 	id := SwitchID(len(n.Switches))
 	n.Switches = append(n.Switches, Switch{ID: id, Name: name, Site: site, Lat: lat, Lon: lon})
-	n.out, n.in = nil, nil
+	n.out = nil
 	return id
 }
 
@@ -69,7 +68,7 @@ func (n *Network) AddSwitch(name, site string, lat, lon float64) SwitchID {
 func (n *Network) AddLink(src, dst SwitchID, capacity float64) LinkID {
 	id := LinkID(len(n.Links))
 	n.Links = append(n.Links, Link{ID: id, Src: src, Dst: dst, Capacity: capacity, Twin: None})
-	n.out, n.in = nil, nil
+	n.out = nil
 	return id
 }
 
@@ -116,10 +115,8 @@ func (n *Network) buildAdj() {
 		return
 	}
 	n.out = make([][]LinkID, len(n.Switches))
-	n.in = make([][]LinkID, len(n.Switches))
 	for _, l := range n.Links {
 		n.out[l.Src] = append(n.out[l.Src], l.ID)
-		n.in[l.Dst] = append(n.in[l.Dst], l.ID)
 	}
 }
 
@@ -127,12 +124,6 @@ func (n *Network) buildAdj() {
 func (n *Network) OutLinks(v SwitchID) []LinkID {
 	n.buildAdj()
 	return n.out[v]
-}
-
-// InLinks returns the IDs of links entering v.
-func (n *Network) InLinks(v SwitchID) []LinkID {
-	n.buildAdj()
-	return n.in[v]
 }
 
 // FindLink returns the first link src→dst, or None.
@@ -247,7 +238,7 @@ func (n *Network) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	n.Name, n.Switches, n.Links = w.Name, w.Switches, w.Links
-	n.out, n.in = nil, nil
+	n.out = nil
 	return n.Validate()
 }
 

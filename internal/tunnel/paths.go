@@ -14,11 +14,6 @@ type WeightFunc func(topology.LinkID) float64
 // UnitWeights routes by hop count.
 func UnitWeights(topology.LinkID) float64 { return 1 }
 
-// InverseCapacity prefers fat links.
-func InverseCapacity(net *topology.Network) WeightFunc {
-	return func(l topology.LinkID) float64 { return 1 / net.Links[l].Capacity }
-}
-
 type pqItem struct {
 	sw   topology.SwitchID
 	dist float64

@@ -8,7 +8,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ffc/internal/topology"
 )
@@ -45,28 +44,6 @@ type Tunnel struct {
 	// Switches is the ordered switch sequence (len(Links)+1, starting at
 	// Flow.Src).
 	Switches []topology.SwitchID
-}
-
-// Uses reports whether the tunnel traverses the directed link e
-// (the paper's L[t,e]).
-func (t *Tunnel) Uses(e topology.LinkID) bool {
-	for _, l := range t.Links {
-		if l == e {
-			return true
-		}
-	}
-	return false
-}
-
-// Transits reports whether the tunnel passes through switch v, including
-// endpoints.
-func (t *Tunnel) Transits(v topology.SwitchID) bool {
-	for _, s := range t.Switches {
-		if s == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Alive reports whether the tunnel survives the given fault sets: it dies if
@@ -162,17 +139,6 @@ func (s *Set) PQ(f Flow, alive []bool) (p, q int) {
 	return p, q
 }
 
-// Residual returns the tunnels of f alive under the fault sets.
-func (s *Set) Residual(f Flow, downLinks map[topology.LinkID]bool, downSwitches map[topology.SwitchID]bool) []*Tunnel {
-	var alive []*Tunnel
-	for _, t := range s.tunMap[f] {
-		if t.Alive(s.Net, downLinks, downSwitches) {
-			alive = append(alive, t)
-		}
-	}
-	return alive
-}
-
 // Rescale computes per-tunnel loads after faults: the flow's rate is split
 // over residual tunnels in proportion to the configured weights (§2.1).
 // weights is indexed by tunnel Index; rate is the flow's sending rate.
@@ -217,14 +183,4 @@ func Weights(alloc []float64) []float64 {
 		w[i] = a / sum
 	}
 	return w
-}
-
-// SortTunnelsByLength orders a flow's tunnels shortest-first (stable),
-// reindexing them. Deterministic layouts make experiments reproducible.
-func (s *Set) SortTunnelsByLength(f Flow) {
-	ts := s.tunMap[f]
-	sort.SliceStable(ts, func(i, j int) bool { return len(ts[i].Links) < len(ts[j].Links) })
-	for i, t := range ts {
-		t.Index = i
-	}
 }
