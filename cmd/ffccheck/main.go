@@ -40,11 +40,7 @@ func main() {
 		kc        = flag.Int("kc", 0, "control-plane protection to certify (-plan mode; -trace takes levels from each record)")
 		ke        = flag.Int("ke", 0, "link-failure protection to certify (-plan mode)")
 		kv        = flag.Int("kv", 0, "switch-failure protection to certify (-plan mode)")
-		modeFlag  = flag.String("mode", "auto", "data-plane strategy: auto, exact, adversarial")
 		limiters  = flag.String("limiters", "synced", "rate-limiter fault model: synced, ordered, independent")
-		maxCases  = flag.Int64("max-exact-cases", 0, "auto mode's exact-enumeration budget (0 = default)")
-		restarts  = flag.Int("restarts", 0, "adversarial random restarts (0 = default)")
-		seed      = flag.Int64("seed", 0, "adversarial search seed (0 = default)")
 		failFast  = flag.Bool("fail-fast", false, "stop each certification at the first violating case")
 		quiet     = flag.Bool("quiet", false, "suppress per-plan verdict lines; only the summary and exit status")
 	)
@@ -55,10 +51,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	mode, err := check.ParseMode(*modeFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	var rl core.RateLimiterMode
 	switch *limiters {
 	case "synced":
@@ -70,14 +62,7 @@ func main() {
 	default:
 		fatalf("unknown -limiters %q", *limiters)
 	}
-	base := check.Params{
-		RateLimiter:   rl,
-		Mode:          mode,
-		MaxExactCases: *maxCases,
-		Restarts:      *restarts,
-		Seed:          *seed,
-		FailFast:      *failFast,
-	}
+	base := check.Params{RateLimiter: rl, FailFast: *failFast}
 
 	var net topology.Network
 	blob, err := os.ReadFile(*topoPath)

@@ -54,7 +54,7 @@ func TestFailFastAcrossCores(t *testing.T) {
 
 	run := func(procs string, extra ...string) check.Certificate {
 		t.Helper()
-		args := append([]string{"-topo", topo, "-plan", plan, "-ke", "2", "-kv", "1", "-mode", "exact"}, extra...)
+		args := append([]string{"-topo", topo, "-plan", plan, "-ke", "2", "-kv", "1"}, extra...)
 		cmd := exec.Command(bin, args...)
 		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
 		var stdout, stderr bytes.Buffer

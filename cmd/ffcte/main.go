@@ -131,7 +131,7 @@ func main() {
 	}
 
 	if *verifyFlag {
-		cert, err := check.Certify(&net, set, st, prev, check.Params{Prot: prot, RateLimiter: opts.RateLimiter, Mode: check.Exact})
+		cert, err := check.Certify(&net, set, st, prev, check.Params{Prot: prot, RateLimiter: opts.RateLimiter})
 		if err != nil {
 			fatalf("verify: %v", err)
 		}

@@ -255,7 +255,7 @@ func (c *Controller) VerifyControlPlane(st *State, kc int) (*Violation, error) {
 // certify runs the exact certifier and returns its worst violation.
 func (c *Controller) certify(st, prev *State, prot Protection) (*Violation, error) {
 	cert, err := check.Certify(c.net, c.tun, st, prev, check.Params{
-		Prot: prot, RateLimiter: c.solver.Opts.RateLimiter, Mode: check.Exact,
+		Prot: prot, RateLimiter: c.solver.Opts.RateLimiter,
 	})
 	if err != nil {
 		return nil, err

@@ -2,11 +2,9 @@ package check
 
 // BenchmarkCertSNet measures certifying the saturated S-Net ke=2/kv=1
 // plan — the dominant cost of running ffccheck over a recorded trace or
-// of ffcd's certification on install. The exact variant resolves every
-// pruned fault combination and reports, like BenchmarkCertLNet, the cost
-// per case and the cases evaluated rather than dismissed by a node bound;
-// the adversarial variant is the bounded search large topologies fall
-// back to.
+// of ffcd's certification on install. It resolves every pruned fault
+// combination and reports, like BenchmarkCertLNet, the cost per case and
+// the cases evaluated rather than dismissed by a node bound.
 
 import (
 	"testing"
@@ -20,19 +18,7 @@ import (
 func BenchmarkCertSNet(b *testing.B) {
 	net, set, _, st := snetPlan(b)
 	b.Run("exact", func(b *testing.B) {
-		benchExact(b, net, set, st, Params{Prot: snetProt, Mode: Exact})
-	})
-	b.Run("adversarial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cert, err := Certify(net, set, st, st, Params{Prot: snetProt, Mode: Adversarial})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !cert.OK {
-				b.Fatalf("fixture plan failed certification: %+v", cert.Violation)
-			}
-		}
+		benchExact(b, net, set, st, Params{Prot: snetProt})
 	})
 }
 

@@ -8,22 +8,20 @@
 // results are held to serial test oracles (oracle_test.go) and to
 // core.VerifyDataPlane, the solver side's serial enumerator.
 //
-// Two data-plane strategies: exact enumeration of every fault combination
-// (with dominance pruning — only elements that can shift load are
-// enumerated, everything else is covered by monotonicity) when the case
-// count is small, and a bounded adversarial search (greedy
-// worst-residual-capacity fault picking plus seeded random restarts) when
-// it is not. Control-plane certification is always exact: per link, the
-// worst set of ≤ kc stale ingresses is the top-kc positive stale-minus-new
-// deltas, no enumeration required. The result is a typed Certificate
-// recording which strategy ran, how many cases were checked and covered,
-// the worst residual slack seen, and the violating fault set if any.
+// The data plane is always enumerated exactly: every combination of ≤ ke
+// link and ≤ kv switch failures is resolved, with dominance pruning (only
+// elements that can shift load are enumerated, everything else is covered
+// by monotonicity) and Lemma-1 node bounds that dismiss whole subtrees of
+// provably safe cases. Control-plane certification is exact too: per link,
+// the worst set of ≤ kc stale ingresses is the top-kc positive
+// stale-minus-new deltas, no enumeration required. The result is a typed
+// Certificate recording how many cases were checked and covered, the worst
+// residual slack seen, and the violating fault set if any.
 package check
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -32,44 +30,15 @@ import (
 	"ffc/internal/tunnel"
 )
 
-// Mode selects the data-plane strategy.
+// Mode selects nothing: every certification enumerates exactly, and
+// Certify ignores Params.Mode. Mode, the field and Adversarial stay only
+// because benchmark/adapter.go names them for its traced check.adversarial
+// diagnostic (now a second exact run); a benchmark-archetype change removes
+// them together with that diagnostic.
 type Mode int
 
-const (
-	// Auto runs the exact enumeration when the (pruned) case count is at
-	// most Params.MaxExactCases and the adversarial search otherwise.
-	Auto Mode = iota
-	// Exact forces full enumeration regardless of case count.
-	Exact
-	// Adversarial forces the bounded search; the resulting Certificate is
-	// not a proof (Exact=false).
-	Adversarial
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Auto:
-		return "auto"
-	case Exact:
-		return "exact"
-	case Adversarial:
-		return "adversarial"
-	}
-	return "?"
-}
-
-// ParseMode parses "auto", "exact", or "adversarial".
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "auto":
-		return Auto, nil
-	case "exact":
-		return Exact, nil
-	case "adversarial":
-		return Adversarial, nil
-	}
-	return Auto, fmt.Errorf("check: unknown mode %q", s)
-}
+// Adversarial is inert; see Mode.
+const Adversarial Mode = 2
 
 // Params parameterizes one certification.
 type Params struct {
@@ -78,7 +47,7 @@ type Params struct {
 	// RateLimiter is the control-plane fault model (§5.5), matching the
 	// one the plan was computed for.
 	RateLimiter core.RateLimiterMode
-	// Mode selects the data-plane strategy; default Auto.
+	// Mode is inert; see Mode.
 	Mode Mode
 	// Capacity overrides link capacities (nil = topology capacities).
 	Capacity map[topology.LinkID]float64
@@ -87,13 +56,6 @@ type Params struct {
 	// budget is spent on the surviving elements only.
 	DownLinks    map[topology.LinkID]bool
 	DownSwitches map[topology.SwitchID]bool
-	// MaxExactCases bounds Auto's exact enumeration (default 200000).
-	MaxExactCases int64
-	// Restarts is the adversarial search's random-restart count
-	// (default 48).
-	Restarts int
-	// Seed seeds the adversarial search (default 1).
-	Seed int64
 	// FailFast stops at the first violating case instead of scanning for
 	// the worst one.
 	FailFast bool
@@ -136,13 +98,12 @@ type Violation struct {
 
 // Certificate is the certification verdict.
 type Certificate struct {
-	// OK is true when no checked case overloads any link. With
-	// Exact=true that is a proof over every fault combination within the
-	// protection level; with Exact=false it only says the search found
-	// nothing.
+	// OK is true when no checked case overloads any link: a proof over
+	// every fault combination within the protection level.
 	OK bool `json:"ok"`
-	// Exact marks a full data-plane enumeration (the control plane is
-	// always exact).
+	// Exact is always true and Mode always "exact": every certification
+	// enumerates the data plane in full. Both stay so that verdict lines
+	// and summaries read as they always have.
 	Exact bool   `json:"exact"`
 	Mode  string `json:"mode"`
 
@@ -156,8 +117,7 @@ type Certificate struct {
 	// exactly (none enumerated individually, every one decided).
 	CasesChecked int64 `json:"cases_checked"`
 	// CasesCovered counts the fault combinations the verdict covers,
-	// including those dismissed by dominance pruning; ≥ CasesChecked for
-	// exact runs, = CasesChecked for adversarial ones.
+	// including those dismissed by dominance pruning; ≥ CasesChecked.
 	CasesCovered int64 `json:"cases_covered"`
 
 	// WorstSlack is the smallest residual capacity (capacity − load) seen
@@ -237,22 +197,16 @@ func Certify(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Par
 	if err != nil {
 		return nil, err
 	}
-	exact := c.wantExact()
-	var data searchResult
-	if exact {
-		data = c.exactData()
-		obsLinksKept.Observe(int64(data.linksKept))
-		obsFlowsKept.Observe(int64(data.flowsKept))
-		obsCasesEvaluated.Observe(data.evaluated)
-	} else {
-		data = c.adversarialData(rand.New(rand.NewSource(c.p.Seed)), c.newEvaluator().eval)
-	}
-	cert := c.certificate(data, exact, prev)
+	data := c.exactData()
+	obsLinksKept.Observe(int64(data.linksKept))
+	obsFlowsKept.Observe(int64(data.flowsKept))
+	obsCasesEvaluated.Observe(data.evaluated)
+	cert := c.certificate(data, prev)
 	cert.Elapsed = time.Since(start)
 	return cert, nil
 }
 
-// prepare validates the inputs, fills Params defaults and indexes the plan.
+// prepare validates the inputs and indexes the plan.
 func prepare(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Params) (*checker, error) {
 	if net == nil || set == nil || st == nil {
 		return nil, fmt.Errorf("check: nil network, tunnel set, or state")
@@ -271,45 +225,23 @@ func prepare(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Par
 			return nil, fmt.Errorf("check: previous state: %w", err)
 		}
 	}
-	if p.MaxExactCases == 0 {
-		p.MaxExactCases = 200000
-	}
-	if p.Restarts == 0 {
-		p.Restarts = 48
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	return newChecker(net, set, st, p), nil
 }
 
-// exactCases is the pruned data-plane enumeration's case count.
-func (c *checker) exactCases() float64 {
-	return binomSum(len(c.activeP), c.p.Prot.Ke) * binomSum(len(c.activeS), c.p.Prot.Kv)
-}
-
-// wantExact chooses the data-plane strategy.
-func (c *checker) wantExact() bool {
-	return c.p.Mode == Exact || c.p.Mode == Auto && c.exactCases() <= float64(c.p.MaxExactCases)
-}
-
-// certificate turns the data-plane search result into the verdict, adding
-// the control plane (per-link top-kc selection, always exact).
-func (c *checker) certificate(data searchResult, exact bool, prev *core.State) *Certificate {
+// certificate turns the data-plane enumeration's result into the verdict,
+// adding the control plane (per-link top-kc selection).
+func (c *checker) certificate(data searchResult, prev *core.State) *Certificate {
 	p := c.p
 	cert := &Certificate{
 		Kc: p.Prot.Kc, Ke: p.Prot.Ke, Kv: p.Prot.Kv,
-		Exact: exact, Mode: "adversarial",
+		Exact: true, Mode: "exact",
 		CasesChecked: data.cases, CasesCovered: data.cases,
 		WorstSlack: data.slack, Violation: data.worst,
 	}
-	if exact {
-		cert.Mode = "exact"
-		if !data.aborted {
-			// Dominance: combos touching only inert elements behave like
-			// their active projection, so the full space is covered.
-			cert.CasesCovered = satInt64(binomSum(len(c.phys), p.Prot.Ke) * binomSum(len(c.sws), p.Prot.Kv))
-		}
+	if !data.aborted {
+		// Dominance: combos touching only inert elements behave like
+		// their active projection, so the full space is covered.
+		cert.CasesCovered = satInt64(binomSum(len(c.phys), p.Prot.Ke) * binomSum(len(c.sws), p.Prot.Kv))
 	}
 	if data.slackLink >= 0 {
 		cert.WorstLink = c.linkName(topology.LinkID(data.slackLink))
@@ -638,7 +570,7 @@ type caseResult struct {
 	load, cp float64
 }
 
-// searchResult aggregates a data-plane search (exact or adversarial).
+// searchResult aggregates a data-plane search.
 type searchResult struct {
 	cases, evaluated int64 // resolved; of those, not dismissed by a node bound
 	// slack is the worst (smallest) per-case slack; slackLink, slackLinks
@@ -651,7 +583,7 @@ type searchResult struct {
 	worst      *Violation
 	aborted    bool
 
-	linksKept, flowsKept int // the size of an exact search's pruned index
+	linksKept, flowsKept int // the size of the search's pruned index
 }
 
 // note folds one evaluated case into the running result; returns false
@@ -693,7 +625,7 @@ func binom(n, k int) float64 {
 }
 
 // binomSum is Σ_{i=0..k} C(n, i) in float64 (the counts get astronomical;
-// the caller only compares against thresholds or saturates to int64).
+// certificate saturates them to int64).
 func binomSum(n, k int) float64 {
 	total := 0.0
 	for i := 0; i <= min(k, n); i++ {

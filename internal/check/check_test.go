@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ffc/internal/core"
+	"ffc/internal/demand"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
@@ -97,13 +98,13 @@ func TestExactMatchesCoreDataPlane(t *testing.T) {
 
 		coreV := core.VerifyDataPlane(net, set, st, ke, kv, capOver)
 		cert, err := Certify(net, set, st, st, Params{
-			Prot: core.Protection{Ke: ke, Kv: kv}, Mode: Exact, Capacity: capOver,
+			Prot: core.Protection{Ke: ke, Kv: kv}, Capacity: capOver,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !cert.Exact {
-			t.Fatalf("trial %d: Mode Exact produced Exact=false", trial)
+			t.Fatalf("trial %d: Exact=false", trial)
 		}
 		if (coreV == nil) != (cert.Violation == nil) {
 			t.Fatalf("trial %d ke=%d kv=%d: core violation %+v, checker violation %+v (slack %g)",
@@ -143,7 +144,7 @@ func TestControlMatchesOracleControlPlane(t *testing.T) {
 
 		want := controlOracle(net, set, st, prev, kc, mode, nil)
 		cert, err := Certify(net, set, st, prev, Params{
-			Prot: core.Protection{Kc: kc}, RateLimiter: mode, Mode: Exact,
+			Prot: core.Protection{Kc: kc}, RateLimiter: mode,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -171,43 +172,6 @@ func TestControlMatchesOracleControlPlane(t *testing.T) {
 	}
 }
 
-// TestAdversarialAgreesWithExact: the adversarial search only evaluates
-// real fault cases, so it must never contradict an exact OK — and any
-// violation it reports must also be found exactly.
-func TestAdversarialAgreesWithExact(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
-		rng := rand.New(rand.NewSource(int64(3000 + trial)))
-		net, set, flows := randomNet(rng, 4+rng.Intn(4), 2+rng.Intn(4))
-		st := randomState(rng, set, flows, float64(trial%3))
-		ke, kv := rng.Intn(3), rng.Intn(2)
-		p := Params{Prot: core.Protection{Ke: ke, Kv: kv}, Restarts: 8, Seed: int64(trial + 1)}
-
-		p.Mode = Exact
-		exact, err := Certify(net, set, st, st, p)
-		if err != nil {
-			t.Fatalf("trial %d exact: %v", trial, err)
-		}
-		p.Mode = Adversarial
-		adv, err := Certify(net, set, st, st, p)
-		if err != nil {
-			t.Fatalf("trial %d adversarial: %v", trial, err)
-		}
-		if adv.Exact {
-			t.Fatalf("trial %d: adversarial mode claims Exact", trial)
-		}
-		if exact.OK && !adv.OK {
-			t.Fatalf("trial %d: exact OK but adversarial found %+v", trial, adv.Violation)
-		}
-		if !adv.OK && exact.OK {
-			t.Fatalf("trial %d: adversarial violation %+v not confirmed by exact", trial, adv.Violation)
-		}
-		if adv.WorstSlack < exact.WorstSlack-1e-9 {
-			t.Fatalf("trial %d: adversarial slack %g below exact minimum %g",
-				trial, adv.WorstSlack, exact.WorstSlack)
-		}
-	}
-}
-
 // TestViolationFaultSetInduces re-applies a reported violating fault set as
 // pre-down faults: certifying the same plan at zero protection must then
 // reject without needing any further fault — the fault set genuinely
@@ -218,7 +182,7 @@ func TestViolationFaultSetInduces(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
 		net, set, flows := randomNet(rng, 5+rng.Intn(3), 3+rng.Intn(3))
 		st := randomState(rng, set, flows, 2)
-		cert, err := Certify(net, set, st, st, Params{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact})
+		cert, err := Certify(net, set, st, st, Params{Prot: core.Protection{Ke: 2, Kv: 1}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -235,7 +199,7 @@ func TestViolationFaultSetInduces(t *testing.T) {
 		for _, sw := range v.Faults.Switches {
 			ds[sw] = true
 		}
-		again, err := Certify(net, set, st, st, Params{DownLinks: dl, DownSwitches: ds, Mode: Exact})
+		again, err := Certify(net, set, st, st, Params{DownLinks: dl, DownSwitches: ds})
 		if err != nil {
 			t.Fatalf("trial %d: re-check: %v", trial, err)
 		}
@@ -271,7 +235,7 @@ func TestCertifiedSolverPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := Certify(net, set, st, prev, Params{Prot: prot, Mode: Exact})
+	cert, err := Certify(net, set, st, prev, Params{Prot: prot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +256,7 @@ func TestEmptyPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net, set, _ := randomNet(rng, 5, 3)
 	cert, err := Certify(net, set, core.NewState(), core.NewState(), Params{
-		Prot: core.Protection{Kc: 1, Ke: 2, Kv: 1}, Mode: Exact,
+		Prot: core.Protection{Kc: 1, Ke: 2, Kv: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +295,7 @@ func TestPreDownSets(t *testing.T) {
 		t.Skipf("protected solve infeasible on this seed: %v", err)
 	}
 	cert, err := Certify(net, set, st, st, Params{
-		Prot: core.Protection{Ke: 1}, Mode: Exact, DownLinks: dl,
+		Prot: core.Protection{Ke: 1}, DownLinks: dl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,14 +317,14 @@ func TestFailFast(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(5000 + trial)))
 		net, set, flows := randomNet(rng, 5, 4)
 		st := randomState(rng, set, flows, 2)
-		full, err := Certify(net, set, st, st, Params{Prot: core.Protection{Ke: 2}, Mode: Exact})
+		full, err := Certify(net, set, st, st, Params{Prot: core.Protection{Ke: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if full.OK {
 			continue
 		}
-		fast, err := Certify(net, set, st, st, Params{Prot: core.Protection{Ke: 2}, Mode: Exact, FailFast: true})
+		fast, err := Certify(net, set, st, st, Params{Prot: core.Protection{Ke: 2}, FailFast: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,9 +382,44 @@ func TestShortAllocVectors(t *testing.T) {
 		st.Rate[f] = 1
 		st.Alloc[f] = []float64{2} // shorter than the tunnel list
 	}
-	cert, err := Certify(net, set, st, st, Params{Prot: core.Protection{Kc: 1, Ke: 1}, Mode: Exact})
+	cert, err := Certify(net, set, st, st, Params{Prot: core.Protection{Kc: 1, Ke: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = cert // any verdict is fine; the point is not panicking
+}
+
+// TestExactAtSixteenSites certifies a plan with more than 200,000 active
+// fault cases at zero-value Params: the seed-1 16-site L-Net (248 links),
+// six (1,3) tunnels for each of demand.Generate's seed-1 flows, every flow
+// at rate 0.001 split evenly over its tunnels, at (0,2,1). Every case must
+// be resolved, however many there are; no search stands in for the proof.
+func TestExactAtSixteenSites(t *testing.T) {
+	net := topology.LNet(topology.LNetConfig{Sites: 16}, rand.New(rand.NewSource(1)))
+	if len(net.Links) != 248 {
+		t.Fatalf("L-Net has %d links, want 248", len(net.Links))
+	}
+	flows := demand.Generate(net, demand.Config{Intervals: 1}, rand.New(rand.NewSource(1)))[0].Flows()
+	set := tunnel.Layout(net, flows, tunnel.LayoutConfig{TunnelsPerFlow: 6, P: 1, Q: 3})
+	st := core.NewState()
+	for _, f := range set.All() {
+		n := len(set.Tunnels(f))
+		st.Rate[f], st.Alloc[f] = 0.001, make([]float64, n)
+		for i := range st.Alloc[f] {
+			st.Alloc[f][i] = 0.001 / float64(n)
+		}
+	}
+	p := Params{Prot: core.Protection{Ke: 2, Kv: 1}}
+	if c, err := prepare(net, set, st, st, p); err != nil {
+		t.Fatal(err)
+	} else if n := binomSum(len(c.activeP), 2) * binomSum(len(c.activeS), 1); n <= 200000 {
+		t.Fatalf("%g active cases: the fixture must exceed 200,000", n)
+	}
+	cert, err := Certify(net, set, st, st, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cert.Exact || !cert.OK || cert.CasesCovered != 255783 {
+		t.Fatalf("want an exact OK over 255,783 cases: %s", cert.Summary())
+	}
 }

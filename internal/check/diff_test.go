@@ -154,7 +154,7 @@ func TestDifferentialPathEquivalence(t *testing.T) {
 			}
 			certs := map[string]*Certificate{}
 			for name, st := range states {
-				cert, err := Certify(net, set, st, st, Params{Prot: snetProt, Mode: Exact})
+				cert, err := Certify(net, set, st, st, Params{Prot: snetProt})
 				if err != nil {
 					t.Fatalf("certifying %s: %v", name, err)
 				}
@@ -187,7 +187,7 @@ func TestDifferentialPathEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rcert, err := Certify(net, rset, rst, rst, Params{Prot: snetProt, Mode: Exact})
+			rcert, err := Certify(net, rset, rst, rst, Params{Prot: snetProt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestDifferentialPathEquivalence(t *testing.T) {
 				dl[tw] = true
 			}
 			deg := core.Degrade(net, set, tmpl, series[1], dl, nil)
-			dcert, err := Certify(net, set, deg, deg, Params{Prot: core.None, Mode: Exact, DownLinks: dl})
+			dcert, err := Certify(net, set, deg, deg, Params{Prot: core.None, DownLinks: dl})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -81,22 +81,11 @@ func TestEvaluatorMatchesOracleLNet(t *testing.T) {
 			}
 		})
 	}
-	// The adversarial search, seeded, walks the same cases through either
-	// evaluator.
-	fx := lnetPlan(t, core.Protection{Ke: 2, Kv: 1})
-	for _, seed := range []int64{1, 7} {
-		cert := requireOracleEqual(t, "lnet adversarial", fx.net, fx.set, fx.st, fx.st,
-			Params{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Adversarial, Seed: seed})
-		if cert.Exact || !cert.OK {
-			t.Fatalf("adversarial seed %d: %s", seed, cert.Summary())
-		}
-	}
 }
 
 func TestEvaluatorMatchesOracleSNet(t *testing.T) {
 	net, set, _, st := snetPlan(t)
-	requireOracleEqual(t, "snet exact", net, set, st, st, Params{Prot: snetProt, Mode: Exact})
-	requireOracleEqual(t, "snet adversarial", net, set, st, st, Params{Prot: snetProt, Mode: Adversarial, Seed: 3})
+	requireOracleEqual(t, "snet", net, set, st, st, Params{Prot: snetProt})
 }
 
 // fatTreePlan solves a k=4 fat-tree at (0,1,1).
@@ -117,10 +106,9 @@ func TestEvaluatorMatchesOracleFatTree(t *testing.T) {
 	net, set, st, prot := fatTreePlan(t)
 	atProcs(t, []int{1, 3}, func(t *testing.T, procs int) {
 		for _, p := range []Params{
-			{Prot: prot, Mode: Exact},
-			{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact}, // beyond what was solved for: violations
-			{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact, FailFast: true},
-			{Prot: core.Protection{Ke: 3, Kv: 2}, Mode: Adversarial, Seed: 5, Restarts: 6},
+			{Prot: prot},
+			{Prot: core.Protection{Ke: 2, Kv: 1}}, // beyond what was solved for: violations
+			{Prot: core.Protection{Ke: 2, Kv: 1}, FailFast: true},
 		} {
 			requireOracleEqual(t, fmt.Sprintf("fattree %+v procs=%d", p.Prot, procs), net, set, st, st, p)
 		}
@@ -156,10 +144,7 @@ func randomTrial(trial int) (*topology.Network, *tunnel.Set, *core.State, Params
 	}
 	p := Params{
 		Prot:     core.Protection{Ke: rng.Intn(3), Kv: rng.Intn(3)},
-		Mode:     Mode(trial % 3),
 		FailFast: trial%4 == 3,
-		Restarts: 6,
-		Seed:     int64(trial + 1),
 	}
 	if trial%2 == 0 {
 		l := net.Links[rng.Intn(len(net.Links))].ID
@@ -190,9 +175,9 @@ func TestEvaluatorWideFlow(t *testing.T) {
 
 // wideParams are the certifications TestEvaluatorWideFlow runs on widePlan.
 var wideParams = []Params{
-	{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact},
-	{Prot: core.Protection{Ke: 1, Kv: 2}, Mode: Exact, DownSwitches: map[topology.SwitchID]bool{3: true}},
-	{Prot: core.Protection{Ke: 3, Kv: 1}, Mode: Adversarial, Seed: 2, Restarts: 6},
+	{Prot: core.Protection{Ke: 2, Kv: 1}},
+	{Prot: core.Protection{Ke: 1, Kv: 2}, DownSwitches: map[topology.SwitchID]bool{3: true}},
+	{Prot: core.Protection{Ke: 3, Kv: 1}},
 }
 
 // widePlan is a dense 7-switch mesh with one flow of more than 64 tunnels
@@ -297,16 +282,12 @@ func TestConcurrentCertifyHammer(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					p := Params{Prot: prot, FailFast: g%2 == 1}
-					if g == 3 {
-						p.Mode = Adversarial
-					}
-					got, err := Certify(fx.net, fx.set, fx.st, fx.st, p)
+					got, err := Certify(fx.net, fx.set, fx.st, fx.st, Params{Prot: prot, FailFast: g%2 == 1})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if g < 3 && !certsEqual(got, want) {
+					if !certsEqual(got, want) {
 						t.Errorf("procs=%d goroutine %d: certificate differs:\n%+v\n%+v", procs, g, *got, *want)
 					}
 				}

@@ -106,6 +106,63 @@ func (c *checker) prune() (*checker, int, float64) {
 	return c.restrict(keep), kept, t
 }
 
+// greedy is prune's probe: it evaluates the no-fault case, then grows one
+// fault set by repeatedly failing whichever single additional active
+// element leaves the worst residual slack, up to ke links and kv switches.
+// It passes every case to eval and stops when eval returns false. eval's
+// slices are reused.
+func (c *checker) greedy(eval func(physSel, swSel []int) (caseResult, bool)) {
+	ke, kv := c.p.Prot.Ke, c.p.Prot.Kv
+	curP, curS := make([]int, 0, ke), make([]int, 0, kv)
+	if _, cont := eval(curP, curS); !cont {
+		return
+	}
+	inP := make([]bool, len(c.phys))
+	inS := make([]bool, len(c.sws))
+	for len(curP) < min(ke, len(c.activeP)) || len(curS) < min(kv, len(c.activeS)) {
+		bestSlack := math.Inf(1)
+		bestIdx, bestIsSwitch := -1, false
+		if len(curP) < ke {
+			for _, pi := range c.activeP {
+				if inP[pi] {
+					continue
+				}
+				cr, cont := eval(append(curP, pi), curS)
+				if !cont {
+					return
+				}
+				if cr.slack < bestSlack {
+					bestSlack, bestIdx, bestIsSwitch = cr.slack, pi, false
+				}
+			}
+		}
+		if len(curS) < kv {
+			for _, si := range c.activeS {
+				if inS[si] {
+					continue
+				}
+				cr, cont := eval(curP, append(curS, si))
+				if !cont {
+					return
+				}
+				if cr.slack < bestSlack {
+					bestSlack, bestIdx, bestIsSwitch = cr.slack, si, true
+				}
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		if bestIsSwitch {
+			curS = append(curS, bestIdx)
+			inS[bestIdx] = true
+		} else {
+			curP = append(curP, bestIdx)
+			inP[bestIdx] = true
+		}
+	}
+}
+
 // boundable reports whether node bounds hold: min(1, ·) in them fails when
 // a carrying tunnel repeats a link.
 func (c *checker) boundable() bool {

@@ -5,9 +5,7 @@ package check
 // ffccheck offline pipeline (parse a recorded state file, rebuild the
 // tunnel set from its paths, certify) and direct certification of a
 // byte-driven state that need not be solver-consistent. The certifier
-// must never panic, its case accounting must stay coherent, an exact
-// all-clear must imply an adversarial all-clear — the search checks a
-// subset of what the enumeration proves — and in both modes the
+// must never panic, its case accounting must stay coherent, and the
 // certificate must equal, bitwise, the one the oracle evaluator
 // (oracle_test.go) produces.
 
@@ -76,7 +74,7 @@ func FuzzCheckPlan(f *testing.F) {
 		if json.Unmarshal(data, &sf) == nil {
 			if rset, err := wire.TunnelSetFromState(net, &sf); err == nil {
 				if rst, err := wire.ResolveState(net, rset, &sf); err == nil {
-					certifyBoth(t, net, rset, rst, rst, prot)
+					requireCoherent(t, net, rset, rst, rst, prot)
 				}
 			}
 		}
@@ -107,37 +105,28 @@ func FuzzCheckPlan(f *testing.F) {
 			st.Alloc[fl], st.Rate[fl] = a, sum*next()/8
 			prev.Alloc[fl], prev.Rate[fl] = pa, psum
 		}
-		certifyBoth(t, net, set, st, prev, prot)
+		requireCoherent(t, net, set, st, prev, prot)
 	})
 }
 
-// certifyBoth runs the exact and adversarial certifiers on one plan, each
-// against the oracle, and checks the cross-mode and accounting invariants.
-func certifyBoth(t *testing.T, net *topology.Network, set *tunnel.Set, st, prev *core.State, prot core.Protection) {
-	exact := requireOracleEqual(t, "exact", net, set, st, prev, Params{Prot: prot, Mode: Exact})
-	checkCert(t, exact, "exact")
-	if !exact.Exact {
-		t.Fatal("Exact mode produced a non-exact certificate")
-	}
-	adv := requireOracleEqual(t, "adversarial", net, set, st, prev, Params{Prot: prot, Mode: Adversarial, Restarts: 8})
-	checkCert(t, adv, "adversarial")
-	if exact.OK && !adv.OK {
-		t.Fatalf("exact proves the plan safe but adversarial found %+v", adv.Violation)
-	}
-}
-
-func checkCert(t *testing.T, c *Certificate, mode string) {
+// requireCoherent certifies one plan against the oracle and checks the
+// accounting invariants.
+func requireCoherent(t *testing.T, net *topology.Network, set *tunnel.Set, st, prev *core.State, prot core.Protection) {
 	t.Helper()
+	c := requireOracleEqual(t, "certify", net, set, st, prev, Params{Prot: prot})
+	if !c.Exact {
+		t.Fatal("a non-exact certificate")
+	}
 	if c.CasesCovered < c.CasesChecked {
-		t.Fatalf("%s: covered %d < checked %d", mode, c.CasesCovered, c.CasesChecked)
+		t.Fatalf("covered %d < checked %d", c.CasesCovered, c.CasesChecked)
 	}
 	if c.OK != (c.Violation == nil) {
-		t.Fatalf("%s: OK=%v but violation=%+v", mode, c.OK, c.Violation)
+		t.Fatalf("OK=%v but violation=%+v", c.OK, c.Violation)
 	}
 	if !c.OK {
 		v := c.Violation
 		if v.Over <= 0 || v.Load <= v.Capacity {
-			t.Fatalf("%s: violation without overload: %+v", mode, v)
+			t.Fatalf("violation without overload: %+v", v)
 		}
 	}
 }

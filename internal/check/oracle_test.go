@@ -11,7 +11,6 @@ package check
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -104,24 +103,6 @@ func tunAlive(t *ctun, downP, downS []bool) bool {
 	return true
 }
 
-// eval adapts evalData to the signature adversarialData drives.
-func (o *oracle) eval(physSel, swSel []int) caseResult {
-	for _, pi := range physSel {
-		o.downP[pi] = true
-	}
-	for _, si := range swSel {
-		o.downS[si] = true
-	}
-	cr := o.evalData(o.downP, o.downS)
-	for _, pi := range physSel {
-		o.downP[pi] = false
-	}
-	for _, si := range swSel {
-		o.downS[si] = false
-	}
-	return cr
-}
-
 func (o *oracle) exactData() searchResult {
 	c := o.c
 	res := searchResult{slack: math.Inf(1), slackLink: -1}
@@ -187,11 +168,7 @@ func oracleCertify(net *topology.Network, set *tunnel.Set, st, prev *core.State,
 	if err != nil {
 		return nil, err
 	}
-	o := newOracle(c)
-	if exact := c.wantExact(); exact {
-		return c.certificate(o.exactData(), exact, prev), nil
-	}
-	return c.certificate(c.adversarialData(rand.New(rand.NewSource(c.p.Seed)), o.eval), false, prev), nil
+	return c.certificate(newOracle(c).exactData(), prev), nil
 }
 
 // requireOracleEqual certifies one plan with the production evaluator and

@@ -222,7 +222,7 @@ func requireKept(t *testing.T, name string, net *topology.Network, set *tunnel.S
 // reports false when the plan has no bounds (a tunnel repeats a link).
 func requireBoundsDominate(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool {
 	t.Helper()
-	p.Prot.Kc, p.Mode, p.FailFast = 0, Exact, false
+	p.Prot.Kc, p.FailFast = 0, false
 	c, err := prepare(net, set, st, st, p)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func nodeBounds(e *evaluator, physSel []int, r int) []float64 {
 // plan has no bounds.
 func requireNodeBoundsDominate(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool {
 	t.Helper()
-	p.Prot.Kc, p.Mode, p.FailFast = 0, Exact, false
+	p.Prot.Kc, p.FailFast = 0, false
 	c, err := prepare(net, set, st, st, p)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +447,7 @@ func TestPruneThresholdNotNegative(t *testing.T) {
 	st.Rate[f], st.Alloc[f] = 1.0001, []float64{1, 1, 1}
 	st.Rate[g], st.Alloc[g] = 1000.0005, []float64{1}
 
-	p := Params{Prot: core.Protection{Ke: 2}, Mode: Exact}
+	p := Params{Prot: core.Protection{Ke: 2}}
 	cert := requireOracleEqual(t, "straddle", net, set, st, st, p)
 	if cert.OK || cert.Violation.Link != small || cert.WorstSlack >= 0 {
 		t.Fatalf("want a violation on the small link and a negative worst slack: %s", cert.Summary())
@@ -463,7 +463,7 @@ func TestPruneThresholdNotNegative(t *testing.T) {
 func TestProbeThresholdCoversWorstSlack(t *testing.T) {
 	check := func(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool {
 		t.Helper()
-		p.Prot.Kc, p.Mode, p.FailFast = 0, Exact, false
+		p.Prot.Kc, p.FailFast = 0, false
 		c, err := prepare(net, set, st, st, p)
 		if err != nil {
 			t.Fatal(err)
@@ -530,7 +530,7 @@ func TestNodeThresholdNotNegative(t *testing.T) {
 	st.Rate[f], st.Alloc[f] = 1.0001, []float64{1, 1, 1, 1}
 	st.Rate[g], st.Alloc[g] = 1000.0005, []float64{1, 1, 1}
 
-	p := Params{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact}
+	p := Params{Prot: core.Protection{Ke: 2, Kv: 1}}
 	cert := requireOracleEqual(t, "straddle3", net, set, st, st, p)
 	if v := cert.Violation; v == nil || v.LinkName != "a>b" || !slices.Equal(v.Faults.LinkNames, []string{"a-x", "a-y"}) {
 		t.Fatalf("want the first violation on a>b under a-x a-y z: %s", cert.Summary())
@@ -587,7 +587,7 @@ func TestNodeBoundsSkipDroppedLinks(t *testing.T) {
 	st.Rate[g], st.Alloc[g] = 0.9, []float64{1, 1, 1}
 	st.Rate[f], st.Alloc[f] = 1, []float64{2, 1, 1, 1}
 
-	p := Params{Prot: core.Protection{Ke: 2}, Mode: Exact}
+	p := Params{Prot: core.Protection{Ke: 2}}
 	requireOracleEqual(t, "dropped", net, set, st, st, p)
 	if res := exactRun(t, net, set, st, st, p); res.cases != 79 || res.linksKept != 1 || res.evaluated != 48 {
 		t.Fatalf("%d cases, kept %d links, evaluated %d: want 79, 1, 48", res.cases, res.linksKept, res.evaluated)
@@ -613,7 +613,7 @@ func TestRepeatedLinkBoundsOff(t *testing.T) {
 	st := core.NewState()
 	st.Rate[f], st.Alloc[f] = 3, []float64{1, 1, 1}
 
-	p := Params{Prot: core.Protection{Ke: 2, Kv: 1}, Mode: Exact}
+	p := Params{Prot: core.Protection{Ke: 2, Kv: 1}}
 	requireOracleEqual(t, "loop", net, set, st, st, p)
 	if res := exactRun(t, net, set, st, st, p); res.linksKept != len(net.Links) || res.evaluated != res.cases {
 		t.Fatalf("kept %d of %d links, evaluated %d of %d cases: want bounds off", res.linksKept, len(net.Links), res.evaluated, res.cases)
@@ -640,7 +640,7 @@ func TestPrunedTiesKeepFirstTouch(t *testing.T) {
 	st := core.NewState()
 	st.Rate[f], st.Alloc[f] = 0.9, []float64{1, 1, 1}
 
-	p := Params{Prot: core.Protection{Ke: 2}, Mode: Exact}
+	p := Params{Prot: core.Protection{Ke: 2}}
 	cert := requireOracleEqual(t, "tie", net, set, st, st, p)
 	if cert.WorstLink != "a>x" || len(cert.WorstCase.Links) != 2 {
 		t.Fatalf("want the tie won by a>x in a two-link case: %s under %v", cert.Summary(), cert.WorstCase.LinkNames)

@@ -22,7 +22,6 @@ import (
 // (needed for kc > 0; pass st when there is none).
 func certify(t *testing.T, net *topology.Network, tun *tunnel.Set, st, prev *core.State, p check.Params) *check.Certificate {
 	t.Helper()
-	p.Mode = check.Exact
 	cert, err := check.Certify(net, tun, st, prev, p)
 	if err != nil {
 		t.Fatal(err)

@@ -280,7 +280,7 @@ func Fig2to5(w io.Writer) error {
 		name string
 		st   *core.State
 	}{{"non-FFC", plain}, {"FFC ke=1", ffc}} {
-		cert, err := check.Certify(net, tun, row.st, row.st, check.Params{Prot: core.Protection{Ke: 1}, Mode: check.Exact})
+		cert, err := check.Certify(net, tun, row.st, row.st, check.Params{Prot: core.Protection{Ke: 1}})
 		if err != nil {
 			return fmt.Errorf("certifying the %s plan: %w", row.name, err)
 		}

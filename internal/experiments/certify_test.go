@@ -31,7 +31,6 @@ func TestDefaultFFCRunCertifies(t *testing.T) {
 		cert, err := check.Certify(e.Net, e.Tun, pr.State, pr.Prev, check.Params{
 			Prot:         pr.Prot,
 			RateLimiter:  e.Opts.RateLimiter,
-			Mode:         check.Exact,
 			DownLinks:    pr.DownLinks,
 			DownSwitches: pr.DownSwitches,
 		})

@@ -135,9 +135,10 @@ func (sc *Scenario) Clone() *Scenario {
 }
 
 // maxExactCases bounds the data-plane fault-combination count a generated
-// scenario may imply, so the certify-ok invariant always runs the exact
-// enumeration (a proof, not a search) within the short-pass time budget.
-// The generator downgrades ke/kv until the estimate fits.
+// scenario may imply. The certifier always enumerates exactly, whatever the
+// count, so this is only a test-time budget: it keeps each scenario's
+// certifications within the short pass's time. The generator downgrades
+// ke/kv until the estimate fits.
 const maxExactCases = 20000
 
 // Generate draws one concrete scenario from seed. Identical seeds produce
@@ -189,7 +190,7 @@ func Generate(seed int64) *Scenario {
 	sc.Demands = encodeDemands(sc.Topo, series[1].Scale(k))
 
 	// Protection level, downgraded until the exact data-plane enumeration
-	// the certifier will run stays within budget.
+	// the certifier will run stays within the test-time budget.
 	sc.Ke = cfgRng.Intn(3)
 	sc.Kv = [4]int{0, 0, 0, 1}[cfgRng.Intn(4)]
 	sc.Kc = [4]int{0, 1, 1, 2}[cfgRng.Intn(4)]
@@ -250,7 +251,7 @@ func Generate(seed int64) *Scenario {
 }
 
 // exactCaseEstimate mirrors the certifier's pre-pruning case count: the
-// generator uses it to keep exact certification affordable.
+// generator uses it to keep a scenario's certifications quick.
 func exactCaseEstimate(nPhys, nSw, ke, kv int) float64 {
 	return binomSum(nPhys, ke) * binomSum(nSw, kv)
 }

@@ -273,7 +273,7 @@ func Fig10Setup() (net *topology.Network, tun *tunnel.Set, ffc, plain *core.Stat
 	ffc.Rate[f37], ffc.Alloc[f37] = 1, []float64{0.9, 0, 0.1}
 	ffc.Rate[f45], ffc.Alloc[f45] = 1, []float64{0.5, 0, 0.5}
 
-	cert, err := check.Certify(net, tun, ffc, ffc, check.Params{Prot: core.Protection{Ke: 1}, Mode: check.Exact})
+	cert, err := check.Certify(net, tun, ffc, ffc, check.Params{Prot: core.Protection{Ke: 1}})
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("testbed: certifying the FFC Fig 10 state: %w", err)
 	}

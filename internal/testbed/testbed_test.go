@@ -31,7 +31,7 @@ func setup(t *testing.T) (*Emulation, *tunnel.Set, *core.State, *core.State, top
 // oneLinkSafe certifies st exactly against every single link failure.
 func oneLinkSafe(t *testing.T, net *topology.Network, tun *tunnel.Set, st *core.State) bool {
 	t.Helper()
-	cert, err := check.Certify(net, tun, st, st, check.Params{Prot: core.Protection{Ke: 1}, Mode: check.Exact})
+	cert, err := check.Certify(net, tun, st, st, check.Params{Prot: core.Protection{Ke: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
