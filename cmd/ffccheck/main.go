@@ -85,7 +85,7 @@ func main() {
 			failed = 1
 		}
 	} else {
-		checked, failed = replayTrace(&net, *tracePath, base, stdout, *quiet)
+		checked, failed = replayTrace(&net, *tracePath, base, stdout, *quiet, true)
 	}
 	stdout.Flush()
 	fmt.Fprintf(os.Stderr, "ffccheck: %d plan(s) certified, %d failed\n", checked, failed)
@@ -133,15 +133,25 @@ func certifyPlanFile(net *topology.Network, planPath, prevPath string, params ch
 
 // replayTrace certifies every record of an NDJSON trace. Control-plane
 // certification chains the previous record's state per class; degraded
-// records (last-good fallbacks) certify at zero protection.
-func replayTrace(net *topology.Network, path string, base check.Params, out *bufio.Writer, quiet bool) (checked, failed int) {
+// records (last-good fallbacks) certify at zero protection. With probe,
+// each certification is seeded with the class's previous verdict's worst
+// case when that verdict was issued at the same ke and kv over the same
+// down sets (check.ProbeFrom); the verdicts are the same either way.
+func replayTrace(net *topology.Network, path string, base check.Params, out *bufio.Writer, quiet, probe bool) (checked, failed int) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer f.Close()
 
-	prevByClass := map[string]*wire.StateFile{}
+	// last is a class's previous record and verdict.
+	type last struct {
+		state        *wire.StateFile
+		cert         *check.Certificate
+		downLinks    map[topology.LinkID]bool
+		downSwitches map[topology.SwitchID]bool
+	}
+	prevByClass := map[string]last{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 64<<20) // a large net's records are long lines
 	lineNo := 0
@@ -164,11 +174,12 @@ func replayTrace(net *topology.Network, path string, base check.Params, out *buf
 			fatalf("%s:%d: %v", path, lineNo, err)
 		}
 		prev := st
-		if prevSF := prevByClass[rec.Class]; prevSF != nil {
+		before, seen := prevByClass[rec.Class]
+		if seen {
 			// Resolve the previous record against this record's set: a
 			// stale ingress can only keep sending on tunnels that still
 			// exist.
-			prev, err = wire.ResolveState(net, set, prevSF)
+			prev, err = wire.ResolveState(net, set, before.state)
 			if err != nil {
 				fatalf("%s:%d: resolving previous state: %v", path, lineNo, err)
 			}
@@ -186,6 +197,9 @@ func replayTrace(net *topology.Network, path string, base check.Params, out *buf
 		if err != nil {
 			fatalf("%s:%d: %v", path, lineNo, err)
 		}
+		if probe && seen {
+			params.Probe = check.ProbeFrom(before.cert, before.downLinks, before.downSwitches, params)
+		}
 		cert, err := check.Certify(net, set, st, prev, params)
 		if err != nil {
 			fatalf("%s:%d: %v", path, lineNo, err)
@@ -195,7 +209,7 @@ func replayTrace(net *topology.Network, path string, base check.Params, out *buf
 			failed++
 		}
 		emit(out, verdict{Seq: rec.Seq, Class: rec.Class, Certificate: cert}, quiet && cert.OK)
-		prevByClass[rec.Class] = &rec.State
+		prevByClass[rec.Class] = last{&rec.State, cert, params.DownLinks, params.DownSwitches}
 	}
 	if err := sc.Err(); err != nil {
 		fatalf("%s: %v", path, err)

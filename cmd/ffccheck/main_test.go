@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/demand"
+	"ffc/internal/obs"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 	"ffc/internal/wire"
@@ -160,5 +162,110 @@ func TestBadTraceRecordKeepsEarlierVerdicts(t *testing.T) {
 		if v.Seq != int64(i+1) || v.Certificate == nil || !v.OK {
 			t.Fatalf("verdict %d: %s", i+1, line)
 		}
+	}
+}
+
+// TestTraceProbeKeepsVerdicts replays a multi-record, two-class trace of
+// L-Net plans at (0,2,1) — demand redraws, a link going down, drift while
+// it is down, and a class whose second plan violates — with and without
+// seeding each certification from the class's previous verdict: the
+// verdict lines must be byte-identical (wall clock aside), with three
+// certifications probed — the redraw, the drift while the link is down and
+// the violating plan — and none without.
+func TestTraceProbeKeepsVerdicts(t *testing.T) {
+	net := topology.LNet(topology.LNetConfig{Sites: 8}, rand.New(rand.NewSource(1)))
+	series := demand.Generate(net, demand.Config{Intervals: 4}, rand.New(rand.NewSource(8))).Scale(40)
+	set := tunnel.Layout(net, series.Flows(), tunnel.LayoutConfig{TunnelsPerFlow: 6, P: 1, Q: 3})
+	prot := core.Protection{Ke: 2, Kv: 1}
+	se := core.NewSolver(net, set, core.Options{}).NewSession()
+	loaded := net.Links[0].ID
+	down := map[topology.LinkID]bool{}
+	var trace bytes.Buffer
+	prev := core.NewState()
+	for i, step := range []struct {
+		class string
+		dem   demand.Matrix
+		down  bool
+		bump  float64
+	}{
+		{"a", series[0], false, 1},
+		{"a", series[1], false, 1},
+		{"a", series[1], true, 1},
+		{"a", series[2], true, 1},
+		{"b", series[3], false, 1},
+		{"b", series[3], false, 2},
+	} {
+		dl := map[topology.LinkID]bool{}
+		if step.down {
+			dl = down
+		}
+		st, _, err := se.Solve(core.Input{Demands: step.dem, Prot: prot, Prev: prev, DownLinks: dl})
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if i == 1 {
+			// Fail the most loaded physical link from the next step on.
+			loads := st.LinkLoads(set)
+			for _, l := range net.Links {
+				if loads[l.ID] > loads[loaded] {
+					loaded = l.ID
+				}
+			}
+			down[net.Physical(loaded)] = true
+		}
+		prev = st
+		rec := core.NewState()
+		for f, r := range st.Rate {
+			rec.Rate[f], rec.Alloc[f] = r*step.bump, st.Alloc[f]
+		}
+		links, sws := wire.NamedDownSets(net, dl, nil)
+		tr := &wire.TraceRecord{Seq: int64(i + 1), Class: step.class, Kc: prot.Kc, Ke: prot.Ke, Kv: prot.Kv,
+			DownLinks: links, DownSwitches: sws, State: wire.EncodeState(net, set, step.dem, rec)}
+		if err := wire.WriteTraceRecord(&trace, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "run.trace")
+	if err := os.WriteFile(path, trace.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	probed := obs.Default().Counter("check.probed")
+	replay := func(probe bool) ([]string, int64) {
+		var buf bytes.Buffer
+		out := bufio.NewWriter(&buf)
+		probed0 := probed.Value()
+		checked, _ := replayTrace(net, path, check.Params{}, out, false, probe)
+		out.Flush()
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if checked != 6 || len(lines) != 6 {
+			t.Fatalf("probe %v: %d plans checked, %d verdict lines; want 6", probe, checked, len(lines))
+		}
+		for i, line := range lines {
+			var v map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(line), &v); err != nil {
+				t.Fatalf("verdict %q: %v", line, err)
+			}
+			if string(v["elapsed_ns"]) == "" {
+				t.Fatalf("verdict %q has no elapsed_ns", line)
+			}
+			v["elapsed_ns"] = json.RawMessage("0")
+			blob, _ := json.Marshal(v)
+			lines[i] = string(blob)
+		}
+		return lines, probed.Value() - probed0
+	}
+	with, probedWith := replay(true)
+	without, probedWithout := replay(false)
+	for i := range with {
+		if with[i] != without[i] {
+			t.Fatalf("verdict %d differs with the probe:\n%s\n%s", i+1, with[i], without[i])
+		}
+	}
+	if !strings.Contains(with[5], `"ok":false`) || strings.Contains(with[0], `"ok":false`) {
+		t.Fatalf("want the bumped plan, and only it among the first and last, to violate:\n%s\n%s", with[0], with[5])
+	}
+	if probedWith != 3 || probedWithout != 0 {
+		t.Fatalf("%d certifications probed, %d without probes; want 3 and 0", probedWith, probedWithout)
 	}
 }

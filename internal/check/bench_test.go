@@ -30,12 +30,25 @@ func BenchmarkCertSNet(b *testing.B) {
 // lnet-drift level, and the ke1kv1 and ke1 legs (935 and 56 exact cases)
 // are the single-link levels: node bounds dismiss most of ke1kv1's cases,
 // while at ke1 every node holds a single case, so the probe's greedy pass,
-// itself a full single-link enumeration, buys nothing there.
+// itself a full single-link enumeration, buys nothing there. The
+// daemon-chain leg certifies all five daemon steps per op, each probed with
+// the step before's worst case where ffcd would probe it (ProbeFrom); the
+// daemon-chain-greedy leg runs the same chain with no probe.
 func BenchmarkCertLNet(b *testing.B) {
 	b.Run("daemon", func(b *testing.B) {
 		net, set, steps := daemonPlans(b)
 		benchExact(b, net, set, steps[0].st, Params{Prot: daemonProt})
 	})
+	for _, leg := range []struct {
+		name   string
+		probed bool
+	}{{"daemon-chain", true}, {"daemon-chain-greedy", false}} {
+		b.Run(leg.name, func(b *testing.B) {
+			net, set, steps := daemonPlans(b)
+			ps := chainParams(b, net, set, steps, leg.probed)
+			benchChain(b, net, set, steps, ps)
+		})
+	}
 	for _, bc := range []struct {
 		name string
 		prot core.Protection
@@ -50,6 +63,27 @@ func BenchmarkCertLNet(b *testing.B) {
 			benchExact(b, fx.net, fx.set, fx.st, Params{Prot: bc.prot})
 		})
 	}
+}
+
+// benchChain certifies the daemon steps in order b.N times, step i under
+// ps[i], requiring an exact OK.
+func benchChain(b *testing.B, net *topology.Network, set *tunnel.Set, steps []daemonStep, ps []Params) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	evals := obs.Default().Histogram("check.cases_evaluated")
+	evals0 := evals.Sum()
+	for i := 0; i < b.N; i++ {
+		for j, s := range steps {
+			cert, err := Certify(net, set, s.st, s.prev, ps[j])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !cert.OK || !cert.Exact {
+				b.Fatalf("%s: daemon plan not certified exactly: %s", s.name, cert.Summary())
+			}
+		}
+	}
+	b.ReportMetric(float64(evals.Sum()-evals0)/float64(b.N), "evals/op")
 }
 
 // benchExact certifies st b.N times, requiring an exact OK.

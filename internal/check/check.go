@@ -59,6 +59,16 @@ type Params struct {
 	// FailFast stops at the first violating case instead of scanning for
 	// the worst one.
 	FailFast bool
+	// Probe, when set, is a fault case the search evaluates, beside the
+	// no-fault case, in place of its greedy search for the pruning
+	// threshold: a caller that certified a similar plan before passes that
+	// certificate's WorstCase (see ProbeFrom). It changes how fast a
+	// certification runs, never its verdict. A probe outside the certified
+	// space — more than ke links or kv switches once its already-down
+	// elements are dropped, or naming an element the network lacks — is
+	// ignored, since its slack could fall below the worst in-space slack
+	// the threshold must cover.
+	Probe *FaultSet
 }
 
 // FaultSet names one combination of faults.
@@ -166,11 +176,12 @@ func at(sl []float64, i int) float64 {
 }
 
 // weightsOf converts an allocation vector into splitting weights the way
-// ingress switches do: a/Σa, uniform when the vector sums to zero.
+// ingress switches do: a/Σa, uniform when the vector sums to zero. It
+// writes them over dst's array when that is long enough.
 // (Reimplemented here on purpose — the checker trusts nothing from the
 // solver side beyond the plan data itself.)
-func weightsOf(alloc []float64) []float64 {
-	w := make([]float64, len(alloc))
+func weightsOf(dst, alloc []float64) []float64 {
+	w := append(dst[:0], alloc...)
 	var sum float64
 	for _, a := range alloc {
 		sum += a
@@ -204,6 +215,40 @@ func Certify(net *topology.Network, set *tunnel.Set, st, prev *core.State, p Par
 	cert := c.certificate(data, prev)
 	cert.Elapsed = time.Since(start)
 	return cert, nil
+}
+
+// ProbeFrom returns the Params.Probe for a certification at p drawn from
+// prior, a certificate issued over the down sets downLinks and
+// downSwitches: prior's WorstCase when prior was issued at p's ke and kv
+// over the same down sets as p, else nil. A worst case that is a stale set
+// (a control-plane slack) names no data-plane faults, so it yields nil too.
+// After a down set changes, the last worst case tends to sit far from the
+// new one and the greedy search sets a tighter threshold.
+func ProbeFrom(prior *Certificate, downLinks map[topology.LinkID]bool, downSwitches map[topology.SwitchID]bool, p Params) *FaultSet {
+	if prior == nil || prior.Ke != p.Prot.Ke || prior.Kv != p.Prot.Kv || len(prior.WorstCase.Stale) > 0 ||
+		!sameSet(downLinks, p.DownLinks) || !sameSet(downSwitches, p.DownSwitches) {
+		return nil
+	}
+	return &prior.WorstCase
+}
+
+// sameSet reports whether a and b hold the same true keys.
+func sameSet[K comparable](a, b map[K]bool) bool {
+	n := 0
+	for k, v := range a {
+		if v {
+			if !b[k] {
+				return false
+			}
+			n++
+		}
+	}
+	for _, v := range b {
+		if v {
+			n--
+		}
+	}
+	return n == 0
 }
 
 // prepare validates the inputs and indexes the plan.
@@ -399,6 +444,7 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 		return tw != topology.None && p.DownLinks[tw]
 	}
 	c.physOf = make([]int, len(net.Links))
+	c.phys = make([]topology.LinkID, 0, len(net.Links))
 	for i := range c.physOf {
 		c.physOf[i] = -1
 	}
@@ -415,6 +461,7 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 	}
 
 	c.swOf = make([]int, len(net.Switches))
+	c.sws = make([]topology.SwitchID, 0, len(net.Switches))
 	for i := range c.swOf {
 		c.swOf[i] = -1
 	}
@@ -426,10 +473,23 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 		c.sws = append(c.sws, sw.ID)
 	}
 
+	// Every flow's tunnels, and every tunnel's candidate lists, are carved
+	// from one array each, sized for the whole tunnel set.
+	var nTun, nHop, nMid int
+	for _, f := range set.All() {
+		for _, t := range set.Tunnels(f) {
+			nTun++
+			nHop += len(t.Links)
+			nMid += max(len(t.Switches)-2, 0)
+		}
+	}
+	c.flows = make([]cflow, 0, len(set.All()))
+	tuns := make([]ctun, 0, nTun)
+	physC, midC := make([]int, 0, nHop), make([]int, 0, nMid)
+	var w []float64
+
 	activeP := make([]bool, len(c.phys))
 	activeS := make([]bool, len(c.sws))
-	c.killP = make([][]kill, len(c.phys))
-	c.killS = make([][]kill, len(c.sws))
 	for _, f := range set.All() {
 		rate := st.Rate[f]
 		if rate == 0 {
@@ -443,32 +503,36 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 			continue // an endpoint is already down: the flow sends nothing
 		}
 		ts := set.Tunnels(f)
-		w := weightsOf(st.Alloc[f])
+		w = weightsOf(w, st.Alloc[f])
 		fl := cflow{f: f, rate: rate, srcC: srcC, dstC: dstC}
-		anyAlive, carrying := false, 0
+		anyAlive, carrying, first := false, 0, len(tuns)
 		for _, t := range ts {
 			ct := ctun{w: at(w, t.Index), links: t.Links}
 			if len(w) == 0 && len(ts) > 0 {
 				// No allocation vector at all: ingress splits uniformly.
 				ct.w = 1 / float64(len(ts))
 			}
+			from := len(physC)
 			for _, l := range t.Links {
 				pi := c.physOf[l]
 				if pi < 0 {
 					ct.dead = true
 					break
 				}
-				ct.physC = append(ct.physC, pi)
+				physC = append(physC, pi)
 			}
+			ct.physC = physC[from:len(physC):len(physC)]
 			if !ct.dead {
+				from := len(midC)
 				for _, v := range t.Switches[1 : len(t.Switches)-1] {
 					si := c.swOf[v]
 					if si < 0 {
 						ct.dead = true
 						break
 					}
-					ct.midC = append(ct.midC, si)
+					midC = append(midC, si)
 				}
+				ct.midC = midC[from:len(midC):len(midC)]
 			}
 			if !ct.dead {
 				anyAlive = true
@@ -482,13 +546,15 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 					}
 				}
 			}
-			fl.tuns = append(fl.tuns, ct)
+			tuns = append(tuns, ct)
 		}
 		if anyAlive {
+			fl.tuns = tuns[first:len(tuns):len(tuns)]
 			c.indexKills(&fl, carrying)
 			c.flows = append(c.flows, fl)
 		}
 	}
+	c.indexKillLists()
 	for i, on := range activeP {
 		if on {
 			c.activeP = append(c.activeP, i)
@@ -503,14 +569,13 @@ func newChecker(net *topology.Network, set *tunnel.Set, st *core.State, p Params
 }
 
 // indexKills gives fl — about to become flow len(c.flows), with that many
-// load-carrying tunnels — its memo slots and mask bits, and enters them in
-// the kill lists. A failed endpoint stops a flow as losing every tunnel does.
+// load-carrying tunnels — its memo slots and mask bits; indexKillLists then
+// enters them in the kill lists.
 func (c *checker) indexKills(fl *cflow, carrying int) {
 	fl.slot = -1
 	if carrying > memoBits {
 		return
 	}
-	fi := len(c.flows)
 	fl.slot = c.memoSlots
 	c.memoSlots += 1 << carrying
 	bit := uint32(1)
@@ -520,16 +585,72 @@ func (c *checker) indexKills(fl *cflow, carrying int) {
 			continue
 		}
 		t.bit = bit
-		for _, pi := range t.physC {
-			c.killP[pi] = append(c.killP[pi], kill{fi, bit})
-		}
-		for _, si := range t.midC {
-			c.killS[si] = append(c.killS[si], kill{fi, bit})
-		}
 		bit <<= 1
 	}
-	c.killS[fl.srcC] = append(c.killS[fl.srcC], kill{fi, bit - 1})
-	c.killS[fl.dstC] = append(c.killS[fl.dstC], kill{fi, bit - 1})
+}
+
+// indexKillLists builds killP and killS from the flows' mask bits, every
+// list in flow order over one array per kind.
+func (c *checker) indexKillLists() {
+	nP, nS := make([]int, len(c.phys)), make([]int, len(c.sws))
+	c.eachKill(func(sw bool, i int, _ kill) {
+		if sw {
+			nS[i]++
+		} else {
+			nP[i]++
+		}
+	})
+	c.killP, c.killS = carve(nP), carve(nS)
+	c.eachKill(func(sw bool, i int, k kill) {
+		if sw {
+			c.killS[i] = append(c.killS[i], k)
+		} else {
+			c.killP[i] = append(c.killP[i], k)
+		}
+	})
+}
+
+// eachKill calls fn with every kill-list entry: per narrow flow, its
+// tunnels' links and intermediate switches, then its endpoints, which stop
+// the flow as losing every tunnel does.
+func (c *checker) eachKill(fn func(sw bool, i int, k kill)) {
+	for fi := range c.flows {
+		fl := &c.flows[fi]
+		if fl.slot < 0 {
+			continue
+		}
+		var all uint32
+		for ti := range fl.tuns {
+			t := &fl.tuns[ti]
+			if t.bit == 0 {
+				continue
+			}
+			all |= t.bit
+			for _, pi := range t.physC {
+				fn(false, pi, kill{fi, t.bit})
+			}
+			for _, si := range t.midC {
+				fn(true, si, kill{fi, t.bit})
+			}
+		}
+		fn(true, fl.srcC, kill{fi, all})
+		fn(true, fl.dstC, kill{fi, all})
+	}
+}
+
+// carve returns empty lists of capacities n over one array.
+func carve(n []int) [][]kill {
+	total := 0
+	for _, k := range n {
+		total += k
+	}
+	all, lists := make([]kill, total), make([][]kill, len(n))
+	off := 0
+	for i, k := range n {
+		lists[i] = all[off : off : off+k]
+		off += k
+	}
+	return lists
 }
 
 func (c *checker) linkName(l topology.LinkID) string {

@@ -3,6 +3,7 @@ package check
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"ffc/internal/topology"
 )
@@ -41,14 +42,44 @@ type evaluator struct {
 	top    []float64
 }
 
+// evaluators recycles evaluators, memo table, arena, loads and scratch
+// included, so a certification allocates none of them once warm.
+var evaluators = sync.Pool{New: func() any { return new(evaluator) }}
+
+// newEvaluator returns an evaluator over c from the pool; release returns
+// it there.
 func (c *checker) newEvaluator() *evaluator {
-	return &evaluator{
-		c:     c,
-		loads: make([]float64, len(c.net.Links)),
-		mask:  make([]uint32, len(c.flows)),
-		tab:   make([]span, c.memoSlots),
-		arena: make([]contrib, 1),
+	e := evaluators.Get().(*evaluator)
+	e.bind(c)
+	return e
+}
+
+// bind points e at the index c with every load, mask and memo entry clear,
+// keeping its arrays.
+func (e *evaluator) bind(c *checker) {
+	e.c = c
+	e.loads = zeroed(e.loads, len(c.cap))
+	e.mask = zeroed(e.mask, len(c.flows))
+	e.kw = zeroed(e.kw, max(len(c.phys), len(c.sws)))
+	e.tab, e.touched = e.tab[:0], e.touched[:0]
+	e.arena = append(e.arena[:0], contrib{})
+}
+
+// release returns e to the pool; e must not be used after.
+func (e *evaluator) release() {
+	e.c = nil
+	evaluators.Put(e)
+}
+
+// zeroed returns s resized to n zeros, over its own array when that is
+// large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // restrict returns an index whose evaluators load only the links keep
@@ -59,23 +90,41 @@ func (c *checker) newEvaluator() *evaluator {
 // relative to the other kept links are unchanged.
 func (c *checker) restrict(keep []bool) *checker {
 	r := *c
-	r.flows, r.memoSlots, r.killP, r.killS = nil, 0, make([][]kill, len(c.phys)), make([][]kill, len(c.sws))
+	var nTun, nHop int
 	for _, fl := range c.flows {
-		fl.tuns = slices.Clone(fl.tuns)
+		nTun += len(fl.tuns)
+		for _, t := range fl.tuns {
+			nHop += len(t.links)
+		}
+	}
+	r.flows, r.memoSlots = make([]cflow, 0, len(c.flows)), 0
+	tuns, links := make([]ctun, 0, nTun), make([]topology.LinkID, 0, nHop)
+	for _, fl := range c.flows {
+		first, hops := len(tuns), len(links)
 		loads, carrying := false, 0
-		for ti := range fl.tuns {
-			t := &fl.tuns[ti]
-			t.links = slices.DeleteFunc(slices.Clone(t.links), func(l topology.LinkID) bool { return !keep[l] })
+		for _, t := range fl.tuns {
+			from := len(links)
+			for _, l := range t.links {
+				if keep[l] {
+					links = append(links, l)
+				}
+			}
+			t.links = links[from:len(links):len(links)]
 			if !t.dead && t.w > 0 {
 				carrying++
 				loads = loads || len(t.links) > 0
 			}
+			tuns = append(tuns, t)
 		}
-		if loads {
-			r.indexKills(&fl, carrying)
-			r.flows = append(r.flows, fl)
+		if !loads {
+			tuns, links = tuns[:first], links[:hops]
+			continue
 		}
+		fl.tuns = tuns[first:len(tuns):len(tuns)]
+		r.indexKills(&fl, carrying)
+		r.flows = append(r.flows, fl)
 	}
+	r.indexKillLists()
 	return &r
 }
 
@@ -109,18 +158,19 @@ func (e *evaluator) eval(physSel, swSel []int) caseResult {
 	return res
 }
 
-// dismissed reports whether the node that fails the links physSel, with r
-// more links and ≤ kv switches to fail, leaves every loaded link a slack
-// > thr in every case below it by its Lemma-1 bound.
-func (e *evaluator) dismissed(physSel []int, r int, thr float64) bool {
+// margin is the least slack the Lemma-1 bound of the node that fails the
+// links physSel, with r more links and ≤ kv switches to fail, leaves any
+// loaded link in the cases below it (+Inf when it loads none): the node is
+// dismissed at a threshold below it.
+func (e *evaluator) margin(physSel []int, r int) float64 {
 	e.gather(physSel, nil, r)
-	ok := true
+	m := math.Inf(1)
 	for _, l := range e.touched {
-		ok = ok && e.c.cap[l]-bounded(e.loads[l], e.c.cap[l]) > thr
+		m = min(m, e.c.cap[l]-bounded(e.loads[l], e.c.cap[l]))
 		e.loads[l] = 0
 	}
 	e.touched = e.touched[:0]
-	return ok
+	return m
 }
 
 // gather adds every flow's loads under the case that fails physSel and
@@ -140,8 +190,14 @@ func (e *evaluator) gather(physSel, swSel []int, r int) {
 		}
 	}
 	layer := (r + 1) * c.memoSlots
-	if len(e.tab) < layer+c.memoSlots {
-		e.tab = append(e.tab, make([]span, layer+c.memoSlots-len(e.tab))...)
+	if n := layer + c.memoSlots; len(e.tab) < n {
+		// Grow with unfilled entries, over old ones a previous index left.
+		if cap(e.tab) >= n {
+			clear(e.tab[len(e.tab):n])
+			e.tab = e.tab[:n]
+		} else {
+			e.tab = append(e.tab, make([]span, n-len(e.tab))...)
+		}
 	}
 	tab, loads, touched := e.tab[layer:], e.loads, e.touched
 	for fi := range c.flows {
@@ -254,9 +310,6 @@ func (e *evaluator) bound(fl *cflow, r int, out []contrib) []contrib {
 // lose sums the r largest link and kv largest switch kill weights over the
 // alive tunnels of fl that avoid link l.
 func (e *evaluator) lose(fl *cflow, l topology.LinkID, r int) (lose float64) {
-	if e.kw == nil {
-		e.kw = make([]float64, max(len(e.c.phys), len(e.c.sws)))
-	}
 	for k, n := range [2]int{r, e.c.p.Prot.Kv} { // links, then switches
 		if n == 0 {
 			continue

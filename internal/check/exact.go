@@ -15,6 +15,10 @@ import (
 var obsLinksKept, obsFlowsKept = obs.NewValueHistogram("check.links_kept"), obs.NewValueHistogram("check.flows_kept")
 var obsCasesEvaluated = obs.NewValueHistogram("check.cases_evaluated")
 
+// obsProbed counts the certifications whose threshold came from
+// Params.Probe rather than the greedy search.
+var obsProbed = obs.NewCounter("check.probed")
+
 // exactData enumerates every combination of ≤ ke active physical-link
 // failures × ≤ kv active switch failures and evaluates the rescaled loads.
 // Dominance covers the rest of the space: failing a link no positive-weight
@@ -33,19 +37,43 @@ var obsCasesEvaluated = obs.NewValueHistogram("check.cases_evaluated")
 // worst slack so far; the certificate is bitwise the unpruned one.
 func (c *checker) exactData() searchResult {
 	ke, kv, n := c.p.Prot.Ke, c.p.Prot.Kv, len(c.activeP)
-	// t is the node bounds' threshold, ≥ 0, or −1 with bounds off.
-	idx, links, t := c.prune()
-	e, swCases := idx.newEvaluator(), int64(binomSum(len(c.activeS), kv))
+	// t is the node bounds' threshold, ≥ 0, or −1 with bounds off; prune
+	// leaves e bound to idx.
+	e := c.newEvaluator()
+	defer e.release()
+	idx, links, t := c.prune(e)
+	swCases := int64(binomSum(len(c.activeS), kv))
 	res := searchResult{slack: math.Inf(1), slackLink: -1}
 	swSel := make([]int, 0, kv)
+	// head[x] is the margin of the head node ({x}, ke−1), NaN until needed.
+	// Its bound covers every case that fails candidate link x, so a node
+	// that fails x is dismissed when head[x] clears the threshold. A node's
+	// own bound is never looser than a head's (bounds never grow down the
+	// tree), so the heads dismiss the same nodes, with fewer gathers.
+	head := make([]float64, len(c.phys))
+	for i := range head {
+		head[i] = math.NaN()
+	}
+	dismissed := func(physSel []int, r int, thr float64) bool {
+		for _, x := range physSel {
+			if math.IsNaN(head[x]) {
+				head[x] = e.margin([]int{x}, ke-1)
+			}
+			if head[x] > thr {
+				return true
+			}
+		}
+		own := len(physSel) == 1 && r == ke-1 // a head node: its margin is head's
+		return !own && e.margin(physSel, r) > thr
+	}
 	// walk enumerates the node physSel, whose last link has position a,
 	// with r more links to fail: it skips the node's C(n−a−1, r) link sets
-	// × swCases switch sets when its bound proves every loaded link's
+	// × swCases switch sets when a bound proves every loaded link's
 	// slack > max(min(t, res.slack), 0).
 	var walk func(physSel []int, a, r int) bool
 	walk = func(physSel []int, a, r int) bool {
 		if cases := int64(binom(n-a-1, r)) * swCases; t >= 0 && cases >= 2 &&
-			e.dismissed(physSel, r, max(min(t, res.slack), 0)) {
+			dismissed(physSel, r, max(min(t, res.slack), 0)) {
 			res.cases += cases
 			return true
 		}
@@ -78,23 +106,30 @@ func (c *checker) exactData() searchResult {
 
 // prune returns the index exactData walks at every protection level, how
 // many links it keeps and its threshold T = max(S, 0), S being the worst
-// slack of the cases greedy evaluates in full, so S ≥ the final worst slack
-// S*. It keeps the links whose root node bound (no link failed yet, ke to
-// go) comes within T of capacity. A dropped link has slack > T in every
-// case: it can neither attain S* (nor tie it) nor overload, and under
-// FailFast the prefix minimum at the first violation is < 0 ≤ T. T is −1
-// (bounds off, c returned whole) when a tunnel repeats a link: min(1, ·) in
-// the bound fails.
-func (c *checker) prune() (*checker, int, float64) {
+// slack of the in-space cases it evaluates in full — the no-fault case and
+// p.Probe when the probe is in the certified space, else greedy's — so
+// S ≥ the final worst slack S*. It keeps the links whose root node bound
+// (no link failed yet, ke to go) comes within T of capacity. A dropped link
+// has slack > T in every case: it can neither attain S* (nor tie it) nor
+// overload, and under FailFast the prefix minimum at the first violation is
+// < 0 ≤ T. T is −1 (bounds off, c returned whole) when a tunnel repeats a
+// link: min(1, ·) in the bound fails. prune evaluates on e, which it leaves
+// bound to the index it returns.
+func (c *checker) prune(e *evaluator) (*checker, int, float64) {
 	if !c.boundable() {
 		return c, len(c.cap), -1
 	}
-	e, s := c.newEvaluator(), math.Inf(1)
-	c.greedy(func(physSel, swSel []int) (caseResult, bool) {
-		cr := e.eval(physSel, swSel)
-		s = min(s, cr.slack)
-		return cr, s > 0 // T is 0 from here on
-	})
+	s := math.Inf(1)
+	if physSel, swSel, ok := c.probe(); ok {
+		obsProbed.Inc()
+		s = min(e.eval(nil, nil).slack, e.eval(physSel, swSel).slack)
+	} else {
+		c.greedy(func(physSel, swSel []int) (caseResult, bool) {
+			cr := e.eval(physSel, swSel)
+			s = min(s, cr.slack)
+			return cr, s > 0 // T is 0 from here on
+		})
+	}
 	t := max(s, 0)
 	e.gather(nil, nil, c.p.Prot.Ke)
 	keep, kept := make([]bool, len(c.cap)), 0
@@ -103,7 +138,38 @@ func (c *checker) prune() (*checker, int, float64) {
 			kept++
 		}
 	}
-	return c.restrict(keep), kept, t
+	idx := c.restrict(keep)
+	e.bind(idx)
+	return idx, kept, t
+}
+
+// probe maps p.Probe to candidate indexes, dropping the elements already
+// down and repeats. ok is false without a probe, and when the probe names
+// an element the network lacks or more than ke links or kv switches: such
+// a case is outside the certified space, and its slack may lie below S*.
+func (c *checker) probe() (physSel, swSel []int, ok bool) {
+	fs := c.p.Probe
+	if fs == nil {
+		return nil, nil, false
+	}
+	for _, l := range fs.Links {
+		if int(l) < 0 || int(l) >= len(c.physOf) {
+			return nil, nil, false
+		}
+		if pi := c.physOf[l]; pi >= 0 && !slices.Contains(physSel, pi) {
+			physSel = append(physSel, pi)
+		}
+	}
+	for _, v := range fs.Switches {
+		if int(v) < 0 || int(v) >= len(c.swOf) {
+			return nil, nil, false
+		}
+		if si := c.swOf[v]; si >= 0 && !slices.Contains(swSel, si) {
+			swSel = append(swSel, si)
+		}
+	}
+	ok = len(physSel) <= c.p.Prot.Ke && len(swSel) <= c.p.Prot.Kv
+	return physSel, swSel, ok
 }
 
 // greedy is prune's probe: it evaluates the no-fault case, then grows one
@@ -254,8 +320,8 @@ func (c *checker) certifyControl(prev *core.State) controlResult {
 		}
 		alloc := c.st.Alloc[f]
 		oldAlloc := prev.Alloc[f]
-		oldW := weightsOf(oldAlloc)
-		newW := weightsOf(alloc)
+		oldW := weightsOf(nil, oldAlloc)
+		newW := weightsOf(nil, alloc)
 		for _, t := range c.set.Tunnels(f) {
 			if c.tunBaseDead(t.Links, t.Switches) {
 				continue

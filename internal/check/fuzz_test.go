@@ -5,9 +5,9 @@ package check
 // ffccheck offline pipeline (parse a recorded state file, rebuild the
 // tunnel set from its paths, certify) and direct certification of a
 // byte-driven state that need not be solver-consistent. The certifier
-// must never panic, its case accounting must stay coherent, and the
+// must never panic, its case accounting must stay coherent, the
 // certificate must equal, bitwise, the one the oracle evaluator
-// (oracle_test.go) produces.
+// (oracle_test.go) produces, and no probe drawn from the bytes may move it.
 
 import (
 	"encoding/json"
@@ -74,7 +74,7 @@ func FuzzCheckPlan(f *testing.F) {
 		if json.Unmarshal(data, &sf) == nil {
 			if rset, err := wire.TunnelSetFromState(net, &sf); err == nil {
 				if rst, err := wire.ResolveState(net, rset, &sf); err == nil {
-					requireCoherent(t, net, rset, rst, rst, prot)
+					requireCoherent(t, net, rset, rst, rst, prot, data)
 				}
 			}
 		}
@@ -105,15 +105,24 @@ func FuzzCheckPlan(f *testing.F) {
 			st.Alloc[fl], st.Rate[fl] = a, sum*next()/8
 			prev.Alloc[fl], prev.Rate[fl] = pa, psum
 		}
-		requireCoherent(t, net, set, st, prev, prot)
+		requireCoherent(t, net, set, st, prev, prot, data)
 	})
 }
 
-// requireCoherent certifies one plan against the oracle and checks the
-// accounting invariants.
-func requireCoherent(t *testing.T, net *topology.Network, set *tunnel.Set, st, prev *core.State, prot core.Protection) {
+// requireCoherent certifies one plan against the oracle, checks the
+// accounting invariants, and repeats the certification with probes drawn
+// from data.
+func requireCoherent(t *testing.T, net *topology.Network, set *tunnel.Set, st, prev *core.State, prot core.Protection, data []byte) {
 	t.Helper()
 	c := requireOracleEqual(t, "certify", net, set, st, prev, Params{Prot: prot})
+	i := 0
+	requireProbeInvariant(t, "fuzz", net, set, st, prev, Params{Prot: prot}, func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		i++
+		return int(data[(i-1)%len(data)]) % n
+	})
 	if !c.Exact {
 		t.Fatal("a non-exact certificate")
 	}

@@ -201,7 +201,7 @@ func TestMutationShrunkCapacity(t *testing.T) {
 	// themselves over-provision for failures, so they'd overstate load).
 	loads := map[topology.LinkID]float64{}
 	for _, f := range set.All() {
-		w := weightsOf(st.Alloc[f])
+		w := weightsOf(nil, st.Alloc[f])
 		for _, tn := range set.Tunnels(f) {
 			for _, l := range tn.Links {
 				loads[l] += st.Rate[f] * at(w, tn.Index)

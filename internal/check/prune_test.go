@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -105,6 +107,29 @@ func daemonPlans(tb testing.TB) (*topology.Network, *tunnel.Set, []daemonStep) {
 		tb.Fatalf("solving the daemon fixture: %v", daemonFx.err)
 	}
 	return daemonFx.net, daemonFx.set, daemonFx.steps
+}
+
+// chainParams returns the Params ffcd certifies each daemon step with:
+// with probed, each probe drawn by ProbeFrom from the step before's
+// certificate, as ctrl draws it from the installed plan's.
+func chainParams(tb testing.TB, net *topology.Network, set *tunnel.Set, steps []daemonStep, probed bool) []Params {
+	tb.Helper()
+	var ps []Params
+	var prior *Certificate
+	var priorDown map[topology.LinkID]bool
+	for _, s := range steps {
+		p := Params{Prot: daemonProt, DownLinks: s.down}
+		if probed {
+			p.Probe = ProbeFrom(prior, priorDown, nil, p)
+		}
+		cert, err := Certify(net, set, s.st, s.prev, p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ps = append(ps, p)
+		prior, priorDown = cert, s.down
+	}
+	return ps
 }
 
 // raceSteps keeps a redraw and the link-down step under the race detector,
@@ -286,7 +311,9 @@ func boundFixtures(t *testing.T, check func(t *testing.T, name string, net *topo
 // threshold as the walk goes keeps the evaluations under 2 % of the cases
 // (170 of 25,262; 2,023 without the fold). The ×40 (0,1,1) plan is bounded
 // too: the probe and node bounds run at every protection level, so it
-// evaluates under half of its 935 cases (all of them with bounds off).
+// evaluates under half of its 935 cases (all of them with bounds off). The
+// daemon steps probed as ffcd probes them (the redraw and the drift while
+// a link is down, from the step before) are held alike.
 func TestEvaluationCountsIgnoreCores(t *testing.T) {
 	type plan struct {
 		name     string
@@ -297,8 +324,18 @@ func TestEvaluationCountsIgnoreCores(t *testing.T) {
 	}
 	net, set, steps := daemonPlans(t)
 	var plans []plan
-	for _, s := range steps {
-		plans = append(plans, plan{s.name, net, set, s.st, s.prev, Params{Prot: daemonProt, DownLinks: s.down}})
+	probed := 0
+	for i, p := range chainParams(t, net, set, steps, true) {
+		s := steps[i]
+		if p.Probe != nil {
+			plans = append(plans, plan{s.name + " probed", net, set, s.st, s.prev, p})
+			probed++
+		}
+		p.Probe = nil
+		plans = append(plans, plan{s.name, net, set, s.st, s.prev, p})
+	}
+	if probed != 2 {
+		t.Fatalf("%d daemon steps probed, want 2: the redraw and the drift while down", probed)
 	}
 	for _, prot := range []core.Protection{{Ke: 2, Kv: 1}, {Ke: 1, Kv: 1}} {
 		fx := lnetPlan(t, prot)
@@ -338,6 +375,67 @@ func TestLinkBoundsDominateCases(t *testing.T) {
 // link set, with the rest of the set still to fail.
 func TestNodeBoundsDominateCases(t *testing.T) {
 	boundFixtures(t, requireNodeBoundsDominate)
+}
+
+// TestHeadBoundsDominateCases: the head node of every active link x — x
+// failed, ke − 1 more links to fail — bounds every case that fails x,
+// including those whose other links precede x in enumeration order and so
+// lie outside its subtree: the walk dismisses any node that fails x by it.
+func TestHeadBoundsDominateCases(t *testing.T) {
+	boundFixtures(t, requireHeadBoundsDominate)
+}
+
+// requireHeadBoundsDominate evaluates, for every active link x of a plan,
+// every case that fails x with the oracle against capacities set to the
+// bounds of x's head node: a negative slack is a case loading some link
+// beyond them. It reports false when the plan has no bounds.
+func requireHeadBoundsDominate(t *testing.T, name string, net *topology.Network, set *tunnel.Set, st *core.State, p Params) bool {
+	t.Helper()
+	p.Prot.Kc, p.FailFast = 0, false
+	c, err := prepare(net, set, st, st, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.boundable() {
+		return false
+	}
+	if p.Prot.Ke == 0 {
+		return true
+	}
+	e, oc := c.newEvaluator(), *c
+	oc.cap = make([]float64, len(c.cap))
+	o, n := newOracle(&oc), len(c.activeP)
+	for x := 0; x < n; x++ {
+		copy(oc.cap, nodeBounds(e, []int{c.activeP[x]}, p.Prot.Ke-1))
+		o.downP[c.activeP[x]] = true
+		oracleCombosUpTo(n, p.Prot.Ke-1, func(ps []int) bool {
+			if slices.Contains(ps, x) {
+				return true
+			}
+			for _, i := range ps {
+				o.downP[c.activeP[i]] = true
+			}
+			oracleCombosUpTo(len(c.activeS), p.Prot.Kv, func(ss []int) bool {
+				for _, i := range ss {
+					o.downS[c.activeS[i]] = true
+				}
+				if cr := o.evalData(o.downP, o.downS); cr.slack < 0 {
+					t.Fatalf("%s %+v: links %v with %d, switches %v load %s %g beyond the bound of %d's head",
+						name, p.Prot, ps, x, ss, c.linkName(cr.slackLink), -cr.slack, x)
+				}
+				for _, i := range ss {
+					o.downS[c.activeS[i]] = false
+				}
+				return true
+			})
+			for _, i := range ps {
+				o.downP[c.activeP[i]] = false
+			}
+			return true
+		})
+		o.downP[c.activeP[x]] = false
+	}
+	return true
 }
 
 // nodeBounds returns the node's bound on every link's load, margin included.
@@ -468,7 +566,7 @@ func TestProbeThresholdCoversWorstSlack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, thr := c.prune()
+		_, _, thr := c.prune(c.newEvaluator())
 		if thr < 0 {
 			return false
 		}
@@ -674,5 +772,39 @@ func TestKeptPublished(t *testing.T) {
 	if links.Count() != n+1 || links.Sum()-sumL != int64(res.linksKept) || flows.Sum()-sumF != int64(res.flowsKept) || evals.Sum()-sumE != res.evaluated {
 		t.Fatalf("published %d links, %d flows, %d cases over %d runs; want %d, %d, %d over one",
 			links.Sum()-sumL, flows.Sum()-sumF, evals.Sum()-sumE, links.Count()-n, res.linksKept, res.flowsKept, res.evaluated)
+	}
+}
+
+// TestDaemonCertificationAllocs: once the evaluator pool is warm, one
+// certification of the daemon's first plan allocates at most a quarter of
+// the 1,648 objects and 659,917 bytes it took while every certification
+// built its evaluators, kill lists and per-tunnel slices afresh (64 objects
+// and 96 KB at the time of writing). The race detector drops pooled
+// evaluators at random, so the byte count is held only without it.
+func TestDaemonCertificationAllocs(t *testing.T) {
+	net, set, steps := daemonPlans(t)
+	s := steps[0]
+	p := Params{Prot: daemonProt}
+	certify := func() {
+		if _, err := Certify(net, set, s.st, s.prev, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, certify); n > 1648/4 {
+		t.Fatalf("%.0f allocations per certification, want at most %d", n, 1648/4)
+	}
+	if raceEnabled {
+		return
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		certify()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 659917/4 {
+		t.Fatalf("%d bytes allocated per certification, want at most %d", b, 659917/4)
 	}
 }

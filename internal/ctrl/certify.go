@@ -22,16 +22,24 @@ var (
 // certify checks st at protection prot against prev (the stale
 // control-plane configuration) and the down sets, on the current tunnel
 // set, and records the verdict in stats and obs. It returns the
-// certificate when st passes, nil on a violation or checker error.
+// certificate when st passes, nil on a violation or checker error. The
+// installed plan's certificate, issued at the same ke and kv over the same
+// down sets, lends its worst case as the search's probe: the verdict is the
+// same with or without it, and consecutive plans under demand changes
+// alone tend to share their worst case.
 func (c *Controller) certify(seq int64, st, prev *core.State, prot core.Protection, dl map[topology.LinkID]bool, ds map[topology.SwitchID]bool) *check.Certificate {
 	start := time.Now()
-	cert, err := check.Certify(c.net, c.set, st, prev, check.Params{
+	p := check.Params{
 		Prot:         prot,
 		RateLimiter:  c.cfg.Opts.RateLimiter,
 		Capacity:     c.certCapacity,
 		DownLinks:    dl,
 		DownSwitches: ds,
-	})
+	}
+	if last := c.plan.Load(); last != nil {
+		p.Probe = check.ProbeFrom(last.Cert, last.certDownLinks, last.certDownSwitches, p)
+	}
+	cert, err := check.Certify(c.net, c.set, st, prev, p)
 	elapsed := time.Since(start)
 	c.stats.certSumNs.Add(elapsed.Nanoseconds())
 	if err == nil {

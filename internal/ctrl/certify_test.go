@@ -15,6 +15,7 @@ import (
 
 	"ffc/internal/check"
 	"ffc/internal/core"
+	"ffc/internal/obs"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 	"ffc/internal/wire"
@@ -431,4 +432,39 @@ func TestSnapshotRestoreRejectedByCertifier(t *testing.T) {
 	if s.RestoredAtBoot {
 		t.Fatal("stats claim a restore after certification rejected it")
 	}
+}
+
+// TestCertifyProbesFromInstalledPlan: a recompute's certification takes the
+// installed plan's worst case as its probe while the protection and the
+// down sets are those that plan was certified at, and not right after a
+// link goes down.
+func TestCertifyProbesFromInstalledPlan(t *testing.T) {
+	c, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	probed := obs.Default().Counter("check.probed")
+	p := waitSeq(t, c, 1)
+	step := func(want int64, apply func()) {
+		t.Helper()
+		before := probed.Value()
+		apply()
+		p = waitSeq(t, c, p.Seq+1)
+		if p.Degraded != "" || p.Cert == nil {
+			t.Fatalf("seq %d: degraded %q, certificate %v", p.Seq, p.Degraded, p.Cert)
+		}
+		if got := probed.Value() - before; got != want {
+			t.Fatalf("seq %d: %d certifications probed, want %d", p.Seq, got, want)
+		}
+	}
+	step(1, c.Kick)
+	down := false
+	step(0, func() {
+		if err := c.Apply(&wire.Update{Op: wire.UpdateLink, Src: "s2", Dst: "s4", Up: &down}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step(1, c.Kick)
 }

@@ -257,7 +257,7 @@ func New(cfg Config) (*Controller, error) {
 			c.install(st, c.demands.Clone(), prot, installMeta{
 				seq: restoredSeq, degraded: restoredReason, restored: true,
 				outcome: core.OutcomeOptimal, cert: cert,
-				downLinks: c.downLinks, downSwitches: c.downSwitches,
+				downLinks: cloneSet(c.downLinks), downSwitches: cloneSet(c.downSwitches),
 				prev: st,
 			})
 			c.cfg.Logf("ctrl: restored plan seq=%d from %s (%d flows); serving while the first solve runs",

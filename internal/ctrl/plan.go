@@ -41,6 +41,10 @@ type Plan struct {
 	// Cert is the certificate this process's checker issued before install;
 	// nil only for the unsolved placeholder.
 	Cert *check.Certificate
+	// certDownLinks / certDownSwitches are the down sets Cert was issued
+	// over, read to draw the next certification's probe.
+	certDownLinks    map[topology.LinkID]bool
+	certDownSwitches map[topology.SwitchID]bool
 
 	// State is the raw configuration (granted rates, tunnel allocations).
 	State *core.State
@@ -128,17 +132,19 @@ func (c *Controller) install(st *core.State, dem demand.Matrix, prot core.Protec
 		return
 	}
 	p := &Plan{
-		Seq:         m.seq,
-		InstalledAt: start,
-		Degraded:    m.degraded,
-		Restored:    m.restored,
-		Outcome:     m.outcome,
-		Prot:        prot,
-		SolveTime:   m.solveTime,
-		Cert:        m.cert,
-		State:       st,
-		File:        file,
-		Encoded:     blob,
+		Seq:              m.seq,
+		InstalledAt:      start,
+		Degraded:         m.degraded,
+		Restored:         m.restored,
+		Outcome:          m.outcome,
+		Prot:             prot,
+		SolveTime:        m.solveTime,
+		Cert:             m.cert,
+		State:            st,
+		certDownLinks:    m.downLinks,
+		certDownSwitches: m.downSwitches,
+		File:             file,
+		Encoded:          blob,
 	}
 	c.plan.Store(p)
 	c.stats.plansInstalled.Add(1)

@@ -152,10 +152,30 @@ func (s *Server) serveConn(sc *serverConn) {
 	}
 }
 
+// writeFrame writes resp as one line, byte for byte json.Marshal(resp). A
+// plan is compact JSON already, encoded by json.Marshal at install, and
+// comes last in its reply (no routes or stats follow it): the envelope is
+// marshalled without it and the plan's bytes are spliced in before the
+// closing brace, where json.Marshal would re-validate all of them.
 func writeFrame(out *bufio.Writer, resp *Response) error {
+	plan := resp.Plan
+	if len(resp.Routes) > 0 || resp.Stats != nil {
+		plan = nil
+	}
+	if len(plan) > 0 {
+		env := *resp
+		env.Plan = nil
+		resp = &env
+	}
 	blob, err := json.Marshal(resp)
 	if err != nil {
 		return err
+	}
+	if len(plan) > 0 {
+		out.Write(blob[:len(blob)-1])
+		out.WriteString(`,"plan":`)
+		out.Write(plan)
+		blob = blob[len(blob)-1:]
 	}
 	if _, err := out.Write(blob); err != nil {
 		return err
