@@ -185,14 +185,7 @@ func replayTrace(net *topology.Network, path string, base check.Params, out *buf
 			}
 		}
 		params := base
-		params.Prot = core.Protection{Kc: rec.Kc, Ke: rec.Ke, Kv: rec.Kv}
-		if rec.Degraded != "" && rec.Degraded != "unsolved" {
-			// A degraded install is the last-good plan rescaled around the
-			// faults; it promises congestion-freedom under them, nothing
-			// more. Current recorders already write zero protection for it;
-			// older traces carry the configured level.
-			params.Prot = core.None
-		}
+		params.Prot = rec.CertifiedProt()
 		params.DownLinks, params.DownSwitches, err = wire.ResolveDownSets(net, rec.DownLinks, rec.DownSwitches)
 		if err != nil {
 			fatalf("%s:%d: %v", path, lineNo, err)

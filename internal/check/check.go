@@ -289,7 +289,7 @@ func (c *checker) certificate(data searchResult, prev *core.State) *Certificate 
 		cert.CasesCovered = satInt64(binomSum(len(c.phys), p.Prot.Ke) * binomSum(len(c.sws), p.Prot.Kv))
 	}
 	if data.slackLink >= 0 {
-		cert.WorstLink = c.linkName(topology.LinkID(data.slackLink))
+		cert.WorstLink = c.net.LinkName(topology.LinkID(data.slackLink))
 		cert.WorstCase = c.faultSet(data.slackLinks, data.slackSws, nil)
 	}
 
@@ -300,7 +300,7 @@ func (c *checker) certificate(data searchResult, prev *core.State) *Certificate 
 		cert.CasesCovered += staleSets
 		if ctrl.slack < cert.WorstSlack {
 			cert.WorstSlack = ctrl.slack
-			cert.WorstLink = c.linkName(ctrl.slackLink)
+			cert.WorstLink = c.net.LinkName(ctrl.slackLink)
 			cert.WorstCase = c.faultSet(nil, nil, ctrl.slackStale)
 		}
 		if ctrl.worst != nil && (cert.Violation == nil || ctrl.worst.Over > cert.Violation.Over) {
@@ -317,7 +317,7 @@ func (c *checker) certificate(data searchResult, prev *core.State) *Certificate 
 			cp := c.cap[l.ID]
 			if cert.WorstLink == "" || cp < cert.WorstSlack {
 				cert.WorstSlack = cp
-				cert.WorstLink = c.linkName(l.ID)
+				cert.WorstLink = c.net.LinkName(l.ID)
 			}
 		}
 		cert.WorstCase = FaultSet{}
@@ -653,11 +653,6 @@ func carve(n []int) [][]kill {
 	return lists
 }
 
-func (c *checker) linkName(l topology.LinkID) string {
-	lk := c.net.Links[l]
-	return c.net.Switches[lk.Src].Name + ">" + c.net.Switches[lk.Dst].Name
-}
-
 // faultSet resolves candidate indexes / switch IDs into a named FaultSet.
 func (c *checker) faultSet(physIdx, swIdx []int, stale []topology.SwitchID) FaultSet {
 	var fs FaultSet
@@ -722,7 +717,7 @@ func (c *checker) note(res *searchResult, cr caseResult, physSel, swSel []int) b
 		res.worst = &Violation{
 			Plane:    "data",
 			Link:     cr.overLink,
-			LinkName: c.linkName(cr.overLink),
+			LinkName: c.net.LinkName(cr.overLink),
 			Load:     cr.load,
 			Capacity: cr.cp,
 			Over:     cr.over,

@@ -393,7 +393,7 @@ func (c *checker) certifyControl(prev *core.State) controlResult {
 				res.worst = &Violation{
 					Plane:    "control",
 					Link:     l,
-					LinkName: c.linkName(l),
+					LinkName: c.net.LinkName(l),
 					Load:     load,
 					Capacity: cp,
 					Over:     over,

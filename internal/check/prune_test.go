@@ -421,7 +421,7 @@ func requireHeadBoundsDominate(t *testing.T, name string, net *topology.Network,
 				}
 				if cr := o.evalData(o.downP, o.downS); cr.slack < 0 {
 					t.Fatalf("%s %+v: links %v with %d, switches %v load %s %g beyond the bound of %d's head",
-						name, p.Prot, ps, x, ss, c.linkName(cr.slackLink), -cr.slack, x)
+						name, p.Prot, ps, x, ss, c.net.LinkName(cr.slackLink), -cr.slack, x)
 				}
 				for _, i := range ss {
 					o.downS[c.activeS[i]] = false
@@ -484,7 +484,7 @@ func requireNodeBoundsDominate(t *testing.T, name string, net *topology.Network,
 				}
 				if cr := o.evalData(o.downP, o.downS); cr.slack < 0 {
 					t.Fatalf("%s %+v: links %v switches %v load %s %g beyond the bound of node %v, %d to go",
-						name, p.Prot, ps, ss, c.linkName(cr.slackLink), -cr.slack, pre, r)
+						name, p.Prot, ps, ss, c.net.LinkName(cr.slackLink), -cr.slack, pre, r)
 				}
 				for _, i := range ss {
 					o.downS[c.activeS[i]] = false

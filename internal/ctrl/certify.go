@@ -37,7 +37,7 @@ func (c *Controller) certify(seq int64, st, prev *core.State, prot core.Protecti
 		DownSwitches: ds,
 	}
 	if last := c.plan.Load(); last != nil {
-		p.Probe = check.ProbeFrom(last.Cert, last.certDownLinks, last.certDownSwitches, p)
+		p.Probe = check.ProbeFrom(last.Cert, last.downLinks, last.downSwitches, p)
 	}
 	cert, err := check.Certify(c.net, c.set, st, prev, p)
 	elapsed := time.Since(start)
@@ -70,24 +70,12 @@ func (c *Controller) certify(seq int64, st, prev *core.State, prot core.Protecti
 // writeTrace appends one NDJSON record for an install when a trace writer
 // is configured. Install is serialized (New, then the single recompute
 // goroutine), so no locking.
-func (c *Controller) writeTrace(p *Plan, dl map[topology.LinkID]bool, ds map[topology.SwitchID]bool) {
+func (c *Controller) writeTrace(p *Plan) {
 	if c.cfg.TraceWriter == nil {
 		return
 	}
-	links, sws := wire.NamedDownSets(c.net, dl, ds)
-	rec := &wire.TraceRecord{
-		Seq:          p.Seq,
-		Time:         p.InstalledAt,
-		Kc:           p.Prot.Kc,
-		Ke:           p.Prot.Ke,
-		Kv:           p.Prot.Kv,
-		Degraded:     p.Degraded,
-		Restored:     p.Restored,
-		DownLinks:    links,
-		DownSwitches: sws,
-		State:        p.File,
-	}
-	if err := wire.WriteTraceRecord(c.cfg.TraceWriter, rec); err != nil {
+	rec := c.record(p, p.Prot, p.downLinks, p.downSwitches)
+	if err := wire.WriteTraceRecord(c.cfg.TraceWriter, &rec); err != nil {
 		c.cfg.Logf("ctrl: writing trace record seq=%d: %v", p.Seq, err)
 	}
 }

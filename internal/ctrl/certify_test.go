@@ -332,8 +332,9 @@ func TestSnapshotRestoreTruncated(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreCorrupted: garbage, a wrong version, and a snapshot
-// naming unknown switches all refuse to restore.
+// TestSnapshotRestoreCorrupted: garbage, a wrong version, a snapshot naming
+// unknown switches and one carrying a value an update frame may not set
+// all refuse to restore.
 func TestSnapshotRestoreCorrupted(t *testing.T) {
 	cfg, snap, blob := writeHealthySnapshot(t)
 
@@ -342,6 +343,19 @@ func TestSnapshotRestoreCorrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrongVersion, _ := json.Marshal(map[string]interface{}{"version": 99})
+	// edit returns the healthy snapshot with one value changed.
+	edit := func(fn func(snap map[string]interface{}, demand0 map[string]interface{})) []byte {
+		var snap map[string]interface{}
+		if err := json.Unmarshal(blob, &snap); err != nil {
+			t.Fatal(err)
+		}
+		fn(snap, snap["demands"].([]interface{})[0].(map[string]interface{}))
+		out, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 
 	cases := []struct {
 		name    string
@@ -352,6 +366,11 @@ func TestSnapshotRestoreCorrupted(t *testing.T) {
 		{"empty", nil, false},
 		{"wrong-version", wrongVersion, false},
 		{"unknown-switch", []byte(strings.Replace(string(blob), `"s2"`, `"zz"`, 1)), true},
+		// A snapshot's values pass the checks an update frame passes.
+		{"negative-ke", edit(func(s, _ map[string]interface{}) { s["ke"] = -1 }), true},
+		{"huge-kc", edit(func(s, _ map[string]interface{}) { s["kc"] = 100000 }), true},
+		{"negative-demand", edit(func(_, d map[string]interface{}) { d["demand"] = -5 }), true},
+		{"self-loop-demand", edit(func(_, d map[string]interface{}) { d["dst"] = d["src"] }), true},
 	}
 	for _, tc := range cases {
 		if err := os.WriteFile(snap, tc.blob, 0o644); err != nil {
@@ -362,7 +381,7 @@ func TestSnapshotRestoreCorrupted(t *testing.T) {
 		c, err := New(cfg2)
 		if tc.wantErr {
 			if err == nil {
-				t.Fatalf("%s: New accepted a snapshot naming unknown switches", tc.name)
+				t.Fatalf("%s: New accepted the snapshot", tc.name)
 			}
 			continue
 		}

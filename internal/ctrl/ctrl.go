@@ -11,8 +11,10 @@
 // the plan metadata and counted in internal/obs, and a degraded plan
 // reports zero protection. Every served plan — solved, degraded or
 // restored — is certified by internal/check first. A periodic snapshot of
-// the installed state lets a restarted daemon serve its first query before
-// its first solve completes.
+// the installed state (a wire.TraceRecord plus demands, the record an
+// install's trace line carries) lets a restarted daemon serve its first
+// query before its first solve completes. Names in updates and snapshots
+// resolve through wire's resolvers; ctrl itself never looks a name up.
 //
 // cmd/ffcd wraps a Controller + Server into the daemon binary; cmd/ffcload
 // is the matching load generator.
@@ -221,62 +223,48 @@ func New(cfg Config) (*Controller, error) {
 	if c.demands == nil {
 		c.demands = demand.Matrix{}
 	}
-	restoredSeq := int64(0)
-	var restoredState *wire.StateFile
-	var restoredReason string
+	var snap *snapshotFile
 	if cfg.SnapshotPath != "" {
-		snap, err := loadSnapshot(cfg.SnapshotPath)
+		s, err := loadSnapshot(cfg.SnapshotPath)
 		if err != nil {
 			c.cfg.Logf("ctrl: no snapshot restored: %v", err)
 		} else {
-			if err := c.adoptSnapshot(snap); err != nil {
+			if err := c.adoptSnapshot(s); err != nil {
 				return nil, fmt.Errorf("ctrl: restoring snapshot %s: %w", cfg.SnapshotPath, err)
 			}
-			restoredSeq = snap.Seq
-			restoredState = &snap.State
-			restoredReason = snap.Degraded
+			snap = s
 			c.restored = true
 		}
 	}
 	c.relayout(c.demands)
-	if restoredState != nil {
-		st, err := wire.ResolveState(c.net, c.set, restoredState)
-		if err != nil {
-			return nil, fmt.Errorf("ctrl: restoring snapshot state: %w", err)
-		}
-		// A snapshot is the one plan this process never solved itself, so a
-		// corrupted or semantically-stale file must not be served as
-		// restored=true. prev = st: a restart installs exactly what was
-		// running, so no ingress is stale relative to it. A degraded plan
-		// only ever promised zero protection.
-		prot := c.prot
-		if restoredReason != "" {
-			prot = core.None
-		}
-		if cert := c.certify(restoredSeq, st, st, prot, c.downLinks, c.downSwitches); cert != nil {
-			c.install(st, c.demands.Clone(), prot, installMeta{
-				seq: restoredSeq, degraded: restoredReason, restored: true,
-				outcome: core.OutcomeOptimal, cert: cert,
-				downLinks: cloneSet(c.downLinks), downSwitches: cloneSet(c.downSwitches),
-				prev: st,
-			})
-			c.cfg.Logf("ctrl: restored plan seq=%d from %s (%d flows); serving while the first solve runs",
-				restoredSeq, cfg.SnapshotPath, len(restoredState.Flows))
-		} else {
-			c.restored = false
-			c.cfg.Logf("ctrl: snapshot plan seq=%d from %s failed certification; serving empty plan instead",
-				restoredSeq, cfg.SnapshotPath)
-			c.install(core.NewState(), c.demands.Clone(), c.prot, installMeta{
-				seq: 0, degraded: "unsolved", outcome: core.OutcomeSolverError,
-			})
-		}
-	} else {
-		// Serve an explicit empty plan from the start: a query must never
-		// observe "no plan", only "the plan grants nothing yet".
-		c.install(core.NewState(), c.demands.Clone(), c.prot, installMeta{
-			seq: 0, degraded: "unsolved", outcome: core.OutcomeSolverError,
-		})
+	if snap == nil {
+		c.installUnsolved()
+		return c, nil
 	}
+	st, err := wire.ResolveState(c.net, c.set, &snap.State)
+	if err != nil {
+		return nil, fmt.Errorf("ctrl: restoring snapshot state: %w", err)
+	}
+	// A snapshot is the one plan this process never solved itself, so a
+	// corrupted or semantically-stale file must not be served as
+	// restored=true. prev = st: a restart installs exactly what was
+	// running, so no ingress is stale relative to it.
+	prot := snap.CertifiedProt()
+	cert := c.certify(snap.Seq, st, st, prot, c.downLinks, c.downSwitches)
+	if cert == nil {
+		c.restored = false
+		c.cfg.Logf("ctrl: snapshot plan seq=%d from %s failed certification; serving empty plan instead",
+			snap.Seq, cfg.SnapshotPath)
+		c.installUnsolved()
+		return c, nil
+	}
+	c.install(&Plan{
+		Seq: snap.Seq, Degraded: snap.Degraded, Restored: true, Outcome: core.OutcomeOptimal,
+		Prot: prot, Cert: cert, State: st,
+		downLinks: cloneSet(c.downLinks), downSwitches: cloneSet(c.downSwitches),
+	}, c.demands.Clone())
+	c.cfg.Logf("ctrl: restored plan seq=%d from %s (%d flows); serving while the first solve runs",
+		snap.Seq, cfg.SnapshotPath, len(snap.State.Flows))
 	return c, nil
 }
 
@@ -368,65 +356,28 @@ func (c *Controller) Apply(u *wire.Update) (err error) {
 	}()
 	switch u.Op {
 	case wire.UpdateDemands:
-		next := c.demands
-		if u.Reset {
-			next = demand.Matrix{}
-		}
 		// Resolve every entry before touching the matrix: an update is
-		// applied atomically or not at all.
-		type resolved struct {
-			f tunnel.Flow
-			d float64
-		}
-		rs := make([]resolved, 0, len(u.Demands))
+		// applied atomically or not at all. The last entry for a flow wins.
+		flows := make([]tunnel.Flow, len(u.Demands))
 		for i, d := range u.Demands {
-			src, ok := c.net.SwitchByName(d.Src)
-			if !ok {
-				return fmt.Errorf("ctrl: demands update entry %d: unknown switch %q", i, d.Src)
+			if flows[i], err = wire.ResolveFlow(c.net, d.Src, d.Dst); err != nil {
+				return fmt.Errorf("ctrl: demands update entry %d: %w", i, err)
 			}
-			dst, ok := c.net.SwitchByName(d.Dst)
-			if !ok {
-				return fmt.Errorf("ctrl: demands update entry %d: unknown switch %q", i, d.Dst)
-			}
-			rs = append(rs, resolved{tunnel.Flow{Src: src, Dst: dst}, d.Demand})
 		}
 		if u.Reset {
-			c.demands = next
+			c.demands = demand.Matrix{}
 		}
-		for _, r := range rs {
-			c.demands[r.f] = r.d
+		for i, f := range flows {
+			c.demands[f] = u.Demands[i].Demand
 		}
 	case wire.UpdateLink:
-		src, ok := c.net.SwitchByName(u.Src)
-		if !ok {
-			return fmt.Errorf("ctrl: link update: unknown switch %q", u.Src)
-		}
-		dst, ok := c.net.SwitchByName(u.Dst)
-		if !ok {
-			return fmt.Errorf("ctrl: link update: unknown switch %q", u.Dst)
-		}
-		l := c.net.FindLink(src, dst)
-		if l == topology.None {
-			l = c.net.FindLink(dst, src)
-		}
-		if l == topology.None {
-			return fmt.Errorf("ctrl: link update: no link %s-%s", u.Src, u.Dst)
-		}
-		ids := []topology.LinkID{l}
-		if tw := c.net.Links[l].Twin; tw != topology.None {
-			ids = append(ids, tw)
-		}
-		for _, id := range ids {
-			if *u.Up {
-				delete(c.downLinks, id)
-			} else {
-				c.downLinks[id] = true
-			}
+		if err := wire.MarkLink(c.net, c.downLinks, u.Src, u.Dst, !*u.Up); err != nil {
+			return fmt.Errorf("ctrl: link update: %w", err)
 		}
 	case wire.UpdateSwitch:
-		sw, ok := c.net.SwitchByName(u.Switch)
-		if !ok {
-			return fmt.Errorf("ctrl: switch update: unknown switch %q", u.Switch)
+		sw, err := wire.ResolveSwitch(c.net, u.Switch)
+		if err != nil {
+			return fmt.Errorf("ctrl: switch update: %w", err)
 		}
 		if *u.Up {
 			delete(c.downSwitches, sw)
@@ -572,10 +523,10 @@ func (c *Controller) recompute() {
 		c.cfg.Logf("ctrl: DEGRADED plan seq=%d reason=%s failed certification; keeping plan seq=%d", seq, reason, seq-1)
 		return
 	}
-	c.install(st, dem, achieved, installMeta{
-		seq: seq, outcome: stats.Outcome, solveTime: solveTime, degraded: reason, cert: cert,
-		prev: prev, downLinks: dl, downSwitches: ds,
-	})
+	c.install(&Plan{
+		Seq: seq, Degraded: reason, Outcome: stats.Outcome, Prot: achieved, SolveTime: solveTime,
+		Cert: cert, State: st, downLinks: dl, downSwitches: ds,
+	}, dem)
 	if reason != "" {
 		c.cfg.Logf("ctrl: installed DEGRADED plan seq=%d reason=%s (outcome %v, %v)", seq, reason, stats.Outcome, solveTime.Round(time.Microsecond))
 	}

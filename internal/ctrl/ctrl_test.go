@@ -153,8 +153,10 @@ func TestApplyUpdates(t *testing.T) {
 		t.Fatalf("throughput grew after link failure: %g -> %g", p.File.TotalRate, p2.File.TotalRate)
 	}
 
-	// New flow via demand update: the controller re-lays-out tunnels.
+	// New flow via demand update: the controller re-lays-out tunnels. The
+	// update names the flow twice; the last entry wins.
 	if err := c.Apply(&wire.Update{Op: wire.UpdateDemands, Demands: []wire.DemandEntry{
+		{Src: "s1", Dst: "s3", Demand: 7},
 		{Src: "s1", Dst: "s3", Demand: 2},
 	}}); err != nil {
 		t.Fatal(err)
@@ -167,6 +169,9 @@ func TestApplyUpdates(t *testing.T) {
 	for _, fl := range p3.File.Flows {
 		if fl.Src == "s1" && fl.Dst == "s3" {
 			found = true
+			if fl.Demand != 2 {
+				t.Fatalf("flow named twice has demand %g, want the last entry's 2", fl.Demand)
+			}
 			if len(fl.Tunnels) == 0 {
 				t.Fatal("new flow has no tunnels")
 			}
@@ -185,6 +190,20 @@ func TestApplyUpdates(t *testing.T) {
 	p4 := waitSeq(t, c, p3.Seq+1)
 	if m := p4.Meta(); m.Ke != 0 || m.Kc != 0 {
 		t.Fatalf("protection change not reflected: %+v", m)
+	}
+
+	// A link update may name the endpoints in either order: s4, s2 brings
+	// both directions of the s2-s4 link back up.
+	up := true
+	if err := c.Apply(&wire.Update{Op: wire.UpdateLink, Src: "s4", Dst: "s2", Up: &up}); err != nil {
+		t.Fatal(err)
+	}
+	waitSeq(t, c, p4.Seq+1)
+	c.mu.Lock()
+	downLinks := len(c.downLinks)
+	c.mu.Unlock()
+	if downLinks != 0 {
+		t.Fatalf("%d directions still down after the reversed link-up update", downLinks)
 	}
 }
 

@@ -39,12 +39,13 @@ type Plan struct {
 	// restored/unsolved plans).
 	SolveTime time.Duration
 	// Cert is the certificate this process's checker issued before install;
-	// nil only for the unsolved placeholder.
+	// nil only for the unsolved placeholder, which is never traced.
 	Cert *check.Certificate
-	// certDownLinks / certDownSwitches are the down sets Cert was issued
-	// over, read to draw the next certification's probe.
-	certDownLinks    map[topology.LinkID]bool
-	certDownSwitches map[topology.SwitchID]bool
+	// downLinks / downSwitches are the down sets the plan was certified
+	// over: its trace record names them, and the next certification draws
+	// its probe from Cert when they still hold.
+	downLinks    map[topology.LinkID]bool
+	downSwitches map[topology.SwitchID]bool
 
 	// State is the raw configuration (granted rates, tunnel allocations).
 	State *core.State
@@ -102,54 +103,25 @@ func (p *Plan) Meta() Meta {
 // weights) — the part a switch agent would program.
 func (p *Plan) Routes() []wire.StateFlow { return p.File.Flows }
 
-type installMeta struct {
-	seq       int64
-	degraded  string
-	restored  bool
-	outcome   core.Outcome
-	solveTime time.Duration
-	cert      *check.Certificate
-
-	// prev is the previously installed state (the stale configuration for
-	// control-plane certification); nil skips tracing (the pre-first-solve
-	// placeholder).
-	prev         *core.State
-	downLinks    map[topology.LinkID]bool
-	downSwitches map[topology.SwitchID]bool
-}
-
-// install publishes st as the serving plan: encode once, then swap the
-// atomic pointer. The previous plan stays valid for readers that already
-// hold it. Every plan but the unsolved placeholder arrives with the
-// certificate it passed.
-func (c *Controller) install(st *core.State, dem demand.Matrix, prot core.Protection, m installMeta) {
+// install publishes p, whose State is a plan for dem, as the serving plan:
+// stamp and encode it once, then swap the atomic pointer. The previous plan
+// stays valid for readers that already hold it. Every plan but the unsolved
+// placeholder arrives with the certificate it passed.
+func (c *Controller) install(p *Plan, dem demand.Matrix) {
 	start := time.Now()
-	file := wire.EncodeState(c.net, c.set, dem, st)
-	blob, err := json.Marshal(file)
+	p.InstalledAt = start
+	p.File = wire.EncodeState(c.net, c.set, dem, p.State)
+	blob, err := json.Marshal(p.File)
 	if err != nil {
 		// Unreachable for the types involved; keep serving the old plan.
-		c.cfg.Logf("ctrl: encoding plan seq=%d: %v", m.seq, err)
+		c.cfg.Logf("ctrl: encoding plan seq=%d: %v", p.Seq, err)
 		return
 	}
-	p := &Plan{
-		Seq:              m.seq,
-		InstalledAt:      start,
-		Degraded:         m.degraded,
-		Restored:         m.restored,
-		Outcome:          m.outcome,
-		Prot:             prot,
-		SolveTime:        m.solveTime,
-		Cert:             m.cert,
-		State:            st,
-		certDownLinks:    m.downLinks,
-		certDownSwitches: m.downSwitches,
-		File:             file,
-		Encoded:          blob,
-	}
+	p.Encoded = blob
 	c.plan.Store(p)
 	c.stats.plansInstalled.Add(1)
 	obsPlansInstalled.Inc()
-	if m.degraded != "" && m.degraded != "unsolved" {
+	if p.Degraded != "" && p.Degraded != "unsolved" {
 		// The pre-first-solve placeholder is marked "unsolved" so clients
 		// can tell, but it is a bootstrap artifact, not a degraded install.
 		c.stats.degradedInstalls.Add(1)
@@ -158,7 +130,32 @@ func (c *Controller) install(st *core.State, dem demand.Matrix, prot core.Protec
 	if obs.Enabled() {
 		obsInstallLatency.ObserveSince(start)
 	}
-	if m.prev != nil {
-		c.writeTrace(p, m.downLinks, m.downSwitches)
+	if p.Cert != nil {
+		c.writeTrace(p)
+	}
+}
+
+// installUnsolved serves the empty placeholder: a query must never observe
+// "no plan", only "the plan grants nothing yet".
+func (c *Controller) installUnsolved() {
+	c.install(&Plan{Degraded: "unsolved", Outcome: core.OutcomeSolverError, Prot: c.prot, State: core.NewState()}, c.demands.Clone())
+}
+
+// record renders p as a trace record at protection prot over the down sets
+// dl and ds. A trace line records the plan's own protection and down sets;
+// a snapshot records the desired ones the control loop resumes from.
+func (c *Controller) record(p *Plan, prot core.Protection, dl map[topology.LinkID]bool, ds map[topology.SwitchID]bool) wire.TraceRecord {
+	links, sws := wire.NamedDownSets(c.net, dl, ds)
+	return wire.TraceRecord{
+		Seq:          p.Seq,
+		Time:         p.InstalledAt,
+		Kc:           prot.Kc,
+		Ke:           prot.Ke,
+		Kv:           prot.Kv,
+		Degraded:     p.Degraded,
+		Restored:     p.Restored,
+		DownLinks:    links,
+		DownSwitches: sws,
+		State:        p.File,
 	}
 }

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
+	"ffc/internal/core"
 	"ffc/internal/demand"
-	"ffc/internal/topology"
-	"ffc/internal/tunnel"
 	"ffc/internal/wire"
 )
 
@@ -18,25 +16,17 @@ import (
 // than misread.
 const snapshotVersion = 1
 
-// snapshotFile is the daemon's crash-recovery record: the installed plan in
-// wire form plus the desired state needed to resume the control loop
-// (demands, down sets, protection). Switches and links are named, so a
-// snapshot survives a restart with a re-read topology file.
+// snapshotFile is the daemon's crash-recovery record: the installed plan as
+// a trace record plus the demands the control loop resumes from. The
+// record's protection and down sets are the desired ones (the plan's own,
+// unless an update arrived after its install; for a degraded plan, the
+// requested level, which the record certifies at zero). Switches and links
+// are named, so a snapshot survives a restart with a re-read topology file.
 type snapshotFile struct {
-	Version  int       `json:"version"`
-	SavedAt  time.Time `json:"saved_at"`
-	Seq      int64     `json:"seq"`
-	Degraded string    `json:"degraded,omitempty"`
-
-	Kc int `json:"kc"`
-	Ke int `json:"ke"`
-	Kv int `json:"kv"`
-
-	Demands      []wire.DemandEntry `json:"demands"`
-	DownLinks    [][2]string        `json:"down_links,omitempty"`
-	DownSwitches []string           `json:"down_switches,omitempty"`
-
-	State wire.StateFile `json:"state"`
+	Version int                `json:"version"`
+	SavedAt time.Time          `json:"saved_at"`
+	Demands []wire.DemandEntry `json:"demands"`
+	wire.TraceRecord
 }
 
 // loadSnapshot reads and decodes a snapshot file.
@@ -57,44 +47,30 @@ func loadSnapshot(path string) (*snapshotFile, error) {
 
 // adoptSnapshot folds the snapshot's desired state (demands, down sets,
 // protection) into the controller. Called from New before the loop starts,
-// so no locking. Unknown names error: a snapshot from a different topology
-// must not half-apply.
+// so no locking. Every value passes the checks an update frame passes, and
+// names resolve as wire resolves them: a snapshot from a different
+// topology, or a corrupted one, must not half-apply.
 func (c *Controller) adoptSnapshot(snap *snapshotFile) error {
+	if err := snap.Validate(); err != nil {
+		return err
+	}
 	dem := demand.Matrix{}
 	for i, d := range snap.Demands {
-		src, ok1 := c.net.SwitchByName(d.Src)
-		dst, ok2 := c.net.SwitchByName(d.Dst)
-		if !ok1 || !ok2 {
-			return fmt.Errorf("snapshot demand %d: unknown switch %q/%q", i, d.Src, d.Dst)
+		f, err := wire.ResolveDemand(c.net, d)
+		if err != nil {
+			return fmt.Errorf("snapshot demand %d: %w", i, err)
 		}
-		dem[tunnel.Flow{Src: src, Dst: dst}] = d.Demand
+		dem[f] = d.Demand
 	}
-	for i, pair := range snap.DownLinks {
-		src, ok1 := c.net.SwitchByName(pair[0])
-		dst, ok2 := c.net.SwitchByName(pair[1])
-		if !ok1 || !ok2 {
-			return fmt.Errorf("snapshot down link %d: unknown switch %q/%q", i, pair[0], pair[1])
-		}
-		l := c.net.FindLink(src, dst)
-		if l == topology.None {
-			return fmt.Errorf("snapshot down link %d: no link %s-%s", i, pair[0], pair[1])
-		}
-		c.downLinks[l] = true
-		if tw := c.net.Links[l].Twin; tw != topology.None {
-			c.downLinks[tw] = true
-		}
-	}
-	for i, name := range snap.DownSwitches {
-		sw, ok := c.net.SwitchByName(name)
-		if !ok {
-			return fmt.Errorf("snapshot down switch %d: unknown switch %q", i, name)
-		}
-		c.downSwitches[sw] = true
+	dl, ds, err := wire.ResolveDownSets(c.net, snap.DownLinks, snap.DownSwitches)
+	if err != nil {
+		return err
 	}
 	if len(dem) > 0 {
 		c.demands = dem
 	}
-	c.prot.Kc, c.prot.Ke, c.prot.Kv = snap.Kc, snap.Ke, snap.Kv
+	c.downLinks, c.downSwitches = dl, ds
+	c.prot = core.Protection{Kc: snap.Kc, Ke: snap.Ke, Kv: snap.Kv}
 	return nil
 }
 
@@ -115,54 +91,12 @@ func (c *Controller) writeSnapshot(force bool) {
 	}
 	c.mu.Lock()
 	snap := snapshotFile{
-		Version:  snapshotVersion,
-		SavedAt:  now,
-		Seq:      p.Seq,
-		Degraded: p.Degraded,
-		Kc:       c.prot.Kc,
-		Ke:       c.prot.Ke,
-		Kv:       c.prot.Kv,
-		State:    p.File,
-	}
-	for f, d := range c.demands {
-		snap.Demands = append(snap.Demands, wire.DemandEntry{
-			Src:    c.net.Switches[f.Src].Name,
-			Dst:    c.net.Switches[f.Dst].Name,
-			Demand: d,
-		})
-	}
-	for l, down := range c.downLinks {
-		if !down {
-			continue
-		}
-		lk := c.net.Links[l]
-		// Record each physical link once (the twin is re-derived on load).
-		if c.net.Physical(l) != l {
-			continue
-		}
-		snap.DownLinks = append(snap.DownLinks, [2]string{
-			c.net.Switches[lk.Src].Name, c.net.Switches[lk.Dst].Name,
-		})
-	}
-	for sw, down := range c.downSwitches {
-		if down {
-			snap.DownSwitches = append(snap.DownSwitches, c.net.Switches[sw].Name)
-		}
+		Version:     snapshotVersion,
+		SavedAt:     now,
+		Demands:     wire.EncodeDemands(c.net, c.demands).Demands,
+		TraceRecord: c.record(p, c.prot, c.downLinks, c.downSwitches),
 	}
 	c.mu.Unlock()
-	sort.Slice(snap.Demands, func(i, j int) bool {
-		if snap.Demands[i].Src != snap.Demands[j].Src {
-			return snap.Demands[i].Src < snap.Demands[j].Src
-		}
-		return snap.Demands[i].Dst < snap.Demands[j].Dst
-	})
-	sort.Slice(snap.DownLinks, func(i, j int) bool {
-		if snap.DownLinks[i][0] != snap.DownLinks[j][0] {
-			return snap.DownLinks[i][0] < snap.DownLinks[j][0]
-		}
-		return snap.DownLinks[i][1] < snap.DownLinks[j][1]
-	})
-	sort.Strings(snap.DownSwitches)
 
 	blob, err := json.MarshalIndent(&snap, "", " ")
 	if err != nil {

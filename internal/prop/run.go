@@ -9,6 +9,7 @@ import (
 	"ffc/internal/demand"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
+	"ffc/internal/wire"
 )
 
 // Invariant names. Each is a metamorphic or safety property of the FFC
@@ -444,7 +445,7 @@ func (r *runner) observedPlan() *core.State {
 		return r.plan
 	}
 	st := r.plan.Clone()
-	f, err := findFlow(r.e.net, m.Src, m.Dst)
+	f, err := wire.ResolveFlow(r.e.net, m.Src, m.Dst)
 	if err == nil {
 		st.Rate[f] *= m.Factor
 	}
@@ -458,8 +459,8 @@ func (r *runner) observedCapacity() map[topology.LinkID]float64 {
 	if m == nil || m.Kind != MutScaleCapacity {
 		return nil
 	}
-	l, err := findLink(r.e.net, m.Link)
-	if err != nil {
+	l := r.e.net.LinkByName(m.Link)
+	if l == topology.None {
 		return nil
 	}
 	return map[topology.LinkID]float64{l: r.e.net.Links[l].Capacity * m.Factor}
@@ -556,7 +557,7 @@ func MutateWorstLink(sc *Scenario) (*Scenario, error) {
 	}
 	cap := e.net.Links[worst].Capacity
 	c.Mutation = &Mutation{
-		Kind: MutScaleCapacity, Link: linkName(e.net, worst),
+		Kind: MutScaleCapacity, Link: e.net.LinkName(worst),
 		// Observed capacity = half the planned load: a certain violation.
 		Factor: 0.5 * worstLoad / cap,
 	}

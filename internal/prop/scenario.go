@@ -273,24 +273,21 @@ func countElements(net *topology.Network) (phys, sws int) {
 }
 
 // encodeDemands renders a matrix as name-keyed entries in deterministic
-// flow order, dropping zero flows.
+// flow order (wire.EncodeDemands), dropping zero flows.
 func encodeDemands(net *topology.Network, m demand.Matrix) []wire.DemandEntry {
-	var out []wire.DemandEntry
-	for _, f := range m.Flows() {
-		if m[f] <= 0 {
-			continue
+	pos := demand.Matrix{}
+	for f, d := range m {
+		if d > 0 {
+			pos[f] = d
 		}
-		out = append(out, wire.DemandEntry{
-			Src: net.Switches[f.Src].Name, Dst: net.Switches[f.Dst].Name, Demand: m[f],
-		})
 	}
-	return out
+	return wire.EncodeDemands(net, pos).Demands
 }
 
 func linkNames(net *topology.Network, links []topology.LinkID) []string {
 	var out []string
 	for _, l := range links {
-		out = append(out, linkName(net, l))
+		out = append(out, net.LinkName(l))
 	}
 	return out
 }
@@ -301,13 +298,6 @@ func switchNames(net *topology.Network, sws []topology.SwitchID) []string {
 		out = append(out, net.Switches[v].Name)
 	}
 	return out
-}
-
-// linkName renders a directed link as "src>dst" (matching the certifier's
-// link naming).
-func linkName(net *topology.Network, l topology.LinkID) string {
-	lk := net.Links[l]
-	return net.Switches[lk.Src].Name + ">" + net.Switches[lk.Dst].Name
 }
 
 // env is a materialized scenario: IDs resolved, tunnels laid out, matrices
@@ -340,10 +330,10 @@ func (sc *Scenario) materialize() (*env, error) {
 	e := &env{sc: sc, net: sc.Topo}
 
 	var err error
-	if e.demands, err = resolveDemands(e.net, sc.Demands); err != nil {
+	if e.demands, err = demandMatrix(e.net, sc.Demands); err != nil {
 		return nil, err
 	}
-	if e.prevDem, err = resolveDemands(e.net, sc.PrevDemands); err != nil {
+	if e.prevDem, err = demandMatrix(e.net, sc.PrevDemands); err != nil {
 		return nil, err
 	}
 	if len(e.demands) == 0 {
@@ -409,27 +399,21 @@ func (sc *Scenario) materialize() (*env, error) {
 		return nil, fmt.Errorf("prop: unknown solve path %q", sc.Path)
 	}
 
-	if e.downLinks, err = resolveLinks(e.net, sc.DownLinks); err != nil {
+	if e.downLinks, e.downSwitches, err = downSets(e.net, sc.DownLinks, sc.DownSwitches); err != nil {
 		return nil, err
 	}
-	if e.downSwitches, err = resolveSwitches(e.net, sc.DownSwitches); err != nil {
-		return nil, err
-	}
-	if e.extraLinks, err = resolveLinks(e.net, sc.ExtraFaultLinks); err != nil {
-		return nil, err
-	}
-	if e.extraSws, err = resolveSwitches(e.net, sc.ExtraFaultSwitches); err != nil {
+	if e.extraLinks, e.extraSws, err = downSets(e.net, sc.ExtraFaultLinks, sc.ExtraFaultSwitches); err != nil {
 		return nil, err
 	}
 	if sc.Mutation != nil {
 		switch sc.Mutation.Kind {
 		case MutScaleCapacity:
-			if _, err := findLink(e.net, sc.Mutation.Link); err != nil {
-				return nil, err
+			if e.net.LinkByName(sc.Mutation.Link) == topology.None {
+				return nil, fmt.Errorf("prop: unknown link %q", sc.Mutation.Link)
 			}
 		case MutBumpRate:
-			if _, err := findFlow(e.net, sc.Mutation.Src, sc.Mutation.Dst); err != nil {
-				return nil, err
+			if _, err := wire.ResolveFlow(e.net, sc.Mutation.Src, sc.Mutation.Dst); err != nil {
+				return nil, fmt.Errorf("prop: mutation: %w", err)
 			}
 		default:
 			return nil, fmt.Errorf("prop: unknown mutation kind %q", sc.Mutation.Kind)
@@ -438,79 +422,31 @@ func (sc *Scenario) materialize() (*env, error) {
 	return e, nil
 }
 
-func resolveDemands(net *topology.Network, entries []wire.DemandEntry) (demand.Matrix, error) {
+// demandMatrix resolves demand entries (wire.AddDemands), leaving out the
+// flows they give no demand.
+func demandMatrix(net *topology.Network, entries []wire.DemandEntry) (demand.Matrix, error) {
 	m := demand.Matrix{}
-	for i, d := range entries {
-		f, err := findFlow(net, d.Src, d.Dst)
-		if err != nil {
-			return nil, fmt.Errorf("prop: demand %d: %w", i, err)
+	if err := wire.AddDemands(net, m, entries); err != nil {
+		return nil, fmt.Errorf("prop: %w", err)
+	}
+	for f, d := range m {
+		if d == 0 {
+			delete(m, f)
 		}
-		if d.Demand < 0 || math.IsNaN(d.Demand) || math.IsInf(d.Demand, 0) {
-			return nil, fmt.Errorf("prop: demand %d: bad rate %g", i, d.Demand)
-		}
-		if d.Demand == 0 {
-			continue
-		}
-		m[f] += d.Demand
 	}
 	return m, nil
 }
 
-func findFlow(net *topology.Network, src, dst string) (tunnel.Flow, error) {
-	s, ok := net.SwitchByName(src)
-	if !ok {
-		return tunnel.Flow{}, fmt.Errorf("unknown switch %q", src)
+// downSets resolves "src>dst" link names and switch names into down sets
+// (wire.ResolveDownSets: both directions of each physical link go down).
+func downSets(net *topology.Network, links, switches []string) (map[topology.LinkID]bool, map[topology.SwitchID]bool, error) {
+	pairs := make([][2]string, len(links))
+	for i, name := range links {
+		pairs[i][0], pairs[i][1] = topology.LinkEnds(name)
 	}
-	d, ok := net.SwitchByName(dst)
-	if !ok {
-		return tunnel.Flow{}, fmt.Errorf("unknown switch %q", dst)
+	dl, ds, err := wire.ResolveDownSets(net, pairs, switches)
+	if err != nil {
+		return nil, nil, fmt.Errorf("prop: %w", err)
 	}
-	if s == d {
-		return tunnel.Flow{}, fmt.Errorf("flow %q->%q is a self-loop", src, dst)
-	}
-	return tunnel.Flow{Src: s, Dst: d}, nil
-}
-
-func findLink(net *topology.Network, name string) (topology.LinkID, error) {
-	for _, l := range net.Links {
-		if linkName(net, l.ID) == name {
-			return l.ID, nil
-		}
-	}
-	return topology.None, fmt.Errorf("prop: unknown link %q", name)
-}
-
-// resolveLinks maps "src>dst" names to a down-set covering both directions
-// of each physical link.
-func resolveLinks(net *topology.Network, names []string) (map[topology.LinkID]bool, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := map[topology.LinkID]bool{}
-	for _, n := range names {
-		l, err := findLink(net, n)
-		if err != nil {
-			return nil, err
-		}
-		out[l] = true
-		if tw := net.Links[l].Twin; tw != topology.None {
-			out[tw] = true
-		}
-	}
-	return out, nil
-}
-
-func resolveSwitches(net *topology.Network, names []string) (map[topology.SwitchID]bool, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := map[topology.SwitchID]bool{}
-	for _, n := range names {
-		v, ok := net.SwitchByName(n)
-		if !ok {
-			return nil, fmt.Errorf("prop: unknown switch %q", n)
-		}
-		out[v] = true
-	}
-	return out, nil
+	return dl, ds, nil
 }

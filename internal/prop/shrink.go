@@ -2,7 +2,6 @@ package prop
 
 import (
 	"math"
-	"strings"
 
 	"ffc/internal/topology"
 	"ffc/internal/wire"
@@ -318,8 +317,8 @@ func roundSig(x float64, digits int) float64 {
 // mutation targets it).
 func removeSwitch(sc *Scenario, name string) *Scenario {
 	old := sc.Topo
-	victim, ok := old.SwitchByName(name)
-	if !ok || old.NumSwitches() <= 2 {
+	victim, err := wire.ResolveSwitch(old, name)
+	if err != nil || old.NumSwitches() <= 2 {
 		return nil
 	}
 	if m := sc.Mutation; m != nil {
@@ -385,10 +384,10 @@ func removeSwitch(sc *Scenario, name string) *Scenario {
 // direction given). Returns nil when the mutation targets it.
 func removeLink(sc *Scenario, victim topology.LinkID) *Scenario {
 	old := sc.Topo
-	fwd := linkNameOf(old, victim)
+	fwd := old.LinkName(victim)
 	rev := ""
 	if tw := old.Links[victim].Twin; tw != topology.None {
-		rev = linkNameOf(old, tw)
+		rev = old.LinkName(tw)
 	}
 	if m := sc.Mutation; m != nil && (m.Link == fwd || (rev != "" && m.Link == rev)) {
 		return nil
@@ -418,18 +417,13 @@ func removeLink(sc *Scenario, victim topology.LinkID) *Scenario {
 	return c
 }
 
-func linkNameOf(net *topology.Network, l topology.LinkID) string {
-	lk := net.Links[l]
-	return net.Switches[lk.Src].Name + ">" + net.Switches[lk.Dst].Name
-}
-
 // linkTouches reports whether the "src>dst" link name involves the switch.
 func linkTouches(link, sw string) bool {
 	if link == "" {
 		return false
 	}
-	parts := strings.SplitN(link, ">", 2)
-	return parts[0] == sw || (len(parts) == 2 && parts[1] == sw)
+	src, dst := topology.LinkEnds(link)
+	return src == sw || dst == sw
 }
 
 func filterDemands(entries []wire.DemandEntry, sw string) []wire.DemandEntry {

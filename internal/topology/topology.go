@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // SwitchID indexes a switch within a Network.
@@ -135,6 +136,31 @@ func (n *Network) FindLink(src, dst SwitchID) LinkID {
 		}
 	}
 	return None
+}
+
+// LinkName labels directed link l "src>dst" by its endpoint switch names —
+// the one label certificates, verdicts and scenario files carry.
+func (n *Network) LinkName(l LinkID) string {
+	lk := n.Links[l]
+	return n.Switches[lk.Src].Name + ">" + n.Switches[lk.Dst].Name
+}
+
+// LinkEnds splits a LinkName label into its endpoint switch names.
+func LinkEnds(name string) (src, dst string) {
+	src, dst, _ = strings.Cut(name, ">")
+	return src, dst
+}
+
+// LinkByName is LinkName's inverse: the first link src→dst of a
+// "src>dst" label, or None.
+func (n *Network) LinkByName(name string) LinkID {
+	src, dst := LinkEnds(name)
+	s, ok1 := n.SwitchByName(src)
+	d, ok2 := n.SwitchByName(dst)
+	if !ok1 || !ok2 {
+		return None
+	}
+	return n.FindLink(s, d)
 }
 
 // SwitchByName returns the switch with the given name.

@@ -220,3 +220,24 @@ func TestTotalCapacity(t *testing.T) {
 		t.Fatalf("TotalCapacity = %v, want 14", got)
 	}
 }
+
+// TestLinkNames: LinkName labels each directed link "src>dst", LinkEnds
+// splits the label and LinkByName resolves it back.
+func TestLinkNames(t *testing.T) {
+	n := Example4()
+	for _, l := range n.Links {
+		name := n.LinkName(l.ID)
+		src, dst := LinkEnds(name)
+		if src != n.Switches[l.Src].Name || dst != n.Switches[l.Dst].Name {
+			t.Fatalf("link %d: %q splits into %q, %q", l.ID, name, src, dst)
+		}
+		if got := n.LinkByName(name); got != l.ID {
+			t.Fatalf("LinkByName(%q) = %d, want %d", name, got, l.ID)
+		}
+	}
+	for _, bad := range []string{"", "s1", "s1>nope", "s1>s1"} {
+		if got := n.LinkByName(bad); got != None {
+			t.Fatalf("LinkByName(%q) = %d, want None", bad, got)
+		}
+	}
+}

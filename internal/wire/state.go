@@ -2,8 +2,8 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
 
 	"ffc/internal/core"
 	"ffc/internal/topology"
@@ -28,37 +28,22 @@ func ParseState(net *topology.Network, set *tunnel.Set, data []byte) (*core.Stat
 
 // ResolveState resolves an already-decoded StateFile (see ParseState).
 func ResolveState(net *topology.Network, set *tunnel.Set, sf *StateFile) (*core.State, error) {
+	flows, err := resolveFlows(net, sf)
+	if err != nil {
+		return nil, err
+	}
 	st := core.NewState()
-	seen := map[tunnel.Flow]bool{}
 	for i, f := range sf.Flows {
-		src, ok1 := net.SwitchByName(f.Src)
-		dst, ok2 := net.SwitchByName(f.Dst)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("wire: state flow %d: unknown switch %q/%q", i, f.Src, f.Dst)
-		}
-		if src == dst {
-			return nil, fmt.Errorf("wire: state flow %d: src == dst (%q)", i, f.Src)
-		}
-		fl := tunnel.Flow{Src: src, Dst: dst}
-		if seen[fl] {
-			return nil, fmt.Errorf("wire: state flow %d: duplicate flow %s->%s", i, f.Src, f.Dst)
-		}
-		seen[fl] = true
-		if err := checkFinite("rate", i, f.Rate); err != nil {
-			return nil, err
-		}
-		if err := checkFinite("demand", i, f.Demand); err != nil {
-			return nil, err
+		fl := flows[i]
+		if err := errors.Join(checkRate("rate", f.Rate), checkRate("demand", f.Demand)); err != nil {
+			return nil, fmt.Errorf("wire: state flow %d: %w", i, err)
 		}
 		st.Rate[fl] = f.Rate
 		ts := set.Tunnels(fl)
 		alloc := make([]float64, len(ts))
 		for j, ta := range f.Tunnels {
-			if err := checkFinite("tunnel alloc", i, ta.Alloc); err != nil {
-				return nil, err
-			}
-			if err := checkFinite("tunnel weight", i, ta.Weight); err != nil {
-				return nil, err
+			if err := errors.Join(checkRate("tunnel alloc", ta.Alloc), checkRate("tunnel weight", ta.Weight)); err != nil {
+				return nil, fmt.Errorf("wire: state flow %d: %w", i, err)
 			}
 			if len(ta.Path) < 2 {
 				return nil, fmt.Errorf("wire: state flow %d tunnel %d: path has %d hops", i, j, len(ta.Path))
@@ -74,11 +59,23 @@ func ResolveState(net *topology.Network, set *tunnel.Set, sf *StateFile) (*core.
 	return st, nil
 }
 
-func checkFinite(what string, i int, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return fmt.Errorf("wire: state flow %d: %s is %g", i, what, v)
+// resolveFlows resolves a state file's flows (ResolveFlow). A duplicate
+// flow errors: its allocations would be mis-assigned.
+func resolveFlows(net *topology.Network, sf *StateFile) ([]tunnel.Flow, error) {
+	flows := make([]tunnel.Flow, len(sf.Flows))
+	seen := make(map[tunnel.Flow]bool, len(sf.Flows))
+	for i, f := range sf.Flows {
+		fl, err := ResolveFlow(net, f.Src, f.Dst)
+		if err != nil {
+			return nil, fmt.Errorf("wire: state flow %d: %w", i, err)
+		}
+		if seen[fl] {
+			return nil, fmt.Errorf("wire: state flow %d: duplicate flow %s->%s", i, f.Src, f.Dst)
+		}
+		seen[fl] = true
+		flows[i] = fl
 	}
-	return nil
+	return flows, nil
 }
 
 // samePathNames reports whether a laid-out tunnel follows exactly the named

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
+	"ffc/internal/core"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
 )
@@ -63,40 +65,48 @@ func ParseTraceRecord(line []byte) (*TraceRecord, error) {
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return nil, fmt.Errorf("wire: parsing trace record: %w", err)
 	}
-	if rec.Kc < 0 || rec.Ke < 0 || rec.Kv < 0 {
-		return nil, fmt.Errorf("wire: trace record seq=%d: negative protection (%d,%d,%d)",
-			rec.Seq, rec.Kc, rec.Ke, rec.Kv)
+	if err := rec.Validate(); err != nil {
+		return nil, err
 	}
 	return &rec, nil
 }
 
+// Validate checks the record's protection levels against the range an
+// update frame may set.
+func (r *TraceRecord) Validate() error {
+	if err := errors.Join(checkLevel("kc", r.Kc), checkLevel("ke", r.Ke), checkLevel("kv", r.Kv)); err != nil {
+		return fmt.Errorf("wire: trace record seq=%d: protection %w", r.Seq, err)
+	}
+	return nil
+}
+
+// CertifiedProt is the protection the record's plan certifies at: the
+// recorded level, or zero for a degraded plan. A degraded plan is the
+// last-good plan rescaled around the faults; it promises congestion-freedom
+// under them, nothing more (current recorders already write zero protection
+// for it; older traces and snapshots carry the requested level).
+func (r *TraceRecord) CertifiedProt() core.Protection {
+	if r.Degraded != "" {
+		return core.None
+	}
+	return core.Protection{Kc: r.Kc, Ke: r.Ke, Kv: r.Kv}
+}
+
 // ResolveDownSets maps a record's named down elements onto a topology,
-// failing both directions of each physical link. Unknown names error.
+// failing both directions of each physical link (MarkLink). Unknown names
+// error.
 func ResolveDownSets(net *topology.Network, downLinks [][2]string, downSwitches []string) (map[topology.LinkID]bool, map[topology.SwitchID]bool, error) {
 	dl := map[topology.LinkID]bool{}
 	for i, pair := range downLinks {
-		src, ok1 := net.SwitchByName(pair[0])
-		dst, ok2 := net.SwitchByName(pair[1])
-		if !ok1 || !ok2 {
-			return nil, nil, fmt.Errorf("wire: down link %d: unknown switch %q/%q", i, pair[0], pair[1])
-		}
-		l := net.FindLink(src, dst)
-		if l == topology.None {
-			l = net.FindLink(dst, src)
-		}
-		if l == topology.None {
-			return nil, nil, fmt.Errorf("wire: down link %d: no link %s-%s", i, pair[0], pair[1])
-		}
-		dl[l] = true
-		if tw := net.Links[l].Twin; tw != topology.None {
-			dl[tw] = true
+		if err := MarkLink(net, dl, pair[0], pair[1], true); err != nil {
+			return nil, nil, fmt.Errorf("wire: down link %d: %w", i, err)
 		}
 	}
 	ds := map[topology.SwitchID]bool{}
 	for i, name := range downSwitches {
-		sw, ok := net.SwitchByName(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("wire: down switch %d: unknown switch %q", i, name)
+		sw, err := ResolveSwitch(net, name)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wire: down switch %d: %w", i, err)
 		}
 		ds[sw] = true
 	}
@@ -140,29 +150,20 @@ func NamedDownSets(net *topology.Network, dl map[topology.LinkID]bool, ds map[to
 // adjacent switches connected by links of net; duplicate flows error
 // (ResolveState would mis-assign their allocations).
 func TunnelSetFromState(net *topology.Network, sf *StateFile) (*tunnel.Set, error) {
+	flows, err := resolveFlows(net, sf)
+	if err != nil {
+		return nil, err
+	}
 	set := tunnel.NewSet(net)
-	seen := map[tunnel.Flow]bool{}
 	for i, f := range sf.Flows {
-		src, ok1 := net.SwitchByName(f.Src)
-		dst, ok2 := net.SwitchByName(f.Dst)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("wire: state flow %d: unknown switch %q/%q", i, f.Src, f.Dst)
-		}
-		if src == dst {
-			return nil, fmt.Errorf("wire: state flow %d: src == dst (%q)", i, f.Src)
-		}
-		fl := tunnel.Flow{Src: src, Dst: dst}
-		if seen[fl] {
-			return nil, fmt.Errorf("wire: state flow %d: duplicate flow %s->%s", i, f.Src, f.Dst)
-		}
-		seen[fl] = true
+		fl := flows[i]
 		var ts []*tunnel.Tunnel
 		for j, ta := range f.Tunnels {
 			t, err := tunnelFromPath(net, ta.Path)
 			if err != nil {
 				return nil, fmt.Errorf("wire: state flow %d tunnel %d: %w", i, j, err)
 			}
-			if t.Switches[0] != src || t.Switches[len(t.Switches)-1] != dst {
+			if t.Switches[0] != fl.Src || t.Switches[len(t.Switches)-1] != fl.Dst {
 				return nil, fmt.Errorf("wire: state flow %d tunnel %d: path endpoints %s..%s don't match the flow",
 					i, j, ta.Path[0], ta.Path[len(ta.Path)-1])
 			}
@@ -180,9 +181,9 @@ func tunnelFromPath(net *topology.Network, path []string) (*tunnel.Tunnel, error
 	}
 	switches := make([]topology.SwitchID, len(path))
 	for i, name := range path {
-		sw, ok := net.SwitchByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown switch %q", name)
+		sw, err := ResolveSwitch(net, name)
+		if err != nil {
+			return nil, err
 		}
 		switches[i] = sw
 	}

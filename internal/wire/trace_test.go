@@ -117,9 +117,11 @@ func TestParseTraceRecordErrors(t *testing.T) {
 	if _, err := ParseTraceRecord([]byte(`{"seq":`)); err == nil {
 		t.Fatal("garbage should error")
 	}
-	if _, err := ParseTraceRecord([]byte(`{"seq":1,"kc":-1}`)); err == nil ||
-		!strings.Contains(err.Error(), "negative protection") {
-		t.Fatalf("negative protection: %v", err)
+	for _, line := range []string{`{"seq":1,"kc":-1}`, `{"seq":1,"ke":100000}`} {
+		if _, err := ParseTraceRecord([]byte(line)); err == nil ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: %v, want a protection out of range", line, err)
+		}
 	}
 }
 

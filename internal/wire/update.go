@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // Update ops accepted by the ffcd streaming protocol. Each newline-delimited
@@ -20,9 +19,9 @@ const (
 	UpdateProtection = "protection"
 )
 
-// maxProtection caps kc/ke/kv in protection updates: far above any useful
-// level, low enough that a hostile frame cannot request an astronomically
-// large sorting-network formulation.
+// maxProtection caps kc/ke/kv in protection updates, trace records and
+// snapshots: far above any useful level, low enough that a hostile input
+// cannot request an astronomically large sorting-network formulation.
 const maxProtection = 256
 
 // Update is one streamed controller update — the mutating half of the ffcd
@@ -90,8 +89,8 @@ func (u *Update) Validate() error {
 			if d.Src == d.Dst {
 				return fmt.Errorf("wire: demands update entry %d: src == dst (%q)", i, d.Src)
 			}
-			if math.IsNaN(d.Demand) || math.IsInf(d.Demand, 0) || d.Demand < 0 {
-				return fmt.Errorf("wire: demands update entry %d: demand is %g", i, d.Demand)
+			if err := checkRate("demand", d.Demand); err != nil {
+				return fmt.Errorf("wire: demands update entry %d: %w", i, err)
 			}
 		}
 	case UpdateLink:
@@ -122,8 +121,8 @@ func (u *Update) Validate() error {
 			if f.v == nil {
 				continue
 			}
-			if *f.v < 0 || *f.v > maxProtection {
-				return fmt.Errorf("wire: protection update: %s = %d out of range [0,%d]", f.name, *f.v, maxProtection)
+			if err := checkLevel(f.name, *f.v); err != nil {
+				return fmt.Errorf("wire: protection update: %w", err)
 			}
 		}
 	case "":

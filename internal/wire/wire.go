@@ -1,6 +1,11 @@
 // Package wire defines the JSON formats the CLI tools exchange: topologies
-// (handled natively by internal/topology), demand files, and computed TE
-// states, all keyed by switch names so files are human-editable.
+// (handled natively by internal/topology), demand files, computed TE
+// states, ffcd's update frames and the trace records that ffcd, ffcsim and
+// the ffcd snapshot carry, all keyed by switch names so files are
+// human-editable. It is also the one place outside names resolve back to
+// IDs (names.go): every reader of a file, frame, record, snapshot or prop
+// scenario goes through ResolveSwitch, ResolveFlow, ResolveDemand and
+// MarkLink, so each one applies the same checks.
 package wire
 
 import (
@@ -25,29 +30,15 @@ type DemandsFile struct {
 	Demands []DemandEntry `json:"demands"`
 }
 
-// ParseDemands resolves a demands file against a topology.
+// ParseDemands resolves a demands file against a topology (AddDemands).
 func ParseDemands(net *topology.Network, data []byte) (demand.Matrix, error) {
 	var f DemandsFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("wire: parsing demands: %w", err)
 	}
 	m := demand.Matrix{}
-	for i, d := range f.Demands {
-		src, ok := net.SwitchByName(d.Src)
-		if !ok {
-			return nil, fmt.Errorf("wire: demand %d: unknown switch %q", i, d.Src)
-		}
-		dst, ok := net.SwitchByName(d.Dst)
-		if !ok {
-			return nil, fmt.Errorf("wire: demand %d: unknown switch %q", i, d.Dst)
-		}
-		if src == dst {
-			return nil, fmt.Errorf("wire: demand %d: src == dst (%q)", i, d.Src)
-		}
-		if d.Demand < 0 {
-			return nil, fmt.Errorf("wire: demand %d: negative demand %g", i, d.Demand)
-		}
-		m[tunnel.Flow{Src: src, Dst: dst}] += d.Demand
+	if err := AddDemands(net, m, f.Demands); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
