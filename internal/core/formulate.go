@@ -164,17 +164,20 @@ func (b *builder) miceOf(in *Input) []int {
 	if frac <= 0 {
 		return nil
 	}
-	dem := func(i int) float64 { return in.Demands[b.s.flows[i]] }
+	// dem holds each selected flow's demand by flow index: the sort compares
+	// slice entries, not two map lookups per comparison.
+	dem := make([]float64, len(b.s.flows))
 	total := 0.0
 	for _, i := range b.flows {
-		total += dem(i)
+		dem[i] = in.Demands[b.s.flows[i]]
+		total += dem[i]
 	}
 	order := slices.Clone(b.flows)
-	sort.Slice(order, func(x, y int) bool { return dem(order[x]) < dem(order[y]) })
+	sort.Slice(order, func(x, y int) bool { return dem[order[x]] < dem[order[y]] })
 	budget := frac * total
 	var mice []int
 	for _, i := range order {
-		f, d := b.s.flows[i], dem(i)
+		f, d := b.s.flows[i], dem[i]
 		if d > budget {
 			break
 		}

@@ -52,8 +52,9 @@ type Plan struct {
 	// File is the wire form of State against the controller's topology and
 	// tunnel set at install time.
 	File wire.StateFile
-	// Encoded is File pre-marshalled: the serve path answers get_plan with
-	// one buffer copy and zero encoding work.
+	// Encoded is File as compact JSON, written once at install by
+	// wire.AppendState (byte for byte json.Marshal's encoding): the serve
+	// path answers get_plan with one buffer copy and zero encoding work.
 	Encoded json.RawMessage
 }
 
@@ -104,14 +105,19 @@ func (p *Plan) Meta() Meta {
 func (p *Plan) Routes() []wire.StateFlow { return p.File.Flows }
 
 // install publishes p, whose State is a plan for dem, as the serving plan:
-// stamp and encode it once, then swap the atomic pointer. The previous plan
-// stays valid for readers that already hold it. Every plan but the unsolved
-// placeholder arrives with the certificate it passed.
+// stamp and encode it once (into a buffer sized from the previous plan's
+// encoding, so the append rarely grows it), then swap the atomic pointer.
+// The previous plan stays valid for readers that already hold it. Every
+// plan but the unsolved placeholder arrives with the certificate it passed.
 func (c *Controller) install(p *Plan, dem demand.Matrix) {
 	start := time.Now()
 	p.InstalledAt = start
 	p.File = wire.EncodeState(c.net, c.set, dem, p.State)
-	blob, err := json.Marshal(p.File)
+	var buf []byte
+	if last := c.plan.Load(); last != nil {
+		buf = make([]byte, 0, len(last.Encoded)+len(last.Encoded)/8)
+	}
+	blob, err := wire.AppendState(buf, &p.File)
 	if err != nil {
 		// Unreachable for the types involved; keep serving the old plan.
 		c.cfg.Logf("ctrl: encoding plan seq=%d: %v", p.Seq, err)

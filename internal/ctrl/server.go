@@ -153,7 +153,7 @@ func (s *Server) serveConn(sc *serverConn) {
 }
 
 // writeFrame writes resp as one line, byte for byte json.Marshal(resp). A
-// plan is compact JSON already, encoded by json.Marshal at install, and
+// plan is compact JSON already, written by wire.AppendState at install, and
 // comes last in its reply (no routes or stats follow it): the envelope is
 // marshalled without it and the plan's bytes are spliced in before the
 // closing brace, where json.Marshal would re-validate all of them.
@@ -186,8 +186,65 @@ func writeFrame(out *bufio.Writer, resp *Response) error {
 	return out.Flush()
 }
 
-// handle answers one request frame.
+// handle answers one request frame. decodeFrame settles almost every frame
+// in one strict pass; whatever it cannot settle goes through handleTwoPass,
+// which gives every frame the reply it always had.
 func (s *Server) handle(line []byte) *Response {
+	q, u, ok := decodeFrame(line)
+	switch {
+	case !ok:
+		return s.handleTwoPass(line)
+	case u != nil:
+		return s.apply(u)
+	}
+	return s.query(q)
+}
+
+// frame is a request line as decodeFrame reads it: a query's verb (kept
+// raw, so that a null or non-string q is seen) or an update's fields.
+type frame struct {
+	Q json.RawMessage `json:"q"`
+	wire.Update
+}
+
+// decodeFrame decodes line once, strictly: no unknown field, nothing but
+// JSON whitespace after the value. It returns the query verb or the update
+// (not yet validated: Apply validates), and ok = false for every frame it
+// cannot settle exactly as handleTwoPass would — one that fails the strict
+// decode or has trailing bytes, an update that also carries a q key, a q
+// that is not a non-empty string. On those frames the lenient probe of
+// handleTwoPass and wire.ParseUpdate decide, as before.
+func decodeFrame(line []byte) (q string, u *wire.Update, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	var f frame
+	if dec.Decode(&f) != nil || !jsonSpace(line[dec.InputOffset():]) {
+		return "", nil, false
+	}
+	switch {
+	case f.Op != "" && f.Q == nil:
+		return "", &f.Update, true
+	case f.Op == "" && f.Q != nil:
+		if json.Unmarshal(f.Q, &q) == nil && q != "" {
+			return q, nil, true
+		}
+	}
+	return "", nil, false
+}
+
+// jsonSpace reports whether b holds only JSON whitespace.
+func jsonSpace(b []byte) bool {
+	for _, c := range b {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return false
+		}
+	}
+	return true
+}
+
+// handleTwoPass answers a frame decodeFrame could not settle: a lenient
+// probe of q and op, then wire.ParseUpdate's strict decode of an update.
+func (s *Server) handleTwoPass(line []byte) *Response {
 	var probe struct {
 		Q  string `json:"q"`
 		Op string `json:"op"`
@@ -201,14 +258,19 @@ func (s *Server) handle(line []byte) *Response {
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
-		if err := s.ctrl.Apply(u); err != nil {
-			return &Response{Error: err.Error()}
-		}
-		return &Response{OK: true}
+		return s.apply(u)
 	case probe.Q != "":
 		return s.query(probe.Q)
 	}
 	return &Response{Error: "frame has neither q nor op"}
+}
+
+// apply folds an update into the controller (Apply validates it first).
+func (s *Server) apply(u *wire.Update) *Response {
+	if err := s.ctrl.Apply(u); err != nil {
+		return &Response{Error: err.Error()}
+	}
+	return &Response{OK: true}
 }
 
 func (s *Server) query(q string) *Response {

@@ -76,7 +76,9 @@ func (c *Controller) adoptSnapshot(snap *snapshotFile) error {
 
 // writeSnapshot persists the installed plan and desired state, atomically
 // (write temp + rename). Rate-limited to Config.SnapshotEvery unless
-// force (the final snapshot on Stop).
+// force (the final snapshot on Stop): the limit counts from the last
+// attempt, so a failing write is retried, and logged, once per period
+// rather than on every install.
 func (c *Controller) writeSnapshot(force bool) {
 	if c.cfg.SnapshotPath == "" {
 		return
@@ -89,6 +91,7 @@ func (c *Controller) writeSnapshot(force bool) {
 	if p == nil || p.Seq == 0 {
 		return // nothing solved or restored yet; keep any older snapshot
 	}
+	c.lastSnapshot = now
 	c.mu.Lock()
 	snap := snapshotFile{
 		Version:     snapshotVersion,
@@ -116,7 +119,6 @@ func (c *Controller) writeSnapshot(force bool) {
 		c.cfg.Logf("ctrl: installing snapshot: %v", err)
 		return
 	}
-	c.lastSnapshot = now
 	c.stats.snapshotWrites.Add(1)
 	obsSnapshotWrites.Inc()
 }

@@ -2,8 +2,11 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -254,5 +257,158 @@ func TestFailedSolveConsumesFactor(t *testing.T) {
 		if st := next.Stats; !st.Warm || st.FactorReused || st.DualIters != k || !almost(next.Objective, 2*k, 1e-9) {
 			t.Fatalf("%s: next solve objective %g, stats %+v; want %d dual pivots on a fresh factorization", stop.name, next.Objective, st, k)
 		}
+	}
+}
+
+// handleSnapshot copies everything a handle holds: its statuses and, while
+// it still carries a factorization, the basis order, multipliers, reduced
+// costs and the product form's eta arena.
+func handleSnapshot(ws *WarmStart) []any {
+	snap := []any{slices.Clone(ws.colStat), slices.Clone(ws.slackStat)}
+	if f := ws.fact.Load(); f != nil {
+		snap = append(snap, slices.Clone(f.s.basis), slices.Clone(f.s.y), slices.Clone(f.s.d))
+		if p, ok := f.rep.(*pfiRep); ok {
+			snap = append(snap, slices.Clone(p.etas), slices.Clone(p.idx), slices.Clone(p.vals))
+		}
+	}
+	return snap
+}
+
+// TestSolvesShareNoArrays: a seat on a carried factorization reuses the
+// simplex arrays of the solve that captured it, and none of them may show
+// through what an earlier solve returned. Three solves
+// of one model: cold; from the first's handle after a bound change (seated
+// on its factorization, in the first solve's arrays, pivoting to a new
+// optimum); cold again after another. The first two Solutions' X and Duals
+// and the second's handle, never used, must be as they were, and that
+// handle must still seat on its factorization and reach the optimum.
+func TestSolvesShareNoArrays(t *testing.T) {
+	const k = pfiThreshold + 20
+	m, xs := dualChain(k)
+	bound := func(hi float64) {
+		for _, x := range xs {
+			m.SetBounds(x, 0, hi)
+		}
+	}
+	sol1, err := m.Solve()
+	requireOptimal(t, sol1, err)
+	saved := [][]float64{slices.Clone(sol1.X), slices.Clone(sol1.Duals)}
+	bound(2)
+	sol2, err := m.SolveFrom(sol1.Warm())
+	requireOptimal(t, sol2, err)
+	if !sol2.Stats.FactorReused || sol2.Iters == 0 || !almost(sol2.Objective, 2*k, 1e-9) {
+		t.Fatalf("second solve: objective %g in %d iterations, stats %+v; want %d after pivoting on the carried factorization",
+			sol2.Objective, sol2.Iters, sol2.Stats, 2*k)
+	}
+	retained := sol2.Warm()
+	if retained.fact.Load() == nil {
+		t.Fatal("second solve's handle carries no factorization")
+	}
+	saved = append(saved, slices.Clone(sol2.X), slices.Clone(sol2.Duals))
+	savedHandle := handleSnapshot(retained)
+
+	bound(1)
+	sol3, err := m.Solve()
+	requireOptimal(t, sol3, err)
+	if !almost(sol3.Objective, k, 1e-9) {
+		t.Fatalf("third solve: objective %g, want %d", sol3.Objective, k)
+	}
+
+	for i, got := range [][]float64{sol1.X, sol1.Duals, sol2.X, sol2.Duals} {
+		if !slices.Equal(got, saved[i]) {
+			t.Fatalf("solution vector %d changed under later solves", i)
+		}
+	}
+	if !reflect.DeepEqual(handleSnapshot(retained), savedHandle) {
+		t.Fatal("the retained, unused handle changed under a later solve")
+	}
+	got, err := m.SolveFrom(retained)
+	requireOptimal(t, got, err)
+	if !got.Stats.FactorReused || !almost(got.Objective, k, 1e-9) {
+		t.Fatalf("retained handle: objective %g, stats %+v; want a seat on its factorization at %d", got.Objective, got.Stats, k)
+	}
+}
+
+// TestPricedSeatMatchesRepricedSeat: a seat on the carried factorization
+// over unchanged columns and costs keeps the optimum's reduced costs and
+// multipliers instead of pricing again, and must be bit for bit the seat
+// that prices again — X, Duals, objective and every counter. Two copies of
+// each model are solved alike, one handle is made to price again, and both
+// models drift alike: the differential harness's RHS and bound drift on
+// both cold representations, and random sparse LPs whose bounds shrink and
+// whose fixed columns are released upward, so that the primal simplex
+// prices the columns the dual froze, after the dual, with the seat's Devex
+// weights.
+func TestPricedSeatMatchesRepricedSeat(t *testing.T) {
+	priced, primal := 0, 0
+	compare := func(tag string, m, twin *Model, h, twinH *WarmStart) {
+		t.Helper()
+		got, gotErr := m.SolveFrom(h)
+		want, wantErr := twin.SolveFrom(twinH)
+		if (gotErr == nil) != (wantErr == nil) || got.Status != want.Status || got.Stats != want.Stats ||
+			!slices.EqualFunc(got.X, want.X, sameBits) || !slices.EqualFunc(got.Duals, want.Duals, sameBits) ||
+			!sameBits(got.Objective, want.Objective) {
+			t.Fatalf("%s: priced seat %v %+v objective %v; repriced seat %v %+v objective %v",
+				tag, got.Status, got.Stats, got.Objective, want.Status, want.Stats, want.Objective)
+		}
+		if got.Stats.FactorReused {
+			priced++
+			if got.Iters > got.Stats.DualIters {
+				primal++
+			}
+		}
+	}
+	// unpriced makes the handle's carried costs differ from its model's in
+	// the last bit of one cost, so that matches reports changed costs and
+	// the seat prices again; reset then refills the costs from the model,
+	// so the seat is otherwise the one that keeps the optimum's prices.
+	unpriced := func(sol *Solution) bool {
+		f := sol.Warm().fact.Load()
+		if f == nil || f.s.nStruct == 0 {
+			return false
+		}
+		f.s.cost[0] = math.Float64frombits(math.Float64bits(f.s.cost[0]) ^ 1)
+		return true
+	}
+
+	rng := rand.New(rand.NewSource(52))
+	for c := 0; c < 4000; c++ {
+		p := randomRefProblem(rng)
+		m, vars := p.toModel()
+		twin, twinVars := p.toModel()
+		if c%2 == 0 {
+			m.forceRep, twin.forceRep = 2, 2
+		}
+		sol, err := m.Solve()
+		twinSol, twinErr := twin.Solve()
+		if err != nil || twinErr != nil || !unpriced(twinSol) {
+			continue
+		}
+		perturbClasses(p, rng, true, true, false)
+		applyMutations(m, vars, p)
+		applyMutations(twin, twinVars, p)
+		compare(fmt.Sprintf("case %d", c), m, twin, sol.Warm(), twinSol.Warm())
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sp := randomSparseSpec(rng, 90+60*int(seed%3), 60+40*int(seed%3))
+		m, twin := sp.build(), sp.build()
+		sol, err := m.Solve()
+		twinSol, twinErr := twin.Solve()
+		if err != nil || twinErr != nil || !unpriced(twinSol) {
+			continue
+		}
+		perturbSpec(rng, sp, m, twin)
+		for j := range sp.lo {
+			if sp.lo[j] == sp.hi[j] && rng.Intn(2) == 0 {
+				m.SetBounds(Var(j), sp.lo[j], Inf)
+				twin.SetBounds(Var(j), sp.lo[j], Inf)
+			}
+		}
+		compare(fmt.Sprintf("sparse seed %d", seed), m, twin, sol.Warm(), twinSol.Warm())
+	}
+	t.Logf("%d priced seats, %d with primal pivots after the dual", priced, primal)
+	if priced < 500 || primal < 25 {
+		t.Fatalf("only %d priced seats (%d with primal pivots); the drift does not exercise the kept prices", priced, primal)
 	}
 }

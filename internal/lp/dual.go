@@ -37,8 +37,9 @@ func (s *simplexState) dualSimplex() (st Status, ok bool) {
 	if s.worstRow() < 0 {
 		return Optimal, true
 	}
-	m := s.m
-	frozen := make([]bool, s.n)
+	s.frozen = resize(s.frozen, s.n)
+	frozen := s.frozen
+	clear(frozen)
 	flipped := false
 	for j, js := range s.status {
 		if js == stBasic || s.hi[j]-s.lo[j] <= fixedEps {
@@ -63,10 +64,8 @@ func (s *simplexState) dualSimplex() (st Status, ok bool) {
 	}
 
 	s.inDual = true
-	rho := make([]float64, m)
-	w := make([]float64, m)
-	alpha := make([]float64, s.n)
-	for left := dualPivotsPerRow*m + dualPivotSlack; ; left-- {
+	w, rho, alpha := s.pricingScratch()
+	for left := dualPivotsPerRow*s.m + dualPivotSlack; ; left-- {
 		r := s.worstRow()
 		if r < 0 {
 			s.inDual = false

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -299,23 +300,42 @@ func TestRowWisePricingBitIdentical(t *testing.T) {
 }
 
 // TestZeroPivotWarmResolveAllocs pins what a warm re-solve that pivots not
-// at all allocates on a 600-row model: no per-row allocation is left.
+// at all allocates on a 600-row model: no per-row allocation is left, and
+// the simplex arrays come back with the carried factorization, so the bytes
+// are the Solution's and the handle's own.
 func TestZeroPivotWarmResolveAllocs(t *testing.T) {
 	m, _ := dualChain(600)
 	sol, err := m.Solve()
 	requireOptimal(t, sol, err)
 	h := sol.Warm()
-	allocs := testing.AllocsPerRun(20, func() {
+	resolve := func() {
 		sol, err := m.SolveFrom(h)
 		if err != nil || sol.Iters != 0 || !sol.Stats.FactorReused {
 			t.Fatalf("re-solve: err %v, %d iterations, stats %+v; want 0 pivots on the carried factorization", err, sol.Iters, sol.Stats)
 		}
 		h = sol.Warm()
-	})
+	}
+	allocs := testing.AllocsPerRun(20, resolve)
 	if allocs > 150 {
 		t.Fatalf("zero-pivot warm re-solve of 600 rows: %.0f allocations, want ≤ 150", allocs)
 	}
-	t.Logf("zero-pivot warm re-solve of 600 rows: %.0f allocations", allocs)
+	// Bytes, the way AllocsPerRun counts allocations: one warm-up run, then
+	// the mean over 20 at GOMAXPROCS 1. The bound is a tenth of the 418 KB
+	// a zero-pivot re-solve of BenchmarkWarmResolveZeroPivot's 600-row LP
+	// allocated while every solve built its simplex arrays afresh.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	resolve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		resolve()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / 20
+	if bytes > 41_800 {
+		t.Fatalf("zero-pivot warm re-solve of 600 rows: %.0f bytes, want ≤ 41,800", bytes)
+	}
+	t.Logf("zero-pivot warm re-solve of 600 rows: %.0f allocations, %.0f bytes", allocs, bytes)
 }
 
 // BenchmarkWarmResolveZeroPivot re-solves a 600-row sparse LP from the

@@ -80,6 +80,35 @@ type simplexState struct {
 	opts         SolveOpts
 	checkBudget  bool
 	budgetReason string
+
+	// Scratch reused across iterations and, with the state, across solves:
+	// the FTRAN, BTRAN and pivot-row vectors of both simplexes, the seat's
+	// residual and probes, the dual's frozen marks, the extracted point and
+	// the warm basic set. Whoever uses one sizes it with resize and writes
+	// or clears all of it first.
+	w, rho, alpha  []float64
+	res, act, u, z []float64
+	xs             []float64
+	frozen         []bool
+	basisSet       []int
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short; the contents are left as they are.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// resizeCap is resize for a buffer that must also hold c elements without
+// reallocating (the crash appends artificials to the per-variable arrays).
+func resizeCap[T any](buf []T, n, c int) []T {
+	if cap(buf) < c {
+		return make([]T, n, c)
+	}
+	return buf[:n]
 }
 
 func solveSimplex(model *Model, ws *WarmStart, opts SolveOpts) *Solution {
@@ -126,8 +155,7 @@ func solveSimplex(model *Model, ws *WarmStart, opts SolveOpts) *Solution {
 		sol.budgetFeasible = feasible
 	}
 	if st == Optimal || st == IterLimit || (st == BudgetExceeded && feasible) {
-		xs := s.extract()
-		copy(sol.X, xs[:s.nStruct])
+		copy(sol.X, s.extract()[:s.nStruct])
 		sol.Objective = objValue(model, sol.X)
 		sol.Duals = s.dualValues(model.maximize)
 	}
@@ -137,12 +165,15 @@ func solveSimplex(model *Model, ws *WarmStart, opts SolveOpts) *Solution {
 	return sol
 }
 
-// dualValues returns y = c_B B⁻¹ per row, flipped back into the user's
-// objective direction (the solver minimizes internally). A fresh y is
-// exactly that: Phase II's computeDuals left it, and no pivot came after.
+// dualValues returns a new slice of y = c_B B⁻¹ per row, flipped back into
+// the user's objective direction (the solver minimizes internally). A fresh
+// y is exactly that: Phase II's computeDuals left it, and no pivot came
+// after. s.y itself stays in the minimization direction, for the handle.
 func (s *simplexState) dualValues(maximize bool) []float64 {
-	y := s.y
-	if !s.fresh {
+	y := make([]float64, s.m)
+	if s.fresh {
+		copy(y, s.y)
+	} else {
 		for i := 0; i < s.m; i++ {
 			y[i] = s.cost[s.basis[i]]
 		}
@@ -180,29 +211,111 @@ func nearestBound(lo, hi float64) float64 {
 // or the cold diagonal crash — initial point with structural variables at a
 // bound, slack basic where feasible, artificials elsewhere. Returns nil for
 // a completely empty model.
+//
+// The state's arrays come from the handle's carried factorization when ws
+// still carries one (they are the arrays of the solve that captured it),
+// else they are allocated. A seat on the carried factorization over
+// bit-identical columns and costs keeps the reduced costs and multipliers
+// that solve priced at its optimum.
 func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 	m := len(model.rows)
 	nS := len(model.cols)
 	if m == 0 {
 		return nil
 	}
-	s := &simplexState{m: m, nStruct: nS, byRow: model.rowWise(), opts: opts, checkBudget: !opts.unbounded()}
-	total := nS + m // artificials appended later
-	s.colIdx = make([][]int32, total, total+m)
-	s.colCoef = make([][]float64, total, total+m)
-	s.lo = make([]float64, total, total+m)
-	s.hi = make([]float64, total, total+m)
-	s.cost = make([]float64, total, total+m)
-	s.p1cost = make([]float64, total, total+m)
-	s.rhs = make([]float64, m)
-	s.y = make([]float64, m)
-	s.status = make([]varStatus, total, total+m)
-	s.nbVal = make([]float64, total, total+m)
-
 	sign := 1.0
 	if model.maximize {
 		sign = -1 // internally we always minimize
 	}
+	var f *factorization
+	if ws != nil {
+		f = ws.fact.Swap(nil)
+	}
+	var s *simplexState
+	sameCols, sameCosts := false, false
+	if f != nil {
+		s = f.s
+		sameCols, sameCosts = f.matches(model, sign)
+	} else {
+		s = &simplexState{}
+	}
+	s.reset(model, opts, sign)
+
+	// Park every variable (structural and slack) at its nearest bound.
+	// A warm install overwrites these statuses; the diagonal crash keeps
+	// them.
+	total := nS + m
+	for j := 0; j < total; j++ {
+		v := nearestBound(s.lo[j], s.hi[j])
+		s.nbVal[j] = v
+		switch {
+		case v == s.lo[j] && !math.IsInf(s.lo[j], -1):
+			s.status[j] = stAtLower
+		case v == s.hi[j] && !math.IsInf(s.hi[j], 1):
+			s.status[j] = stAtUpper
+		default:
+			s.status[j] = stFreeZero
+		}
+	}
+
+	// SolveWith has already dropped a handle that does not fit.
+	s.stats.Warm = ws != nil && s.installWarm(ws, f, sameCols)
+	s.stats.WarmFellBack = ws != nil && !s.stats.Warm
+	switch {
+	case !s.stats.Warm:
+		// A failed install left the warm *nonbasic* statuses in place, so
+		// the diagonal crash needs artificials only on rows those values
+		// don't satisfy.
+		s.crashDiagonal(model)
+		s.price()
+	case s.stats.FactorReused && sameCosts:
+		// Same basis, factorization, columns and costs as the optimum, whose
+		// d and y are fresh (optimize returns Optimal only on fresh duals):
+		// computeDuals would reproduce them bit for bit.
+		s.d = resize(s.d, s.n)
+		s.gamma = resize(s.gamma, s.n)
+		s.resetDevex()
+		s.fresh = true
+	default:
+		s.price()
+	}
+
+	s.maxIters = model.MaxIters
+	if s.maxIters == 0 {
+		s.maxIters = 200*(m+s.n) + 20000
+	}
+	return s
+}
+
+// reset readies s for a solve of model: every scalar from zero, every
+// per-variable and per-row array sized for the model's structurals and
+// slacks (with room for one artificial per row) and filled from it. The
+// basis, d and y keep their contents: a carried seat relies on them, and
+// every other path overwrites them.
+func (s *simplexState) reset(model *Model, opts SolveOpts, sign float64) {
+	m, nS := len(model.rows), len(model.cols)
+	total := nS + m // artificials appended later
+	old := *s
+	*s = simplexState{
+		m: m, nStruct: nS, byRow: model.rowWise(), opts: opts, checkBudget: !opts.unbounded(),
+		colIdx:  resizeCap(old.colIdx, total, total+m),
+		colCoef: resizeCap(old.colCoef, total, total+m),
+		lo:      resizeCap(old.lo, total, total+m),
+		hi:      resizeCap(old.hi, total, total+m),
+		cost:    resizeCap(old.cost, total, total+m),
+		p1cost:  resizeCap(old.p1cost, total, total+m),
+		status:  resizeCap(old.status, total, total+m),
+		nbVal:   resizeCap(old.nbVal, total, total+m),
+		rhs:     resize(old.rhs, m),
+		y:       resize(old.y, m),
+		basis:   resize(old.basis, m),
+		xB:      resize(old.xB, m),
+		d:       old.d, gamma: old.gamma,
+		w: old.w, rho: old.rho, alpha: old.alpha,
+		res: old.res, act: old.act, u: old.u, z: old.z,
+		xs: old.xs, frozen: old.frozen, basisSet: old.basisSet,
+	}
+	clear(s.p1cost)
 	for j := 0; j < nS; j++ {
 		c := &model.cols[j]
 		s.colIdx[j] = c.rowIdx
@@ -222,50 +335,16 @@ func newState(model *Model, ws *WarmStart, opts SolveOpts) *simplexState {
 		case EQ:
 			s.lo[j], s.hi[j] = 0, 0
 		}
+		s.cost[j] = 0
 		s.rhs[i] = model.rows[i].rhs
 	}
-
-	// Park every variable (structural and slack) at its nearest bound.
-	// A warm install overwrites these statuses; the diagonal crash keeps
-	// them.
-	for j := 0; j < total; j++ {
-		v := nearestBound(s.lo[j], s.hi[j])
-		s.nbVal[j] = v
-		switch {
-		case v == s.lo[j] && !math.IsInf(s.lo[j], -1):
-			s.status[j] = stAtLower
-		case v == s.hi[j] && !math.IsInf(s.hi[j], 1):
-			s.status[j] = stAtUpper
-		default:
-			s.status[j] = stFreeZero
-		}
-	}
-
-	s.basis = make([]int, m)
-	s.xB = make([]float64, m)
-	// SolveWith has already dropped a handle that does not fit.
-	s.stats.Warm = ws != nil && s.installWarm(ws)
-	s.stats.WarmFellBack = ws != nil && !s.stats.Warm
-	if !s.stats.Warm {
-		// A failed install left the warm *nonbasic* statuses in place, so
-		// the diagonal crash needs artificials only on rows those values
-		// don't satisfy.
-		s.crashDiagonal(model)
-	}
-	s.price()
-
-	s.maxIters = model.MaxIters
-	if s.maxIters == 0 {
-		s.maxIters = 200*(m+s.n) + 20000
-	}
-	return s
 }
 
 // price sizes the per-variable pricing vectors for the seated basis (the
 // crash may have appended artificials) and computes the reduced costs.
 func (s *simplexState) price() {
-	s.d = make([]float64, s.n)
-	s.gamma = make([]float64, s.n)
+	s.d = resize(s.d, s.n)
+	s.gamma = resize(s.gamma, s.n)
 	s.resetDevex()
 	s.computeDuals()
 }
@@ -278,7 +357,9 @@ func (s *simplexState) crashDiagonal(model *Model) {
 	m, nS := s.m, s.nStruct
 
 	// Row activity from structural variables at their parked values.
-	act := make([]float64, m)
+	s.act = resize(s.act, m)
+	act := s.act
+	clear(act)
 	for j := 0; j < nS; j++ {
 		v := s.nbVal[j]
 		if v == 0 {
@@ -408,9 +489,11 @@ func (s *simplexState) computeXB() []float64 {
 	return res
 }
 
-// rhsMinusNonbasic returns rhs − N·x_N, the vector B·xB must equal.
+// rhsMinusNonbasic returns rhs − N·x_N, the vector B·xB must equal, in
+// s.res (overwritten by the next call).
 func (s *simplexState) rhsMinusNonbasic() []float64 {
-	res := make([]float64, s.m)
+	s.res = resize(s.res, s.m)
+	res := s.res
 	copy(res, s.rhs)
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == stBasic {
@@ -570,9 +653,7 @@ func (s *simplexState) budgetCheckpoint() Status {
 // phase's cost vector.
 func (s *simplexState) optimize() Status {
 	m := s.m
-	w := make([]float64, m)
-	rho := make([]float64, m)
-	alpha := make([]float64, s.n)
+	w, rho, alpha := s.pricingScratch()
 	bland := false
 	degenRun := 0
 	for {
@@ -842,9 +923,18 @@ func (s *simplexState) chooseEntering(bland bool) (int, float64) {
 	return bestJ, bestDir
 }
 
-// extract returns the value of every variable (structural first).
+// pricingScratch returns the zeroed FTRAN vector w, the BTRAN vector ρ and
+// the pivot row α, sized for the current state.
+func (s *simplexState) pricingScratch() (w, rho, alpha []float64) {
+	s.w, s.rho, s.alpha = resize(s.w, s.m), resize(s.rho, s.m), resize(s.alpha, s.n)
+	clear(s.w)
+	return s.w, s.rho, s.alpha
+}
+
+// extract returns the value of every variable (structural first), in s.xs.
 func (s *simplexState) extract() []float64 {
-	x := make([]float64, s.n)
+	s.xs = resize(s.xs, s.n)
+	x := s.xs
 	for j := 0; j < s.n; j++ {
 		if s.status[j] != stBasic {
 			x[j] = s.nbVal[j]

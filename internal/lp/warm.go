@@ -38,14 +38,17 @@ type WarmStart struct {
 	fact atomic.Pointer[factorization]
 }
 
-// factorization is a basis representation as a solve left it: rep, the
-// variable at each of its positions, and the model's structural columns,
-// which stay as captured (there is no coefficient setter; AddNamed appends).
+// factorization is a basis representation as a solve left it, with that
+// solve's whole state s: the variable at each of rep's positions
+// (s.basis), the structural columns and costs the basis was factorized and
+// priced on (s.colIdx, s.colCoef, s.cost — the column slices stay as
+// captured: there is no coefficient setter, AddNamed appends), and the
+// fresh reduced costs s.d and multipliers s.y of its optimum. The
+// seat that takes it adopts s as its own state, so a handle's arrays are
+// never shared with another solve.
 type factorization struct {
-	rep     basisRep
-	basis   []int
-	colIdx  [][]int32
-	colCoef [][]float64
+	rep basisRep
+	s   *simplexState
 }
 
 // fits reports whether the handle matches m's dimensions.
@@ -54,7 +57,10 @@ func (ws *WarmStart) fits(m *Model) bool {
 }
 
 // captureWarm snapshots the state's final statuses in its model's space and,
-// when every basic variable is a structural or a slack, its factorization.
+// when every basic variable is a structural or a slack, hands the handle its
+// factorization together with the state itself (which the caller then no
+// longer touches). The caller's budget is dropped from the state first: a
+// retained handle must not keep its context or hook alive.
 func (s *simplexState) captureWarm() *WarmStart {
 	nS := s.nStruct
 	ws := &WarmStart{
@@ -66,21 +72,28 @@ func (s *simplexState) captureWarm() *WarmStart {
 	copy(ws.colStat, s.status[:nS])
 	copy(ws.slackStat, s.status[nS:nS+s.m])
 	if !slices.ContainsFunc(s.basis, func(j int) bool { return j >= nS+s.m }) {
-		ws.fact.Store(&factorization{rep: s.rep, basis: s.basis, colIdx: s.colIdx[:nS:nS], colCoef: s.colCoef[:nS:nS]})
+		s.opts = SolveOpts{}
+		ws.fact.Store(&factorization{rep: s.rep, s: s})
 	}
 	return ws
 }
 
-// factorizes reports whether s's structural columns (as many as f's: the
-// handle fits) are bit-identical to f's. Slack columns are unit vectors in
-// any model with as many rows, so the basis matrices are then identical.
-func (f *factorization) factorizes(s *simplexState) bool {
-	for j, idx := range f.colIdx {
-		if !slices.Equal(idx, s.colIdx[j]) || !slices.EqualFunc(f.colCoef[j], s.colCoef[j], sameBits) {
-			return false
+// matches reports whether model's structural columns (as many as f's: the
+// handle fits) are bit-identical to f's — slack columns are unit vectors in
+// any model with as many rows, so the basis matrices are then identical —
+// and whether its costs, in the minimization direction sign gives, are too.
+// It reads f.s before the seat overwrites it.
+func (f *factorization) matches(model *Model, sign float64) (cols, costs bool) {
+	s := f.s
+	costs = true
+	for j := range model.cols {
+		c := &model.cols[j]
+		if !slices.Equal(s.colIdx[j], c.rowIdx) || !slices.EqualFunc(s.colCoef[j], c.rowCoef, sameBits) {
+			return false, false
 		}
+		costs = costs && sameBits(s.cost[j], sign*c.obj)
 	}
-	return true
+	return true, costs
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -118,16 +131,17 @@ func warmNonbasic(st varStatus, lo, hi float64) (varStatus, float64) {
 
 // installWarm seats ws as the starting basis: nonbasic statuses are
 // revalidated against the current bounds, and the basis takes the handle's
-// factorization as is when the matrix is unchanged, or is padded to m members
-// and factorized once in product form (never a dense O(m³) inversion).
+// factorization f (already taken from ws; s is f.s) as is when the matrix
+// is unchanged (sameCols), or is padded to m members and factorized once in
+// product form (never a dense O(m³) inversion).
 // Basic values that now violate their bounds are left for dualSimplex
 // (dual.go). Returns false after restoring an all-nonbasic state when the
 // seated basis does not reproduce A·x = rhs (singular against the current
 // matrix); the caller then falls back to the diagonal crash, which retains
 // the warm *nonbasic* statuses.
-func (s *simplexState) installWarm(ws *WarmStart) bool {
+func (s *simplexState) installWarm(ws *WarmStart, f *factorization, sameCols bool) bool {
 	m, nS := s.m, s.nStruct
-	basisSet := make([]int, 0, m)
+	basisSet := resize(s.basisSet, m)[:0]
 	for j := 0; j < nS+m; j++ {
 		var st varStatus
 		if j < nS {
@@ -144,10 +158,10 @@ func (s *simplexState) installWarm(ws *WarmStart) bool {
 		s.status[j], s.nbVal[j] = warmNonbasic(st, s.lo[j], s.hi[j])
 	}
 	s.n = len(s.colIdx)
+	s.basisSet = basisSet
 	// A carried factorization comes from a basis with no artificial, whose
-	// members are exactly basisSet.
-	if f := ws.fact.Swap(nil); f != nil && f.factorizes(s) {
-		copy(s.basis, f.basis)
+	// members are exactly basisSet, in the order s.basis kept.
+	if f != nil && sameCols {
 		s.rep, s.stats.FactorReused = f.rep, true
 	} else {
 		s.factorizeWarm(basisSet)
@@ -221,20 +235,23 @@ func (s *simplexState) consistent(res []float64) bool {
 	if !s.basisTimes(s.xB, res) {
 		return false
 	}
-	u := make([]float64, s.m)
+	s.u, s.z = resize(s.u, s.m), resize(s.z, s.m)
+	u, z := s.u, s.z
 	h := uint64(1)
 	for i := range u {
 		h = h*6364136223846793005 + 1442695040888963407
 		u[i] = 1 + float64(h>>11)/(1<<53)
 	}
-	z := append([]float64(nil), u...)
+	copy(z, u)
 	s.rep.ftranDense(z)
 	return s.basisTimes(z, u)
 }
 
 // basisTimes reports whether z is finite and B·z equals want to basisCheckTol.
 func (s *simplexState) basisTimes(z, want []float64) bool {
-	act := make([]float64, s.m)
+	s.act = resize(s.act, s.m)
+	act := s.act
+	clear(act)
 	for i, j := range s.basis {
 		v := z[i]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
