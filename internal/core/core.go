@@ -25,7 +25,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"ffc/internal/demand"
@@ -338,7 +337,7 @@ type Solver struct {
 	// canonical (Src, Dst) order; a flow's position is its flow index.
 	flows []tunnel.Flow
 	// incidence, by LinkID: the (flow index, tunnel) pairs crossing each
-	// directed link, in tunnel-set order.
+	// directed link, in tunnel-set order (so a flow's pairs are adjacent).
 	incidence [][]flowTunnel
 
 	// msum emits every bounded M-sum, per Options.Encoding; naiveDP
@@ -588,6 +587,3 @@ func outcomeOf(sol *lp.Solution, err error) Outcome {
 	}
 	return OutcomeSolverError
 }
-
-// almostLE reports a ≤ b within the verification tolerance.
-func almostLE(a, b float64) bool { return a <= b+1e-6*math.Max(1, math.Abs(b)) }

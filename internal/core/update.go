@@ -42,276 +42,229 @@ func (s *Solver) PlanUpdate(prev, target *State, kc, maxSteps int) (*UpdatePlan,
 	if s.encErr != nil {
 		return plan, s.encErr
 	}
-	history := []*State{prev}
-	cur := prev
-	for step := 0; step < maxSteps; step++ {
-		if s.transitionSafe(history, target, kc) {
-			plan.Steps = append(plan.Steps, target.Clone())
-			plan.Reached = true
-			return plan, nil
+	p := s.newPlanner([]*State{prev}, target, kc)
+	for step := 0; !p.safe(&p.target); step++ {
+		if step == maxSteps {
+			return plan, fmt.Errorf("core: target not reached within %d steps", maxSteps)
 		}
-		next, err := s.planOneStep(history, target, kc)
+		next, err := p.step()
 		plan.Solves++
 		if err != nil {
 			return plan, fmt.Errorf("core: update step %d: %w", step+1, err)
 		}
-		if statesClose(next, cur) {
+		nv := s.view(next)
+		if statesClose(&nv, &p.history[len(p.history)-1]) {
 			return plan, fmt.Errorf("core: update stalled at step %d (kc=%d)", step+1, kc)
 		}
 		plan.Steps = append(plan.Steps, next)
-		history = append(history, next)
-		cur = next
+		p.history = append(p.history, nv)
 	}
-	if s.transitionSafe(history, target, kc) {
-		plan.Steps = append(plan.Steps, target.Clone())
-		plan.Reached = true
-		return plan, nil
-	}
-	return plan, fmt.Errorf("core: target not reached within %d steps", maxSteps)
+	plan.Steps = append(plan.Steps, target.Clone())
+	plan.Reached = true
+	return plan, nil
 }
 
-// planFlows returns the union of flows across states, ordered.
-func planFlows(states ...*State) []tunnel.Flow {
-	set := map[tunnel.Flow]bool{}
-	for _, st := range states {
-		for f := range st.Alloc {
-			set[f] = true
-		}
-		for f := range st.Rate {
-			set[f] = true
-		}
-	}
-	return tunnel.SortedFlows(set)
-}
-
-// actualLoadBySrc returns, per link and ingress switch, the traffic st
-// actually sends (weights × rate).
-func (s *Solver) actualLoadBySrc(st *State) map[topology.LinkID]map[topology.SwitchID]float64 {
-	out := map[topology.LinkID]map[topology.SwitchID]float64{}
-	for f, rate := range st.Rate {
-		if rate == 0 {
-			continue
-		}
-		w := st.Weights(f)
-		for _, t := range s.Tun.Tunnels(f) {
-			if t.Index >= len(w) || w[t.Index] == 0 {
-				continue
-			}
-			share := rate * w[t.Index]
-			for _, l := range t.Links {
-				m := out[l]
-				if m == nil {
-					m = map[topology.SwitchID]float64{}
-					out[l] = m
-				}
-				m[f.Src] += share
-			}
-		}
-	}
-	return out
-}
-
-// histWeightOnLink returns, per flow, the worst (maximum over history
-// configurations) fraction of the flow's rate that lands on each link when
-// its ingress is stuck: hw[l][f] = max_j Σ_{t∋l} w^j_{f,t}.
-func (s *Solver) histWeightOnLink(history []*State, flows []tunnel.Flow) map[topology.LinkID]map[tunnel.Flow]float64 {
-	out := map[topology.LinkID]map[tunnel.Flow]float64{}
-	for _, h := range history {
-		for _, f := range flows {
-			alloc, ok := h.Alloc[f]
-			if !ok || sumFloats(alloc) == 0 {
-				continue
-			}
-			w := tunnel.Weights(alloc)
-			perLink := map[topology.LinkID]float64{}
-			for _, t := range s.Tun.Tunnels(f) {
-				if t.Index >= len(w) || w[t.Index] == 0 {
-					continue
-				}
-				for _, l := range t.Links {
-					perLink[l] += w[t.Index]
-				}
-			}
-			for l, frac := range perLink {
-				m := out[l]
-				if m == nil {
-					m = map[tunnel.Flow]float64{}
-					out[l] = m
-				}
-				if frac > m[f] {
-					m[f] = frac
-				}
-			}
-		}
-	}
-	return out
-}
-
-func sumFloats(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// transitionSafe checks numerically whether moving from the last state of
-// history directly to next satisfies Eqn 16 plus the §5.2 FFC condition:
-// per link, the max of adjacent-step traffic from each source, plus the
-// worst kc sources' stale excess (historical weights × next's rates), must
-// fit capacity.
+// transitionSafe reports whether moving from history's last state straight
+// to next is safe (planner.safe).
 func (s *Solver) transitionSafe(history []*State, next *State, kc int) bool {
-	cur := history[len(history)-1]
-	flows := planFlows(append(history, next)...)
-	curL := s.actualLoadBySrc(cur)
-	nextL := s.actualLoadBySrc(next)
-	hw := s.histWeightOnLink(history, flows)
+	p := s.newPlanner(history, next, kc)
+	return p.safe(&p.target)
+}
 
-	for _, l := range s.Net.Links {
-		srcs := map[topology.SwitchID]bool{}
-		for v := range curL[l.ID] {
-			srcs[v] = true
+// view is a state by flow index: each flow's rate and allocation, the
+// weights its traffic splits with, and the weights a switch stuck on the
+// state splits it with (nil where the state allocates the flow nothing).
+type view struct {
+	rate            []float64
+	alloc, w, stale [][]float64
+}
+
+func (s *Solver) view(st *State) view {
+	n := len(s.flows)
+	v := view{make([]float64, n), make([][]float64, n), make([][]float64, n), make([][]float64, n)}
+	for i, f := range s.flows {
+		v.rate[i], v.alloc[i], v.w[i] = st.Rate[f], st.Alloc[f], tunnel.Weights(st.Alloc[f])
+		var sum float64
+		for _, a := range v.alloc[i] {
+			sum += a
 		}
-		for v := range nextL[l.ID] {
-			srcs[v] = true
+		if sum != 0 {
+			v.stale[i] = v.w[i]
 		}
-		staleBySrc := map[topology.SwitchID]float64{}
-		for f, frac := range hw[l.ID] {
-			staleBySrc[f.Src] += frac * next.Rate[f]
+	}
+	return v
+}
+
+// load adds to *sum, tunnel by tunnel, the traffic st sends of flow i over
+// run's tunnels.
+func (st *view) load(sum *float64, i int, run []flowTunnel) {
+	for _, ft := range run {
+		*sum += st.rate[i] * idx(st.w[i], ft.idx)
+	}
+}
+
+// planner is one update chain by flow index: the target, the history so
+// far (from prev), the states whose flows every step carries, and scan's
+// per-ingress current traffic by SwitchID.
+type planner struct {
+	s       *Solver
+	kc      int
+	target  view
+	history []view
+	states  []*State
+	cur     []float64
+}
+
+func (s *Solver) newPlanner(history []*State, target *State, kc int) *planner {
+	p := &planner{s: s, kc: kc, target: s.view(target), states: append([]*State{target}, history...),
+		cur: make([]float64, len(s.Net.Switches))}
+	for _, st := range history {
+		p.history = append(p.history, s.view(st))
+	}
+	return p
+}
+
+// scan walks link l's incidence once, a flow's run of tunnels at a time.
+// It adds each ingress's current traffic to p.cur and calls fn with each flow's ingress, index and run, and the largest
+// fraction of its rate that the ingress puts on l while stuck on a history
+// configuration: max_j Σ_{t∋l} w^j_{f,t}, 0 if none.
+func (p *planner) scan(l topology.LinkID, fn func(v topology.SwitchID, i int, run []flowTunnel, frac float64)) {
+	inc, cur := p.s.incidence[l], &p.history[len(p.history)-1]
+	clear(p.cur)
+	for k := 0; k < len(inc); {
+		i, end := inc[k].flow, k+1
+		for end < len(inc) && inc[end].flow == i {
+			end++
 		}
-		for v := range staleBySrc {
-			srcs[v] = true
+		run := inc[k:end]
+		k = end
+		v := p.s.flows[i].Src
+		cur.load(&p.cur[v], i, run)
+		frac := 0.0
+		for _, h := range p.history {
+			share := 0.0
+			for _, ft := range run {
+				share += idx(h.stale[i], ft.idx)
+			}
+			frac = max(frac, share)
 		}
-		var base float64
-		var excess []float64
-		for v := range srcs {
-			m := math.Max(curL[l.ID][v], nextL[l.ID][v])
+		fn(v, i, run, frac)
+	}
+}
+
+// safe checks Eqn 16 plus the §5.2 FFC condition for moving from the last
+// history configuration straight to next: per link, each source's max of
+// adjacent-step traffic plus the kc largest stale excesses (historical
+// weights × next's rates) must fit capacity.
+func (p *planner) safe(next *view) bool {
+	nxt, stale := make([]float64, len(p.cur)), make([]float64, len(p.cur))
+	for _, l := range p.s.Net.Links {
+		clear(nxt)
+		clear(stale)
+		p.scan(l.ID, func(v topology.SwitchID, i int, run []flowTunnel, frac float64) {
+			next.load(&nxt[v], i, run)
+			stale[v] += frac * next.rate[i]
+		})
+		base, excess := 0.0, []float64(nil)
+		for v, cur := range p.cur {
+			m := math.Max(cur, nxt[v])
 			base += m
-			if e := staleBySrc[v] - m; e > 0 {
+			if e := stale[v] - m; e > 0 {
 				excess = append(excess, e)
 			}
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(excess)))
 		top := 0.0
-		for i := 0; i < kc && i < len(excess); i++ {
-			top += excess[i]
+		for _, e := range excess[:min(p.kc, len(excess))] {
+			top += e
 		}
-		if overThreshold(base+top, s.Net.Links[l.ID].Capacity) {
+		if overThreshold(base+top, l.Capacity) {
 			return false
 		}
 	}
 	return true
 }
 
-// planOneStep solves the per-step LP: maximize progress toward the target
-// subject to the transition-safety constraints against the last
-// configuration and the stale-weight FFC condition against all earlier
-// ones.
-func (s *Solver) planOneStep(history []*State, target *State, kc int) (*State, error) {
-	cur := history[len(history)-1]
-	model := lp.NewModel()
-	flows := planFlows(append(history, target)...)
-
-	// Variables: per-tunnel allocation a, per-flow rate r ≤ Σa capped by
-	// the target rate. Rates are what limiters enforce; stale-weight risk
-	// scales with them.
-	aVar := map[tunnel.Flow][]lp.Var{}
-	rVar := map[tunnel.Flow]lp.Var{}
-	obj := lp.NewExpr()
-	for _, f := range flows {
-		ts := s.Tun.Tunnels(f)
-		vars := make([]lp.Var, len(ts))
-		cover := lp.NewExpr()
-		for i := range ts {
-			tgt := idx(target.Alloc[f], i)
-			curA := idx(cur.Alloc[f], i)
-			// Never overshoot past max(current, target): keeps steps
-			// monotone and the search stable.
-			vars[i] = model.NewVar(fmt.Sprintf("a[%v,%d]", f, i), 0, math.Max(tgt, curA))
-			cover.Add(1, vars[i])
-			// z ≤ a, z ≤ target; progress plus a small shrink incentive.
-			z := model.NewVar("z", 0, tgt)
-			model.AddGE(lp.NewExpr().Add(1, vars[i]).Add(-1, z), 0)
-			obj.Add(1, z)
-			obj.Add(-1e-3, vars[i])
+// step solves the per-step LP: maximize progress toward the target under
+// the transition-safety rows against the last configuration and the
+// stale-weight FFC rows against all earlier ones.
+func (p *planner) step() (*State, error) {
+	s, cur, tgt, model := p.s, &p.history[len(p.history)-1], &p.target, lp.NewModel()
+	// next carries every flow of the states, at rate 0 until the LP rates
+	// it; a flow without a tunnel has no index, so it stays there.
+	next := NewState()
+	for _, st := range p.states {
+		for f := range st.Rate {
+			next.Rate[f], next.Alloc[f] = 0, []float64{}
 		}
-		r := model.NewVar(fmt.Sprintf("r[%v]", f), 0, target.Rate[f])
-		model.AddGE(cover.Add(-1, r), 0)
-		obj.Add(10, r) // rates are the real progress currency
-		aVar[f] = vars
-		rVar[f] = r
+		for f := range st.Alloc {
+			next.Rate[f], next.Alloc[f] = 0, []float64{}
+		}
 	}
-
-	curL := s.actualLoadBySrc(cur)
-	hw := s.histWeightOnLink(history, flows)
-
-	for _, l := range s.Net.Links {
-		// New per-source loads (allocation upper-bounds the traffic).
-		bySrc := map[topology.SwitchID]*lp.Expr{}
-		for _, ft := range s.incidence[l.ID] {
-			f := s.flows[ft.flow]
-			if vars, ok := aVar[f]; ok {
-				e := bySrc[f.Src]
-				if e == nil {
-					e = lp.NewExpr()
-					bySrc[f.Src] = e
-				}
-				e.Add(1, vars[ft.idx])
-			}
-		}
-		// Stale-weight loads per source: Σ_f hw·r_f.
-		staleBySrc := map[topology.SwitchID]*lp.Expr{}
-		for f, frac := range hw[l.ID] {
-			e := staleBySrc[f.Src]
-			if e == nil {
-				e = lp.NewExpr()
-				staleBySrc[f.Src] = e
-			}
-			e.Add(frac, rVar[f])
-		}
-
-		srcs := map[topology.SwitchID]bool{}
-		for v := range bySrc {
-			srcs[v] = true
-		}
-		for v := range curL[l.ID] {
-			srcs[v] = true
-		}
-		for v := range staleBySrc {
-			srcs[v] = true
-		}
-		if len(srcs) == 0 {
+	// Variables, by flow index: per-tunnel allocation a (nil outside next),
+	// per-flow rate r ≤ Σa capped by the target rate. Rates are what
+	// limiters enforce; stale-weight risk scales with them.
+	a, r := make([][]lp.Var, len(s.flows)), make([]lp.Var, len(s.flows))
+	obj := lp.NewExpr()
+	for i, f := range s.flows {
+		if _, ok := next.Rate[f]; !ok {
 			continue
 		}
-		var srcList []topology.SwitchID
-		for v := range srcs {
-			srcList = append(srcList, v)
+		a[i] = make([]lp.Var, len(s.Tun.Tunnels(f)))
+		cover := lp.NewExpr()
+		for t := range a[i] {
+			hi := idx(tgt.alloc[i], t)
+			// Never overshoot past max(current, target): keeps steps
+			// monotone and the search stable.
+			a[i][t] = model.NewVar(fmt.Sprintf("a[%v,%d]", f, t), 0, math.Max(hi, idx(cur.alloc[i], t)))
+			cover.Add(1, a[i][t])
+			// z ≤ a, z ≤ target; progress plus a small shrink incentive.
+			z := model.NewVar("z", 0, hi)
+			model.AddGE(lp.NewExpr().Add(1, a[i][t]).Add(-1, z), 0)
+			obj.Add(1, z).Add(-1e-3, a[i][t])
 		}
-		sort.Slice(srcList, func(i, j int) bool { return srcList[i] < srcList[j] })
+		r[i] = model.NewVar(fmt.Sprintf("r[%v]", f), 0, tgt.rate[i])
+		model.AddGE(cover.Add(-1, r[i]), 0)
+		obj.Add(10, r[i]) // rates are the real progress currency
+	}
 
+	bySrc, staleBy := make([]lp.Expr, len(p.cur)), make([]lp.Expr, len(p.cur))
+	for _, l := range s.Net.Links {
+		// Per source: the new loads (allocation upper-bounds the traffic)
+		// and the stale-weight loads Σ_f frac·r_f (frac = 0 adds no term).
+		p.scan(l.ID, func(v topology.SwitchID, i int, run []flowTunnel, frac float64) {
+			for k := 0; k < len(run) && a[i] != nil; k++ {
+				bySrc[v].Add(1, a[i][run[k].idx])
+			}
+			staleBy[v].Add(frac, r[i])
+		})
 		base := lp.NewExpr() // Σ_v M_v with M_v ≥ max(cur, next)
 		var excess []*lp.Expr
-		for _, v := range srcList {
+		// Every flow that sends or is stuck on l is in the plan, so the
+		// sources with a term in bySrc are all of l's.
+		for v := range bySrc {
+			if len(bySrc[v].Terms) == 0 {
+				continue
+			}
 			m := model.NewVar(fmt.Sprintf("M[e%d,v%d]", l.ID, v), 0, lp.Inf)
-			model.AddGE(lp.NewExpr().Add(1, m), curL[l.ID][v])
-			if e := bySrc[v]; e != nil {
-				model.AddGE(lp.NewExpr().Add(1, m).AddExpr(-1, e), 0)
-			}
+			model.AddGE(lp.NewExpr().Add(1, m), p.cur[v])
+			model.AddGE(lp.NewExpr().Add(1, m).AddExpr(-1, &bySrc[v]), 0)
 			base.Add(1, m)
-			if kc > 0 {
-				if se := staleBySrc[v]; se != nil {
-					// G_v ≥ stale(v) − M_v, G_v ≥ 0.
-					g := model.NewVar(fmt.Sprintf("G[e%d,v%d]", l.ID, v), 0, lp.Inf)
-					model.AddGE(lp.NewExpr().Add(1, g).Add(1, m).AddExpr(-1, se), 0)
-					excess = append(excess, lp.NewExpr().Add(1, g))
-				}
+			if p.kc > 0 && len(staleBy[v].Terms) > 0 {
+				// G_v ≥ stale(v) − M_v, G_v ≥ 0.
+				g := model.NewVar(fmt.Sprintf("G[e%d,v%d]", l.ID, v), 0, lp.Inf)
+				model.AddGE(lp.NewExpr().Add(1, g).Add(1, m).AddExpr(-1, &staleBy[v]), 0)
+				excess = append(excess, lp.NewExpr().Add(1, g))
 			}
+			bySrc[v].Terms, staleBy[v].Terms = bySrc[v].Terms[:0], staleBy[v].Terms[:0]
+		}
+		if len(base.Terms) == 0 {
+			continue
 		}
 		// Σ_v M_v plus the kc largest stale excesses fits the link (excess
 		// is empty at kc = 0, leaving the one row Σ_v M_v ≤ c).
-		c := s.Net.Links[l.ID].Capacity
-		s.msum(model, excess, kc, true, fmt.Sprintf("upd[e%d]", l.ID), func(sum *lp.Expr) {
-			model.AddNamed(fmt.Sprintf("trans[e%d]", l.ID), base.Clone().AddExpr(1, sum), lp.LE, c)
+		s.msum(model, excess, p.kc, true, fmt.Sprintf("upd[e%d]", l.ID), func(sum *lp.Expr) {
+			model.AddNamed(fmt.Sprintf("trans[e%d]", l.ID), base.Clone().AddExpr(1, sum), lp.LE, l.Capacity)
 		})
 	}
 
@@ -320,40 +273,27 @@ func (s *Solver) planOneStep(history []*State, target *State, kc int) (*State, e
 	if err != nil {
 		return nil, err
 	}
-	next := NewState()
-	for _, f := range flows {
-		alloc := make([]float64, len(aVar[f]))
-		for i, v := range aVar[f] {
-			alloc[i] = clampTiny(sol.Value(v))
+	for i, f := range s.flows {
+		if a[i] == nil {
+			continue
 		}
-		next.Alloc[f] = alloc
-		next.Rate[f] = clampTiny(sol.Value(rVar[f]))
+		alloc := make([]float64, len(a[i]))
+		for t, v := range a[i] {
+			alloc[t] = clampTiny(sol.Value(v))
+		}
+		next.Alloc[f], next.Rate[f] = alloc, clampTiny(sol.Value(r[i]))
 	}
 	return next, nil
 }
 
-func statesClose(a, b *State) bool {
+// statesClose reports whether a and b differ by less than 1e-6 in total
+// over every flow's rate and allocation.
+func statesClose(a, b *view) bool {
 	diff := 0.0
-	for f, av := range a.Alloc {
-		bv := b.Alloc[f]
-		for i := range av {
-			diff += math.Abs(av[i] - idx(bv, i))
-		}
-	}
-	for f, bv := range b.Alloc {
-		if _, ok := a.Alloc[f]; ok {
-			continue
-		}
-		for _, x := range bv {
-			diff += math.Abs(x)
-		}
-	}
-	for f, ar := range a.Rate {
-		diff += math.Abs(ar - b.Rate[f])
-	}
-	for f, br := range b.Rate {
-		if _, ok := a.Rate[f]; !ok {
-			diff += math.Abs(br)
+	for i := range a.rate {
+		diff += math.Abs(a.rate[i] - b.rate[i])
+		for t := range max(len(a.alloc[i]), len(b.alloc[i])) {
+			diff += math.Abs(idx(a.alloc[i], t) - idx(b.alloc[i], t))
 		}
 	}
 	return diff < 1e-6

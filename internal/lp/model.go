@@ -138,15 +138,9 @@ func (m *Model) Bounds(v Var) (lo, hi float64) { return m.cols[v].lo, m.cols[v].
 // handle from an earlier solve still fits a follow-up SolveFrom.
 func (m *Model) SetRHS(row int, rhs float64) { m.rows[row].rhs = rhs }
 
-// RHS returns the current right-hand side of a row.
-func (m *Model) RHS(row int) float64 { return m.rows[row].rhs }
-
 // SetObjCoef replaces v's objective coefficient (interpreted in the
 // direction set by Maximize/Minimize) without rebuilding the objective.
 func (m *Model) SetObjCoef(v Var, coef float64) { m.cols[v].obj = coef }
-
-// ObjCoef returns v's current objective coefficient.
-func (m *Model) ObjCoef(v Var) float64 { return m.cols[v].obj }
 
 // VarName returns the diagnostic name of v.
 func (m *Model) VarName(v Var) string { return m.cols[v].name }

@@ -67,19 +67,23 @@ type Emitter func(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name strin
 
 func clamp(k, n int) int { return max(0, min(k, n)) }
 
-// Bubble emits the partial bubble network: the comparator sequence for
-// (len(exprs), k) is derived and then stamped into m (see template.go), and
-// row receives the sum of its k ranked outputs.
+// Bubble emits the partial bubble network, and row receives the sum of its
+// k ranked outputs.
 func Bubble(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name string, row func(*lp.Expr)) (vars, cons int) {
 	k = clamp(k, len(exprs))
 	if k == 0 {
 		row(lp.NewExpr())
 		return 0, 1
 	}
-	t := deriveTemplate(len(exprs), k)
-	ranked, vars, cons := t.stamp(m, exprs, name, largest)
+	ranked, comparators := network(m, exprs, k, largest, name)
+	// 2 vars and 3 rows per compare-swap; k = N ends on a single wire,
+	// bound to one variable by one row.
+	vars, cons = 2*comparators, 3*comparators
+	if k == len(exprs) {
+		vars, cons = vars+1, cons+1
+	}
 	obsNetEncodings.Inc()
-	obsNetComparators.Add(int64(t.comparators))
+	obsNetComparators.Add(int64(comparators))
 	obsNetVars.Add(int64(vars))
 	obsNetCons.Add(int64(cons))
 	sum := lp.NewExpr()
@@ -88,6 +92,39 @@ func Bubble(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name string, row
 	}
 	row(sum)
 	return vars, cons + 1
+}
+
+// network runs k passes of the partial bubble sort (Algorithms 1 and 2 of
+// the paper) over exprs, 0 < k ≤ len(exprs), and returns an expression per
+// rank and the compare-swaps it emitted.
+func network(m *lp.Model, exprs []*lp.Expr, k int, largest bool, name string) (ranked []*lp.Expr, comparators int) {
+	wires := exprs
+	for pass := 0; pass < k; pass++ {
+		if len(wires) == 1 {
+			// Single wire left: it is its own extremum; bind it to a
+			// fresh variable to keep the Ranked contract (one var/rank).
+			y := m.NewVar(fmt.Sprintf("%s.y%d", name, pass), negInf(), lp.Inf)
+			if largest {
+				m.AddGE(lp.NewExpr().Add(1, y).AddExpr(-1, wires[0]), 0)
+			} else {
+				m.AddLE(lp.NewExpr().Add(1, y).AddExpr(-1, wires[0]), 0)
+			}
+			return append(ranked, lp.NewExpr().Add(1, y)), comparators
+		}
+		// One bubble pass: a chain of compare-swaps carries the running
+		// extremum through the array; the losers feed the next pass.
+		cur := wires[0]
+		losers := make([]*lp.Expr, 0, len(wires)-1)
+		for i := 1; i < len(wires); i++ {
+			var lo *lp.Expr
+			cur, lo = compareSwap(m, cur, wires[i], fmt.Sprintf("%s.p%d.c%d", name, pass, i), largest)
+			losers = append(losers, lo)
+		}
+		comparators += len(wires) - 1
+		ranked = append(ranked, cur)
+		wires = losers
+	}
+	return ranked, comparators
 }
 
 // compareSwap emits one compare-swap operator. For largest=true, hi is an

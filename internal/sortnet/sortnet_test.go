@@ -288,7 +288,7 @@ func TestConstraintCountsLinearInKN(t *testing.T) {
 func TestRankedExpressions(t *testing.T) {
 	vals := []float64{4, 9, 1, 7}
 	m := lp.NewModel()
-	ranked, _, _ := deriveTemplate(len(vals), 3).stamp(m, fixedExprs(m, vals), "r", true)
+	ranked, _ := network(m, fixedExprs(m, vals), 3, true, "r")
 	// Individual rank variables are only pinned under lexicographic
 	// minimization; steeply decreasing weights emulate it.
 	obj := lp.NewExpr()

@@ -20,11 +20,12 @@ func TestComparatorCount(t *testing.T) {
 		exprs[i] = lp.NewExpr().Add(1, v)
 	}
 	want := (N - 1) + (N - 2) // 7
-	if got := deriveTemplate(N, M).comparators; got != want {
-		t.Fatalf("comparators = %d, want %d", got, want)
-	}
+	before := obsNetComparators.Value()
 	if vars, cons := Bubble(m, exprs, M, true, "net", func(*lp.Expr) {}); vars != 2*want || cons != 3*want+1 {
 		t.Fatalf("bubble vars=%d cons=%d, want %d and %d", vars, cons, 2*want, 3*want+1)
+	}
+	if got := obsNetComparators.Value() - before; got != int64(want) {
+		t.Fatalf("comparators = %d, want %d", got, want)
 	}
 	if vars, cons := Compact(m, exprs, M, true, "k", func(*lp.Expr) {}); vars != N+1 || cons != N+1 {
 		t.Fatalf("compact vars=%d cons=%d, want %d and %d", vars, cons, N+1, N+1)
